@@ -188,11 +188,18 @@ DEFAULT_PROFILE = CorruptionProfile(
 
 @dataclass
 class Corpus:
+    """Header plus samples. The sample sequence is stored as a tuple and the
+    samples are frozen, so the file checksum is computed once and kept (as the
+    hex digest, see corpus_checksum)."""
+
     header: CorpusHeader
-    samples: list
+    samples: tuple
     _index: dict = field(init=False, repr=False)
+    _checksum: str | None = field(init=False, repr=False, compare=False,
+                                  default=None)
 
     def __post_init__(self):
+        self.samples = tuple(self.samples)
         self._index = {}
         for s in self.samples:
             if s.id in self._index:
@@ -213,6 +220,41 @@ class Corpus:
 
     def augmented(self) -> list:
         return [s for s in self.samples if s.origin == "Augmented"]
+
+
+@dataclass(frozen=True)
+class FeatureRows:
+    """Features of a sample sequence stacked into arrays, one row per sample.
+
+    ``A`` holds zeros where a sample has no audio, the same zero vector the
+    scorer and the head use for missing audio.
+    """
+
+    V: np.ndarray   # (n, d)
+    A: np.ndarray   # (n, d)
+    T: np.ndarray   # (n, d_t)
+    P: np.ndarray   # (n,) polarity, intp
+
+    @staticmethod
+    def stack(samples, d: int, d_t: int) -> "FeatureRows":
+        samples = list(samples)
+        V = np.zeros((len(samples), d))
+        A = np.zeros((len(samples), d))
+        T = np.zeros((len(samples), d_t))
+        for i, s in enumerate(samples):
+            V[i] = s.h_v
+            if s.h_a is not None:
+                A[i] = s.h_a
+            T[i] = s.h_t_raw
+        P = np.array([s.polarity for s in samples], dtype=np.intp)
+        return FeatureRows(V=V, A=A, T=T, P=P)
+
+    def __len__(self) -> int:
+        return self.P.shape[0]
+
+    def take(self, idx) -> "FeatureRows":
+        return FeatureRows(V=self.V[idx], A=self.A[idx], T=self.T[idx],
+                           P=self.P[idx])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -409,8 +451,11 @@ def serialize_corpus(corpus: Corpus) -> bytes:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write the corpus file and keep its checksum, taken from those bytes."""
+    data = serialize_corpus(corpus)
     with open(path, "wb") as fh:
-        fh.write(serialize_corpus(corpus))
+        fh.write(data)
+    corpus._checksum = sha256_hex(data)
 
 
 def _parse_record(raw: dict, header: CorpusHeader, line_no: int) -> FeatureSample:
@@ -462,8 +507,10 @@ def load_corpus(path) -> Corpus:
 
 
 def corpus_checksum(corpus: Corpus) -> str:
-    """SHA-256 of the canonical file serialization."""
-    return sha256_hex(serialize_corpus(corpus))
+    """SHA-256 of the canonical file serialization, computed once per corpus."""
+    if corpus._checksum is None:
+        corpus._checksum = sha256_hex(serialize_corpus(corpus))
+    return corpus._checksum
 
 
 def feature_checksum(corpus: Corpus) -> str:

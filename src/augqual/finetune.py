@@ -25,8 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import IGNORE_INDEX, Corpus, FeatureSample, VerbalScheme
-from .numerics import adam_step, gelu, gelu_grad, init_adam, softmax_cross_entropy
-from .qa import WeightFile, verify_weight_file
+from .numerics import (
+    adam_step,
+    gelu,
+    gelu_and_cdf,
+    gelu_grad_from_cdf,
+    init_adam,
+    softmax_cross_entropy,
+)
+from .qa import WeightFile, check_weights, verify_weight_file
 from .util import ValidationError, derived_rng, dumps_canonical
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
@@ -143,16 +150,16 @@ def weighted_batch_loss(per_sample, weights) -> float:
 
 def _batch_logits(arrays: dict, X: np.ndarray):
     pre = X @ arrays["in_w"].T + arrays["in_b"]
-    z = gelu(pre)
+    z, cdf = gelu_and_cdf(pre)
     logits = np.einsum("nh,tvh->ntv", z, arrays["out_w"]) + arrays["out_b"]
-    return logits, pre, z
+    return logits, pre, z, cdf
 
 
 def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
                     weights: np.ndarray):
     """Weighted batch loss and gradients; zero-weight samples contribute zero."""
     n = X.shape[0]
-    logits, pre, z = _batch_logits(arrays, X)
+    logits, pre, z, cdf = _batch_logits(arrays, X)
     shift = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shift - np.log(np.sum(np.exp(shift), axis=-1, keepdims=True))
     sup = targets != IGNORE_INDEX                      # (n, T)
@@ -173,7 +180,7 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
         "out_b": G.sum(axis=0),
     }
     g_z = np.einsum("ntv,tvh->nh", G, arrays["out_w"])
-    g_pre = g_z * gelu_grad(pre)
+    g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
     grads["in_w"] = g_pre.T @ X
     grads["in_b"] = g_pre.sum(axis=0)
     return loss, grads
@@ -205,6 +212,7 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     config.validate()
     if weight_file is not None:
         verify_weight_file(weight_file, corpus)
+        check_weights(weight_file)
         wmap = weight_file.weights_by_id()
     ids = tuple(sample_ids) if sample_ids is not None else tuple(
         s.id for s in corpus.samples)

@@ -14,6 +14,12 @@ staying on the real feature manifold:
 
 Positives are the trusted samples themselves. Missing audio is represented
 by a zero vector throughout, matching how the scorer assembles its input.
+
+A forged batch is array-backed: the rows of every family are stacked in
+``FAMILIES`` order (pos, mix, mask, flip), and ``sizes`` gives each family's
+block length. Every family but mix has one row per batch sample, in batch
+order. Mix has one row per sample too, or none when the batch holds a single
+polarity and no sample has a donor.
 """
 
 from __future__ import annotations
@@ -22,34 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FeatureSample
+from .corpus import FeatureRows
 from .util import ValidationError
 
 FAMILIES = ("pos", "mix", "mask", "flip")
 
 
 @dataclass(frozen=True)
-class ForgedItem:
-    """One scorer training example: pre-projection features plus a label."""
-
-    h_v: np.ndarray
-    h_a: np.ndarray      # zero vector when the source had no audio
-    h_t_raw: np.ndarray
-    polarity: int
-    label: int           # 1 = trusted positive, 0 = forged negative
-    family: str
-    source_id: str
-
-
-@dataclass(frozen=True)
 class ForgedBatch:
-    items: tuple[ForgedItem, ...]
+    """Scorer training rows: features, label (1 = trusted positive, 0 = forged
+    negative) and the block size of each family, in ``FAMILIES`` order."""
 
-    def by_family(self) -> dict:
-        groups = {f: [] for f in FAMILIES}
-        for it in self.items:
-            groups[it.family].append(it)
-        return groups
+    rows: FeatureRows
+    labels: np.ndarray             # (n,) float64
+    sizes: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -61,69 +53,45 @@ class ForgeConfig:
             raise ValidationError("mask_rate must be in [0, 1]")
 
 
-def audio_or_zero(sample: FeatureSample, d: int) -> np.ndarray:
-    return sample.h_a if sample.h_a is not None else np.zeros(d)
-
-
-def positives(samples, d: int) -> list:
-    return [ForgedItem(h_v=s.h_v, h_a=audio_or_zero(s, d), h_t_raw=s.h_t_raw,
-                       polarity=s.polarity, label=1, family="pos", source_id=s.id)
-            for s in samples]
-
-
-def mix_negatives(samples, d: int, rng: np.random.Generator) -> list:
+def _mix_rows(batch: FeatureRows, rng: np.random.Generator) -> FeatureRows:
     """Pathway swaps against opposite-polarity donors within the batch.
 
-    Samples with no opposite-polarity donor available are skipped, so a
-    single-polarity batch yields an empty family rather than an error.
+    Two draws per sample, in batch order: the donor among the opposite
+    polarity's samples, then the coin (1 keeps video and takes the donor's
+    audio, 0 keeps audio and takes the donor's video).
     """
-    by_pol = {0: [s for s in samples if s.polarity == 0],
-              1: [s for s in samples if s.polarity == 1]}
-    out = []
-    for s in samples:
-        donors = by_pol[1 - s.polarity]
-        if not donors:
-            continue
-        donor = donors[rng.integers(len(donors))]
-        keep_video = bool(rng.integers(2))
-        if keep_video:
-            h_v, h_a = s.h_v, audio_or_zero(donor, d)
+    by_pol = (np.flatnonzero(batch.P == 0), np.flatnonzero(batch.P == 1))
+    if by_pol[0].size == 0 or by_pol[1].size == 0:
+        return batch.take(np.zeros(0, dtype=np.intp))
+    n = len(batch)
+    video_from = np.empty(n, dtype=np.intp)
+    audio_from = np.empty(n, dtype=np.intp)
+    for i, pol in enumerate(batch.P.tolist()):
+        donors = by_pol[1 - pol]
+        donor = donors[rng.integers(donors.size)]
+        if rng.integers(2):
+            video_from[i], audio_from[i] = i, donor
         else:
-            h_v, h_a = donor.h_v, audio_or_zero(s, d)
-        out.append(ForgedItem(h_v=h_v, h_a=h_a, h_t_raw=s.h_t_raw,
-                              polarity=s.polarity, label=0, family="mix",
-                              source_id=s.id))
-    return out
+            video_from[i], audio_from[i] = donor, i
+    return FeatureRows(V=batch.V[video_from], A=batch.A[audio_from],
+                       T=batch.T, P=batch.P)
 
 
-def mask_negatives(samples, d: int, rng: np.random.Generator,
-                   mask_rate: float) -> list:
+def _mask_rows(batch: FeatureRows, rng: np.random.Generator,
+               mask_rate: float) -> FeatureRows:
     """Zero a Bernoulli(mask_rate) subset of dims in each pathway.
 
-    Rate 0 is a feature-preserving identity (the items still carry label 0).
+    One uniform draw per dimension, sample after sample, each sample's
+    draws in video, audio, text order. Rate 0 is a feature-preserving
+    identity (the rows still carry label 0).
     """
-    if not 0.0 <= mask_rate <= 1.0:
-        raise ValidationError("mask_rate must be in [0, 1]")
-    out = []
-    for s in samples:
-        h_v = s.h_v * (rng.random(d) >= mask_rate)
-        h_a = audio_or_zero(s, d) * (rng.random(d) >= mask_rate)
-        h_t = s.h_t_raw * (rng.random(s.h_t_raw.shape[0]) >= mask_rate)
-        out.append(ForgedItem(h_v=h_v, h_a=h_a, h_t_raw=h_t,
-                              polarity=s.polarity, label=0, family="mask",
-                              source_id=s.id))
-    return out
+    n, d, d_t = len(batch), batch.V.shape[1], batch.T.shape[1]
+    keep = rng.random(n * (2 * d + d_t)).reshape(n, -1) >= mask_rate
+    return FeatureRows(V=batch.V * keep[:, :d], A=batch.A * keep[:, d:2 * d],
+                       T=batch.T * keep[:, 2 * d:], P=batch.P)
 
 
-def flip_negatives(samples, d: int) -> list:
-    """Bit-identical features, inverted polarity input."""
-    return [ForgedItem(h_v=s.h_v, h_a=audio_or_zero(s, d), h_t_raw=s.h_t_raw,
-                       polarity=1 - s.polarity, label=0, family="flip",
-                       source_id=s.id)
-            for s in samples]
-
-
-def forge_batch(samples, d: int, rng: np.random.Generator,
+def forge_batch(batch: FeatureRows, rng: np.random.Generator,
                 config: ForgeConfig | None = None) -> ForgedBatch:
     """Positives plus one negative per sample per family.
 
@@ -132,11 +100,18 @@ def forge_batch(samples, d: int, rng: np.random.Generator,
     """
     config = config or ForgeConfig()
     config.validate()
-    samples = list(samples)
-    if not samples:
+    n = len(batch)
+    if n == 0:
         raise ValidationError("cannot forge from an empty batch")
-    items = positives(samples, d)
-    items += mix_negatives(samples, d, rng)
-    items += mask_negatives(samples, d, rng, config.mask_rate)
-    items += flip_negatives(samples, d)
-    return ForgedBatch(items=tuple(items))
+    mix = _mix_rows(batch, rng)
+    mask = _mask_rows(batch, rng, config.mask_rate)
+    blocks = (batch, mix, mask, batch)
+    sizes = (n, len(mix), n, n)
+    rows = FeatureRows(
+        V=np.concatenate([b.V for b in blocks]),
+        A=np.concatenate([b.A for b in blocks]),
+        T=np.concatenate([b.T for b in blocks]),
+        P=np.concatenate([batch.P, mix.P, batch.P, 1 - batch.P]))
+    labels = np.zeros(sum(sizes))
+    labels[:n] = 1.0
+    return ForgedBatch(rows=rows, labels=labels, sizes=sizes)

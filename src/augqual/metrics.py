@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import sentiment_class
 from .util import ValidationError
@@ -109,6 +108,19 @@ def pearson_corr(pred, gold) -> float:
     return float(np.sum(pc * gc) / denom)
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share their average rank."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="mergesort")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.shape[0]]
+    group_rank = (starts + 1 + ends) / 2.0      # mean of ranks starts+1 .. ends
+    ranks = np.empty(v.shape[0])
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """Rank-statistic AUC; ties get average ranks. Needs both classes."""
     s = np.asarray(scores, dtype=np.float64)
@@ -120,7 +132,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = s.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_auc needs both classes")
-    ranks = rankdata(s)
+    ranks = average_ranks(s)
     u = np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -26,19 +26,22 @@ def _maybe_scalar(x: np.ndarray, scalar: bool) -> np.ndarray | float:
     return float(x) if scalar else x
 
 
+def gelu_and_cdf(x) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x) and Phi(x) from one erf evaluation, for a forward pass that
+    keeps Phi for its backward pass (see gelu_grad_from_cdf)."""
+    arr = np.asarray(x, dtype=np.float64)
+    one_plus_erf = 1.0 + erf(arr * _INV_SQRT2)
+    return arr * 0.5 * one_plus_erf, 0.5 * one_plus_erf
+
+
+def gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx gelu(x) = Phi(x) + x * phi(x), given Phi(x) from gelu_and_cdf."""
+    return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+
+
 def gelu(x):
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = arr * 0.5 * (1.0 + erf(arr * _INV_SQRT2))
-    return _maybe_scalar(out, np.isscalar(x))
-
-
-def gelu_grad(x):
-    """d/dx gelu(x) = Phi(x) + x * phi(x)."""
-    arr = np.asarray(x, dtype=np.float64)
-    cdf = 0.5 * (1.0 + erf(arr * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * arr * arr)
-    out = cdf + arr * pdf
+    out, _ = gelu_and_cdf(x)
     return _maybe_scalar(out, np.isscalar(x))
 
 
@@ -106,25 +109,43 @@ def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh params and state."""
+    """One bias-corrected Adam update. Pure: returns fresh params and state.
+
+    Each key allocates its new m, v and parameter plus one scratch array; the
+    arithmetic and its order are those of the textbook update
+    ``p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``, so the
+    result is bit-identical to evaluating that expression directly.
+    """
     if set(params) != set(grads):
         raise ValidationError("adam_step: params and grads name mismatch")
     t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     new_params, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = np.asarray(grads[k], dtype=np.float64)
         if g.shape != p.shape:
             raise ValidationError(f"adam_step: shape mismatch for '{k}'")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValidationError(f"adam_step: non-finite gradient for '{k}'")
-        m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # out= keeps 0-d parameters arrays, as in-place updates need
+        step = np.multiply(g, 1.0 - b1, out=np.empty(p.shape))   # (1 - b1) g
+        m = np.multiply(state.m[k], b1, out=np.empty(p.shape))
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)                       # (1 - b2) g g
+        step *= g
+        v = np.multiply(state.v[k], b2, out=np.empty(p.shape))
+        v += step
+        denom = np.divide(v, bias2, out=np.empty(p.shape))       # sqrt(v_hat) + eps
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bias1, out=step)                            # lr m_hat / denom
+        step *= state.lr
+        step /= denom
+        new_params[k] = np.subtract(p, step, out=step)
         new_m[k] = m
         new_v[k] = v
-    new_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
+    new_state = AdamState(lr=state.lr, beta1=b1, beta2=b2,
                           eps=state.eps, step=t, m=new_m, v=new_v)
     return new_params, new_state
 

@@ -33,6 +33,7 @@ import numpy as np
 from .corpus import (
     Corpus,
     CorpusHeader,
+    FeatureRows,
     corpus_checksum,
     header_dict,
     header_from_dict,
@@ -43,7 +44,8 @@ from .numerics import (
     adam_step,
     bce_with_logit,
     gelu,
-    gelu_grad,
+    gelu_and_cdf,
+    gelu_grad_from_cdf,
     init_adam,
     sigmoid,
 )
@@ -177,51 +179,34 @@ def qa_logit(x: np.ndarray, params: QaParams) -> float:
     return float(params.out_w @ hidden + params.out_b[0])
 
 
-def _batch_features(items, params: QaParams):
-    """Stack sample-like items (forged or corpus) into (V, A, T, P)."""
-    d = params.d
-    V = np.stack([it.h_v for it in items])
-    A = np.stack([np.zeros(d) if it.h_a is None else it.h_a for it in items])
-    T = np.stack([it.h_t_raw for it in items])
-    P = np.array([it.polarity for it in items], dtype=np.intp)
-    return V, A, T, P
-
-
-def _forward(V, A, T, P, params: QaParams):
+def _forward(rows: FeatureRows, params: QaParams):
     """Batched forward pass; returns logits plus caches for backprop."""
-    h_t = T @ params.text_proj_w.T + params.text_proj_b
-    h_p = params.polarity_emb[P]
-    x = np.concatenate([V, A, h_t, h_p], axis=1)
+    h_t = rows.T @ params.text_proj_w.T + params.text_proj_b
+    h_p = params.polarity_emb[rows.P]
+    x = np.concatenate([rows.V, rows.A, h_t, h_p], axis=1)
     pre = x @ params.hidden_w.T + params.hidden_b
-    act = gelu(pre)
+    act, cdf = gelu_and_cdf(pre)
     logits = act @ params.out_w + params.out_b[0]
-    return logits, (x, pre, act)
+    return logits, (x, pre, act, cdf)
 
 
-def _family_coefficients(items, alpha) -> tuple[np.ndarray, float]:
-    """Per-item loss coefficients alpha_k / (Z * n_k); Z sums present families."""
-    counts = {f: 0 for f in FAMILIES}
-    for it in items:
-        counts[it.family] += 1
-    weight = dict(zip(FAMILIES, alpha))
-    norm = sum(weight[f] for f in FAMILIES if counts[f] > 0)
+def _family_coefficients(forged: ForgedBatch, alpha) -> np.ndarray:
+    """Per-row loss coefficients alpha_k / (Z * n_k); Z sums present families."""
+    if not forged.labels.shape[0]:
+        raise ValidationError("no forged items: every family is empty")
+    norm = sum(a for a, n in zip(alpha, forged.sizes) if n > 0)
     if norm <= 0:
         raise ValidationError(
             "scorer loss undefined: no weighted family has items")
-    coef = np.array([weight[it.family] / (norm * counts[it.family])
-                     for it in items])
-    return coef, norm
+    return np.repeat([a / (norm * n) if n else 0.0
+                      for a, n in zip(alpha, forged.sizes)], forged.sizes)
 
 
 def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:
     """Family-weighted mean BCE over one forged batch."""
-    if not forged.items:
-        raise ValidationError("no forged items: every family is empty")
-    V, A, T, P = _batch_features(forged.items, params)
-    Y = np.array([it.label for it in forged.items], dtype=np.float64)
-    logits, _ = _forward(V, A, T, P, params)
-    coef, _ = _family_coefficients(forged.items, alpha)
-    return float(np.sum(coef * bce_with_logit(logits, Y)))
+    coef = _family_coefficients(forged, alpha)
+    logits, _ = _forward(forged.rows, params)
+    return float(np.sum(coef * bce_with_logit(logits, forged.labels)))
 
 
 def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
@@ -230,25 +215,22 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     Gradients flow through the text projection and polarity embedding but
     stop at the raw feature blocks, which are treated as constants.
     """
-    if not forged.items:
-        raise ValidationError("no forged items: every family is empty")
-    V, A, T, P = _batch_features(forged.items, params)
-    Y = np.array([it.label for it in forged.items], dtype=np.float64)
-    logits, (x, pre, act) = _forward(V, A, T, P, params)
-    coef, _ = _family_coefficients(forged.items, alpha)
+    coef = _family_coefficients(forged, alpha)
+    Y = forged.labels
+    logits, (x, pre, act, cdf) = _forward(forged.rows, params)
     loss = float(np.sum(coef * bce_with_logit(logits, Y)))
 
     d = params.d
     g_logit = coef * (sigmoid(logits) - Y)            # (n,)
     g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
-    g_pre = g_act * gelu_grad(pre)                    # (n, hidden)
+    g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
     g_x = g_pre @ params.hidden_w                     # (n, 4d)
     g_ht = g_x[:, 2 * d:3 * d]
     g_hp = g_x[:, 3 * d:]
     g_emb = np.zeros_like(params.polarity_emb)
-    np.add.at(g_emb, P, g_hp)
+    np.add.at(g_emb, forged.rows.P, g_hp)
     grads = {
-        "text_proj_w": g_ht.T @ T,
+        "text_proj_w": g_ht.T @ forged.rows.T,
         "text_proj_b": g_ht.sum(axis=0),
         "polarity_emb": g_emb,
         "hidden_w": g_pre.T @ x,
@@ -277,8 +259,9 @@ def train_stage0(corpus: Corpus, config: QaConfig,
         pool = [s for s in pool if s.id in allowed]
     if not pool:
         raise ValidationError("stage-0 training pool is empty")
-    d = corpus.header.d
-    params = init_qa_params(d, corpus.header.d_t, config.hidden,
+    d, d_t = corpus.header.d, corpus.header.d_t
+    pool_rows = FeatureRows.stack(pool, d, d_t)
+    params = init_qa_params(d, d_t, config.hidden,
                             derived_rng(config.seed, "stage0", "init"))
     arrays = params.to_dict()
     state = init_adam(arrays, lr=config.lr)
@@ -288,8 +271,7 @@ def train_stage0(corpus: Corpus, config: QaConfig,
         rng = derived_rng(config.seed, "stage0", "step", step)
         take = min(config.batch_size, len(pool))
         idx = rng.choice(len(pool), size=take, replace=False)
-        batch = [pool[i] for i in idx]
-        forged = forge_batch(batch, d, rng, forge_cfg)
+        forged = forge_batch(pool_rows.take(idx), rng, forge_cfg)
         loss, grads = qa_loss_and_grads(forged, QaParams.from_dict(arrays),
                                         config.alpha)
         arrays, state = adam_step(arrays, grads, state)
@@ -306,8 +288,8 @@ def score_corpus(corpus: Corpus, params: QaParams) -> dict:
         raise ValidationError("scorer was trained for different dimensions")
     if not corpus.samples:
         return {}
-    V, A, T, P = _batch_features(corpus.samples, params)
-    logits, _ = _forward(V, A, T, P, params)
+    rows = FeatureRows.stack(corpus.samples, params.d, params.d_t)
+    logits, _ = _forward(rows, params)
     scores = sigmoid(logits)
     return {s.id: float(v) for s, v in zip(corpus.samples, scores)}
 
@@ -439,10 +421,36 @@ def load_weight_file(path) -> WeightFile:
         if e.id in seen:
             raise ValidationError(f"weight file lists {e.id} twice")
         seen.add(e.id)
-        if e.origin == "Original" and e.weight != 1.0:
-            raise ValidationError(f"weight file gives Original {e.id} weight "
-                                  f"{e.weight}, expected 1")
+    check_weights(wf)
     return wf
+
+
+# map_weight rounds w_min + s**gamma * (w_max - w_min), which can land an ulp
+# above w_max (never below w_min); a relative slack this small still rejects
+# any hand edit.
+_WEIGHT_SLACK = 1e-12
+
+
+def check_weights(wf: WeightFile) -> None:
+    """Reject weights that training must never see, in one vectorized pass.
+
+    Originals must weigh exactly 1 and augments must lie in the file's own
+    [w_min, w_max], with w_min >= 0 and every map parameter finite. That
+    rules out negative, NaN and infinite weights.
+    """
+    if not np.isfinite([wf.w_min, wf.w_max, wf.gamma]).all():
+        raise ValidationError("weight file has a non-finite w_min, w_max or gamma")
+    WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma).validate()
+    w = np.array([e.weight for e in wf.entries], dtype=np.float64)
+    original = np.array([e.origin == "Original" for e in wf.entries], dtype=bool)
+    in_range = (w >= wf.w_min) & (w <= wf.w_max * (1.0 + _WEIGHT_SLACK))
+    ok = np.where(original, w == 1.0, in_range)
+    if not ok.all():
+        e = wf.entries[int(np.argmin(ok))]
+        want = ("1" if e.origin == "Original"
+                else f"a value in [{wf.w_min}, {wf.w_max}]")
+        raise ValidationError(f"weight file gives {e.origin} {e.id} weight "
+                              f"{e.weight}, expected {want}")
 
 
 def verify_weight_file(wf: WeightFile, corpus: Corpus) -> None:

@@ -52,6 +52,30 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _dumps_float_array(arr: np.ndarray, indent: int, level: int) -> str:
+    """The text dumps_canonical gives ``arr.tolist()``, in one %-format pass.
+
+    The template holds _format_float's choice per entry: "%.1f" for integer
+    values below 1e16, "%.17g" for the rest.
+    """
+    if not np.isfinite(arr).all():
+        raise ValidationError("non-finite float cannot be serialized")
+    whole = (arr == np.trunc(arr)) & (np.abs(arr) < 1e16)
+    template = _list_template(np.where(whole, "%.1f", "%.17g").tolist(),
+                              indent, level)
+    return template % tuple(arr.ravel().tolist())
+
+
+def _list_template(specs: list, indent: int, level: int) -> str:
+    """dumps_canonical's list layout around nested lists of format specs."""
+    pad = " " * (indent * (level + 1)) if indent else ""
+    end_pad = " " * (indent * level) if indent else ""
+    nl = "\n" if indent else ""
+    if isinstance(specs[0], list):
+        specs = [_list_template(row, indent, level + 1) for row in specs]
+    return "[" + nl + ("," + nl).join(pad + it for it in specs) + nl + end_pad + "]"
+
+
 def dumps_canonical(obj: Any, *, indent: int = 0, _level: int = 0) -> str:
     """Serialize to JSON with sorted keys and 17-significant-digit floats.
 
@@ -76,6 +100,8 @@ def dumps_canonical(obj: Any, *, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim > 0 and obj.size > 0:
+            return _dumps_float_array(obj, indent, _level)
         return dumps_canonical(obj.tolist(), indent=indent, _level=_level)
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -18,9 +18,9 @@ from augqual.corpus import (
     DEFAULT_PROFILE,
     IGNORE_INDEX,
     CorruptionProfile,
-    corpus_checksum,
     feature_checksum,
     generate_corpus,
+    serialize_corpus,
     train_eval_split,
 )
 from augqual.finetune import (
@@ -30,7 +30,7 @@ from augqual.finetune import (
     train_stage1,
     weighted_batch_loss,
 )
-from augqual.forge import FAMILIES, ForgedBatch, ForgedItem
+from augqual.forge import FAMILIES
 from augqual.metrics import (
     acc_k,
     mae,
@@ -55,6 +55,8 @@ from augqual.qa import (
     serialize_qa_snapshot,
     train_stage0,
 )
+from augqual.util import sha256_hex
+from forge_reference import ForgedItem, forged_batch_from_items
 
 # Corruption mix used by the trend and data-efficiency scenarios: 30% of
 # augments corrupted (swap/drift/label-noise), the rest benign jitter.
@@ -178,7 +180,7 @@ def _rand_qa_params(rng, d, d_t, hidden, scale=0.6) -> QaParams:
     )
 
 
-def _rand_forged_batch(rng, d, d_t, n_items, tag) -> ForgedBatch:
+def _rand_forged_items(rng, d, d_t, n_items, tag) -> list:
     items = []
     for j in range(n_items):
         h_a = (np.zeros(d) if rng.random() < 0.3
@@ -192,7 +194,7 @@ def _rand_forged_batch(rng, d, d_t, n_items, tag) -> ForgedBatch:
             family=FAMILIES[int(rng.integers(len(FAMILIES)))],
             source_id=f"{tag}.{j}",
         ))
-    return ForgedBatch(items=tuple(items))
+    return items
 
 
 def _rand_targets(rng, n_rows, t_max):
@@ -228,7 +230,9 @@ def test_criterion_01_gradients_match_finite_differences(criterion):
         d_t = int(rng.integers(3, 6))
         hidden = int(rng.integers(3, 5))
         params = _rand_qa_params(rng, d, d_t, hidden)
-        fb = _rand_forged_batch(rng, d, d_t, int(rng.integers(2, 5)), f"g{i}")
+        fb = forged_batch_from_items(
+            _rand_forged_items(rng, d, d_t, int(rng.integers(2, 5)), f"g{i}"),
+            d, d_t)
         alpha = tuple(float(a) for a in rng.uniform(0.2, 3.0, size=4))
         _, grads = qa_loss_and_grads(fb, params, alpha)
         vec, layout = flatten_arrays(params.to_dict())
@@ -292,10 +296,10 @@ def test_criterion_02_losses_match_brute_force_oracles(criterion):
         d_t = int(rng.integers(2, 5))
         hidden = int(rng.integers(2, 4))
         params = _rand_qa_params(rng, d, d_t, hidden, scale=0.8)
-        fb = _rand_forged_batch(rng, d, d_t, int(rng.integers(2, 5)), f"o{i}")
+        items = _rand_forged_items(rng, d, d_t, int(rng.integers(2, 5)), f"o{i}")
         alpha = tuple(float(a) for a in rng.uniform(0.1, 3.0, size=4))
-        lib = qa_loss(fb, params, alpha)
-        ref = _brute_scorer_loss(fb.items, params, alpha)
+        lib = qa_loss(forged_batch_from_items(items, d, d_t), params, alpha)
+        ref = _brute_scorer_loss(items, params, alpha)
         worst_scorer = max(worst_scorer, abs(lib - ref))
 
     worst_task = 0.0
@@ -491,12 +495,13 @@ def test_criterion_08_artifacts_byte_identical_across_runs(criterion,
 def test_criterion_09_upstream_stages_stay_frozen(criterion):
     corpus = generate_corpus(60, 2, DEFAULT_PROFILE, seed=5, d=8, d_t=12)
     features_before = feature_checksum(corpus)
-    corpus_before = corpus_checksum(corpus)
+    # recomputed from fresh bytes: corpus_checksum caches its digest
+    corpus_before = sha256_hex(serialize_corpus(corpus))
 
     params, _ = train_stage0(corpus, QaConfig(steps=60, hidden=16,
                                               batch_size=16, seed=5))
     features_ok_s0 = (feature_checksum(corpus) == features_before
-                      and corpus_checksum(corpus) == corpus_before)
+                      and sha256_hex(serialize_corpus(corpus)) == corpus_before)
 
     scorer_before = serialize_qa_snapshot(params, corpus.header)
     weight_file = export_weights(corpus, params, WeightMapConfig())

@@ -68,6 +68,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "different corpus" in proc.stderr
 
+    def test_import_leaves_scipy_stats_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, augqual.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_version_exits_zero(self):
         proc = run("--version")
         assert proc.returncode == 0
@@ -125,6 +133,22 @@ class TestStageCommands:
                    "--steps", "5", "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["weight_mode"] == "uniform"
+
+    @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")),
+                             ids=("negative", "huge", "nan"))
+    def test_hand_edited_weight_rejected(self, artifacts, tmp_path, bad):
+        corpus, _, w, _ = artifacts
+        doc = json.loads(w.read_text())
+        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        entry["weight"] = bad
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))       # NaN is written as NaN
+        head = tmp_path / "h_bad.json"
+        proc = run("stage1", "--corpus", str(corpus), "--weights", str(edited),
+                   "--out", str(head), "--seed", "5", "--steps", "5")
+        assert proc.returncode == 1, proc.stderr
+        assert entry["id"] in proc.stderr
+        assert not head.exists()
 
     def test_run_log_written(self, artifacts, tmp_path):
         corpus, _, w, _ = artifacts

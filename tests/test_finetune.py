@@ -304,6 +304,17 @@ class TestTrainStage1:
                            match=f"no weight for sample {missing_id}"):
             train_stage1(corpus, dropped, HeadConfig(steps=1))
 
+    @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")))
+    def test_bad_augment_weight_rejected_before_training(self, bad):
+        corpus = self._corpus()
+        wf = _all_ones_weight_file(corpus)
+        k = next(i for i, e in enumerate(wf.entries) if e.origin == "Augmented")
+        e = wf.entries[k]
+        wf.entries[k] = WeightEntry(id=e.id, score=e.score, weight=bad,
+                                    origin=e.origin)
+        with pytest.raises(ValidationError, match=e.id):
+            train_stage1(corpus, wf, HeadConfig(steps=1))
+
     def test_empty_pool_rejected(self):
         corpus = self._corpus()
         with pytest.raises(ValidationError, match="training pool is empty"):

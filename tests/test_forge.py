@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from augqual.corpus import FeatureSample, VerbalScheme
-from augqual.forge import (
-    ForgeConfig,
-    flip_negatives,
-    forge_batch,
-    mask_negatives,
-    mix_negatives,
-    positives,
-)
+from augqual.corpus import FeatureRows, FeatureSample, VerbalScheme
+from augqual.forge import FAMILIES, ForgeConfig, forge_batch
 from augqual.util import ValidationError, derived_rng
+from forge_reference import family_items, forge_items, forged_batch_from_items
 
 D, DT = 6, 10
 _VERBAL = VerbalScheme()
@@ -28,6 +22,16 @@ def _mk(idx, sentiment, audio=True):
         origin="Original", target_tokens=_VERBAL.encode(sentiment))
 
 
+def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
+    return forge_batch(FeatureRows.stack(samples, d, d_t), rng,
+                       ForgeConfig(mask_rate=mask_rate))
+
+
+def _family(samples, rng, family, mask_rate=0.3, d=D, d_t=DT):
+    """The library's rows of one family, as per-sample items."""
+    return family_items(_forge(samples, rng, mask_rate, d, d_t), samples)[family]
+
+
 @pytest.fixture
 def batch():
     return [_mk(0, 0.8), _mk(1, -0.6), _mk(2, 0.3), _mk(3, -0.9),
@@ -36,16 +40,17 @@ def batch():
 
 class TestPositives:
     def test_labels_and_identity(self, batch):
-        pos = positives(batch, D)
+        pos = _family(batch, derived_rng(0, "forge-test"), "pos")
         assert len(pos) == len(batch)
         for it, s in zip(pos, batch):
             assert it.label == 1 and it.family == "pos"
             assert it.polarity == s.polarity
             assert it.source_id == s.id
-            assert it.h_v is s.h_v and it.h_t_raw is s.h_t_raw
+            np.testing.assert_array_equal(it.h_v, s.h_v)
+            np.testing.assert_array_equal(it.h_t_raw, s.h_t_raw)
 
     def test_missing_audio_becomes_zero(self, batch):
-        pos = positives(batch, D)
+        pos = _family(batch, derived_rng(0, "forge-test"), "pos")
         np.testing.assert_array_equal(pos[4].h_a, np.zeros(D))
 
 
@@ -53,7 +58,7 @@ class TestMix:
     def test_one_pathway_from_opposite_donor(self, batch):
         rng = derived_rng(0, "forge-test")
         by_id = {s.id: s for s in batch}
-        for it in mix_negatives(batch, D, rng):
+        for it in _family(batch, rng, "mix"):
             assert it.label == 0 and it.family == "mix"
             src = by_id[it.source_id]
             assert it.polarity == src.polarity
@@ -74,21 +79,21 @@ class TestMix:
         trials = 300
         src = batch[0]
         for _ in range(trials):
-            it = mix_negatives([src, batch[1]], D, rng)[0]
+            it = _family([src, batch[1]], rng, "mix")[0]
             kept_video += int(np.array_equal(it.h_v, src.h_v))
         assert 0.4 < kept_video / trials < 0.6
 
     def test_single_polarity_batch_yields_empty_family(self):
         rng = derived_rng(2, "forge-test")
         only_pos = [_mk(0, 0.5), _mk(1, 0.7)]
-        assert mix_negatives(only_pos, D, rng) == []
+        assert _family(only_pos, rng, "mix") == []
 
 
 class TestMask:
     def test_masked_dims_zero_rest_identical(self, batch):
         rng = derived_rng(3, "forge-test")
         by_id = {s.id: s for s in batch}
-        for it in mask_negatives(batch, D, rng, mask_rate=0.5):
+        for it in _family(batch, rng, "mask", mask_rate=0.5):
             assert it.label == 0 and it.family == "mask"
             src = by_id[it.source_id]
             for new, old in ((it.h_v, src.h_v),
@@ -102,7 +107,7 @@ class TestMask:
         wide = FeatureSample(id="w", h_v=np.ones(4000), h_a=np.ones(4000),
                              h_t_raw=np.ones(4000), polarity=1, sentiment=0.5,
                              origin="Original", target_tokens=_VERBAL.encode(0.5))
-        it = mask_negatives([wide], 4000, rng, mask_rate=0.3)[0]
+        it = _family([wide], rng, "mask", mask_rate=0.3, d=4000, d_t=4000)[0]
         frac = np.mean(it.h_v == 0.0)
         assert abs(frac - 0.3) < 0.03
 
@@ -111,78 +116,114 @@ class TestMask:
         wide = FeatureSample(id="w", h_v=np.ones(2000), h_a=np.ones(2000),
                              h_t_raw=np.ones(2000), polarity=1, sentiment=0.5,
                              origin="Original", target_tokens=_VERBAL.encode(0.5))
-        it = mask_negatives([wide], 2000, rng, mask_rate=0.5)[0]
+        it = _family([wide], rng, "mask", mask_rate=0.5, d=2000, d_t=2000)[0]
         assert not np.array_equal(it.h_v == 0.0, it.h_a == 0.0)
 
     def test_rate_bounds(self, batch):
         rng = derived_rng(6, "forge-test")
         for bad in (-0.2, 1.5):
             with pytest.raises(ValidationError):
-                mask_negatives(batch, D, rng, mask_rate=bad)
+                _forge(batch, rng, mask_rate=bad)
 
     def test_zero_rate_is_identity_on_features(self, batch):
         rng = derived_rng(6, "forge-test")
-        for it, s in zip(mask_negatives(batch, D, rng, mask_rate=0.0), batch):
+        for it, s in zip(_family(batch, rng, "mask", mask_rate=0.0), batch):
             np.testing.assert_array_equal(it.h_v, s.h_v)
             np.testing.assert_array_equal(it.h_t_raw, s.h_t_raw)
             assert it.label == 0
 
     def test_full_rate_zeroes_everything(self, batch):
         rng = derived_rng(6, "forge-test")
-        for it in mask_negatives(batch, D, rng, mask_rate=1.0):
+        for it in _family(batch, rng, "mask", mask_rate=1.0):
             assert not np.any(it.h_v) and not np.any(it.h_t_raw)
 
 
 class TestFlip:
     def test_features_identical_polarity_inverted(self, batch):
-        for it, s in zip(flip_negatives(batch, D), batch):
+        flips = _family(batch, derived_rng(7, "forge-test"), "flip")
+        for it, s in zip(flips, batch):
             assert it.label == 0 and it.family == "flip"
             assert it.polarity == 1 - s.polarity
-            assert it.h_v is s.h_v
-            assert it.h_t_raw is s.h_t_raw
+            np.testing.assert_array_equal(it.h_v, s.h_v)
+            np.testing.assert_array_equal(it.h_t_raw, s.h_t_raw)
 
     def test_flip_is_an_involution_on_polarity(self, batch):
-        once = flip_negatives(batch, D)
+        once = _family(batch, derived_rng(7, "forge-test"), "flip")
         relabeled = [FeatureSample(id=it.source_id, h_v=it.h_v, h_a=it.h_a,
                                    h_t_raw=it.h_t_raw, polarity=it.polarity,
                                    sentiment=s.sentiment, origin=s.origin,
                                    target_tokens=s.target_tokens)
                      for it, s in zip(once, batch)]
-        for it, s in zip(flip_negatives(relabeled, D), batch):
+        twice = _family(relabeled, derived_rng(7, "forge-test"), "flip")
+        for it, s in zip(twice, batch):
             assert it.polarity == s.polarity
             np.testing.assert_array_equal(it.h_v, s.h_v)
 
 
 class TestForgeBatch:
     def test_family_counts(self, batch):
-        rng = derived_rng(7, "forge-test")
-        fb = forge_batch(batch, D, rng)
-        groups = fb.by_family()
+        fb = _forge(batch, derived_rng(7, "forge-test"))
         n = len(batch)
-        assert len(groups["pos"]) == n
-        assert len(groups["mix"]) == n
-        assert len(groups["mask"]) == n
-        assert len(groups["flip"]) == n
-        assert len(fb.items) == 4 * n
+        assert fb.sizes == (n, n, n, n)
+        assert fb.labels.shape == (4 * n,)
+        for arr in (fb.rows.V, fb.rows.A, fb.rows.T, fb.rows.P):
+            assert arr.shape[0] == 4 * n
 
     def test_labels_by_family(self, batch):
-        rng = derived_rng(8, "forge-test")
-        for it in forge_batch(batch, D, rng).items:
+        fb = _forge(batch, derived_rng(8, "forge-test"))
+        for it in (i for items in family_items(fb, batch).values() for i in items):
             assert it.label == (1 if it.family == "pos" else 0)
 
     def test_deterministic_for_same_stream(self, batch):
-        a = forge_batch(batch, D, derived_rng(9, "forge-test"))
-        b = forge_batch(batch, D, derived_rng(9, "forge-test"))
-        for x, y in zip(a.items, b.items):
-            assert x.family == y.family and x.source_id == y.source_id
-            np.testing.assert_array_equal(x.h_v, y.h_v)
-            np.testing.assert_array_equal(x.h_a, y.h_a)
+        a = _forge(batch, derived_rng(9, "forge-test"))
+        b = _forge(batch, derived_rng(9, "forge-test"))
+        assert a.sizes == b.sizes
+        for x, y in zip((a.rows.V, a.rows.A, a.rows.T, a.rows.P, a.labels),
+                        (b.rows.V, b.rows.A, b.rows.T, b.rows.P, b.labels)):
+            np.testing.assert_array_equal(x, y)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError, match="empty batch"):
-            forge_batch([], D, derived_rng(10, "forge-test"))
+            _forge([], derived_rng(10, "forge-test"))
 
     def test_config_validated(self, batch):
         with pytest.raises(ValidationError):
-            forge_batch(batch, D, derived_rng(11, "forge-test"),
-                        ForgeConfig(mask_rate=1.5))
+            _forge(batch, derived_rng(11, "forge-test"), mask_rate=1.5)
+
+
+class TestAgainstPerItemReference:
+    """The array forge equals the per-item reference forge bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.sizes == want.sizes
+        for name in ("V", "A", "T", "P"):
+            x, y = getattr(got.rows, name), getattr(want.rows, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name     # -0.0 included
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("mask_rate", (0.0, 0.3, 1.0))
+    def test_random_batches(self, seed, mask_rate):
+        pick = np.random.default_rng(seed)
+        n = int(pick.integers(1, 9))
+        samples = [_mk(10 * seed + i, float(pick.uniform(-1, 1)),
+                       audio=bool(pick.random() < 0.7)) for i in range(n)]
+        rng_lib = derived_rng(seed, "reference-forge")
+        rng_ref = derived_rng(seed, "reference-forge")
+        got = _forge(samples, rng_lib, mask_rate)
+        want = forged_batch_from_items(
+            forge_items(samples, D, rng_ref, mask_rate), D, DT)
+        self._assert_same_bits(got, want)
+        # the same number of draws: later steps see the same stream
+        assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_single_polarity_batch_and_missing_audio(self, batch):
+        only_pos = [s for s in batch if s.polarity == 1]
+        assert any(s.h_a is None for s in only_pos)
+        got = _forge(only_pos, derived_rng(12, "forge-test"))
+        want = forged_batch_from_items(
+            forge_items(only_pos, D, derived_rng(12, "forge-test")), D, DT)
+        assert got.sizes[FAMILIES.index("mix")] == 0
+        self._assert_same_bits(got, want)

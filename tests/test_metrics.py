@@ -9,6 +9,7 @@ from augqual.corpus import derive_polarity
 from augqual.metrics import (
     MetricsReport,
     acc_k,
+    average_ranks,
     compute_metrics,
     mae,
     pearson_corr,
@@ -233,6 +234,19 @@ class TestRocAuc:
     def test_needs_both_classes(self):
         with pytest.raises(ValidationError, match="roc_auc needs both classes"):
             roc_auc([0.1, 0.2], [1, 1])
+
+
+class TestAverageRanks:
+    def test_matches_brute_force_average_ranks(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            values = rng.integers(0, 6, n).astype(float)
+            if rng.random() < 0.5:
+                values = rng.random(n)
+            want = [1.0 + sum(w < v for w in values)
+                    + (sum(w == v for w in values) - 1) / 2.0 for v in values]
+            np.testing.assert_array_equal(average_ranks(values), want)
 
 
 class TestComputeMetrics:

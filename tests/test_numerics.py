@@ -10,7 +10,8 @@ from augqual.numerics import (
     finite_diff_grad,
     flatten_arrays,
     gelu,
-    gelu_grad,
+    gelu_and_cdf,
+    gelu_grad_from_cdf,
     init_adam,
     sigmoid,
     softmax,
@@ -40,12 +41,24 @@ class TestGelu:
                           -50.0, x)
             assert gelu(x) == pytest.approx(x * phi, abs=1e-10)
 
+    def test_one_erf_pair_is_bit_identical_to_textbook_formulas(self):
+        from scipy.special import erf
+
+        xs = np.random.default_rng(3).uniform(-6, 6, size=200)
+        out, cdf = gelu_and_cdf(xs)
+        erf_term = erf(xs * (1.0 / np.sqrt(2.0)))
+        phi = 0.5 * (1.0 + erf_term)
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * xs * xs)
+        assert out.tobytes() == (xs * 0.5 * (1.0 + erf_term)).tobytes()
+        assert gelu_grad_from_cdf(xs, cdf).tobytes() == (phi + xs * pdf).tobytes()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(-4, 4, size=50)
         for x in xs:
             fd = (gelu(x + 1e-6) - gelu(x - 1e-6)) / 2e-6
-            assert gelu_grad(x) == pytest.approx(fd, abs=1e-7)
+            _, cdf = gelu_and_cdf(x)
+            assert gelu_grad_from_cdf(x, cdf) == pytest.approx(fd, abs=1e-7)
 
     def test_vectorized(self):
         xs = np.array([-1.0, 0.0, 2.0])
@@ -191,6 +204,61 @@ class TestAdam:
         state = init_adam(params)
         with pytest.raises(ValidationError, match="non-finite"):
             adam_step(params, {"x": np.array([1.0, np.nan])}, state)
+
+
+def _textbook_adam(params, grads, state):
+    """The bias-corrected update written as one expression per array."""
+    t = state.step + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
+        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_m[k], new_v[k] = m, v
+    return new_params, new_m, new_v
+
+
+# head (d=64, d_t=96, t_max=4, vocab=8) and scorer (d=64, d_t=96, hidden=64)
+_HEAD_SHAPES = {"in_w": (128, 224), "in_b": (128,), "out_w": (4, 8, 128),
+                "out_b": (4, 8)}
+_SCORER_SHAPES = {"text_proj_w": (64, 96), "text_proj_b": (64,),
+                  "polarity_emb": (2, 64), "hidden_w": (64, 256),
+                  "hidden_b": (64,), "out_w": (64,), "out_b": (1,)}
+
+
+class TestAdamAgainstTextbook:
+    @pytest.mark.parametrize("shapes", (_HEAD_SHAPES, _SCORER_SHAPES),
+                             ids=("head", "scorer"))
+    def test_bit_identical_over_50_steps(self, shapes):
+        rng = np.random.default_rng(31)
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = init_adam(params, lr=3e-3)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: v.copy() for k, v in state.m.items()}
+        ref_v = {k: v.copy() for k, v in state.v.items()}
+        for step in range(50):
+            # gradients over many magnitudes, with exact zeros mixed in
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3)
+                     * (rng.random(s) > 0.1) for k, s in shapes.items()}
+            before = {k: (v.tobytes(), state.m[k].tobytes(),
+                          state.v[k].tobytes()) for k, v in params.items()}
+            new_params, new_state = adam_step(params, grads, state)
+            for k, v in params.items():      # pure: inputs untouched
+                assert before[k] == (v.tobytes(), state.m[k].tobytes(),
+                                     state.v[k].tobytes())
+            ref_params, ref_m, ref_v = _textbook_adam(
+                ref_params, grads,
+                AdamState(lr=state.lr, step=state.step, m=ref_m, v=ref_v))
+            for k in shapes:
+                assert new_params[k].tobytes() == ref_params[k].tobytes(), (step, k)
+                assert new_state.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
+                assert new_state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+                assert new_params[k].shape == shapes[k]
+            params, state = new_params, new_state
+        assert state.step == 50
 
 
 class TestFiniteDiff:

@@ -1,5 +1,6 @@
 """Quality-scorer tests: assembly, forward/backward, training, weight export."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from augqual.corpus import (
     CorruptionProfile,
+    FeatureRows,
     FeatureSample,
     VerbalScheme,
     corpus_checksum,
@@ -14,7 +16,7 @@ from augqual.corpus import (
     generate_corpus,
     train_eval_split,
 )
-from augqual.forge import ForgedBatch, ForgedItem, forge_batch
+from augqual.forge import forge_batch
 from augqual.metrics import roc_auc
 from augqual.numerics import bce_with_logit, finite_diff_grad, flatten_arrays, unflatten_arrays
 from augqual.qa import (
@@ -40,6 +42,7 @@ from augqual.qa import (
     verify_weight_file,
 )
 from augqual.util import ChecksumError, ValidationError, derived_rng
+from forge_reference import family_items, forge_items, forged_batch_from_items
 
 _VERBAL = VerbalScheme()
 PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
@@ -151,18 +154,28 @@ def _brute_loss(items, params, alpha):
     return sum(weight[f] * (sum(v) / len(v)) for f, v in fams.items()) / norm
 
 
+def _forge(batch, d, rng):
+    """The library's forged batch plus its rows as per-sample items by family."""
+    fb = forge_batch(FeatureRows.stack(batch, d, batch[0].h_t_raw.shape[0]), rng)
+    return fb, family_items(fb, batch)
+
+
+def _all_items(groups):
+    return [it for items in groups.values() for it in items]
+
+
 class TestQaLoss:
     def _forged(self, seed, n=5, d=4, d_t=3):
         sents = [0.8, -0.6, 0.3, -0.9, 0.5, -0.2, 0.7][:n]
         batch = [_sample(100 + seed * 10 + i, y, d, d_t) for i, y in enumerate(sents)]
-        return forge_batch(batch, d, derived_rng(seed, "loss-test"))
+        return _forge(batch, d, derived_rng(seed, "loss-test"))
 
     def test_equal_alpha_is_mean_of_family_means(self):
         d, d_t = 4, 3
         params = _params(d, d_t, 4, seed=1)
-        fb = self._forged(0, d=d, d_t=d_t)
+        fb, groups = self._forged(0, d=d, d_t=d_t)
         fam_means = []
-        for fam, items in fb.by_family().items():
+        for fam, items in groups.items():
             vals = [bce_with_logit(qa_logit(assemble_input(i, params), params),
                                    float(i.label)) for i in items]
             fam_means.append(np.mean(vals))
@@ -172,8 +185,8 @@ class TestQaLoss:
     def test_single_alpha_selects_one_family(self):
         d, d_t = 4, 3
         params = _params(d, d_t, 4, seed=2)
-        fb = self._forged(1, d=d, d_t=d_t)
-        pos = fb.by_family()["pos"]
+        fb, groups = self._forged(1, d=d, d_t=d_t)
+        pos = groups["pos"]
         expect = np.mean([bce_with_logit(qa_logit(assemble_input(i, params), params),
                                          1.0) for i in pos])
         got = qa_loss(fb, params, (1.0, 0.0, 0.0, 0.0))
@@ -185,30 +198,31 @@ class TestQaLoss:
             params = _params(d, d_t, 4, seed=seed)
             alpha_rng = derived_rng(seed, "alpha")
             alpha = tuple(alpha_rng.uniform(0.1, 2.0, size=4))
-            fb = self._forged(seed, n=4, d=d, d_t=d_t)
+            fb, groups = self._forged(seed, n=4, d=d, d_t=d_t)
             got = qa_loss(fb, params, alpha)
-            want = _brute_loss(fb.items, params, alpha)
+            want = _brute_loss(_all_items(groups), params, alpha)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_family_drops_out_of_normalizer(self):
         d, d_t = 4, 3
         params = _params(d, d_t, 4, seed=3)
         single_pol = [_sample(200 + i, y, d, d_t) for i, y in enumerate((0.2, 0.8))]
-        fb = forge_batch(single_pol, d, derived_rng(3, "loss-test"))
-        assert fb.by_family()["mix"] == []
+        fb, groups = _forge(single_pol, d, derived_rng(3, "loss-test"))
+        assert groups["mix"] == []
         got = qa_loss(fb, params, (1.0, 5.0, 1.0, 1.0))
-        want = _brute_loss(fb.items, params, (1.0, 5.0, 1.0, 1.0))
+        want = _brute_loss(_all_items(groups), params, (1.0, 5.0, 1.0, 1.0))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_all_empty_errors(self):
         params = _params(4, 3, 4)
         with pytest.raises(ValidationError, match="every family is empty"):
-            qa_loss(ForgedBatch(items=()), params, (1.0, 1.0, 1.0, 1.0))
+            qa_loss(forged_batch_from_items([], 4, 3), params,
+                    (1.0, 1.0, 1.0, 1.0))
 
     def test_zero_weight_on_every_present_family_errors(self):
         d, d_t = 4, 3
         params = _params(d, d_t, 4)
-        fb = self._forged(4, d=d, d_t=d_t)
+        fb, _ = self._forged(4, d=d, d_t=d_t)
         with pytest.raises(ValidationError, match="no weighted family"):
             qa_loss(fb, params, (0.0, 0.0, 0.0, 0.0))
 
@@ -222,7 +236,7 @@ class TestGradients:
             sents = [0.7, -0.5, 0.2, -0.8]
             batch = [_sample(300 + seed * 10 + i, y, d, d_t, audio=(i % 2 == 0))
                      for i, y in enumerate(sents)]
-            fb = forge_batch(batch, d, derived_rng(seed, "grad-test"))
+            fb, _ = _forge(batch, d, derived_rng(seed, "grad-test"))
             alpha = (1.0, 0.7, 1.3, 0.5)
             _, grads = qa_loss_and_grads(fb, params, alpha)
             vec, layout = flatten_arrays(params.to_dict())
@@ -242,7 +256,7 @@ class TestGradients:
         d, d_t = 4, 3
         params = _params(d, d_t, 4, seed=9)
         batch = [_sample(400 + i, y, d, d_t) for i, y in enumerate((0.5, -0.5))]
-        fb = forge_batch(batch, d, derived_rng(9, "grad-test"))
+        fb, _ = _forge(batch, d, derived_rng(9, "grad-test"))
         a = qa_loss(fb, params, (1, 1, 1, 1))
         b, _ = qa_loss_and_grads(fb, params, (1, 1, 1, 1))
         assert a == b
@@ -291,9 +305,9 @@ class TestTrainStage0:
         scores, labels = [], []
         # a few forge rounds keep the AUC estimate stable
         for r in range(3):
-            forged = forge_batch(held, c.header.d,
+            forged = forge_items(held, c.header.d,
                                  derived_rng(99, "auc-negatives", r))
-            for it in forged.items:
+            for it in forged:
                 x = assemble_input(it, params)
                 scores.append(1.0 / (1.0 + math.exp(-qa_logit(x, params))))
                 labels.append(it.label)
@@ -451,6 +465,38 @@ class TestWeightFile:
         path.write_text(doc)
         with pytest.raises(ValidationError, match="expected 1"):
             load_weight_file(path)
+
+    @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan"), float("inf"),
+                                     0.05, 1.6))
+    def test_load_rejects_out_of_range_augment_weight(self, tmp_path, bad):
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        export_weights(c, params, WeightMapConfig(), path)
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        entry["weight"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=entry["id"]):
+            load_weight_file(path)
+
+    def test_load_rejects_non_finite_map_bounds(self, tmp_path):
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        export_weights(c, params, WeightMapConfig(), path)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["w_max"] = float("inf")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_weight_file(path)
+
+    def test_exported_extreme_scores_stay_loadable(self, tmp_path):
+        # weights at the ends of the map survive the range check
+        c, params = self._trained()
+        for gamma in (0.05, 1.0, 20.0):
+            path = tmp_path / f"w{gamma}.json"
+            wf = export_weights(c, params, WeightMapConfig(w_min=0.3, w_max=0.7,
+                                                           gamma=gamma), path)
+            assert load_weight_file(path).weights_by_id() == wf.weights_by_id()
 
 
 class TestSnapshots:
