@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    POOLS,
     CorruptionProfile,
     corpus_checksum,
     generate_corpus,
@@ -27,14 +28,15 @@ from .corpus import (
 from .finetune import (
     HeadConfig,
     load_head_snapshot,
-    predict_all,
+    predict_all,  # noqa: F401 - called in evaluate; bound for per-module tracing
     save_head_snapshot,
     train_stage1,
     write_run_log,
 )
-from .metrics import compute_metrics
+from .metrics import compute_metrics  # noqa: F401 - as predict_all
 from .pipeline import (
     PipelineConfig,
+    evaluate,
     format_report_table,
     pipeline_config_from_dict,
     report_csv,
@@ -97,7 +99,7 @@ def _cmd_gen_corpus(args) -> int:
         seed=args.seed, d=args.d, d_t=args.d_t, vocab_size=args.vocab_size)
     save_corpus(corpus, args.out)
     doc = {"path": str(args.out), "n_samples": len(corpus),
-           "n_originals": len(corpus.originals()),
+           "n_originals": int((~corpus.augmented).sum()),
            "checksum": corpus_checksum(corpus)}
     if args.json:
         _print_json(doc)
@@ -121,7 +123,8 @@ def _cmd_stage0(args) -> int:
                    batch_size=args.batch_size, steps=args.steps, lr=args.lr,
                    seed=args.seed, hidden=args.hidden,
                    include_augmented=args.include_augmented)
-    params, trace = train_stage0(corpus, cfg)
+    train = train_eval_split(corpus, args.eval_fraction).pool("all")
+    params, trace = train_stage0(corpus, cfg, rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
            "steps": len(trace),
@@ -136,9 +139,7 @@ def _cmd_stage0(args) -> int:
 
 def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
-    params, header = load_qa_snapshot(args.qa)
-    if (header.d, header.d_t) != (corpus.header.d, corpus.header.d_t):
-        raise ValidationError("scorer was trained for different dimensions")
+    params, _ = load_qa_snapshot(args.qa)
     cfg = WeightMapConfig(w_min=args.w_min, w_max=args.w_max, gamma=args.gamma)
     wf = export_weights(corpus, params, cfg, args.out)
     doc = {"path": str(args.out), "n_entries": len(wf.entries),
@@ -151,16 +152,6 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _split_pool(corpus, which: str, eval_fraction: float):
-    split = train_eval_split(corpus, eval_fraction)
-    pools = {
-        "all": split.train_originals + split.train_augments,
-        "original": split.train_originals,
-        "augmented": split.train_augments,
-    }
-    return pools[which], split
-
-
 def _cmd_stage1(args) -> int:
     corpus = load_corpus(args.corpus)
     weight_file = None
@@ -169,13 +160,13 @@ def _cmd_stage1(args) -> int:
     cfg = HeadConfig(hidden=args.hidden, t_max=args.t_max, lr=args.lr,
                      steps=args.steps, batch_size=args.batch_size,
                      seed=args.seed)
-    pool, _ = _split_pool(corpus, args.pool, args.eval_fraction)
-    run = train_stage1(corpus, weight_file, cfg, sample_ids=pool)
+    pool = train_eval_split(corpus, args.eval_fraction).pool(args.pool)
+    run = train_stage1(corpus, weight_file, cfg, rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
         write_run_log(run.loss_trace, args.run_log)
     doc = {"head": str(args.out), "weight_mode": run.weight_mode,
-           "pool_size": len(run.sample_ids),
+           "pool_size": len(run.rows),
            "final_loss": run.loss_trace[-1] if run.loss_trace else None}
     if args.json:
         _print_json(doc)
@@ -190,13 +181,7 @@ def _cmd_eval(args) -> int:
     head, d, d_t = load_head_snapshot(args.head)
     if (d, d_t) != (corpus.header.d, corpus.header.d_t):
         raise ValidationError("head was trained for different dimensions")
-    _, split = _split_pool(corpus, "all", args.eval_fraction)
-    samples = [corpus.get(i) for i in split.eval_originals]
-    if not samples:
-        raise ValidationError("empty held-out set; raise eval_fraction")
-    preds = predict_all(head, samples, d, corpus.header.verbal)
-    gold = [s.sentiment for s in samples]
-    metrics = compute_metrics(preds, gold)
+    metrics = evaluate(head, corpus, train_eval_split(corpus, args.eval_fraction))
     if args.json:
         _print_json(metrics)
     else:
@@ -274,6 +259,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--include-augmented", action="store_true")
+    p.add_argument("--eval-fraction", type=float, default=0.25,
+                   help="held-out originals the scorer never sees")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage0)
 
@@ -292,8 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weights", help="weight file; omit for uniform")
-    p.add_argument("--pool", choices=("all", "original", "augmented"),
-                   default="all")
+    p.add_argument("--pool", choices=POOLS, default="all")
     p.add_argument("--eval-fraction", type=float, default=0.25)
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--t-max", type=int, default=4)

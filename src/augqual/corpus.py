@@ -5,7 +5,12 @@ A corpus file is line-oriented JSON: line 1 is the header
 is one sample with fields ``id, h_v, h_a (null when missing), h_t_raw,
 polarity, sentiment, origin, parent_id, hidden_quality, target_tokens``.
 Floats are written as shortest round-trip decimals, so save/load round-trips
-are bit-exact and files are byte-reproducible from a seed.
+are bit-exact and files are byte-reproducible from a seed. Files are read and
+written one line at a time; the loader checks every field's JSON type.
+
+In memory a ``Corpus`` is columnar: one read-only array per field, row i
+holding record i, with the features stacked as ``FeatureRows``. Training,
+scoring, splitting and evaluation all select rows by index arrays.
 
 The generator stands in for frozen encoders plus generative augmentation:
 originals come from two polarity-conditioned Gaussian clusters per modality
@@ -18,6 +23,7 @@ that training code never reads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -133,22 +139,6 @@ class CorpusHeader:
 
 
 @dataclass(frozen=True)
-class FeatureSample:
-    """One record: pooled per-modality features plus labels and lineage."""
-
-    id: str
-    h_v: np.ndarray
-    h_a: np.ndarray | None
-    h_t_raw: np.ndarray
-    polarity: int
-    sentiment: float
-    origin: str  # "Original" | "Augmented"
-    parent_id: str | None = None
-    hidden_quality: float | None = None
-    target_tokens: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class CorruptionProfile:
     """Mutually exclusive per-sample corruption kinds and their rates."""
 
@@ -186,47 +176,11 @@ DEFAULT_PROFILE = CorruptionProfile(
     degrade_mask_rate=0.5, p_label_noise=0.15)
 
 
-@dataclass
-class Corpus:
-    """Header plus samples. The sample sequence is stored as a tuple and the
-    samples are frozen, so the file checksum is computed once and kept (as the
-    hex digest, see corpus_checksum)."""
-
-    header: CorpusHeader
-    samples: tuple
-    _index: dict = field(init=False, repr=False)
-    _checksum: str | None = field(init=False, repr=False, compare=False,
-                                  default=None)
-
-    def __post_init__(self):
-        self.samples = tuple(self.samples)
-        self._index = {}
-        for s in self.samples:
-            if s.id in self._index:
-                raise ValidationError(f"duplicate id: {s.id}")
-            self._index[s.id] = s
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def get(self, sample_id: str) -> FeatureSample:
-        try:
-            return self._index[sample_id]
-        except KeyError:
-            raise ValidationError(f"unknown sample id: {sample_id}") from None
-
-    def originals(self) -> list:
-        return [s for s in self.samples if s.origin == "Original"]
-
-    def augmented(self) -> list:
-        return [s for s in self.samples if s.origin == "Augmented"]
-
-
 @dataclass(frozen=True)
 class FeatureRows:
-    """Features of a sample sequence stacked into arrays, one row per sample.
+    """Features of a sequence of records stacked into arrays, one row each.
 
-    ``A`` holds zeros where a sample has no audio, the same zero vector the
+    ``A`` holds zeros where a record has no audio, the same zero vector the
     scorer and the head use for missing audio.
     """
 
@@ -234,20 +188,6 @@ class FeatureRows:
     A: np.ndarray   # (n, d)
     T: np.ndarray   # (n, d_t)
     P: np.ndarray   # (n,) polarity, intp
-
-    @staticmethod
-    def stack(samples, d: int, d_t: int) -> "FeatureRows":
-        samples = list(samples)
-        V = np.zeros((len(samples), d))
-        A = np.zeros((len(samples), d))
-        T = np.zeros((len(samples), d_t))
-        for i, s in enumerate(samples):
-            V[i] = s.h_v
-            if s.h_a is not None:
-                A[i] = s.h_a
-            T[i] = s.h_t_raw
-        P = np.array([s.polarity for s in samples], dtype=np.intp)
-        return FeatureRows(V=V, A=A, T=T, P=P)
 
     def __len__(self) -> int:
         return self.P.shape[0]
@@ -257,10 +197,44 @@ class FeatureRows:
                            P=self.P[idx])
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def _freeze(arr, dtype) -> np.ndarray:
+    arr = np.asarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(eq=False)
+class Corpus:
+    """Header plus one read-only column per record field; row i is record i.
+
+    ``parent`` is the row of an augment's parent (-1 for originals) and
+    ``hidden_quality`` is NaN where a record has none. As the columns cannot
+    be written, the file checksum is computed once and kept (corpus_checksum).
+    """
+
+    header: CorpusHeader
+    ids: np.ndarray             # (n,) str, object dtype
+    features: FeatureRows
+    has_audio: np.ndarray       # (n,) bool
+    sentiment: np.ndarray       # (n,) float64
+    augmented: np.ndarray       # (n,) bool
+    parent: np.ndarray          # (n,) intp
+    hidden_quality: np.ndarray  # (n,) float64
+    targets: np.ndarray         # (n, L) int64 target tokens
+    _checksum: str | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        f = self.features
+        self.features = FeatureRows(*map(_freeze, (f.V, f.A, f.T, f.P),
+                                         (np.float64,) * 3 + (np.intp,)))
+        for name, dtype in (("ids", object), ("has_audio", bool),
+                            ("sentiment", np.float64), ("augmented", bool),
+                            ("parent", np.intp), ("hidden_quality", np.float64),
+                            ("targets", np.int64)):
+            setattr(self, name, _freeze(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
 
 
 def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -268,37 +242,50 @@ def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _validate_sample(s: FeatureSample, header: CorpusHeader) -> None:
-    if s.h_v.shape != (header.d,) or s.h_t_raw.shape != (header.d_t,):
-        raise ValidationError(f"record {s.id}: dim mismatch")
-    if s.h_a is not None and s.h_a.shape != (header.d,):
-        raise ValidationError(f"record {s.id}: dim mismatch")
-    for arr in (s.h_v, s.h_a, s.h_t_raw):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValidationError(f"record {s.id}: non-finite feature")
-    if s.origin not in ("Original", "Augmented"):
-        raise ValidationError(f"record {s.id}: bad origin {s.origin!r}")
-    if s.origin == "Original" and s.parent_id is not None:
-        raise ValidationError(f"record {s.id}: Original with parent_id")
-    if s.origin == "Augmented" and s.parent_id is None:
-        raise ValidationError(f"record {s.id}: Augmented without parent_id")
-    if s.polarity != derive_polarity(s.sentiment):
-        raise ValidationError(f"record {s.id}: polarity inconsistent with sentiment")
-    if s.hidden_quality is not None and not 0.0 <= s.hidden_quality <= 1.0:
-        raise ValidationError(f"record {s.id}: hidden_quality outside [0, 1]")
-    for t in s.target_tokens:
-        if t != IGNORE_INDEX and not 0 <= t < header.vocab_size:
-            raise ValidationError(f"record {s.id}: target token {t} out of range")
-
-
 def validate_corpus(corpus: Corpus) -> None:
-    """Full structural validation: dims, origins, parent links, label ranges."""
-    corpus.header.validate()
-    for s in corpus.samples:
-        _validate_sample(s, corpus.header)
-        if s.parent_id is not None and s.parent_id not in corpus._index:
-            raise ValidationError(
-                f"record {s.id}: unresolvable parent_id {s.parent_id}")
+    """Structural validation in one vectorized pass over the columns.
+
+    Checks column shapes against the header, then per record: a unique
+    id, finite features, lineage (originals have no parent, every augment's
+    parent is an original), polarity against sentiment, the hidden-quality
+    and token ranges, and at least one supervised token. Every range check
+    is written so that NaN fails it. The error names the first bad record.
+    """
+    h, f, n = corpus.header, corpus.features, len(corpus)
+    h.validate()
+    s, p, aug, hq, toks = (corpus.sentiment, corpus.parent, corpus.augmented,
+                           corpus.hidden_quality, corpus.targets)
+    if (f.V.shape != (n, h.d) or f.A.shape != (n, h.d) or f.T.shape != (n, h.d_t)
+            or {c.shape for c in (f.P, corpus.has_audio, s, aug, p, hq)} != {(n,)}
+            or toks.ndim != 2 or toks.shape[0] != n):
+        raise ValidationError("corpus columns disagree with the header or each other")
+    ids = corpus.ids
+    first_use = np.zeros(n, dtype=bool)
+    first_use[np.unique(ids, return_index=True)[1]] = True
+    has_parent = (p >= 0) & (p < n)
+    tok_ok = (toks == IGNORE_INDEX) | ((toks >= 0) & (toks < h.vocab_size))
+    checks = (
+        (first_use, lambda i: "duplicate id"),
+        (np.isfinite(f.V).all(1) & np.isfinite(f.A).all(1) & np.isfinite(f.T).all(1),
+         lambda i: "non-finite feature"),
+        (corpus.has_audio | ~f.A.any(1), lambda i: "audio features but no audio"),
+        (aug | (p == -1), lambda i: "Original with parent_id"),
+        (~aug | has_parent, lambda i: "Augmented without parent_id"),
+        (~aug | ~aug[np.where(has_parent, p, 0)],
+         lambda i: f"parent_id {ids[p[i]]} is not an Original"),
+        ((s >= -1.0) & (s <= 1.0), lambda i: f"sentiment {s[i]} outside [-1, 1]"),
+        (f.P == (s >= 0.0), lambda i: "polarity inconsistent with sentiment"),
+        (np.isnan(hq) | ((hq >= 0.0) & (hq <= 1.0)),
+         lambda i: "hidden_quality outside [0, 1]"),
+        (tok_ok.all(1),
+         lambda i: f"target token {toks[i][~tok_ok[i]][0]} out of range"),
+        ((toks != IGNORE_INDEX).any(1), lambda i: "no supervised target token"),
+    )
+    ok = np.stack([c for c, _ in checks])
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=0)))
+        message = checks[int(np.argmin(ok[:, row]))][1](row)
+        raise ValidationError(f"record {ids[row]}: {message}")
 
 
 def generate_corpus(n_originals: int, augments_per_original: int,
@@ -306,11 +293,12 @@ def generate_corpus(n_originals: int, augments_per_original: int,
                     d: int = 64, d_t: int = 96, vocab_size: int = 8) -> Corpus:
     """Deterministic synthetic corpus from a single root seed.
 
-    Originals alternate polarity (so 2k originals give k per class). Each
-    augmented sample is its parent under exactly one perturbation kind chosen
-    by the profile, with hidden_quality 1.0 for benign jitter and a graded
-    value in [0, 0.3] for the corrupted kinds. Per-sample RNG streams are
-    derived from (seed, purpose, index), so output is order-independent.
+    Originals alternate polarity (so 2k originals give k per class) and come
+    first; then each original's augments, in order. Each augmented sample is
+    its parent under exactly one perturbation kind chosen by the profile,
+    with hidden_quality 1.0 for benign jitter and a graded value in [0, 0.3]
+    for the corrupted kinds. Per-sample RNG streams are derived from (seed,
+    purpose, index), so output is order-independent.
     """
     profile.validate()
     if n_originals < 2:
@@ -322,8 +310,6 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     verbal = VerbalScheme()
     header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed,
                           verbal=verbal)
-    header.validate()
-
     dims = {"v": d, "a": d, "t": d_t}
     dir_rng = derived_rng(seed, "directions")
     axis = {m: _SIGNAL_SCALE[m] * _unit_direction(dir_rng, dims[m])
@@ -331,70 +317,71 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     offset = {m: _MEAN_SCALE * _unit_direction(dir_rng, dims[m])
               for m in ("v", "a", "t")}
 
-    originals = []
-    sentiments = np.empty(n_originals)
+    n = n_originals * (1 + augments_per_original)
+    cols = {m: np.empty((n, dims[m])) for m in ("v", "a", "t")}
+    sentiment = np.empty(n)
+    parent = np.full(n, -1, dtype=np.intp)
+    quality = np.full(n, np.nan)
     for i in range(n_originals):
         rng = derived_rng(seed, "orig", i)
         magnitude = rng.uniform(*_SENTIMENT_RANGE)
         y = magnitude if i % 2 == 0 else -magnitude
-        sentiments[i] = y
-        feats = {m: _freeze(offset[m] + y * axis[m]
-                            + _FEATURE_NOISE * rng.standard_normal(dims[m]))
-                 for m in ("v", "a", "t")}
-        originals.append(FeatureSample(
-            id=f"o{i:05d}", h_v=feats["v"], h_a=feats["a"], h_t_raw=feats["t"],
-            polarity=derive_polarity(y), sentiment=y, origin="Original",
-            target_tokens=verbal.encode(y)))
+        sentiment[i] = y
+        for m in ("v", "a", "t"):
+            cols[m][i] = (offset[m] + y * axis[m]
+                          + _FEATURE_NOISE * rng.standard_normal(dims[m]))
 
-    by_polarity = {0: [i for i in range(n_originals) if originals[i].polarity == 0],
-                   1: [i for i in range(n_originals) if originals[i].polarity == 1]}
-    if not by_polarity[0] or not by_polarity[1]:
-        raise ValidationError("cannot generate corpus: need both polarities")
-
-    samples = list(originals)
+    polarity = sentiment[:n_originals] >= 0.0
+    by_polarity = (np.flatnonzero(~polarity), np.flatnonzero(polarity))
     p_cut = (profile.p_swap,
              profile.p_swap + profile.p_degrade,
              profile.p_swap + profile.p_degrade + profile.p_label_noise)
+    row = n_originals
     for i in range(n_originals):
-        parent = originals[i]
-        y = sentiments[i]
+        y = sentiment[i]
         for k in range(augments_per_original):
             rng = derived_rng(seed, "aug", i, k)
             r = rng.random()
-            feats = {"v": parent.h_v, "a": parent.h_a, "t": parent.h_t_raw}
+            feats = {m: cols[m][i] for m in ("v", "a", "t")}
             if r < p_cut[0]:
-                donors = by_polarity[1 - parent.polarity]
-                donor = originals[donors[rng.integers(len(donors))]]
-                swap_audio = bool(rng.integers(2))
-                if swap_audio:
-                    feats["a"] = donor.h_a
-                else:
-                    feats["v"] = donor.h_v
-                quality = _CORRUPT_Q_MAX * (1.0 - abs(y - donor.sentiment) / 2.0)
+                donors = by_polarity[1 - polarity[i]]
+                donor = donors[rng.integers(len(donors))]
+                swapped = "a" if rng.integers(2) else "v"
+                feats[swapped] = cols[swapped][donor]
+                q = _CORRUPT_Q_MAX * (1.0 - abs(y - sentiment[donor]) / 2.0)
             elif r < p_cut[1]:
                 rate = profile.degrade_mask_rate
-                feats = {m: _freeze(feats[m] * (rng.random(dims[m]) >= rate))
+                feats = {m: feats[m] * (rng.random(dims[m]) >= rate)
                          for m in ("v", "a", "t")}
-                quality = _CORRUPT_Q_MAX * (1.0 - rate)
+                q = _CORRUPT_Q_MAX * (1.0 - rate)
             elif r < p_cut[2]:
                 lam = rng.uniform(*_DRIFT_RANGE)
-                feats = {m: _freeze((1.0 - lam) * feats[m]
-                                    + lam * (offset[m] - y * axis[m]
-                                             + _FEATURE_NOISE * rng.standard_normal(dims[m])))
+                feats = {m: (1.0 - lam) * feats[m]
+                         + lam * (offset[m] - y * axis[m]
+                                  + _FEATURE_NOISE * rng.standard_normal(dims[m]))
                          for m in ("v", "a", "t")}
-                quality = max(0.0, _CORRUPT_Q_MAX * (1.0 - lam))
+                q = max(0.0, _CORRUPT_Q_MAX * (1.0 - lam))
             else:
                 sb = profile.sigma_benign
-                feats = {m: _freeze(feats[m] + sb * rng.standard_normal(dims[m]))
+                feats = {m: feats[m] + sb * rng.standard_normal(dims[m])
                          for m in ("v", "a", "t")}
-                quality = 1.0
-            samples.append(FeatureSample(
-                id=f"{parent.id}-a{k}", h_v=feats["v"], h_a=feats["a"],
-                h_t_raw=feats["t"], polarity=parent.polarity, sentiment=y,
-                origin="Augmented", parent_id=parent.id, hidden_quality=quality,
-                target_tokens=verbal.encode(y)))
+                q = 1.0
+            for m in ("v", "a", "t"):
+                cols[m][row] = feats[m]
+            sentiment[row], parent[row], quality[row] = y, i, q
+            row += 1
 
-    corpus = Corpus(header=header, samples=samples)
+    ids = [f"o{i:05d}" for i in range(n_originals)]
+    ids += [f"{ids[i]}-a{k}" for i in range(n_originals)
+            for k in range(augments_per_original)]
+    corpus = Corpus(
+        header=header, ids=np.array(ids, dtype=object),
+        features=FeatureRows(V=cols["v"], A=cols["a"], T=cols["t"],
+                             P=sentiment >= 0.0),
+        has_audio=np.ones(n, dtype=bool), sentiment=sentiment,
+        augmented=parent >= 0, parent=parent, hidden_quality=quality,
+        targets=np.array([verbal.encode(y) for y in sentiment.tolist()],
+                         dtype=np.int64).reshape(n, -1))
     validate_corpus(corpus)
     return corpus
 
@@ -423,150 +410,206 @@ def header_from_dict(raw: dict) -> CorpusHeader:
             generator_version=str(raw["generator_version"]),
             verbal=VerbalScheme.from_dict(raw["verbal"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad corpus header: {exc}") from exc
 
 
-def _record_dict(s: FeatureSample) -> dict:
-    return {
-        "id": s.id,
-        "h_v": s.h_v.tolist(),
-        "h_a": None if s.h_a is None else s.h_a.tolist(),
-        "h_t_raw": s.h_t_raw.tolist(),
-        "polarity": s.polarity,
-        "sentiment": s.sentiment,
-        "origin": s.origin,
-        "parent_id": s.parent_id,
-        "hidden_quality": s.hidden_quality,
-        "target_tokens": list(s.target_tokens),
-    }
+def _file_lines(corpus: Corpus):
+    """The corpus file, one line at a time (header first), each with its newline."""
+    f = corpus.features
+    ids = corpus.ids.tolist()
+    yield json.dumps(header_dict(corpus.header), separators=(",", ":")) + "\n"
+    for i, (pol, y, aug, p, q, audio) in enumerate(zip(
+            f.P.tolist(), corpus.sentiment.tolist(), corpus.augmented.tolist(),
+            corpus.parent.tolist(), corpus.hidden_quality.tolist(),
+            corpus.has_audio.tolist())):
+        yield json.dumps({
+            "id": ids[i], "h_v": f.V[i].tolist(),
+            "h_a": f.A[i].tolist() if audio else None, "h_t_raw": f.T[i].tolist(),
+            "polarity": pol, "sentiment": y,
+            "origin": "Augmented" if aug else "Original",
+            "parent_id": ids[p] if p >= 0 else None,
+            "hidden_quality": None if q != q else q,
+            "target_tokens": corpus.targets[i].tolist()}, separators=(",", ":")) + "\n"
 
 
 def serialize_corpus(corpus: Corpus) -> bytes:
     """Corpus file bytes; deterministic for a given corpus."""
-    lines = [json.dumps(header_dict(corpus.header), separators=(",", ":"))]
-    lines.extend(json.dumps(_record_dict(s), separators=(",", ":"))
-                 for s in corpus.samples)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(_file_lines(corpus)).encode("utf-8")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write the corpus file and keep its checksum, taken from those bytes."""
-    data = serialize_corpus(corpus)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    corpus._checksum = sha256_hex(data)
+        for line in _file_lines(corpus):
+            data = line.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    corpus._checksum = digest.hexdigest()
 
 
-def _parse_record(raw: dict, header: CorpusHeader, line_no: int) -> FeatureSample:
+# Exact JSON types of the record fields; a JSON true or false is a bool,
+# never a number.
+_FIELDS = {"id": (str,), "h_v": (list,), "h_a": (list, type(None)),
+           "h_t_raw": (list,), "polarity": (int,), "sentiment": (int, float),
+           "origin": (str,), "parent_id": (str, type(None)),
+           "hidden_quality": (int, float, type(None)), "target_tokens": (list,)}
+
+
+def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
+    """One record line's fields, each checked for its exact JSON type."""
+    if type(raw) is not dict or not set(_FIELDS) <= set(raw):
+        raise ValidationError(f"line {line_no}: malformed record: need an object "
+                              f"with fields {', '.join(_FIELDS)}")
+    where = f"record {raw['id']}" if type(raw["id"]) is str else f"line {line_no}"
+    for key, kinds in _FIELDS.items():
+        if type(raw[key]) not in kinds:
+            raise ValidationError(f"{where}: field {key} has type "
+                                  f"{type(raw[key]).__name__}")
+    features = {"h_v": header.d, "h_a": header.d, "h_t_raw": header.d_t}
+    for key, width in features.items():
+        if raw[key] is not None and not set(map(type, raw[key])) <= {int, float}:
+            raise ValidationError(f"{where}: field {key} holds a non-number")
+        if raw[key] is not None and len(raw[key]) != width:
+            raise ValidationError(f"{where}: dim mismatch")
+    if not set(map(type, raw["target_tokens"])) <= {int}:
+        raise ValidationError(f"{where}: target tokens must be integers")
+    if raw["origin"] not in ("Original", "Augmented"):
+        raise ValidationError(f"{where}: bad origin {raw['origin']!r}")
+    if raw["polarity"] not in (0, 1):
+        raise ValidationError(f"{where}: polarity must be 0 or 1")
+    quality = raw["hidden_quality"]
+    if quality != quality:
+        raise ValidationError(f"{where}: hidden_quality is NaN (null means absent)")
     try:
-        sid = raw["id"]
-        h_a = raw["h_a"]
-        sample = FeatureSample(
-            id=sid,
-            h_v=_freeze(np.asarray(raw["h_v"], dtype=np.float64)),
-            h_a=None if h_a is None else _freeze(np.asarray(h_a, dtype=np.float64)),
-            h_t_raw=_freeze(np.asarray(raw["h_t_raw"], dtype=np.float64)),
-            polarity=int(raw["polarity"]),
-            sentiment=float(raw["sentiment"]),
-            origin=raw["origin"],
-            parent_id=raw["parent_id"],
-            hidden_quality=(None if raw["hidden_quality"] is None
-                            else float(raw["hidden_quality"])),
-            target_tokens=tuple(int(t) for t in raw["target_tokens"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"line {line_no}: malformed record: {exc}") from exc
-    return sample
+        return (raw["id"], *(None if raw[k] is None else np.array(raw[k], np.float64)
+                             for k in features),
+                raw["polarity"], float(raw["sentiment"]), raw["origin"] == "Augmented",
+                raw["parent_id"], np.nan if quality is None else float(quality),
+                np.array(raw["target_tokens"], dtype=np.int64))
+    except OverflowError as exc:   # an integer beyond float64 or int64
+        raise ValidationError(f"{where}: number out of range: {exc}") from None
 
 
 def load_corpus(path) -> Corpus:
-    """Parse and fully validate a corpus file."""
+    """Parse a corpus file line by line and fully validate it.
+
+    The corpus checksum is the SHA-256 of the bytes read.
+    """
+    digest = hashlib.sha256()
+    records = []
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ValidationError("empty corpus file: missing header")
-    try:
-        head_raw = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad corpus header: {exc}") from exc
-    header = header_from_dict(head_raw)
-    samples = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        first = fh.readline()
+        if not first:
+            raise ValidationError("empty corpus file: missing header")
+        digest.update(first)
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {n}: bad JSON: {exc}") from exc
-        samples.append(_parse_record(raw, header, n))
-    corpus = Corpus(header=header, samples=samples)
+            header = header_from_dict(json.loads(first))
+        except ValueError as exc:   # bad JSON or bad UTF-8
+            raise ValidationError(f"bad corpus header: {exc}") from exc
+        header.validate()
+        for line_no, line in enumerate(fh, start=2):
+            digest.update(line)
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+            except ValueError as exc:
+                raise ValidationError(f"line {line_no}: bad JSON: {exc}") from exc
+            records.append(_parse_record(raw, header, line_no))
+    n = len(records)
+    ids, V, A, T, P, S, aug, parent_ids, Q, toks = (
+        zip(*records) if records else [()] * len(_FIELDS))
+    width = len(toks[0]) if toks else 0
+    bad = next((i for i, t in enumerate(toks) if len(t) != width), None)
+    if bad is not None:
+        raise ValidationError(f"record {ids[bad]}: {len(toks[bad])} target "
+                              f"tokens, record {ids[0]} has {width}")
+    index = {sid: row for row, sid in enumerate(ids)}
+    parent = [-1 if pid is None else index.get(pid, -2) for pid in parent_ids]
+    if -2 in parent:
+        row = parent.index(-2)
+        raise ValidationError(f"record {ids[row]}: unresolvable parent_id "
+                              f"{parent_ids[row]}")
+    corpus = Corpus(
+        header=header, ids=np.array(ids, dtype=object),
+        features=FeatureRows(
+            V=np.array(V).reshape(n, header.d),
+            A=np.array([np.zeros(header.d) if a is None else a for a in A]
+                       ).reshape(n, header.d),
+            T=np.array(T).reshape(n, header.d_t), P=P),
+        has_audio=[a is not None for a in A], sentiment=S, augmented=aug,
+        parent=parent, hidden_quality=Q,
+        targets=np.array(toks, dtype=np.int64).reshape(n, width))
     validate_corpus(corpus)
+    corpus._checksum = digest.hexdigest()
     return corpus
 
 
 def corpus_checksum(corpus: Corpus) -> str:
-    """SHA-256 of the canonical file serialization, computed once per corpus."""
+    """SHA-256 of the corpus file: the bytes last saved or loaded, or else of
+    the canonical serialization, computed once per corpus."""
     if corpus._checksum is None:
         corpus._checksum = sha256_hex(serialize_corpus(corpus))
     return corpus._checksum
-
-
-def feature_checksum(corpus: Corpus) -> str:
-    """SHA-256 over the raw float64 bytes of every feature array, in record order."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for s in corpus.samples:
-        h.update(s.id.encode("utf-8"))
-        h.update(s.h_v.tobytes())
-        h.update(b"\x00" if s.h_a is None else b"\x01" + s.h_a.tobytes())
-        h.update(s.h_t_raw.tobytes())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # Train / eval splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitIds:
-    train_originals: tuple[str, ...]
-    train_augments: tuple[str, ...]
-    eval_originals: tuple[str, ...]
+POOLS = ("all", "original", "augmented")
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """Row indices of a train/eval split, each part in corpus order."""
+
+    train_originals: np.ndarray
+    train_augments: np.ndarray
+    eval_originals: np.ndarray
+
+    def pool(self, which: str) -> np.ndarray:
+        """Training rows of one of POOLS; "all" is originals, then augments."""
+        parts = {"all": (self.train_originals, self.train_augments),
+                 "original": (self.train_originals,),
+                 "augmented": (self.train_augments,)}
+        return np.concatenate(parts[which])
 
 
 def train_eval_split(corpus: Corpus, eval_fraction: float,
-                     label_fraction: float = 1.0) -> SplitIds:
-    """Deterministic split over consecutive polarity pairs of originals.
+                     label_fraction: float = 1.0) -> Split:
+    """Deterministic split over polarity pairs of originals.
 
-    Originals are grouped in file order into (even, odd) index pairs - one
-    sample per polarity under the generator's alternating layout - and the
-    last ``eval_fraction`` of pairs become the held-out set, keeping both
-    splits polarity-balanced. ``label_fraction`` then keeps only the leading
-    fraction of training pairs (data-efficiency runs). Augments follow their
-    parents; augments of held-out parents belong to neither side.
+    The i-th positive original is paired with the i-th negative one, in file
+    order, and the last ``eval_fraction`` of pairs become the held-out set,
+    so both sides are polarity-balanced whatever the row order.
+    ``label_fraction`` then keeps only the leading fraction of training pairs
+    (data-efficiency runs). Originals without a partner (the surplus of the
+    larger polarity) train only when ``eval_fraction`` is 0. Augments follow
+    their parents; augments of held-out parents belong to neither side.
     """
     if not 0.0 <= eval_fraction < 1.0:
         raise ValidationError("eval_fraction must be in [0, 1)")
     if not 0.0 < label_fraction <= 1.0:
         raise ValidationError("label_fraction must be in (0, 1]")
-    originals = corpus.originals()
-    n_pairs = len(originals) // 2
+    originals = np.flatnonzero(~corpus.augmented)
+    pos, neg = (originals[corpus.features.P[originals] == k] for k in (1, 0))
+    n_pairs = min(pos.size, neg.size)
     if eval_fraction > 0.0 and n_pairs < 2:
         raise ValidationError("too few originals to split")
-    n_eval = min(int(round(eval_fraction * n_pairs)), n_pairs - 1)
-    if eval_fraction > 0.0:
-        n_eval = max(n_eval, 1)
+    n_eval = (0 if eval_fraction == 0.0
+              else min(max(int(round(eval_fraction * n_pairs)), 1), n_pairs - 1))
     n_train_pairs = n_pairs - n_eval
-    n_kept = max(1, int(round(label_fraction * n_train_pairs)))
-    train_orig = [s.id for s in originals[:2 * n_kept]]
-    # a trailing unpaired original always trains
-    leftover = [originals[-1].id] if len(originals) % 2 == 1 and n_eval == 0 else []
-    eval_orig = [s.id for s in originals[2 * n_train_pairs:2 * n_pairs]]
-    train_set = set(train_orig) | set(leftover)
-    train_aug = [s.id for s in corpus.augmented() if s.parent_id in train_set]
-    return SplitIds(train_originals=tuple(train_orig + leftover),
-                    train_augments=tuple(train_aug),
-                    eval_originals=tuple(eval_orig))
+    n_kept = min(n_train_pairs, max(1, int(round(label_fraction * n_train_pairs))))
+    train = [pos[:n_kept], neg[:n_kept]]
+    if n_eval == 0:
+        train += [pos[n_pairs:], neg[n_pairs:]]
+    train = np.sort(np.concatenate(train))
+    augments = np.flatnonzero(corpus.augmented)
+    return Split(
+        train_originals=train,
+        train_augments=augments[np.isin(corpus.parent[augments], train)],
+        eval_originals=np.sort(np.concatenate([pos[n_train_pairs:n_pairs],
+                                               neg[n_train_pairs:n_pairs]])))

@@ -9,9 +9,11 @@ loss is ``(1/B) * sum(w_i * loss_i)`` with the divisor deliberately B rather
 than the weight sum, so scaling every weight scales loss and gradient alike.
 
 Sample weights come from a previously exported weight file, checked against
-the corpus checksum before training; uniform mode (no file) is step-for-step
-identical to an all-ones file under the same seed. The quality scorer is not
-an input here, which is the strongest form of keeping it frozen.
+the corpus checksum and the weight map before training; uniform mode (no
+file) is step-for-step identical to an all-ones file under the same seed.
+The quality scorer is not an input here, which is the strongest form of
+keeping it frozen. Training and prediction take the corpus rows they use as
+an index array and run batched over the columnar features.
 
 The head deliberately never sees the polarity condition: that bit encodes the
 answer, and feeding it would collapse the task to copying.
@@ -24,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import IGNORE_INDEX, Corpus, FeatureSample, VerbalScheme
-from .numerics import (
-    adam_step,
-    gelu,
-    gelu_and_cdf,
-    gelu_grad_from_cdf,
-    init_adam,
-    softmax_cross_entropy,
-)
+from .corpus import IGNORE_INDEX, Corpus, FeatureRows
+from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, check_weights, verify_weight_file
 from .util import ValidationError, derived_rng, dumps_canonical
 
@@ -47,18 +42,6 @@ class HeadParams:
     in_b: np.ndarray    # (hidden,)
     out_w: np.ndarray   # (t_max, vocab, hidden)
     out_b: np.ndarray   # (t_max, vocab)
-
-    @property
-    def hidden(self) -> int:
-        return self.in_w.shape[0]
-
-    @property
-    def t_max(self) -> int:
-        return self.out_w.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.out_w.shape[1]
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _HEAD_KEYS}
@@ -90,19 +73,18 @@ class HeadConfig:
 
 @dataclass
 class TrainRun:
-    """Everything train_stage1 produced: head, trace, and how it was run."""
+    """Everything train_stage1 produced: head, trace, and its training pool."""
 
     head: HeadParams
-    config: HeadConfig
     weight_mode: str          # "uniform" | "weighted"
     loss_trace: list
-    sample_ids: tuple
+    rows: np.ndarray          # corpus rows of the training pool
 
 
-def head_input(sample: FeatureSample, d: int) -> np.ndarray:
-    """Raw-feature input row: [video; audio-or-zeros; text]."""
-    h_a = sample.h_a if sample.h_a is not None else np.zeros(d)
-    return np.concatenate([sample.h_v, h_a, sample.h_t_raw])
+def _head_matrix(features: FeatureRows, rows) -> np.ndarray:
+    """Raw-feature input rows [video; audio-or-zeros; text], one per index."""
+    return np.concatenate([features.V[rows], features.A[rows], features.T[rows]],
+                          axis=1)
 
 
 def init_head(d: int, d_t: int, vocab_size: int, config: HeadConfig,
@@ -115,37 +97,6 @@ def init_head(d: int, d_t: int, vocab_size: int, config: HeadConfig,
         out_w=rng.standard_normal((config.t_max, vocab_size, width)) / np.sqrt(width),
         out_b=np.zeros((config.t_max, vocab_size)),
     )
-
-
-def head_logits(head: HeadParams, x: np.ndarray) -> np.ndarray:
-    """Per-position vocabulary logits for one input row: (t_max, vocab)."""
-    z = gelu(head.in_w @ x + head.in_b)
-    return np.einsum("tvh,h->tv", head.out_w, z) + head.out_b
-
-
-def per_sample_loss(logits: np.ndarray, targets) -> float:
-    """Mean token cross-entropy over supervised positions."""
-    targets = np.asarray(targets)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ValidationError("logits/targets shape mismatch")
-    supervised = [t for t in range(targets.shape[0]) if targets[t] != IGNORE_INDEX]
-    if not supervised:
-        raise ValidationError("sample has no supervised tokens")
-    return float(np.mean([softmax_cross_entropy(logits[t], int(targets[t]))
-                          for t in supervised]))
-
-
-def weighted_batch_loss(per_sample, weights) -> float:
-    """(1/B) * sum(w_i * loss_i); divisor is B, not the weight sum."""
-    ps = np.asarray(per_sample, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if ps.shape != w.shape or ps.ndim != 1:
-        raise ValidationError("per-sample losses and weights differ in length")
-    if ps.shape[0] == 0:
-        raise ValidationError("empty batch")
-    if np.any(w < 0):
-        raise ValidationError("weights must be >= 0")
-    return float(np.sum(w * ps) / ps.shape[0])
 
 
 def _batch_logits(arrays: dict, X: np.ndarray):
@@ -186,82 +137,62 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
-def _training_targets(samples, t_max: int) -> np.ndarray:
-    out = np.full((len(samples), t_max), IGNORE_INDEX, dtype=np.int64)
-    for i, s in enumerate(samples):
-        toks = list(s.target_tokens)
-        if len(toks) > t_max:
-            raise ValidationError(
-                f"sample {s.id}: {len(toks)} target tokens exceed head "
-                f"positions {t_max}")
-        if all(t == IGNORE_INDEX for t in toks):
-            raise ValidationError("sample has no supervised tokens")
-        out[i, :len(toks)] = toks
-    return out
-
-
 def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
-                 config: HeadConfig, sample_ids=None) -> TrainRun:
+                 config: HeadConfig, rows=None) -> TrainRun:
     """Minibatch Adam on the weighted token loss.
 
     ``weight_file`` None means uniform mode (every weight 1), bit-identical
     to an all-ones file under the same seed: batch selection never depends on
-    the weights. ``sample_ids`` restricts the training pool (arm selection);
-    default is the whole corpus. Deterministic given (corpus, inputs, config).
+    the weights. ``rows`` (corpus row indices) restricts the training pool
+    (arm selection); default is the whole corpus. Deterministic given
+    (corpus, inputs, config).
     """
     config.validate()
-    if weight_file is not None:
+    rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
+    if not rows.size:
+        raise ValidationError("stage-1 training pool is empty")
+    ids = corpus.ids[rows].tolist()
+    if weight_file is None:
+        weights = np.ones(rows.size)
+    else:
         verify_weight_file(weight_file, corpus)
         check_weights(weight_file)
         wmap = weight_file.weights_by_id()
-    ids = tuple(sample_ids) if sample_ids is not None else tuple(
-        s.id for s in corpus.samples)
-    if not ids:
-        raise ValidationError("stage-1 training pool is empty")
-    samples = [corpus.get(i) for i in ids]
-    if weight_file is None:
-        weights = np.ones(len(samples))
-    else:
         missing = [i for i in ids if i not in wmap]
         if missing:
             raise ValidationError(f"no weight for sample {missing[0]}")
         weights = np.array([wmap[i] for i in ids])
-    d, d_t = corpus.header.d, corpus.header.d_t
-    X = np.stack([head_input(s, d) for s in samples])
-    targets = _training_targets(samples, config.t_max)
-
-    head = init_head(d, d_t, corpus.header.vocab_size, config,
+    n_tokens = corpus.targets.shape[1]
+    if n_tokens > config.t_max:
+        raise ValidationError(f"{n_tokens} target tokens exceed head positions "
+                              f"{config.t_max}")
+    targets = np.full((rows.size, config.t_max), IGNORE_INDEX, dtype=np.int64)
+    targets[:, :n_tokens] = corpus.targets[rows]
+    X = _head_matrix(corpus.features, rows)
+    h = corpus.header
+    head = init_head(h.d, h.d_t, h.vocab_size, config,
                      derived_rng(config.seed, "stage1", "init"))
     arrays = head.to_dict()
     state = init_adam(arrays, lr=config.lr)
     trace = []
     for step in range(config.steps):
         rng = derived_rng(config.seed, "stage1", "step", step)
-        take = min(config.batch_size, len(samples))
-        idx = rng.choice(len(samples), size=take, replace=False)
+        take = min(config.batch_size, rows.size)
+        idx = rng.choice(rows.size, size=take, replace=False)
         loss, grads = _loss_and_grads(arrays, X[idx], targets[idx], weights[idx])
         arrays, state = adam_step(arrays, grads, state)
         trace.append(loss)
-    return TrainRun(head=HeadParams.from_dict(arrays), config=config,
+    return TrainRun(head=HeadParams.from_dict(arrays),
                     weight_mode="uniform" if weight_file is None else "weighted",
-                    loss_trace=trace, sample_ids=ids)
+                    loss_trace=trace, rows=rows)
 
 
-def predict_tokens(head: HeadParams, sample: FeatureSample, d: int) -> tuple:
-    """Argmax token per position; ties resolve to the lowest token index."""
-    logits = head_logits(head, head_input(sample, d))
-    return tuple(int(t) for t in np.argmax(logits, axis=-1))
-
-
-def predict(head: HeadParams, sample: FeatureSample, d: int,
-            verbal: VerbalScheme) -> float:
-    """Decoded scalar sentiment in [-1, 1] for one sample. Pure."""
-    return verbal.decode(predict_tokens(head, sample, d))
-
-
-def predict_all(head: HeadParams, samples, d: int,
-                verbal: VerbalScheme) -> np.ndarray:
-    return np.array([predict(head, s, d, verbal) for s in samples])
+def predict_all(head: HeadParams, corpus: Corpus, rows) -> np.ndarray:
+    """Decoded sentiment in [-1, 1] of each corpus row, in one batched pass;
+    each position predicts its argmax token (ties go to the lowest). Pure."""
+    logits, *_ = _batch_logits(head.to_dict(), _head_matrix(corpus.features, rows))
+    verbal = corpus.header.verbal
+    return np.array([verbal.decode(t) for t in np.argmax(logits, axis=-1).tolist()])
 
 
 # ---------------------------------------------------------------------------

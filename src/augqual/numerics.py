@@ -1,4 +1,4 @@
-"""Dense float64 numerics: activations, losses, Adam, and a finite-difference oracle.
+"""Dense float64 numerics: activations, the binary cross-entropy, and Adam.
 
 All operations are pure (same inputs give bit-identical outputs) and work on
 scalars or numpy arrays. Parameters travel as ``dict[str, np.ndarray]`` so the
@@ -22,10 +22,6 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def _maybe_scalar(x: np.ndarray, scalar: bool) -> np.ndarray | float:
-    return float(x) if scalar else x
-
-
 def gelu_and_cdf(x) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x) and Phi(x) from one erf evaluation, for a forward pass that
     keeps Phi for its backward pass (see gelu_grad_from_cdf)."""
@@ -39,17 +35,11 @@ def gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
 
 
-def gelu(x):
-    """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
-    out, _ = gelu_and_cdf(x)
-    return _maybe_scalar(out, np.isscalar(x))
-
-
 def sigmoid(x):
     """Numerically stable logistic function, clamped to the open interval (0, 1)."""
     arr = np.asarray(x, dtype=np.float64)
     out = np.clip(expit(arr), _SIGMOID_LO, _SIGMOID_HI)
-    return _maybe_scalar(out, np.isscalar(x))
+    return float(out) if np.isscalar(x) else out
 
 
 def bce_with_logit(logit, label):
@@ -61,28 +51,7 @@ def bce_with_logit(logit, label):
     l = np.asarray(logit, dtype=np.float64)
     y = np.asarray(label, dtype=np.float64)
     out = np.maximum(l, 0.0) - l * y + np.log1p(np.exp(-np.abs(l)))
-    return _maybe_scalar(out, np.isscalar(logit))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis."""
-    arr = np.asarray(logits, dtype=np.float64)
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits, target: int) -> float:
-    """-log softmax(logits)[target], computed with max-subtraction."""
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError("softmax_cross_entropy expects a 1-d logit vector")
-    t = int(target)
-    if t < 0 or t >= arr.shape[0]:
-        raise ValidationError("invalid target index")
-    m = arr.max()
-    lse = m + np.log(np.exp(arr - m).sum())
-    return float(lse - arr[t])
+    return float(out) if np.isscalar(logit) else out
 
 
 @dataclass
@@ -148,40 +117,3 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     new_state = AdamState(lr=state.lr, beta1=b1, beta2=b2,
                           eps=state.eps, step=t, m=new_m, v=new_v)
     return new_params, new_state
-
-
-def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function: (f(x+he_j)-f(x-he_j))/2h."""
-    if h <= 0:
-        raise ValidationError("finite_diff_grad: h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[j] += h
-        xm.flat[j] -= h
-        grad.flat[j] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
-def flatten_arrays(arrays: dict) -> tuple[np.ndarray, list]:
-    """Pack a name->array dict into one vector plus a layout for unflattening."""
-    layout = [(k, arrays[k].shape) for k in sorted(arrays)]
-    if not layout:
-        return np.zeros(0), layout
-    vec = np.concatenate([arrays[k].ravel() for k, _ in layout])
-    return vec, layout
-
-
-def unflatten_arrays(vec: np.ndarray, layout: list) -> dict:
-    """Inverse of flatten_arrays."""
-    out = {}
-    pos = 0
-    for k, shape in layout:
-        size = int(np.prod(shape)) if shape else 1
-        out[k] = vec[pos:pos + size].reshape(shape).copy()
-        pos += size
-    if pos != vec.size:
-        raise ValidationError("unflatten_arrays: size mismatch")
-    return out

@@ -12,6 +12,10 @@ weights:
   original_only   originals alone
   augmented_only  augments alone
 
+The stage subcommands of the CLI use the same split, the same pools
+(``Split.pool``, named per arm in ARM_POOLS) and the same ``evaluate``, so a
+hand-run flow writes the pipeline's artifacts byte for byte.
+
 Per-seed metric rows are aggregated arm-wise into arithmetic means and
 written as a canonical-JSON report (byte-deterministic for a given config),
 a plain-text table, and optionally a per-seed CSV. Any stage failure is
@@ -20,6 +24,7 @@ rethrown as PipelineError("stage <name> failed: <cause>").
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, field, replace
@@ -31,12 +36,14 @@ from .corpus import (
     Corpus,
     CorruptionProfile,
     DEFAULT_PROFILE,
+    Split,
     corpus_checksum,
     generate_corpus,
     save_corpus,
     train_eval_split,
 )
-from .finetune import HeadConfig, predict_all, save_head_snapshot, train_stage1, write_run_log
+from .finetune import (HeadConfig, HeadParams, predict_all, save_head_snapshot,
+                       train_stage1, write_run_log)
 from .metrics import MetricsReport, compute_metrics
 from .qa import (
     QaConfig,
@@ -47,7 +54,10 @@ from .qa import (
 )
 from .util import AugqualError, PipelineError, ValidationError, dumps_canonical
 
-ARMS = ("weighted", "uniform", "original_only", "augmented_only")
+# Each arm's training pool, named as in Split.pool.
+ARM_POOLS = {"weighted": "all", "uniform": "all", "original_only": "original",
+             "augmented_only": "augmented"}
+ARMS = tuple(ARM_POOLS)
 
 
 @dataclass(frozen=True)
@@ -202,25 +212,21 @@ class PipelineResult:
     paths: dict             # logical name -> Path of artifacts written
 
 
-def _arm_pool(arm: str, split) -> tuple:
-    if arm in ("weighted", "uniform"):
-        return split.train_originals + split.train_augments
-    if arm == "original_only":
-        return split.train_originals
-    return split.train_augments
+def evaluate(head: HeadParams, corpus: Corpus, split: Split) -> dict:
+    """Metrics of the head's predictions on the split's held-out originals."""
+    rows = split.eval_originals
+    if not rows.size:
+        raise ValidationError("empty held-out set; raise eval_fraction")
+    return compute_metrics(predict_all(head, corpus, rows), corpus.sentiment[rows])
 
 
+@contextlib.contextmanager
 def _stage(name: str):
     """Context manager tagging any failure with the stage that raised it."""
-    class _Stage:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, (AugqualError, OSError)):
-                raise PipelineError(f"stage {name} failed: {exc}") from exc
-            return False
-    return _Stage()
+    try:
+        yield
+    except (AugqualError, OSError) as exc:
+        raise PipelineError(f"stage {name} failed: {exc}") from exc
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
@@ -246,14 +252,12 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
         with _stage("split"):
             split = train_eval_split(corpus, config.eval_fraction,
                                      config.label_fraction)
-            if not split.eval_originals:
+            if not split.eval_originals.size:
                 raise ValidationError("empty held-out set; raise eval_fraction")
 
         with _stage("stage0"):
-            qa_cfg = replace(config.qa, seed=seed)
-            params, _ = train_stage0(
-                corpus, qa_cfg,
-                train_ids=split.train_originals + split.train_augments)
+            params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
+                                     rows=split.pool("all"))
             qa_path = out / f"qa_s{seed}.json"
             save_qa_snapshot(params, corpus.header, qa_path)
             paths[f"qa_s{seed}"] = qa_path
@@ -264,14 +268,12 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
                                          weights_path)
             paths[f"weights_s{seed}"] = weights_path
 
-        eval_samples = [corpus.get(i) for i in split.eval_originals]
-        gold = [s.sentiment for s in eval_samples]
         for arm in config.arms:
             with _stage(f"stage1:{arm}"):
-                pool = _arm_pool(arm, split)
                 run = train_stage1(
                     corpus, weight_file if arm == "weighted" else None,
-                    replace(config.head, seed=seed), sample_ids=pool)
+                    replace(config.head, seed=seed),
+                    rows=split.pool(ARM_POOLS[arm]))
                 head_path = out / f"head_s{seed}_{arm}.json"
                 save_head_snapshot(run.head, config.d, config.d_t, head_path)
                 log_path = out / f"runlog_s{seed}_{arm}.jsonl"
@@ -279,9 +281,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
                 paths[f"head_s{seed}_{arm}"] = head_path
                 paths[f"runlog_s{seed}_{arm}"] = log_path
             with _stage(f"eval:{arm}"):
-                preds = predict_all(run.head, eval_samples, config.d,
-                                    corpus.header.verbal)
-                rows[arm][seed] = compute_metrics(preds, gold)
+                rows[arm][seed] = evaluate(run.head, corpus, split)
 
     with _stage("report"):
         arm_reports = {arm: MetricsReport.aggregate(rows[arm])

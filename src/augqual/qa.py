@@ -43,7 +43,6 @@ from .numerics import (
     AdamState,
     adam_step,
     bce_with_logit,
-    gelu,
     gelu_and_cdf,
     gelu_grad_from_cdf,
     init_adam,
@@ -154,31 +153,6 @@ def init_qa_params(d: int, d_t: int, hidden: int,
     )
 
 
-def assemble_input(sample, params: QaParams) -> np.ndarray:
-    """Concatenate [video; audio-or-zeros; projected text; polarity emb]."""
-    d, d_t = params.d, params.d_t
-    if sample.h_v.shape != (d,) or sample.h_t_raw.shape != (d_t,):
-        raise ValidationError(f"sample {_sample_id(sample)}: dim mismatch")
-    h_a = sample.h_a if sample.h_a is not None else np.zeros(d)
-    if h_a.shape != (d,):
-        raise ValidationError(f"sample {_sample_id(sample)}: dim mismatch")
-    h_t = params.text_proj_w @ sample.h_t_raw + params.text_proj_b
-    h_p = params.polarity_emb[sample.polarity]
-    return np.concatenate([sample.h_v, h_a, h_t, h_p])
-
-
-def _sample_id(sample) -> str:
-    return getattr(sample, "id", None) or getattr(sample, "source_id", "?")
-
-
-def qa_logit(x: np.ndarray, params: QaParams) -> float:
-    """Scalar logit of one assembled input; sigmoid of it is the score."""
-    if x.shape != (4 * params.d,):
-        raise ValidationError("assembled input has wrong width")
-    hidden = gelu(params.hidden_w @ x + params.hidden_b)
-    return float(params.out_w @ hidden + params.out_b[0])
-
-
 def _forward(rows: FeatureRows, params: QaParams):
     """Batched forward pass; returns logits plus caches for backprop."""
     h_t = rows.T @ params.text_proj_w.T + params.text_proj_b
@@ -200,13 +174,6 @@ def _family_coefficients(forged: ForgedBatch, alpha) -> np.ndarray:
             "scorer loss undefined: no weighted family has items")
     return np.repeat([a / (norm * n) if n else 0.0
                       for a, n in zip(alpha, forged.sizes)], forged.sizes)
-
-
-def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:
-    """Family-weighted mean BCE over one forged batch."""
-    coef = _family_coefficients(forged, alpha)
-    logits, _ = _forward(forged.rows, params)
-    return float(np.sum(coef * bce_with_logit(logits, forged.labels)))
 
 
 def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
@@ -242,25 +209,24 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
 
 
 def train_stage0(corpus: Corpus, config: QaConfig,
-                 train_ids=None) -> tuple[QaParams, list]:
+                 rows=None) -> tuple[QaParams, list]:
     """Train the scorer on forged batches drawn from trusted samples.
 
     The positive pool is the corpus originals (plus augments when configured),
-    optionally restricted to ``train_ids`` so held-out evaluation stays
-    untouched. Returns the trained parameters and the per-step loss trace.
-    Deterministic for a given (corpus, config).
+    optionally restricted to the row indices ``rows`` so held-out evaluation
+    stays untouched. Returns the trained parameters and the per-step loss
+    trace. Deterministic for a given (corpus, config).
     """
     config.validate()
-    pool = list(corpus.originals())
+    pool = np.flatnonzero(~corpus.augmented)
     if config.include_augmented:
-        pool.extend(corpus.augmented())
-    if train_ids is not None:
-        allowed = set(train_ids)
-        pool = [s for s in pool if s.id in allowed]
-    if not pool:
+        pool = np.concatenate([pool, np.flatnonzero(corpus.augmented)])
+    if rows is not None:
+        pool = pool[np.isin(pool, rows)]
+    if not pool.size:
         raise ValidationError("stage-0 training pool is empty")
     d, d_t = corpus.header.d, corpus.header.d_t
-    pool_rows = FeatureRows.stack(pool, d, d_t)
+    pool_rows = corpus.features.take(pool)
     params = init_qa_params(d, d_t, config.hidden,
                             derived_rng(config.seed, "stage0", "init"))
     arrays = params.to_dict()
@@ -269,8 +235,8 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     trace = []
     for step in range(config.steps):
         rng = derived_rng(config.seed, "stage0", "step", step)
-        take = min(config.batch_size, len(pool))
-        idx = rng.choice(len(pool), size=take, replace=False)
+        take = min(config.batch_size, pool.size)
+        idx = rng.choice(pool.size, size=take, replace=False)
         forged = forge_batch(pool_rows.take(idx), rng, forge_cfg)
         loss, grads = qa_loss_and_grads(forged, QaParams.from_dict(arrays),
                                         config.alpha)
@@ -281,17 +247,13 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     return out, trace
 
 
-def score_corpus(corpus: Corpus, params: QaParams) -> dict:
-    """Quality score in (0, 1) for every sample, keyed by id, corpus order."""
+def score_corpus(corpus: Corpus, params: QaParams) -> np.ndarray:
+    """Quality score in (0, 1) of every corpus row, in one batched pass."""
     params.validate()
     if params.d != corpus.header.d or params.d_t != corpus.header.d_t:
         raise ValidationError("scorer was trained for different dimensions")
-    if not corpus.samples:
-        return {}
-    rows = FeatureRows.stack(corpus.samples, params.d, params.d_t)
-    logits, _ = _forward(rows, params)
-    scores = sigmoid(logits)
-    return {s.id: float(v) for s, v in zip(corpus.samples, scores)}
+    logits, _ = _forward(corpus.features, params)
+    return sigmoid(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +309,6 @@ class WeightFile:
     def weights_by_id(self) -> dict:
         return {e.id: e.weight for e in self.entries}
 
-    def scores_by_id(self) -> dict:
-        return {e.id: e.score for e in self.entries}
-
 
 def qa_checksum(params: QaParams) -> str:
     """Checksum of the canonical parameter serialization."""
@@ -383,11 +342,13 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     SOURCE_DATE_EPOCH (epoch 0 when unset).
     """
     cfg.validate()
-    scores = score_corpus(corpus, params)
-    entries = [WeightEntry(id=s.id, score=scores[s.id],
-                           weight=sample_weight(s.origin, scores[s.id], cfg),
-                           origin=s.origin)
-               for s in sorted(corpus.samples, key=lambda s: s.id)]
+    scores = score_corpus(corpus, params).tolist()
+    ids = corpus.ids.tolist()
+    origins = np.where(corpus.augmented, "Augmented", "Original").tolist()
+    entries = [WeightEntry(id=ids[i], score=scores[i],
+                           weight=sample_weight(origins[i], scores[i], cfg),
+                           origin=origins[i])
+               for i in sorted(range(len(ids)), key=ids.__getitem__)]
     wf = WeightFile(w_min=cfg.w_min, w_max=cfg.w_max, gamma=cfg.gamma,
                     qa_checksum=qa_checksum(params),
                     corpus_checksum=corpus_checksum(corpus),
@@ -425,30 +386,39 @@ def load_weight_file(path) -> WeightFile:
     return wf
 
 
-# map_weight rounds w_min + s**gamma * (w_max - w_min), which can land an ulp
-# above w_max (never below w_min); a relative slack this small still rejects
-# any hand edit.
+# Tolerance, relative to w_max, between a file's weight and the map of its
+# score recomputed here (map_weight can round an ulp either way); still far
+# below any hand edit.
 _WEIGHT_SLACK = 1e-12
 
 
 def check_weights(wf: WeightFile) -> None:
     """Reject weights that training must never see, in one vectorized pass.
 
-    Originals must weigh exactly 1 and augments must lie in the file's own
-    [w_min, w_max], with w_min >= 0 and every map parameter finite. That
-    rules out negative, NaN and infinite weights.
+    Originals must weigh exactly 1. Augments need a score in (0, 1) and a
+    weight in the file's own [w_min, w_max] that equals
+    ``w_min + score**gamma * (w_max - w_min)`` within _WEIGHT_SLACK, with
+    w_min >= 0 and every map parameter finite. That rules out negative, NaN
+    and infinite weights, and any weight edited apart from its score.
     """
     if not np.isfinite([wf.w_min, wf.w_max, wf.gamma]).all():
         raise ValidationError("weight file has a non-finite w_min, w_max or gamma")
     WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma).validate()
     w = np.array([e.weight for e in wf.entries], dtype=np.float64)
+    s = np.array([e.score for e in wf.entries], dtype=np.float64)
     original = np.array([e.origin == "Original" for e in wf.entries], dtype=bool)
-    in_range = (w >= wf.w_min) & (w <= wf.w_max * (1.0 + _WEIGHT_SLACK))
-    ok = np.where(original, w == 1.0, in_range)
+    scored = (s > 0.0) & (s < 1.0)
+    mapped = wf.w_min + np.where(scored, s, 0.5) ** wf.gamma * (wf.w_max - wf.w_min)
+    slack = _WEIGHT_SLACK * wf.w_max
+    ok = np.where(original, w == 1.0,
+                  scored & (w >= wf.w_min) & (w <= wf.w_max + slack)
+                  & (np.abs(w - mapped) <= slack))
     if not ok.all():
-        e = wf.entries[int(np.argmin(ok))]
-        want = ("1" if e.origin == "Original"
-                else f"a value in [{wf.w_min}, {wf.w_max}]")
+        k = int(np.argmin(ok))
+        e = wf.entries[k]
+        want = ("1" if e.origin == "Original" else
+                f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r} for a "
+                f"score in (0, 1), got score {e.score!r}")
         raise ValidationError(f"weight file gives {e.origin} {e.id} weight "
                               f"{e.weight}, expected {want}")
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from augqual.corpus import FeatureRows, FeatureSample
+from augqual.corpus import FeatureRows
 from augqual.forge import FAMILIES, ForgedBatch
 from augqual.util import ValidationError
+from oracles import Sample
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class ForgedItem:
     source_id: str
 
 
-def audio_or_zero(sample: FeatureSample, d: int) -> np.ndarray:
+def audio_or_zero(sample: Sample, d: int) -> np.ndarray:
     return sample.h_a if sample.h_a is not None else np.zeros(d)
 
 

@@ -18,18 +18,11 @@ from augqual.corpus import (
     DEFAULT_PROFILE,
     IGNORE_INDEX,
     CorruptionProfile,
-    feature_checksum,
     generate_corpus,
     serialize_corpus,
     train_eval_split,
 )
-from augqual.finetune import (
-    HeadConfig,
-    _loss_and_grads,
-    per_sample_loss,
-    train_stage1,
-    weighted_batch_loss,
-)
+from augqual.finetune import HeadConfig, _loss_and_grads, train_stage1
 from augqual.forge import FAMILIES
 from augqual.metrics import (
     acc_k,
@@ -40,7 +33,6 @@ from augqual.metrics import (
     weighted_precision,
     weighted_recall,
 )
-from augqual.numerics import finite_diff_grad, flatten_arrays, unflatten_arrays
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import (
     QaConfig,
@@ -48,7 +40,6 @@ from augqual.qa import (
     WeightMapConfig,
     export_weights,
     map_weight,
-    qa_loss,
     qa_loss_and_grads,
     sample_weight,
     score_corpus,
@@ -57,6 +48,15 @@ from augqual.qa import (
 )
 from augqual.util import sha256_hex
 from forge_reference import ForgedItem, forged_batch_from_items
+from oracles import (
+    feature_checksum,
+    finite_diff_grad,
+    flatten_arrays,
+    per_sample_loss,
+    qa_loss,
+    unflatten_arrays,
+    weighted_batch_loss,
+)
 
 # Corruption mix used by the trend and data-efficiency scenarios: 30% of
 # augments corrupted (swap/drift/label-noise), the rest benign jitter.
@@ -337,14 +337,12 @@ def test_criterion_03_scorer_separates_clean_from_corrupted(criterion):
     corpus = generate_corpus(400, 2, DEFAULT_PROFILE, seed=42)
     split = train_eval_split(corpus, 0.25)
     params, _ = train_stage0(corpus, QaConfig(seed=42),
-                             train_ids=split.train_originals)
+                             rows=split.train_originals)
     scores = score_corpus(corpus, params)
 
-    eval_parents = set(split.eval_originals)
-    held_out = [s for s in corpus.augmented() if s.parent_id in eval_parents]
-    arr = np.array([scores[s.id] for s in held_out])
-    is_clean = np.array([1 if s.hidden_quality == 1.0 else 0
-                         for s in held_out])
+    held_out = corpus.augmented & np.isin(corpus.parent, split.eval_originals)
+    arr = scores[held_out]
+    is_clean = (corpus.hidden_quality[held_out] == 1.0).astype(int)
     auc = roc_auc(arr, is_clean)
     clean_mean = float(arr[is_clean == 1].mean())
     corrupt_mean = float(arr[is_clean == 0].mean())

@@ -1,11 +1,18 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from augqual.cli import main
+from augqual.finetune import HeadConfig
+from augqual.pipeline import PipelineConfig, run_pipeline
+from augqual.qa import QaConfig
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -99,8 +106,9 @@ class TestGenCorpus:
 
 
 class TestStageCommands:
-    @pytest.fixture()
-    def artifacts(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("stages")
         corpus = _gen(tmp_path)
         qa = tmp_path / "qa.json"
         w = tmp_path / "w.json"
@@ -150,6 +158,35 @@ class TestStageCommands:
         assert entry["id"] in proc.stderr
         assert not head.exists()
 
+    def test_weight_edited_apart_from_its_score_rejected(self, artifacts, tmp_path):
+        corpus, _, w, _ = artifacts
+        doc = json.loads(w.read_text())
+        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        entry["weight"] = 0.9 if abs(entry["weight"] - 0.9) > 0.1 else 1.2
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        head = tmp_path / "h_edit.json"
+        proc = run("stage1", "--corpus", str(corpus), "--weights", str(edited),
+                   "--out", str(head), "--seed", "5", "--steps", "5")
+        assert proc.returncode == 1, proc.stderr
+        assert entry["id"] in proc.stderr
+        assert not head.exists()
+
+    def test_checksum_of_file_with_trailing_blank_line(self, artifacts, tmp_path):
+        corpus, qa, _, _ = artifacts
+        padded = tmp_path / "padded.jsonl"
+        padded.write_bytes(corpus.read_bytes() + b"\n")
+        w = tmp_path / "w_padded.json"
+        proc = run("score", "--corpus", str(padded), "--qa", str(qa),
+                   "--out", str(w), "--json")
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(padded.read_bytes()).hexdigest()
+        assert json.loads(proc.stdout)["corpus_checksum"] == digest
+        proc = run("stage1", "--corpus", str(padded), "--weights", str(w),
+                   "--out", str(tmp_path / "h_padded.json"), "--seed", "5",
+                   "--steps", "5")
+        assert proc.returncode == 0, proc.stderr
+
     def test_run_log_written(self, artifacts, tmp_path):
         corpus, _, w, _ = artifacts
         log = tmp_path / "run.jsonl"
@@ -159,6 +196,149 @@ class TestStageCommands:
         assert proc.returncode == 0
         rows = [json.loads(x) for x in log.read_text().splitlines()]
         assert [r["step"] for r in rows] == list(range(7))
+
+
+class TestStageByStageMatchesPipeline:
+    def test_readme_flow_reproduces_pipeline(self, tmp_path):
+        seed = "3"
+        gen = ["gen-corpus", "--n-originals", "24", "--augments", "2",
+               "--d", "8", "--d-t", "12", "--p-swap", "0.15",
+               "--p-degrade", "0.15", "--p-label-noise", "0.15"]
+        c = ["--corpus", str(tmp_path / "corpus.jsonl")]
+        for cmd in (
+            [*gen, "--out", str(tmp_path / "corpus.jsonl"), "--seed", seed],
+            ["stage0", *c, "--out", str(tmp_path / "qa.json"), "--seed", seed,
+             "--steps", "40"],
+            ["score", *c, "--qa", str(tmp_path / "qa.json"),
+             "--out", str(tmp_path / "weights.json")],
+            ["stage1", *c, "--weights", str(tmp_path / "weights.json"),
+             "--out", str(tmp_path / "head.json"), "--seed", seed,
+             "--steps", "30", "--run-log", str(tmp_path / "trace.jsonl")],
+            ["stage1", *c, "--out", str(tmp_path / "head_uniform.json"),
+             "--seed", seed, "--steps", "30"],
+        ):
+            proc = run(*cmd)
+            assert proc.returncode == 0, proc.stderr
+        res = run_pipeline(PipelineConfig(
+            n_originals=24, d=8, d_t=12, seeds=(3,), arms=("weighted", "uniform"),
+            qa=QaConfig(steps=40), head=HeadConfig(steps=30)), tmp_path / "pipe")
+        pairs = {"corpus.jsonl": "corpus_s3", "qa.json": "qa_s3",
+                 "weights.json": "weights_s3", "head.json": "head_s3_weighted",
+                 "trace.jsonl": "runlog_s3_weighted",
+                 "head_uniform.json": "head_s3_uniform"}
+        for name, key in pairs.items():
+            assert (tmp_path / name).read_bytes() == res.paths[key].read_bytes(), name
+        for head, arm in (("head.json", "weighted"), ("head_uniform.json", "uniform")):
+            proc = run("eval", *c, "--head", str(tmp_path / head), "--json")
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == res.report["arms"][arm]["per_seed"]["3"]
+
+
+def _mutants():
+    """(case, edit) pairs; edit(records, rng) damages the parsed record dicts
+    of a clean corpus, at a record the seeded rng picks."""
+    def field(key, value):
+        def edit(recs, rng):
+            recs[rng.integers(len(recs))][key] = value
+        return edit
+
+    def feature(key, value):
+        def edit(recs, rng):
+            rec = recs[rng.integers(len(recs))]
+            rec[key][rng.integers(len(rec[key]))] = value
+        return edit
+
+    def augment(fn):
+        def edit(recs, rng):
+            augs = [r for r in recs if r["origin"] == "Augmented"]
+            fn(augs[rng.integers(len(augs))], augs)
+        return edit
+
+    wrong_types = {
+        "id": [["o00001"], 7], "h_v": ["abc", {"x": 1.0}, [True] * 8],
+        "h_a": ["abc", 5.0], "h_t_raw": [None, [1.0] * 11 + ["x"]],
+        "polarity": ["1", 1.0, True, 2], "sentiment": ["0.5", None, True],
+        "origin": [3, "Synthetic"], "parent_id": [7, ["o00001"]],
+        "hidden_quality": ["high", True], "target_tokens": ["1234", 5, None],
+    }
+    cases = [(f"{key}={value!r}", field(key, value))
+             for key, values in wrong_types.items() for value in values]
+    cases += [
+        ("missing field", lambda recs, rng: recs[rng.integers(len(recs))].pop("origin")),
+        ("token 9 of vocab 8", feature("target_tokens", 9)),
+        ("token -1", feature("target_tokens", -1)),
+        ("token 0.5", feature("target_tokens", 0.5)),
+        ("token 1e30", feature("target_tokens", 10 ** 30)),
+        ("unresolvable parent", augment(lambda a, _: a.update(parent_id="ghost"))),
+        ("parent is an augment",
+         augment(lambda a, augs: a.update(parent_id=next(
+             b["id"] for b in augs if b["id"] != a["id"])))),
+        ("NaN feature", feature("h_v", float("nan"))),
+        ("inf feature", feature("h_t_raw", float("inf"))),
+        ("huge integer feature", feature("h_a", 10 ** 400)),
+        ("NaN hidden_quality", field("hidden_quality", float("nan"))),
+        ("hidden_quality 2", field("hidden_quality", 2.0)),
+        ("NaN sentiment", field("sentiment", float("nan"))),
+        ("short target list", lambda recs, rng: recs[rng.integers(len(recs))][
+            "target_tokens"].pop()),
+        ("record is a list", lambda recs, rng: recs.__setitem__(
+            rng.integers(len(recs)), [1, 2])),
+    ]
+    return cases
+
+
+class TestCorruptCorpusMutations:
+    """Every damaged corpus makes stage0 exit 1 with an error line: never a
+    traceback, never a trained scorer."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("clean") / "c.jsonl"
+        assert main([*GEN, "--out", str(path), "--seed", "5"]) == 0
+        return path.read_text().splitlines()
+
+    def _stage0(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["stage0", "--corpus", str(path), "--out",
+                   str(tmp_path / "qa.json"), "--seed", "1", "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "qa.json").exists()
+        return err
+
+    @pytest.mark.parametrize("case, edit", _mutants(), ids=[c for c, _ in _mutants()])
+    def test_mutant_rejected(self, clean, tmp_path, capsys, case, edit):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        recs = [json.loads(line) for line in clean[1:]]
+        edit(recs, rng)
+        self._stage0(tmp_path, capsys, clean[:1] + [json.dumps(r) for r in recs])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_truncated_line_rejected(self, clean, tmp_path, capsys, seed):
+        rng = np.random.default_rng(seed)
+        lines = list(clean)
+        k = 1 + int(rng.integers(len(lines) - 1))
+        lines[k] = lines[k][:int(rng.integers(1, len(lines[k])))]
+        assert f"line {k + 1}" in self._stage0(tmp_path, capsys, lines)
+
+    def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
+        # the three defects once seen as a traceback or a silent run
+        edits = (lambda recs, augs: recs[0].update(id=[recs[0]["id"]]),
+                 lambda recs, augs: recs[1].update(target_tokens=[0.5, 5, 7, -100]),
+                 lambda recs, augs: augs[0].update(parent_id=augs[1]["id"]))
+        for edit in edits:
+            recs = [json.loads(line) for line in clean[1:]]
+            edit(recs, [r for r in recs if r["origin"] == "Augmented"])
+            path = tmp_path / "bad.jsonl"
+            path.write_text("\n".join([clean[0]] + [json.dumps(r) for r in recs]) + "\n")
+            proc = run("stage0", "--corpus", str(path), "--out",
+                       str(tmp_path / "qa.json"), "--seed", "1", "--steps", "2")
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
 
 
 CONFIG = {

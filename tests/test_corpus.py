@@ -1,5 +1,7 @@
 """Corpus generation, serialization, verbalization, and split tests."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,27 +10,33 @@ import pytest
 from augqual.corpus import (
     IGNORE_INDEX,
     CorruptionProfile,
-    Corpus,
     CorpusHeader,
-    FeatureSample,
-    SplitIds,
     VerbalScheme,
     corpus_checksum,
     derive_polarity,
-    feature_checksum,
     generate_corpus,
     load_corpus,
     save_corpus,
     sentiment_class,
     serialize_corpus,
     train_eval_split,
+    validate_corpus,
 )
 from augqual.util import ValidationError, sha256_hex
+from oracles import Sample, corpus_from_samples, feature_checksum, samples_of
 
 CLEAN = CorruptionProfile(sigma_benign=0.0, p_swap=0.0, p_degrade=0.0,
                           p_label_noise=0.0)
 DEFAULTISH = CorruptionProfile(sigma_benign=0.05, p_swap=0.2, p_degrade=0.2,
                                degrade_mask_rate=0.5, p_label_noise=0.2)
+
+
+def _records(c):
+    """Originals, augments and an id lookup, as per-sample records."""
+    samples = samples_of(c)
+    return ([s for s in samples if s.origin == "Original"],
+            [s for s in samples if s.origin == "Augmented"],
+            {s.id: s for s in samples})
 
 
 class TestPolarityAndBins:
@@ -117,8 +125,8 @@ class TestGenerate:
     def test_record_count(self):
         c = generate_corpus(10, 2, CLEAN, seed=3, d=8, d_t=8)
         assert len(c) == 30
-        assert len(c.originals()) == 10
-        assert len(c.augmented()) == 20
+        assert int(np.sum(~c.augmented)) == 10
+        assert int(np.sum(c.augmented)) == 20
 
     def test_needs_both_polarities(self):
         with pytest.raises(ValidationError, match="cannot generate corpus"):
@@ -128,13 +136,14 @@ class TestGenerate:
 
     def test_polarity_balance(self):
         c = generate_corpus(16, 0, CLEAN, seed=11, d=8, d_t=8)
-        pols = [s.polarity for s in c.originals()]
+        pols = c.features.P[~c.augmented].tolist()
         assert pols.count(1) == 8 and pols.count(0) == 8
 
     def test_augment_ids_and_parents(self):
         c = generate_corpus(4, 3, CLEAN, seed=5, d=8, d_t=8)
-        for s in c.originals():
-            kids = [a for a in c.augmented() if a.parent_id == s.id]
+        originals, augments, _ = _records(c)
+        for s in originals:
+            kids = [a for a in augments if a.parent_id == s.id]
             assert [a.id for a in kids] == [f"{s.id}-a{k}" for k in range(3)]
             for a in kids:
                 assert a.sentiment == s.sentiment
@@ -143,8 +152,9 @@ class TestGenerate:
 
     def test_clean_profile_copies_parent_features(self):
         c = generate_corpus(10, 2, CLEAN, seed=7, d=8, d_t=8)
-        for a in c.augmented():
-            p = c.get(a.parent_id)
+        _, augments, by_id = _records(c)
+        for a in augments:
+            p = by_id[a.parent_id]
             np.testing.assert_array_equal(a.h_v, p.h_v)
             np.testing.assert_array_equal(a.h_a, p.h_a)
             np.testing.assert_array_equal(a.h_t_raw, p.h_t_raw)
@@ -153,17 +163,18 @@ class TestGenerate:
     def test_benign_jitter_quality_stays_one(self):
         prof = CorruptionProfile(sigma_benign=0.2)
         c = generate_corpus(10, 3, prof, seed=7, d=8, d_t=8)
-        for a in c.augmented():
+        _, augments, by_id = _records(c)
+        for a in augments:
             assert a.hidden_quality == 1.0
-            p = c.get(a.parent_id)
+            p = by_id[a.parent_id]
             assert not np.array_equal(a.h_v, p.h_v)
 
     def test_swap_only_profile(self):
         prof = CorruptionProfile(sigma_benign=0.0, p_swap=1.0)
         c = generate_corpus(12, 2, prof, seed=19, d=8, d_t=8)
-        originals = c.originals()
-        for a in c.augmented():
-            p = c.get(a.parent_id)
+        originals, augments, by_id = _records(c)
+        for a in augments:
+            p = by_id[a.parent_id]
             v_is_parent = np.array_equal(a.h_v, p.h_v)
             a_is_parent = np.array_equal(a.h_a, p.h_a)
             # exactly one pathway came from elsewhere, text untouched
@@ -180,10 +191,11 @@ class TestGenerate:
         prof = CorruptionProfile(sigma_benign=0.0, p_degrade=1.0,
                                  degrade_mask_rate=0.4)
         c = generate_corpus(10, 4, prof, seed=23, d=50, d_t=50)
+        _, augments, by_id = _records(c)
         zeroed = total = 0
-        for a in c.augmented():
+        for a in augments:
             assert a.hidden_quality == pytest.approx(0.3 * 0.6)
-            p = c.get(a.parent_id)
+            p = by_id[a.parent_id]
             for new, old in ((a.h_v, p.h_v), (a.h_a, p.h_a), (a.h_t_raw, p.h_t_raw)):
                 kept = new != 0.0
                 np.testing.assert_array_equal(new[kept], old[kept])
@@ -197,15 +209,16 @@ class TestGenerate:
             prof = CorruptionProfile(sigma_benign=0.0, p_degrade=1.0,
                                      degrade_mask_rate=rate)
             c = generate_corpus(4, 1, prof, seed=2, d=8, d_t=8)
-            qs.append(c.augmented()[0].hidden_quality)
+            qs.append(float(c.hidden_quality[c.augmented][0]))
             assert qs[-1] == pytest.approx(0.3 * (1.0 - rate))
         assert qs[0] > qs[1] > qs[2]
 
     def test_drift_only_profile(self):
         prof = CorruptionProfile(sigma_benign=0.0, p_label_noise=1.0)
         c = generate_corpus(10, 3, prof, seed=29, d=8, d_t=8)
-        for a in c.augmented():
-            p = c.get(a.parent_id)
+        _, augments, by_id = _records(c)
+        for a in augments:
+            p = by_id[a.parent_id]
             # q* = 0.3 * (1 - lam) with lam in [0.3, 0.6]
             assert 0.3 * 0.4 - 1e-12 <= a.hidden_quality <= 0.3 * 0.7 + 1e-12
             assert not np.array_equal(a.h_v, p.h_v)
@@ -217,21 +230,26 @@ class TestGenerate:
         prof = CorruptionProfile(sigma_benign=0.0, p_swap=0.25, p_degrade=0.25,
                                  degrade_mask_rate=0.5, p_label_noise=0.25)
         c = generate_corpus(40, 10, prof, seed=31, d=8, d_t=8)
-        n_benign = sum(1 for a in c.augmented() if a.hidden_quality == 1.0)
-        frac = n_benign / len(c.augmented())
+        _, augments, _ = _records(c)
+        n_benign = sum(1 for a in augments if a.hidden_quality == 1.0)
+        frac = n_benign / len(augments)
         assert abs(frac - 0.25) < 0.07
 
     def test_signal_is_learnable(self):
         # polarity clusters must be linearly separated along the text axis
         c = generate_corpus(100, 0, CLEAN, seed=13)
-        pos = np.mean([s.h_t_raw for s in c.originals() if s.polarity == 1], axis=0)
-        neg = np.mean([s.h_t_raw for s in c.originals() if s.polarity == 0], axis=0)
+        originals, _, _ = _records(c)
+        pos = np.mean([s.h_t_raw for s in originals if s.polarity == 1], axis=0)
+        neg = np.mean([s.h_t_raw for s in originals if s.polarity == 0], axis=0)
         assert np.linalg.norm(pos - neg) > 1.0
 
     def test_features_are_read_only(self):
         c = generate_corpus(2, 1, CLEAN, seed=1, d=8, d_t=8)
         with pytest.raises(ValueError):
-            c.samples[0].h_v[0] = 99.0
+            c.features.V[0, 0] = 99.0
+        for col in (c.ids, *vars(c.features).values(), c.has_audio, c.sentiment,
+                    c.augmented, c.parent, c.hidden_quality, c.targets):
+            assert not col.flags.writeable
 
 
 class TestSerialization:
@@ -252,7 +270,7 @@ class TestSerialization:
         back = load_corpus(path)
         assert back.header == c.header
         assert len(back) == len(c)
-        for s, t in zip(c.samples, back.samples):
+        for s, t in zip(samples_of(c), samples_of(back)):
             assert s.id == t.id
             np.testing.assert_array_equal(s.h_v, t.h_v)
             np.testing.assert_array_equal(s.h_a, t.h_a)
@@ -271,13 +289,10 @@ class TestSerialization:
 
     def test_feature_checksum_ignores_labels(self):
         c = generate_corpus(6, 1, DEFAULTISH, seed=77, d=8, d_t=8)
-        relabeled = Corpus(header=c.header, samples=[
-            FeatureSample(id=s.id, h_v=s.h_v, h_a=s.h_a, h_t_raw=s.h_t_raw,
-                          polarity=s.polarity, sentiment=s.sentiment,
-                          origin=s.origin, parent_id=s.parent_id,
-                          hidden_quality=None if s.hidden_quality is None else 0.5,
-                          target_tokens=s.target_tokens)
-            for s in c.samples])
+        relabeled = corpus_from_samples(c.header, [
+            dataclasses.replace(
+                s, hidden_quality=None if s.hidden_quality is None else 0.5)
+            for s in samples_of(c)])
         assert feature_checksum(relabeled) == feature_checksum(c)
         assert corpus_checksum(relabeled) != corpus_checksum(c)
 
@@ -303,19 +318,19 @@ class TestSerialization:
         header = CorpusHeader(d=4, d_t=4, vocab_size=8, seed=0)
         v = header.verbal
         ones = np.ones(4)
-        c = Corpus(header=header, samples=[
-            FeatureSample(id="x0", h_v=ones, h_a=None, h_t_raw=ones,
-                          polarity=1, sentiment=0.5, origin="Original",
-                          target_tokens=v.encode(0.5)),
-            FeatureSample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones,
-                          polarity=0, sentiment=-0.5, origin="Original",
-                          target_tokens=v.encode(-0.5)),
+        c = corpus_from_samples(header, [
+            Sample(id="x0", h_v=ones, h_a=None, h_t_raw=ones,
+                   polarity=1, sentiment=0.5, origin="Original",
+                   target_tokens=v.encode(0.5)),
+            Sample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones,
+                   polarity=0, sentiment=-0.5, origin="Original",
+                   target_tokens=v.encode(-0.5)),
         ])
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
-        back = load_corpus(path)
-        assert back.get("x0").h_a is None
-        np.testing.assert_array_equal(back.get("x1").h_a, ones)
+        back = {s.id: s for s in samples_of(load_corpus(path))}
+        assert back["x0"].h_a is None
+        np.testing.assert_array_equal(back["x1"].h_a, ones)
 
 
 def _write_lines(path, lines):
@@ -361,7 +376,7 @@ class TestLoadValidation:
             recs[1]["id"] = "r0"
             recs[1]["parent_id"] = None
             recs[1]["origin"] = "Original"
-        with pytest.raises(ValidationError, match="duplicate id: r0"):
+        with pytest.raises(ValidationError, match="record r0: duplicate id"):
             load_corpus(_tiny_file(tmp_path, dup))
 
     def test_unresolvable_parent(self, tmp_path):
@@ -408,6 +423,48 @@ class TestLoadValidation:
         with pytest.raises(ValidationError, match="missing header"):
             load_corpus(path)
 
+    def test_parent_must_be_an_original(self, tmp_path):
+        def chain(_h, recs):
+            recs.append(dict(recs[1], id="r2", parent_id="r1"))
+        with pytest.raises(ValidationError,
+                           match="record r2: parent_id r1 is not an Original"):
+            load_corpus(_tiny_file(tmp_path, chain))
+
+    @pytest.mark.parametrize("field, value, message", (
+        ("id", ["r0"], "line 2: field id has type list"),
+        ("polarity", "1", "record r0: field polarity has type str"),
+        ("polarity", True, "record r0: field polarity has type bool"),
+        ("sentiment", "0.5", "record r0: field sentiment has type str"),
+        ("h_v", [1.0, "2", 3.0, 4.0], "record r0: field h_v holds a non-number"),
+        ("target_tokens", [1, 5, 7.0, -100], "record r0: target tokens must be integers"),
+        ("target_tokens", [1, 5, 7], "record r1: 4 target tokens, record r0 has 3"),
+        ("hidden_quality", float("nan"), "record r0: hidden_quality is NaN"),
+        ("h_a", [1.0, float("inf"), 1.0, 1.0], "record r0: non-finite feature"),
+        ("sentiment", float("nan"), r"record r0: sentiment nan outside \[-1, 1\]"),
+    ))
+    def test_field_types_and_values(self, tmp_path, field, value, message):
+        def bad(_h, recs):
+            recs[0][field] = value
+        with pytest.raises(ValidationError, match=message):
+            load_corpus(_tiny_file(tmp_path, bad))
+
+    def test_first_bad_record_named(self):
+        c = generate_corpus(4, 1, CLEAN, seed=2, d=8, d_t=8)
+        samples = samples_of(c)
+        samples[6] = dataclasses.replace(samples[6], hidden_quality=1.5)
+        samples[2] = dataclasses.replace(samples[2], target_tokens=(1, 9, 7, -100))
+        with pytest.raises(ValidationError,
+                           match="record o00002: target token 9 out of range"):
+            validate_corpus(corpus_from_samples(c.header, samples))
+
+    def test_checksum_is_of_the_bytes_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(generate_corpus(4, 1, DEFAULTISH, seed=3, d=8, d_t=8), path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        loaded = load_corpus(path)
+        assert corpus_checksum(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert corpus_checksum(loaded) != sha256_hex(serialize_corpus(loaded))
+
     def test_garbage_json_line(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
         header = {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
@@ -423,41 +480,75 @@ class TestSplit:
         c = generate_corpus(20, 2, DEFAULTISH, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.2)
         assert len(split.eval_originals) == 4
-        assert split.eval_originals == ("o00016", "o00017", "o00018", "o00019")
+        assert c.ids[split.eval_originals].tolist() == [
+            "o00016", "o00017", "o00018", "o00019"]
         assert len(split.train_originals) == 16
 
     def test_splits_are_polarity_balanced(self):
         c = generate_corpus(20, 0, CLEAN, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.3)
-        for ids in (split.train_originals, split.eval_originals):
-            pols = [c.get(i).polarity for i in ids]
+        for rows in (split.train_originals, split.eval_originals):
+            pols = c.features.P[rows].tolist()
             assert pols.count(0) == pols.count(1)
+
+    def test_sorted_by_polarity_still_balanced(self, tmp_path):
+        # originals paired by polarity, not by position: a file sorted by
+        # polarity gave an eval set of one polarity when pairs were (2i, 2i+1)
+        c = generate_corpus(8, 0, CLEAN, seed=4, d=8, d_t=8)
+        path = tmp_path / "c.jsonl"
+        save_corpus(c, path)
+        head, *records = path.read_text().splitlines()
+        records.sort(key=lambda line: json.loads(line)["polarity"])
+        _write_lines(path, [head] + records)
+        sorted_c = load_corpus(path)
+        assert sorted_c.features.P.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        split = train_eval_split(sorted_c, eval_fraction=0.25)
+        assert sorted_c.features.P[split.eval_originals].tolist() == [0, 1]
+        assert sorted_c.features.P[split.train_originals].tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_surplus_originals_train_only_without_eval(self):
+        c = generate_corpus(7, 1, CLEAN, seed=4, d=8, d_t=8)
+        held = train_eval_split(c, eval_fraction=0.4)
+        assert held.train_originals.tolist() == [0, 1, 2, 3]
+        assert held.eval_originals.tolist() == [4, 5]      # o00006 unpaired
+        every = train_eval_split(c, eval_fraction=0.0)
+        assert every.train_originals.tolist() == list(range(7))
+        assert every.pool("all").tolist() == list(range(14))
 
     def test_augments_follow_parents(self):
         c = generate_corpus(10, 3, DEFAULTISH, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.2)
-        train_set = set(split.train_originals)
-        eval_set = set(split.eval_originals)
+        train_set = set(split.train_originals.tolist())
+        eval_set = set(split.eval_originals.tolist())
         assert len(split.train_augments) == 3 * len(split.train_originals)
-        for aid in split.train_augments:
-            assert c.get(aid).parent_id in train_set
+        for row in split.train_augments:
+            assert c.parent[row] in train_set
         # no augment may leak from a held-out parent
-        for s in c.augmented():
-            assert (s.id in split.train_augments) == (s.parent_id in train_set)
-            assert s.parent_id not in eval_set or s.id not in split.train_augments
+        train_augments = set(split.train_augments.tolist())
+        for row in np.flatnonzero(c.augmented):
+            assert (row in train_augments) == (c.parent[row] in train_set)
+            assert c.parent[row] not in eval_set or row not in train_augments
+
+    def test_pools(self):
+        c = generate_corpus(10, 2, DEFAULTISH, seed=4, d=8, d_t=8)
+        split = train_eval_split(c, eval_fraction=0.2)
+        both = np.concatenate([split.train_originals, split.train_augments])
+        np.testing.assert_array_equal(split.pool("all"), both)
+        np.testing.assert_array_equal(split.pool("original"), split.train_originals)
+        np.testing.assert_array_equal(split.pool("augmented"), split.train_augments)
 
     def test_label_fraction_keeps_leading_pairs(self):
         c = generate_corpus(20, 1, DEFAULTISH, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.2, label_fraction=0.5)
         assert len(split.train_originals) == 8
-        assert split.train_originals[0] == "o00000"
+        assert c.ids[split.train_originals[0]] == "o00000"
         # eval side unaffected by label budget
         assert len(split.eval_originals) == 4
 
     def test_zero_eval_fraction(self):
         c = generate_corpus(7, 0, CLEAN, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.0)
-        assert split.eval_originals == ()
+        assert split.eval_originals.size == 0
         assert len(split.train_originals) == 7
 
     def test_bad_fractions_rejected(self):
@@ -469,4 +560,6 @@ class TestSplit:
 
     def test_split_is_deterministic(self):
         c = generate_corpus(30, 2, DEFAULTISH, seed=4, d=8, d_t=8)
-        assert train_eval_split(c, 0.2) == train_eval_split(c, 0.2)
+        a, b = train_eval_split(c, 0.2), train_eval_split(c, 0.2)
+        for name in ("train_originals", "train_augments", "eval_originals"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

@@ -1,5 +1,6 @@
 """Surrogate head: loss oracles, hand gradients, weighted training."""
 
+import dataclasses
 import json
 import math
 
@@ -9,36 +10,38 @@ import pytest
 from augqual.corpus import (
     IGNORE_INDEX,
     CorruptionProfile,
-    FeatureSample,
     corpus_checksum,
     generate_corpus,
 )
 from augqual.finetune import (
     HeadConfig,
     HeadParams,
+    _head_matrix,
     _loss_and_grads,
-    head_input,
-    head_logits,
     init_head,
     load_head_snapshot,
-    per_sample_loss,
     predict_all,
-    predict_tokens,
     save_head_snapshot,
     serialize_head_snapshot,
     train_stage1,
-    weighted_batch_loss,
     write_run_log,
 )
 from augqual.metrics import acc_k
-from augqual.numerics import (
+from augqual.qa import WeightEntry, WeightFile, WeightMapConfig, map_weight
+from augqual.util import ChecksumError, ValidationError, derived_rng
+from oracles import (
+    corpus_from_samples,
     finite_diff_grad,
     flatten_arrays,
+    head_input,
+    head_logits,
+    per_sample_loss,
+    predict_tokens,
+    samples_of,
     softmax_cross_entropy,
     unflatten_arrays,
+    weighted_batch_loss,
 )
-from augqual.qa import WeightEntry, WeightFile
-from augqual.util import ChecksumError, ValidationError, derived_rng
 
 CLEAN = CorruptionProfile(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -217,10 +220,14 @@ class TestBatchedPath:
         assert not np.array_equal(bumped[1], base[1])
 
 
-def _all_ones_weight_file(corpus):
-    entries = [WeightEntry(id=s.id, score=0.5, weight=1.0, origin=s.origin)
-               for s in sorted(corpus.samples, key=lambda s: s.id)]
-    return WeightFile(w_min=0.1, w_max=1.5, gamma=1.0, qa_checksum="0" * 64,
+def _all_ones_weight_file(corpus, w_min=1.0, w_max=1.0, score=0.5):
+    """Every augment scored ``score``; with w_min = w_max = 1 it weighs 1."""
+    cfg = WeightMapConfig(w_min=w_min, w_max=w_max)
+    entries = [WeightEntry(id=s.id, score=score,
+                           weight=1.0 if s.origin == "Original" else map_weight(score, cfg),
+                           origin=s.origin)
+               for s in sorted(samples_of(corpus), key=lambda s: s.id)]
+    return WeightFile(w_min=w_min, w_max=w_max, gamma=1.0, qa_checksum="0" * 64,
                       corpus_checksum=corpus_checksum(corpus),
                       created_at="1970-01-01T00:00:00Z", entries=entries)
 
@@ -258,11 +265,8 @@ class TestTrainStage1:
     def test_weights_change_training(self):
         corpus = self._corpus()
         cfg = HeadConfig(steps=25, seed=7)
-        wf = _all_ones_weight_file(corpus)
-        for e in wf.entries:
-            if e.origin == "Augmented":
-                wf.entries[wf.entries.index(e)] = WeightEntry(
-                    id=e.id, score=e.score, weight=0.1, origin=e.origin)
+        wf = _all_ones_weight_file(corpus, w_min=0.1, w_max=1.5, score=1e-9)
+        assert {e.weight for e in wf.entries} == {1.0, map_weight(1e-9, WeightMapConfig())}
         down = train_stage1(corpus, wf, cfg)
         uniform = train_stage1(corpus, None, cfg)
         assert down.loss_trace != uniform.loss_trace
@@ -318,14 +322,13 @@ class TestTrainStage1:
     def test_empty_pool_rejected(self):
         corpus = self._corpus()
         with pytest.raises(ValidationError, match="training pool is empty"):
-            train_stage1(corpus, None, HeadConfig(steps=1), sample_ids=[])
+            train_stage1(corpus, None, HeadConfig(steps=1), rows=[])
 
     def test_pool_restriction_trains_on_subset_only(self):
         corpus = self._corpus()
-        ids = [s.id for s in corpus.originals()][:10]
-        run = train_stage1(corpus, None, HeadConfig(steps=5, seed=2),
-                           sample_ids=ids)
-        assert run.sample_ids == tuple(ids)
+        rows = np.flatnonzero(~corpus.augmented)[:10]
+        run = train_stage1(corpus, None, HeadConfig(steps=5, seed=2), rows=rows)
+        np.testing.assert_array_equal(run.rows, rows)
         full = train_stage1(corpus, None, HeadConfig(steps=5, seed=2))
         assert run.loss_trace != full.loss_trace
 
@@ -335,10 +338,9 @@ class TestTrainStage1:
         early = float(np.mean(run.loss_trace[:10]))
         late = float(np.mean(run.loss_trace[-10:]))
         assert late < early * 0.5
-        samples = list(corpus.originals())
-        preds = predict_all(run.head, samples, 16, corpus.header.verbal)
-        gold = np.array([s.sentiment for s in samples])
-        assert acc_k(preds, gold, 2) >= 0.95
+        rows = np.flatnonzero(~corpus.augmented)
+        preds = predict_all(run.head, corpus, rows)
+        assert acc_k(preds, corpus.sentiment[rows], 2) >= 0.95
 
     def test_zero_steps_returns_init(self):
         corpus = self._corpus()
@@ -368,15 +370,25 @@ class TestPredict:
         head = HeadParams(in_w=np.zeros((3, 14)), in_b=np.zeros(3),
                           out_w=np.zeros((4, 8, 3)), out_b=np.zeros((4, 8)))
         corpus = generate_corpus(4, 0, CLEAN, seed=1, d=4, d_t=6)
-        sample = corpus.samples[0]
-        assert predict_tokens(head, sample, 4) == (0, 0, 0, 0)
+        assert predict_tokens(head, samples_of(corpus)[0], 4) == (0, 0, 0, 0)
+        want = corpus.header.verbal.decode((0, 0, 0, 0))
+        assert predict_all(head, corpus, [0, 1]).tolist() == [want, want]
+
+    def test_batched_tokens_equal_per_sample_path(self):
+        corpus = generate_corpus(60, 2, CorruptionProfile(p_swap=0.3), seed=8,
+                                 d=12, d_t=18)
+        run = train_stage1(corpus, None, HeadConfig(steps=100, seed=1))
+        samples = samples_of(corpus)
+        verbal = corpus.header.verbal
+        want = [verbal.decode(predict_tokens(run.head, s, 12)) for s in samples]
+        rows = np.arange(len(corpus))
+        assert predict_all(run.head, corpus, rows).tolist() == want
 
     def test_decode_round_trip_on_trained_head(self):
         corpus = generate_corpus(30, 0, CLEAN, seed=8, d=12, d_t=18)
         run = train_stage1(corpus, None, HeadConfig(steps=200, seed=1))
-        s = corpus.samples[0]
         val = run.head  # smoke: decoded prediction stays in label range
-        pred = predict_all(val, [s], 12, corpus.header.verbal)[0]
+        pred = predict_all(val, corpus, [0])[0]
         assert -1.0 <= pred <= 1.0
 
 
@@ -420,17 +432,16 @@ class TestHeadPersistence:
 
 class TestHeadInput:
     def test_layout_and_missing_audio(self):
-        corpus = generate_corpus(10, 0, CLEAN, seed=3, d=6, d_t=9)
-        with_audio = corpus.samples[0]
-        x = head_input(with_audio, 6)
-        assert x.shape == (21,)
-        assert np.array_equal(x[:6], with_audio.h_v)
-        assert np.array_equal(x[6:12], with_audio.h_a)
-        assert np.array_equal(x[12:], with_audio.h_t_raw)
-        without = FeatureSample(
-            id="x", h_v=with_audio.h_v, h_a=None, h_t_raw=with_audio.h_t_raw,
-            polarity=with_audio.polarity, sentiment=with_audio.sentiment,
-            origin="Original", target_tokens=with_audio.target_tokens)
-        y = head_input(without, 6)
-        assert np.array_equal(y[6:12], np.zeros(6))
-        assert np.array_equal(y[:6], x[:6])
+        generated = generate_corpus(10, 0, CLEAN, seed=3, d=6, d_t=9)
+        samples = samples_of(generated)
+        samples[1] = dataclasses.replace(samples[1], h_a=None)
+        corpus = corpus_from_samples(generated.header, samples)
+        X = _head_matrix(corpus.features, [0, 1, 2])
+        assert X.shape == (3, 21)
+        with_audio = samples[0]
+        assert np.array_equal(X[0, :6], with_audio.h_v)
+        assert np.array_equal(X[0, 6:12], with_audio.h_a)
+        assert np.array_equal(X[0, 12:], with_audio.h_t_raw)
+        assert np.array_equal(X[1, 6:12], np.zeros(6))
+        for row, s in enumerate(samples[:3]):
+            assert np.array_equal(X[row], head_input(s, 6))

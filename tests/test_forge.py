@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from augqual.corpus import FeatureRows, FeatureSample, VerbalScheme
+from augqual.corpus import VerbalScheme
 from augqual.forge import FAMILIES, ForgeConfig, forge_batch
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
+from oracles import Sample, rows_of
 
 D, DT = 6, 10
 _VERBAL = VerbalScheme()
@@ -14,7 +15,7 @@ _VERBAL = VerbalScheme()
 
 def _mk(idx, sentiment, audio=True):
     rng = np.random.default_rng(1000 + idx)
-    return FeatureSample(
+    return Sample(
         id=f"s{idx}", h_v=rng.standard_normal(D),
         h_a=rng.standard_normal(D) if audio else None,
         h_t_raw=rng.standard_normal(DT),
@@ -23,7 +24,7 @@ def _mk(idx, sentiment, audio=True):
 
 
 def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
-    return forge_batch(FeatureRows.stack(samples, d, d_t), rng,
+    return forge_batch(rows_of(samples, d, d_t), rng,
                        ForgeConfig(mask_rate=mask_rate))
 
 
@@ -104,7 +105,7 @@ class TestMask:
 
     def test_mask_fraction_tracks_rate(self):
         rng = derived_rng(4, "forge-test")
-        wide = FeatureSample(id="w", h_v=np.ones(4000), h_a=np.ones(4000),
+        wide = Sample(id="w", h_v=np.ones(4000), h_a=np.ones(4000),
                              h_t_raw=np.ones(4000), polarity=1, sentiment=0.5,
                              origin="Original", target_tokens=_VERBAL.encode(0.5))
         it = _family([wide], rng, "mask", mask_rate=0.3, d=4000, d_t=4000)[0]
@@ -113,7 +114,7 @@ class TestMask:
 
     def test_pathways_masked_independently(self):
         rng = derived_rng(5, "forge-test")
-        wide = FeatureSample(id="w", h_v=np.ones(2000), h_a=np.ones(2000),
+        wide = Sample(id="w", h_v=np.ones(2000), h_a=np.ones(2000),
                              h_t_raw=np.ones(2000), polarity=1, sentiment=0.5,
                              origin="Original", target_tokens=_VERBAL.encode(0.5))
         it = _family([wide], rng, "mask", mask_rate=0.5, d=2000, d_t=2000)[0]
@@ -149,7 +150,7 @@ class TestFlip:
 
     def test_flip_is_an_involution_on_polarity(self, batch):
         once = _family(batch, derived_rng(7, "forge-test"), "flip")
-        relabeled = [FeatureSample(id=it.source_id, h_v=it.h_v, h_a=it.h_a,
+        relabeled = [Sample(id=it.source_id, h_v=it.h_v, h_a=it.h_a,
                                    h_t_raw=it.h_t_raw, polarity=it.polarity,
                                    sentiment=s.sentiment, origin=s.origin,
                                    target_tokens=s.target_tokens)

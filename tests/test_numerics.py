@@ -7,18 +7,20 @@ from augqual.numerics import (
     AdamState,
     adam_step,
     bce_with_logit,
-    finite_diff_grad,
-    flatten_arrays,
-    gelu,
     gelu_and_cdf,
     gelu_grad_from_cdf,
     init_adam,
     sigmoid,
+)
+from augqual.util import ValidationError
+from oracles import (
+    finite_diff_grad,
+    flatten_arrays,
+    gelu,
     softmax,
     softmax_cross_entropy,
     unflatten_arrays,
 )
-from augqual.util import ValidationError
 
 
 class TestGelu:

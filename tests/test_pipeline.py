@@ -1,19 +1,23 @@
 """Pipeline orchestration: strict config, arm wiring, deterministic reports."""
 
+import ast
+import contextlib
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augqual.corpus import CorruptionProfile, SplitIds
+from augqual.corpus import CorruptionProfile, Split
 from augqual.finetune import HeadConfig
 from augqual.metrics import MetricsReport
 from augqual.pipeline import (
+    ARM_POOLS,
     ARMS,
     PipelineConfig,
-    _arm_pool,
     format_report_table,
     pipeline_config_from_dict,
     report_csv,
@@ -97,15 +101,17 @@ class TestConfigParsing:
 
 
 class TestArmWiring:
-    SPLIT = SplitIds(train_originals=("o1", "o2"),
-                     train_augments=("a1", "a2", "a3"),
-                     eval_originals=("o9",))
+    SPLIT = Split(train_originals=np.array([1, 2]),
+                  train_augments=np.array([5, 6, 7]),
+                  eval_originals=np.array([9]))
 
     def test_pools(self):
-        assert _arm_pool("weighted", self.SPLIT) == ("o1", "o2", "a1", "a2", "a3")
-        assert _arm_pool("uniform", self.SPLIT) == ("o1", "o2", "a1", "a2", "a3")
-        assert _arm_pool("original_only", self.SPLIT) == ("o1", "o2")
-        assert _arm_pool("augmented_only", self.SPLIT) == ("a1", "a2", "a3")
+        def pool(arm):
+            return self.SPLIT.pool(ARM_POOLS[arm]).tolist()
+        assert pool("weighted") == [1, 2, 5, 6, 7]
+        assert pool("uniform") == [1, 2, 5, 6, 7]
+        assert pool("original_only") == [1, 2]
+        assert pool("augmented_only") == [5, 6, 7]
 
     def test_all_arms_covered(self):
         assert set(ARMS) == {"weighted", "uniform", "original_only",
@@ -201,3 +207,16 @@ class TestReportRendering:
         assert "acc2" in rows[0]
         assert len(rows) == 1 + 2 * 2
         assert {r[0] for r in rows[1:]} == {"weighted", "uniform"}
+
+
+class TestReadme:
+    def test_python_flow_prints_the_pipeline_row(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("The same flow in Python"):]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed = ast.literal_eval(out.getvalue().strip().splitlines()[-1])
+        res = run_pipeline(PipelineConfig(seeds=(7,), arms=("weighted",)), tmp_path)
+        assert printed == res.report["arms"]["weighted"]["per_seed"]["7"]

@@ -8,30 +8,23 @@ import pytest
 
 from augqual.corpus import (
     CorruptionProfile,
-    FeatureRows,
-    FeatureSample,
     VerbalScheme,
-    corpus_checksum,
-    feature_checksum,
     generate_corpus,
     train_eval_split,
 )
 from augqual.forge import forge_batch
 from augqual.metrics import roc_auc
-from augqual.numerics import bce_with_logit, finite_diff_grad, flatten_arrays, unflatten_arrays
+from augqual.numerics import bce_with_logit
 from augqual.qa import (
     QaConfig,
     QaParams,
     WeightMapConfig,
-    assemble_input,
     export_weights,
     init_qa_params,
     load_qa_snapshot,
     load_weight_file,
     map_weight,
     qa_checksum,
-    qa_logit,
-    qa_loss,
     qa_loss_and_grads,
     sample_weight,
     save_qa_snapshot,
@@ -43,6 +36,19 @@ from augqual.qa import (
 )
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
+from oracles import (
+    Sample,
+    assemble_input,
+    feature_checksum,
+    finite_diff_grad,
+    flatten_arrays,
+    qa_logit,
+    qa_loss,
+    rows_of,
+    samples_of,
+    scores_by_id,
+    unflatten_arrays,
+)
 
 _VERBAL = VerbalScheme()
 PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
@@ -51,7 +57,7 @@ PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
 
 def _sample(idx, sentiment, d, d_t, audio=True):
     rng = np.random.default_rng(5000 + idx)
-    return FeatureSample(
+    return Sample(
         id=f"q{idx}", h_v=rng.standard_normal(d),
         h_a=rng.standard_normal(d) if audio else None,
         h_t_raw=rng.standard_normal(d_t),
@@ -94,10 +100,10 @@ class TestAssemble:
         d, d_t = 6, 4
         params = _params(d, d_t, 5)
         s = _sample(2, 0.4, d, d_t)
-        flipped = FeatureSample(id=s.id, h_v=s.h_v, h_a=s.h_a,
-                                h_t_raw=s.h_t_raw, polarity=0,
-                                sentiment=s.sentiment, origin=s.origin,
-                                target_tokens=s.target_tokens)
+        flipped = Sample(id=s.id, h_v=s.h_v, h_a=s.h_a,
+                         h_t_raw=s.h_t_raw, polarity=0,
+                         sentiment=s.sentiment, origin=s.origin,
+                         target_tokens=s.target_tokens)
         xa, xb = assemble_input(s, params), assemble_input(flipped, params)
         np.testing.assert_array_equal(xa[:3 * d], xb[:3 * d])
         assert not np.array_equal(xa[3 * d:], xb[3 * d:])
@@ -156,7 +162,7 @@ def _brute_loss(items, params, alpha):
 
 def _forge(batch, d, rng):
     """The library's forged batch plus its rows as per-sample items by family."""
-    fb = forge_batch(FeatureRows.stack(batch, d, batch[0].h_t_raw.shape[0]), rng)
+    fb = forge_batch(rows_of(batch, d, batch[0].h_t_raw.shape[0]), rng)
     return fb, family_items(fb, batch)
 
 
@@ -300,8 +306,9 @@ class TestTrainStage0:
         c = self._corpus(n=400, d=64, d_t=96, seed=202)
         split = train_eval_split(c, eval_fraction=0.25)
         params, _ = train_stage0(c, QaConfig(seed=9),
-                                 train_ids=split.train_originals)
-        held = [c.get(i) for i in split.eval_originals]
+                                 rows=split.train_originals)
+        samples = samples_of(c)
+        held = [samples[i] for i in split.eval_originals]
         scores, labels = [], []
         # a few forge rounds keep the AUC estimate stable
         for r in range(3):
@@ -315,10 +322,10 @@ class TestTrainStage0:
 
     def test_train_ids_restriction_changes_result(self):
         c = self._corpus()
-        half = tuple(s.id for s in c.originals()[:40])
+        half = np.flatnonzero(~c.augmented)[:40]
         cfg = QaConfig(steps=20, seed=10, hidden=8)
         full, _ = train_stage0(c, cfg)
-        sub, _ = train_stage0(c, cfg, train_ids=half)
+        sub, _ = train_stage0(c, cfg, rows=half)
         assert any(not np.array_equal(full.to_dict()[k], sub.to_dict()[k])
                    for k in full.to_dict())
 
@@ -338,22 +345,22 @@ class TestScoreCorpus:
         c = generate_corpus(6, 1, PROFILE, seed=55, d=8, d_t=8)
         params = init_qa_params(8, 8, 4, derived_rng(0, "init"))
         scores = score_corpus(c, params)
-        assert len(scores) == len(c)
-        assert all(v == 0.5 for v in scores.values())
+        assert scores.shape == (len(c),)
+        assert all(v == 0.5 for v in scores)
 
     def test_purity_duplicate_features_same_score(self):
         c = generate_corpus(6, 1, CorruptionProfile(sigma_benign=0.0),
                             seed=56, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=40, seed=11, hidden=8))
         scores = score_corpus(c, params)
-        for a in c.augmented():
+        for a in np.flatnonzero(c.augmented):
             # clean-profile augments are bitwise copies of their parents
-            assert scores[a.id] == scores[a.parent_id]
+            assert scores[a] == scores[c.parent[a]]
 
     def test_scores_open_interval(self):
         c = generate_corpus(10, 2, PROFILE, seed=57, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=60, seed=12, hidden=8))
-        assert all(0.0 < v < 1.0 for v in score_corpus(c, params).values())
+        assert all(0.0 < v < 1.0 for v in score_corpus(c, params))
 
     def test_dimension_guard(self):
         c = generate_corpus(4, 0, PROFILE, seed=58, d=8, d_t=8)
@@ -427,7 +434,7 @@ class TestWeightFile:
         wf = export_weights(c, params, WeightMapConfig())
         ids = [e.id for e in wf.entries]
         assert ids == sorted(ids)
-        assert set(ids) == {s.id for s in c.samples}
+        assert set(ids) == set(c.ids.tolist())
 
     def test_score_weight_rank_agreement(self):
         c, params = self._trained(n=20, m=3)
@@ -445,7 +452,7 @@ class TestWeightFile:
         assert back.corpus_checksum == wf.corpus_checksum
         assert back.qa_checksum == qa_checksum(params)
         assert back.weights_by_id() == wf.weights_by_id()
-        assert back.scores_by_id() == wf.scores_by_id()
+        assert scores_by_id(back) == scores_by_id(wf)
         assert serialize_weight_file(back) == serialize_weight_file(wf)
 
     def test_verify_binds_to_corpus(self, tmp_path):
@@ -475,6 +482,29 @@ class TestWeightFile:
         doc = json.loads(path.read_text())
         entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
         entry["weight"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=entry["id"]):
+            load_weight_file(path)
+
+    def test_load_rejects_weight_edited_apart_from_its_score(self, tmp_path):
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        export_weights(c, params, WeightMapConfig(), path)
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        entry["weight"] = 0.9 if abs(entry["weight"] - 0.9) > 0.1 else 1.2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=entry["id"]):
+            load_weight_file(path)
+
+    @pytest.mark.parametrize("bad", (0.0, 1.0, -0.2, float("nan")))
+    def test_load_rejects_augment_score_outside_open_interval(self, tmp_path, bad):
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        export_weights(c, params, WeightMapConfig(), path)
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        entry["score"] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=entry["id"]):
             load_weight_file(path)
