@@ -74,7 +74,7 @@ def _load_json_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON or bad UTF-8
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
@@ -181,6 +181,12 @@ def _cmd_eval(args) -> int:
     head, d, d_t = load_head_snapshot(args.head)
     if (d, d_t) != (corpus.header.d, corpus.header.d_t):
         raise ValidationError("head was trained for different dimensions")
+    t_max, vocab = head.out_b.shape
+    if vocab != corpus.header.vocab_size or t_max < corpus.targets.shape[1]:
+        raise ValidationError(f"head predicts {t_max} positions over {vocab} "
+                              f"tokens; the corpus needs "
+                              f"{corpus.targets.shape[1]} over "
+                              f"{corpus.header.vocab_size}")
     metrics = evaluate(head, corpus, train_eval_split(corpus, args.eval_fraction))
     if args.json:
         _print_json(metrics)
@@ -193,7 +199,7 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     report_path = Path(args.results) / "report.json"
     report = _load_json_file(report_path)
-    if report.get("kind") != "pipeline_report":
+    if type(report) is not dict or report.get("kind") != "pipeline_report":
         raise ValidationError(f"{report_path} is not a pipeline report")
     if args.dump_csv is not None:
         Path(args.dump_csv).write_text(report_csv(report), encoding="utf-8")

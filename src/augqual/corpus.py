@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import ValidationError, derived_rng, sha256_hex
+from .util import ValidationError, check_fields, derived_rng, sha256_hex
 
 GENERATOR_VERSION = "augqual-gen-1"
 IGNORE_INDEX = -100
@@ -65,6 +65,11 @@ def sentiment_class(y: float, k: int) -> int:
     return min(int((y + 1.0) / 2.0 * k), k - 1)
 
 
+_VERBAL_FIELDS = {"sign_tokens": (list,), "class_tokens": (list,),
+                  "class_values": (list,), "neutral_value": (int, float),
+                  "eos_token": (int,)}
+
+
 @dataclass(frozen=True)
 class VerbalScheme:
     """Token table mapping sentiment to a 3-token target sequence.
@@ -91,17 +96,20 @@ class VerbalScheme:
         }
 
     @staticmethod
-    def from_dict(raw: dict) -> "VerbalScheme":
-        try:
-            return VerbalScheme(
-                sign_tokens=tuple(int(t) for t in raw["sign_tokens"]),
-                class_tokens=tuple(int(t) for t in raw["class_tokens"]),
-                class_values=tuple(float(v) for v in raw["class_values"]),
-                neutral_value=float(raw["neutral_value"]),
-                eos_token=int(raw["eos_token"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad verbal table in header: {exc}") from exc
+    def from_dict(raw) -> "VerbalScheme":
+        """The table from its JSON object: integer tokens, number values."""
+        check_fields(raw, _VERBAL_FIELDS, "bad verbal table in header")
+        if (not set(map(type, raw["sign_tokens"] + raw["class_tokens"])) <= {int}
+                or not set(map(type, raw["class_values"])) <= {int, float}):
+            raise ValidationError("bad verbal table in header: tokens must be "
+                                  "integers and class values numbers")
+        return VerbalScheme(
+            sign_tokens=tuple(raw["sign_tokens"]),
+            class_tokens=tuple(raw["class_tokens"]),
+            class_values=tuple(float(v) for v in raw["class_values"]),
+            neutral_value=float(raw["neutral_value"]),
+            eos_token=raw["eos_token"],
+        )
 
     def encode(self, y: float) -> tuple[int, ...]:
         """Target tokens for a sentiment value (length 4, last is IGNORE)."""
@@ -132,8 +140,12 @@ class CorpusHeader:
     def validate(self) -> None:
         if self.d < 1 or self.d_t < 1 or self.vocab_size < 1:
             raise ValidationError("header dimensions must be >= 1")
-        toks = (*self.verbal.sign_tokens, *self.verbal.class_tokens,
-                self.verbal.eos_token)
+        v = self.verbal
+        if (len(v.sign_tokens) != 2 or not v.class_tokens
+                or len(v.class_tokens) != len(v.class_values)):
+            raise ValidationError("verbal table needs 2 sign tokens and one "
+                                  "value per class token")
+        toks = (*v.sign_tokens, *v.class_tokens, v.eos_token)
         if any(t < 0 or t >= self.vocab_size for t in toks):
             raise ValidationError("verbal tokens exceed vocab_size")
 
@@ -402,15 +414,20 @@ def header_dict(header: CorpusHeader) -> dict:
     }
 
 
-def header_from_dict(raw: dict) -> CorpusHeader:
+_HEADER_FIELDS = {"d": (int,), "d_t": (int,), "vocab_size": (int,), "seed": (int,),
+                  "generator_version": (str,), "verbal": (dict,)}
+
+
+def header_from_dict(raw) -> CorpusHeader:
+    """A header from its JSON object, each field of its exact JSON type."""
+    check_fields(raw, _HEADER_FIELDS, "bad corpus header")
     try:
         return CorpusHeader(
-            d=int(raw["d"]), d_t=int(raw["d_t"]),
-            vocab_size=int(raw["vocab_size"]), seed=int(raw["seed"]),
-            generator_version=str(raw["generator_version"]),
+            d=raw["d"], d_t=raw["d_t"], vocab_size=raw["vocab_size"],
+            seed=raw["seed"], generator_version=raw["generator_version"],
             verbal=VerbalScheme.from_dict(raw["verbal"]),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad corpus header: {exc}") from exc
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, check_weights, verify_weight_file
-from .util import ValidationError, derived_rng, dumps_canonical
+from .util import (ValidationError, check_params, derived_rng, dumps_canonical,
+                   float_array, load_json_object)
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
 
@@ -49,6 +50,16 @@ class HeadParams:
     @staticmethod
     def from_dict(arrays: dict) -> "HeadParams":
         return HeadParams(**{k: arrays[k] for k in _HEAD_KEYS})
+
+    def validate(self) -> None:
+        """Shapes that agree with each other, and finite values."""
+        if self.in_w.ndim != 2 or self.out_b.ndim != 2:
+            raise ValidationError("head params in_w and out_b must be matrices")
+        (hidden, in_dim), (t_max, vocab) = self.in_w.shape, self.out_b.shape
+        check_params(self.to_dict(), {
+            "in_w": (hidden, in_dim), "in_b": (hidden,),
+            "out_w": (t_max, vocab, hidden), "out_b": (t_max, vocab),
+        }, "head")
 
 
 @dataclass(frozen=True)
@@ -151,17 +162,13 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
         raise ValidationError("stage-1 training pool is empty")
-    ids = corpus.ids[rows].tolist()
     if weight_file is None:
         weights = np.ones(rows.size)
     else:
         verify_weight_file(weight_file, corpus)
         check_weights(weight_file)
         wmap = weight_file.weights_by_id()
-        missing = [i for i in ids if i not in wmap]
-        if missing:
-            raise ValidationError(f"no weight for sample {missing[0]}")
-        weights = np.array([wmap[i] for i in ids])
+        weights = np.array([wmap[i] for i in corpus.ids[rows].tolist()])
     n_tokens = corpus.targets.shape[1]
     if n_tokens > config.t_max:
         raise ValidationError(f"{n_tokens} target tokens exceed head positions "
@@ -215,20 +222,19 @@ def save_head_snapshot(head: HeadParams, d: int, d_t: int, path) -> None:
 
 
 def load_head_snapshot(path) -> tuple[HeadParams, int, int]:
-    with open(path, "rb") as fh:
-        try:
-            raw = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"bad head snapshot: {exc}") from exc
+    raw = load_json_object(path, "head snapshot")
     if raw.get("kind") != "head_snapshot":
         raise ValidationError("not a head snapshot file")
-    try:
-        arrays = {k: np.asarray(raw["params"][k], dtype=np.float64)
-                  for k in _HEAD_KEYS}
-        d, d_t = int(raw["d"]), int(raw["d_t"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad head snapshot: {exc}") from exc
-    head = HeadParams.from_dict(arrays)
+    d, d_t, arrays = raw.get("d"), raw.get("d_t"), raw.get("params")
+    if type(d) is not int or type(d_t) is not int or d < 1 or d_t < 1:
+        raise ValidationError("bad head snapshot: d and d_t must be positive "
+                              "integers")
+    if type(arrays) is not dict or not set(_HEAD_KEYS) <= set(arrays):
+        raise ValidationError("bad head snapshot: params needs "
+                              + ", ".join(_HEAD_KEYS))
+    head = HeadParams.from_dict({k: float_array(arrays[k], f"head param {k}")
+                                 for k in _HEAD_KEYS})
+    head.validate()
     if head.in_w.shape[1] != 2 * d + d_t:
         raise ValidationError("snapshot params disagree with recorded dims")
     return head, d, d_t

@@ -2,12 +2,17 @@
 
 All operations are pure (same inputs give bit-identical outputs) and work on
 scalars or numpy arrays. Parameters travel as ``dict[str, np.ndarray]`` so the
-optimizer stays agnostic of model structure.
+optimizer stays agnostic of model structure. ``one_blas_thread`` holds numpy's
+OpenBLAS to one thread for a block of work.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf, expit
@@ -117,3 +122,53 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     new_state = AdamState(lr=state.lr, beta1=b1, beta2=b2,
                           eps=state.eps, step=t, m=new_m, v=new_v)
     return new_params, new_state
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy wheels bundle:
+# scipy-openblas (numpy >= 2), 64-bit-integer and plain OpenBLAS (older).
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS in numpy.libs,
+    the copy numpy itself loaded, or None when numpy brings no OpenBLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    thread count it had; without OpenBLAS, do nothing.
+
+    The training matmuls have 32-row operands: a second BLAS thread only
+    spins on them, taking a CPU that other work could use. A process forked
+    inside the block inherits the setting. Results do not depend on it.
+    """
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, put = api
+    prior = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prior)

@@ -16,10 +16,20 @@ The stage subcommands of the CLI use the same split, the same pools
 (``Split.pool``, named per arm in ARM_POOLS) and the same ``evaluate``, so a
 hand-run flow writes the pipeline's artifacts byte for byte.
 
+Only the weighted arm reads the scorer. So once a seed is split, one forked
+worker process trains, saves and evaluates every other arm while this
+process runs stage 0, exports the weights and trains the weighted arm; BLAS
+is held to one thread for the run, leaving the second CPU to the worker.
+Both sides call the same per-arm code on the same inputs, and results are
+gathered in config order, so no artifact byte depends on scheduling or on
+the BLAS thread count. The CLI stage-by-stage test, which runs at default
+BLAS threads, checks that.
+
 Per-seed metric rows are aggregated arm-wise into arithmetic means and
 written as a canonical-JSON report (byte-deterministic for a given config),
 a plain-text table, and optionally a per-seed CSV. Any stage failure is
-rethrown as PipelineError("stage <name> failed: <cause>").
+rethrown as PipelineError("stage <name> failed: <cause>"); a failure in this
+process stops the worker at once.
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -45,6 +58,7 @@ from .corpus import (
 from .finetune import (HeadConfig, HeadParams, predict_all, save_head_snapshot,
                        train_stage1, write_run_log)
 from .metrics import MetricsReport, compute_metrics
+from .numerics import one_blas_thread
 from .qa import (
     QaConfig,
     WeightMapConfig,
@@ -229,6 +243,46 @@ def _stage(name: str):
         raise PipelineError(f"stage {name} failed: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _arm_worker():
+    """A pool of one forked worker for the arms that do not read the scorer.
+
+    Fork, not spawn: the worker starts from this process's imported modules
+    in milliseconds, and OpenBLAS stops its own threads around a fork. When
+    the block fails, the worker is stopped at once rather than left to finish
+    arms whose results nobody will read.
+    """
+    pool = ProcessPoolExecutor(max_workers=1,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BaseException:
+        # ProcessPoolExecutor gains terminate_workers() only in Python 3.14
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
+                config: PipelineConfig, seed: int, out: Path) -> dict:
+    """Train, save and evaluate each arm in order; arm -> held-out metrics."""
+    metrics = {}
+    for arm in arms:
+        with _stage(f"stage1:{arm}"):
+            run = train_stage1(
+                corpus, weight_file if arm == "weighted" else None,
+                replace(config.head, seed=seed),
+                rows=split.pool(ARM_POOLS[arm]))
+            save_head_snapshot(run.head, config.d, config.d_t,
+                               out / f"head_s{seed}_{arm}.json")
+            write_run_log(run.loss_trace, out / f"runlog_s{seed}_{arm}.jsonl")
+        with _stage(f"eval:{arm}"):
+            metrics[arm] = evaluate(run.head, corpus, split)
+    return metrics
+
+
 def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     """Run every (seed, arm) cell and write all artifacts under out_dir."""
     config.validate()
@@ -237,51 +291,55 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     paths = {}
     rows = {arm: {} for arm in config.arms}   # arm -> seed -> metrics
     checksums = {}
+    parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
+    worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
 
-    for seed in config.seeds:
-        with _stage("gen-corpus"):
-            corpus = generate_corpus(
-                config.n_originals, config.augments_per_original,
-                config.profile, seed=seed, d=config.d, d_t=config.d_t,
-                vocab_size=config.vocab_size)
-            corpus_path = out / f"corpus_s{seed}.jsonl"
-            save_corpus(corpus, corpus_path)
-            paths[f"corpus_s{seed}"] = corpus_path
-            checksums[f"corpus_s{seed}"] = corpus_checksum(corpus)
+    with one_blas_thread(), _arm_worker() as pool:
+        for seed in config.seeds:
+            with _stage("gen-corpus"):
+                corpus = generate_corpus(
+                    config.n_originals, config.augments_per_original,
+                    config.profile, seed=seed, d=config.d, d_t=config.d_t,
+                    vocab_size=config.vocab_size)
+                corpus_path = out / f"corpus_s{seed}.jsonl"
+                save_corpus(corpus, corpus_path)
+                paths[f"corpus_s{seed}"] = corpus_path
+                checksums[f"corpus_s{seed}"] = corpus_checksum(corpus)
 
-        with _stage("split"):
-            split = train_eval_split(corpus, config.eval_fraction,
-                                     config.label_fraction)
-            if not split.eval_originals.size:
-                raise ValidationError("empty held-out set; raise eval_fraction")
+            with _stage("split"):
+                split = train_eval_split(corpus, config.eval_fraction,
+                                         config.label_fraction)
+                if not split.eval_originals.size:
+                    raise ValidationError("empty held-out set; raise eval_fraction")
 
-        with _stage("stage0"):
-            params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
-                                     rows=split.pool("all"))
-            qa_path = out / f"qa_s{seed}.json"
-            save_qa_snapshot(params, corpus.header, qa_path)
-            paths[f"qa_s{seed}"] = qa_path
+            pending = (pool.submit(_train_arms, worker_arms, corpus, split, None,
+                                   config, seed, out) if worker_arms else None)
 
-        with _stage("export-weights"):
-            weights_path = out / f"weights_s{seed}.json"
-            weight_file = export_weights(corpus, params, config.weight_map,
-                                         weights_path)
-            paths[f"weights_s{seed}"] = weights_path
+            with _stage("stage0"):
+                params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
+                                         rows=split.pool("all"))
+                qa_path = out / f"qa_s{seed}.json"
+                save_qa_snapshot(params, corpus.header, qa_path)
+                paths[f"qa_s{seed}"] = qa_path
 
-        for arm in config.arms:
-            with _stage(f"stage1:{arm}"):
-                run = train_stage1(
-                    corpus, weight_file if arm == "weighted" else None,
-                    replace(config.head, seed=seed),
-                    rows=split.pool(ARM_POOLS[arm]))
-                head_path = out / f"head_s{seed}_{arm}.json"
-                save_head_snapshot(run.head, config.d, config.d_t, head_path)
-                log_path = out / f"runlog_s{seed}_{arm}.jsonl"
-                write_run_log(run.loss_trace, log_path)
-                paths[f"head_s{seed}_{arm}"] = head_path
-                paths[f"runlog_s{seed}_{arm}"] = log_path
-            with _stage(f"eval:{arm}"):
-                rows[arm][seed] = evaluate(run.head, corpus, split)
+            with _stage("export-weights"):
+                weights_path = out / f"weights_s{seed}.json"
+                weight_file = export_weights(corpus, params, config.weight_map,
+                                             weights_path)
+                paths[f"weights_s{seed}"] = weights_path
+
+            metrics = _train_arms(parent_arms, corpus, split, weight_file,
+                                  config, seed, out)
+            if pending is not None:
+                try:
+                    metrics.update(pending.result())
+                except BrokenProcessPool as exc:
+                    raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
+                                        f"failed: {exc}") from exc
+            for arm in config.arms:
+                paths[f"head_s{seed}_{arm}"] = out / f"head_s{seed}_{arm}.json"
+                paths[f"runlog_s{seed}_{arm}"] = out / f"runlog_s{seed}_{arm}.jsonl"
+                rows[arm][seed] = metrics[arm]
 
     with _stage("report"):
         arm_reports = {arm: MetricsReport.aggregate(rows[arm])

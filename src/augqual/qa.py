@@ -25,7 +25,6 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,13 @@ from .numerics import (
 from .util import (
     ChecksumError,
     ValidationError,
+    check_fields,
+    check_params,
     derived_rng,
     deterministic_timestamp,
     dumps_canonical,
+    float_array,
+    load_json_object,
     sha256_hex,
 )
 
@@ -93,19 +96,15 @@ class QaParams:
         return QaParams(**{k: arrays[k] for k in _PARAM_KEYS})
 
     def validate(self) -> None:
+        if self.text_proj_w.ndim != 2 or self.hidden_w.ndim != 2:
+            raise ValidationError("scorer params text_proj_w and hidden_w "
+                                  "must be matrices")
         d, d_t, h = self.d, self.d_t, self.hidden
-        shapes = {
+        check_params(self.to_dict(), {
             "text_proj_w": (d, d_t), "text_proj_b": (d,),
             "polarity_emb": (2, d), "hidden_w": (h, 4 * d),
             "hidden_b": (h,), "out_w": (h,), "out_b": (1,),
-        }
-        for k, want in shapes.items():
-            arr = getattr(self, k)
-            if arr.shape != want:
-                raise ValidationError(f"scorer param {k}: shape {arr.shape}, "
-                                      f"expected {want}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"scorer param {k}: non-finite values")
+        }, "scorer")
 
 
 @dataclass(frozen=True)
@@ -359,24 +358,38 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     return wf
 
 
+# Exact JSON types of the weight file's fields; a JSON true or false is a
+# bool, never a number.
+_META_FIELDS = {"w_min": (int, float), "w_max": (int, float), "gamma": (int, float),
+                "qa_checksum": (str,), "corpus_checksum": (str,),
+                "created_at": (str,)}
+_ENTRY_FIELDS = {"id": (str,), "score": (int, float), "weight": (int, float),
+                 "origin": (str,)}
+
+
 def load_weight_file(path) -> WeightFile:
-    with open(path, "rb") as fh:
-        try:
-            raw = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"bad weight file: {exc}") from exc
+    raw = load_json_object(path, "weight file")
+    meta = check_fields(raw.get("metadata"), _META_FIELDS,
+                        "bad weight file: metadata")
+    if type(raw.get("entries")) is not list:
+        raise ValidationError("bad weight file: entries must be a list")
+    entries = []
     try:
-        meta = raw["metadata"]
-        entries = [WeightEntry(id=str(e["id"]), score=float(e["score"]),
-                               weight=float(e["weight"]), origin=str(e["origin"]))
-                   for e in raw["entries"]]
+        for k, e in enumerate(raw["entries"]):
+            check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
+            if e["origin"] not in ("Original", "Augmented"):
+                raise ValidationError(f"bad weight file: entry {e['id']} has "
+                                      f"origin {e['origin']!r}")
+            entries.append(WeightEntry(id=e["id"], score=float(e["score"]),
+                                       weight=float(e["weight"]),
+                                       origin=e["origin"]))
         wf = WeightFile(w_min=float(meta["w_min"]), w_max=float(meta["w_max"]),
                         gamma=float(meta["gamma"]),
-                        qa_checksum=str(meta["qa_checksum"]),
-                        corpus_checksum=str(meta["corpus_checksum"]),
-                        created_at=str(meta["created_at"]), entries=entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad weight file: {exc}") from exc
+                        qa_checksum=meta["qa_checksum"],
+                        corpus_checksum=meta["corpus_checksum"],
+                        created_at=meta["created_at"], entries=entries)
+    except OverflowError as exc:   # an integer beyond float64
+        raise ValidationError(f"bad weight file: number out of range: {exc}") from None
     seen = set()
     for e in wf.entries:
         if e.id in seen:
@@ -395,8 +408,8 @@ _WEIGHT_SLACK = 1e-12
 def check_weights(wf: WeightFile) -> None:
     """Reject weights that training must never see, in one vectorized pass.
 
-    Originals must weigh exactly 1. Augments need a score in (0, 1) and a
-    weight in the file's own [w_min, w_max] that equals
+    Every entry needs a score in (0, 1). Originals must weigh exactly 1,
+    augments a weight in the file's own [w_min, w_max] that equals
     ``w_min + score**gamma * (w_max - w_min)`` within _WEIGHT_SLACK, with
     w_min >= 0 and every map parameter finite. That rules out negative, NaN
     and infinite weights, and any weight edited apart from its score.
@@ -410,23 +423,35 @@ def check_weights(wf: WeightFile) -> None:
     scored = (s > 0.0) & (s < 1.0)
     mapped = wf.w_min + np.where(scored, s, 0.5) ** wf.gamma * (wf.w_max - wf.w_min)
     slack = _WEIGHT_SLACK * wf.w_max
-    ok = np.where(original, w == 1.0,
-                  scored & (w >= wf.w_min) & (w <= wf.w_max + slack)
-                  & (np.abs(w - mapped) <= slack))
+    ok = scored & np.where(original, w == 1.0,
+                           (w >= wf.w_min) & (w <= wf.w_max + slack)
+                           & (np.abs(w - mapped) <= slack))
     if not ok.all():
         k = int(np.argmin(ok))
         e = wf.entries[k]
         want = ("1" if e.origin == "Original" else
-                f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r} for a "
-                f"score in (0, 1), got score {e.score!r}")
+                f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r}")
         raise ValidationError(f"weight file gives {e.origin} {e.id} weight "
-                              f"{e.weight}, expected {want}")
+                              f"{e.weight}, expected {want} for a score in "
+                              f"(0, 1), got score {e.score!r}")
 
 
 def verify_weight_file(wf: WeightFile, corpus: Corpus) -> None:
-    """Bind a weight file to the corpus it was exported from."""
+    """Bind a weight file to the corpus it was exported from: the corpus
+    checksum, and one entry of the sample's origin for every corpus sample."""
     if wf.corpus_checksum != corpus_checksum(corpus):
         raise ChecksumError("weight file was exported for a different corpus")
+    origin_by_id = {e.id: e.origin for e in wf.entries}
+    origins = np.where(corpus.augmented, "Augmented", "Original").tolist()
+    for sid, origin in zip(corpus.ids.tolist(), origins):
+        if sid not in origin_by_id:
+            raise ValidationError(f"no weight for sample {sid}")
+        if origin_by_id[sid] != origin:
+            raise ValidationError(f"weight file gives {sid} origin "
+                                  f"{origin_by_id[sid]}, the corpus {origin}")
+    if len(origin_by_id) != len(origins):
+        raise ValidationError(f"weight file lists {len(origin_by_id)} samples, "
+                              f"the corpus {len(origins)}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +473,19 @@ def save_qa_snapshot(params: QaParams, header: CorpusHeader, path) -> None:
 
 
 def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:
-    with open(path, "rb") as fh:
-        try:
-            raw = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"bad scorer snapshot: {exc}") from exc
+    raw = load_json_object(path, "scorer snapshot")
     if raw.get("kind") != "qa_snapshot":
         raise ValidationError("not a scorer snapshot file")
+    if "header" not in raw:
+        raise ValidationError("bad scorer snapshot: no header")
     header = header_from_dict(raw["header"])
-    try:
-        arrays = {k: np.asarray(raw["params"][k], dtype=np.float64)
-                  for k in _PARAM_KEYS}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scorer snapshot: {exc}") from exc
-    params = QaParams.from_dict(arrays)
+    header.validate()
+    arrays = raw.get("params")
+    if type(arrays) is not dict or not set(_PARAM_KEYS) <= set(arrays):
+        raise ValidationError("bad scorer snapshot: params needs "
+                              + ", ".join(_PARAM_KEYS))
+    params = QaParams.from_dict({k: float_array(arrays[k], f"scorer param {k}")
+                                 for k in _PARAM_KEYS})
     params.validate()
     if params.d != header.d or params.d_t != header.d_t:
         raise ValidationError("snapshot params disagree with echoed header")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import time
@@ -40,6 +41,61 @@ def derived_rng(seed: int, *tags: object) -> np.random.Generator:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def load_json_object(path, what: str) -> dict:
+    """The JSON object a file holds; ValidationError naming ``what`` when the
+    file is not UTF-8 JSON or holds another JSON value."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise ValidationError(f"bad {what}: {exc}") from exc
+    if type(raw) is not dict:
+        raise ValidationError(f"bad {what}: holds a JSON {type(raw).__name__}, "
+                              "not an object")
+    return raw
+
+
+def check_fields(obj, fields: dict, where: str) -> dict:
+    """obj, when it is a JSON object holding every field of ``fields`` with one
+    of the exact JSON types listed for it (true and false are bools, never
+    numbers); ValidationError starting with ``where`` otherwise."""
+    if type(obj) is not dict or not set(fields) <= set(obj):
+        raise ValidationError(f"{where} needs an object with fields "
+                              f"{', '.join(fields)}")
+    for key, kinds in fields.items():
+        if type(obj[key]) not in kinds:
+            raise ValidationError(f"{where}: field {key} has type "
+                                  f"{type(obj[key]).__name__}")
+    return obj
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """A parsed JSON array of numbers, nested to any depth, as float64.
+
+    Strings, booleans, nulls, objects, ragged nesting and integers beyond
+    int64 raise ValidationError naming ``what``.
+    """
+    try:
+        arr = np.array(value)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    if arr.dtype.kind not in "if":
+        raise ValidationError(f"{what}: not an array of numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def check_params(arrays: dict, shapes: dict, what: str) -> None:
+    """Each named parameter array has its expected shape and finite values."""
+    for k, want in shapes.items():
+        arr = arrays[k]
+        if arr.shape != want:
+            raise ValidationError(f"{what} param {k}: shape {arr.shape}, "
+                                  f"expected {want}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{what} param {k}: non-finite values")
 
 
 def _format_float(x: float) -> str:
@@ -92,8 +148,6 @@ def dumps_canonical(obj: Any, *, indent: int = 0, _level: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))

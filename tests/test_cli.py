@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
+import copy
 import csv
 import hashlib
 import json
@@ -287,6 +288,69 @@ def _mutants():
     return cases
 
 
+def _locate(doc, path, rng):
+    """The container holding the last key of path, and that key; a "*" key
+    is an entry the seeded rng picks."""
+    def pick(at, key):
+        return int(rng.integers(len(at))) if key == "*" else key
+    for key in path[:-1]:
+        doc = doc[pick(doc, key)]
+    return doc, pick(doc, path[-1])
+
+
+def _put(*path, value):
+    def edit(doc, rng):
+        at, key = _locate(doc, path, rng)
+        at[key] = value
+        return doc
+    return edit
+
+
+def _drop(*path):
+    def edit(doc, rng):
+        at, key = _locate(doc, path, rng)
+        del at[key]
+        return doc
+    return edit
+
+
+def _change(*path, fn):
+    """Replace the value at path with fn(value, rng)."""
+    def edit(doc, rng):
+        at, key = _locate(doc, path, rng)
+        at[key] = fn(at[key], rng)
+        return doc
+    return edit
+
+
+def _poke(value, rng, new):
+    """A number replaced by new, or a nested list with one seeded element
+    replaced by new."""
+    if not isinstance(value, list):
+        return new
+    arr = np.asarray(value, dtype=object)
+    arr.flat[rng.integers(arr.size)] = new
+    return arr.tolist()
+
+
+def _header_mutants():
+    """(case, edit) pairs; edit(header, rng) returns the damaged parsed header."""
+    return [
+        ("header is a list", lambda h, rng: [h]),
+        ("d='8'", _put("d", value="8")),
+        ("d=8.0", _put("d", value=8.0)),
+        ("vocab_size=True", _put("vocab_size", value=True)),
+        ("generator_version=1", _put("generator_version", value=1)),
+        ("verbal missing", _drop("verbal")),
+        ("verbal is a list", _put("verbal", value=[])),
+        ("string sign token", _put("verbal", "sign_tokens", 0, value="1")),
+        ("bool eos token", _put("verbal", "eos_token", value=True)),
+        ("string class value", _put("verbal", "class_values", 0, value="x")),
+        ("one sign token", _drop("verbal", "sign_tokens", 1)),
+        ("class values short", _drop("verbal", "class_values", -1)),
+    ]
+
+
 class TestCorruptCorpusMutations:
     """Every damaged corpus makes stage0 exit 1 with an error line: never a
     traceback, never a trained scorer."""
@@ -316,6 +380,12 @@ class TestCorruptCorpusMutations:
         edit(recs, rng)
         self._stage0(tmp_path, capsys, clean[:1] + [json.dumps(r) for r in recs])
 
+    @pytest.mark.parametrize("case, edit", _header_mutants(),
+                             ids=[c for c, _ in _header_mutants()])
+    def test_header_mutant_rejected(self, clean, tmp_path, capsys, case, edit):
+        header = edit(json.loads(clean[0]), None)
+        self._stage0(tmp_path, capsys, [json.dumps(header)] + clean[1:])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_truncated_line_rejected(self, clean, tmp_path, capsys, seed):
         rng = np.random.default_rng(seed)
@@ -339,6 +409,142 @@ class TestCorruptCorpusMutations:
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: ")
             assert "Traceback" not in proc.stderr
+
+
+
+# JSON values of every type but the one a field holds; an int field also
+# refuses 1.5, a number field accepts it. An array holds numbers.
+_WRONG = {"text": "x", "float": 1.5, "bool": True, "null": None, "list": [],
+          "object": {}}
+_KEEPS = {"int": (), "num": ("float",), "str": ("text",), "obj": ("object",),
+          "list": ("list",), "array": ("list",)}
+# (field path, kind) of every field the loaders read; "*" is a seeded entry
+_ARTIFACT_FIELDS = {
+    "scorer": [(("kind",), "str"), (("header",), "obj"), (("params",), "obj"),
+               *((("header", k), "int") for k in ("d", "d_t", "vocab_size", "seed")),
+               (("header", "generator_version"), "str"), (("header", "verbal"), "obj"),
+               *((("params", k), "array") for k in (
+                   "text_proj_w", "text_proj_b", "polarity_emb", "hidden_w",
+                   "hidden_b", "out_w", "out_b"))],
+    "head": [(("kind",), "str"), (("d",), "int"), (("d_t",), "int"),
+             (("params",), "obj"),
+             *((("params", k), "array") for k in ("in_w", "in_b", "out_w", "out_b"))],
+    "weights": [(("metadata",), "obj"), (("entries",), "list"),
+                (("entries", "*"), "obj"),
+                *((("metadata", k), "num") for k in ("w_min", "w_max", "gamma")),
+                *((("metadata", k), "str") for k in (
+                    "qa_checksum", "corpus_checksum", "created_at")),
+                *((("entries", "*", k), "str") for k in ("id", "origin")),
+                *((("entries", "*", k), "num") for k in ("score", "weight"))],
+}
+
+
+def _artifact_mutants():
+    """(artifact, case, edit) triples; edit(doc, rng) returns the damaged
+    parsed document, or the damaged file text when it returns a str."""
+    def relabel(doc, rng):
+        augs = [e for e in doc["entries"] if e["origin"] == "Augmented"]
+        augs[rng.integers(len(augs))].update(origin="Original", weight=1.0)
+        return doc
+
+    def truncate(doc, rng):
+        text = json.dumps(doc, indent=1)
+        return text[:int(rng.integers(1, len(text) - 2))]
+
+    cases = [("weights", "weights augment relabelled Original at weight 1", relabel)]
+    for artifact, fields in _ARTIFACT_FIELDS.items():
+        def add(case, edit):
+            cases.append((artifact, f"{artifact} {case}", edit))
+        add("file holds a list", lambda doc, rng: [doc])
+        add("file holds a number", lambda doc, rng: 3)
+        add("file holds null", lambda doc, rng: None)
+        for cut in range(3):
+            add(f"truncated {cut}", truncate)
+        for path, kind in fields:
+            name = "/".join(path)
+            if path[-1] != "*":
+                add(f"{name} missing", _drop(*path))
+            for label, value in _WRONG.items():
+                if label not in _KEEPS[kind]:
+                    add(f"{name}={label}", _put(*path, value=value))
+            if kind in ("num", "array"):
+                for bad in ("nan", "inf", "-inf"):
+                    add(f"{name} {bad}", _change(*path, fn=lambda v, rng, b=bad:
+                                                 _poke(v, rng, float(b))))
+            if kind in ("array", "list"):
+                add(f"{name} string element",
+                    _change(*path, fn=lambda v, rng: _poke(v, rng, "0.5")))
+                add(f"{name} last row dropped",
+                    _change(*path, fn=lambda v, rng: v[:-1]))
+                add(f"{name} extra axis", _change(*path, fn=lambda v, rng: [v]))
+    return cases
+
+
+class TestCorruptArtifactMutations:
+    """Every damaged scorer snapshot (through ``score``), head snapshot
+    (through ``eval``) and weight file (through ``stage1 --weights``) exits 1
+    with an error line: never a traceback, never an output."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("artifacts")
+        paths = {name: tmp / f"{name}.json" for name in ("scorer", "weights", "head")}
+        corpus = tmp / "c.jsonl"
+        c = ["--corpus", str(corpus)]
+        for cmd in (
+            [*GEN, "--out", str(corpus), "--seed", "5"],
+            ["stage0", *c, "--out", str(paths["scorer"]), "--seed", "5",
+             "--steps", "5", "--hidden", "8", "--batch-size", "8"],
+            ["score", *c, "--qa", str(paths["scorer"]), "--out", str(paths["weights"])],
+            ["stage1", *c, "--weights", str(paths["weights"]),
+             "--out", str(paths["head"]), "--seed", "5", "--steps", "5"],
+        ):
+            assert main(cmd) == 0
+        return corpus, {name: json.loads(path.read_text())
+                        for name, path in paths.items()}
+
+    @staticmethod
+    def _command(artifact, corpus, bad, out):
+        c = ["--corpus", str(corpus)]
+        return {"scorer": ["score", *c, "--qa", str(bad), "--out", str(out)],
+                "head": ["eval", *c, "--head", str(bad), "--json"],
+                "weights": ["stage1", *c, "--weights", str(bad), "--out", str(out),
+                            "--seed", "5", "--steps", "2"]}[artifact]
+
+    @pytest.mark.parametrize("artifact, case, edit", _artifact_mutants(),
+                             ids=[case for _, case, _ in _artifact_mutants()])
+    def test_mutant_rejected(self, clean, tmp_path, capsys, artifact, case, edit):
+        corpus, docs = clean
+        damaged = edit(copy.deepcopy(docs[artifact]),
+                       np.random.default_rng(sum(map(ord, case))))
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        capsys.readouterr()
+        rc = main(self._command(artifact, corpus, bad, out))
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+        assert printed.out == "" and not out.exists()
+
+    def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
+        # the defects once seen as a traceback or as metrics from NaN logits
+        corpus, docs = clean
+        scorer, head = docs["scorer"], docs["head"]
+        out_w = head["params"]["out_w"]
+        cases = (("scorer", [scorer]),
+                 ("scorer", {k: v for k, v in scorer.items() if k != "header"}),
+                 ("head", {**head, "params": {**head["params"], "out_w": out_w[:-1]}}),
+                 ("head", {**head, "params": {**head["params"],
+                                              "in_b": [float("nan")] * len(
+                                                  head["params"]["in_b"])}}))
+        for artifact, doc in cases:
+            bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+            bad.write_text(json.dumps(doc))
+            proc = run(*self._command(artifact, corpus, bad, out))
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == "" and not out.exists()
 
 
 CONFIG = {
@@ -407,4 +613,11 @@ class TestPipelineCommand:
         (tmp_path / "report.json").write_text('{"kind": "other"}')
         proc = run("report", "--results", str(tmp_path))
         assert proc.returncode == 1
+        assert "not a pipeline report" in proc.stderr
+
+    def test_report_holding_a_list(self, tmp_path):
+        (tmp_path / "report.json").write_text('[1, 2]')
+        proc = run("report", "--results", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
         assert "not a pipeline report" in proc.stderr

@@ -5,7 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
+import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from augqual.corpus import CorruptionProfile, Split
 from augqual.finetune import HeadConfig
+from augqual import numerics, pipeline
 from augqual.metrics import MetricsReport
 from augqual.pipeline import (
     ARM_POOLS,
@@ -178,6 +182,75 @@ class TestRunPipeline:
         res = run_pipeline(cfg, tmp_path)
         assert list(res.arm_reports) == ["original_only"]
         assert not (tmp_path / "head_s1_weighted.json").exists()
+
+
+
+class TestArmWorker:
+    """The arms that do not read the scorer train in one forked worker while
+    this process runs stage 0, with BLAS held to one thread for the run."""
+
+    CFG = PipelineConfig(**{**FAST, "seeds": (1,)}, arms=("weighted", "uniform"))
+
+    def test_worker_arm_failure_names_its_stage(self, tmp_path, monkeypatch):
+        real = pipeline.train_stage1
+
+        def fail_uniform(corpus, weight_file, *args, **kw):
+            if weight_file is None:
+                raise ValidationError(f"boom in process {os.getpid()}")
+            return real(corpus, weight_file, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "train_stage1", fail_uniform)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(self.CFG, tmp_path)
+        match = re.fullmatch(r"stage stage1:uniform failed: boom in process (\d+)",
+                             str(info.value))
+        assert match and int(match.group(1)) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_stage0_failure_stops_the_worker_at_once(self, tmp_path, monkeypatch):
+        def slow_arm(*args, **kw):
+            time.sleep(60)
+
+        def no_scorer(*args, **kw):
+            raise ValidationError("no scorer")
+
+        monkeypatch.setattr(pipeline, "train_stage1", slow_arm)
+        monkeypatch.setattr(pipeline, "train_stage0", no_scorer)
+        t0 = time.monotonic()
+        with pytest.raises(PipelineError, match="^stage stage0 failed: no scorer$"):
+            run_pipeline(self.CFG, tmp_path)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_blas_held_to_one_thread_for_the_run(self, tmp_path, monkeypatch):
+        api = numerics._openblas()
+        count = (lambda: api[0]()) if api else (lambda: None)
+        seen = []
+        real0, real1 = pipeline.train_stage0, pipeline.train_stage1
+
+        def stage0(*args, **kw):
+            seen.append(count())
+            return real0(*args, **kw)
+
+        def stage1(corpus, weight_file, *args, **kw):
+            if weight_file is None:    # in the worker
+                (tmp_path / "worker_threads").write_text(str(count()))
+            return real1(corpus, weight_file, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "train_stage0", stage0)
+        monkeypatch.setattr(pipeline, "train_stage1", stage1)
+        prior = count()
+        if api:
+            api[1](2)      # a prior count that one thread must replace
+        try:
+            run_pipeline(self.CFG, tmp_path / "run")
+            after = count()
+        finally:
+            if api:
+                api[1](prior)
+        assert seen == [1 if api else None]
+        assert (tmp_path / "worker_threads").read_text() == str(1 if api else None)
+        assert after == (2 if api else None)
 
 
 class TestReportRendering:
