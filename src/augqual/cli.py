@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -36,6 +36,7 @@ from .finetune import (
 from .metrics import compute_metrics  # noqa: F401 - as predict_all
 from .pipeline import (
     PipelineConfig,
+    check_report,
     evaluate,
     format_report_table,
     pipeline_config_from_dict,
@@ -78,25 +79,30 @@ def _load_json_file(path) -> dict:
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _profile_from_args(args) -> CorruptionProfile:
-    return CorruptionProfile(
-        sigma_benign=args.sigma_benign, p_swap=args.p_swap,
-        p_degrade=args.p_degrade, degrade_mask_rate=args.degrade_mask_rate,
-        p_label_noise=args.p_label_noise)
+def _add_config_flags(p: argparse.ArgumentParser, config, **extra) -> None:
+    """One flag per field of the config dataclass instance ``config`` but its
+    seed: --field-name, typed as the field's value and defaulting to it (a
+    False field is a switch); ``extra`` overrides add_argument keywords."""
+    for f in fields(config):
+        if f.name == "seed":
+            continue
+        default = getattr(config, f.name)
+        kw = ({"action": "store_true"} if default is False
+              else {"type": type(default), "default": default})
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       **{**kw, **extra.get(f.name, {})})
 
 
-def _add_profile_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-benign", type=float, default=0.05)
-    p.add_argument("--p-swap", type=float, default=0.0)
-    p.add_argument("--p-degrade", type=float, default=0.0)
-    p.add_argument("--degrade-mask-rate", type=float, default=0.5)
-    p.add_argument("--p-label-noise", type=float, default=0.0)
+def _config_from_flags(cls, args):
+    """A cls built from the flags _add_config_flags gave it (and --seed)."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _cmd_gen_corpus(args) -> int:
     corpus = generate_corpus(
-        args.n_originals, args.augments, _profile_from_args(args),
-        seed=args.seed, d=args.d, d_t=args.d_t, vocab_size=args.vocab_size)
+        args.n_originals, args.augments,
+        _config_from_flags(CorruptionProfile, args), seed=args.seed, d=args.d,
+        d_t=args.d_t, vocab_size=args.vocab_size)
     save_corpus(corpus, args.out)
     doc = {"path": str(args.out), "n_samples": len(corpus),
            "n_originals": int((~corpus.augmented).sum()),
@@ -109,22 +115,15 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _parse_alpha(text: str):
-    try:
-        parts = tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad --alpha: {exc}") from exc
-    return parts
+def _float_list(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
 
 
 def _cmd_stage0(args) -> int:
     corpus = load_corpus(args.corpus)
-    cfg = QaConfig(alpha=_parse_alpha(args.alpha), rho=args.rho,
-                   batch_size=args.batch_size, steps=args.steps, lr=args.lr,
-                   seed=args.seed, hidden=args.hidden,
-                   include_augmented=args.include_augmented)
     train = train_eval_split(corpus, args.eval_fraction).pool("all")
-    params, trace = train_stage0(corpus, cfg, rows=train)
+    params, trace = train_stage0(corpus, _config_from_flags(QaConfig, args),
+                                 rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
            "steps": len(trace),
@@ -140,8 +139,8 @@ def _cmd_stage0(args) -> int:
 def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
     params, _ = load_qa_snapshot(args.qa)
-    cfg = WeightMapConfig(w_min=args.w_min, w_max=args.w_max, gamma=args.gamma)
-    wf = export_weights(corpus, params, cfg, args.out)
+    wf = export_weights(corpus, params,
+                        _config_from_flags(WeightMapConfig, args), args.out)
     doc = {"path": str(args.out), "n_entries": len(wf.entries),
            "qa_checksum": wf.qa_checksum,
            "corpus_checksum": wf.corpus_checksum}
@@ -157,11 +156,9 @@ def _cmd_stage1(args) -> int:
     weight_file = None
     if args.weights is not None:
         weight_file = load_weight_file(args.weights)
-    cfg = HeadConfig(hidden=args.hidden, t_max=args.t_max, lr=args.lr,
-                     steps=args.steps, batch_size=args.batch_size,
-                     seed=args.seed)
     pool = train_eval_split(corpus, args.eval_fraction).pool(args.pool)
-    run = train_stage1(corpus, weight_file, cfg, rows=pool)
+    run = train_stage1(corpus, weight_file, _config_from_flags(HeadConfig, args),
+                       rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
         write_run_log(run.loss_trace, args.run_log)
@@ -198,9 +195,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     report_path = Path(args.results) / "report.json"
-    report = _load_json_file(report_path)
-    if type(report) is not dict or report.get("kind") != "pipeline_report":
-        raise ValidationError(f"{report_path} is not a pipeline report")
+    report = check_report(_load_json_file(report_path), str(report_path))
     if args.dump_csv is not None:
         Path(args.dump_csv).write_text(report_csv(report), encoding="utf-8")
     if args.json:
@@ -240,16 +235,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"augqual {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    base = PipelineConfig()
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-originals", type=int, default=200)
-    p.add_argument("--augments", type=int, default=2)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--d-t", type=int, default=96)
-    p.add_argument("--vocab-size", type=int, default=8)
-    _add_profile_flags(p)
+    p.add_argument("--n-originals", type=int, default=base.n_originals)
+    p.add_argument("--augments", type=int, default=base.augments_per_original)
+    p.add_argument("--d", type=int, default=base.d)
+    p.add_argument("--d-t", type=int, default=base.d_t)
+    p.add_argument("--vocab-size", type=int, default=base.vocab_size)
+    _add_config_flags(p, CorruptionProfile())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen_corpus)
 
@@ -257,15 +253,9 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha", default="3,2,2,1",
-                   help="family loss weights: pos,mix,mask,flip")
-    p.add_argument("--rho", type=float, default=0.3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--steps", type=int, default=800)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--include-augmented", action="store_true")
-    p.add_argument("--eval-fraction", type=float, default=0.25,
+    _add_config_flags(p, QaConfig(), alpha={
+        "type": _float_list, "help": "family loss weights: pos,mix,mask,flip"})
+    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction,
                    help="held-out originals the scorer never sees")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage0)
@@ -274,9 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", required=True, help="scorer snapshot path")
     p.add_argument("--out", required=True)
-    p.add_argument("--w-min", type=float, default=0.1)
-    p.add_argument("--w-max", type=float, default=1.5)
-    p.add_argument("--gamma", type=float, default=1.0)
+    _add_config_flags(p, WeightMapConfig())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_score)
 
@@ -286,12 +274,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weights", help="weight file; omit for uniform")
     p.add_argument("--pool", choices=POOLS, default="all")
-    p.add_argument("--eval-fraction", type=float, default=0.25)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction)
+    _add_config_flags(p, HeadConfig(), hidden={"type": int})
     p.add_argument("--run-log", help="write per-step losses as JSONL")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage1)
@@ -299,7 +283,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a head on held-out originals")
     p.add_argument("--corpus", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--eval-fraction", type=float, default=0.25)
+    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 

@@ -172,15 +172,6 @@ class CorruptionProfile:
             raise ValidationError(
                 f"corruption probabilities sum to {total} > 1; kinds are exclusive")
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma_benign": self.sigma_benign,
-            "p_swap": self.p_swap,
-            "p_degrade": self.p_degrade,
-            "degrade_mask_rate": self.degrade_mask_rate,
-            "p_label_noise": self.p_label_noise,
-        }
-
 
 # Default profile: a moderate mix of all corruption kinds.
 DEFAULT_PROFILE = CorruptionProfile(

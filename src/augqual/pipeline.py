@@ -13,8 +13,11 @@ weights:
   augmented_only  augments alone
 
 The stage subcommands of the CLI use the same split, the same pools
-(``Split.pool``, named per arm in ARM_POOLS) and the same ``evaluate``, so a
-hand-run flow writes the pipeline's artifacts byte for byte.
+(``Split.pool``, named per arm in ARM_POOLS), the same ``evaluate`` and the
+config dataclasses' defaults, so a hand-run flow writes the pipeline's
+artifacts byte for byte. A config document is read, and written back by
+``PipelineConfig.to_dict``, through one table (_SECTIONS) giving each key its
+exact JSON type; an unknown key or a value of another type is refused.
 
 Only the weighted arm reads the scorer. So once a seed is split, one forked
 worker process trains, saves and evaluates every other arm while this
@@ -38,35 +41,24 @@ import contextlib
 import csv
 import io
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    GENERATOR_VERSION,
-    Corpus,
-    CorruptionProfile,
-    DEFAULT_PROFILE,
-    Split,
-    corpus_checksum,
-    generate_corpus,
-    save_corpus,
-    train_eval_split,
-)
+from .corpus import (GENERATOR_VERSION, DEFAULT_PROFILE, Corpus,
+                     CorruptionProfile, Split, corpus_checksum, generate_corpus,
+                     save_corpus, train_eval_split)
 from .finetune import (HeadConfig, HeadParams, predict_all, save_head_snapshot,
                        train_stage1, write_run_log)
 from .metrics import MetricsReport, compute_metrics
 from .numerics import one_blas_thread
-from .qa import (
-    QaConfig,
-    WeightMapConfig,
-    export_weights,
-    save_qa_snapshot,
-    train_stage0,
-)
-from .util import AugqualError, PipelineError, ValidationError, dumps_canonical
+from .qa import (QaConfig, WeightMapConfig, export_weights, save_qa_snapshot,
+                 train_stage0)
+from .util import (AugqualError, PipelineError, ValidationError, check_fields,
+                   dumps_canonical)
 
 # Each arm's training pool, named as in Split.pool.
 ARM_POOLS = {"weighted": "all", "uniform": "all", "original_only": "original",
@@ -108,112 +100,92 @@ class PipelineConfig:
             raise ValidationError("pipeline arms must be distinct")
 
     def to_dict(self) -> dict:
-        return {
-            "corpus": {
-                "n_originals": self.n_originals,
-                "augments_per_original": self.augments_per_original,
-                "d": self.d,
-                "d_t": self.d_t,
-                "vocab_size": self.vocab_size,
-                "profile": self.profile.to_dict(),
-            },
-            "split": {
-                "eval_fraction": self.eval_fraction,
-                "label_fraction": self.label_fraction,
-            },
-            "qa": {
-                "alpha": list(self.qa.alpha),
-                "rho": self.qa.rho,
-                "batch_size": self.qa.batch_size,
-                "steps": self.qa.steps,
-                "lr": self.qa.lr,
-                "hidden": self.qa.hidden,
-                "include_augmented": self.qa.include_augmented,
-            },
-            "weight_map": {
-                "w_min": self.weight_map.w_min,
-                "w_max": self.weight_map.w_max,
-                "gamma": self.weight_map.gamma,
-            },
-            "head": {
-                "hidden": self.head.hidden,
-                "t_max": self.head.t_max,
-                "lr": self.head.lr,
-                "steps": self.head.steps,
-                "batch_size": self.head.batch_size,
-            },
-            "seeds": list(self.seeds),
-            "arms": list(self.arms),
-        }
+        """The config as the document pipeline_config_from_dict reads."""
+        doc = {}
+        for name, (part, kinds) in _SECTIONS.items():
+            at = doc
+            for key in filter(None, name.split(".")):
+                at = at.setdefault(key, {})
+            obj = getattr(self, part) if part else self
+            for key, kind in kinds.items():
+                value = getattr(obj, key)
+                at[key] = list(value) if type(kind) is list else value
+        return doc
 
 
-def _take_section(doc: dict, name: str, allowed) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"config section {name} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ValidationError(f"unknown config key: {name}.{key}")
-    return section
+# The config document, one entry per section (dotted, "" for the top level,
+# parents before their subsections): the part of PipelineConfig it fills
+# ("" for PipelineConfig's own fields), and each key's exact JSON type, as
+# the Python types json.load gives (true and false are never numbers), or
+# [type] for an array of it. Each key names a field of its part; numbers are
+# stored as floats, arrays as tuples.
+_INT, _NUMBER, _BOOL, _STR = (int,), (int, float), (bool,), (str,)
+_INT_OR_NULL = (int, type(None))
+_SECTIONS = {
+    "": ("", {"seeds": [_INT], "arms": [_STR]}),
+    "corpus": ("", {"n_originals": _INT, "augments_per_original": _INT,
+                    "d": _INT, "d_t": _INT, "vocab_size": _INT}),
+    "corpus.profile": ("profile", {
+        "sigma_benign": _NUMBER, "p_swap": _NUMBER, "p_degrade": _NUMBER,
+        "degrade_mask_rate": _NUMBER, "p_label_noise": _NUMBER}),
+    "split": ("", {"eval_fraction": _NUMBER, "label_fraction": _NUMBER}),
+    "qa": ("qa", {"alpha": [_NUMBER], "rho": _NUMBER, "batch_size": _INT,
+                  "steps": _INT, "lr": _NUMBER, "hidden": _INT,
+                  "include_augmented": _BOOL}),
+    "weight_map": ("weight_map", {"w_min": _NUMBER, "w_max": _NUMBER,
+                                  "gamma": _NUMBER}),
+    "head": ("head", {"hidden": _INT_OR_NULL, "t_max": _INT, "lr": _NUMBER,
+                      "steps": _INT, "batch_size": _INT}),
+}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a float",
+               type(None): "null"}
 
 
-def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
-    """Strict config parsing: any unknown key at any level is an error.
+def _parse_value(value, kind, key: str):
+    """value, checked to have the JSON type ``kind`` of _SECTIONS."""
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    if type(kind) is list:
+        if type(value) is not list:
+            raise ValidationError(f"config key {key} must be an array, got {got}")
+        return tuple(_parse_value(v, kind[0], f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    if type(value) not in kind:
+        want = " or ".join(_JSON_NAMES[t] for t in kind)
+        raise ValidationError(f"config key {key} must be {want}, got {got}")
+    if kind is not _NUMBER:
+        return value
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"config key {key} must be a finite number")
+    return float(value)
+
+
+def pipeline_config_from_dict(doc) -> PipelineConfig:
+    """Strict config parsing against _SECTIONS: an unknown key, or a value
+    not of its key's JSON type, at any level is an error naming the key.
 
     The qa and head seeds are not configurable here; each run derives them
     from the pipeline seed so arms stay paired.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
-    top_allowed = ("corpus", "split", "qa", "weight_map", "head", "seeds", "arms")
-    for key in doc:
-        if key not in top_allowed:
-            raise ValidationError(f"unknown config key: {key}")
-
-    corpus_sec = _take_section(doc, "corpus", (
-        "n_originals", "augments_per_original", "d", "d_t", "vocab_size",
-        "profile"))
-    profile_doc = corpus_sec.get("profile", {})
-    if not isinstance(profile_doc, dict):
-        raise ValidationError("config section corpus.profile must be an object")
-    for key in profile_doc:
-        if key not in ("sigma_benign", "p_swap", "p_degrade",
-                       "degrade_mask_rate", "p_label_noise"):
-            raise ValidationError(f"unknown config key: corpus.profile.{key}")
-    split_sec = _take_section(doc, "split", ("eval_fraction", "label_fraction"))
-    qa_sec = _take_section(doc, "qa", (
-        "alpha", "rho", "batch_size", "steps", "lr", "hidden",
-        "include_augmented"))
-    map_sec = _take_section(doc, "weight_map", ("w_min", "w_max", "gamma"))
-    head_sec = _take_section(doc, "head", (
-        "hidden", "t_max", "lr", "steps", "batch_size"))
-
+    sections, parts = {}, {}
+    for name, (part, kinds) in _SECTIONS.items():
+        parent, _, key = name.rpartition(".")
+        section = sections[parent].get(key, {}) if name else doc
+        if type(section) is not dict:
+            raise ValidationError(f"config section {name} must be an object"
+                                  if name else "config must be a JSON object")
+        for key, value in section.items():
+            dotted = f"{name}.{key}" if name else key
+            if key in kinds:
+                parts.setdefault(part, {})[key] = _parse_value(
+                    value, kinds[key], dotted)
+            elif not key or dotted not in _SECTIONS:   # else a subsection
+                raise ValidationError(f"unknown config key: {dotted}")
+        sections[name] = section
     base = PipelineConfig()
-    try:
-        profile = replace(DEFAULT_PROFILE, **profile_doc)
-        qa = replace(QaConfig(), **{k: tuple(v) if k == "alpha" else v
-                                    for k, v in qa_sec.items()})
-        weight_map = replace(WeightMapConfig(), **map_sec)
-        head = replace(HeadConfig(), **head_sec)
-        cfg = PipelineConfig(
-            n_originals=int(corpus_sec.get("n_originals", base.n_originals)),
-            augments_per_original=int(corpus_sec.get(
-                "augments_per_original", base.augments_per_original)),
-            d=int(corpus_sec.get("d", base.d)),
-            d_t=int(corpus_sec.get("d_t", base.d_t)),
-            vocab_size=int(corpus_sec.get("vocab_size", base.vocab_size)),
-            profile=profile,
-            eval_fraction=float(split_sec.get("eval_fraction", base.eval_fraction)),
-            label_fraction=float(split_sec.get(
-                "label_fraction", base.label_fraction)),
-            seeds=tuple(int(s) for s in doc.get("seeds", base.seeds)),
-            arms=tuple(str(a) for a in doc.get("arms", base.arms)),
-            qa=qa,
-            weight_map=weight_map,
-            head=head,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad config value: {exc}") from exc
+    cfg = replace(base, **parts.pop("", {}), **{
+        part: replace(getattr(base, part), **values)
+        for part, values in parts.items()})
     cfg.validate()
     return cfg
 
@@ -369,17 +341,13 @@ _TABLE_KEYS = ("acc2", "acc5", "f1_weighted", "mae", "corr")
 
 def format_report_table(report: dict) -> str:
     """Fixed-width mean-metric table, one row per arm."""
-    lines = [f"seeds: {', '.join(str(s) for s in report['config']['seeds'])}",
-             ""]
     header = f"{'arm':<16}" + "".join(f"{k:>13}" for k in _TABLE_KEYS)
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [f"seeds: {', '.join(str(s) for s in report['config']['seeds'])}",
+             "", header, "-" * len(header)]
     for arm, rep in report["arms"].items():
-        cells = []
-        for key in _TABLE_KEYS:
-            v = rep["mean"].get(key)
-            cells.append(f"{'n/a':>13}" if v is None else f"{v:>13.4f}")
-        lines.append(f"{arm:<16}" + "".join(cells))
+        means = (rep["mean"].get(key) for key in _TABLE_KEYS)
+        lines.append(f"{arm:<16}" + "".join(
+            f"{'n/a':>13}" if v is None else f"{v:>13.4f}" for v in means))
     return "\n".join(lines) + "\n"
 
 
@@ -397,3 +365,33 @@ def report_csv(report: dict) -> str:
             writer.writerow([arm, seed] + [("" if row[k] is None else row[k])
                                            for k in metric_keys])
     return buf.getvalue()
+
+
+_METRIC = (int, float, type(None))
+
+
+def check_report(report, where: str) -> dict:
+    """report, when it is a pipeline report holding every field that
+    format_report_table and report_csv read, with the JSON type they need;
+    ValidationError naming ``where`` otherwise."""
+    if type(report) is not dict or report.get("kind") != "pipeline_report":
+        raise ValidationError(f"{where} is not a pipeline report")
+    check_fields(report, {"config": (dict,), "arms": (dict,)}, where)
+    check_fields(report["config"], {"seeds": (list,)}, f"{where} config")
+    if not report["arms"]:
+        raise ValidationError(f"{where} lists no arms")
+    metrics = seeds = None      # the first arm's, which report_csv reads for all
+    for arm, rep in report["arms"].items():
+        at = f"{where} arm {arm}"
+        check_fields(rep, {"seeds": (list,), "per_seed": (dict,),
+                           "mean": (dict,)}, at)
+        check_fields(rep["mean"], dict.fromkeys(rep["mean"], _METRIC), f"{at} mean")
+        if seeds is None:
+            seeds = [str(s) for s in rep["seeds"]]
+            row = rep["per_seed"].get(seeds[0]) if seeds else None
+            if type(row) is not dict:
+                raise ValidationError(f"{at} has no row for its first seed")
+            metrics = dict.fromkeys(row, _METRIC)
+        for seed in seeds:
+            check_fields(rep["per_seed"].get(seed), metrics, f"{at} seed {seed}")
+    return report

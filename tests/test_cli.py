@@ -6,14 +6,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from augqual import cli
 from augqual.cli import main
+from augqual.corpus import CorruptionProfile
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
-from augqual.qa import QaConfig
+from augqual.qa import QaConfig, WeightMapConfig
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -621,3 +624,275 @@ class TestPipelineCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "not a pipeline report" in proc.stderr
+
+
+# Every config key and the JSON types it takes: "int" is never a bool,
+# "number" is an int or a float; "[...]" is an array of that.
+CONFIG_KEYS = {
+    "corpus.n_originals": "int", "corpus.augments_per_original": "int",
+    "corpus.d": "int", "corpus.d_t": "int", "corpus.vocab_size": "int",
+    "corpus.profile.sigma_benign": "number", "corpus.profile.p_swap": "number",
+    "corpus.profile.p_degrade": "number",
+    "corpus.profile.degrade_mask_rate": "number",
+    "corpus.profile.p_label_noise": "number",
+    "split.eval_fraction": "number", "split.label_fraction": "number",
+    "qa.alpha": "[number]", "qa.rho": "number", "qa.batch_size": "int",
+    "qa.steps": "int", "qa.lr": "number", "qa.hidden": "int",
+    "qa.include_augmented": "bool",
+    "weight_map.w_min": "number", "weight_map.w_max": "number",
+    "weight_map.gamma": "number",
+    "head.hidden": "int or null", "head.t_max": "int", "head.lr": "number",
+    "head.steps": "int", "head.batch_size": "int",
+    "seeds": "[int]", "arms": "[str]",
+}
+# One value of each JSON type, and the kinds that accept it.
+JSON_VALUES = {"string": ("7", {"str"}), "bool": (True, {"bool"}),
+               "float": (1.5, {"number"}), "null": (None, {"int or null"}),
+               "array": ([1], set()), "object": ({"k": 1}, set()),
+               "int": (7, {"int", "number", "int or null"}),
+               "NaN": (float("nan"), set()), "inf": (float("inf"), set())}
+# A valid array for each array key, whose middle element the sweep replaces.
+VALID_ARRAYS = {"qa.alpha": [1.0, 2.0, 1.0], "seeds": [1, 2, 3],
+                "arms": ["weighted", "uniform", "original_only"]}
+
+
+def _config_mutants():
+    cases = []
+    for key, kind in CONFIG_KEYS.items():
+        for name, (value, takes) in JSON_VALUES.items():
+            if kind.startswith("["):
+                if name != "array":
+                    cases.append((f"{key}={name}", key, value))
+                if kind.strip("[]") not in takes:
+                    arr = list(VALID_ARRAYS[key])
+                    arr[1] = value
+                    cases.append((f"{key}[1]={name}", key, arr))
+            elif kind not in takes:
+                cases.append((f"{key}={name}", key, value))
+    return cases
+
+
+def _set(doc, key, value):
+    """doc, a copy, with the dotted key set to value."""
+    doc = copy.deepcopy(doc)
+    *sections, last = key.split(".")
+    at = doc
+    for name in sections:
+        at = at.setdefault(name, {})
+    at[last] = value
+    return doc
+
+
+# The documents once accepted (converted by int(), float() or tuple()) or
+# ended in a traceback, some only after the corpus and scorer were written.
+MOTIVATING = [
+    ("corpus.n_originals", 200.7), ("corpus.n_originals", True),
+    ("seeds", "12"), ("seeds", [1.9, 2]), ("qa.include_augmented", "yes"),
+    ("split.eval_fraction", "0.5"), ("qa.steps", "800"),
+    ("weight_map.gamma", "1"), ("corpus.profile.p_swap", "0.1"),
+    ("head.steps", 1.5), ("head.hidden", 64.5),
+]
+
+
+class TestConfigMutations:
+    """Every config key given a value of a JSON type it does not take makes
+    ``pipeline --config`` exit 1 naming the key, before anything is written."""
+
+    def test_table_covers_every_key(self):
+        def leaves(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+        assert set(leaves(PipelineConfig().to_dict())) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("case, key, value", _config_mutants(),
+                             ids=[case for case, _, _ in _config_mutants()])
+    def test_mutant_rejected(self, tmp_path, capsys, case, key, value):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+        cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+        capsys.readouterr()
+        rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith("error: config key ")
+        assert key in printed.err and "Traceback" not in printed.err
+        assert printed.out == "" and not out.exists()
+
+    def test_motivating_documents_exit_cleanly_as_a_process(self, tmp_path):
+        for key, value in MOTIVATING:
+            cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+            cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+            proc = run("pipeline", "--out", str(out), "--config", str(cfg))
+            assert proc.returncode == 1, (key, value, proc.stderr)
+            assert proc.stderr.startswith("error: ") and key in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == "" and not out.exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+# Stand-ins for what the stage commands load, enough to reach the library call.
+_CORPUS = SimpleNamespace(header=SimpleNamespace(d=8, d_t=12, vocab_size=8),
+                          targets=np.zeros((1, 4)))
+_LOADED = {"load_corpus": _CORPUS,
+           "train_eval_split": SimpleNamespace(pool=lambda name: np.arange(2)),
+           "load_qa_snapshot": (None, None),
+           "load_head_snapshot": (SimpleNamespace(out_b=np.zeros((4, 8))), 8, 12)}
+
+
+class TestStageDefaults:
+    """Each stage command given only its required flags hands the library
+    the config dataclasses' defaults, which the pipeline uses (seed aside):
+    the README stage-by-stage flow relies on it."""
+
+    @staticmethod
+    def _calls(monkeypatch, argv, stop_at):
+        """The library calls of argv, with loaders stubbed, up to and
+        including stop_at: name -> (args, kwargs)."""
+        calls = {}
+
+        def fake(name):
+            def fn(*args, **kwargs):
+                calls[name] = (args, kwargs)
+                if name == stop_at:
+                    raise _Stop
+                return _LOADED[name]
+            return fn
+        for name in {*_LOADED, stop_at}:
+            monkeypatch.setattr(cli, name, fake(name))
+        with pytest.raises(_Stop):
+            main(argv)
+        return calls
+
+    def test_gen_corpus(self, monkeypatch):
+        calls = self._calls(monkeypatch, ["gen-corpus", "--out", "c", "--seed", "5"],
+                            "generate_corpus")
+        base = PipelineConfig()
+        assert calls["generate_corpus"] == (
+            (base.n_originals, base.augments_per_original, CorruptionProfile()),
+            {"seed": 5, "d": base.d, "d_t": base.d_t, "vocab_size": base.vocab_size})
+
+    def test_stage0(self, monkeypatch):
+        calls = self._calls(monkeypatch, ["stage0", "--corpus", "c", "--out", "q",
+                                          "--seed", "5"], "train_stage0")
+        assert calls["train_stage0"][0][1] == QaConfig(seed=5)
+        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+
+    def test_score(self, monkeypatch):
+        calls = self._calls(monkeypatch, ["score", "--corpus", "c", "--qa", "q",
+                                          "--out", "w"], "export_weights")
+        assert calls["export_weights"][0][2] == WeightMapConfig()
+
+    def test_stage1(self, monkeypatch):
+        calls = self._calls(monkeypatch, ["stage1", "--corpus", "c", "--out", "h",
+                                          "--seed", "5"], "train_stage1")
+        assert calls["train_stage1"][0][2] == HeadConfig(seed=5)
+        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+
+    def test_eval(self, monkeypatch):
+        calls = self._calls(monkeypatch, ["eval", "--corpus", "c", "--head", "h"],
+                            "train_eval_split")
+        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+
+
+# A well-formed report as format_report_table and report_csv read it.
+REPORT = {
+    "kind": "pipeline_report",
+    "config": {"seeds": [1, 2]},
+    "arms": {arm: {"seeds": [1, 2],
+                   "per_seed": {"1": {"acc2": 0.5, "corr": None},
+                                "2": {"acc2": 0.75, "corr": 0.1}},
+                   "mean": {"acc2": 0.625, "corr": 0.1}}
+             for arm in ("weighted", "uniform")},
+}
+
+
+def _report_mutants():
+    """(case, edit) pairs; edit(doc) damages the report in place or returns
+    the damaged one."""
+    def without(*path):
+        def edit(doc):
+            at = doc
+            for key in path[:-1]:
+                at = at[key]
+            del at[path[-1]]
+        return edit
+
+    def put(value, *path):
+        def edit(doc):
+            at = doc
+            for key in path[:-1]:
+                at = at[key]
+            at[path[-1]] = value
+        return edit
+
+    w = ("arms", "weighted")
+    return [
+        ("kind only", lambda doc: {"kind": "pipeline_report"}),
+        ("arm is a number", put(3, *w)),
+        ("no config", without("config")),
+        ("config a list", put([1, 2], "config")),
+        ("no config seeds", without("config", "seeds")),
+        ("config seeds a string", put("12", "config", "seeds")),
+        ("no arms", without("arms")),
+        ("arms empty", put({}, "arms")),
+        ("arms a list", put(["weighted"], "arms")),
+        ("arm without per_seed", without(*w, "per_seed")),
+        ("arm without mean", without(*w, "mean")),
+        ("arm seeds an object", put({"1": 1}, *w, "seeds")),
+        ("mean a list", put([0.5], *w, "mean")),
+        ("mean metric a string", put("0.6", *w, "mean", "acc2")),
+        ("mean metric a bool", put(True, *w, "mean", "corr")),
+        ("first arm no seeds", put([], *w, "seeds")),
+        ("row for first seed missing", without(*w, "per_seed", "1")),
+        ("row a list", put([0.5], "arms", "uniform", "per_seed", "2")),
+        ("other arm lacks a seed", without("arms", "uniform", "per_seed", "2")),
+        ("row lacks a metric", without("arms", "uniform", "per_seed", "1", "corr")),
+        ("row metric a string", put("x", *w, "per_seed", "2", "acc2")),
+        ("row metric an object", put({}, "arms", "uniform", "per_seed", "1", "corr")),
+    ]
+
+
+class TestReportChecks:
+    """``report`` on a report.json missing a field the table or the CSV reads,
+    or holding it with another JSON type, exits 1 with an error line and
+    renders and writes nothing."""
+
+    def test_well_formed_report_renders(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text(json.dumps(REPORT))
+        rows = tmp_path / "rows.csv"
+        assert main(["report", "--results", str(tmp_path), "--dump-csv", str(rows)]) == 0
+        assert "weighted" in capsys.readouterr().out
+        assert len(rows.read_text().splitlines()) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("case, edit", _report_mutants(),
+                             ids=[case for case, _ in _report_mutants()])
+    def test_mutant_rejected(self, tmp_path, capsys, case, edit):
+        doc = copy.deepcopy(REPORT)
+        doc = edit(doc) or doc
+        (tmp_path / "report.json").write_text(json.dumps(doc))
+        rows = tmp_path / "rows.csv"
+        for json_flag in ([], ["--json"]):
+            capsys.readouterr()
+            rc = main(["report", "--results", str(tmp_path),
+                       "--dump-csv", str(rows), *json_flag])
+            printed = capsys.readouterr()
+            assert rc == 1, printed.err
+            assert printed.err.startswith("error: ") and "report.json" in printed.err
+            assert printed.out == "" and not rows.exists()
+
+    def test_defects_exit_cleanly_as_a_process(self, tmp_path):
+        # the reports once ending `report` in a KeyError and a TypeError
+        for doc in ({"kind": "pipeline_report"},
+                    {**REPORT, "arms": {"weighted": 3}}):
+            (tmp_path / "report.json").write_text(json.dumps(doc))
+            rows = tmp_path / "rows.csv"
+            proc = run("report", "--results", str(tmp_path), "--dump-csv", str(rows))
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == "" and not rows.exists()

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -28,7 +29,7 @@ from augqual.pipeline import (
     run_pipeline,
 )
 from augqual.qa import QaConfig
-from augqual.util import PipelineError, ValidationError
+from augqual.util import PipelineError, ValidationError, dumps_canonical
 
 FAST = dict(
     n_originals=24, augments_per_original=1, d=8, d_t=12,
@@ -102,6 +103,60 @@ class TestConfigParsing:
             pipeline_config_from_dict({"qa": [1, 2]})
         with pytest.raises(ValidationError, match="must be a JSON object"):
             pipeline_config_from_dict([1])
+
+
+# A config document setting every key to a value other than its default.
+FULL_CONFIG = {
+    "corpus": {"n_originals": 37, "augments_per_original": 3, "d": 10,
+               "d_t": 14, "vocab_size": 6,
+               "profile": {"sigma_benign": 0.07, "p_swap": 0.11,
+                           "p_degrade": 0.12, "degrade_mask_rate": 0.4,
+                           "p_label_noise": 0.13}},
+    "split": {"eval_fraction": 0.3, "label_fraction": 0.8},
+    "qa": {"alpha": [2.5, 1.0, 0.5, 1.5], "rho": 0.2, "batch_size": 16,
+           "steps": 50, "lr": 0.002, "hidden": 24, "include_augmented": True},
+    "weight_map": {"w_min": 0.2, "w_max": 1.25, "gamma": 2.0},
+    "head": {"hidden": 40, "t_max": 3, "lr": 0.005, "steps": 70,
+             "batch_size": 12},
+    "seeds": [4, 9],
+    "arms": ["uniform", "weighted"],
+}
+
+
+def _leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+class TestConfigDocument:
+    # sha256 of dumps_canonical(pipeline_config_from_dict(doc).to_dict()),
+    # taken from the hand-written to_dict and parser the table replaced
+    DIGESTS = {
+        "empty": "ba0cbab21fc4f1d5920a96bff5b877c85641b1845023daa6b06b49f42779abd6",
+        "full": "06156e3f91b922abe5cb30a0dacf7bc223c7a290ece24cfa6d76330e15c244e9",
+    }
+
+    @pytest.mark.parametrize("name, doc", [("empty", {}), ("full", FULL_CONFIG)])
+    def test_to_dict_bytes_pinned(self, name, doc):
+        text = dumps_canonical(pipeline_config_from_dict(doc).to_dict())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[name]
+
+    def test_full_document_sets_every_key(self):
+        full = dict(_leaves(pipeline_config_from_dict(FULL_CONFIG).to_dict()))
+        default = dict(_leaves(PipelineConfig().to_dict()))
+        assert full.keys() == default.keys()
+        assert [k for k in full if full[k] == default[k]] == []
+        assert full == dict(_leaves(FULL_CONFIG))
+
+    def test_numbers_are_stored_as_floats(self):
+        cfg = pipeline_config_from_dict({"qa": {"lr": 1, "alpha": [3, 2, 2, 1]},
+                                         "corpus": {"profile": {"p_swap": 0}}})
+        assert type(cfg.qa.lr) is float and type(cfg.profile.p_swap) is float
+        assert [type(a) for a in cfg.qa.alpha] == [float] * 4
+        assert '"lr":1.0' in dumps_canonical(cfg.to_dict())
 
 
 class TestArmWiring:
