@@ -4,9 +4,14 @@ A corpus file is line-oriented JSON: line 1 is the header
 ``{d, d_t, vocab_size, seed, generator_version, verbal}``; every further line
 is one sample with fields ``id, h_v, h_a (null when missing), h_t_raw,
 polarity, sentiment, origin, parent_id, hidden_quality, target_tokens``.
-Floats are written as shortest round-trip decimals, so save/load round-trips
-are bit-exact and files are byte-reproducible from a seed. Files are read and
-written one line at a time; the loader checks every field's JSON type.
+Each feature block (``h_v``, ``h_a``, ``h_t_raw``) is one padded
+standard-alphabet base64 string of the row's little-endian float64 bytes, so
+save/load round-trips are bit-exact, files are byte-reproducible from a seed,
+and a float costs about 11 bytes rather than the ~20 of a decimal. The
+header's ``generator_version`` names this format; the loader reads only
+GENERATOR_VERSION files. Files are read and written one line at a time; the
+loader checks every field's JSON type and every block's alphabet, padding and
+byte length.
 
 In memory a ``Corpus`` is columnar: one read-only array per field, row i
 holding record i, with the features stacked as ``FeatureRows``. Training,
@@ -23,6 +28,7 @@ that training code never reads.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -31,8 +37,12 @@ import numpy as np
 
 from .util import ValidationError, check_fields, derived_rng, sha256_hex
 
-GENERATOR_VERSION = "augqual-gen-1"
+GENERATOR_VERSION = "augqual-gen-2"
 IGNORE_INDEX = -100
+# Largest d, d_t and vocab_size a header may declare: far above any encoder
+# width or token table the pipeline models, and small enough that a damaged
+# file or config is refused before numpy is asked for an impossible array.
+MAX_DIM = 65536
 
 # Signal geometry of the synthetic clusters. Feature = modality mean offset
 # + sentiment * direction + unit Gaussian noise; scales set how separable each
@@ -138,8 +148,10 @@ class CorpusHeader:
     verbal: VerbalScheme = field(default_factory=VerbalScheme)
 
     def validate(self) -> None:
-        if self.d < 1 or self.d_t < 1 or self.vocab_size < 1:
-            raise ValidationError("header dimensions must be >= 1")
+        for name in ("d", "d_t", "vocab_size"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_DIM:
+                raise ValidationError(f"{name} must be in [1, {MAX_DIM}], got {value}")
         v = self.verbal
         if (len(v.sign_tokens) != 2 or not v.class_tokens
                 or len(v.class_tokens) != len(v.class_values)):
@@ -291,6 +303,25 @@ def validate_corpus(corpus: Corpus) -> None:
         raise ValidationError(f"record {ids[row]}: {message}")
 
 
+def generation_header(n_originals: int, augments_per_original: int,
+                      profile: CorruptionProfile, d: int, d_t: int,
+                      vocab_size: int, seed: int = 0) -> CorpusHeader:
+    """The header generate_corpus writes for these arguments, once they pass
+    every check it makes before generating; ValidationError otherwise."""
+    profile.validate()
+    if n_originals < 2:
+        raise ValidationError(f"cannot generate corpus: need both polarities "
+                              f"(n_originals >= 2), got n_originals {n_originals}")
+    if augments_per_original < 0:
+        raise ValidationError(f"augments_per_original must be >= 0, "
+                              f"got {augments_per_original}")
+    if d < 4 or d_t < 4:
+        raise ValidationError("feature dimensions d and d_t must be >= 4")
+    header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed)
+    header.validate()
+    return header
+
+
 def generate_corpus(n_originals: int, augments_per_original: int,
                     profile: CorruptionProfile, seed: int,
                     d: int = 64, d_t: int = 96, vocab_size: int = 8) -> Corpus:
@@ -303,16 +334,9 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     for the corrupted kinds. Per-sample RNG streams are derived from (seed,
     purpose, index), so output is order-independent.
     """
-    profile.validate()
-    if n_originals < 2:
-        raise ValidationError("cannot generate corpus: need both polarities")
-    if augments_per_original < 0:
-        raise ValidationError("augments_per_original must be >= 0")
-    if d < 4 or d_t < 4:
-        raise ValidationError("feature dimensions must be >= 4")
-    verbal = VerbalScheme()
-    header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed,
-                          verbal=verbal)
+    header = generation_header(n_originals, augments_per_original, profile,
+                               d, d_t, vocab_size, seed)
+    verbal = header.verbal
     dims = {"v": d, "a": d, "t": d_t}
     dir_rng = derived_rng(seed, "directions")
     axis = {m: _SIGNAL_SCALE[m] * _unit_direction(dir_rng, dims[m])
@@ -412,6 +436,10 @@ _HEADER_FIELDS = {"d": (int,), "d_t": (int,), "vocab_size": (int,), "seed": (int
 def header_from_dict(raw) -> CorpusHeader:
     """A header from its JSON object, each field of its exact JSON type."""
     check_fields(raw, _HEADER_FIELDS, "bad corpus header")
+    if raw["generator_version"] != GENERATOR_VERSION:
+        raise ValidationError(
+            f"corpus format {raw['generator_version']!r}: this build reads only "
+            f"{GENERATOR_VERSION!r} files; regenerate the corpus with gen-corpus")
     try:
         return CorpusHeader(
             d=raw["d"], d_t=raw["d_t"], vocab_size=raw["vocab_size"],
@@ -420,6 +448,11 @@ def header_from_dict(raw) -> CorpusHeader:
         )
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad corpus header: {exc}") from exc
+
+
+def _block(row: np.ndarray) -> str:
+    """A feature row as padded base64 of its little-endian float64 bytes."""
+    return base64.b64encode(row.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
 def _file_lines(corpus: Corpus):
@@ -432,8 +465,8 @@ def _file_lines(corpus: Corpus):
             corpus.parent.tolist(), corpus.hidden_quality.tolist(),
             corpus.has_audio.tolist())):
         yield json.dumps({
-            "id": ids[i], "h_v": f.V[i].tolist(),
-            "h_a": f.A[i].tolist() if audio else None, "h_t_raw": f.T[i].tolist(),
+            "id": ids[i], "h_v": _block(f.V[i]),
+            "h_a": _block(f.A[i]) if audio else None, "h_t_raw": _block(f.T[i]),
             "polarity": pol, "sentiment": y,
             "origin": "Augmented" if aug else "Original",
             "parent_id": ids[p] if p >= 0 else None,
@@ -458,15 +491,28 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 # Exact JSON types of the record fields; a JSON true or false is a bool,
-# never a number.
-_FIELDS = {"id": (str,), "h_v": (list,), "h_a": (list, type(None)),
-           "h_t_raw": (list,), "polarity": (int,), "sentiment": (int, float),
+# never a number. A feature block is a base64 string (_block).
+_FIELDS = {"id": (str,), "h_v": (str,), "h_a": (str, type(None)),
+           "h_t_raw": (str,), "polarity": (int,), "sentiment": (int, float),
            "origin": (str,), "parent_id": (str, type(None)),
            "hidden_quality": (int, float, type(None)), "target_tokens": (list,)}
 
 
+def _decode_block(text: str, width: int, key: str, where: str) -> bytes:
+    """The float64 bytes of one feature block of ``width`` floats."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
+        raise ValidationError(f"{where}: field {key} is not base64: {exc}") from None
+    if len(data) != 8 * width:
+        raise ValidationError(f"{where}: dim mismatch: field {key} holds "
+                              f"{len(data)} bytes, not 8 x {width}")
+    return data
+
+
 def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
-    """One record line's fields, each checked for its exact JSON type."""
+    """One record line's fields, each checked for its exact JSON type; the
+    feature blocks as bytes (None for missing audio)."""
     if type(raw) is not dict or not set(_FIELDS) <= set(raw):
         raise ValidationError(f"line {line_no}: malformed record: need an object "
                               f"with fields {', '.join(_FIELDS)}")
@@ -475,12 +521,9 @@ def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
         if type(raw[key]) not in kinds:
             raise ValidationError(f"{where}: field {key} has type "
                                   f"{type(raw[key]).__name__}")
-    features = {"h_v": header.d, "h_a": header.d, "h_t_raw": header.d_t}
-    for key, width in features.items():
-        if raw[key] is not None and not set(map(type, raw[key])) <= {int, float}:
-            raise ValidationError(f"{where}: field {key} holds a non-number")
-        if raw[key] is not None and len(raw[key]) != width:
-            raise ValidationError(f"{where}: dim mismatch")
+    blocks = [None if raw[key] is None else _decode_block(raw[key], width, key, where)
+              for key, width in (("h_v", header.d), ("h_a", header.d),
+                                 ("h_t_raw", header.d_t))]
     if not set(map(type, raw["target_tokens"])) <= {int}:
         raise ValidationError(f"{where}: target tokens must be integers")
     if raw["origin"] not in ("Original", "Augmented"):
@@ -491,8 +534,7 @@ def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
     if quality != quality:
         raise ValidationError(f"{where}: hidden_quality is NaN (null means absent)")
     try:
-        return (raw["id"], *(None if raw[k] is None else np.array(raw[k], np.float64)
-                             for k in features),
+        return (raw["id"], *blocks,
                 raw["polarity"], float(raw["sentiment"]), raw["origin"] == "Augmented",
                 raw["parent_id"], np.nan if quality is None else float(quality),
                 np.array(raw["target_tokens"], dtype=np.int64))
@@ -503,7 +545,9 @@ def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
 def load_corpus(path) -> Corpus:
     """Parse a corpus file line by line and fully validate it.
 
-    The corpus checksum is the SHA-256 of the bytes read.
+    Each feature column is one buffer of the records' decoded blocks, read
+    as little-endian float64. The corpus checksum is the SHA-256 of the bytes
+    read.
     """
     digest = hashlib.sha256()
     records = []
@@ -540,13 +584,16 @@ def load_corpus(path) -> Corpus:
         row = parent.index(-2)
         raise ValidationError(f"record {ids[row]}: unresolvable parent_id "
                               f"{parent_ids[row]}")
+
+    def column(blocks, dim):
+        return np.frombuffer(b"".join(blocks), "<f8").reshape(n, dim)
+    no_audio = bytes(8 * header.d)   # the zero row the scorer and head use
     corpus = Corpus(
         header=header, ids=np.array(ids, dtype=object),
         features=FeatureRows(
-            V=np.array(V).reshape(n, header.d),
-            A=np.array([np.zeros(header.d) if a is None else a for a in A]
-                       ).reshape(n, header.d),
-            T=np.array(T).reshape(n, header.d_t), P=P),
+            V=column(V, header.d),
+            A=column([no_audio if a is None else a for a in A], header.d),
+            T=column(T, header.d_t), P=P),
         has_audio=[a is not None for a in A], sentiment=S, augmented=aug,
         parent=parent, hidden_quality=Q,
         targets=np.array(toks, dtype=np.int64).reshape(n, width))
@@ -586,6 +633,14 @@ class Split:
         return np.concatenate(parts[which])
 
 
+def check_split_fractions(eval_fraction: float, label_fraction: float) -> None:
+    """The fraction checks train_eval_split makes before splitting."""
+    if not 0.0 <= eval_fraction < 1.0:
+        raise ValidationError(f"eval_fraction must be in [0, 1), got {eval_fraction}")
+    if not 0.0 < label_fraction <= 1.0:
+        raise ValidationError(f"label_fraction must be in (0, 1], got {label_fraction}")
+
+
 def train_eval_split(corpus: Corpus, eval_fraction: float,
                      label_fraction: float = 1.0) -> Split:
     """Deterministic split over polarity pairs of originals.
@@ -598,10 +653,7 @@ def train_eval_split(corpus: Corpus, eval_fraction: float,
     larger polarity) train only when ``eval_fraction`` is 0. Augments follow
     their parents; augments of held-out parents belong to neither side.
     """
-    if not 0.0 <= eval_fraction < 1.0:
-        raise ValidationError("eval_fraction must be in [0, 1)")
-    if not 0.0 < label_fraction <= 1.0:
-        raise ValidationError("label_fraction must be in (0, 1]")
+    check_split_fractions(eval_fraction, label_fraction)
     originals = np.flatnonzero(~corpus.augmented)
     pos, neg = (originals[corpus.features.P[originals] == k] for k in (1, 0))
     n_pairs = min(pos.size, neg.size)

@@ -49,7 +49,8 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (GENERATOR_VERSION, DEFAULT_PROFILE, Corpus,
-                     CorruptionProfile, Split, corpus_checksum, generate_corpus,
+                     CorruptionProfile, Split, check_split_fractions,
+                     corpus_checksum, generate_corpus, generation_header,
                      save_corpus, train_eval_split)
 from .finetune import (HeadConfig, HeadParams, predict_all, save_head_snapshot,
                        train_stage1, write_run_log)
@@ -83,7 +84,12 @@ class PipelineConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
     def validate(self) -> None:
-        self.profile.validate()
+        """The argument checks of the corpus generator, the split and every
+        training config, so a value out of range fails before anything is
+        written."""
+        generation_header(self.n_originals, self.augments_per_original,
+                          self.profile, self.d, self.d_t, self.vocab_size)
+        check_split_fractions(self.eval_fraction, self.label_fraction)
         self.qa.validate()
         self.weight_map.validate()
         self.head.validate()

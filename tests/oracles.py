@@ -4,12 +4,16 @@ The library keeps a corpus as columns and computes whole batches at once.
 The functions here work one sample at a time, in the textbook form of each
 formula, and the tests assert that both agree. ``Sample`` is one corpus
 record as separate fields; ``samples_of`` and ``corpus_from_samples``
-convert between it and the columnar ``Corpus``.
+convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
+record dict as a corpus file line, from the format's definition rather than
+the library's writer.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +101,29 @@ def feature_checksum(corpus: Corpus) -> str:
         h.update(b"\x00" if s.h_a is None else b"\x01" + s.h_a.tobytes())
         h.update(s.h_t_raw.tobytes())
     return h.hexdigest()
+
+
+FEATURE_KEYS = ("h_v", "h_a", "h_t_raw")
+
+
+def feature_block(values) -> str:
+    """A feature row as the corpus file holds it: padded standard base64 of
+    its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def block_values(text: str) -> np.ndarray:
+    """The float64 values of a well-formed feature block."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def corpus_line(record: dict) -> str:
+    """One record dict as a corpus file line. A feature given as a numpy
+    array is written as its block; any other value (a string, null, a JSON
+    list of decimals) as it is, so a test can write damaged records."""
+    return json.dumps({key: feature_block(value)
+                       if key in FEATURE_KEYS and isinstance(value, np.ndarray)
+                       else value for key, value in record.items()})
 
 
 def scores_by_id(wf: WeightFile) -> dict:

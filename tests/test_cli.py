@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
+import base64
 import copy
 import csv
 import hashlib
@@ -13,10 +14,11 @@ import pytest
 
 from augqual import cli
 from augqual.cli import main
-from augqual.corpus import CorruptionProfile
+from augqual.corpus import MAX_DIM, CorruptionProfile
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, WeightMapConfig
+from oracles import FEATURE_KEYS, block_values, feature_block
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -252,6 +254,13 @@ def _mutants():
             rec[key][rng.integers(len(rec[key]))] = value
         return edit
 
+    def block(key, fn):
+        """Replace the key's block of a seeded record by fn(values, rng)."""
+        def edit(recs, rng):
+            rec = recs[rng.integers(len(recs))]
+            rec[key] = fn(block_values(rec[key]), rng)
+        return edit
+
     def augment(fn):
         def edit(recs, rng):
             augs = [r for r in recs if r["origin"] == "Augmented"]
@@ -277,9 +286,12 @@ def _mutants():
         ("parent is an augment",
          augment(lambda a, augs: a.update(parent_id=next(
              b["id"] for b in augs if b["id"] != a["id"])))),
-        ("NaN feature", feature("h_v", float("nan"))),
-        ("inf feature", feature("h_t_raw", float("inf"))),
-        ("huge integer feature", feature("h_a", 10 ** 400)),
+        ("NaN feature", block("h_v", lambda v, rng: feature_block(
+            _poke(v.tolist(), rng, float("nan"))))),
+        ("inf feature", block("h_t_raw", lambda v, rng: feature_block(
+            _poke(v.tolist(), rng, float("inf"))))),
+        ("feature block a byte long", block("h_a", lambda v, rng: base64.b64encode(
+            v.tobytes() + b"\0").decode("ascii"))),
         ("NaN hidden_quality", field("hidden_quality", float("nan"))),
         ("hidden_quality 2", field("hidden_quality", 2.0)),
         ("NaN sentiment", field("sentiment", float("nan"))),
@@ -289,6 +301,25 @@ def _mutants():
             rng.integers(len(recs)), [1, 2])),
     ]
     return cases
+
+
+@pytest.fixture(scope="module")
+def clean_artifacts(tmp_path_factory):
+    """A clean corpus and the scorer, weight file and head built from it."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    paths = {name: tmp / f"{name}.json" for name in ("scorer", "weights", "head")}
+    corpus = tmp / "c.jsonl"
+    c = ["--corpus", str(corpus)]
+    for cmd in (
+        [*GEN, "--out", str(corpus), "--seed", "5"],
+        ["stage0", *c, "--out", str(paths["scorer"]), "--seed", "5",
+         "--steps", "5", "--hidden", "8", "--batch-size", "8"],
+        ["score", *c, "--qa", str(paths["scorer"]), "--out", str(paths["weights"])],
+        ["stage1", *c, "--weights", str(paths["weights"]),
+         "--out", str(paths["head"]), "--seed", "5", "--steps", "5"],
+    ):
+        assert main(cmd) == 0
+    return corpus, paths
 
 
 def _locate(doc, path, rng):
@@ -483,26 +514,127 @@ def _artifact_mutants():
     return cases
 
 
+def _format_mutants():
+    """(case, edit) pairs; edit(lines, rng) damages the feature blocks or the
+    format version of a clean corpus file's lines (header first), at a record
+    the seeded rng picks."""
+    def record(fn):
+        def edit(lines, rng):
+            k = 1 + int(rng.integers(len(lines) - 1))
+            rec = json.loads(lines[k])
+            fn(rec, rng)
+            lines[k] = json.dumps(rec)
+        return edit
+
+    def text(key, fn):
+        return record(lambda rec, rng: rec.update({key: fn(rec[key], rng)}))
+
+    def values(key, fn):
+        return text(key, lambda t, rng: feature_block(fn(block_values(t), rng)))
+
+    def poke(new):
+        def fn(v, rng):
+            v[rng.integers(v.size)] = new
+            return v
+        return fn
+
+    def swap_char(t, rng):
+        i = int(rng.integers(len(t) - 2))   # before any padding
+        return t[:i] + "-" + t[i + 1:]
+
+    def v1_header(lines, rng):
+        lines[0] = json.dumps({**json.loads(lines[0]),
+                               "generator_version": "augqual-gen-1"})
+
+    return [
+        ("bad padding", text("h_v", lambda t, rng: t.rstrip("="))),
+        ("non-alphabet character", text("h_a", swap_char)),
+        ("block one float short", values("h_t_raw", lambda v, rng: v[:-1])),
+        ("block one float long", values("h_v", lambda v, rng: np.append(v, 0.5))),
+        ("NaN payload", values("h_a", poke(np.nan))),
+        ("inf payload", values("h_t_raw", poke(-np.inf))),
+        ("h_a a number", text("h_a", lambda t, rng: 5.0)),
+        ("v1 record with decimal lists", record(lambda rec, rng: _as_decimals(rec))),
+        ("generator_version augqual-gen-1", v1_header),
+    ]
+
+
+def _corpus_commands(corpus, artifacts, out):
+    """Every command that loads a corpus, reading ``corpus`` and writing
+    ``out`` (eval prints instead), with clean artifacts for its other inputs."""
+    c = ["--corpus", str(corpus)]
+    return {"stage0": ["stage0", *c, "--out", str(out), "--seed", "1", "--steps", "2"],
+            "score": ["score", *c, "--qa", str(artifacts["scorer"]), "--out", str(out)],
+            "stage1": ["stage1", *c, "--weights", str(artifacts["weights"]),
+                       "--out", str(out), "--seed", "5", "--steps", "2"],
+            "eval": ["eval", *c, "--head", str(artifacts["head"]), "--json"]}
+
+
+def _as_decimals(rec):
+    """A record's feature blocks replaced by decimal lists, as the first
+    corpus format wrote them."""
+    rec.update({k: block_values(rec[k]).tolist() for k in FEATURE_KEYS})
+    return rec
+
+
+def _v1_file(lines):
+    """The lines of a corpus file in the first format."""
+    header = {**json.loads(lines[0]), "generator_version": "augqual-gen-1"}
+    return [json.dumps(header)] + [json.dumps(_as_decimals(json.loads(line)))
+                                   for line in lines[1:]]
+
+
+class TestCorpusFormatMutations:
+    """Every corpus file with a malformed feature block, or in another format
+    version, makes each command that loads a corpus (stage0, score,
+    stage1 --weights, eval) exit 1 with an error line: never a traceback,
+    never an output."""
+
+    @pytest.mark.parametrize("command", ("stage0", "score", "stage1", "eval"))
+    @pytest.mark.parametrize("case, edit", _format_mutants(),
+                             ids=[c for c, _ in _format_mutants()])
+    def test_mutant_rejected(self, clean_artifacts, tmp_path, capsys, case, edit,
+                             command):
+        corpus, artifacts = clean_artifacts
+        lines = corpus.read_text().splitlines()
+        edit(lines, np.random.default_rng(sum(map(ord, case))))
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(_corpus_commands(bad, artifacts, out)[command])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+        assert printed.out == "" and not out.exists()
+
+    def test_defects_exit_cleanly_as_a_process(self, clean_artifacts, tmp_path):
+        # a first-format file, and a header whose d once ended stage0 and
+        # eval in numpy's "Maximum allowed dimension exceeded" traceback
+        corpus, artifacts = clean_artifacts
+        lines = corpus.read_text().splitlines()
+        huge = json.dumps({**json.loads(lines[0]), "d": 10 ** 20})
+        for text, commands, message in (
+                (_v1_file(lines), ("stage0", "score", "stage1", "eval"),
+                 "regenerate the corpus with gen-corpus"),
+                ([huge], ("stage0", "eval"), f"d must be in [1, {MAX_DIM}]")):
+            bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
+            bad.write_text("\n".join(text) + "\n")
+            for command in commands:
+                proc = run(*_corpus_commands(bad, artifacts, out)[command])
+                assert proc.returncode == 1, proc.stderr
+                assert proc.stderr.startswith("error: ") and message in proc.stderr
+                assert "Traceback" not in proc.stderr
+                assert proc.stdout == "" and not out.exists()
+
+
 class TestCorruptArtifactMutations:
     """Every damaged scorer snapshot (through ``score``), head snapshot
     (through ``eval``) and weight file (through ``stage1 --weights``) exits 1
     with an error line: never a traceback, never an output."""
 
     @pytest.fixture(scope="class")
-    def clean(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("artifacts")
-        paths = {name: tmp / f"{name}.json" for name in ("scorer", "weights", "head")}
-        corpus = tmp / "c.jsonl"
-        c = ["--corpus", str(corpus)]
-        for cmd in (
-            [*GEN, "--out", str(corpus), "--seed", "5"],
-            ["stage0", *c, "--out", str(paths["scorer"]), "--seed", "5",
-             "--steps", "5", "--hidden", "8", "--batch-size", "8"],
-            ["score", *c, "--qa", str(paths["scorer"]), "--out", str(paths["weights"])],
-            ["stage1", *c, "--weights", str(paths["weights"]),
-             "--out", str(paths["head"]), "--seed", "5", "--steps", "5"],
-        ):
-            assert main(cmd) == 0
+    def clean(self, clean_artifacts):
+        corpus, paths = clean_artifacts
         return corpus, {name: json.loads(path.read_text())
                         for name, path in paths.items()}
 
@@ -727,6 +859,48 @@ class TestConfigMutations:
             proc = run("pipeline", "--out", str(out), "--config", str(cfg))
             assert proc.returncode == 1, (key, value, proc.stderr)
             assert proc.stderr.startswith("error: ") and key in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == "" and not out.exists()
+
+
+# Documents of the right JSON types with values out of range. The first
+# seven once passed the parser, created --out and only then failed in
+# gen-corpus or split (the huge d in a traceback); the rest sit at the edges
+# of the same checks.
+OUT_OF_RANGE = [
+    ("corpus.d", 0), ("corpus.n_originals", -4), ("corpus.vocab_size", 1),
+    ("corpus.augments_per_original", -1), ("split.eval_fraction", 1.5),
+    ("split.label_fraction", 0), ("corpus.d", 10 ** 20),
+    ("corpus.d_t", MAX_DIM + 1), ("corpus.vocab_size", 10 ** 20),
+    ("corpus.d", 3), ("corpus.n_originals", 1),
+]
+
+
+class TestConfigRanges:
+    """A config value out of range makes ``pipeline --config`` exit 1 naming
+    the key before anything is written."""
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE,
+                             ids=[f"{k}={v}" for k, v in OUT_OF_RANGE])
+    def test_out_of_range_rejected(self, tmp_path, capsys, key, value):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+        cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+        capsys.readouterr()
+        rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+        assert key.rsplit(".", 1)[1] in printed.err
+        assert printed.out == "" and not out.exists()
+
+    def test_motivating_documents_exit_cleanly_as_a_process(self, tmp_path):
+        for key, value in OUT_OF_RANGE[:7]:
+            cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+            cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+            proc = run("pipeline", "--out", str(out), "--config", str(cfg))
+            assert proc.returncode == 1, (key, value, proc.stderr)
+            assert proc.stderr.startswith("error: ")
+            assert key.rsplit(".", 1)[1] in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == "" and not out.exists()
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from augqual.corpus import (
+    GENERATOR_VERSION,
     IGNORE_INDEX,
+    MAX_DIM,
     CorruptionProfile,
     CorpusHeader,
     VerbalScheme,
@@ -23,7 +25,15 @@ from augqual.corpus import (
     validate_corpus,
 )
 from augqual.util import ValidationError, sha256_hex
-from oracles import Sample, corpus_from_samples, feature_checksum, samples_of
+from oracles import (
+    Sample,
+    block_values,
+    corpus_from_samples,
+    corpus_line,
+    feature_block,
+    feature_checksum,
+    samples_of,
+)
 
 CLEAN = CorruptionProfile(sigma_benign=0.0, p_swap=0.0, p_degrade=0.0,
                           p_label_noise=0.0)
@@ -314,6 +324,45 @@ class TestSerialization:
                                     "sentiment", "origin", "parent_id",
                                     "hidden_quality", "target_tokens"]
 
+    def test_features_on_disk_are_base64_float64(self, tmp_path):
+        c = generate_corpus(2, 1, DEFAULTISH, seed=1, d=8, d_t=12)
+        path = tmp_path / "c.jsonl"
+        save_corpus(c, path)
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header)["generator_version"] == GENERATOR_VERSION
+        for row, line in enumerate(lines):
+            rec = json.loads(line)
+            for key, column in (("h_v", c.features.V), ("h_a", c.features.A),
+                                ("h_t_raw", c.features.T)):
+                assert rec[key] == feature_block(column[row])
+                assert (block_values(rec[key]).view(np.uint64)
+                        == column[row].view(np.uint64)).all()
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-310])
+        bits = np.random.default_rng(0).integers(0, 2 ** 63, size=(3, 3, 8),
+                                                 dtype=np.uint64)
+        bits |= np.random.default_rng(1).integers(0, 2, size=bits.shape,
+                                                  dtype=np.uint64) << np.uint64(63)
+        values = bits.view(np.float64)
+        bits[~np.isfinite(values)] ^= np.uint64(1 << 62)   # exponent all ones
+        values[:, :, :4] = special
+        header = CorpusHeader(d=8, d_t=8, vocab_size=8, seed=0)
+        c = corpus_from_samples(header, [
+            Sample(id=f"x{i}", h_v=v, h_a=None if i == 1 else a, h_t_raw=t,
+                   polarity=1, sentiment=0.5, origin="Original",
+                   target_tokens=header.verbal.encode(0.5))
+            for i, (v, a, t) in enumerate(values)])
+        path = tmp_path / "c.jsonl"
+        save_corpus(c, path)
+        back = load_corpus(path)
+        for name in ("V", "A", "T"):
+            got, want = getattr(back.features, name), getattr(c.features, name)
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), name
+        assert back.has_audio.tolist() == [True, False, True]
+        assert np.signbit(back.features.V[:, 0]).all()   # -0.0 kept
+        assert corpus_checksum(back) == corpus_checksum(c)
+
     def test_missing_audio_round_trip(self, tmp_path):
         header = CorpusHeader(d=4, d_t=4, vocab_size=8, seed=0)
         v = header.verbal
@@ -337,37 +386,44 @@ def _write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _header(**changes):
+    return {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
+            "generator_version": GENERATOR_VERSION,
+            "verbal": VerbalScheme().to_dict(), **changes}
+
+
 def _tiny_file(tmp_path, mutate):
-    """Write a two-record corpus, letting the test tamper with the dicts."""
-    header = {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
-              "generator_version": "augqual-gen-1",
-              "verbal": VerbalScheme().to_dict()}
+    """Write a two-record corpus, letting the test tamper with the dicts;
+    features given as arrays are written as blocks (oracles.corpus_line)."""
+    header = _header()
     recs = [
-        {"id": "r0", "h_v": [1.0] * 4, "h_a": [1.0] * 4, "h_t_raw": [1.0] * 4,
+        {"id": "r0", "h_v": np.full(4, 1.0), "h_a": np.full(4, 1.0),
+         "h_t_raw": np.full(4, 1.0),
          "polarity": 1, "sentiment": 0.5, "origin": "Original",
          "parent_id": None, "hidden_quality": None,
          "target_tokens": [1, 5, 7, -100]},
-        {"id": "r1", "h_v": [2.0] * 4, "h_a": None, "h_t_raw": [2.0] * 4,
+        {"id": "r1", "h_v": np.full(4, 2.0), "h_a": None,
+         "h_t_raw": np.full(4, 2.0),
          "polarity": 0, "sentiment": -0.5, "origin": "Augmented",
          "parent_id": "r0", "hidden_quality": 0.3,
          "target_tokens": [0, 3, 7, -100]},
     ]
     mutate(header, recs)
     path = tmp_path / "bad.jsonl"
-    _write_lines(path, [json.dumps(header)] + [json.dumps(r) for r in recs])
+    _write_lines(path, [json.dumps(header)] + [corpus_line(r) for r in recs])
     return path
 
 
 class TestLoadValidation:
     def test_dim_mismatch_message(self, tmp_path):
         def cut(_h, recs):
-            recs[1]["h_v"] = [2.0] * 3
+            recs[1]["h_v"] = np.full(3, 2.0)
         with pytest.raises(ValidationError, match=r"record r1: dim mismatch"):
             load_corpus(_tiny_file(tmp_path, cut))
 
     def test_audio_dim_checked_when_present(self, tmp_path):
         def cut(_h, recs):
-            recs[0]["h_a"] = [1.0] * 5
+            recs[0]["h_a"] = np.full(5, 1.0)
         with pytest.raises(ValidationError, match=r"record r0: dim mismatch"):
             load_corpus(_tiny_file(tmp_path, cut))
 
@@ -411,10 +467,7 @@ class TestLoadValidation:
 
     def test_header_only_file_is_valid_and_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        header = {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
-                  "generator_version": "augqual-gen-1",
-                  "verbal": VerbalScheme().to_dict()}
-        _write_lines(path, [json.dumps(header)])
+        _write_lines(path, [json.dumps(_header())])
         assert len(load_corpus(path)) == 0
 
     def test_truly_empty_file_rejected(self, tmp_path):
@@ -435,11 +488,12 @@ class TestLoadValidation:
         ("polarity", "1", "record r0: field polarity has type str"),
         ("polarity", True, "record r0: field polarity has type bool"),
         ("sentiment", "0.5", "record r0: field sentiment has type str"),
-        ("h_v", [1.0, "2", 3.0, 4.0], "record r0: field h_v holds a non-number"),
+        # a decimal list is how the first corpus format held features
+        ("h_v", [1.0, 2.0, 3.0, 4.0], "record r0: field h_v has type list"),
         ("target_tokens", [1, 5, 7.0, -100], "record r0: target tokens must be integers"),
         ("target_tokens", [1, 5, 7], "record r1: 4 target tokens, record r0 has 3"),
         ("hidden_quality", float("nan"), "record r0: hidden_quality is NaN"),
-        ("h_a", [1.0, float("inf"), 1.0, 1.0], "record r0: non-finite feature"),
+        ("h_a", np.array([1.0, np.inf, 1.0, 1.0]), "record r0: non-finite feature"),
         ("sentiment", float("nan"), r"record r0: sentiment nan outside \[-1, 1\]"),
     ))
     def test_field_types_and_values(self, tmp_path, field, value, message):
@@ -467,12 +521,50 @@ class TestLoadValidation:
 
     def test_garbage_json_line(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
-        header = {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
-                  "generator_version": "augqual-gen-1",
-                  "verbal": VerbalScheme().to_dict()}
-        _write_lines(path, [json.dumps(header), "{not json"])
+        _write_lines(path, [json.dumps(_header()), "{not json"])
         with pytest.raises(ValidationError, match="line 2: bad JSON"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("block, message", (
+        (feature_block(np.ones(4)).rstrip("="), "field h_v is not base64: Incorrect padding"),
+        (feature_block(np.ones(4)).replace("A", "-", 1), "field h_v is not base64"),
+        (feature_block(np.ones(4)).replace("A", "\u00e9", 1), "field h_v is not base64"),
+        (feature_block(np.ones(4)) + " ", "field h_v is not base64"),
+        (feature_block(np.ones(4))[:-4], "dim mismatch: field h_v holds 30 bytes, not 8 x 4"),
+        ("", "dim mismatch: field h_v holds 0 bytes"),
+    ), ids=("no padding", "url-safe character", "non-ASCII", "trailing space",
+            "30 bytes", "empty"))
+    def test_malformed_block(self, tmp_path, block, message):
+        def bad(_h, recs):
+            recs[0]["h_v"] = block
+        with pytest.raises(ValidationError, match=f"record r0: {message}"):
+            load_corpus(_tiny_file(tmp_path, bad))
+
+    @pytest.mark.parametrize("version", ("augqual-gen-1", "whatever", ""))
+    def test_other_format_version_refused(self, tmp_path, version):
+        path = tmp_path / "old.jsonl"
+        _write_lines(path, [json.dumps(_header(generator_version=version))])
+        with pytest.raises(ValidationError) as info:
+            load_corpus(path)
+        message = str(info.value)
+        assert repr(version) in message and repr(GENERATOR_VERSION) in message
+        assert "regenerate the corpus with gen-corpus" in message
+
+    @pytest.mark.parametrize("key, value", (
+        ("d", MAX_DIM + 1), ("d", 10 ** 20), ("d_t", MAX_DIM + 1),
+        ("vocab_size", 10 ** 20), ("d", 0)))
+    def test_header_dimensions_bounded(self, tmp_path, key, value):
+        path = tmp_path / "huge.jsonl"
+        _write_lines(path, [json.dumps(_header(**{key: value}))])
+        with pytest.raises(ValidationError,
+                           match=rf"{key} must be in \[1, {MAX_DIM}\], got {value}"):
+            load_corpus(path)
+
+    def test_header_dimension_limit_is_inclusive(self, tmp_path):
+        path = tmp_path / "wide.jsonl"
+        _write_lines(path, [json.dumps(_header(d=MAX_DIM, d_t=MAX_DIM,
+                                               vocab_size=MAX_DIM))])
+        assert load_corpus(path).header.d == MAX_DIM
 
 
 class TestSplit:

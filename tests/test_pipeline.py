@@ -105,10 +105,11 @@ class TestConfigParsing:
             pipeline_config_from_dict([1])
 
 
-# A config document setting every key to a value other than its default.
+# A config document setting every key to a valid value other than its
+# default (the verbal table's tokens run to 7, so vocab_size is above 8).
 FULL_CONFIG = {
     "corpus": {"n_originals": 37, "augments_per_original": 3, "d": 10,
-               "d_t": 14, "vocab_size": 6,
+               "d_t": 14, "vocab_size": 9,
                "profile": {"sigma_benign": 0.07, "p_swap": 0.11,
                            "p_degrade": 0.12, "degrade_mask_rate": 0.4,
                            "p_label_noise": 0.13}},
@@ -134,9 +135,10 @@ def _leaves(doc, prefix=""):
 class TestConfigDocument:
     # sha256 of dumps_canonical(pipeline_config_from_dict(doc).to_dict()),
     # taken from the hand-written to_dict and parser the table replaced
+    # ("full" from the table's first version, once vocab_size became valid)
     DIGESTS = {
         "empty": "ba0cbab21fc4f1d5920a96bff5b877c85641b1845023daa6b06b49f42779abd6",
-        "full": "06156e3f91b922abe5cb30a0dacf7bc223c7a290ece24cfa6d76330e15c244e9",
+        "full": "6a47020591450bce4f990b28bde591d6e1998ee070891b1afe0aa6e6daea30fc",
     }
 
     @pytest.mark.parametrize("name, doc", [("empty", {}), ("full", FULL_CONFIG)])
