@@ -43,6 +43,9 @@ IGNORE_INDEX = -100
 # width or token table the pipeline models, and small enough that a damaged
 # file or config is refused before numpy is asked for an impossible array.
 MAX_DIM = 65536
+# Largest n_originals * (1 + augments_per_original) a corpus is generated
+# with, far above the README's 6,000 rows, for the same reason.
+MAX_ROWS = 1_000_000
 
 # Signal geometry of the synthetic clusters. Feature = modality mean offset
 # + sentiment * direction + unit Gaussian noise; scales set how separable each
@@ -317,6 +320,9 @@ def generation_header(n_originals: int, augments_per_original: int,
                               f"got {augments_per_original}")
     if d < 4 or d_t < 4:
         raise ValidationError("feature dimensions d and d_t must be >= 4")
+    if n_originals * (1 + augments_per_original) > MAX_ROWS:
+        raise ValidationError(f"n_originals * (1 + augments_per_original) "
+                              f"must be <= MAX_ROWS = {MAX_ROWS}")
     header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed)
     header.validate()
     return header

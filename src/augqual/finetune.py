@@ -179,17 +179,16 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     h = corpus.header
     head = init_head(h.d, h.d_t, h.vocab_size, config,
                      derived_rng(config.seed, "stage1", "init"))
-    arrays = head.to_dict()
-    state = init_adam(arrays, lr=config.lr)
+    state = init_adam(head.to_dict(), lr=config.lr)
     trace = []
     for step in range(config.steps):
         rng = derived_rng(config.seed, "stage1", "step", step)
         take = min(config.batch_size, rows.size)
         idx = rng.choice(rows.size, size=take, replace=False)
-        loss, grads = _loss_and_grads(arrays, X[idx], targets[idx], weights[idx])
-        arrays, state = adam_step(arrays, grads, state)
+        loss, grads = _loss_and_grads(state.params, X[idx], targets[idx], weights[idx])
+        adam_step(state, grads)
         trace.append(loss)
-    return TrainRun(head=HeadParams.from_dict(arrays),
+    return TrainRun(head=HeadParams.from_dict(state.params),
                     weight_mode="uniform" if weight_file is None else "weighted",
                     loss_trace=trace, rows=rows)
 

@@ -60,21 +60,17 @@ def _mix_rows(batch: FeatureRows, rng: np.random.Generator) -> FeatureRows:
     polarity's samples, then the coin (1 keeps video and takes the donor's
     audio, 0 keeps audio and takes the donor's video).
     """
-    by_pol = (np.flatnonzero(batch.P == 0), np.flatnonzero(batch.P == 1))
-    if by_pol[0].size == 0 or by_pol[1].size == 0:
+    P, n = batch.P, len(batch)
+    n0 = int(np.count_nonzero(P == 0))
+    if n0 == 0 or n0 == n:
         return batch.take(np.zeros(0, dtype=np.intp))
-    n = len(batch)
-    video_from = np.empty(n, dtype=np.intp)
-    audio_from = np.empty(n, dtype=np.intp)
-    for i, pol in enumerate(batch.P.tolist()):
-        donors = by_pol[1 - pol]
-        donor = donors[rng.integers(donors.size)]
-        if rng.integers(2):
-            video_from[i], audio_from[i] = i, donor
-        else:
-            video_from[i], audio_from[i] = donor, i
-    return FeatureRows(V=batch.V[video_from], A=batch.A[audio_from],
-                       T=batch.T, P=batch.P)
+    # one call draws what two scalar calls per sample would; donors sorted by polarity
+    highs = np.column_stack([np.where(P == 0, n - n0, n0), np.full(n, 2)])
+    pick, keep_video = rng.integers(0, highs).T
+    donor = np.argsort(P, kind="stable")[np.where(P == 0, n0, 0) + pick]
+    own = np.arange(n)
+    return FeatureRows(V=batch.V[np.where(keep_video, own, donor)],
+                       A=batch.A[np.where(keep_video, donor, own)], T=batch.T, P=P)
 
 
 def _mask_rows(batch: FeatureRows, rng: np.random.Generator,

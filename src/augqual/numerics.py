@@ -1,9 +1,11 @@
 """Dense float64 numerics: activations, the binary cross-entropy, and Adam.
 
-All operations are pure (same inputs give bit-identical outputs) and work on
-scalars or numpy arrays. Parameters travel as ``dict[str, np.ndarray]`` so the
-optimizer stays agnostic of model structure. ``one_blas_thread`` holds numpy's
-OpenBLAS to one thread for a block of work.
+The activations and losses are pure (same inputs give bit-identical outputs)
+and work on scalars or numpy arrays. Adam is the one stateful part: it keeps
+every parameter in one flat vector and updates it in place, and hands the
+model a ``dict[str, np.ndarray]`` of views into it, so it stays agnostic of
+model structure. ``one_blas_thread`` holds numpy's OpenBLAS to one thread for
+a block of work.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,67 +63,73 @@ def bce_with_logit(logit, label):
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators plus hyperparameters."""
+    """Bias-corrected Adam over one float64 vector ``flat``: ``params`` and
+    ``grad_views`` map each name to a reshaped view of ``flat`` and ``grad``;
+    ``m``, ``v`` and the two ``work`` vectors share that layout."""
 
+    params: dict
+    grad_views: dict
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    work: tuple
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Zero-initialized moment accumulators matching the parameter shapes."""
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+    """Copy ``params`` into one flat vector, with zero moment accumulators."""
+    ends = np.cumsum([np.size(p) for p in params.values()]).tolist()
+    layout = [(k, end - np.size(p), end, np.shape(p))
+              for (k, p), end in zip(params.items(), ends)]
+    # a block of its own: trained parameters, as views, keep only it alive
+    flat = np.concatenate([np.ravel(p) for p in params.values()], dtype=np.float64)
+    m, v, grad, *work = np.zeros((5, flat.size))
+    return AdamState(params={k: flat[a:b].reshape(s) for k, a, b, s in layout},
+                     grad_views={k: grad[a:b].reshape(s) for k, a, b, s in layout},
+                     flat=flat, m=m, v=v, grad=grad, work=tuple(work), lr=lr,
+                     beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh params and state.
+def adam_step(state: AdamState, grads: dict) -> None:
+    """One bias-corrected Adam update of ``state.params``, in place.
 
-    Each key allocates its new m, v and parameter plus one scratch array; the
-    arithmetic and its order are those of the textbook update
-    ``p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``, so the
-    result is bit-identical to evaluating that expression directly.
-    """
-    if set(params) != set(grads):
+    A gradient with a wrong name, shape or a non-finite value is refused
+    before anything changes. The arithmetic and its order are those of the
+    textbook ``p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``,
+    elementwise, so the result is bit-identical to it."""
+    if set(state.params) != set(grads):
         raise ValidationError("adam_step: params and grads name mismatch")
-    t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    new_params, new_m, new_v = {}, {}, {}
-    for k, p in params.items():
+    for k, view in state.grad_views.items():
         g = np.asarray(grads[k], dtype=np.float64)
-        if g.shape != p.shape:
+        if g.shape != view.shape:
             raise ValidationError(f"adam_step: shape mismatch for '{k}'")
-        if not np.isfinite(g).all():
-            raise ValidationError(f"adam_step: non-finite gradient for '{k}'")
-        # out= keeps 0-d parameters arrays, as in-place updates need
-        step = np.multiply(g, 1.0 - b1, out=np.empty(p.shape))   # (1 - b1) g
-        m = np.multiply(state.m[k], b1, out=np.empty(p.shape))
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)                       # (1 - b2) g g
-        step *= g
-        v = np.multiply(state.v[k], b2, out=np.empty(p.shape))
-        v += step
-        denom = np.divide(v, bias2, out=np.empty(p.shape))       # sqrt(v_hat) + eps
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, bias1, out=step)                            # lr m_hat / denom
-        step *= state.lr
-        step /= denom
-        new_params[k] = np.subtract(p, step, out=step)
-        new_m[k] = m
-        new_v[k] = v
-    new_state = AdamState(lr=state.lr, beta1=b1, beta2=b2,
-                          eps=state.eps, step=t, m=new_m, v=new_v)
-    return new_params, new_state
+        view[...] = g
+    if not np.isfinite(state.grad).all():
+        bad = next(k for k, g in state.grad_views.items() if not np.isfinite(g).all())
+        raise ValidationError(f"adam_step: non-finite gradient for '{bad}'")
+    t, b1, b2 = state.step + 1, state.beta1, state.beta2
+    g, m, v, (step, denom) = state.grad, state.m, state.v, state.work
+    np.multiply(g, 1.0 - b1, out=step)          # m = b1 m + (1 - b1) g
+    m *= b1
+    m += step
+    np.multiply(g, 1.0 - b2, out=step)          # v = b2 v + (1 - b2) g g
+    step *= g
+    v *= b2
+    v += step
+    np.divide(v, 1.0 - b2 ** t, out=denom)      # sqrt(v_hat) + eps
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - b1 ** t, out=step)       # lr m_hat / denom
+    step *= state.lr
+    step /= denom
+    state.flat -= step
+    state.step = t
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy wheels bundle:

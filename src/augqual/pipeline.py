@@ -90,6 +90,9 @@ class PipelineConfig:
         generation_header(self.n_originals, self.augments_per_original,
                           self.profile, self.d, self.d_t, self.vocab_size)
         check_split_fractions(self.eval_fraction, self.label_fraction)
+        if self.eval_fraction == 0.0 or self.n_originals < 4:
+            raise ValidationError("arms are evaluated on held-out originals: "
+                                  "need eval_fraction > 0 and n_originals >= 4")
         self.qa.validate()
         self.weight_map.validate()
         self.head.validate()
@@ -287,8 +290,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
             with _stage("split"):
                 split = train_eval_split(corpus, config.eval_fraction,
                                          config.label_fraction)
-                if not split.eval_originals.size:
-                    raise ValidationError("empty held-out set; raise eval_fraction")
 
             pending = (pool.submit(_train_arms, worker_arms, corpus, split, None,
                                    config, seed, out) if worker_arms else None)

@@ -39,7 +39,6 @@ from .corpus import (
 )
 from .forge import FAMILIES, ForgeConfig, ForgedBatch, forge_batch
 from .numerics import (
-    AdamState,
     adam_step,
     bce_with_logit,
     gelu_and_cdf,
@@ -175,6 +174,17 @@ def _family_coefficients(forged: ForgedBatch, alpha) -> np.ndarray:
                       for a, n in zip(alpha, forged.sizes)], forged.sizes)
 
 
+def _polarity_sums(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Row sums per polarity, added in row order into zeros, as np.add.at adds."""
+    out = np.zeros((2, rows.shape[1]))
+    if rows.shape[1] == 1:     # numpy sums a single column pairwise
+        np.add.at(out, P, rows)
+    else:
+        for p in (0, 1):
+            out[p] += rows[P == p].sum(axis=0)
+    return out
+
+
 def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     """Loss plus hand-derived gradients for every scorer parameter.
 
@@ -193,12 +203,10 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     g_x = g_pre @ params.hidden_w                     # (n, 4d)
     g_ht = g_x[:, 2 * d:3 * d]
     g_hp = g_x[:, 3 * d:]
-    g_emb = np.zeros_like(params.polarity_emb)
-    np.add.at(g_emb, forged.rows.P, g_hp)
     grads = {
         "text_proj_w": g_ht.T @ forged.rows.T,
         "text_proj_b": g_ht.sum(axis=0),
-        "polarity_emb": g_emb,
+        "polarity_emb": _polarity_sums(g_hp, forged.rows.P),
         "hidden_w": g_pre.T @ x,
         "hidden_b": g_pre.sum(axis=0),
         "out_w": act.T @ g_logit,
@@ -226,10 +234,9 @@ def train_stage0(corpus: Corpus, config: QaConfig,
         raise ValidationError("stage-0 training pool is empty")
     d, d_t = corpus.header.d, corpus.header.d_t
     pool_rows = corpus.features.take(pool)
-    params = init_qa_params(d, d_t, config.hidden,
-                            derived_rng(config.seed, "stage0", "init"))
-    arrays = params.to_dict()
-    state = init_adam(arrays, lr=config.lr)
+    state = init_adam(init_qa_params(d, d_t, config.hidden, derived_rng(
+        config.seed, "stage0", "init")).to_dict(), lr=config.lr)
+    params = QaParams.from_dict(state.params)
     forge_cfg = ForgeConfig(mask_rate=config.rho)
     trace = []
     for step in range(config.steps):
@@ -237,13 +244,11 @@ def train_stage0(corpus: Corpus, config: QaConfig,
         take = min(config.batch_size, pool.size)
         idx = rng.choice(pool.size, size=take, replace=False)
         forged = forge_batch(pool_rows.take(idx), rng, forge_cfg)
-        loss, grads = qa_loss_and_grads(forged, QaParams.from_dict(arrays),
-                                        config.alpha)
-        arrays, state = adam_step(arrays, grads, state)
+        loss, grads = qa_loss_and_grads(forged, params, config.alpha)
+        adam_step(state, grads)
         trace.append(loss)
-    out = QaParams.from_dict(arrays)
-    out.validate()
-    return out, trace
+    params.validate()
+    return params, trace
 
 
 def score_corpus(corpus: Corpus, params: QaParams) -> np.ndarray:

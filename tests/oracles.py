@@ -131,6 +131,37 @@ def scores_by_id(wf: WeightFile) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Forge draws one sample at a time
+# ---------------------------------------------------------------------------
+
+def mix_rows_loop(batch: FeatureRows, rng: np.random.Generator):
+    """The mix family drawn one sample at a time, two scalar draws each:
+    (video_from, audio_from, rows), or None when a polarity is missing."""
+    by_pol = (np.flatnonzero(batch.P == 0), np.flatnonzero(batch.P == 1))
+    if by_pol[0].size == 0 or by_pol[1].size == 0:
+        return None
+    n = len(batch)
+    video_from = np.empty(n, dtype=np.intp)
+    audio_from = np.empty(n, dtype=np.intp)
+    for i, pol in enumerate(batch.P.tolist()):
+        donors = by_pol[1 - pol]
+        donor = donors[rng.integers(donors.size)]
+        if rng.integers(2):
+            video_from[i], audio_from[i] = i, donor
+        else:
+            video_from[i], audio_from[i] = donor, i
+    return video_from, audio_from, FeatureRows(
+        V=batch.V[video_from], A=batch.A[audio_from], T=batch.T, P=batch.P)
+
+
+def polarity_sums_add_at(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Sums of the rows of each polarity by unbuffered scatter-add."""
+    out = np.zeros((2, rows.shape[1]))
+    np.add.at(out, P, rows)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Activations and losses
 # ---------------------------------------------------------------------------
 

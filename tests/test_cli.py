@@ -131,6 +131,16 @@ class TestStageCommands:
             assert proc.returncode == 0, proc.stderr
         return corpus, qa, w, head
 
+    def test_eval_fraction_zero_still_trains(self, artifacts, tmp_path):
+        """Only the pipeline needs a held-out set: the stage commands train
+        on every original with --eval-fraction 0."""
+        corpus, _, w, _ = artifacts
+        for out, cmd in ((tmp_path / "qa.json", ["stage0", "--hidden", "8"]),
+                         (tmp_path / "head.json", ["stage1", "--weights", str(w)])):
+            assert main([*cmd, "--corpus", str(corpus), "--out", str(out),
+                         "--steps", "3", "--seed", "5", "--eval-fraction", "0"]) == 0
+            assert out.exists()
+
     def test_eval_json_parses(self, artifacts):
         corpus, _, _, head = artifacts
         proc = run("eval", "--corpus", str(corpus), "--head", str(head),
@@ -876,12 +886,19 @@ OUT_OF_RANGE = [
 ]
 
 
+# Documents of valid values that once created --out and then failed: a row
+# count numpy cannot allocate (a traceback in gen-corpus), an empty held-out
+# set and too few originals to hold any out (exit 2 in split).
+LATE_FAILURES = [("corpus.n_originals", 10 ** 20), ("split.eval_fraction", 0),
+                 ("corpus.n_originals", 3)]
+
+
 class TestConfigRanges:
     """A config value out of range makes ``pipeline --config`` exit 1 naming
     the key before anything is written."""
 
-    @pytest.mark.parametrize("key, value", OUT_OF_RANGE,
-                             ids=[f"{k}={v}" for k, v in OUT_OF_RANGE])
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE + LATE_FAILURES,
+                             ids=[f"{k}={v}" for k, v in OUT_OF_RANGE + LATE_FAILURES])
     def test_out_of_range_rejected(self, tmp_path, capsys, key, value):
         cfg, out = tmp_path / "cfg.json", tmp_path / "results"
         cfg.write_text(json.dumps(_set(CONFIG, key, value)))
@@ -901,6 +918,18 @@ class TestConfigRanges:
             assert proc.returncode == 1, (key, value, proc.stderr)
             assert proc.stderr.startswith("error: ")
             assert key.rsplit(".", 1)[1] in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == "" and not out.exists()
+
+    def test_late_failures_exit_before_writing_as_a_process(self, tmp_path):
+        for (key, value), bound in zip(LATE_FAILURES, ("MAX_ROWS = 1000000",
+                                                      "need eval_fraction > 0",
+                                                      "n_originals >= 4")):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+            cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+            proc = run("pipeline", "--out", str(out), "--config", str(cfg))
+            assert proc.returncode == 1, (key, value, proc.stderr)
+            assert proc.stderr.startswith("error: ") and bound in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == "" and not out.exists()
 

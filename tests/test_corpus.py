@@ -11,12 +11,14 @@ from augqual.corpus import (
     GENERATOR_VERSION,
     IGNORE_INDEX,
     MAX_DIM,
+    MAX_ROWS,
     CorruptionProfile,
     CorpusHeader,
     VerbalScheme,
     corpus_checksum,
     derive_polarity,
     generate_corpus,
+    generation_header,
     load_corpus,
     save_corpus,
     sentiment_class,
@@ -143,6 +145,13 @@ class TestGenerate:
             generate_corpus(1, 2, CLEAN, seed=0, d=8, d_t=8)
         with pytest.raises(ValidationError, match="cannot generate corpus"):
             generate_corpus(0, 0, CLEAN, seed=0, d=8, d_t=8)
+
+    def test_row_count_bounded_before_generating(self):
+        n = MAX_ROWS // 4
+        assert generation_header(n, 3, CLEAN, 8, 8, 8).d == 8
+        for n_originals, augments in ((n + 1, 3), (MAX_ROWS + 1, 0), (10 ** 20, 2)):
+            with pytest.raises(ValidationError, match=f"MAX_ROWS = {MAX_ROWS}"):
+                generate_corpus(n_originals, augments, CLEAN, seed=0, d=8, d_t=8)
 
     def test_polarity_balance(self):
         c = generate_corpus(16, 0, CLEAN, seed=11, d=8, d_t=8)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from augqual.corpus import VerbalScheme
-from augqual.forge import FAMILIES, ForgeConfig, forge_batch
+from augqual.corpus import FeatureRows
+from augqual.forge import FAMILIES, ForgeConfig, _mix_rows, forge_batch
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
-from oracles import Sample, rows_of
+from oracles import Sample, mix_rows_loop, rows_of
 
 D, DT = 6, 10
 _VERBAL = VerbalScheme()
@@ -228,3 +229,50 @@ class TestAgainstPerItemReference:
             forge_items(only_pos, D, derived_rng(12, "forge-test")), D, DT)
         assert got.sizes[FAMILIES.index("mix")] == 0
         self._assert_same_bits(got, want)
+
+
+class TestMixAgainstLoop:
+    """One vectorized donor draw equals two scalar draws per sample, in
+    batch order: the same donors, rows and generator state afterwards."""
+
+    @staticmethod
+    def _batch(pick, n, polarity):
+        V, A = pick.standard_normal((n, D)), pick.standard_normal((n, D))
+        V[:, 0] = A[:, 0] = np.arange(n)          # each row names its source
+        A[pick.random(n) < 0.3, 1:] = 0.0          # missing audio
+        return FeatureRows(V=V, A=A, T=pick.standard_normal((n, DT)),
+                           P=np.asarray(polarity, dtype=np.intp))
+
+    def test_1200_seeded_batches(self):
+        kinds = {"mixed": 0, "one polarity": 0, "size 1": 0, "size 2": 0}
+        for seed in range(1200):
+            pick = np.random.default_rng(seed)
+            kind = list(kinds)[seed % 4]
+            n = {"size 1": 1, "size 2": 2}.get(kind, int(pick.integers(3, 48)))
+            pol = pick.integers(0, 2, n)
+            if kind == "one polarity":
+                pol[:] = pol[0]
+            elif kind == "mixed":
+                pol[pick.permutation(n)[:2]] = (0, 1)
+            batch = self._batch(pick, n, pol)
+            rng_lib = derived_rng(seed, "mix-vs-loop")
+            rng_ref = derived_rng(seed, "mix-vs-loop")
+            got = _mix_rows(batch, rng_lib)
+            want = mix_rows_loop(batch, rng_ref)
+            if want is None:
+                assert len(got) == 0 and got.V.shape == (0, D)
+                assert len(set(pol.tolist())) == 1
+            else:
+                video_from, audio_from, rows = want
+                assert got.V[:, 0].astype(np.intp).tolist() == video_from.tolist()
+                assert got.A[:, 0].astype(np.intp).tolist() == audio_from.tolist()
+                for name in ("V", "A", "T", "P"):
+                    x, y = getattr(got, name), getattr(rows, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                kinds[kind] += 1
+            assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+            assert rng_lib.integers(2**63) == rng_ref.integers(2**63)
+        # every kind that has a donor was drawn from (size-2 batches of one
+        # polarity have none)
+        assert kinds["mixed"] == 300 and kinds["one polarity"] == 0
+        assert kinds["size 1"] == 0 and 0 < kinds["size 2"] < 300

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from augqual.numerics import (
-    AdamState,
     adam_step,
     bce_with_logit,
     gelu_and_cdf,
@@ -158,67 +157,101 @@ class TestSoftmaxCrossEntropy:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _state_bytes(state):
+    return (state.flat.tobytes(), state.m.tobytes(), state.v.tobytes(),
+            state.step)
+
+
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array(0.5)}
         state = init_adam(params, lr=0.1)
-        new_params, new_state = adam_step(
-            params, {k: np.zeros_like(v) for k, v in params.items()}, state)
+        adam_step(state, {k: np.zeros_like(v) for k, v in params.items()})
         for k in params:
-            assert np.array_equal(new_params[k], params[k])
-        assert new_state.step == 1
+            assert np.array_equal(state.params[k], params[k])
+        assert state.params["b"].shape == ()
+        assert state.step == 1
 
     def test_single_step_hand_computation(self):
         # p=0, g=1, lr=0.1: bias correction cancels at t=1 so p -> -lr/(1+eps)
-        params = {"p": np.array(0.0)}
-        state = init_adam(params, lr=0.1)
-        new_params, _ = adam_step(params, {"p": np.array(1.0)}, state)
-        assert float(new_params["p"]) == pytest.approx(-0.0999999990, abs=1e-9)
+        state = init_adam({"p": np.array(0.0)}, lr=0.1)
+        adam_step(state, {"p": np.array(1.0)})
+        assert float(state.params["p"]) == pytest.approx(-0.0999999990, abs=1e-9)
 
     def test_two_steps_decrease_convex_quadratic(self):
-        params = {"x": np.array([3.0, -4.0])}
-        state = init_adam(params, lr=0.05)
-        value = lambda p: float(np.sum(p["x"] ** 2))
-        v0 = value(params)
+        state = init_adam({"x": np.array([3.0, -4.0])}, lr=0.05)
+        x = state.params["x"]
+        v0 = float(np.sum(x ** 2))
         for _ in range(2):
-            params, state = adam_step(params, {"x": 2.0 * params["x"]}, state)
-        assert value(params) < v0
+            adam_step(state, {"x": 2.0 * x})
+        assert float(np.sum(x ** 2)) < v0
 
-    def test_purity_and_step_counter(self):
-        params = {"x": np.array([1.0])}
-        grads = {"x": np.array([0.3])}
+    def test_views_alias_one_vector_and_step_counter_advances(self):
+        params = {"w": np.array([[1.0, 2.0], [3.0, 4.0]]), "b": np.array([5.0])}
         state = init_adam(params)
-        before = params["x"].copy()
-        p1, s1 = adam_step(params, grads, state)
-        p2, s2 = adam_step(params, grads, state)
-        assert np.array_equal(params["x"], before)
-        assert state.step == 0 and s1.step == 1 and s2.step == 1
-        assert np.array_equal(p1["x"], p2["x"])
+        for k, view in state.params.items():
+            assert view.base is state.flat    # pins no optimizer buffer
+            assert not np.shares_memory(view, params[k])   # init copies
+            assert view.shape == params[k].shape
+        assert state.flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert state.m.shape == state.v.shape == state.flat.shape
+        grads = {"w": np.full((2, 2), 0.3), "b": np.array([-0.3])}
+        for t in (1, 2):
+            adam_step(state, grads)
+            assert state.step == t
+            assert np.array_equal(np.concatenate([state.params["w"].ravel(),
+                                                  state.params["b"]]), state.flat)
+        assert params["w"][0, 0] == 1.0 and state.params["w"][0, 0] != 1.0
+
+    @staticmethod
+    def _trained_state():
+        """Two keys after a few steps, so m and v are nonzero."""
+        state = init_adam({"x": np.zeros(3), "y": np.ones((2, 2))})
+        for _ in range(3):
+            adam_step(state, {"x": np.array([0.1, -0.2, 0.3]),
+                              "y": np.full((2, 2), -0.5)})
+        return state
 
     def test_shape_mismatch_rejected(self):
-        params = {"x": np.zeros(3)}
-        state = init_adam(params)
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            adam_step(params, {"x": np.zeros(4)}, state)
+        for key, bad in (("y", np.zeros(4)), ("y", np.zeros((2, 3))),
+                         ("x", np.zeros((3, 1)))):
+            state = self._trained_state()
+            before = _state_bytes(state)
+            grads = {"x": np.zeros(3), "y": np.zeros((2, 2)), key: bad}
+            with pytest.raises(ValidationError,
+                               match=f"shape mismatch for '{key}'"):
+                adam_step(state, grads)
+            assert _state_bytes(state) == before
 
     def test_nonfinite_grad_rejected(self):
-        params = {"x": np.zeros(2)}
-        state = init_adam(params)
-        with pytest.raises(ValidationError, match="non-finite"):
-            adam_step(params, {"x": np.array([1.0, np.nan])}, state)
+        for value in (np.nan, np.inf, -np.inf):
+            state = self._trained_state()
+            before = _state_bytes(state)
+            y = np.ones((2, 2))
+            y[1, 0] = value
+            with pytest.raises(ValidationError,
+                               match="non-finite gradient for 'y'"):
+                adam_step(state, {"x": np.ones(3), "y": y})
+            assert _state_bytes(state) == before
+
+    def test_name_mismatch_rejected(self):
+        state = self._trained_state()
+        before = _state_bytes(state)
+        with pytest.raises(ValidationError, match="name mismatch"):
+            adam_step(state, {"x": np.ones(3)})
+        assert _state_bytes(state) == before
 
 
-def _textbook_adam(params, grads, state):
+def _textbook_adam(params, grads, m_in, v_in, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """The bias-corrected update written as one expression per array."""
-    t = state.step + 1
     new_params, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = b1 * m_in[k] + (1.0 - b1) * g
+        v = b2 * v_in[k] + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_params[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         new_m[k], new_v[k] = m, v
     return new_params, new_m, new_v
 
@@ -239,27 +272,22 @@ class TestAdamAgainstTextbook:
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         state = init_adam(params, lr=3e-3)
         ref_params = {k: v.copy() for k, v in params.items()}
-        ref_m = {k: v.copy() for k, v in state.m.items()}
-        ref_v = {k: v.copy() for k, v in state.v.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        flat = lambda arrays: np.concatenate([arrays[k].ravel() for k in shapes])
         for step in range(50):
             # gradients over many magnitudes, with exact zeros mixed in
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3)
                      * (rng.random(s) > 0.1) for k, s in shapes.items()}
-            before = {k: (v.tobytes(), state.m[k].tobytes(),
-                          state.v[k].tobytes()) for k, v in params.items()}
-            new_params, new_state = adam_step(params, grads, state)
-            for k, v in params.items():      # pure: inputs untouched
-                assert before[k] == (v.tobytes(), state.m[k].tobytes(),
-                                     state.v[k].tobytes())
+            adam_step(state, grads)
             ref_params, ref_m, ref_v = _textbook_adam(
-                ref_params, grads,
-                AdamState(lr=state.lr, step=state.step, m=ref_m, v=ref_v))
+                ref_params, grads, ref_m, ref_v, step + 1, lr=3e-3)
             for k in shapes:
-                assert new_params[k].tobytes() == ref_params[k].tobytes(), (step, k)
-                assert new_state.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
-                assert new_state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
-                assert new_params[k].shape == shapes[k]
-            params, state = new_params, new_state
+                assert state.params[k].tobytes() == ref_params[k].tobytes(), (step, k)
+                assert state.params[k].shape == shapes[k]
+            assert state.flat.tobytes() == flat(ref_params).tobytes(), step
+            assert state.m.tobytes() == flat(ref_m).tobytes(), step
+            assert state.v.tobytes() == flat(ref_v).tobytes(), step
         assert state.step == 50
 
 

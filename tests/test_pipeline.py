@@ -229,10 +229,11 @@ class TestRunPipeline:
                            match="stage stage1:augmented_only failed"):
             run_pipeline(cfg, tmp_path)
 
-    def test_empty_eval_set_fails_in_split_stage(self, tmp_path):
+    def test_empty_eval_set_refused_before_writing(self, tmp_path):
         cfg = PipelineConfig(**{**FAST, "eval_fraction": 0.0})
-        with pytest.raises(PipelineError, match="stage split failed"):
-            run_pipeline(cfg, tmp_path)
+        with pytest.raises(ValidationError, match="need eval_fraction > 0"):
+            run_pipeline(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_arm_subset_runs_only_those(self, tmp_path):
         cfg = PipelineConfig(**FAST, arms=("original_only",))

@@ -19,6 +19,7 @@ from augqual.qa import (
     QaConfig,
     QaParams,
     WeightMapConfig,
+    _polarity_sums,
     export_weights,
     init_qa_params,
     load_qa_snapshot,
@@ -42,6 +43,7 @@ from oracles import (
     feature_checksum,
     finite_diff_grad,
     flatten_arrays,
+    polarity_sums_add_at,
     qa_logit,
     qa_loss,
     rows_of,
@@ -257,6 +259,25 @@ class TestGradients:
                 [np.abs(an), np.abs(fd), np.full_like(an, 1e-6)])
             worst = max(worst, float(rel.max()))
         assert worst < 1e-4
+
+    def test_polarity_sums_match_add_at_bitwise(self):
+        """The embedding gradient's two row sums equal np.add.at's bits:
+        -0.0 rows, magnitudes that cancel or overflow, one polarity only."""
+        pick = np.random.default_rng(41)
+        for trial in range(600):
+            n, k = int(pick.integers(1, 100)), int(pick.integers(1, 40))
+            # a column slice, like the gradient block the scorer sums
+            wide = pick.standard_normal((n, k + 3)) * 10.0 ** pick.integers(
+                -300, 308, size=(n, 1))
+            wide[pick.random(n) < 0.2] = -0.0
+            rows = wide[:, 3:]
+            P = pick.integers(0, 2, n).astype(np.intp)
+            if trial % 3:
+                P[:] = trial % 3 - 1            # all 0, or all 1
+            got = _polarity_sums(rows, P)
+            want = polarity_sums_add_at(rows, P)
+            assert got.shape == want.shape == (2, k)
+            assert got.tobytes() == want.tobytes(), trial
 
     def test_loss_value_agrees_with_grad_entry_point(self):
         d, d_t = 4, 3
