@@ -28,14 +28,14 @@ that training code never reads.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import ValidationError, check_fields, derived_rng, sha256_hex
+from .util import (ValidationError, b64_block, check_fields, decode_block,
+                   derived_rng, sha256_hex)
 
 GENERATOR_VERSION = "augqual-gen-2"
 IGNORE_INDEX = -100
@@ -456,11 +456,6 @@ def header_from_dict(raw) -> CorpusHeader:
         raise ValidationError(f"bad corpus header: {exc}") from exc
 
 
-def _block(row: np.ndarray) -> str:
-    """A feature row as padded base64 of its little-endian float64 bytes."""
-    return base64.b64encode(row.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
 def _file_lines(corpus: Corpus):
     """The corpus file, one line at a time (header first), each with its newline."""
     f = corpus.features
@@ -471,8 +466,8 @@ def _file_lines(corpus: Corpus):
             corpus.parent.tolist(), corpus.hidden_quality.tolist(),
             corpus.has_audio.tolist())):
         yield json.dumps({
-            "id": ids[i], "h_v": _block(f.V[i]),
-            "h_a": _block(f.A[i]) if audio else None, "h_t_raw": _block(f.T[i]),
+            "id": ids[i], "h_v": b64_block(f.V[i]),
+            "h_a": b64_block(f.A[i]) if audio else None, "h_t_raw": b64_block(f.T[i]),
             "polarity": pol, "sentiment": y,
             "origin": "Augmented" if aug else "Original",
             "parent_id": ids[p] if p >= 0 else None,
@@ -497,23 +492,11 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 # Exact JSON types of the record fields; a JSON true or false is a bool,
-# never a number. A feature block is a base64 string (_block).
+# never a number. A feature block is a base64 string (util.b64_block).
 _FIELDS = {"id": (str,), "h_v": (str,), "h_a": (str, type(None)),
            "h_t_raw": (str,), "polarity": (int,), "sentiment": (int, float),
            "origin": (str,), "parent_id": (str, type(None)),
            "hidden_quality": (int, float, type(None)), "target_tokens": (list,)}
-
-
-def _decode_block(text: str, width: int, key: str, where: str) -> bytes:
-    """The float64 bytes of one feature block of ``width`` floats."""
-    try:
-        data = base64.b64decode(text, validate=True)
-    except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
-        raise ValidationError(f"{where}: field {key} is not base64: {exc}") from None
-    if len(data) != 8 * width:
-        raise ValidationError(f"{where}: dim mismatch: field {key} holds "
-                              f"{len(data)} bytes, not 8 x {width}")
-    return data
 
 
 def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
@@ -527,7 +510,7 @@ def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
         if type(raw[key]) not in kinds:
             raise ValidationError(f"{where}: field {key} has type "
                                   f"{type(raw[key]).__name__}")
-    blocks = [None if raw[key] is None else _decode_block(raw[key], width, key, where)
+    blocks = [None if raw[key] is None else decode_block(raw[key], width, where, key)
               for key, width in (("h_v", header.d), ("h_a", header.d),
                                  ("h_t_raw", header.d_t))]
     if not set(map(type, raw["target_tokens"])) <= {int}:

@@ -16,7 +16,9 @@ keeping it frozen. Training and prediction take the corpus rows they use as
 an index array and run batched over the columnar features.
 
 The head deliberately never sees the polarity condition: that bit encodes the
-answer, and feeding it would collapse the task to copying.
+answer, and feeding it would collapse the task to copying. A head snapshot
+records ``d``, ``d_t`` and each parameter as its shape and one base64 float64
+block (``util.encode_params``), so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, check_weights, verify_weight_file
-from .util import (ValidationError, check_params, derived_rng, dumps_canonical,
-                   float_array, load_json_object)
+from .util import (ValidationError, check_params, decode_params, derived_rng,
+                   dumps_canonical, encode_params, load_json_object)
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
 
@@ -210,7 +212,7 @@ def serialize_head_snapshot(head: HeadParams, d: int, d_t: int) -> bytes:
         "kind": "head_snapshot",
         "d": d,
         "d_t": d_t,
-        "params": head.to_dict(),
+        "params": encode_params(head.to_dict()),
     }
     return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
 
@@ -228,11 +230,7 @@ def load_head_snapshot(path) -> tuple[HeadParams, int, int]:
     if type(d) is not int or type(d_t) is not int or d < 1 or d_t < 1:
         raise ValidationError("bad head snapshot: d and d_t must be positive "
                               "integers")
-    if type(arrays) is not dict or not set(_HEAD_KEYS) <= set(arrays):
-        raise ValidationError("bad head snapshot: params needs "
-                              + ", ".join(_HEAD_KEYS))
-    head = HeadParams.from_dict({k: float_array(arrays[k], f"head param {k}")
-                                 for k in _HEAD_KEYS})
+    head = HeadParams.from_dict(decode_params(arrays, _HEAD_KEYS, "head"))
     head.validate()
     if head.in_w.shape[1] != 2 * d + d_t:
         raise ValidationError("snapshot params disagree with recorded dims")

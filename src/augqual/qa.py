@@ -17,7 +17,10 @@ normalized by the coefficient sum of the families actually present.
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
 samples of Original origin always get weight 1. The exported weight file is
 canonical JSON carrying every sample id with its score, weight, and origin,
-plus checksums binding it to the corpus and the scorer snapshot.
+plus checksums binding it to the corpus and the scorer (``qa_checksum``, a
+hash of each parameter's shape and float64 bytes). A scorer snapshot echoes
+the corpus header and stores each parameter as its shape and one base64
+float64 block (``util.encode_params``); the loader reads no other format.
 
 All backward passes are hand-derived and checked against central finite
 differences in the test suite.
@@ -25,6 +28,8 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +56,12 @@ from .util import (
     ValidationError,
     check_fields,
     check_params,
+    decode_params,
     derived_rng,
     deterministic_timestamp,
     dumps_canonical,
-    float_array,
+    encode_params,
     load_json_object,
-    sha256_hex,
 )
 
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
@@ -315,9 +320,14 @@ class WeightFile:
 
 
 def qa_checksum(params: QaParams) -> str:
-    """Checksum of the canonical parameter serialization."""
-    return sha256_hex(dumps_canonical(
-        {k: v for k, v in params.to_dict().items()}).encode("utf-8"))
+    """SHA-256 over each parameter in _PARAM_KEYS order: its shape as JSON
+    text (``[8, 12]``), then its little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for arr in params.to_dict().values():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        digest.update(json.dumps(arr.shape).encode("ascii"))
+        digest.update(arr)
+    return digest.hexdigest()
 
 
 def _weight_file_dict(wf: WeightFile) -> dict:
@@ -467,7 +477,7 @@ def serialize_qa_snapshot(params: QaParams, header: CorpusHeader) -> bytes:
     doc = {
         "kind": "qa_snapshot",
         "header": header_dict(header),
-        "params": params.to_dict(),
+        "params": encode_params(params.to_dict()),
     }
     return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
 
@@ -485,12 +495,7 @@ def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:
         raise ValidationError("bad scorer snapshot: no header")
     header = header_from_dict(raw["header"])
     header.validate()
-    arrays = raw.get("params")
-    if type(arrays) is not dict or not set(_PARAM_KEYS) <= set(arrays):
-        raise ValidationError("bad scorer snapshot: params needs "
-                              + ", ".join(_PARAM_KEYS))
-    params = QaParams.from_dict({k: float_array(arrays[k], f"scorer param {k}")
-                                 for k in _PARAM_KEYS})
+    params = QaParams.from_dict(decode_params(raw.get("params"), _PARAM_KEYS, "scorer"))
     params.validate()
     if params.d != header.d or params.d_t != header.d_t:
         raise ValidationError("snapshot params disagree with echoed header")

@@ -1,7 +1,15 @@
-"""Shared plumbing: error types, seeded stream derivation, canonical JSON, checksums."""
+"""Shared plumbing: error types, seeded stream derivation, canonical JSON,
+checksums, and the one float64 array codec every artifact uses.
+
+Every float array is written as ``b64_block``, padded standard-alphabet base64
+of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
+as bare blocks, snapshot parameters with their shape (``encode_params`` /
+``decode_params``). ``dumps_canonical`` writes scalars as 17-digit decimals.
+"""
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -72,21 +80,6 @@ def check_fields(obj, fields: dict, where: str) -> dict:
     return obj
 
 
-def float_array(value, what: str) -> np.ndarray:
-    """A parsed JSON array of numbers, nested to any depth, as float64.
-
-    Strings, booleans, nulls, objects, ragged nesting and integers beyond
-    int64 raise ValidationError naming ``what``.
-    """
-    try:
-        arr = np.array(value)
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
-    if arr.dtype.kind not in "if":
-        raise ValidationError(f"{what}: not an array of numbers")
-    return arr.astype(np.float64, copy=False)
-
-
 def check_params(arrays: dict, shapes: dict, what: str) -> None:
     """Each named parameter array has its expected shape and finite values."""
     for k, want in shapes.items():
@@ -96,6 +89,54 @@ def check_params(arrays: dict, shapes: dict, what: str) -> None:
                                   f"expected {want}")
         if not np.isfinite(arr).all():
             raise ValidationError(f"{what} param {k}: non-finite values")
+
+
+def b64_block(arr: np.ndarray) -> str:
+    """An array as padded base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")
+
+
+def decode_block(text: str, n_floats: int, where: str, key: str) -> bytes:
+    """The float64 bytes of block ``text``, which must hold ``n_floats``."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
+        raise ValidationError(f"{where}: field {key} is not base64: {exc}") from None
+    if len(data) != 8 * n_floats:
+        raise ValidationError(f"{where}: dim mismatch: field {key} holds "
+                              f"{len(data)} bytes, not 8 x {n_floats}")
+    return data
+
+
+def encode_params(arrays: dict) -> dict:
+    """Each named finite array as ``{"shape": [...], "data": b64_block}``."""
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        raise ValidationError("non-finite float cannot be serialized")
+    return {k: {"shape": list(a.shape), "data": b64_block(a)}
+            for k, a in arrays.items()}
+
+
+def decode_params(raw, keys, what: str) -> dict:
+    """The float64 arrays ``keys`` of a snapshot's params object, each read
+    from its block of exactly 8 x prod(shape) bytes; ValidationError naming
+    the ``what`` snapshot otherwise, and for the first, decimal-list format."""
+    if type(raw) is not dict or not set(keys) <= set(raw):
+        raise ValidationError(f"bad {what} snapshot: params needs {', '.join(keys)}")
+    arrays = {}
+    for k in keys:
+        where = f"bad {what} snapshot: param {k}"
+        if type(raw[k]) is list:
+            raise ValidationError(f"{where} is a decimal list, the first snapshot "
+                                  "format: this build reads only base64 float64 blocks")
+        shape = check_fields(raw[k], {"shape": (list,), "data": (str,)}, where)["shape"]
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValidationError(f"{where}: shape must list non-negative integers")
+        data = decode_block(raw[k]["data"], math.prod(shape), where, "data")
+        try:
+            arrays[k] = np.frombuffer(data, "<f8").reshape(shape)
+        except ValueError as exc:   # an empty block with a dimension numpy refuses
+            raise ValidationError(f"{where}: {exc}") from None
+    return arrays
 
 
 def _format_float(x: float) -> str:
@@ -108,72 +149,42 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _dumps_float_array(arr: np.ndarray, indent: int, level: int) -> str:
-    """The text dumps_canonical gives ``arr.tolist()``, in one %-format pass.
-
-    The template holds _format_float's choice per entry: "%.1f" for integer
-    values below 1e16, "%.17g" for the rest.
-    """
-    if not np.isfinite(arr).all():
-        raise ValidationError("non-finite float cannot be serialized")
-    whole = (arr == np.trunc(arr)) & (np.abs(arr) < 1e16)
-    template = _list_template(np.where(whole, "%.1f", "%.17g").tolist(),
-                              indent, level)
-    return template % tuple(arr.ravel().tolist())
-
-
-def _list_template(specs: list, indent: int, level: int) -> str:
-    """dumps_canonical's list layout around nested lists of format specs."""
-    pad = " " * (indent * (level + 1)) if indent else ""
-    end_pad = " " * (indent * level) if indent else ""
-    nl = "\n" if indent else ""
-    if isinstance(specs[0], list):
-        specs = [_list_template(row, indent, level + 1) for row in specs]
-    return "[" + nl + ("," + nl).join(pad + it for it in specs) + nl + end_pad + "]"
-
-
 def dumps_canonical(obj: Any, *, indent: int = 0, _level: int = 0) -> str:
     """Serialize to JSON with sorted keys and 17-significant-digit floats.
 
-    Byte-deterministic: the same structure always produces the same text.
-    """
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim > 0 and obj.size > 0:
-            return _dumps_float_array(obj, indent, _level)
-        return dumps_canonical(obj.tolist(), indent=indent, _level=_level)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps_canonical(v, indent=indent, _level=_level + 1) for v in obj]
-        return "[" + nl + sep.join(pad + it for it in items) + nl + end_pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            if not isinstance(k, str):
-                raise ValidationError(f"non-string JSON key: {k!r}")
-            v = dumps_canonical(obj[k], indent=indent, _level=_level + 1)
-            colon = ": " if indent else ":"
-            items.append(pad + dumps_canonical(k) + colon + v)
-        return "{" + nl + sep.join(items) + nl + end_pad + "}"
-    raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    Byte-deterministic: equal structures give equal text. The pieces are
+    joined once, so a long string is copied once, not once per nesting level."""
+    out = []
+    _dump(obj, indent, _level, out)
+    return "".join(out)
+
+
+def _dump(obj, indent: int, level: int, out: list) -> None:
+    """Append the canonical JSON text of obj, nested at ``level``, to out."""
+    if obj is None or obj is True or obj is False:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        brackets = "{}" if is_dict else "[]"
+        nl = "\n" + " " * (indent * (level + 1)) if indent and obj else ""
+        out.append(brackets[0])
+        for i, item in enumerate(sorted(obj) if is_dict else obj):
+            out.append("," + nl if i else nl)
+            if is_dict:
+                if not isinstance(item, str):
+                    raise ValidationError(f"non-string JSON key: {item!r}")
+                out.append(json.dumps(item, ensure_ascii=False) + (": " if indent else ":"))
+                item = obj[item]
+            _dump(item, indent, level + 1, out)
+        out.append(nl[:len(nl) - indent] + brackets[1])   # one level less indented
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
 def deterministic_timestamp() -> str:

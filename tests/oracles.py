@@ -6,7 +6,8 @@ formula, and the tests assert that both agree. ``Sample`` is one corpus
 record as separate fields; ``samples_of`` and ``corpus_from_samples``
 convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
 record dict as a corpus file line, from the format's definition rather than
-the library's writer.
+the library's writer; ``dumps_float_array`` formats a whole float array at
+once, against ``dumps_canonical``'s one value at a time.
 """
 
 from __future__ import annotations
@@ -115,6 +116,24 @@ def feature_block(values) -> str:
 def block_values(text: str) -> np.ndarray:
     """The float64 values of a well-formed feature block."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def dumps_float_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> str:
+    """The text ``util.dumps_canonical`` gives a float array's nested list,
+    made in one vectorized %-format pass: "%.1f" for integer values below
+    1e16, "%.17g" for the rest, laid out as that list at nesting ``level``."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("non-finite float cannot be serialized")
+    whole = (arr == np.trunc(arr)) & (np.abs(arr) < 1e16)
+
+    def layout(specs, level):
+        pad, end_pad, nl = (" " * (indent * (level + 1)), " " * (indent * level),
+                            "\n") if indent else ("", "", "")
+        if isinstance(specs[0], list):
+            specs = [layout(row, level + 1) for row in specs]
+        return "[" + nl + ("," + nl).join(pad + it for it in specs) + nl + end_pad + "]"
+    template = layout(np.where(whole, "%.1f", "%.17g").tolist(), level)
+    return template % tuple(arr.ravel().tolist())
 
 
 def corpus_line(record: dict) -> str:

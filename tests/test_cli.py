@@ -461,18 +461,18 @@ class TestCorruptCorpusMutations:
 _WRONG = {"text": "x", "float": 1.5, "bool": True, "null": None, "list": [],
           "object": {}}
 _KEEPS = {"int": (), "num": ("float",), "str": ("text",), "obj": ("object",),
-          "list": ("list",), "array": ("list",)}
+          "list": ("list",), "block": ()}
 # (field path, kind) of every field the loaders read; "*" is a seeded entry
 _ARTIFACT_FIELDS = {
     "scorer": [(("kind",), "str"), (("header",), "obj"), (("params",), "obj"),
                *((("header", k), "int") for k in ("d", "d_t", "vocab_size", "seed")),
                (("header", "generator_version"), "str"), (("header", "verbal"), "obj"),
-               *((("params", k), "array") for k in (
+               *((("params", k), "block") for k in (
                    "text_proj_w", "text_proj_b", "polarity_emb", "hidden_w",
                    "hidden_b", "out_w", "out_b"))],
     "head": [(("kind",), "str"), (("d",), "int"), (("d_t",), "int"),
              (("params",), "obj"),
-             *((("params", k), "array") for k in ("in_w", "in_b", "out_w", "out_b"))],
+             *((("params", k), "block") for k in ("in_w", "in_b", "out_w", "out_b"))],
     "weights": [(("metadata",), "obj"), (("entries",), "list"),
                 (("entries", "*"), "obj"),
                 *((("metadata", k), "num") for k in ("w_min", "w_max", "gamma")),
@@ -511,17 +511,75 @@ def _artifact_mutants():
             for label, value in _WRONG.items():
                 if label not in _KEEPS[kind]:
                     add(f"{name}={label}", _put(*path, value=value))
-            if kind in ("num", "array"):
+            if kind == "num":
                 for bad in ("nan", "inf", "-inf"):
                     add(f"{name} {bad}", _change(*path, fn=lambda v, rng, b=bad:
                                                  _poke(v, rng, float(b))))
-            if kind in ("array", "list"):
+            if kind == "block":
+                for case, fn in _block_mutants():
+                    add(f"{name} {case}", _change(*path, fn=fn))
+            if kind == "list":
                 add(f"{name} string element",
                     _change(*path, fn=lambda v, rng: _poke(v, rng, "0.5")))
                 add(f"{name} last row dropped",
                     _change(*path, fn=lambda v, rng: v[:-1]))
                 add(f"{name} extra axis", _change(*path, fn=lambda v, rng: [v]))
     return cases
+
+
+def _swap_char(t, rng):
+    """Base64 text with one seeded character, before any padding, made "-"."""
+    i = int(rng.integers(len(t) - 2))
+    return t[:i] + "-" + t[i + 1:]
+
+
+def _block_mutants():
+    """(case, fn) pairs; fn(entry, rng) returns a damaged snapshot parameter,
+    given the clean ``{"shape": [...], "data": base64 block}``."""
+    def values(e):
+        return block_values(e["data"]).reshape(e["shape"])
+
+    def block(v):
+        return {"shape": list(v.shape), "data": feature_block(v)}
+
+    def poke(new):
+        def fn(e, rng):
+            v = values(e)
+            v.flat[rng.integers(v.size)] = new
+            return block(v)
+        return fn
+
+    def shape(fn):
+        return lambda e, rng: {**e, "shape": fn(list(e["shape"]), rng)}
+
+    def dim(new):
+        def fn(s, rng):
+            s[rng.integers(len(s))] = new
+            return s
+        return shape(fn)
+
+    def data(fn):
+        return lambda e, rng: {**e, "data": fn(e["data"], rng)}
+
+    return [
+        ("nan", poke(np.nan)), ("inf", poke(np.inf)), ("-inf", poke(-np.inf)),
+        ("string element", dim("1")),
+        ("last row dropped", lambda e, rng: block(values(e)[:-1])),
+        ("extra axis", shape(lambda s, rng: [1, *s])),
+        ("bad padding", data(lambda t, rng: t[:-1])),
+        ("non-alphabet character", data(_swap_char)),
+        ("one float short", data(lambda t, rng: feature_block(block_values(t)[:-1]))),
+        ("one float long", data(lambda t, rng: feature_block(
+            np.append(block_values(t), 0.5)))),
+        ("shape disagrees with byte count", shape(lambda s, rng: [s[0] + 1, *s[1:]])),
+        ("data a number", data(lambda t, rng: 5.0)),
+        ("shape entry a float", dim(1.0)),
+        ("shape entry a bool", dim(True)),
+        ("negative shape entry", dim(-1)),
+        ("shape missing", lambda e, rng: {"data": e["data"]}),
+        ("data missing", lambda e, rng: {"shape": e["shape"]}),
+        ("decimal list", lambda e, rng: values(e).tolist()),
+    ]
 
 
 def _format_mutants():
@@ -548,17 +606,13 @@ def _format_mutants():
             return v
         return fn
 
-    def swap_char(t, rng):
-        i = int(rng.integers(len(t) - 2))   # before any padding
-        return t[:i] + "-" + t[i + 1:]
-
     def v1_header(lines, rng):
         lines[0] = json.dumps({**json.loads(lines[0]),
                                "generator_version": "augqual-gen-1"})
 
     return [
         ("bad padding", text("h_v", lambda t, rng: t.rstrip("="))),
-        ("non-alphabet character", text("h_a", swap_char)),
+        ("non-alphabet character", text("h_a", _swap_char)),
         ("block one float short", values("h_t_raw", lambda v, rng: v[:-1])),
         ("block one float long", values("h_v", lambda v, rng: np.append(v, 0.5))),
         ("NaN payload", values("h_a", poke(np.nan))),
@@ -672,22 +726,33 @@ class TestCorruptArtifactMutations:
         assert printed.out == "" and not out.exists()
 
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
-        # the defects once seen as a traceback or as metrics from NaN logits
+        # the defects once seen as a traceback or as metrics from NaN logits,
+        # in the block format, and a snapshot in the first, decimal-list format
         corpus, docs = clean
         scorer, head = docs["scorer"], docs["head"]
-        out_w = head["params"]["out_w"]
-        cases = (("scorer", [scorer]),
-                 ("scorer", {k: v for k, v in scorer.items() if k != "header"}),
-                 ("head", {**head, "params": {**head["params"], "out_w": out_w[:-1]}}),
-                 ("head", {**head, "params": {**head["params"],
-                                              "in_b": [float("nan")] * len(
-                                                  head["params"]["in_b"])}}))
-        for artifact, doc in cases:
+
+        def param(doc, key, values):
+            values = np.asarray(values, dtype=np.float64)
+            return {**doc, "params": {**doc["params"], key: {
+                "shape": list(values.shape), "data": feature_block(values)}}}
+        out_w = block_values(head["params"]["out_w"]["data"]).reshape(
+            head["params"]["out_w"]["shape"])
+        decimals = {**scorer, "params": {
+            k: block_values(v["data"]).reshape(v["shape"]).tolist()
+            for k, v in scorer["params"].items()}}
+        cases = (("scorer", [scorer], "holds a JSON list"),
+                 ("scorer", {k: v for k, v in scorer.items() if k != "header"},
+                  "no header"),
+                 ("head", param(head, "out_w", out_w[:-1]), "param out_w"),
+                 ("head", param(head, "in_b", np.full(
+                     head["params"]["in_b"]["shape"], np.nan)), "non-finite"),
+                 ("scorer", decimals, "decimal list, the first snapshot format"))
+        for artifact, doc, message in cases:
             bad, out = tmp_path / "bad.json", tmp_path / "out.json"
             bad.write_text(json.dumps(doc))
             proc = run(*self._command(artifact, corpus, bad, out))
             assert proc.returncode == 1, proc.stderr
-            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.startswith("error: ") and message in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == "" and not out.exists()
 

@@ -1,19 +1,23 @@
 """Golden digests: the tiny fixed pipeline below must reproduce these bytes.
 
-The digests pin every artifact in ``PipelineResult.paths`` (corpora, scorer
-and head snapshots, weight files, run logs, reports). A change that alters
-numerics on purpose updates them here and says why in CHANGES.md; a speed-up
-must leave them untouched. Float64 results can differ across numpy builds and
-BLAS libraries, so a mismatch reports both.
+The file digests pin every artifact in ``PipelineResult.paths`` (corpora,
+scorer and head snapshots, weight files, run logs, reports). The numerics
+digests pin, apart from any file encoding, the float64 parameters each scorer
+and head snapshot decodes to. A change of file format re-pins the file
+digests it moves and says so in CHANGES.md, while the numerics digests stay
+fixed; only a change that alters numerics on purpose updates those, and says
+why. Float64 results can differ across numpy builds and BLAS libraries, so a
+mismatch reports both.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
-from augqual.finetune import HeadConfig
+from augqual.finetune import HeadConfig, load_head_snapshot
 from augqual.pipeline import ARMS, PipelineConfig, run_pipeline
-from augqual.qa import QaConfig
+from augqual.qa import QaConfig, load_qa_snapshot
 
 GOLDEN_CONFIG = PipelineConfig(n_originals=24, d=8, d_t=12, seeds=(1, 2),
                                arms=ARMS, qa=QaConfig(steps=40),
@@ -22,16 +26,16 @@ GOLDEN_CONFIG = PipelineConfig(n_originals=24, d=8, d_t=12, seeds=(1, 2),
 GOLDEN_SHA256 = {
     "corpus_s1": "43bbd03ecd65d8e95eec483f71b72e3236ad1ab1ad5b126ca7633b6e5a651d68",
     "corpus_s2": "f39348d5b11631c77718e436368398463626c0dd7119e15b477c5c7fa5adeff9",
-    "head_s1_augmented_only": "2488ca1e288c0438f3d5118a92600c567ad592d85651d631f3776b3768e3a3a0",
-    "head_s1_original_only": "21b88d94d34a256e279308311b7f9e65dc31bac926c8a2899feca55142d0ec46",
-    "head_s1_uniform": "15109b48625db807085d61407fb48cd8f2a52ba9ad230506b254932278667fb8",
-    "head_s1_weighted": "56f655dc0e9023f678b3dd4e5b81ea61257473cb9e7d3471b570e27b8ce2e7ad",
-    "head_s2_augmented_only": "f1b912798e5dde0c02acb5c72acc320d7075565eef9de61e849513317c026aa9",
-    "head_s2_original_only": "4c415133415cece2d0b7214736c26e4b4bc5987d20538359a83e7a2dc54424cc",
-    "head_s2_uniform": "9d86e594947e7129adddcac147eff846666f0226628a977652d85f01804be316",
-    "head_s2_weighted": "14f85ceded227b975889f717547be05b636e31303cd38cdd1d3a06da3fa00e76",
-    "qa_s1": "9ff7cf7460d2ab8323aa21664f408b718cbf01d2e8e6291a08f2e2f65d652774",
-    "qa_s2": "8596e246f425a77bd28e21ed107e23fc997dfb779c1df9e6f43e48dd8dbce760",
+    "head_s1_augmented_only": "823c714443dff0d3d2d17723e52f0a0b7983f25cfbf809467828ef5428e25c79",
+    "head_s1_original_only": "299acbfa9054f5d8169635b884c417b38d2cf30f54255e5f460022b3dabd796d",
+    "head_s1_uniform": "9db993477da5ad7f621c1b218e6cc828f759838a025a76db13c532f2a50b3a1b",
+    "head_s1_weighted": "e53ed684fff0075e8441ca5744d8b99fa5926be9adfcab6a4cd8588231d142c5",
+    "head_s2_augmented_only": "b2a1249dc795e55b1757f69d5eb63839902262673e057906dc9d89b5184c9b95",
+    "head_s2_original_only": "0fda3bc05c5d776c13829aae984cd71e014ceb197d48a60e8fbd9c1d25517288",
+    "head_s2_uniform": "e48dfbd3600cde477c0874389f31578b667f749815c3ba7912d1c4e9cdadbf0c",
+    "head_s2_weighted": "faabe7cf51209e864ed925a2d2d3f42d25e6c6216a84fdfdc66abca260f5884f",
+    "qa_s1": "a795796c9688b3e719bc365427c2e2f0ee2013f2ccbfd7ef652e15b9161720a0",
+    "qa_s2": "7023f21ba083118b7eca473b202b0edee6caf74a6ec101f49168ec78589a84f9",
     "report": "907d69adace8bf4da24ceed81fd74b968314d11c098e5f0c96c74b970807583f",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
     "runlog_s1_augmented_only": "2952f5dcafe904f0ad360ae69a5bd761b67feb102acfea5b99c798cefc9777b7",
@@ -42,8 +46,25 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "9c399d46c4bc1ff716100f938d63ffe5521cfd9db9187b2d2332de6392255c92",
     "runlog_s2_uniform": "970c3c9d00938045e29063d55005a3ccb4ff53f2dd659fe0ce4a2e3679f58a5c",
     "runlog_s2_weighted": "6e6f37c89050040cdff3386598de24165339eef40fada671065d5c3918ae3506",
-    "weights_s1": "ecd841fa83b5c8efff8d91113ba5b3c1dad694c4644e85d5a1ca77e96be9c897",
-    "weights_s2": "9381aa99fc9b83ce0d3c97e2e388a60ceef73d997b65da87f638eec1687907db",
+    "weights_s1": "846d28d859bb84a7bcdd032bf32bbbfca39f322855422feded0d28cb09406199",
+    "weights_s2": "ba7d9bece2efc87e6cdf1d656996fe8881e941f40587bb1085ca2f7c2bc9e12b",
+}
+
+
+# sha256 of each snapshot's decoded parameters: the little-endian float64
+# bytes of every array, concatenated in the class's field order. Taken from
+# the decimal-list snapshots of the commit before the base64 snapshot format.
+GOLDEN_PARAMS_SHA256 = {
+    "head_s1_augmented_only": "04f8c1b2bdc190ec161d14175fe65ca4006c719996f671b8d17af27048590f34",
+    "head_s1_original_only": "569a8afbe9c7a4c88415eed8c186df254beccf9d01a4c7abf51c399a61294d16",
+    "head_s1_uniform": "3d4203416cee5adc1806d514aa204b9b0913c6b78d0096b9b5376a2920c96d53",
+    "head_s1_weighted": "139797fd2ea2ac087df98bba375a4b6985ebef2e5b9b4f4c23275c055f6a0507",
+    "head_s2_augmented_only": "dab8cf2d3645c43a30d9ef52a41224a5cbdce748f4663c952a6d18b7aba5bbd0",
+    "head_s2_original_only": "564a42e20d4fcfc16e49679c16f192e96a5a17958432a6e750487bdf5d6ef0c7",
+    "head_s2_uniform": "c0d65f6f02cab096470e8cdd5f3eae68ab8240fa8639261e47034c8fad049736",
+    "head_s2_weighted": "28417059488a4e99f3904527e0bc575d99f74e55af781b0685b3999df3486f03",
+    "qa_s1": "957681a9211580e980d7504fa0f644517871b48e3a8e30aa98dc65bf7e84aa6f",
+    "qa_s2": "4c6a851cfbae55bc97bccd8e353fe32253489bd64f46342f30f8c0783830edd6",
 }
 
 
@@ -55,13 +76,36 @@ def _blas_name() -> str:
         return "unknown"
 
 
-def test_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    result = run_pipeline(GOLDEN_CONFIG, tmp_path)
+@pytest.fixture(scope="module")
+def golden_paths(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SOURCE_DATE_EPOCH", raising=False)
+        return run_pipeline(GOLDEN_CONFIG, tmp_path_factory.mktemp("golden")).paths
+
+
+def test_golden_digests(golden_paths):
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for name, path in result.paths.items()}
+           for name, path in golden_paths.items()}
     assert sorted(got) == sorted(GOLDEN_SHA256)
     changed = sorted(name for name in got if got[name] != GOLDEN_SHA256[name])
     assert not changed, (
         f"artifacts differ from the golden digests: {changed} "
+        f"(numpy {np.__version__}, BLAS {_blas_name()})")
+
+
+def _params_sha256(path) -> str:
+    loader = load_qa_snapshot if path.name.startswith("qa_") else load_head_snapshot
+    digest = hashlib.sha256()
+    for arr in loader(path)[0].to_dict().values():
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_golden_snapshot_numerics(golden_paths):
+    got = {name: _params_sha256(path) for name, path in golden_paths.items()
+           if name in GOLDEN_PARAMS_SHA256}
+    assert sorted(got) == sorted(GOLDEN_PARAMS_SHA256)
+    changed = sorted(name for name in got if got[name] != GOLDEN_PARAMS_SHA256[name])
+    assert not changed, (
+        f"snapshot parameters differ from the golden digests: {changed} "
         f"(numpy {np.__version__}, BLAS {_blas_name()})")

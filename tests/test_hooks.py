@@ -1,0 +1,29 @@
+"""The benchmark's span hooks still name functions the program binds.
+
+``benchmarks/spans.py`` wraps each hooked function at the name its calling
+module binds, and records a hook it cannot find as absent, so its per-layer
+metric reads zero. Renaming a hooked function must fail here instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import augqual.cli  # noqa: F401  (the tracer wraps the modules this imports)
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def _hooks():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.HOOKS
+
+
+def test_every_hook_resolves_to_a_callable():
+    hooks = _hooks()
+    assert hooks
+    unbound = [f"{module}.{name}" for module, name, *_ in hooks
+               if not callable(getattr(sys.modules.get(module), name, None))]
+    assert not unbound, f"benchmark hooks name no callable: {unbound}"
