@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -218,8 +219,7 @@ def serialize_head_snapshot(head: HeadParams, d: int, d_t: int) -> bytes:
 
 
 def save_head_snapshot(head: HeadParams, d: int, d_t: int, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_head_snapshot(head, d, d_t))
+    Path(path).write_bytes(serialize_head_snapshot(head, d, d_t))
 
 
 def load_head_snapshot(path) -> tuple[HeadParams, int, int]:

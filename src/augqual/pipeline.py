@@ -332,8 +332,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
             "arms": {arm: arm_reports[arm].to_dict() for arm in config.arms},
         }
         report_path = out / "report.json"
-        with open(report_path, "wb") as fh:
-            fh.write((dumps_canonical(report, indent=1) + "\n").encode("utf-8"))
+        report_path.write_bytes(
+            (dumps_canonical(report, indent=1) + "\n").encode("utf-8"))
         paths["report"] = report_path
         text_path = out / "report.txt"
         text_path.write_text(format_report_table(report), encoding="utf-8")

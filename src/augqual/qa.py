@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -352,8 +353,8 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     """Score every sample and persist id -> weight, sorted by id.
 
     Output bytes are deterministic for a given (corpus, params, cfg):
-    canonical JSON, 17-significant-digit floats, and a timestamp taken from
-    SOURCE_DATE_EPOCH (epoch 0 when unset).
+    canonical JSON, floats in shortest round-trip repr, and a timestamp taken
+    from SOURCE_DATE_EPOCH (epoch 0 when unset).
     """
     cfg.validate()
     scores = score_corpus(corpus, params).tolist()
@@ -368,8 +369,7 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
                     corpus_checksum=corpus_checksum(corpus),
                     created_at=deterministic_timestamp(), entries=entries)
     if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(serialize_weight_file(wf))
+        Path(path).write_bytes(serialize_weight_file(wf))
     return wf
 
 
@@ -483,8 +483,7 @@ def serialize_qa_snapshot(params: QaParams, header: CorpusHeader) -> bytes:
 
 
 def save_qa_snapshot(params: QaParams, header: CorpusHeader, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_qa_snapshot(params, header))
+    Path(path).write_bytes(serialize_qa_snapshot(params, header))
 
 
 def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:

@@ -4,7 +4,8 @@ checksums, and the one float64 array codec every artifact uses.
 Every float array is written as ``b64_block``, padded standard-alphabet base64
 of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
 as bare blocks, snapshot parameters with their shape (``encode_params`` /
-``decode_params``). ``dumps_canonical`` writes scalars as 17-digit decimals.
+``decode_params``). ``dumps_canonical`` writes every scalar float in Python's
+shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -139,52 +140,21 @@ def decode_params(raw, keys, what: str) -> dict:
     return arrays
 
 
-def _format_float(x: float) -> str:
-    # 17 significant digits: enough for exact float64 round-trips, and a
-    # fixed width so re-serialization is byte-stable.
-    if math.isnan(x) or math.isinf(x):
-        raise ValidationError("non-finite float cannot be serialized")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+def dumps_canonical(obj: Any, *, indent: int = 0) -> str:
+    """JSON text with sorted keys, ``indent`` spaces per nesting level (compact
+    when 0), and every float in Python's shortest round-trip repr, as
+    ``json.dumps`` writes corpus lines and run logs.
 
-
-def dumps_canonical(obj: Any, *, indent: int = 0, _level: int = 0) -> str:
-    """Serialize to JSON with sorted keys and 17-significant-digit floats.
-
-    Byte-deterministic: equal structures give equal text. The pieces are
-    joined once, so a long string is copied once, not once per nesting level."""
-    out = []
-    _dump(obj, indent, _level, out)
-    return "".join(out)
-
-
-def _dump(obj, indent: int, level: int, out: list) -> None:
-    """Append the canonical JSON text of obj, nested at ``level``, to out."""
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, (list, tuple, dict)):
-        is_dict = isinstance(obj, dict)
-        brackets = "{}" if is_dict else "[]"
-        nl = "\n" + " " * (indent * (level + 1)) if indent and obj else ""
-        out.append(brackets[0])
-        for i, item in enumerate(sorted(obj) if is_dict else obj):
-            out.append("," + nl if i else nl)
-            if is_dict:
-                if not isinstance(item, str):
-                    raise ValidationError(f"non-string JSON key: {item!r}")
-                out.append(json.dumps(item, ensure_ascii=False) + (": " if indent else ":"))
-                item = obj[item]
-            _dump(item, indent, level + 1, out)
-        out.append(nl[:len(nl) - indent] + brackets[1])   # one level less indented
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    Byte-deterministic: equal structures give equal text, and every float
+    parses back bit for bit."""
+    try:
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
+                          indent=indent or None,
+                          separators=(",", ": ") if indent else (",", ":"))
+    except ValueError:   # allow_nan=False refused a NaN or an infinity
+        raise ValidationError("non-finite float cannot be serialized") from None
+    except TypeError as exc:   # a value or dict key JSON has no form for
+        raise ValidationError(f"cannot serialize: {exc}") from None
 
 
 def deterministic_timestamp() -> str:

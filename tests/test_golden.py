@@ -34,9 +34,9 @@ GOLDEN_SHA256 = {
     "head_s2_original_only": "0fda3bc05c5d776c13829aae984cd71e014ceb197d48a60e8fbd9c1d25517288",
     "head_s2_uniform": "e48dfbd3600cde477c0874389f31578b667f749815c3ba7912d1c4e9cdadbf0c",
     "head_s2_weighted": "faabe7cf51209e864ed925a2d2d3f42d25e6c6216a84fdfdc66abca260f5884f",
-    "qa_s1": "a795796c9688b3e719bc365427c2e2f0ee2013f2ccbfd7ef652e15b9161720a0",
-    "qa_s2": "7023f21ba083118b7eca473b202b0edee6caf74a6ec101f49168ec78589a84f9",
-    "report": "907d69adace8bf4da24ceed81fd74b968314d11c098e5f0c96c74b970807583f",
+    "qa_s1": "4c1d21d52eb4220e8d363d317096cf8d0d159f14581347ad490eeaf0bbb0d44f",
+    "qa_s2": "2329ab2e69f8a2c2808c3643fff7e41a330891fea5b26409605835c5926776d5",
+    "report": "5909211e0ae15133ddc0d841855390055127af748d09628bf973fb9ae7c8d3c4",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
     "runlog_s1_augmented_only": "2952f5dcafe904f0ad360ae69a5bd761b67feb102acfea5b99c798cefc9777b7",
     "runlog_s1_original_only": "4d4d165003bc0d64cf1579c251098810d321d1133aa1bc15420c35466c907f82",
@@ -46,8 +46,8 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "9c399d46c4bc1ff716100f938d63ffe5521cfd9db9187b2d2332de6392255c92",
     "runlog_s2_uniform": "970c3c9d00938045e29063d55005a3ccb4ff53f2dd659fe0ce4a2e3679f58a5c",
     "runlog_s2_weighted": "6e6f37c89050040cdff3386598de24165339eef40fada671065d5c3918ae3506",
-    "weights_s1": "846d28d859bb84a7bcdd032bf32bbbfca39f322855422feded0d28cb09406199",
-    "weights_s2": "ba7d9bece2efc87e6cdf1d656996fe8881e941f40587bb1085ca2f7c2bc9e12b",
+    "weights_s1": "d09f8aa5be9cbb222a734875a6d7b83646797884e5e6a0809630b3889db10ee5",
+    "weights_s2": "0be5a81c1c1695cdcd924e342c235e35de7476f94fc36d9535e3a29d034eb453",
 }
 
 

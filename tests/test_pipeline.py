@@ -135,10 +135,12 @@ def _leaves(doc, prefix=""):
 class TestConfigDocument:
     # sha256 of dumps_canonical(pipeline_config_from_dict(doc).to_dict()),
     # taken from the hand-written to_dict and parser the table replaced
-    # ("full" from the table's first version, once vocab_size became valid)
+    # ("full" from the table's first version, once vocab_size became valid);
+    # re-pinned when floats moved from 17-digit to shortest repr text, the
+    # parsed documents unchanged
     DIGESTS = {
-        "empty": "ba0cbab21fc4f1d5920a96bff5b877c85641b1845023daa6b06b49f42779abd6",
-        "full": "6a47020591450bce4f990b28bde591d6e1998ee070891b1afe0aa6e6daea30fc",
+        "empty": "9be70e0ec00c5815808ea1a89ee28ac5f3f450a77f71c946f3b8ff03c7b965a3",
+        "full": "8db4ead0ef020ae886caf31da1c8189bdd82ea3762ac04f714f249da750fdacd",
     }
 
     @pytest.mark.parametrize("name, doc", [("empty", {}), ("full", FULL_CONFIG)])
@@ -240,6 +242,15 @@ class TestRunPipeline:
         res = run_pipeline(cfg, tmp_path)
         assert list(res.arm_reports) == ["original_only"]
         assert not (tmp_path / "head_s1_weighted.json").exists()
+
+    def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "dumps_canonical", lambda doc, **kw:
+                            dumps_canonical({**doc, "bad": float("nan")}, **kw))
+        cfg = PipelineConfig(**{**FAST, "seeds": (1,)}, arms=("original_only",))
+        with pytest.raises(PipelineError, match="^stage report failed: non-finite"):
+            run_pipeline(cfg, tmp_path)
+        assert (tmp_path / "qa_s1.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from augqual import qa
 from augqual.corpus import (
     CorruptionProfile,
     VerbalScheme,
@@ -449,6 +450,16 @@ class TestWeightFile:
         export_weights(c, params, WeightMapConfig(), p1)
         export_weights(c, params, WeightMapConfig(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real = qa.dumps_canonical
+        monkeypatch.setattr(qa, "dumps_canonical", lambda doc, **kw: real(
+            {**doc, "bad": float("nan")}, **kw))
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
+            export_weights(c, params, WeightMapConfig(), path)
+        assert not path.exists()
 
     def test_entries_sorted_and_complete(self):
         c, params = self._trained()

@@ -1,9 +1,11 @@
 """Canonical JSON and the float64 block codec of snapshot parameters.
 
-Scalars are written one value at a time as 17-significant-digit decimals;
-the vectorized formatter in ``oracles`` must give the same text. Snapshot
-parameters are base64 float64 blocks: a save/load round trip returns every
-bit, and the first, decimal-list snapshot format is refused by name.
+``dumps_canonical`` writes scalar floats in Python's shortest round-trip repr:
+every finite float64 parses back bit for bit, key order never shows, and a
+value JSON cannot hold is refused. Snapshot parameters are base64 float64
+blocks: a save/load round trip returns every bit, a parameter set that cannot
+be written leaves no file, and the first, decimal-list snapshot format is
+refused by name.
 """
 
 import hashlib
@@ -18,52 +20,64 @@ from augqual.finetune import (HeadConfig, HeadParams, init_head, load_head_snaps
 from augqual.qa import (QaParams, init_qa_params, load_qa_snapshot, qa_checksum,
                         save_qa_snapshot, serialize_qa_snapshot)
 from augqual.util import ValidationError, dumps_canonical
-from oracles import dumps_float_array
 
 # signed zero, integer values on both sides of the 1e16 cut, a value with no
 # short decimal, a subnormal and a huge magnitude
 EDGE_VALUES = [-0.0, 3.0, 1e16 - 2, 1e16, 0.1, 1e-310, 1e300]
-
-
-class TestFloatArrays:
-    @pytest.mark.parametrize("indent", (0, 1, 2))
-    def test_array_path_equals_recursive_path(self, indent):
-        arr = np.array(EDGE_VALUES)
-        assert dumps_float_array(arr, indent) == \
-            dumps_canonical(list(EDGE_VALUES), indent=indent)
-        assert dumps_float_array(-arr, indent) == \
-            dumps_canonical([-v for v in EDGE_VALUES], indent=indent)
-
-    def test_edge_value_text(self):
-        text = ("[-0.0,3.0,9999999999999998.0,10000000000000000,"
-                "0.10000000000000001,9.9999999999999694e-311,"
-                "1.0000000000000001e+300]")
-        assert dumps_canonical(EDGE_VALUES) == text
-        assert dumps_float_array(np.array(EDGE_VALUES)) == text
-
-    @pytest.mark.parametrize("indent", (0, 1))
-    def test_nested_arrays_in_documents(self, indent):
-        rng = np.random.default_rng(4)
-        block = rng.standard_normal((3, 2, 4)) * 10.0 ** rng.integers(-5, 5, (3, 2, 4))
-        block[0, 0, :2] = (7.0, -0.0)
-        for level in range(3):
-            assert dumps_float_array(block, indent, level) == \
-                dumps_canonical(block.tolist(), indent=indent, _level=level)
-        doc = dumps_canonical({"w": block.tolist(), "nest": [block[1].tolist()]},
-                              indent=indent)
-        assert dumps_float_array(block, indent, 1) in doc
-        assert dumps_float_array(block[1], indent, 2) in doc
-
-    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            dumps_float_array(np.array([1.0, bad]))
-        with pytest.raises(ValidationError, match="non-finite"):
-            dumps_canonical([1.0, bad])
-
-
 # -0.0, the smallest subnormal, both largest magnitudes and a negative subnormal
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -1e-310]
+
+
+def _finite_bits(rng, shape):
+    """Random float64 bit patterns, each NaN or infinity flipped to a finite value."""
+    bits = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    bits[exponent == 0x7FF] ^= np.uint64(1) << np.uint64(62)
+    return bits.view(np.float64)
+
+
+class TestDumpsCanonical:
+    def test_edge_values_in_repr_form(self):
+        text = "[-0.0,3.0,9999999999999998.0,1e+16,0.1,1e-310,1e+300]"
+        assert dumps_canonical(EDGE_VALUES) == text
+        assert dumps_canonical(EDGE_VALUES) == "[" + ",".join(map(repr, EDGE_VALUES)) + "]"
+
+    @pytest.mark.parametrize("indent", (0, 1))
+    def test_floats_round_trip_bit_exact(self, indent):
+        values = np.concatenate([EXTREMES, _finite_bits(np.random.default_rng(7), 10_000)])
+        doc = {"extremes": EXTREMES, "values": values.tolist(),
+               "nest": [{"x": v} for v in values[:50].tolist()]}
+        back = json.loads(dumps_canonical(doc, indent=indent))
+        for got, want in ((back["values"], values), (back["extremes"], EXTREMES),
+                          ([e["x"] for e in back["nest"]], values[:50])):
+            np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                          np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("indent", (0, 1))
+    def test_key_order_does_not_matter(self, indent):
+        items = [("b", 1.5), ("a", [1, {"z": None, "y": True}]), ("é", "ü")]
+        texts = {dumps_canonical(dict(order), indent=indent)
+                 for order in (items, items[::-1], items[1:] + items[:1])}
+        assert len(texts) == 1
+
+    def test_layout(self):
+        doc = {"b": [], "a": {"x": [0.5, "é"]}}
+        assert dumps_canonical(doc) == '{"a":{"x":[0.5,"é"]},"b":[]}'
+        assert dumps_canonical(doc, indent=1) == (
+            '{\n "a": {\n  "x": [\n   0.5,\n   "é"\n  ]\n },\n "b": []\n}')
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("indent", (0, 1))
+    def test_non_finite_refused(self, bad, indent):
+        with pytest.raises(ValidationError, match="non-finite"):
+            dumps_canonical({"w": [1.0, float(bad)]}, indent=indent)
+
+    @pytest.mark.parametrize("bad, name", ((np.int64(3), "int64"), ({1, 2}, "set")))
+    def test_value_without_json_form_refused(self, bad, name):
+        with pytest.raises(ValidationError, match=f"cannot serialize: .*{name}"):
+            dumps_canonical({"w": [bad]})
+
+
 D, D_T, VOCAB = 4, 6, 8
 
 
@@ -81,10 +95,7 @@ def _with_bits(params, seed):
     rng = np.random.default_rng(seed)
     out = {}
     for k, arr in params.to_dict().items():
-        bits = rng.integers(0, 2 ** 64, size=arr.shape, dtype=np.uint64)
-        exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-        bits[exponent == 0x7FF] ^= np.uint64(1) << np.uint64(62)   # NaN, inf -> finite
-        vals = bits.view(np.float64)
+        vals = _finite_bits(rng, arr.shape)
         vals.flat[:len(EXTREMES)] = EXTREMES[:vals.size]
         out[k] = vals
     return type(params).from_dict(out)
@@ -160,6 +171,15 @@ class TestSnapshotBlocks:
                 serialize_qa_snapshot(params, _header())
             else:
                 serialize_head_snapshot(params, D, D_T)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_failed_save_leaves_no_file(self, tmp_path, kind, make, bad):
+        params = make(np.random.default_rng(0))
+        list(params.to_dict().values())[-1].flat[-1] = bad
+        path = tmp_path / "snap.json"
+        with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
+            _save_load(kind, params, path)
+        assert not path.exists()
 
 
 def test_qa_checksum_hashes_shapes_and_bytes():
