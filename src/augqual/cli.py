@@ -141,7 +141,7 @@ def _cmd_score(args) -> int:
     params, _ = load_qa_snapshot(args.qa)
     wf = export_weights(corpus, params,
                         _config_from_flags(WeightMapConfig, args), args.out)
-    doc = {"path": str(args.out), "n_entries": len(wf.entries),
+    doc = {"path": str(args.out), "n_entries": len(wf.ids),
            "qa_checksum": wf.qa_checksum,
            "corpus_checksum": wf.corpus_checksum}
     if args.json:
@@ -153,9 +153,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_stage1(args) -> int:
     corpus = load_corpus(args.corpus)
-    weight_file = None
-    if args.weights is not None:
-        weight_file = load_weight_file(args.weights)
+    weight_file = None if args.weights is None else load_weight_file(args.weights)
     pool = train_eval_split(corpus, args.eval_fraction).pool(args.pool)
     run = train_stage1(corpus, weight_file, _config_from_flags(HeadConfig, args),
                        rows=pool)

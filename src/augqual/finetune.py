@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
-from .qa import WeightFile, check_weights, verify_weight_file
+from .qa import WeightFile, verify_weight_file
 from .util import (ValidationError, check_params, decode_params, derived_rng,
                    dumps_canonical, encode_params, load_json_object)
 
@@ -165,13 +165,8 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
         raise ValidationError("stage-1 training pool is empty")
-    if weight_file is None:
-        weights = np.ones(rows.size)
-    else:
-        verify_weight_file(weight_file, corpus)
-        check_weights(weight_file)
-        wmap = weight_file.weights_by_id()
-        weights = np.array([wmap[i] for i in corpus.ids[rows].tolist()])
+    weights = (np.ones(rows.size) if weight_file is None
+               else verify_weight_file(weight_file, corpus)[rows])
     n_tokens = corpus.targets.shape[1]
     if n_tokens > config.t_max:
         raise ValidationError(f"{n_tokens} target tokens exceed head positions "

@@ -15,12 +15,12 @@ family's mean loss is weighted by its configured coefficient and the total is
 normalized by the coefficient sum of the families actually present.
 
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
-samples of Original origin always get weight 1. The exported weight file is
-canonical JSON carrying every sample id with its score, weight, and origin,
-plus checksums binding it to the corpus and the scorer (``qa_checksum``, a
-hash of each parameter's shape and float64 bytes). A scorer snapshot echoes
-the corpus header and stores each parameter as its shape and one base64
-float64 block (``util.encode_params``); the loader reads no other format.
+Original samples always weigh 1. A ``WeightFile`` holds ids, scores, weights and
+augmented flags as columns in id order; it is written as canonical JSON, one
+entry per sample, with checksums binding it to the corpus and the scorer
+(``qa_checksum`` hashes each parameter's shape and float64 bytes). A scorer
+snapshot echoes the corpus header and stores each parameter as its shape and one
+base64 float64 block (``util.encode_params``); the loader reads no other format.
 
 All backward passes are hand-derived and checked against central finite
 differences in the test suite.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .corpus import (
     Corpus,
     CorpusHeader,
     FeatureRows,
+    _freeze,
     corpus_checksum,
     header_dict,
     header_from_dict,
@@ -67,6 +68,7 @@ from .util import (
 
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
                "hidden_w", "hidden_b", "out_w", "out_b")
+_ORIGINS = ("Original", "Augmented")   # a weight-file origin by augmented flag
 
 
 @dataclass
@@ -298,26 +300,28 @@ def sample_weight(origin: str, score: float, cfg: WeightMapConfig) -> float:
     return map_weight(score, cfg)
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    id: str
-    score: float
-    weight: float
-    origin: str
-
-
-@dataclass
+@dataclass(eq=False)
 class WeightFile:
+    """Map parameters, checksums, and one read-only column per entry field:
+    ``ids`` (str, object dtype), ``scores``, ``weights`` (float64) and
+    ``augmented`` (bool), kept in id order: ``export_weights`` sorts the rows
+    and the serializer writes them in the order held."""
+
     w_min: float
     w_max: float
     gamma: float
     qa_checksum: str
     corpus_checksum: str
     created_at: str
-    entries: list = field(default_factory=list)
+    ids: np.ndarray
+    scores: np.ndarray
+    weights: np.ndarray
+    augmented: np.ndarray
 
-    def weights_by_id(self) -> dict:
-        return {e.id: e.weight for e in self.entries}
+    def __post_init__(self):
+        for name, dtype in (("ids", object), ("scores", np.float64),
+                            ("weights", np.float64), ("augmented", bool)):
+            setattr(self, name, _freeze(getattr(self, name), dtype))
 
 
 def qa_checksum(params: QaParams) -> str:
@@ -331,43 +335,42 @@ def qa_checksum(params: QaParams) -> str:
     return digest.hexdigest()
 
 
-def _weight_file_dict(wf: WeightFile) -> dict:
-    return {
+def serialize_weight_file(wf: WeightFile) -> bytes:
+    doc = {
         "metadata": {
             "w_min": wf.w_min, "w_max": wf.w_max, "gamma": wf.gamma,
             "qa_checksum": wf.qa_checksum,
             "corpus_checksum": wf.corpus_checksum,
             "created_at": wf.created_at,
         },
-        "entries": [{"id": e.id, "score": e.score, "weight": e.weight,
-                     "origin": e.origin} for e in wf.entries],
+        "entries": [{"id": i, "score": s, "weight": w, "origin": _ORIGINS[a]}
+                    for i, s, w, a in zip(wf.ids.tolist(), wf.scores.tolist(),
+                                          wf.weights.tolist(), wf.augmented.tolist())],
     }
-
-
-def serialize_weight_file(wf: WeightFile) -> bytes:
-    return (dumps_canonical(_weight_file_dict(wf), indent=1) + "\n").encode("utf-8")
+    return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
 
 
 def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
                    path=None) -> WeightFile:
     """Score every sample and persist id -> weight, sorted by id.
 
-    Output bytes are deterministic for a given (corpus, params, cfg):
-    canonical JSON, floats in shortest round-trip repr, and a timestamp taken
-    from SOURCE_DATE_EPOCH (epoch 0 when unset).
+    Weights come from the scalar ``sample_weight``, as numpy's power rounds
+    some scores apart from Python's ``**``. Output bytes are deterministic for
+    a given (corpus, params, cfg): canonical JSON, floats in shortest
+    round-trip repr, and a timestamp taken from SOURCE_DATE_EPOCH (epoch 0
+    when unset).
     """
     cfg.validate()
-    scores = score_corpus(corpus, params).tolist()
-    ids = corpus.ids.tolist()
-    origins = np.where(corpus.augmented, "Augmented", "Original").tolist()
-    entries = [WeightEntry(id=ids[i], score=scores[i],
-                           weight=sample_weight(origins[i], scores[i], cfg),
-                           origin=origins[i])
-               for i in sorted(range(len(ids)), key=ids.__getitem__)]
+    order = np.argsort(corpus.ids)
+    scores = score_corpus(corpus, params)[order]
+    augmented = corpus.augmented[order]
     wf = WeightFile(w_min=cfg.w_min, w_max=cfg.w_max, gamma=cfg.gamma,
                     qa_checksum=qa_checksum(params),
                     corpus_checksum=corpus_checksum(corpus),
-                    created_at=deterministic_timestamp(), entries=entries)
+                    created_at=deterministic_timestamp(), ids=corpus.ids[order],
+                    scores=scores, augmented=augmented,
+                    weights=[sample_weight(_ORIGINS[a], s, cfg) for s, a
+                             in zip(scores.tolist(), augmented.tolist())])
     if path is not None:
         Path(path).write_bytes(serialize_weight_file(wf))
     return wf
@@ -386,30 +389,26 @@ def load_weight_file(path) -> WeightFile:
     raw = load_json_object(path, "weight file")
     meta = check_fields(raw.get("metadata"), _META_FIELDS,
                         "bad weight file: metadata")
-    if type(raw.get("entries")) is not list:
+    entries = raw.get("entries")
+    if type(entries) is not list:
         raise ValidationError("bad weight file: entries must be a list")
-    entries = []
+    for k, e in enumerate(entries):
+        check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
+        if e["origin"] not in _ORIGINS:
+            raise ValidationError(f"bad weight file: entry {e['id']} has "
+                                  f"origin {e['origin']!r}")
     try:
-        for k, e in enumerate(raw["entries"]):
-            check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
-            if e["origin"] not in ("Original", "Augmented"):
-                raise ValidationError(f"bad weight file: entry {e['id']} has "
-                                      f"origin {e['origin']!r}")
-            entries.append(WeightEntry(id=e["id"], score=float(e["score"]),
-                                       weight=float(e["weight"]),
-                                       origin=e["origin"]))
         wf = WeightFile(w_min=float(meta["w_min"]), w_max=float(meta["w_max"]),
                         gamma=float(meta["gamma"]),
                         qa_checksum=meta["qa_checksum"],
                         corpus_checksum=meta["corpus_checksum"],
-                        created_at=meta["created_at"], entries=entries)
+                        created_at=meta["created_at"],
+                        ids=[e["id"] for e in entries],
+                        scores=[e["score"] for e in entries],
+                        weights=[e["weight"] for e in entries],
+                        augmented=[e["origin"] == "Augmented" for e in entries])
     except OverflowError as exc:   # an integer beyond float64
         raise ValidationError(f"bad weight file: number out of range: {exc}") from None
-    seen = set()
-    for e in wf.entries:
-        if e.id in seen:
-            raise ValidationError(f"weight file lists {e.id} twice")
-        seen.add(e.id)
     check_weights(wf)
     return wf
 
@@ -423,8 +422,8 @@ _WEIGHT_SLACK = 1e-12
 def check_weights(wf: WeightFile) -> None:
     """Reject weights that training must never see, in one vectorized pass.
 
-    Every entry needs a score in (0, 1). Originals must weigh exactly 1,
-    augments a weight in the file's own [w_min, w_max] that equals
+    Every id is listed once with a score in (0, 1). Originals must weigh
+    exactly 1, augments a weight in the file's own [w_min, w_max] that equals
     ``w_min + score**gamma * (w_max - w_min)`` within _WEIGHT_SLACK, with
     w_min >= 0 and every map parameter finite. That rules out negative, NaN
     and infinite weights, and any weight edited apart from its score.
@@ -432,41 +431,48 @@ def check_weights(wf: WeightFile) -> None:
     if not np.isfinite([wf.w_min, wf.w_max, wf.gamma]).all():
         raise ValidationError("weight file has a non-finite w_min, w_max or gamma")
     WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma).validate()
-    w = np.array([e.weight for e in wf.entries], dtype=np.float64)
-    s = np.array([e.score for e in wf.entries], dtype=np.float64)
-    original = np.array([e.origin == "Original" for e in wf.entries], dtype=bool)
+    ids = np.sort(wf.ids)
+    twice = ids[1:] == ids[:-1]
+    if twice.any():
+        raise ValidationError(f"weight file lists {ids[1:][twice][0]} twice")
+    w, s = wf.weights, wf.scores
     scored = (s > 0.0) & (s < 1.0)
     mapped = wf.w_min + np.where(scored, s, 0.5) ** wf.gamma * (wf.w_max - wf.w_min)
     slack = _WEIGHT_SLACK * wf.w_max
-    ok = scored & np.where(original, w == 1.0,
-                           (w >= wf.w_min) & (w <= wf.w_max + slack)
-                           & (np.abs(w - mapped) <= slack))
+    ok = scored & np.where(wf.augmented, (w >= wf.w_min) & (w <= wf.w_max + slack)
+                           & (np.abs(w - mapped) <= slack), w == 1.0)
     if not ok.all():
         k = int(np.argmin(ok))
-        e = wf.entries[k]
-        want = ("1" if e.origin == "Original" else
-                f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r}")
-        raise ValidationError(f"weight file gives {e.origin} {e.id} weight "
-                              f"{e.weight}, expected {want} for a score in "
-                              f"(0, 1), got score {e.score!r}")
+        want = (f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r}"
+                if wf.augmented[k] else "1")
+        raise ValidationError(f"weight file gives {_ORIGINS[bool(wf.augmented[k])]} "
+                              f"{wf.ids[k]} weight {w[k]}, expected {want} for a "
+                              f"score in (0, 1), got score {float(s[k])!r}")
 
 
-def verify_weight_file(wf: WeightFile, corpus: Corpus) -> None:
-    """Bind a weight file to the corpus it was exported from: the corpus
-    checksum, and one entry of the sample's origin for every corpus sample."""
+def verify_weight_file(wf: WeightFile, corpus: Corpus) -> np.ndarray:
+    """The file's weights in corpus row order, once ``check_weights`` passes
+    and the file is bound to the corpus: its checksum, and one entry of the
+    sample's origin for every corpus sample and for nothing else."""
     if wf.corpus_checksum != corpus_checksum(corpus):
         raise ChecksumError("weight file was exported for a different corpus")
-    origin_by_id = {e.id: e.origin for e in wf.entries}
-    origins = np.where(corpus.augmented, "Augmented", "Original").tolist()
-    for sid, origin in zip(corpus.ids.tolist(), origins):
-        if sid not in origin_by_id:
+    check_weights(wf)
+    order = np.argsort(wf.ids)
+    pos = np.searchsorted(wf.ids, corpus.ids, sorter=order)
+    ok = pos < order.size
+    at = order[pos[ok]]    # the file row at each in-range corpus id's sorted place
+    ok[ok] = (wf.ids[at] == corpus.ids[ok]) & (wf.augmented[at] == corpus.augmented[ok])
+    if not ok.all():
+        row = int(np.argmin(ok))
+        sid, aug = corpus.ids[row], bool(corpus.augmented[row])
+        if sid not in wf.ids:
             raise ValidationError(f"no weight for sample {sid}")
-        if origin_by_id[sid] != origin:
-            raise ValidationError(f"weight file gives {sid} origin "
-                                  f"{origin_by_id[sid]}, the corpus {origin}")
-    if len(origin_by_id) != len(origins):
-        raise ValidationError(f"weight file lists {len(origin_by_id)} samples, "
-                              f"the corpus {len(origins)}")
+        raise ValidationError(f"weight file gives {sid} origin {_ORIGINS[not aug]}, "
+                              f"the corpus {_ORIGINS[aug]}")
+    if order.size != len(corpus):
+        raise ValidationError(f"weight file lists {order.size} samples, "
+                              f"the corpus {len(corpus)}")
+    return wf.weights[at]
 
 
 # ---------------------------------------------------------------------------

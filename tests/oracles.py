@@ -127,7 +127,7 @@ def corpus_line(record: dict) -> str:
 
 
 def scores_by_id(wf: WeightFile) -> dict:
-    return {e.id: e.score for e in wf.entries}
+    return dict(zip(wf.ids.tolist(), wf.scores.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,20 @@ class TestStageCommands:
         assert entry["id"] in proc.stderr
         assert not head.exists()
 
+    def test_score_reports_one_entry_per_corpus_row(self, artifacts, tmp_path, capsys):
+        corpus, qa, _, _ = artifacts
+        w = tmp_path / "w_json.json"
+        assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
+                     "--out", str(w), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        meta = json.loads(w.read_text())["metadata"]
+        digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
+        assert doc == {"path": str(w), "n_entries": 48,
+                       "qa_checksum": meta["qa_checksum"], "corpus_checksum": digest}
+        assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
+                     "--out", str(w)]) == 0
+        assert capsys.readouterr().out == f"wrote 48 weights to {w}\n"
+
     def test_checksum_of_file_with_trailing_blank_line(self, artifacts, tmp_path):
         corpus, qa, _, _ = artifacts
         padded = tmp_path / "padded.jsonl"

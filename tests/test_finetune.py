@@ -27,7 +27,7 @@ from augqual.finetune import (
     write_run_log,
 )
 from augqual.metrics import acc_k
-from augqual.qa import WeightEntry, WeightFile, WeightMapConfig, map_weight
+from augqual.qa import WeightFile, WeightMapConfig, map_weight
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from oracles import (
     corpus_from_samples,
@@ -223,13 +223,20 @@ class TestBatchedPath:
 def _all_ones_weight_file(corpus, w_min=1.0, w_max=1.0, score=0.5):
     """Every augment scored ``score``; with w_min = w_max = 1 it weighs 1."""
     cfg = WeightMapConfig(w_min=w_min, w_max=w_max)
-    entries = [WeightEntry(id=s.id, score=score,
-                           weight=1.0 if s.origin == "Original" else map_weight(score, cfg),
-                           origin=s.origin)
-               for s in sorted(samples_of(corpus), key=lambda s: s.id)]
+    order = np.argsort(corpus.ids)
+    augmented = corpus.augmented[order]
     return WeightFile(w_min=w_min, w_max=w_max, gamma=1.0, qa_checksum="0" * 64,
                       corpus_checksum=corpus_checksum(corpus),
-                      created_at="1970-01-01T00:00:00Z", entries=entries)
+                      created_at="1970-01-01T00:00:00Z", ids=corpus.ids[order],
+                      scores=np.full(len(corpus), score),
+                      weights=np.where(augmented, map_weight(score, cfg), 1.0),
+                      augmented=augmented)
+
+
+def _take(wf, rows):
+    """The weight file holding only the entries at ``rows``, in that order."""
+    return dataclasses.replace(wf, ids=wf.ids[rows], scores=wf.scores[rows],
+                               weights=wf.weights[rows], augmented=wf.augmented[rows])
 
 
 class TestTrainStage1:
@@ -266,7 +273,7 @@ class TestTrainStage1:
         corpus = self._corpus()
         cfg = HeadConfig(steps=25, seed=7)
         wf = _all_ones_weight_file(corpus, w_min=0.1, w_max=1.5, score=1e-9)
-        assert {e.weight for e in wf.entries} == {1.0, map_weight(1e-9, WeightMapConfig())}
+        assert set(wf.weights.tolist()) == {1.0, map_weight(1e-9, WeightMapConfig())}
         down = train_stage1(corpus, wf, cfg)
         uniform = train_stage1(corpus, None, cfg)
         assert down.loss_trace != uniform.loss_trace
@@ -277,12 +284,7 @@ class TestTrainStage1:
         corpus = self._corpus()
         cfg = HeadConfig(steps=1, seed=9)
         wf = _all_ones_weight_file(corpus)
-        doubled = WeightFile(
-            w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma,
-            qa_checksum=wf.qa_checksum, corpus_checksum=wf.corpus_checksum,
-            created_at=wf.created_at,
-            entries=[WeightEntry(id=e.id, score=e.score, weight=1.0,
-                                 origin=e.origin) for e in wf.entries])
+        doubled = dataclasses.replace(wf, weights=np.ones(len(wf.ids)))
         # halve Originals is illegal (must be 1), so scale augmented only
         run_a = train_stage1(corpus, wf, cfg)
         run_b = train_stage1(corpus, doubled, cfg)
@@ -299,25 +301,33 @@ class TestTrainStage1:
     def test_missing_weight_for_pool_member(self):
         corpus = self._corpus()
         wf = _all_ones_weight_file(corpus)
-        dropped = WeightFile(
-            w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma,
-            qa_checksum=wf.qa_checksum, corpus_checksum=wf.corpus_checksum,
-            created_at=wf.created_at, entries=wf.entries[1:])
-        missing_id = wf.entries[0].id
+        dropped = _take(wf, slice(1, None))
         with pytest.raises(ValidationError,
-                           match=f"no weight for sample {missing_id}"):
+                           match=f"no weight for sample {wf.ids[0]}"):
             train_stage1(corpus, dropped, HeadConfig(steps=1))
+        with pytest.raises(ValidationError,
+                           match=f"no weight for sample {corpus.ids[0]}"):
+            train_stage1(corpus, _take(wf, slice(0, 0)), HeadConfig(steps=1))
+
+    def test_sample_listed_twice_rejected(self):
+        corpus = self._corpus()
+        wf = _all_ones_weight_file(corpus)
+        k = int(np.flatnonzero(wf.augmented)[0])
+        twice = _take(wf, np.append(np.arange(len(wf.ids)), k))
+        with pytest.raises(ValidationError,
+                           match=f"^weight file lists {wf.ids[k]} twice$"):
+            train_stage1(corpus, twice, HeadConfig(steps=1))
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")))
     def test_bad_augment_weight_rejected_before_training(self, bad):
         corpus = self._corpus()
         wf = _all_ones_weight_file(corpus)
-        k = next(i for i, e in enumerate(wf.entries) if e.origin == "Augmented")
-        e = wf.entries[k]
-        wf.entries[k] = WeightEntry(id=e.id, score=e.score, weight=bad,
-                                    origin=e.origin)
-        with pytest.raises(ValidationError, match=e.id):
-            train_stage1(corpus, wf, HeadConfig(steps=1))
+        k = int(np.flatnonzero(wf.augmented)[0])
+        weights = wf.weights.copy()
+        weights[k] = bad
+        with pytest.raises(ValidationError, match=wf.ids[k]):
+            train_stage1(corpus, dataclasses.replace(wf, weights=weights),
+                         HeadConfig(steps=1))
 
     def test_empty_pool_rejected(self):
         corpus = self._corpus()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -441,8 +442,8 @@ class TestWeightFile:
         c = generate_corpus(8, 0, PROFILE, seed=61, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=10, seed=14, hidden=8))
         wf = export_weights(c, params, WeightMapConfig())
-        assert len(wf.entries) == 8
-        assert all(e.weight == 1.0 for e in wf.entries)
+        assert len(wf.ids) == 8
+        assert (wf.weights == 1.0).all()
 
     def test_reexport_byte_identical(self, tmp_path):
         c, params = self._trained()
@@ -464,16 +465,15 @@ class TestWeightFile:
     def test_entries_sorted_and_complete(self):
         c, params = self._trained()
         wf = export_weights(c, params, WeightMapConfig())
-        ids = [e.id for e in wf.entries]
+        ids = wf.ids.tolist()
         assert ids == sorted(ids)
         assert set(ids) == set(c.ids.tolist())
 
     def test_score_weight_rank_agreement(self):
         c, params = self._trained(n=20, m=3)
         wf = export_weights(c, params, WeightMapConfig(gamma=2.5))
-        aug = [e for e in wf.entries if e.origin == "Augmented"]
-        by_score = np.argsort([e.score for e in aug], kind="stable")
-        by_weight = np.argsort([e.weight for e in aug], kind="stable")
+        by_score = np.argsort(wf.scores[wf.augmented], kind="stable")
+        by_weight = np.argsort(wf.weights[wf.augmented], kind="stable")
         np.testing.assert_array_equal(by_score, by_weight)
 
     def test_round_trip(self, tmp_path):
@@ -483,7 +483,10 @@ class TestWeightFile:
         back = load_weight_file(path)
         assert back.corpus_checksum == wf.corpus_checksum
         assert back.qa_checksum == qa_checksum(params)
-        assert back.weights_by_id() == wf.weights_by_id()
+        assert back.ids.tolist() == wf.ids.tolist()
+        np.testing.assert_array_equal(back.weights, wf.weights)
+        assert not any(col.flags.writeable for col in (
+            back.ids, back.scores, back.weights, back.augmented))
         assert scores_by_id(back) == scores_by_id(wf)
         assert serialize_weight_file(back) == serialize_weight_file(wf)
 
@@ -495,6 +498,46 @@ class TestWeightFile:
         with pytest.raises(ChecksumError,
                            match="exported for a different corpus"):
             verify_weight_file(wf, other)
+
+    def test_binding_messages_name_the_first_fault_in_corpus_order(self, tmp_path):
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        export_weights(c, params, WeightMapConfig(), path)
+        clean = json.loads(path.read_text())
+        ids = c.ids.tolist()
+        aug = ids[int(np.flatnonzero(c.augmented)[0])]
+        # corpus row order (o00001 before its augments) is not id order
+        assert ids.index("o00001") < ids.index(aug) and aug < "o00001"
+        extra = {"id": "zz-extra", "score": 0.5, "weight": 1.0, "origin": "Original"}
+
+        def relabel(e):
+            return {**e, "origin": "Original", "weight": 1.0} if e["id"] == aug else e
+
+        def rename(e):
+            return {**e, "id": "zz-renamed"} if e["id"] == "o00001" else e
+
+        cases = (
+            (lambda es: es + [extra], f"weight file lists {len(ids) + 1} samples, "
+                                      f"the corpus {len(ids)}"),
+            (lambda es: [relabel(e) for e in es],
+             f"weight file gives {aug} origin Original, the corpus Augmented"),
+            (lambda es: [e for e in es if e["id"] not in (aug, "o00001")],
+             "no weight for sample o00001"),
+            (lambda es: [relabel(rename(e)) for e in es], "no weight for sample o00001"),
+            (lambda es: [relabel(e) for e in es if e["id"] != ids[-1]],
+             f"weight file gives {aug} origin Original, the corpus Augmented"),
+        )
+        for k, (edit, message) in enumerate(cases):
+            edited = tmp_path / f"w{k}.json"
+            edited.write_text(json.dumps({**clean, "entries": edit(clean["entries"])}))
+            wf = load_weight_file(edited)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                verify_weight_file(wf, c)
+        twice = tmp_path / "twice.json"
+        twice.write_text(json.dumps({**clean, "entries": clean["entries"] + [
+            next(e for e in clean["entries"] if e["id"] == aug)]}))
+        with pytest.raises(ValidationError, match=f"^weight file lists {aug} twice$"):
+            load_weight_file(twice)
 
     def test_load_rejects_tampered_original_weight(self, tmp_path):
         c, params = self._trained()
@@ -552,13 +595,19 @@ class TestWeightFile:
             load_weight_file(path)
 
     def test_exported_extreme_scores_stay_loadable(self, tmp_path):
-        # weights at the ends of the map survive the range check
-        c, params = self._trained()
-        for gamma in (0.05, 1.0, 20.0):
+        # weights at the ends of the map survive the range check, and each is
+        # the scalar map of its score bit for bit: numpy's vectorized power
+        # rounds some scores differently at gamma != 1
+        _, params = self._trained()
+        c = generate_corpus(100, 3, PROFILE, seed=63, d=8, d_t=8)
+        for gamma in (0.05, 1.0, 2.5, 20.0):
             path = tmp_path / f"w{gamma}.json"
-            wf = export_weights(c, params, WeightMapConfig(w_min=0.3, w_max=0.7,
-                                                           gamma=gamma), path)
-            assert load_weight_file(path).weights_by_id() == wf.weights_by_id()
+            cfg = WeightMapConfig(w_min=0.3, w_max=0.7, gamma=gamma)
+            wf = export_weights(c, params, cfg, path)
+            origins = np.where(wf.augmented, "Augmented", "Original").tolist()
+            assert wf.weights.tolist() == [sample_weight(o, s, cfg) for o, s
+                                           in zip(origins, wf.scores.tolist())]
+            assert load_weight_file(path).weights.tolist() == wf.weights.tolist()
 
 
 class TestSnapshots:
