@@ -120,10 +120,10 @@ def _float_list(text: str) -> tuple:
 
 
 def _cmd_stage0(args) -> int:
+    config = _config_from_flags(QaConfig, args)
     corpus = load_corpus(args.corpus)
     train = train_eval_split(corpus, args.eval_fraction).pool("all")
-    params, trace = train_stage0(corpus, _config_from_flags(QaConfig, args),
-                                 rows=train)
+    params, trace = train_stage0(corpus, config, rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
            "steps": len(trace),
@@ -137,10 +137,10 @@ def _cmd_stage0(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    config = _config_from_flags(WeightMapConfig, args)
     corpus = load_corpus(args.corpus)
     params, _ = load_qa_snapshot(args.qa)
-    wf = export_weights(corpus, params,
-                        _config_from_flags(WeightMapConfig, args), args.out)
+    wf = export_weights(corpus, params, config, args.out)
     doc = {"path": str(args.out), "n_entries": len(wf.ids),
            "qa_checksum": wf.qa_checksum,
            "corpus_checksum": wf.corpus_checksum}
@@ -152,11 +152,11 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_stage1(args) -> int:
+    config = _config_from_flags(HeadConfig, args)
     corpus = load_corpus(args.corpus)
     weight_file = None if args.weights is None else load_weight_file(args.weights)
     pool = train_eval_split(corpus, args.eval_fraction).pool(args.pool)
-    run = train_stage1(corpus, weight_file, _config_from_flags(HeadConfig, args),
-                       rows=pool)
+    run = train_stage1(corpus, weight_file, config, rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
         write_run_log(run.loss_trace, args.run_log)

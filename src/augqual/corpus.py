@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import (ValidationError, b64_block, check_fields, decode_block,
-                   derived_rng, sha256_hex)
+from .util import (ValidationError, b64_block, bounded, check_fields,
+                   check_ranges, decode_block, derived_rng, sha256_hex)
 
 GENERATOR_VERSION = "augqual-gen-2"
 IGNORE_INDEX = -100
@@ -169,19 +169,14 @@ class CorpusHeader:
 class CorruptionProfile:
     """Mutually exclusive per-sample corruption kinds and their rates."""
 
-    sigma_benign: float = 0.05
-    p_swap: float = 0.0
-    p_degrade: float = 0.0
-    degrade_mask_rate: float = 0.5
-    p_label_noise: float = 0.0
+    sigma_benign: float = bounded(0.05, "[0, inf)")
+    p_swap: float = bounded(0.0, "[0, 1]")
+    p_degrade: float = bounded(0.0, "[0, 1]")
+    degrade_mask_rate: float = bounded(0.5, "[0, 1]")
+    p_label_noise: float = bounded(0.0, "[0, 1]")
 
-    def validate(self) -> None:
-        for name in ("p_swap", "p_degrade", "p_label_noise", "degrade_mask_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        if self.sigma_benign < 0.0:
-            raise ValidationError("sigma_benign must be >= 0")
+    def __post_init__(self):
+        check_ranges(self)
         total = self.p_swap + self.p_degrade + self.p_label_noise
         if total > 1.0 + 1e-12:
             raise ValidationError(
@@ -311,7 +306,6 @@ def generation_header(n_originals: int, augments_per_original: int,
                       vocab_size: int, seed: int = 0) -> CorpusHeader:
     """The header generate_corpus writes for these arguments, once they pass
     every check it makes before generating; ValidationError otherwise."""
-    profile.validate()
     if n_originals < 2:
         raise ValidationError(f"cannot generate corpus: need both polarities "
                               f"(n_originals >= 2), got n_originals {n_originals}")

@@ -32,8 +32,9 @@ import numpy as np
 from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, verify_weight_file
-from .util import (ValidationError, check_params, decode_params, derived_rng,
-                   dumps_canonical, encode_params, load_json_object)
+from .util import (ValidationError, bounded, check_params, check_ranges,
+                   decode_params, derived_rng, dumps_canonical, encode_params,
+                   load_json_object)
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
 
@@ -69,20 +70,15 @@ class HeadParams:
 class HeadConfig:
     """Stage-1 training hyperparameters; hidden None means 2 * d."""
 
-    hidden: int | None = None
-    t_max: int = 4
-    lr: float = 3e-3
-    steps: int = 600
-    batch_size: int = 32
+    hidden: int | None = bounded(None, "[1, inf)")
+    t_max: int = bounded(4, "[1, inf)")
+    lr: float = bounded(3e-3, "(0, inf)")
+    steps: int = bounded(600, "[0, inf)")
+    batch_size: int = bounded(32, "[1, inf)")
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.hidden is not None and self.hidden < 1:
-            raise ValidationError("head hidden width must be >= 1")
-        if self.t_max < 1:
-            raise ValidationError("t_max must be >= 1")
-        if self.steps < 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ValidationError("bad head training config")
+    def __post_init__(self):
+        check_ranges(self)
 
 
 @dataclass
@@ -161,7 +157,6 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     (arm selection); default is the whole corpus. Deterministic given
     (corpus, inputs, config).
     """
-    config.validate()
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
         raise ValidationError("stage-1 training pool is empty")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FeatureRows
-from .util import ValidationError
+from .util import ValidationError, bounded, check_ranges
 
 FAMILIES = ("pos", "mix", "mask", "flip")
 
@@ -46,11 +46,10 @@ class ForgedBatch:
 
 @dataclass(frozen=True)
 class ForgeConfig:
-    mask_rate: float = 0.3
+    mask_rate: float = bounded(0.3, "[0, 1]")
 
-    def validate(self) -> None:
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValidationError("mask_rate must be in [0, 1]")
+    def __post_init__(self):
+        check_ranges(self)
 
 
 def _mix_rows(batch: FeatureRows, rng: np.random.Generator) -> FeatureRows:
@@ -95,7 +94,6 @@ def forge_batch(batch: FeatureRows, rng: np.random.Generator,
     for a given generator state.
     """
     config = config or ForgeConfig()
-    config.validate()
     n = len(batch)
     if n == 0:
         raise ValidationError("cannot forge from an empty batch")

@@ -17,7 +17,9 @@ The stage subcommands of the CLI use the same split, the same pools
 config dataclasses' defaults, so a hand-run flow writes the pipeline's
 artifacts byte for byte. A config document is read, and written back by
 ``PipelineConfig.to_dict``, through one table (_SECTIONS) giving each key its
-exact JSON type; an unknown key or a value of another type is refused.
+exact JSON type; an unknown key or a value of another type is refused, as is
+a value outside the interval its config field declares (``util.bounded``),
+named ``<Class>.<field> must be in <interval>`` when that config is built.
 
 Only the weighted arm reads the scorer. So once a seed is split, one forked
 worker process trains, saves and evaluates every other arm while this
@@ -84,18 +86,15 @@ class PipelineConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
     def validate(self) -> None:
-        """The argument checks of the corpus generator, the split and every
-        training config, so a value out of range fails before anything is
-        written."""
+        """The argument checks of the corpus generator and the split and the
+        pipeline's own (its configs check their ranges when built), so a value
+        out of range fails before anything is written."""
         generation_header(self.n_originals, self.augments_per_original,
                           self.profile, self.d, self.d_t, self.vocab_size)
         check_split_fractions(self.eval_fraction, self.label_fraction)
         if self.eval_fraction == 0.0 or self.n_originals < 4:
             raise ValidationError("arms are evaluated on held-out originals: "
                                   "need eval_fraction > 0 and n_originals >= 4")
-        self.qa.validate()
-        self.weight_map.validate()
-        self.head.validate()
         if not self.seeds:
             raise ValidationError("pipeline needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):

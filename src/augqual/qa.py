@@ -56,8 +56,10 @@ from .numerics import (
 from .util import (
     ChecksumError,
     ValidationError,
+    bounded,
     check_fields,
     check_params,
+    check_ranges,
     decode_params,
     derived_rng,
     deterministic_timestamp,
@@ -118,28 +120,20 @@ class QaParams:
 class QaConfig:
     """Scorer training hyperparameters."""
 
-    alpha: tuple[float, float, float, float] = (3.0, 2.0, 2.0, 1.0)
-    rho: float = 0.3
-    batch_size: int = 32
-    steps: int = 800
-    lr: float = 3e-3
+    alpha: tuple[float, float, float, float] = bounded((3.0, 2.0, 2.0, 1.0), "[0, inf)")
+    rho: float = bounded(0.3, "[0, 1]")
+    batch_size: int = bounded(32, "[2, inf)")
+    steps: int = bounded(800, "[0, inf)")
+    lr: float = bounded(3e-3, "(0, inf)")
     seed: int = 0
-    hidden: int = 64
+    hidden: int = bounded(64, "[1, inf)")
     include_augmented: bool = False  # add augments to the positive pool
 
-    def validate(self) -> None:
-        if len(self.alpha) != len(FAMILIES):
-            raise ValidationError("alpha needs one weight per family")
-        if any(a < 0 for a in self.alpha):
-            raise ValidationError("family weights must be non-negative")
-        if sum(self.alpha) <= 0:
-            raise ValidationError("family weights must not all be zero")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValidationError("rho must be in [0, 1]")
-        if self.batch_size < 2:
-            raise ValidationError("batch_size must be >= 2")
-        if self.steps < 0 or self.lr <= 0 or self.hidden < 1:
-            raise ValidationError("bad scorer training config")
+    def __post_init__(self):
+        check_ranges(self)
+        if len(self.alpha) != len(FAMILIES) or not sum(self.alpha) > 0:
+            raise ValidationError(f"QaConfig.alpha needs one weight per family, "
+                                  f"not all zero, got {self.alpha}")
 
 
 def init_qa_params(d: int, d_t: int, hidden: int,
@@ -232,7 +226,6 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     stays untouched. Returns the trained parameters and the per-step loss
     trace. Deterministic for a given (corpus, config).
     """
-    config.validate()
     pool = np.flatnonzero(~corpus.augmented)
     if config.include_augmented:
         pool = np.concatenate([pool, np.flatnonzero(corpus.augmented)])
@@ -274,20 +267,19 @@ def score_corpus(corpus: Corpus, params: QaParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightMapConfig:
-    w_min: float = 0.1
-    w_max: float = 1.5
-    gamma: float = 1.0
+    w_min: float = bounded(0.1, "[0, inf)")
+    w_max: float = bounded(1.5, "[0, inf)")
+    gamma: float = bounded(1.0, "(0, inf)")
 
-    def validate(self) -> None:
-        if not 0.0 <= self.w_min <= self.w_max:
-            raise ValidationError("need 0 <= w_min <= w_max")
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be > 0")
+    def __post_init__(self):
+        check_ranges(self)
+        if not self.w_min <= self.w_max:
+            raise ValidationError(f"WeightMapConfig needs w_min <= w_max, "
+                                  f"got {self.w_min} > {self.w_max}")
 
 
 def map_weight(score: float, cfg: WeightMapConfig) -> float:
     """w = w_min + score**gamma * (w_max - w_min); monotone, bounded."""
-    cfg.validate()
     if not 0.0 < score < 1.0:
         raise ValidationError(f"score {score} outside (0, 1)")
     return cfg.w_min + score ** cfg.gamma * (cfg.w_max - cfg.w_min)
@@ -360,7 +352,6 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     round-trip repr, and a timestamp taken from SOURCE_DATE_EPOCH (epoch 0
     when unset).
     """
-    cfg.validate()
     order = np.argsort(corpus.ids)
     scores = score_corpus(corpus, params)[order]
     augmented = corpus.augmented[order]
@@ -430,7 +421,7 @@ def check_weights(wf: WeightFile) -> None:
     """
     if not np.isfinite([wf.w_min, wf.w_max, wf.gamma]).all():
         raise ValidationError("weight file has a non-finite w_min, w_max or gamma")
-    WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma).validate()
+    WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma)   # range check
     ids = np.sort(wf.ids)
     twice = ids[1:] == ids[:-1]
     if twice.any():
@@ -443,7 +434,7 @@ def check_weights(wf: WeightFile) -> None:
                            & (np.abs(w - mapped) <= slack), w == 1.0)
     if not ok.all():
         k = int(np.argmin(ok))
-        want = (f"w_min + score**gamma * (w_max - w_min) = {mapped[k]!r}"
+        want = (f"w_min + score**gamma * (w_max - w_min) = {float(mapped[k])!r}"
                 if wf.augmented[k] else "1")
         raise ValidationError(f"weight file gives {_ORIGINS[bool(wf.augmented[k])]} "
                               f"{wf.ids[k]} weight {w[k]}, expected {want} for a "

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from dataclasses import field, fields
 from typing import Any
 
 import numpy as np
@@ -79,6 +80,29 @@ def check_fields(obj, fields: dict, where: str) -> dict:
             raise ValidationError(f"{where}: field {key} has type "
                                   f"{type(obj[key]).__name__}")
     return obj
+
+
+def bounded(default, interval: str):
+    """A dataclass field defaulting to ``default`` whose value ``check_ranges``
+    keeps in ``interval``, written ``"[lo, hi)"``: a bracket closes an end and
+    a parenthesis opens it; ``inf`` is always an open end."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def check_ranges(obj) -> None:
+    """ValidationError ``<Class>.<field> must be in <interval>, got <value>``
+    for the first ``bounded`` field of the dataclass instance ``obj`` outside
+    its interval. Each element of a tuple is checked and None passes;
+    every comparison is written so that NaN fails it."""
+    for f in filter(lambda f: "interval" in f.metadata, fields(obj)):
+        interval = f.metadata["interval"]
+        lo, hi = (float(x) for x in interval[1:-1].split(","))
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and not ((lo <= v if interval[0] == "[" else lo < v)
+                                      and (v <= hi if interval[-1] == "]" else v < hi)):
+                raise ValidationError(f"{type(obj).__name__}.{f.name} must be in "
+                                      f"{interval}, got {v}")
 
 
 def check_params(arrays: dict, shapes: dict, what: str) -> None:

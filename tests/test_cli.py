@@ -5,8 +5,10 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,8 @@ from augqual import cli
 from augqual.cli import main
 from augqual.corpus import MAX_DIM, CorruptionProfile
 from augqual.finetune import HeadConfig
-from augqual.pipeline import PipelineConfig, run_pipeline
+from augqual.pipeline import (_INT, _INT_OR_NULL, _NUMBER, _SECTIONS, PipelineConfig,
+                              run_pipeline)
 from augqual.qa import QaConfig, WeightMapConfig
 from oracles import FEATURE_KEYS, block_values, feature_block
 
@@ -1011,6 +1014,110 @@ class TestConfigRanges:
             assert proc.stderr.startswith("error: ") and bound in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == "" and not out.exists()
+
+
+def _bounded_keys():
+    """(dotted key, Class.field, interval, value just outside) for every bounded
+    field of the document's dataclass sections, read from the field metadata
+    and _SECTIONS; a value at an open end, or one ulp past a closed one."""
+    cases = []
+    for name in ("corpus.profile", "qa", "weight_map", "head"):
+        part, kinds = _SECTIONS[name]
+        config = getattr(PipelineConfig(), part)
+        for f in dataclass_fields(config):
+            interval = f.metadata.get("interval")
+            if interval is None:
+                continue
+            assert f.name in kinds, f"{name}.{f.name} missing from _SECTIONS"
+            step = 1 if kinds[f.name] in (_INT, _INT_OR_NULL) else None
+            lo, hi = (float(x) for x in interval[1:-1].split(","))
+            ends = [(lo, interval[0] == "[", -1)] + (
+                [(hi, interval[-1] == "]", 1)] if math.isfinite(hi) else [])
+            for end, closed, sign in ends:
+                value = end if not closed else (
+                    int(end) + sign * step if step else
+                    math.nextafter(end, sign * math.inf))
+                if kinds[f.name] == [_NUMBER]:   # an array: one bad element
+                    value = [1.0, value, 1.0, 1.0]
+                cases.append((f"{name}.{f.name}",
+                              f"{type(config).__name__}.{f.name}", interval, value))
+    return cases
+
+
+class TestConfigDocumentRanges:
+    """Every bounded key of a config document, given a value just outside its
+    field's declared interval, makes ``pipeline --config`` exit 1 naming the
+    field, before anything is written."""
+
+    def test_every_bounded_key_covered(self):
+        sections = ("corpus.profile.", "qa.", "weight_map.", "head.")
+        assert {key for key, *_ in _bounded_keys()} == {
+            key for key in CONFIG_KEYS if key.startswith(sections)
+            and key != "qa.include_augmented"}
+
+    @pytest.mark.parametrize("key, name, interval, value", _bounded_keys(),
+                             ids=[f"{k}={v}" for k, _, _, v in _bounded_keys()])
+    def test_just_outside_rejected(self, tmp_path, capsys, key, name, interval,
+                                   value):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+        cfg.write_text(json.dumps(_set(CONFIG, key, value)))
+        capsys.readouterr()
+        rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith(f"error: {name} must be in {interval}, got ")
+        assert "Traceback" not in printed.err
+        assert printed.out == "" and not out.exists()
+
+
+# Flags argparse reads as floats, NaN and infinities included, that once ran
+# until a late, misleading failure; each is now refused by its config.
+NON_FINITE_FLAGS = [
+    ("gen-corpus", "--sigma-benign", "nan", "CorruptionProfile.sigma_benign"),
+    ("stage0", "--lr", "nan", "QaConfig.lr"),
+    ("stage1", "--lr", "nan", "HeadConfig.lr"),
+    ("score", "--gamma", "nan", "WeightMapConfig.gamma"),
+    ("score", "--w-max", "inf", "WeightMapConfig.w_max"),
+    ("stage0", "--rho", "-inf", "QaConfig.rho"),
+    ("stage1", "--steps", "-1", "HeadConfig.steps"),
+]
+
+
+class TestFlagRanges:
+    """A stage flag outside its config field's interval exits 1 naming the
+    field, before the command reads an input or writes its --out."""
+
+    @pytest.mark.parametrize("command, flag, value, name", NON_FINITE_FLAGS,
+                             ids=[f"{c}{f}={v}" for c, f, v, _ in NON_FINITE_FLAGS])
+    def test_refused_before_any_work(self, clean_artifacts, tmp_path, capsys,
+                                     monkeypatch, command, flag, value, name):
+        corpus, paths = clean_artifacts
+        out = tmp_path / "out"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("input read before the config was checked")
+        for loader in ("generate_corpus", "load_corpus", "load_qa_snapshot"):
+            monkeypatch.setattr(cli, loader, no_work)
+        argv = {"gen-corpus": ["gen-corpus", "--seed", "1"],
+                "stage0": ["stage0", "--corpus", str(corpus), "--seed", "1"],
+                "stage1": ["stage1", "--corpus", str(corpus), "--seed", "1"],
+                "score": ["score", "--corpus", str(corpus),
+                          "--qa", str(paths["scorer"])]}[command]
+        capsys.readouterr()
+        rc = main([*argv, "--out", str(out), f"{flag}={value}"])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith(f"error: {name} must be in ")
+        assert printed.out == "" and not out.exists()
+
+    def test_refused_as_a_process(self, tmp_path):
+        out = tmp_path / "c.jsonl"
+        proc = run("gen-corpus", "--out", str(out), "--seed", "1",
+                   "--sigma-benign", "nan")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: CorruptionProfile.sigma_benign must be "
+                               "in [0, inf), got nan\n")
+        assert proc.stdout == "" and not out.exists()
 
 
 class _Stop(Exception):

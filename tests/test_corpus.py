@@ -119,18 +119,18 @@ class TestVerbalScheme:
 class TestProfileValidation:
     def test_probability_range(self):
         with pytest.raises(ValidationError):
-            CorruptionProfile(p_swap=1.2).validate()
+            CorruptionProfile(p_swap=1.2)
         with pytest.raises(ValidationError):
-            CorruptionProfile(p_degrade=-0.1).validate()
+            CorruptionProfile(p_degrade=-0.1)
 
     def test_exclusive_kinds_must_fit(self):
         with pytest.raises(ValidationError):
-            CorruptionProfile(p_swap=0.5, p_degrade=0.4, p_label_noise=0.2).validate()
-        CorruptionProfile(p_swap=0.5, p_degrade=0.4, p_label_noise=0.1).validate()
+            CorruptionProfile(p_swap=0.5, p_degrade=0.4, p_label_noise=0.2)
+        CorruptionProfile(p_swap=0.5, p_degrade=0.4, p_label_noise=0.1)
 
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValidationError):
-            CorruptionProfile(sigma_benign=-1.0).validate()
+            CorruptionProfile(sigma_benign=-1.0)
 
 
 class TestGenerate:

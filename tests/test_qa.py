@@ -354,13 +354,13 @@ class TestTrainStage0:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            QaConfig(alpha=(0.0, 0.0, 0.0, 0.0)).validate()
+            QaConfig(alpha=(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValidationError):
-            QaConfig(alpha=(-1.0, 1.0, 1.0, 1.0)).validate()
+            QaConfig(alpha=(-1.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValidationError):
-            QaConfig(batch_size=1).validate()
+            QaConfig(batch_size=1)
         with pytest.raises(ValidationError):
-            QaConfig(rho=1.2).validate()
+            QaConfig(rho=1.2)
 
 
 class TestScoreCorpus:
@@ -569,7 +569,13 @@ class TestWeightFile:
         entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
         entry["weight"] = 0.9 if abs(entry["weight"] - 0.9) > 0.1 else 1.2
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=entry["id"]):
+        # the whole refusal, every number in it a plain float repr
+        mapped = 0.1 + entry["score"] ** 1.0 * (1.5 - 0.1)
+        message = (f"weight file gives Augmented {entry['id']} weight "
+                   f"{entry['weight']}, expected w_min + score**gamma * "
+                   f"(w_max - w_min) = {mapped!r} for a score in (0, 1), "
+                   f"got score {entry['score']!r}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_weight_file(path)
 
     @pytest.mark.parametrize("bad", (0.0, 1.0, -0.2, float("nan")))
