@@ -12,7 +12,13 @@ bit-identical before and after training.
 Training minimizes a family-weighted binary cross-entropy: positives are
 trusted samples (label 1), negatives are forged per batch (label 0), each
 family's mean loss is weighted by its configured coefficient and the total is
-normalized by the coefficient sum of the families actually present.
+normalized by the coefficient sum of the families actually present. As a
+batch of one polarity has no mix rows, ``alpha`` must weight some other family.
+
+``score_corpus`` runs the forward over ``SCORE_WINDOW`` rows at a time and
+keeps no backprop caches, so scoring memory is bounded by the window, not the
+corpus. The window heights are chosen so that every score is bit-identical to
+one batched pass over the whole corpus.
 
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
 Original samples always weigh 1. A ``WeightFile`` holds ids, scores, weights and
@@ -134,6 +140,10 @@ class QaConfig:
         if len(self.alpha) != len(FAMILIES) or not sum(self.alpha) > 0:
             raise ValidationError(f"QaConfig.alpha needs one weight per family, "
                                   f"not all zero, got {self.alpha}")
+        if not any(a > 0 for f, a in zip(FAMILIES, self.alpha) if f != "mix"):
+            raise ValidationError(f"QaConfig.alpha needs a nonzero weight besides "
+                                  f"mix (a batch of one polarity has no mix rows), "
+                                  f"got {self.alpha}")
 
 
 def init_qa_params(d: int, d_t: int, hidden: int,
@@ -252,12 +262,30 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     return params, trace
 
 
+# OpenBLAS's dgemv takes the last n % 4 rows, and short operands, through other kernels:
+# full windows from row 0, then this + n % 4 rows ending at n, match one pass bitwise.
+SCORE_WINDOW = 256
+
+
 def score_corpus(corpus: Corpus, params: QaParams) -> np.ndarray:
-    """Quality score in (0, 1) of every corpus row, in one batched pass."""
+    """Quality score in (0, 1) of every corpus row, scored in windows of rows.
+
+    Windows of ``SCORE_WINDOW`` rows start at row 0, then one window of
+    ``SCORE_WINDOW + n % 4`` rows ends at row n, overlapping the one before
+    it; a corpus no longer than that last window is scored in one pass. Each
+    window's logits go into one array and ``sigmoid`` is applied once, so
+    memory is bounded by the window, not the corpus, and every score is
+    bit-identical to one batched pass over all rows.
+    """
     params.validate()
     if params.d != corpus.header.d or params.d_t != corpus.header.d_t:
         raise ValidationError("scorer was trained for different dimensions")
-    logits, _ = _forward(corpus.features, params)
+    rows, n = corpus.features, len(corpus)
+    tail = max(0, n - SCORE_WINDOW - n % 4)
+    windows = [(lo, lo + SCORE_WINDOW) for lo in range(0, tail, SCORE_WINDOW)]
+    logits = np.empty(n)
+    for lo, hi in windows + [(tail, n)]:
+        logits[lo:hi] = _forward(rows.take(slice(lo, hi)), params)[0]
     return sigmoid(logits)
 
 

@@ -6,7 +6,8 @@ formula, and the tests assert that both agree. ``Sample`` is one corpus
 record as separate fields; ``samples_of`` and ``corpus_from_samples``
 convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
 record dict as a corpus file line, from the format's definition rather than
-the library's writer.
+the library's writer. ``score_one_pass`` writes out the scorer's forward
+over a whole corpus at once, which windowed scoring must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, expit
 
 from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows
 from augqual.finetune import HeadParams
@@ -219,6 +221,19 @@ def qa_logit(x: np.ndarray, params: QaParams) -> float:
         raise ValidationError("assembled input has wrong width")
     hidden = gelu(params.hidden_w @ x + params.hidden_b)
     return float(params.out_w @ hidden + params.out_b[0])
+
+
+def score_one_pass(corpus: Corpus, params: QaParams) -> np.ndarray:
+    """Scores of every corpus row from one forward over all rows at once:
+    ``sigmoid`` of the full-batch logits, clamped to the open interval (0, 1),
+    in the library's order of float operations but without its windows."""
+    f = corpus.features
+    h_t = f.T @ params.text_proj_w.T + params.text_proj_b
+    x = np.concatenate([f.V, f.A, h_t, params.polarity_emb[f.P]], axis=1)
+    pre = x @ params.hidden_w.T + params.hidden_b
+    act = pre * 0.5 * (1.0 + erf(pre * (1.0 / np.sqrt(2.0))))
+    logits = act @ params.out_w + params.out_b[0]
+    return np.clip(expit(logits), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:

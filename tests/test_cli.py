@@ -1070,6 +1070,36 @@ class TestConfigDocumentRanges:
         assert printed.out == "" and not out.exists()
 
 
+MIX_ONLY = ("error: QaConfig.alpha needs a nonzero weight besides mix (a batch of "
+            "one polarity has no mix rows), got (0.0, 1.0, 0.0, 0.0)\n")
+
+
+class TestMixOnlyAlpha:
+    """An alpha whose only nonzero entry is mix, the one family a batch can
+    lack, exits 1 before anything is written: it once wrote the corpus and
+    then failed mid-training with exit 2 on a batch of one polarity."""
+
+    def test_config_document(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "results"
+        doc = _set(_set(CONFIG, "qa.alpha", [0, 1, 0, 0]), "qa.batch_size", 2)
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
+        printed = capsys.readouterr()
+        assert rc == 1 and printed.err == MIX_ONLY
+        assert printed.out == "" and not out.exists()
+
+    def test_stage0_flag(self, clean_artifacts, tmp_path, capsys):
+        corpus, _ = clean_artifacts
+        out = tmp_path / "qa.json"
+        capsys.readouterr()
+        rc = main(["stage0", "--corpus", str(corpus), "--out", str(out),
+                   "--seed", "1", "--batch-size", "2", "--alpha", "0,1,0,0"])
+        printed = capsys.readouterr()
+        assert rc == 1 and printed.err == MIX_ONLY
+        assert printed.out == "" and not out.exists()
+
+
 # Flags argparse reads as floats, NaN and infinities included, that once ran
 # until a late, misleading failure; each is now refused by its config.
 NON_FINITE_FLAGS = [

@@ -118,6 +118,9 @@ class TestCheckedAtConstruction:
                        f"got {alpha}")
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 QaConfig(alpha=alpha)
+        with pytest.raises(ValidationError, match="nonzero weight besides mix"):
+            QaConfig(alpha=(0.0, 2.0, 0.0, 0.0))
+        QaConfig(alpha=(0.0, 2.0, 0.0, 0.5))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 import json
 import math
 import re
+import tracemalloc
+from contextlib import nullcontext
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from augqual.corpus import (
 )
 from augqual.forge import forge_batch
 from augqual.metrics import roc_auc
-from augqual.numerics import bce_with_logit
+from augqual.numerics import bce_with_logit, one_blas_thread
 from augqual.qa import (
     QaConfig,
     QaParams,
@@ -50,6 +53,7 @@ from oracles import (
     qa_loss,
     rows_of,
     samples_of,
+    score_one_pass,
     scores_by_id,
     unflatten_arrays,
 )
@@ -390,6 +394,66 @@ class TestScoreCorpus:
         params = init_qa_params(6, 8, 4, derived_rng(0, "init"))
         with pytest.raises(ValidationError, match="different dimensions"):
             score_corpus(c, params)
+
+
+def _first_rows(corpus, n):
+    """The corpus cut to its first n rows; every column a view."""
+    cols = {f.name: getattr(corpus, f.name)[:n] for f in fields(corpus)
+            if f.init and f.name not in ("header", "features")}
+    return replace(corpus, features=corpus.features.take(slice(0, n)), **cols)
+
+
+def _drawn_scorer(d, d_t, seed):
+    """A scorer whose biases and output layer are drawn too, so scores spread."""
+    rng = derived_rng(seed, "window-test")
+    params = init_qa_params(d, d_t, 64, rng)
+    params.hidden_b[:] = rng.standard_normal(64)
+    params.out_w[:] = rng.standard_normal(64) / 8
+    params.out_b[:] = rng.standard_normal(1)
+    return params
+
+
+W = qa.SCORE_WINDOW
+# Every height up to two windows and a tail, and heights of every n % 4
+# around three windows.
+WINDOW_HEIGHTS = [*range(1, 2 * W + 9), *range(3 * W - 1, 3 * W + 4)]
+
+
+class TestScoreWindows:
+    """score_corpus scores fixed-height windows; the result must not show it."""
+
+    @pytest.mark.parametrize("blas", ["default threads", "one thread"])
+    @pytest.mark.parametrize("d, d_t", [(64, 96), (128, 192)],
+                             ids=["default widths", "trend widths"])
+    def test_bitwise_equal_to_one_pass(self, d, d_t, blas):
+        corpus = generate_corpus(W + 4, 2, PROFILE, seed=60, d=d, d_t=d_t)
+        assert len(corpus) >= WINDOW_HEIGHTS[-1]      # 3 rows per original
+        params = _drawn_scorer(d, d_t, seed=1)
+        threads = one_blas_thread() if blas == "one thread" else nullcontext()
+        differ = []
+        with threads:
+            for n in WINDOW_HEIGHTS:
+                sub = _first_rows(corpus, n)
+                if not np.array_equal(score_corpus(sub, params),
+                                      score_one_pass(sub, params)):
+                    differ.append(n)
+        assert not differ, f"windowed scores differ from one pass at n = {differ}"
+
+    def test_memory_bounded_by_the_window(self):
+        big = generate_corpus(2000, 2, PROFILE, seed=61)      # 6,000 rows
+        small = _first_rows(big, 1800)
+        params = _drawn_scorer(big.header.d, big.header.d_t, seed=2)
+
+        def traced_peak(corpus):
+            tracemalloc.start()
+            try:
+                score_corpus(corpus, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the extra rows pay only for the logits and the sigmoid's result
+        extra = 16 * (len(big) - len(small))
+        assert traced_peak(big) <= traced_peak(small) + extra
 
 
 class TestWeightMap:
