@@ -66,16 +66,14 @@ _DRIFT_RANGE = (0.3, 0.6)
 _CORRUPT_Q_MAX = 0.3
 
 
-def derive_polarity(y: float) -> int:
-    """Binary polarity from sentiment sign; neutral (y == 0) counts positive."""
-    if not -1.0 <= y <= 1.0:
-        raise ValidationError(f"sentiment {y} outside [-1, 1]")
-    return 1 if y >= 0 else 0
+def sentiment_class(y, k: int):
+    """Equal-width bin index of each y in [-1, 1] split into k classes.
 
-
-def sentiment_class(y: float, k: int) -> int:
-    """Equal-width bin index of y in [-1, 1] split into k classes."""
-    return min(int((y + 1.0) / 2.0 * k), k - 1)
+    ``y`` is a scalar or an array of any shape; the result is ``np.intp`` of
+    the same shape. The k=2 split puts y = 0 (and -0.0) in the positive class.
+    """
+    return np.minimum(((np.asarray(y, dtype=np.float64) + 1.0) / 2.0 * k)
+                      .astype(np.intp), k - 1)
 
 
 _VERBAL_FIELDS = {"sign_tokens": (list,), "class_tokens": (list,),
@@ -90,7 +88,9 @@ class VerbalScheme:
     Position 0 is the polarity token, position 1 the sentiment-bin token,
     position 2 the end token; one trailing IGNORE pads the sequence. The
     neutral bin (center 0.0) decodes to +-neutral_value using the polarity
-    token, every other bin decodes to its center.
+    token, every other bin decodes to its center. ``encode`` maps an (n,)
+    sentiment column to (n, 4) tokens; ``decode`` maps (n, T) predicted tokens
+    to (n,) floats.
     """
 
     sign_tokens: tuple[int, int] = (0, 1)
@@ -124,21 +124,29 @@ class VerbalScheme:
             eos_token=raw["eos_token"],
         )
 
-    def encode(self, y: float) -> tuple[int, ...]:
-        """Target tokens for a sentiment value (length 4, last is IGNORE)."""
-        cls = sentiment_class(y, len(self.class_tokens))
-        return (self.sign_tokens[derive_polarity(y)], self.class_tokens[cls],
-                self.eos_token, IGNORE_INDEX)
+    def encode(self, sentiment) -> np.ndarray:
+        """(n, 4) int64 target tokens of an (n,) sentiment column: polarity
+        token (y >= 0 is positive), bin token, end token, IGNORE."""
+        y = np.asarray(sentiment, dtype=np.float64)
+        outside = ~((y >= -1.0) & (y <= 1.0))
+        if outside.any():
+            raise ValidationError(f"sentiment {y[outside][0]} outside [-1, 1]")
+        tokens = np.empty((y.shape[0], 4), dtype=np.int64)
+        tokens[:, 0] = np.asarray(self.sign_tokens)[(y >= 0.0).astype(np.intp)]
+        tokens[:, 1] = np.asarray(self.class_tokens)[
+            sentiment_class(y, len(self.class_tokens))]
+        tokens[:, 2:] = (self.eos_token, IGNORE_INDEX)
+        return tokens
 
-    def decode(self, tokens) -> float:
-        """Scalar sentiment from predicted tokens. Total and deterministic."""
-        lo = self.class_tokens[0]
-        idx = min(max(int(tokens[1]) - lo, 0), len(self.class_tokens) - 1)
-        base = self.class_values[idx]
-        if base == 0.0:
-            positive = int(tokens[0]) == self.sign_tokens[1]
-            return self.neutral_value if positive else -self.neutral_value
-        return base
+    def decode(self, tokens) -> np.ndarray:
+        """(n,) float sentiment of (n, T) predicted tokens, T >= 2. Total and
+        deterministic: class tokens outside the table clamp to its ends."""
+        t = np.asarray(tokens)
+        idx = np.clip(t[:, 1] - self.class_tokens[0], 0, len(self.class_tokens) - 1)
+        base = np.asarray(self.class_values, dtype=np.float64)[idx]
+        neutral = np.where(t[:, 0] == self.sign_tokens[1],
+                           self.neutral_value, -self.neutral_value)
+        return np.where(base == 0.0, neutral, base)
 
 
 @dataclass(frozen=True)
@@ -336,7 +344,6 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     """
     header = generation_header(n_originals, augments_per_original, profile,
                                d, d_t, vocab_size, seed)
-    verbal = header.verbal
     dims = {"v": d, "a": d, "t": d_t}
     dir_rng = derived_rng(seed, "directions")
     axis = {m: _SIGNAL_SCALE[m] * _unit_direction(dir_rng, dims[m])
@@ -407,8 +414,7 @@ def generate_corpus(n_originals: int, augments_per_original: int,
                              P=sentiment >= 0.0),
         has_audio=np.ones(n, dtype=bool), sentiment=sentiment,
         augmented=parent >= 0, parent=parent, hidden_quality=quality,
-        targets=np.array([verbal.encode(y) for y in sentiment.tolist()],
-                         dtype=np.int64).reshape(n, -1))
+        targets=header.verbal.encode(sentiment))
     validate_corpus(corpus)
     return corpus
 

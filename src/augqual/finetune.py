@@ -190,8 +190,7 @@ def predict_all(head: HeadParams, corpus: Corpus, rows) -> np.ndarray:
     """Decoded sentiment in [-1, 1] of each corpus row, in one batched pass;
     each position predicts its argmax token (ties go to the lowest). Pure."""
     logits, *_ = _batch_logits(head.to_dict(), _head_matrix(corpus.features, rows))
-    verbal = corpus.header.verbal
-    return np.array([verbal.decode(t) for t in np.argmax(logits, axis=-1).tolist()])
+    return corpus.header.verbal.decode(np.argmax(logits, axis=-1))
 
 
 # ---------------------------------------------------------------------------

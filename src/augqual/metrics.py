@@ -1,10 +1,14 @@
 """Evaluation metrics over scalar sentiment predictions in [-1, 1].
 
-Accuracy metrics bin the continuous range into k equal-width classes; the
-k=2 split puts y = 0 in the positive class, agreeing with derive_polarity
-everywhere. Weighted precision/recall/F1 average per-class values weighted
-by gold support (classes absent from gold are excluded), which makes the
-weighted recall equal to plain accuracy by construction.
+Accuracy metrics bin the continuous range into k equal-width classes with
+``corpus.sentiment_class``, the binning the target tokens use; the k=2 split
+puts y = 0 in the positive class. Weighted precision and F1 average
+per-class values weighted by gold support (a class absent from gold weighs
+nothing), read off one confusion matrix of the two class arrays.
+
+No weighted-recall or multiclass-accuracy key is reported: a support-weighted
+recall is plain accuracy by construction, and both equal ``acc5`` to the bit,
+so the report gives that number once.
 """
 
 from __future__ import annotations
@@ -29,64 +33,57 @@ def _as_pair(pred, gold):
     return p, g
 
 
-def _bin(values: np.ndarray, k: int) -> np.ndarray:
-    return np.array([sentiment_class(float(v), k) for v in values], dtype=np.intp)
+def _classes(p, g, k: int):
+    """k-way sentiment classes of both sides; NaN fails the range check."""
+    for arr in (p, g):
+        if not np.all((arr >= -1.0) & (arr <= 1.0)):
+            raise ValidationError("sentiment values outside [-1, 1]")
+    return sentiment_class(p, k), sentiment_class(g, k)
 
 
 def acc_k(pred, gold, k: int) -> float:
     """Fraction of samples whose k-way sentiment bins agree."""
     if k < 2:
         raise ValidationError("k must be >= 2")
-    p, g = _as_pair(pred, gold)
-    for arr in (p, g):
-        if np.any(arr < -1.0) or np.any(arr > 1.0):
-            raise ValidationError("sentiment values outside [-1, 1]")
-    return float(np.mean(_bin(p, k) == _bin(g, k)))
+    pc, gc = _classes(*_as_pair(pred, gold), k)
+    return float(np.mean(pc == gc))
 
 
-def _class_stats(pred_classes, gold_classes):
+def _class_table(pred_classes, gold_classes):
+    """Support, precision and F1 of every label, ascending, from one confusion
+    matrix; the labels are any integers. A label only predicted has support
+    0, so it weighs nothing in a support-weighted mean."""
     p = np.asarray(pred_classes)
     g = np.asarray(gold_classes)
     if p.shape != g.shape or p.ndim != 1:
         raise ValidationError("class arrays must be 1-d and equal length")
     if p.shape[0] == 0:
         raise ValidationError("metric inputs must be nonempty")
-    stats = []
-    for c in sorted(set(g.tolist())):
-        tp = int(np.sum((p == c) & (g == c)))
-        fp = int(np.sum((p == c) & (g != c)))
-        fn = int(np.sum((p != c) & (g == c)))
-        support = tp + fn
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / support
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        stats.append((support, prec, rec, f1))
-    total = sum(s[0] for s in stats)
-    return stats, total
+    labels, index = np.unique(np.concatenate([g, p]), return_inverse=True)
+    m, n = labels.shape[0], g.shape[0]
+    confusion = np.bincount(index[:n] * m + index[n:], minlength=m * m).reshape(m, m)
+    tp = np.diag(confusion)
+    support = confusion.sum(axis=1)                     # rows gold, columns predicted
+    prec = tp / np.maximum(confusion.sum(axis=0), 1)    # 0 for a label never predicted
+    rec = tp / np.maximum(support, 1)
+    f1 = np.divide(2 * prec * rec, prec + rec, out=np.zeros(m), where=prec + rec > 0)
+    return support, prec, f1
+
+
+def _support_weighted(support, values) -> float:
+    # the built-in sum in ascending class order, as the per-class formula
+    # reads, so every value matches that formula to the bit
+    return sum((support * values).tolist()) / int(support.sum())
 
 
 def weighted_precision(pred_classes, gold_classes) -> float:
-    stats, total = _class_stats(pred_classes, gold_classes)
-    return sum(s * p for s, p, _, _ in stats) / total
-
-
-def weighted_recall(pred_classes, gold_classes) -> float:
-    stats, total = _class_stats(pred_classes, gold_classes)
-    return sum(s * r for s, _, r, _ in stats) / total
+    support, prec, _ = _class_table(pred_classes, gold_classes)
+    return _support_weighted(support, prec)
 
 
 def weighted_f1(pred_classes, gold_classes) -> float:
-    stats, total = _class_stats(pred_classes, gold_classes)
-    return sum(s * f for s, _, _, f in stats) / total
-
-
-def weighted_accuracy(pred_classes, gold_classes) -> float:
-    """Plain multiclass accuracy (the support-weighted family's wAcc)."""
-    p = np.asarray(pred_classes)
-    g = np.asarray(gold_classes)
-    if p.shape != g.shape or p.shape[0] == 0:
-        raise ValidationError("class arrays must be nonempty and equal length")
-    return float(np.mean(p == g))
+    support, _, f1 = _class_table(pred_classes, gold_classes)
+    return _support_weighted(support, f1)
 
 
 def mae(pred, gold) -> float:
@@ -137,16 +134,16 @@ def roc_auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def compute_metrics(pred, gold, k_major: int = 5) -> dict:
+def compute_metrics(pred, gold) -> dict:
     """Full metric dict for one evaluation: binned accuracies, support-weighted
-    class metrics at ``k_major``, MAE, and Pearson correlation.
+    5-class precision and F1, MAE, and Pearson correlation.
 
     A constant prediction vector has no defined correlation; that case is
     reported as None rather than aborting the run.
     """
     p, g = _as_pair(pred, gold)
-    pc = _bin(p, k_major)
-    gc = _bin(g, k_major)
+    pc, gc = _classes(p, g, 5)
+    support, prec, f1 = _class_table(pc, gc)
     try:
         corr = pearson_corr(p, g)
     except ValidationError:
@@ -154,14 +151,11 @@ def compute_metrics(pred, gold, k_major: int = 5) -> dict:
     return {
         "n": int(p.shape[0]),
         "acc2": acc_k(p, g, 2),
-        "acc5": acc_k(p, g, 5),
-        "f1_weighted": weighted_f1(pc, gc),
+        "acc5": float(np.mean(pc == gc)),
+        "f1_weighted": _support_weighted(support, f1),
         "mae": mae(p, g),
         "corr": corr,
-        "wacc": weighted_accuracy(pc, gc),
-        "wf1": weighted_f1(pc, gc),
-        "wprec": weighted_precision(pc, gc),
-        "wrec": weighted_recall(pc, gc),
+        "wprec": _support_weighted(support, prec),
     }
 
 

@@ -8,6 +8,8 @@ convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
 record dict as a corpus file line, from the format's definition rather than
 the library's writer. ``score_one_pass`` writes out the scorer's forward
 over a whole corpus at once, which windowed scoring must match bit for bit.
+``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
+map it to and from target tokens, which the library does for whole columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, expit
 
-from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows
+from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows, VerbalScheme
 from augqual.finetune import HeadParams
 from augqual.forge import ForgedBatch
 from augqual.numerics import bce_with_logit, gelu_and_cdf
@@ -130,6 +132,40 @@ def corpus_line(record: dict) -> str:
 
 def scores_by_id(wf: WeightFile) -> dict:
     return dict(zip(wf.ids.tolist(), wf.scores.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Sentiment bins and target tokens, one value at a time
+# ---------------------------------------------------------------------------
+
+def sentiment_class(y: float, k: int) -> int:
+    """Equal-width bin index of y in [-1, 1] split into k classes."""
+    return min(int((y + 1.0) / 2.0 * k), k - 1)
+
+
+def derive_polarity(y: float) -> int:
+    """Binary polarity from sentiment sign; neutral (y == 0) counts positive."""
+    if not -1.0 <= y <= 1.0:
+        raise ValidationError(f"sentiment {y} outside [-1, 1]")
+    return 1 if y >= 0 else 0
+
+
+def encode(verbal: VerbalScheme, y: float) -> tuple[int, ...]:
+    """Target tokens for a sentiment value (length 4, last is IGNORE)."""
+    cls = sentiment_class(y, len(verbal.class_tokens))
+    return (verbal.sign_tokens[derive_polarity(y)], verbal.class_tokens[cls],
+            verbal.eos_token, IGNORE_INDEX)
+
+
+def decode(verbal: VerbalScheme, tokens) -> float:
+    """Scalar sentiment from predicted tokens. Total and deterministic."""
+    lo = verbal.class_tokens[0]
+    idx = min(max(int(tokens[1]) - lo, 0), len(verbal.class_tokens) - 1)
+    base = verbal.class_values[idx]
+    if base == 0.0:
+        positive = int(tokens[0]) == verbal.sign_tokens[1]
+        return verbal.neutral_value if positive else -verbal.neutral_value
+    return base
 
 
 # ---------------------------------------------------------------------------

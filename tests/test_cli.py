@@ -1288,6 +1288,25 @@ class TestReportChecks:
         assert "weighted" in capsys.readouterr().out
         assert len(rows.read_text().splitlines()) == 1 + 2 * 2
 
+    def test_older_report_with_duplicate_keys_renders(self, tmp_path, capsys):
+        # reports written before wacc, wf1 and wrec were dropped still load
+        old = {"n": 12, "acc2": 0.75, "acc5": 0.5, "f1_weighted": 0.25,
+               "mae": 0.125, "corr": None, "wacc": 0.5, "wf1": 0.25,
+               "wprec": 0.375, "wrec": 0.5}
+        doc = {"kind": "pipeline_report", "config": {"seeds": [1]},
+               "arms": {"weighted": {"seeds": [1], "per_seed": {"1": old},
+                                     "mean": old}}}
+        (tmp_path / "report.json").write_text(json.dumps(doc))
+        rows = tmp_path / "rows.csv"
+        assert main(["report", "--results", str(tmp_path), "--dump-csv", str(rows)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[-1].split() == ["weighted", "0.7500", "0.5000", "0.2500",
+                                     "0.1250", "n/a"]
+        assert list(csv.reader(rows.read_text().splitlines())) == [
+            ["arm", "seed", *old],
+            ["weighted", "1", "12", "0.75", "0.5", "0.25", "0.125", "", "0.5",
+             "0.25", "0.375", "0.5"]]
+
     @pytest.mark.parametrize("case, edit", _report_mutants(),
                              ids=[case for case, _ in _report_mutants()])
     def test_mutant_rejected(self, tmp_path, capsys, case, edit):

@@ -16,7 +16,6 @@ from augqual.corpus import (
     CorpusHeader,
     VerbalScheme,
     corpus_checksum,
-    derive_polarity,
     generate_corpus,
     generation_header,
     load_corpus,
@@ -27,11 +26,13 @@ from augqual.corpus import (
     validate_corpus,
 )
 from augqual.util import ValidationError, sha256_hex
+import oracles
 from oracles import (
     Sample,
     block_values,
     corpus_from_samples,
     corpus_line,
+    encode,
     feature_block,
     feature_checksum,
     samples_of,
@@ -51,23 +52,32 @@ def _records(c):
             {s.id: s for s in samples})
 
 
+def _sentiment_grid(k: int) -> np.ndarray:
+    """Bin edges of k classes and of the 5-way scale, -0.0, their float
+    neighbours inside [-1, 1], and random values."""
+    edges = np.r_[np.linspace(-1.0, 1.0, k + 1), -0.6, -0.2, 0.2, 0.6, 0.0, -0.0]
+    grid = np.r_[edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0),
+                 np.random.default_rng(k).uniform(-1.0, 1.0, 500)]
+    return grid[(grid >= -1.0) & (grid <= 1.0)]
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 class TestPolarityAndBins:
     def test_polarity_signs(self):
-        assert derive_polarity(0.5) == 1
-        assert derive_polarity(-0.5) == 0
-        assert derive_polarity(0.0) == 1
-        assert derive_polarity(1.0) == 1
-        assert derive_polarity(-1.0) == 0
+        tokens = VerbalScheme().encode([0.5, -0.5, 0.0, -0.0, 1.0, -1.0])
+        assert tokens[:, 0].tolist() == [1, 0, 1, 1, 1, 0]
 
     def test_polarity_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            derive_polarity(1.5)
-        with pytest.raises(ValidationError):
-            derive_polarity(-1.01)
+        for bad in (1.5, -1.01, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="outside"):
+                VerbalScheme().encode([0.5, bad])
 
     def test_binary_binning_matches_polarity_everywhere(self):
-        for y in np.linspace(-1.0, 1.0, 2001):
-            assert sentiment_class(float(y), 2) == derive_polarity(float(y))
+        y = np.linspace(-1.0, 1.0, 2001)
+        assert sentiment_class(y, 2).tolist() == (y >= 0).tolist()
 
     def test_five_way_bin_edges(self):
         assert sentiment_class(-1.0, 5) == 0
@@ -78,38 +88,59 @@ class TestPolarityAndBins:
         assert sentiment_class(0.6, 5) == 4
         assert sentiment_class(1.0, 5) == 4
 
+    def test_array_binning_matches_scalar_oracle(self):
+        for k in range(2, 9):
+            y = _sentiment_grid(k)
+            got = sentiment_class(y, k)
+            assert got.dtype == np.intp
+            assert got.tolist() == [oracles.sentiment_class(float(v), k) for v in y]
+
 
 class TestVerbalScheme:
     def test_encode_examples(self):
         v = VerbalScheme()
-        assert v.encode(0.5) == (1, 5, 7, IGNORE_INDEX)
-        assert v.encode(-0.9) == (0, 2, 7, IGNORE_INDEX)
-        assert v.encode(0.0) == (1, 4, 7, IGNORE_INDEX)
+        assert v.encode([0.5, -0.9, 0.0]).tolist() == [
+            [1, 5, 7, IGNORE_INDEX], [0, 2, 7, IGNORE_INDEX], [1, 4, 7, IGNORE_INDEX]]
 
     def test_decode_bin_centers(self):
         v = VerbalScheme()
-        assert v.decode([1, 5, 7]) == 0.4
-        assert v.decode([0, 2, 7]) == -0.8
-        assert v.decode([1, 6, 7]) == 0.8
+        assert v.decode([[1, 5, 7], [0, 2, 7], [1, 6, 7]]).tolist() == [0.4, -0.8, 0.8]
 
     def test_decode_neutral_bin_uses_sign_token(self):
         v = VerbalScheme()
-        assert v.decode([1, 4, 7]) == 0.1
-        assert v.decode([0, 4, 7]) == -0.1
+        assert v.decode([[1, 4, 7], [0, 4, 7]]).tolist() == [0.1, -0.1]
 
     def test_decode_is_total_on_garbage_tokens(self):
         # out-of-table tokens clamp to the nearest class; never raises
         v = VerbalScheme()
-        assert v.decode([1, 0, 7]) == -0.8
-        assert v.decode([0, 7, 7]) == 0.8
-        assert v.decode([5, 4, 0]) == -0.1
+        assert v.decode([[1, 0, 7], [0, 7, 7], [5, 4, 0]]).tolist() == [-0.8, 0.8, -0.1]
 
     def test_round_trip_error_bounded(self):
         v = VerbalScheme()
-        for y in np.linspace(-1.0, 1.0, 4001):
-            back = v.decode(v.encode(float(y)))
-            assert abs(back - float(y)) <= 0.2 + 1e-12
-            assert derive_polarity(back) == derive_polarity(float(y))
+        y = np.linspace(-1.0, 1.0, 4001)
+        back = v.decode(v.encode(y))
+        assert np.all(np.abs(back - y) <= 0.2 + 1e-12)
+        assert ((back >= 0) == (y >= 0)).all()
+
+    @pytest.mark.parametrize("v", [
+        VerbalScheme(),
+        VerbalScheme(sign_tokens=(5, 0), class_tokens=(1, 2, 3, 4),
+                     class_values=(-0.75, -0.25, 0.25, 0.75), eos_token=6),
+        VerbalScheme(sign_tokens=(7, 2), class_tokens=(3, 4, 5),
+                     class_values=(-0.5, 0.0, 0.5), neutral_value=-0.05,
+                     eos_token=1),
+    ])
+    def test_array_forms_match_scalar_oracles(self, v):
+        vocab = 8
+        CorpusHeader(d=1, d_t=1, vocab_size=vocab, seed=0, verbal=v).validate()
+        y = np.concatenate([_sentiment_grid(k) for k in range(2, 9)])
+        assert v.encode(y).tolist() == [list(encode(v, float(s))) for s in y]
+        # every (polarity, class) token pair, class tokens off the table too
+        t0, t1 = np.meshgrid(np.arange(vocab), np.arange(vocab), indexing="ij")
+        tokens = np.stack([t0.ravel(), t1.ravel(), np.full(vocab * vocab, v.eos_token)],
+                          axis=1)
+        want = [oracles.decode(v, t) for t in tokens.tolist()]
+        assert _bits(v.decode(tokens)) == _bits(want)
 
     def test_dict_round_trip(self):
         v = VerbalScheme()
@@ -360,7 +391,7 @@ class TestSerialization:
         c = corpus_from_samples(header, [
             Sample(id=f"x{i}", h_v=v, h_a=None if i == 1 else a, h_t_raw=t,
                    polarity=1, sentiment=0.5, origin="Original",
-                   target_tokens=header.verbal.encode(0.5))
+                   target_tokens=encode(header.verbal, 0.5))
             for i, (v, a, t) in enumerate(values)])
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
@@ -379,10 +410,10 @@ class TestSerialization:
         c = corpus_from_samples(header, [
             Sample(id="x0", h_v=ones, h_a=None, h_t_raw=ones,
                    polarity=1, sentiment=0.5, origin="Original",
-                   target_tokens=v.encode(0.5)),
+                   target_tokens=encode(v, 0.5)),
             Sample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones,
                    polarity=0, sentiment=-0.5, origin="Original",
-                   target_tokens=v.encode(-0.5)),
+                   target_tokens=encode(v, -0.5)),
         ])
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)

@@ -31,6 +31,7 @@ from augqual.qa import WeightFile, WeightMapConfig, map_weight
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from oracles import (
     corpus_from_samples,
+    decode,
     finite_diff_grad,
     flatten_arrays,
     head_input,
@@ -381,7 +382,7 @@ class TestPredict:
                           out_w=np.zeros((4, 8, 3)), out_b=np.zeros((4, 8)))
         corpus = generate_corpus(4, 0, CLEAN, seed=1, d=4, d_t=6)
         assert predict_tokens(head, samples_of(corpus)[0], 4) == (0, 0, 0, 0)
-        want = corpus.header.verbal.decode((0, 0, 0, 0))
+        want = decode(corpus.header.verbal, (0, 0, 0, 0))
         assert predict_all(head, corpus, [0, 1]).tolist() == [want, want]
 
     def test_batched_tokens_equal_per_sample_path(self):
@@ -390,7 +391,7 @@ class TestPredict:
         run = train_stage1(corpus, None, HeadConfig(steps=100, seed=1))
         samples = samples_of(corpus)
         verbal = corpus.header.verbal
-        want = [verbal.decode(predict_tokens(run.head, s, 12)) for s in samples]
+        want = [decode(verbal, predict_tokens(run.head, s, 12)) for s in samples]
         rows = np.arange(len(corpus))
         assert predict_all(run.head, corpus, rows).tolist() == want
 

@@ -8,7 +8,7 @@ from augqual.corpus import FeatureRows
 from augqual.forge import FAMILIES, ForgeConfig, _mix_rows, forge_batch
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
-from oracles import Sample, mix_rows_loop, rows_of
+from oracles import Sample, encode, mix_rows_loop, rows_of
 
 D, DT = 6, 10
 _VERBAL = VerbalScheme()
@@ -21,7 +21,7 @@ def _mk(idx, sentiment, audio=True):
         h_a=rng.standard_normal(D) if audio else None,
         h_t_raw=rng.standard_normal(DT),
         polarity=1 if sentiment >= 0 else 0, sentiment=sentiment,
-        origin="Original", target_tokens=_VERBAL.encode(sentiment))
+        origin="Original", target_tokens=encode(_VERBAL, sentiment))
 
 
 def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
@@ -108,7 +108,7 @@ class TestMask:
         rng = derived_rng(4, "forge-test")
         wide = Sample(id="w", h_v=np.ones(4000), h_a=np.ones(4000),
                              h_t_raw=np.ones(4000), polarity=1, sentiment=0.5,
-                             origin="Original", target_tokens=_VERBAL.encode(0.5))
+                             origin="Original", target_tokens=encode(_VERBAL, 0.5))
         it = _family([wide], rng, "mask", mask_rate=0.3, d=4000, d_t=4000)[0]
         frac = np.mean(it.h_v == 0.0)
         assert abs(frac - 0.3) < 0.03
@@ -117,7 +117,7 @@ class TestMask:
         rng = derived_rng(5, "forge-test")
         wide = Sample(id="w", h_v=np.ones(2000), h_a=np.ones(2000),
                              h_t_raw=np.ones(2000), polarity=1, sentiment=0.5,
-                             origin="Original", target_tokens=_VERBAL.encode(0.5))
+                             origin="Original", target_tokens=encode(_VERBAL, 0.5))
         it = _family([wide], rng, "mask", mask_rate=0.5, d=2000, d_t=2000)[0]
         assert not np.array_equal(it.h_v == 0.0, it.h_a == 0.0)
 

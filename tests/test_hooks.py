@@ -10,8 +10,9 @@ import sys
 from pathlib import Path
 
 import augqual.cli  # noqa: F401  (the tracer wraps the modules this imports)
-from augqual import qa
-from augqual.corpus import CorruptionProfile, generate_corpus
+from augqual import pipeline, qa
+from augqual.corpus import CorruptionProfile, generate_corpus, train_eval_split
+from augqual.finetune import HeadConfig, train_stage1
 from augqual.util import derived_rng
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
@@ -46,3 +47,24 @@ def test_export_weights_scores_through_the_hooked_global(monkeypatch):
     params = qa.init_qa_params(8, 8, 4, derived_rng(0, "init"))
     qa.export_weights(corpus, params, qa.WeightMapConfig())
     assert len(calls) == 1
+
+
+def test_evaluate_predicts_and_scores_through_the_hooked_globals(monkeypatch):
+    """The ``finetune.predict`` and ``metrics.compute`` spans wrap
+    ``augqual.pipeline.predict_all`` and ``augqual.pipeline.compute_metrics``;
+    an evaluation that decoded or scored inline would leave them reading zero."""
+    calls = {"predict_all": 0, "compute_metrics": 0}
+
+    def counting(name):
+        wrapped = getattr(pipeline, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return call
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    corpus = generate_corpus(40, 1, CorruptionProfile(), seed=3, d=8, d_t=8)
+    head = train_stage1(corpus, None, HeadConfig(steps=2)).head
+    pipeline.evaluate(head, corpus, train_eval_split(corpus, 0.25))
+    assert calls == {"predict_all": 1, "compute_metrics": 1}

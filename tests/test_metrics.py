@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from augqual.corpus import derive_polarity
 from augqual.metrics import (
     MetricsReport,
     acc_k,
@@ -14,12 +13,11 @@ from augqual.metrics import (
     mae,
     pearson_corr,
     roc_auc,
-    weighted_accuracy,
     weighted_f1,
     weighted_precision,
-    weighted_recall,
 )
 from augqual.util import ValidationError
+from oracles import derive_polarity
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +127,15 @@ class TestBinnedAccuracy:
             acc_k([], [], 2)
         with pytest.raises(ValidationError, match="outside"):
             acc_k([1.2], [0.0], 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+                acc_k([bad, 0.5], [0.5, 0.2], 2)
+            with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+                acc_k([0.5, 0.2], [0.5, bad], 5)
+            with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+                compute_metrics([0.5, bad], [0.5, 0.2])
+            with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+                compute_metrics([0.5, 0.2], [bad, 0.2])
 
 
 class TestWeightedClassMetrics:
@@ -137,43 +144,50 @@ class TestWeightedClassMetrics:
 
     def test_match_brute_force(self):
         rng = np.random.default_rng(13)
+        labels = np.array([-7, 0, 3, 42, 10**9])      # any integers are classes
         for _ in range(400):
             n = int(rng.integers(1, 60))
             pred_c, gold_c = self._classes(rng, n, int(rng.integers(2, 6)))
+            if rng.random() < 0.5:
+                pred_c, gold_c = labels[pred_c].tolist(), labels[gold_c].tolist()
             assert weighted_precision(pred_c, gold_c) == pytest.approx(
                 _brute_weighted(pred_c, gold_c, 1), abs=1e-12)
-            assert weighted_recall(pred_c, gold_c) == pytest.approx(
-                _brute_weighted(pred_c, gold_c, 2), abs=1e-12)
             assert weighted_f1(pred_c, gold_c) == pytest.approx(
                 _brute_weighted(pred_c, gold_c, 3), abs=1e-12)
 
     def test_weighted_recall_is_accuracy(self):
+        # the support-weighted recall of the 5-way bins is acc5, which is why
+        # no weighted-recall metric exists
         rng = np.random.default_rng(14)
         for _ in range(100):
-            pred_c, gold_c = self._classes(rng, int(rng.integers(1, 60)))
-            assert weighted_recall(pred_c, gold_c) == pytest.approx(
-                weighted_accuracy(pred_c, gold_c), abs=1e-12)
+            pred, gold = _draw(rng, int(rng.integers(1, 60)))
+            pred_c = [_brute_bin(p, 5) for p in pred]
+            gold_c = [_brute_bin(g, 5) for g in gold]
+            assert acc_k(pred, gold, 5) == pytest.approx(
+                _brute_weighted(pred_c, gold_c, 2), abs=1e-12)
 
     def test_classes_absent_from_gold_excluded(self):
         # predictions hit class 3 which never appears in gold; only gold
         # classes weigh in
         pred_c = [3, 3, 0, 1]
         gold_c = [0, 0, 0, 1]
-        assert weighted_recall(pred_c, gold_c) == pytest.approx(
-            (3 * (1 / 3) + 1 * 1.0) / 4, abs=1e-12)
+        assert weighted_precision(pred_c, gold_c) == 1.0
+        assert weighted_f1(pred_c, gold_c) == pytest.approx(
+            (3 * 0.5 + 1 * 1.0) / 4, abs=1e-12)
+        # the same bins as sentiment values: recall (3 * (1/3) + 1 * 1) / 4
+        assert acc_k([0.4, 0.4, -0.8, -0.4], [-0.8, -0.8, -0.8, -0.4], 5) == 0.5
 
     def test_perfect_prediction_identities(self):
         rng = np.random.default_rng(15)
         gold_c = rng.integers(0, 5, 80).tolist()
-        for fn in (weighted_precision, weighted_recall, weighted_f1,
-                   weighted_accuracy):
+        for fn in (weighted_precision, weighted_f1):
             assert fn(gold_c, gold_c) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             weighted_f1([0, 1], [0])
         with pytest.raises(ValidationError):
-            weighted_accuracy([], [])
+            weighted_precision([], [])
 
 
 class TestScalarMetrics:
@@ -250,8 +264,7 @@ class TestAverageRanks:
 
 
 class TestComputeMetrics:
-    KEYS = ("n", "acc2", "acc5", "f1_weighted", "mae", "corr",
-            "wacc", "wf1", "wprec", "wrec")
+    KEYS = ("n", "acc2", "acc5", "f1_weighted", "mae", "corr", "wprec")
 
     def test_keys_and_values(self):
         rng = np.random.default_rng(19)
@@ -263,14 +276,18 @@ class TestComputeMetrics:
         assert out["acc5"] == acc_k(pred, gold, 5)
         assert out["mae"] == mae(pred, gold)
         assert out["corr"] == pearson_corr(pred, gold)
-        assert out["f1_weighted"] == out["wf1"]
-        assert out["wrec"] == pytest.approx(out["wacc"], abs=1e-12)
+        pred_c = [_brute_bin(p, 5) for p in pred]
+        gold_c = [_brute_bin(g, 5) for g in gold]
+        assert out["f1_weighted"] == weighted_f1(pred_c, gold_c)
+        assert out["wprec"] == weighted_precision(pred_c, gold_c)
+        # plain Python numbers: the canonical JSON writer refuses numpy ones
+        assert {type(v) for v in out.values()} == {int, float}
 
     def test_perfect_prediction(self):
         vals = np.linspace(-0.95, 0.95, 60)
         out = compute_metrics(vals, vals)
         assert out["acc2"] == out["acc5"] == 1.0
-        assert out["wacc"] == out["wf1"] == out["wprec"] == out["wrec"] == 1.0
+        assert out["f1_weighted"] == out["wprec"] == 1.0
         assert out["mae"] == 0.0
         assert out["corr"] == pytest.approx(1.0, abs=1e-12)
 

@@ -45,6 +45,7 @@ from forge_reference import family_items, forge_items, forged_batch_from_items
 from oracles import (
     Sample,
     assemble_input,
+    encode,
     feature_checksum,
     finite_diff_grad,
     flatten_arrays,
@@ -70,7 +71,7 @@ def _sample(idx, sentiment, d, d_t, audio=True):
         h_a=rng.standard_normal(d) if audio else None,
         h_t_raw=rng.standard_normal(d_t),
         polarity=1 if sentiment >= 0 else 0, sentiment=sentiment,
-        origin="Original", target_tokens=_VERBAL.encode(sentiment))
+        origin="Original", target_tokens=encode(_VERBAL, sentiment))
 
 
 def _params(d, d_t, hidden, seed=0, trained_shape=True):
