@@ -19,6 +19,7 @@ from . import __version__
 from .corpus import (
     POOLS,
     CorruptionProfile,
+    check_split_fractions,
     corpus_checksum,
     generate_corpus,
     load_corpus,
@@ -121,8 +122,10 @@ def _float_list(text: str) -> tuple:
 
 def _cmd_stage0(args) -> int:
     config = _config_from_flags(QaConfig, args)
+    check_split_fractions(args.eval_fraction, args.label_fraction)
     corpus = load_corpus(args.corpus)
-    train = train_eval_split(corpus, args.eval_fraction).pool("all")
+    train = train_eval_split(corpus, args.eval_fraction,
+                             label_fraction=args.label_fraction).pool("all")
     params, trace = train_stage0(corpus, config, rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
@@ -153,9 +156,11 @@ def _cmd_score(args) -> int:
 
 def _cmd_stage1(args) -> int:
     config = _config_from_flags(HeadConfig, args)
+    check_split_fractions(args.eval_fraction, args.label_fraction)
     corpus = load_corpus(args.corpus)
     weight_file = None if args.weights is None else load_weight_file(args.weights)
-    pool = train_eval_split(corpus, args.eval_fraction).pool(args.pool)
+    pool = train_eval_split(corpus, args.eval_fraction,
+                            label_fraction=args.label_fraction).pool(args.pool)
     run = train_stage1(corpus, weight_file, config, rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
@@ -255,6 +260,8 @@ def build_parser() -> _Parser:
         "type": _float_list, "help": "family loss weights: pos,mix,mask,flip"})
     p.add_argument("--eval-fraction", type=float, default=base.eval_fraction,
                    help="held-out originals the scorer never sees")
+    p.add_argument("--label-fraction", type=float, default=base.label_fraction,
+                   help="leading share of training pairs kept")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage0)
 
@@ -273,6 +280,8 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", help="weight file; omit for uniform")
     p.add_argument("--pool", choices=POOLS, default="all")
     p.add_argument("--eval-fraction", type=float, default=base.eval_fraction)
+    p.add_argument("--label-fraction", type=float, default=base.label_fraction,
+                   help="leading share of training pairs kept")
     _add_config_flags(p, HeadConfig(), hidden={"type": int})
     p.add_argument("--run-log", help="write per-step losses as JSONL")
     p.add_argument("--json", action="store_true")

@@ -499,9 +499,11 @@ _FIELDS = {"id": (str,), "h_v": (str,), "h_a": (str, type(None)),
            "hidden_quality": (int, float, type(None)), "target_tokens": (list,)}
 
 
-def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
-    """One record line's fields, each checked for its exact JSON type; the
-    feature blocks as bytes (None for missing audio)."""
+def _parse_record(raw, header: CorpusHeader, line_no: int, columns) -> tuple:
+    """One record line's fields, each checked for its exact JSON type. Once
+    every check passes, the decoded feature blocks are appended to
+    ``columns`` (video, audio, text bytearrays; the zero row for missing
+    audio) and the other fields returned, with has_audio second."""
     if type(raw) is not dict or not set(_FIELDS) <= set(raw):
         raise ValidationError(f"line {line_no}: malformed record: need an object "
                               f"with fields {', '.join(_FIELDS)}")
@@ -523,22 +525,27 @@ def _parse_record(raw, header: CorpusHeader, line_no: int) -> tuple:
     if quality != quality:
         raise ValidationError(f"{where}: hidden_quality is NaN (null means absent)")
     try:
-        return (raw["id"], *blocks,
-                raw["polarity"], float(raw["sentiment"]), raw["origin"] == "Augmented",
-                raw["parent_id"], np.nan if quality is None else float(quality),
-                np.array(raw["target_tokens"], dtype=np.int64))
+        fields = (raw["id"], raw["h_a"] is not None,
+                  raw["polarity"], float(raw["sentiment"]), raw["origin"] == "Augmented",
+                  raw["parent_id"], np.nan if quality is None else float(quality),
+                  np.array(raw["target_tokens"], dtype=np.int64))
     except OverflowError as exc:   # an integer beyond float64 or int64
         raise ValidationError(f"{where}: number out of range: {exc}") from None
+    for column, block in zip(columns, blocks):
+        column += bytes(8 * header.d) if block is None else block
+    return fields
 
 
 def load_corpus(path) -> Corpus:
     """Parse a corpus file line by line and fully validate it.
 
-    Each feature column is one buffer of the records' decoded blocks, read
-    as little-endian float64. The corpus checksum is the SHA-256 of the bytes
-    read.
+    Each record's feature blocks are decoded straight onto the end of its
+    column's buffer, one bytearray per column, which becomes the column as
+    little-endian float64 without a copy; no per-record block is kept. The
+    corpus checksum is the SHA-256 of the bytes read.
     """
     digest = hashlib.sha256()
+    columns = (bytearray(), bytearray(), bytearray())
     records = []
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -558,10 +565,11 @@ def load_corpus(path) -> Corpus:
                 raw = json.loads(line)
             except ValueError as exc:
                 raise ValidationError(f"line {line_no}: bad JSON: {exc}") from exc
-            records.append(_parse_record(raw, header, line_no))
+            records.append(_parse_record(raw, header, line_no, columns))
     n = len(records)
-    ids, V, A, T, P, S, aug, parent_ids, Q, toks = (
-        zip(*records) if records else [()] * len(_FIELDS))
+    ids, has_audio, P, S, aug, parent_ids, Q, toks = (
+        zip(*records) if records else [()] * 8)
+    del records
     width = len(toks[0]) if toks else 0
     bad = next((i for i, t in enumerate(toks) if len(t) != width), None)
     if bad is not None:
@@ -573,17 +581,12 @@ def load_corpus(path) -> Corpus:
         row = parent.index(-2)
         raise ValidationError(f"record {ids[row]}: unresolvable parent_id "
                               f"{parent_ids[row]}")
-
-    def column(blocks, dim):
-        return np.frombuffer(b"".join(blocks), "<f8").reshape(n, dim)
-    no_audio = bytes(8 * header.d)   # the zero row the scorer and head use
+    V, A, T = (np.frombuffer(column, "<f8").reshape(n, dim) for column, dim
+               in zip(columns, (header.d, header.d, header.d_t)))
     corpus = Corpus(
         header=header, ids=np.array(ids, dtype=object),
-        features=FeatureRows(
-            V=column(V, header.d),
-            A=column([no_audio if a is None else a for a in A], header.d),
-            T=column(T, header.d_t), P=P),
-        has_audio=[a is not None for a in A], sentiment=S, augmented=aug,
+        features=FeatureRows(V=V, A=A, T=T, P=P),
+        has_audio=has_audio, sentiment=S, augmented=aug,
         parent=parent, hidden_quality=Q,
         targets=np.array(toks, dtype=np.int64).reshape(n, width))
     validate_corpus(corpus)

@@ -117,8 +117,11 @@ def _batch_logits(arrays: dict, X: np.ndarray):
 
 
 def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray):
-    """Weighted batch loss and gradients; zero-weight samples contribute zero."""
+                    weights: np.ndarray, grads: dict) -> float:
+    """Weighted batch loss; its gradient for every head parameter is written
+    into the same-named array of ``grads`` (in training,
+    ``AdamState.grad_views``), through numpy's ``out=``. Zero-weight samples
+    contribute zero."""
     n = X.shape[0]
     logits, pre, z, cdf = _batch_logits(arrays, X)
     shift = logits - logits.max(axis=-1, keepdims=True)
@@ -136,15 +139,13 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
     G = np.exp(log_probs)
     G[rows, cols, t_safe] -= 1.0
     G *= scale[..., None]
-    grads = {
-        "out_w": np.einsum("ntv,nh->tvh", G, z),
-        "out_b": G.sum(axis=0),
-    }
+    np.einsum("ntv,nh->tvh", G, z, out=grads["out_w"])
+    G.sum(axis=0, out=grads["out_b"])
     g_z = np.einsum("ntv,tvh->nh", G, arrays["out_w"])
     g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
-    grads["in_w"] = g_pre.T @ X
-    grads["in_b"] = g_pre.sum(axis=0)
-    return loss, grads
+    np.matmul(g_pre.T, X, out=grads["in_w"])
+    g_pre.sum(axis=0, out=grads["in_b"])
+    return loss
 
 
 def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
@@ -154,8 +155,10 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     ``weight_file`` None means uniform mode (every weight 1), bit-identical
     to an all-ones file under the same seed: batch selection never depends on
     the weights. ``rows`` (corpus row indices) restricts the training pool
-    (arm selection); default is the whole corpus. Deterministic given
-    (corpus, inputs, config).
+    (arm selection); default is the whole corpus. Each step gathers its input
+    rows from the corpus columns (no copy of the pool's features is kept) and
+    writes the gradients into Adam's buffer. Deterministic given (corpus,
+    inputs, config).
     """
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
@@ -168,19 +171,18 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
                               f"{config.t_max}")
     targets = np.full((rows.size, config.t_max), IGNORE_INDEX, dtype=np.int64)
     targets[:, :n_tokens] = corpus.targets[rows]
-    X = _head_matrix(corpus.features, rows)
     h = corpus.header
-    head = init_head(h.d, h.d_t, h.vocab_size, config,
-                     derived_rng(config.seed, "stage1", "init"))
-    state = init_adam(head.to_dict(), lr=config.lr)
+    state = init_adam(init_head(h.d, h.d_t, h.vocab_size, config, derived_rng(
+        config.seed, "stage1", "init")).to_dict(), lr=config.lr)
     trace = []
     for step in range(config.steps):
         rng = derived_rng(config.seed, "stage1", "step", step)
         take = min(config.batch_size, rows.size)
         idx = rng.choice(rows.size, size=take, replace=False)
-        loss, grads = _loss_and_grads(state.params, X[idx], targets[idx], weights[idx])
-        adam_step(state, grads)
-        trace.append(loss)
+        X = _head_matrix(corpus.features, rows[idx])
+        trace.append(_loss_and_grads(state.params, X, targets[idx], weights[idx],
+                                     state.grad_views))
+        adam_step(state)
     return TrainRun(head=HeadParams.from_dict(state.params),
                     weight_mode="uniform" if weight_file is None else "weighted",
                     loss_trace=trace, rows=rows)

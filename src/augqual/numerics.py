@@ -2,10 +2,12 @@
 
 The activations and losses are pure (same inputs give bit-identical outputs)
 and work on scalars or numpy arrays. Adam is the one stateful part: it keeps
-every parameter in one flat vector and updates it in place, and hands the
-model a ``dict[str, np.ndarray]`` of views into it, so it stays agnostic of
-model structure. ``one_blas_thread`` holds numpy's OpenBLAS to one thread for
-a block of work.
+every parameter in one flat vector and every gradient in another, updates the
+parameters in place, and hands the model two ``dict[str, np.ndarray]`` of
+views, one into each vector, so it stays agnostic of model structure. A loss
+writes its gradients straight into ``state.grad_views`` (numpy's ``out=``);
+``adam_step`` then reads them from ``state.grad``. ``one_blas_thread`` holds
+numpy's OpenBLAS to one thread for a block of work.
 """
 
 from __future__ import annotations
@@ -96,20 +98,14 @@ def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
                      beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(state: AdamState, grads: dict) -> None:
-    """One bias-corrected Adam update of ``state.params``, in place.
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of ``state.params``, in place, from the
+    gradient the loss wrote into ``state.grad`` (through ``state.grad_views``).
 
-    A gradient with a wrong name, shape or a non-finite value is refused
-    before anything changes. The arithmetic and its order are those of the
-    textbook ``p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``,
-    elementwise, so the result is bit-identical to it."""
-    if set(state.params) != set(grads):
-        raise ValidationError("adam_step: params and grads name mismatch")
-    for k, view in state.grad_views.items():
-        g = np.asarray(grads[k], dtype=np.float64)
-        if g.shape != view.shape:
-            raise ValidationError(f"adam_step: shape mismatch for '{k}'")
-        view[...] = g
+    A non-finite gradient is refused before anything changes. The arithmetic
+    and its order are those of the textbook ``p - lr * (m / (1 - b1**t)) /
+    (sqrt(v / (1 - b2**t)) + eps)``, elementwise, so the result is
+    bit-identical to it."""
     if not np.isfinite(state.grad).all():
         bad = next(k for k, g in state.grad_views.items() if not np.isfinite(g).all())
         raise ValidationError(f"adam_step: non-finite gradient for '{bad}'")

@@ -163,11 +163,12 @@ def init_qa_params(d: int, d_t: int, hidden: int,
     )
 
 
-def _forward(rows: FeatureRows, params: QaParams):
-    """Batched forward pass; returns logits plus caches for backprop."""
+def _forward(rows: FeatureRows, params: QaParams, x_out=None):
+    """Batched forward pass; returns logits plus caches for backprop. The
+    assembled (n, 4d) input ``x`` is written into ``x_out`` when given."""
     h_t = rows.T @ params.text_proj_w.T + params.text_proj_b
     h_p = params.polarity_emb[rows.P]
-    x = np.concatenate([rows.V, rows.A, h_t, h_p], axis=1)
+    x = np.concatenate([rows.V, rows.A, h_t, h_p], axis=1, out=x_out)
     pre = x @ params.hidden_w.T + params.hidden_b
     act, cdf = gelu_and_cdf(pre)
     logits = act @ params.out_w + params.out_b[0]
@@ -186,9 +187,10 @@ def _family_coefficients(forged: ForgedBatch, alpha) -> np.ndarray:
                       for a, n in zip(alpha, forged.sizes)], forged.sizes)
 
 
-def _polarity_sums(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Row sums per polarity, added in row order into zeros, as np.add.at adds."""
-    out = np.zeros((2, rows.shape[1]))
+def _polarity_sums(rows: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row sums per polarity into ``out`` (2, k), added in row order into
+    zeros, as np.add.at adds."""
+    out.fill(0.0)
     if rows.shape[1] == 1:     # numpy sums a single column pairwise
         np.add.at(out, P, rows)
     else:
@@ -197,34 +199,36 @@ def _polarity_sums(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
-    """Loss plus hand-derived gradients for every scorer parameter.
+def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha, grads: dict,
+                      x_out=None, g_x_out=None) -> float:
+    """Loss of one forged batch; its hand-derived gradient for every scorer
+    parameter is written into the same-named array of ``grads`` (in training,
+    ``AdamState.grad_views``), through numpy's ``out=``.
 
-    Gradients flow through the text projection and polarity embedding but
-    stop at the raw feature blocks, which are treated as constants.
+    ``x_out`` and ``g_x_out``, when given, are (n, 4d) work arrays for the
+    assembled input and its gradient, n the forged batch's height. Gradients
+    flow through the text projection and polarity embedding but stop at the
+    raw feature blocks, which are treated as constants.
     """
     coef = _family_coefficients(forged, alpha)
     Y = forged.labels
-    logits, (x, pre, act, cdf) = _forward(forged.rows, params)
+    logits, (x, pre, act, cdf) = _forward(forged.rows, params, x_out)
     loss = float(np.sum(coef * bce_with_logit(logits, Y)))
 
     d = params.d
     g_logit = coef * (sigmoid(logits) - Y)            # (n,)
     g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
     g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
-    g_x = g_pre @ params.hidden_w                     # (n, 4d)
+    g_x = np.matmul(g_pre, params.hidden_w, out=g_x_out)   # (n, 4d)
     g_ht = g_x[:, 2 * d:3 * d]
-    g_hp = g_x[:, 3 * d:]
-    grads = {
-        "text_proj_w": g_ht.T @ forged.rows.T,
-        "text_proj_b": g_ht.sum(axis=0),
-        "polarity_emb": _polarity_sums(g_hp, forged.rows.P),
-        "hidden_w": g_pre.T @ x,
-        "hidden_b": g_pre.sum(axis=0),
-        "out_w": act.T @ g_logit,
-        "out_b": np.array([g_logit.sum()]),
-    }
-    return loss, grads
+    np.matmul(g_ht.T, forged.rows.T, out=grads["text_proj_w"])
+    g_ht.sum(axis=0, out=grads["text_proj_b"])
+    _polarity_sums(g_x[:, 3 * d:], forged.rows.P, grads["polarity_emb"])
+    np.matmul(g_pre.T, x, out=grads["hidden_w"])
+    g_pre.sum(axis=0, out=grads["hidden_b"])
+    np.matmul(act.T, g_logit, out=grads["out_w"])
+    g_logit.sum(keepdims=True, out=grads["out_b"])
+    return loss
 
 
 def train_stage0(corpus: Corpus, config: QaConfig,
@@ -233,7 +237,10 @@ def train_stage0(corpus: Corpus, config: QaConfig,
 
     The positive pool is the corpus originals (plus augments when configured),
     optionally restricted to the row indices ``rows`` so held-out evaluation
-    stays untouched. Returns the trained parameters and the per-step loss
+    stays untouched. Each step gathers its batch from the corpus columns (no
+    copy of the pool is kept), writes the gradients into Adam's buffer, and
+    assembles the scorer input and its gradient in two work arrays allocated
+    once per call. Returns the trained parameters and the per-step loss
     trace. Deterministic for a given (corpus, config).
     """
     pool = np.flatnonzero(~corpus.augmented)
@@ -244,20 +251,22 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     if not pool.size:
         raise ValidationError("stage-0 training pool is empty")
     d, d_t = corpus.header.d, corpus.header.d_t
-    pool_rows = corpus.features.take(pool)
     state = init_adam(init_qa_params(d, d_t, config.hidden, derived_rng(
         config.seed, "stage0", "init")).to_dict(), lr=config.lr)
     params = QaParams.from_dict(state.params)
     forge_cfg = ForgeConfig(mask_rate=config.rho)
+    take = min(config.batch_size, pool.size)
+    # a forged batch has at most one row per family per sample
+    x_work, g_x_work = np.empty((2, len(FAMILIES) * take, 4 * d))
     trace = []
     for step in range(config.steps):
         rng = derived_rng(config.seed, "stage0", "step", step)
-        take = min(config.batch_size, pool.size)
         idx = rng.choice(pool.size, size=take, replace=False)
-        forged = forge_batch(pool_rows.take(idx), rng, forge_cfg)
-        loss, grads = qa_loss_and_grads(forged, params, config.alpha)
-        adam_step(state, grads)
-        trace.append(loss)
+        forged = forge_batch(corpus.features.take(pool[idx]), rng, forge_cfg)
+        n = forged.labels.shape[0]
+        trace.append(qa_loss_and_grads(forged, params, config.alpha, state.grad_views,
+                                       x_work[:n], g_x_work[:n]))
+        adam_step(state)
     params.validate()
     return params, trace
 

@@ -10,6 +10,10 @@ the library's writer. ``score_one_pass`` writes out the scorer's forward
 over a whole corpus at once, which windowed scoring must match bit for bit.
 ``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
 map it to and from target tokens, which the library does for whole columns.
+``ref_qa_loss_and_grads`` and ``ref_head_loss_and_grads`` are the two batch
+losses with each gradient returned as a fresh array, the form the library's
+losses had before they wrote into Adam's gradient buffer; the library's
+gradients must equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import numpy as np
 from scipy.special import erf, expit
 
 from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows, VerbalScheme
-from augqual.finetune import HeadParams
+from augqual.finetune import HeadParams, _batch_logits
 from augqual.forge import ForgedBatch
-from augqual.numerics import bce_with_logit, gelu_and_cdf
+from augqual.numerics import bce_with_logit, gelu_and_cdf, gelu_grad_from_cdf, sigmoid
 from augqual.qa import QaParams, WeightFile, _family_coefficients, _forward
 from augqual.util import ValidationError
 
@@ -279,6 +283,65 @@ def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:
     return float(np.sum(coef * bce_with_logit(logits, forged.labels)))
 
 
+def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
+    """The scorer loss and a dict of freshly allocated gradients, one per
+    parameter, in the library's order of float operations."""
+    coef = _family_coefficients(forged, alpha)
+    Y = forged.labels
+    logits, (x, pre, act, cdf) = _forward(forged.rows, params)
+    loss = float(np.sum(coef * bce_with_logit(logits, Y)))
+
+    d = params.d
+    g_logit = coef * (sigmoid(logits) - Y)            # (n,)
+    g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
+    g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
+    g_x = g_pre @ params.hidden_w                     # (n, 4d)
+    g_ht = g_x[:, 2 * d:3 * d]
+    g_hp = g_x[:, 3 * d:]
+    grads = {
+        "text_proj_w": g_ht.T @ forged.rows.T,
+        "text_proj_b": g_ht.sum(axis=0),
+        "polarity_emb": polarity_sums_add_at(g_hp, forged.rows.P),
+        "hidden_w": g_pre.T @ x,
+        "hidden_b": g_pre.sum(axis=0),
+        "out_w": act.T @ g_logit,
+        "out_b": np.array([g_logit.sum()]),
+    }
+    return loss, grads
+
+
+def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
+                            weights: np.ndarray):
+    """The weighted token loss and a dict of freshly allocated gradients, one
+    per head parameter, in the library's order of float operations."""
+    n = X.shape[0]
+    logits, pre, z, cdf = _batch_logits(arrays, X)
+    shift = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shift - np.log(np.sum(np.exp(shift), axis=-1, keepdims=True))
+    sup = targets != IGNORE_INDEX                      # (n, T)
+    t_counts = sup.sum(axis=1)
+    t_safe = np.where(sup, targets, 0)
+    rows = np.arange(n)[:, None]
+    cols = np.arange(targets.shape[1])[None, :]
+    ce = -log_probs[rows, cols, t_safe]                # (n, T)
+    per_sample = np.sum(ce * sup, axis=1) / t_counts
+    loss = float(np.sum(weights * per_sample) / n)
+
+    scale = (weights / (n * t_counts))[:, None] * sup  # (n, T)
+    G = np.exp(log_probs)
+    G[rows, cols, t_safe] -= 1.0
+    G *= scale[..., None]
+    grads = {
+        "out_w": np.einsum("ntv,nh->tvh", G, z),
+        "out_b": G.sum(axis=0),
+    }
+    g_z = np.einsum("ntv,tvh->nh", G, arrays["out_w"])
+    g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
+    grads["in_w"] = g_pre.T @ X
+    grads["in_b"] = g_pre.sum(axis=0)
+    return loss, grads
+
+
 # ---------------------------------------------------------------------------
 # Surrogate head, one sample at a time
 # ---------------------------------------------------------------------------
@@ -343,6 +406,12 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm.flat[j] -= h
         grad.flat[j] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def empty_grads(arrays: dict) -> dict:
+    """A fresh, uninitialized array for each named array: the ``grads`` a
+    loss fills when its caller wants new gradients rather than Adam's."""
+    return {k: np.empty_like(v) for k, v in arrays.items()}
 
 
 def flatten_arrays(arrays: dict) -> tuple[np.ndarray, list]:

@@ -48,6 +48,7 @@ from augqual.qa import (
 from augqual.util import sha256_hex
 from forge_reference import ForgedItem, forged_batch_from_items
 from oracles import (
+    empty_grads,
     feature_checksum,
     finite_diff_grad,
     flatten_arrays,
@@ -233,7 +234,8 @@ def test_criterion_01_gradients_match_finite_differences(criterion):
             _rand_forged_items(rng, d, d_t, int(rng.integers(2, 5)), f"g{i}"),
             d, d_t)
         alpha = tuple(float(a) for a in rng.uniform(0.2, 3.0, size=4))
-        _, grads = qa_loss_and_grads(fb, params, alpha)
+        grads = empty_grads(params.to_dict())
+        qa_loss_and_grads(fb, params, alpha, grads)
         vec, layout = flatten_arrays(params.to_dict())
 
         def f(v, fb=fb, layout=layout, alpha=alpha):
@@ -265,12 +267,13 @@ def test_criterion_01_gradients_match_finite_differences(criterion):
         weights = rng.uniform(0.0, 2.0, size=batch)
         if rng.random() < 0.3:
             weights[int(rng.integers(batch))] = 0.0
-        _, grads = _loss_and_grads(arrays, X, targets, weights)
+        grads = empty_grads(arrays)
+        _loss_and_grads(arrays, X, targets, weights, grads)
         vec, layout = flatten_arrays(arrays)
 
         def f(v, X=X, targets=targets, weights=weights, layout=layout):
             return _loss_and_grads(unflatten_arrays(v, layout), X, targets,
-                                   weights)[0]
+                                   weights, empty_grads(arrays))
 
         worst = max(worst, _rel_grad_err(grads, finite_diff_grad(f, vec)))
         n_instances += 1

@@ -232,29 +232,32 @@ class TestStageCommands:
 
 
 class TestStageByStageMatchesPipeline:
-    def test_readme_flow_reproduces_pipeline(self, tmp_path):
+    @pytest.mark.parametrize("label_fraction", ["1.0", "0.5"])
+    def test_readme_flow_reproduces_pipeline(self, tmp_path, label_fraction):
         seed = "3"
         gen = ["gen-corpus", "--n-originals", "24", "--augments", "2",
                "--d", "8", "--d-t", "12", "--p-swap", "0.15",
                "--p-degrade", "0.15", "--p-label-noise", "0.15"]
         c = ["--corpus", str(tmp_path / "corpus.jsonl")]
+        labels = ["--label-fraction", label_fraction]
         for cmd in (
             [*gen, "--out", str(tmp_path / "corpus.jsonl"), "--seed", seed],
             ["stage0", *c, "--out", str(tmp_path / "qa.json"), "--seed", seed,
-             "--steps", "40"],
+             "--steps", "40", *labels],
             ["score", *c, "--qa", str(tmp_path / "qa.json"),
              "--out", str(tmp_path / "weights.json")],
             ["stage1", *c, "--weights", str(tmp_path / "weights.json"),
              "--out", str(tmp_path / "head.json"), "--seed", seed,
-             "--steps", "30", "--run-log", str(tmp_path / "trace.jsonl")],
+             "--steps", "30", "--run-log", str(tmp_path / "trace.jsonl"), *labels],
             ["stage1", *c, "--out", str(tmp_path / "head_uniform.json"),
-             "--seed", seed, "--steps", "30"],
+             "--seed", seed, "--steps", "30", *labels],
         ):
             proc = run(*cmd)
             assert proc.returncode == 0, proc.stderr
         res = run_pipeline(PipelineConfig(
             n_originals=24, d=8, d_t=12, seeds=(3,), arms=("weighted", "uniform"),
-            qa=QaConfig(steps=40), head=HeadConfig(steps=30)), tmp_path / "pipe")
+            label_fraction=float(label_fraction), qa=QaConfig(steps=40),
+            head=HeadConfig(steps=30)), tmp_path / "pipe")
         pairs = {"corpus.jsonl": "corpus_s3", "qa.json": "qa_s3",
                  "weights.json": "weights_s3", "head.json": "head_s3_weighted",
                  "trace.jsonl": "runlog_s3_weighted",
@@ -309,6 +312,8 @@ def _mutants():
         ("token -1", feature("target_tokens", -1)),
         ("token 0.5", feature("target_tokens", 0.5)),
         ("token 1e30", feature("target_tokens", 10 ** 30)),
+        ("sentiment 1e400", field("sentiment", 10 ** 400)),
+        ("hidden_quality 1e400", field("hidden_quality", 10 ** 400)),
         ("unresolvable parent", augment(lambda a, _: a.update(parent_id="ghost"))),
         ("parent is an augment",
          augment(lambda a, augs: a.update(parent_id=next(
@@ -1101,7 +1106,8 @@ class TestMixOnlyAlpha:
 
 
 # Flags argparse reads as floats, NaN and infinities included, that once ran
-# until a late, misleading failure; each is now refused by its config.
+# until a late, misleading failure; each is now refused by its config, or
+# --label-fraction by the split's own fraction check.
 NON_FINITE_FLAGS = [
     ("gen-corpus", "--sigma-benign", "nan", "CorruptionProfile.sigma_benign"),
     ("stage0", "--lr", "nan", "QaConfig.lr"),
@@ -1110,6 +1116,8 @@ NON_FINITE_FLAGS = [
     ("score", "--w-max", "inf", "WeightMapConfig.w_max"),
     ("stage0", "--rho", "-inf", "QaConfig.rho"),
     ("stage1", "--steps", "-1", "HeadConfig.steps"),
+    ("stage0", "--label-fraction", "nan", "label_fraction"),
+    ("stage1", "--label-fraction", "0", "label_fraction"),
 ]
 
 
@@ -1199,7 +1207,9 @@ class TestStageDefaults:
         calls = self._calls(monkeypatch, ["stage0", "--corpus", "c", "--out", "q",
                                           "--seed", "5"], "train_stage0")
         assert calls["train_stage0"][0][1] == QaConfig(seed=5)
-        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+        assert calls["train_eval_split"] == (
+            (_CORPUS, PipelineConfig().eval_fraction),
+            {"label_fraction": PipelineConfig().label_fraction})
 
     def test_score(self, monkeypatch):
         calls = self._calls(monkeypatch, ["score", "--corpus", "c", "--qa", "q",
@@ -1210,7 +1220,9 @@ class TestStageDefaults:
         calls = self._calls(monkeypatch, ["stage1", "--corpus", "c", "--out", "h",
                                           "--seed", "5"], "train_stage1")
         assert calls["train_stage1"][0][2] == HeadConfig(seed=5)
-        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+        assert calls["train_eval_split"] == (
+            (_CORPUS, PipelineConfig().eval_fraction),
+            {"label_fraction": PipelineConfig().label_fraction})
 
     def test_eval(self, monkeypatch):
         calls = self._calls(monkeypatch, ["eval", "--corpus", "c", "--head", "h"],

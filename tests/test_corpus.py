@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,22 @@ class TestSerialization:
             assert s.target_tokens == t.target_tokens
         # re-serialization of the loaded corpus is bit-identical
         assert serialize_corpus(back) == serialize_corpus(c)
+
+    @pytest.mark.parametrize("n_originals", [300, 600])
+    def test_load_memory_is_the_columns(self, tmp_path, n_originals):
+        """The loader decodes each block onto the end of its column, so its
+        traced peak is the final feature columns plus a per-row allowance
+        for ids, the other fields and the buffers' growth; a copy of the
+        blocks (1,792 bytes a row at these widths) does not fit."""
+        path = tmp_path / "c.jsonl"
+        save_corpus(generate_corpus(n_originals, 2, DEFAULTISH, seed=8), path)
+        tracemalloc.start()
+        try:
+            f = load_corpus(path).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= f.V.nbytes + f.A.nbytes + f.T.nbytes + 1024 * len(f)
 
     def test_checksum_matches_file_bytes(self, tmp_path):
         c = generate_corpus(6, 1, DEFAULTISH, seed=77, d=8, d_t=8)

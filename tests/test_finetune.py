@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,17 +28,20 @@ from augqual.finetune import (
     write_run_log,
 )
 from augqual.metrics import acc_k
+from augqual.numerics import init_adam
 from augqual.qa import WeightFile, WeightMapConfig, map_weight
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from oracles import (
     corpus_from_samples,
     decode,
+    empty_grads,
     finite_diff_grad,
     flatten_arrays,
     head_input,
     head_logits,
     per_sample_loss,
     predict_tokens,
+    ref_head_loss_and_grads,
     samples_of,
     softmax_cross_entropy,
     unflatten_arrays,
@@ -162,7 +166,8 @@ class TestBatchedPath:
             targets[rng.random((n, t_max)) < 0.3] = IGNORE_INDEX
             targets[:, 0] = rng.integers(0, vocab, size=n)
             w = rng.random(n) * 2
-            loss, _ = _loss_and_grads(arrays, X, targets.astype(np.int64), w)
+            loss = _loss_and_grads(arrays, X, targets.astype(np.int64), w,
+                                   empty_grads(arrays))
             head = HeadParams.from_dict(arrays)
             ps = [per_sample_loss(head_logits(head, X[i]), targets[i])
                   for i in range(n)]
@@ -179,12 +184,13 @@ class TestBatchedPath:
             targets[0, 2] = IGNORE_INDEX
             targets[2, 1:] = IGNORE_INDEX
             w = np.array([1.5, 0.0, 0.7, 1.0])
-            _, grads = _loss_and_grads(arrays, X, targets, w)
+            grads = empty_grads(arrays)
+            _loss_and_grads(arrays, X, targets, w, grads)
             vec, layout = flatten_arrays(arrays)
 
             def f(v, _layout=layout, _X=X, _t=targets, _w=w):
-                loss, _ = _loss_and_grads(unflatten_arrays(v, _layout), _X, _t, _w)
-                return loss
+                return _loss_and_grads(unflatten_arrays(v, _layout), _X, _t, _w,
+                                       empty_grads(arrays))
 
             fd = finite_diff_grad(f, vec)
             an, _ = flatten_arrays(grads)
@@ -200,13 +206,40 @@ class TestBatchedPath:
         X = rng.standard_normal((n, in_dim))
         targets = rng.integers(0, vocab, size=(n, t_max)).astype(np.int64)
         w = np.array([1.0, 0.0, 1.0, 0.5])
-        loss_a, grads_a = _loss_and_grads(arrays, X, targets, w)
+        grads_a, grads_b = empty_grads(arrays), empty_grads(arrays)
+        loss_a = _loss_and_grads(arrays, X, targets, w, grads_a)
         flipped = targets.copy()
         flipped[1] = (flipped[1] + 1) % vocab
-        loss_b, grads_b = _loss_and_grads(arrays, X, flipped, w)
+        loss_b = _loss_and_grads(arrays, X, flipped, w, grads_b)
         assert loss_a == loss_b
         for k in grads_a:
             assert np.array_equal(grads_a[k], grads_b[k])
+
+    @pytest.mark.parametrize("d, d_t, hidden", [(64, 96, 128), (4, 5, 3)],
+                             ids=["default widths", "narrow"])
+    def test_grads_written_into_adam_buffer_match_reference(self, d, d_t, hidden):
+        """Every gradient lands in its view of Adam's gradient vector, bit
+        for bit the reference's fresh arrays, over seeded batches with
+        ignored positions and zero weights."""
+        corpus = generate_corpus(40, 1, CLEAN, seed=12, d=d, d_t=d_t)
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            arrays = init_head(d, d_t, 8, HeadConfig(hidden=hidden), rng)
+            arrays = {k: v + rng.standard_normal(v.shape)
+                      for k, v in arrays.to_dict().items()}
+            rows = rng.choice(len(corpus), size=32, replace=False)
+            X = _head_matrix(corpus.features, rows)
+            targets = corpus.targets[rows].copy()
+            targets[rng.random(targets.shape) < 0.2] = IGNORE_INDEX
+            targets[:, 0] = corpus.targets[rows, 0]
+            w = rng.random(32) * (rng.random(32) > 0.2)
+            want_loss, want = ref_head_loss_and_grads(arrays, X, targets, w)
+            state = init_adam(arrays)
+            state.grad[:] = np.nan                 # every entry must be written
+            assert _loss_and_grads(arrays, X, targets, w, state.grad_views) == want_loss
+            for k, g in state.grad_views.items():
+                assert np.shares_memory(g, state.grad)
+                assert g.tobytes() == want[k].tobytes(), (seed, k)
 
     def test_positions_are_independent_heads(self):
         rng = np.random.default_rng(6)
@@ -342,6 +375,23 @@ class TestTrainStage1:
         np.testing.assert_array_equal(run.rows, rows)
         full = train_stage1(corpus, None, HeadConfig(steps=5, seed=2))
         assert run.loss_trace != full.loss_trace
+
+    def test_memory_holds_no_copy_of_the_pool(self):
+        """Each step gathers its batch from the corpus: a pool three times
+        the size costs its row indices, weights and targets, not a copy of
+        its features (1,792 bytes a row at these widths)."""
+        corpus = generate_corpus(675, 1, CLEAN, seed=13, d=64, d_t=96)   # 1,350 rows
+        wf = _all_ones_weight_file(corpus)
+
+        def traced_peak(rows):
+            tracemalloc.start()
+            try:
+                train_stage1(corpus, wf, HeadConfig(steps=3), rows=rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, big = np.arange(450), np.arange(1350)
+        assert traced_peak(big) <= traced_peak(small) + 256 * (big.size - small.size)
 
     def test_learns_polarity_on_clean_data(self):
         corpus = generate_corpus(80, 0, CLEAN, seed=21, d=16, d_t=24)

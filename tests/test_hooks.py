@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import augqual.cli  # noqa: F401  (the tracer wraps the modules this imports)
-from augqual import pipeline, qa
+from augqual import finetune, pipeline, qa
 from augqual.corpus import CorruptionProfile, generate_corpus, train_eval_split
 from augqual.finetune import HeadConfig, train_stage1
 from augqual.util import derived_rng
@@ -68,3 +68,28 @@ def test_evaluate_predicts_and_scores_through_the_hooked_globals(monkeypatch):
     head = train_stage1(corpus, None, HeadConfig(steps=2)).head
     pipeline.evaluate(head, corpus, train_eval_split(corpus, 0.25))
     assert calls == {"predict_all": 1, "compute_metrics": 1}
+
+
+def test_training_steps_call_through_the_hooked_globals(monkeypatch):
+    """The ``forge.batch``, ``qa.grad`` and ``numerics.adam`` spans wrap
+    ``forge_batch``, ``qa_loss_and_grads`` and ``adam_step`` where
+    ``augqual.qa`` and ``augqual.finetune`` bind them; a training step that
+    called them by another name would leave their counts reading zero."""
+    hooked = [(qa, "forge_batch"), (qa, "qa_loss_and_grads"), (qa, "adam_step"),
+              (finetune, "adam_step")]
+    calls = {f"{module.__name__}.{name}": 0 for module, name in hooked}
+
+    def counting(module, name):
+        wrapped, key = getattr(module, name), f"{module.__name__}.{name}"
+
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return wrapped(*args, **kwargs)
+        return call
+    for module, name in hooked:
+        monkeypatch.setattr(module, name, counting(module, name))
+    corpus = generate_corpus(40, 1, CorruptionProfile(), seed=3, d=8, d_t=8)
+    qa.train_stage0(corpus, qa.QaConfig(steps=5, hidden=4))
+    train_stage1(corpus, None, HeadConfig(steps=3))
+    assert calls == {"augqual.qa.forge_batch": 5, "augqual.qa.qa_loss_and_grads": 5,
+                     "augqual.qa.adam_step": 5, "augqual.finetune.adam_step": 3}

@@ -162,11 +162,18 @@ def _state_bytes(state):
             state.step)
 
 
+def _step(state, grads):
+    """Write grads into Adam's gradient views, as a loss does, then step."""
+    for k, g in grads.items():
+        state.grad_views[k][...] = g
+    adam_step(state)
+
+
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array(0.5)}
         state = init_adam(params, lr=0.1)
-        adam_step(state, {k: np.zeros_like(v) for k, v in params.items()})
+        _step(state, {k: np.zeros_like(v) for k, v in params.items()})
         for k in params:
             assert np.array_equal(state.params[k], params[k])
         assert state.params["b"].shape == ()
@@ -175,7 +182,7 @@ class TestAdam:
     def test_single_step_hand_computation(self):
         # p=0, g=1, lr=0.1: bias correction cancels at t=1 so p -> -lr/(1+eps)
         state = init_adam({"p": np.array(0.0)}, lr=0.1)
-        adam_step(state, {"p": np.array(1.0)})
+        _step(state, {"p": np.array(1.0)})
         assert float(state.params["p"]) == pytest.approx(-0.0999999990, abs=1e-9)
 
     def test_two_steps_decrease_convex_quadratic(self):
@@ -183,7 +190,7 @@ class TestAdam:
         x = state.params["x"]
         v0 = float(np.sum(x ** 2))
         for _ in range(2):
-            adam_step(state, {"x": 2.0 * x})
+            _step(state, {"x": 2.0 * x})
         assert float(np.sum(x ** 2)) < v0
 
     def test_views_alias_one_vector_and_step_counter_advances(self):
@@ -193,11 +200,13 @@ class TestAdam:
             assert view.base is state.flat    # pins no optimizer buffer
             assert not np.shares_memory(view, params[k])   # init copies
             assert view.shape == params[k].shape
+            assert np.shares_memory(state.grad_views[k], state.grad)
+            assert state.grad_views[k].shape == params[k].shape
         assert state.flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert state.m.shape == state.v.shape == state.flat.shape
+        assert state.m.shape == state.v.shape == state.grad.shape == state.flat.shape
         grads = {"w": np.full((2, 2), 0.3), "b": np.array([-0.3])}
         for t in (1, 2):
-            adam_step(state, grads)
+            _step(state, grads)
             assert state.step == t
             assert np.array_equal(np.concatenate([state.params["w"].ravel(),
                                                   state.params["b"]]), state.flat)
@@ -208,38 +217,23 @@ class TestAdam:
         """Two keys after a few steps, so m and v are nonzero."""
         state = init_adam({"x": np.zeros(3), "y": np.ones((2, 2))})
         for _ in range(3):
-            adam_step(state, {"x": np.array([0.1, -0.2, 0.3]),
-                              "y": np.full((2, 2), -0.5)})
+            _step(state, {"x": np.array([0.1, -0.2, 0.3]),
+                          "y": np.full((2, 2), -0.5)})
         return state
 
-    def test_shape_mismatch_rejected(self):
-        for key, bad in (("y", np.zeros(4)), ("y", np.zeros((2, 3))),
-                         ("x", np.zeros((3, 1)))):
-            state = self._trained_state()
-            before = _state_bytes(state)
-            grads = {"x": np.zeros(3), "y": np.zeros((2, 2)), key: bad}
-            with pytest.raises(ValidationError,
-                               match=f"shape mismatch for '{key}'"):
-                adam_step(state, grads)
-            assert _state_bytes(state) == before
-
     def test_nonfinite_grad_rejected(self):
+        """A NaN or infinity the loss wrote into Adam's gradient buffer is
+        refused, naming its parameter, before any state changes."""
         for value in (np.nan, np.inf, -np.inf):
             state = self._trained_state()
             before = _state_bytes(state)
-            y = np.ones((2, 2))
-            y[1, 0] = value
+            state.grad_views["x"][...] = 1.0
+            state.grad_views["y"][...] = 1.0
+            state.grad_views["y"][1, 0] = value
             with pytest.raises(ValidationError,
                                match="non-finite gradient for 'y'"):
-                adam_step(state, {"x": np.ones(3), "y": y})
+                adam_step(state)
             assert _state_bytes(state) == before
-
-    def test_name_mismatch_rejected(self):
-        state = self._trained_state()
-        before = _state_bytes(state)
-        with pytest.raises(ValidationError, match="name mismatch"):
-            adam_step(state, {"x": np.ones(3)})
-        assert _state_bytes(state) == before
 
 
 def _textbook_adam(params, grads, m_in, v_in, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -279,7 +273,7 @@ class TestAdamAgainstTextbook:
             # gradients over many magnitudes, with exact zeros mixed in
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3)
                      * (rng.random(s) > 0.1) for k, s in shapes.items()}
-            adam_step(state, grads)
+            _step(state, grads)
             ref_params, ref_m, ref_v = _textbook_adam(
                 ref_params, grads, ref_m, ref_v, step + 1, lr=3e-3)
             for k in shapes:

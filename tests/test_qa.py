@@ -19,7 +19,7 @@ from augqual.corpus import (
 )
 from augqual.forge import forge_batch
 from augqual.metrics import roc_auc
-from augqual.numerics import bce_with_logit, one_blas_thread
+from augqual.numerics import bce_with_logit, init_adam, one_blas_thread
 from augqual.qa import (
     QaConfig,
     QaParams,
@@ -45,6 +45,7 @@ from forge_reference import family_items, forge_items, forged_batch_from_items
 from oracles import (
     Sample,
     assemble_input,
+    empty_grads,
     encode,
     feature_checksum,
     finite_diff_grad,
@@ -52,6 +53,7 @@ from oracles import (
     polarity_sums_add_at,
     qa_logit,
     qa_loss,
+    ref_qa_loss_and_grads,
     rows_of,
     samples_of,
     score_one_pass,
@@ -253,7 +255,8 @@ class TestGradients:
                      for i, y in enumerate(sents)]
             fb, _ = _forge(batch, d, derived_rng(seed, "grad-test"))
             alpha = (1.0, 0.7, 1.3, 0.5)
-            _, grads = qa_loss_and_grads(fb, params, alpha)
+            grads = empty_grads(params.to_dict())
+            qa_loss_and_grads(fb, params, alpha, grads)
             vec, layout = flatten_arrays(params.to_dict())
 
             def f(v, _fb=fb, _layout=layout, _alpha=alpha):
@@ -281,7 +284,7 @@ class TestGradients:
             P = pick.integers(0, 2, n).astype(np.intp)
             if trial % 3:
                 P[:] = trial % 3 - 1            # all 0, or all 1
-            got = _polarity_sums(rows, P)
+            got = _polarity_sums(rows, P, np.full((2, k), np.nan))
             want = polarity_sums_add_at(rows, P)
             assert got.shape == want.shape == (2, k)
             assert got.tobytes() == want.tobytes(), trial
@@ -292,8 +295,35 @@ class TestGradients:
         batch = [_sample(400 + i, y, d, d_t) for i, y in enumerate((0.5, -0.5))]
         fb, _ = _forge(batch, d, derived_rng(9, "grad-test"))
         a = qa_loss(fb, params, (1, 1, 1, 1))
-        b, _ = qa_loss_and_grads(fb, params, (1, 1, 1, 1))
+        b = qa_loss_and_grads(fb, params, (1, 1, 1, 1), empty_grads(params.to_dict()))
         assert a == b
+
+    @pytest.mark.parametrize("d, d_t, hidden", [(64, 96, 64), (5, 4, 3)],
+                             ids=["default widths", "narrow"])
+    def test_grads_written_into_adam_buffer_match_reference(self, d, d_t, hidden):
+        """Every gradient lands in its view of Adam's gradient vector, bit
+        for bit the reference's fresh arrays, with and without the stage-0
+        work arrays, over seeded batches; the last holds one polarity, so
+        its mix family is empty."""
+        corpus = generate_corpus(40, 1, PROFILE, seed=70, d=d, d_t=d_t)
+        positives = np.flatnonzero(corpus.features.P)
+        batches = [derived_rng(70, "batch", i).choice(len(corpus), 16, replace=False)
+                   for i in range(4)] + [positives[:8]]
+        alpha = (3.0, 2.0, 2.0, 1.0)
+        for i, idx in enumerate(batches):
+            params = _params(d, d_t, hidden, seed=i)
+            fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i))
+            assert (fb.sizes[1] == 0) == (i == len(batches) - 1)
+            want_loss, want = ref_qa_loss_and_grads(fb, params, alpha)
+            n = fb.labels.shape[0]
+            for work in ((), np.full((2, n + 3, 4 * d), np.nan)[:, :n]):
+                state = init_adam(params.to_dict())
+                state.grad[:] = np.nan             # every entry must be written
+                loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
+                assert loss == want_loss
+                for k, g in state.grad_views.items():
+                    assert np.shares_memory(g, state.grad)
+                    assert g.tobytes() == want[k].tobytes(), (i, k)
 
 
 class TestTrainStage0:
@@ -324,6 +354,24 @@ class TestTrainStage0:
         before = feature_checksum(c)
         train_stage0(c, QaConfig(steps=25, seed=7, hidden=8))
         assert feature_checksum(c) == before
+
+    def test_memory_flat_in_steps_and_pool(self):
+        """Each step gathers its batch from the corpus and reuses two work
+        arrays: more steps cost only their losses, a pool three times the
+        size only its row indices, not a copy of its features (1,792 bytes
+        a row at these widths)."""
+        corpus = generate_corpus(1350, 0, PROFILE, seed=62)
+
+        def traced_peak(steps, n_rows):
+            tracemalloc.start()
+            try:
+                train_stage0(corpus, QaConfig(steps=steps), rows=np.arange(n_rows))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        base = traced_peak(4, 450)
+        assert traced_peak(40, 450) <= base + 64 * 36
+        assert traced_peak(4, 1350) <= base + 64 * 900
 
     def test_loss_decreases(self):
         c = self._corpus()
