@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     POOLS,
-    CorruptionProfile,
-    check_split_fractions,
+    CorpusConfig,
+    SplitConfig,
     corpus_checksum,
     generate_corpus,
     load_corpus,
@@ -54,7 +54,7 @@ from .qa import (
     save_qa_snapshot,
     train_stage0,
 )
-from .util import AugqualError, ValidationError
+from .util import AugqualError, ValidationError, config_fields, flag_type
 
 
 class _UsageError(Exception):
@@ -80,30 +80,44 @@ def _load_json_file(path) -> dict:
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _add_config_flags(p: argparse.ArgumentParser, config, **extra) -> None:
-    """One flag per field of the config dataclass instance ``config`` but its
-    seed: --field-name, typed as the field's value and defaulting to it (a
-    False field is a switch); ``extra`` overrides add_argument keywords."""
-    for f in fields(config):
-        if f.name == "seed":
+def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
+    """One flag per field of the config dataclass instance ``config`` and of
+    each config nested in it (util.config_fields, so never a seed):
+    --field-name, or the flag ``names`` gives the field (None for none),
+    typed as the field (util.flag_type) and defaulting to its value in
+    ``config``; a bool field is a switch. Text a flag's type refuses raises
+    ValidationError out of parse_args, and main reports it."""
+    for name, hint in config_fields(type(config)):
+        value = getattr(config, name)
+        flag = names.get(name, "--" + name.replace("_", "-"))
+        if is_dataclass(hint):
+            _add_config_flags(p, value, **names)
+        elif flag is None:
             continue
-        default = getattr(config, f.name)
-        kw = ({"action": "store_true"} if default is False
-              else {"type": type(default), "default": default})
-        p.add_argument("--" + f.name.replace("_", "-"),
-                       **{**kw, **extra.get(f.name, {})})
+        elif hint is bool:
+            p.add_argument(flag, dest=name, action="store_true", default=value)
+        else:
+            p.add_argument(flag, dest=name, type=flag_type(hint, flag),
+                           default=value)
 
 
-def _config_from_flags(cls, args):
-    """A cls built from the flags _add_config_flags gave it (and --seed)."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+def _config_from_flags(cls, args, **given):
+    """A cls built from ``given`` and the flags _add_config_flags gave it; a
+    field with no flag keeps its default."""
+    for name, hint in config_fields(cls):
+        if is_dataclass(hint):
+            given[name] = _config_from_flags(hint, args)
+        elif hasattr(args, name):
+            given[name] = getattr(args, name)
+    return cls(**given)
 
 
 def _cmd_gen_corpus(args) -> int:
+    config = _config_from_flags(CorpusConfig, args)
     corpus = generate_corpus(
-        args.n_originals, args.augments,
-        _config_from_flags(CorruptionProfile, args), seed=args.seed, d=args.d,
-        d_t=args.d_t, vocab_size=args.vocab_size)
+        config.n_originals, config.augments_per_original, config.profile,
+        seed=args.seed, d=config.d, d_t=config.d_t,
+        vocab_size=config.vocab_size)
     save_corpus(corpus, args.out)
     doc = {"path": str(args.out), "n_samples": len(corpus),
            "n_originals": int((~corpus.augmented).sum()),
@@ -116,16 +130,12 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
-
-
 def _cmd_stage0(args) -> int:
-    config = _config_from_flags(QaConfig, args)
-    check_split_fractions(args.eval_fraction, args.label_fraction)
+    config = _config_from_flags(QaConfig, args, seed=args.seed)
+    split = _config_from_flags(SplitConfig, args)
     corpus = load_corpus(args.corpus)
-    train = train_eval_split(corpus, args.eval_fraction,
-                             label_fraction=args.label_fraction).pool("all")
+    train = train_eval_split(corpus, split.eval_fraction,
+                             label_fraction=split.label_fraction).pool("all")
     params, trace = train_stage0(corpus, config, rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
@@ -155,12 +165,12 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_stage1(args) -> int:
-    config = _config_from_flags(HeadConfig, args)
-    check_split_fractions(args.eval_fraction, args.label_fraction)
+    config = _config_from_flags(HeadConfig, args, seed=args.seed)
+    split = _config_from_flags(SplitConfig, args)
     corpus = load_corpus(args.corpus)
     weight_file = None if args.weights is None else load_weight_file(args.weights)
-    pool = train_eval_split(corpus, args.eval_fraction,
-                            label_fraction=args.label_fraction).pool(args.pool)
+    pool = train_eval_split(corpus, split.eval_fraction,
+                            label_fraction=split.label_fraction).pool(args.pool)
     run = train_stage1(corpus, weight_file, config, rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
@@ -177,6 +187,7 @@ def _cmd_stage1(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    split = _config_from_flags(SplitConfig, args)
     corpus = load_corpus(args.corpus)
     head, d, d_t = load_head_snapshot(args.head)
     if (d, d_t) != (corpus.header.d, corpus.header.d_t):
@@ -187,7 +198,7 @@ def _cmd_eval(args) -> int:
                               f"tokens; the corpus needs "
                               f"{corpus.targets.shape[1]} over "
                               f"{corpus.header.vocab_size}")
-    metrics = evaluate(head, corpus, train_eval_split(corpus, args.eval_fraction))
+    metrics = evaluate(head, corpus, train_eval_split(corpus, split.eval_fraction))
     if args.json:
         _print_json(metrics)
     else:
@@ -214,12 +225,7 @@ def _cmd_pipeline(args) -> int:
     else:
         cfg = PipelineConfig()
     if args.seeds is not None:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"bad --seeds: {exc}") from exc
-        cfg = replace(cfg, seeds=seeds)
-        cfg.validate()
+        cfg = replace(cfg, seeds=args.seeds)
     result = run_pipeline(cfg, args.out)
     if args.dump_csv is not None:
         Path(args.dump_csv).write_text(report_csv(result.report),
@@ -238,30 +244,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"augqual {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    base = PipelineConfig()
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-originals", type=int, default=base.n_originals)
-    p.add_argument("--augments", type=int, default=base.augments_per_original)
-    p.add_argument("--d", type=int, default=base.d)
-    p.add_argument("--d-t", type=int, default=base.d_t)
-    p.add_argument("--vocab-size", type=int, default=base.vocab_size)
-    _add_config_flags(p, CorruptionProfile())
+    p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
+    _add_config_flags(p, CorpusConfig(), augments_per_original="--augments")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen_corpus)
 
     p = sub.add_parser("stage0", help="train the quality scorer")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_config_flags(p, QaConfig(), alpha={
-        "type": _float_list, "help": "family loss weights: pos,mix,mask,flip"})
-    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction,
-                   help="held-out originals the scorer never sees")
-    p.add_argument("--label-fraction", type=float, default=base.label_fraction,
-                   help="leading share of training pairs kept")
+    p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
+    _add_config_flags(p, QaConfig())
+    _add_config_flags(p, SplitConfig())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage0)
 
@@ -276,13 +272,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stage1", help="fine-tune the surrogate head")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
     p.add_argument("--weights", help="weight file; omit for uniform")
     p.add_argument("--pool", choices=POOLS, default="all")
-    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction)
-    p.add_argument("--label-fraction", type=float, default=base.label_fraction,
-                   help="leading share of training pairs kept")
-    _add_config_flags(p, HeadConfig(), hidden={"type": int})
+    _add_config_flags(p, SplitConfig())
+    _add_config_flags(p, HeadConfig())
     p.add_argument("--run-log", help="write per-step losses as JSONL")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage1)
@@ -290,7 +284,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a head on held-out originals")
     p.add_argument("--corpus", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--eval-fraction", type=float, default=base.eval_fraction)
+    # the held-out set does not depend on the label fraction
+    _add_config_flags(p, SplitConfig(), label_fraction=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
@@ -303,7 +298,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run the full experiment")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config document")
-    p.add_argument("--seeds", help="comma-separated override, e.g. 1,2,3")
+    p.add_argument("--seeds", help="comma-separated override, e.g. 1,2,3",
+                   type=flag_type(dict(config_fields(PipelineConfig))["seeds"],
+                                  "--seeds"))
     p.add_argument("--dump-csv", help="also write per-seed rows as CSV")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
@@ -315,12 +312,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .util import (ValidationError, b64_block, bounded, check_fields,
-                   check_ranges, decode_block, derived_rng, sha256_hex)
+                   check_ranges, config_to_dict, decode_block, derived_rng,
+                   sha256_hex)
 
 GENERATOR_VERSION = "augqual-gen-2"
 IGNORE_INDEX = -100
@@ -100,13 +101,7 @@ class VerbalScheme:
     eos_token: int = 7
 
     def to_dict(self) -> dict:
-        return {
-            "sign_tokens": list(self.sign_tokens),
-            "class_tokens": list(self.class_tokens),
-            "class_values": list(self.class_values),
-            "neutral_value": self.neutral_value,
-            "eos_token": self.eos_token,
-        }
+        return config_to_dict(self)
 
     @staticmethod
     def from_dict(raw) -> "VerbalScheme":
@@ -195,6 +190,27 @@ class CorruptionProfile:
 DEFAULT_PROFILE = CorruptionProfile(
     sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
     degrade_mask_rate=0.5, p_label_noise=0.15)
+
+
+@dataclass(frozen=True)
+class CorpusConfig:
+    """What generate_corpus generates from a seed: its sizes and profile."""
+
+    n_originals: int = bounded(200, "[2, inf)")   # both polarities
+    augments_per_original: int = bounded(2, "[0, inf)")
+    d: int = bounded(64, f"[4, {MAX_DIM}]")
+    d_t: int = bounded(96, f"[4, {MAX_DIM}]")
+    vocab_size: int = bounded(8, f"[1, {MAX_DIM}]")
+    profile: CorruptionProfile = CorruptionProfile()
+
+    def __post_init__(self):
+        check_ranges(self)
+        if self.n_originals * (1 + self.augments_per_original) > MAX_ROWS:
+            raise ValidationError(f"n_originals * (1 + augments_per_original) "
+                                  f"must be <= MAX_ROWS = {MAX_ROWS}")
+        # the verbal table's tokens must fit vocab_size
+        CorpusHeader(d=self.d, d_t=self.d_t, vocab_size=self.vocab_size,
+                     seed=0).validate()
 
 
 @dataclass(frozen=True)
@@ -309,27 +325,6 @@ def validate_corpus(corpus: Corpus) -> None:
         raise ValidationError(f"record {ids[row]}: {message}")
 
 
-def generation_header(n_originals: int, augments_per_original: int,
-                      profile: CorruptionProfile, d: int, d_t: int,
-                      vocab_size: int, seed: int = 0) -> CorpusHeader:
-    """The header generate_corpus writes for these arguments, once they pass
-    every check it makes before generating; ValidationError otherwise."""
-    if n_originals < 2:
-        raise ValidationError(f"cannot generate corpus: need both polarities "
-                              f"(n_originals >= 2), got n_originals {n_originals}")
-    if augments_per_original < 0:
-        raise ValidationError(f"augments_per_original must be >= 0, "
-                              f"got {augments_per_original}")
-    if d < 4 or d_t < 4:
-        raise ValidationError("feature dimensions d and d_t must be >= 4")
-    if n_originals * (1 + augments_per_original) > MAX_ROWS:
-        raise ValidationError(f"n_originals * (1 + augments_per_original) "
-                              f"must be <= MAX_ROWS = {MAX_ROWS}")
-    header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed)
-    header.validate()
-    return header
-
-
 def generate_corpus(n_originals: int, augments_per_original: int,
                     profile: CorruptionProfile, seed: int,
                     d: int = 64, d_t: int = 96, vocab_size: int = 8) -> Corpus:
@@ -342,8 +337,10 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     for the corrupted kinds. Per-sample RNG streams are derived from (seed,
     purpose, index), so output is order-independent.
     """
-    header = generation_header(n_originals, augments_per_original, profile,
-                               d, d_t, vocab_size, seed)
+    CorpusConfig(n_originals=n_originals,
+                 augments_per_original=augments_per_original, d=d, d_t=d_t,
+                 vocab_size=vocab_size, profile=profile)
+    header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed)
     dims = {"v": d, "a": d, "t": d_t}
     dir_rng = derived_rng(seed, "directions")
     axis = {m: _SIGNAL_SCALE[m] * _unit_direction(dir_rng, dims[m])
@@ -625,12 +622,15 @@ class Split:
         return np.concatenate(parts[which])
 
 
-def check_split_fractions(eval_fraction: float, label_fraction: float) -> None:
-    """The fraction checks train_eval_split makes before splitting."""
-    if not 0.0 <= eval_fraction < 1.0:
-        raise ValidationError(f"eval_fraction must be in [0, 1), got {eval_fraction}")
-    if not 0.0 < label_fraction <= 1.0:
-        raise ValidationError(f"label_fraction must be in (0, 1], got {label_fraction}")
+@dataclass(frozen=True)
+class SplitConfig:
+    """train_eval_split's fractions."""
+
+    eval_fraction: float = bounded(0.25, "[0, 1)")
+    label_fraction: float = bounded(1.0, "(0, 1]")
+
+    def __post_init__(self):
+        check_ranges(self)
 
 
 def train_eval_split(corpus: Corpus, eval_fraction: float,
@@ -645,7 +645,7 @@ def train_eval_split(corpus: Corpus, eval_fraction: float,
     larger polarity) train only when ``eval_fraction`` is 0. Augments follow
     their parents; augments of held-out parents belong to neither side.
     """
-    check_split_fractions(eval_fraction, label_fraction)
+    SplitConfig(eval_fraction=eval_fraction, label_fraction=label_fraction)
     originals = np.flatnonzero(~corpus.augmented)
     pos, neg = (originals[corpus.features.P[originals] == k] for k in (1, 0))
     n_pairs = min(pos.size, neg.size)

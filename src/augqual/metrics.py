@@ -76,16 +76,6 @@ def _support_weighted(support, values) -> float:
     return sum((support * values).tolist()) / int(support.sum())
 
 
-def weighted_precision(pred_classes, gold_classes) -> float:
-    support, prec, _ = _class_table(pred_classes, gold_classes)
-    return _support_weighted(support, prec)
-
-
-def weighted_f1(pred_classes, gold_classes) -> float:
-    support, _, f1 = _class_table(pred_classes, gold_classes)
-    return _support_weighted(support, f1)
-
-
 def mae(pred, gold) -> float:
     p, g = _as_pair(pred, gold)
     return float(np.mean(np.abs(p - g)))

@@ -15,11 +15,13 @@ weights:
 The stage subcommands of the CLI use the same split, the same pools
 (``Split.pool``, named per arm in ARM_POOLS), the same ``evaluate`` and the
 config dataclasses' defaults, so a hand-run flow writes the pipeline's
-artifacts byte for byte. A config document is read, and written back by
-``PipelineConfig.to_dict``, through one table (_SECTIONS) giving each key its
-exact JSON type; an unknown key or a value of another type is refused, as is
-a value outside the interval its config field declares (``util.bounded``),
-named ``<Class>.<field> must be in <interval>`` when that config is built.
+artifacts byte for byte. A config document nests as PipelineConfig does, one
+section per config dataclass, and is read, and written back by
+``PipelineConfig.to_dict``, by walking those fields and their annotations
+(``util.config_fields``), which give each key its exact JSON type; an unknown
+key or a value of another type is refused, as is a value outside the
+interval its config field declares (``util.bounded``), named
+``<Class>.<field> must be in <interval>`` when that config is built.
 
 Only the weighted arm reads the scorer. So once a seed is split, one forked
 worker process trains, saves and evaluates every other arm while this
@@ -43,16 +45,14 @@ import contextlib
 import csv
 import io
 import multiprocessing
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import (GENERATOR_VERSION, DEFAULT_PROFILE, Corpus,
-                     CorruptionProfile, Split, check_split_fractions,
-                     corpus_checksum, generate_corpus, generation_header,
+from .corpus import (GENERATOR_VERSION, DEFAULT_PROFILE, Corpus, CorpusConfig,
+                     Split, SplitConfig, corpus_checksum, generate_corpus,
                      save_corpus, train_eval_split)
 from .finetune import (HeadConfig, HeadParams, predict_all, save_head_snapshot,
                        train_stage1, write_run_log)
@@ -61,7 +61,7 @@ from .numerics import one_blas_thread
 from .qa import (QaConfig, WeightMapConfig, export_weights, save_qa_snapshot,
                  train_stage0)
 from .util import (AugqualError, PipelineError, ValidationError, check_fields,
-                   dumps_canonical)
+                   config_from_dict, config_to_dict, dumps_canonical)
 
 # Each arm's training pool, named as in Split.pool.
 ARM_POOLS = {"weighted": "all", "uniform": "all", "original_only": "original",
@@ -71,131 +71,46 @@ ARMS = tuple(ARM_POOLS)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    n_originals: int = 200
-    augments_per_original: int = 2
-    d: int = 64
-    d_t: int = 96
-    vocab_size: int = 8
-    profile: CorruptionProfile = DEFAULT_PROFILE
-    eval_fraction: float = 0.25
-    label_fraction: float = 1.0
-    seeds: tuple = (1, 2, 3)
-    arms: tuple = ARMS
-    qa: QaConfig = field(default_factory=QaConfig)
-    weight_map: WeightMapConfig = field(default_factory=WeightMapConfig)
-    head: HeadConfig = field(default_factory=HeadConfig)
+    """The config document: one field per section, as ``to_dict`` writes it.
+    Each section checks its own ranges when built; building this checks the
+    rules that span sections, so a bad config fails before anything is
+    written."""
 
-    def validate(self) -> None:
-        """The argument checks of the corpus generator and the split and the
-        pipeline's own (its configs check their ranges when built), so a value
-        out of range fails before anything is written."""
-        generation_header(self.n_originals, self.augments_per_original,
-                          self.profile, self.d, self.d_t, self.vocab_size)
-        check_split_fractions(self.eval_fraction, self.label_fraction)
-        if self.eval_fraction == 0.0 or self.n_originals < 4:
+    corpus: CorpusConfig = CorpusConfig(profile=DEFAULT_PROFILE)
+    split: SplitConfig = SplitConfig()
+    qa: QaConfig = QaConfig()
+    weight_map: WeightMapConfig = WeightMapConfig()
+    head: HeadConfig = HeadConfig()
+    seeds: tuple[int, ...] = (1, 2, 3)
+    arms: tuple[str, ...] = ARMS
+
+    def __post_init__(self):
+        if self.split.eval_fraction == 0.0 or self.corpus.n_originals < 4:
             raise ValidationError("arms are evaluated on held-out originals: "
                                   "need eval_fraction > 0 and n_originals >= 4")
-        if not self.seeds:
-            raise ValidationError("pipeline needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValidationError("pipeline seeds must be distinct")
-        if not self.arms:
-            raise ValidationError("pipeline needs at least one arm")
         for arm in self.arms:
             if arm not in ARMS:
                 raise ValidationError(f"unknown arm: {arm}")
-        if len(set(self.arms)) != len(self.arms):
-            raise ValidationError("pipeline arms must be distinct")
+        for name, values in (("seed", self.seeds), ("arm", self.arms)):
+            if not values:
+                raise ValidationError(f"pipeline needs at least one {name}")
+            if len(set(values)) != len(values):
+                raise ValidationError(f"pipeline {name}s must be distinct")
 
     def to_dict(self) -> dict:
         """The config as the document pipeline_config_from_dict reads."""
-        doc = {}
-        for name, (part, kinds) in _SECTIONS.items():
-            at = doc
-            for key in filter(None, name.split(".")):
-                at = at.setdefault(key, {})
-            obj = getattr(self, part) if part else self
-            for key, kind in kinds.items():
-                value = getattr(obj, key)
-                at[key] = list(value) if type(kind) is list else value
-        return doc
-
-
-# The config document, one entry per section (dotted, "" for the top level,
-# parents before their subsections): the part of PipelineConfig it fills
-# ("" for PipelineConfig's own fields), and each key's exact JSON type, as
-# the Python types json.load gives (true and false are never numbers), or
-# [type] for an array of it. Each key names a field of its part; numbers are
-# stored as floats, arrays as tuples.
-_INT, _NUMBER, _BOOL, _STR = (int,), (int, float), (bool,), (str,)
-_INT_OR_NULL = (int, type(None))
-_SECTIONS = {
-    "": ("", {"seeds": [_INT], "arms": [_STR]}),
-    "corpus": ("", {"n_originals": _INT, "augments_per_original": _INT,
-                    "d": _INT, "d_t": _INT, "vocab_size": _INT}),
-    "corpus.profile": ("profile", {
-        "sigma_benign": _NUMBER, "p_swap": _NUMBER, "p_degrade": _NUMBER,
-        "degrade_mask_rate": _NUMBER, "p_label_noise": _NUMBER}),
-    "split": ("", {"eval_fraction": _NUMBER, "label_fraction": _NUMBER}),
-    "qa": ("qa", {"alpha": [_NUMBER], "rho": _NUMBER, "batch_size": _INT,
-                  "steps": _INT, "lr": _NUMBER, "hidden": _INT,
-                  "include_augmented": _BOOL}),
-    "weight_map": ("weight_map", {"w_min": _NUMBER, "w_max": _NUMBER,
-                                  "gamma": _NUMBER}),
-    "head": ("head", {"hidden": _INT_OR_NULL, "t_max": _INT, "lr": _NUMBER,
-                      "steps": _INT, "batch_size": _INT}),
-}
-_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
-               bool: "a boolean", int: "an integer", float: "a float",
-               type(None): "null"}
-
-
-def _parse_value(value, kind, key: str):
-    """value, checked to have the JSON type ``kind`` of _SECTIONS."""
-    got = _JSON_NAMES.get(type(value), type(value).__name__)
-    if type(kind) is list:
-        if type(value) is not list:
-            raise ValidationError(f"config key {key} must be an array, got {got}")
-        return tuple(_parse_value(v, kind[0], f"{key}[{i}]")
-                     for i, v in enumerate(value))
-    if type(value) not in kind:
-        want = " or ".join(_JSON_NAMES[t] for t in kind)
-        raise ValidationError(f"config key {key} must be {want}, got {got}")
-    if kind is not _NUMBER:
-        return value
-    if not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"config key {key} must be a finite number")
-    return float(value)
+        return config_to_dict(self)
 
 
 def pipeline_config_from_dict(doc) -> PipelineConfig:
-    """Strict config parsing against _SECTIONS: an unknown key, or a value
-    not of its key's JSON type, at any level is an error naming the key.
+    """Strict config parsing: an unknown key, or a value not of its key's
+    JSON type, at any level is an error naming the key; a key left out keeps
+    the value of PipelineConfig().
 
     The qa and head seeds are not configurable here; each run derives them
     from the pipeline seed so arms stay paired.
     """
-    sections, parts = {}, {}
-    for name, (part, kinds) in _SECTIONS.items():
-        parent, _, key = name.rpartition(".")
-        section = sections[parent].get(key, {}) if name else doc
-        if type(section) is not dict:
-            raise ValidationError(f"config section {name} must be an object"
-                                  if name else "config must be a JSON object")
-        for key, value in section.items():
-            dotted = f"{name}.{key}" if name else key
-            if key in kinds:
-                parts.setdefault(part, {})[key] = _parse_value(
-                    value, kinds[key], dotted)
-            elif not key or dotted not in _SECTIONS:   # else a subsection
-                raise ValidationError(f"unknown config key: {dotted}")
-        sections[name] = section
-    base = PipelineConfig()
-    cfg = replace(base, **parts.pop("", {}), **{
-        part: replace(getattr(base, part), **values)
-        for part, values in parts.items()})
-    cfg.validate()
-    return cfg
+    return config_from_dict(PipelineConfig(), doc)
 
 
 @dataclass
@@ -255,7 +170,7 @@ def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
                 corpus, weight_file if arm == "weighted" else None,
                 replace(config.head, seed=seed),
                 rows=split.pool(ARM_POOLS[arm]))
-            save_head_snapshot(run.head, config.d, config.d_t,
+            save_head_snapshot(run.head, config.corpus.d, config.corpus.d_t,
                                out / f"head_s{seed}_{arm}.json")
             write_run_log(run.loss_trace, out / f"runlog_s{seed}_{arm}.jsonl")
         with _stage(f"eval:{arm}"):
@@ -265,7 +180,6 @@ def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
 
 def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     """Run every (seed, arm) cell and write all artifacts under out_dir."""
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -277,18 +191,18 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     with one_blas_thread(), _arm_worker() as pool:
         for seed in config.seeds:
             with _stage("gen-corpus"):
+                c = config.corpus
                 corpus = generate_corpus(
-                    config.n_originals, config.augments_per_original,
-                    config.profile, seed=seed, d=config.d, d_t=config.d_t,
-                    vocab_size=config.vocab_size)
+                    c.n_originals, c.augments_per_original, c.profile,
+                    seed=seed, d=c.d, d_t=c.d_t, vocab_size=c.vocab_size)
                 corpus_path = out / f"corpus_s{seed}.jsonl"
                 save_corpus(corpus, corpus_path)
                 paths[f"corpus_s{seed}"] = corpus_path
                 checksums[f"corpus_s{seed}"] = corpus_checksum(corpus)
 
             with _stage("split"):
-                split = train_eval_split(corpus, config.eval_fraction,
-                                         config.label_fraction)
+                split = train_eval_split(corpus, config.split.eval_fraction,
+                                         config.split.label_fraction)
 
             pending = (pool.submit(_train_arms, worker_arms, corpus, split, None,
                                    config, seed, out) if worker_arms else None)

@@ -126,7 +126,7 @@ class QaParams:
 class QaConfig:
     """Scorer training hyperparameters."""
 
-    alpha: tuple[float, float, float, float] = bounded((3.0, 2.0, 2.0, 1.0), "[0, inf)")
+    alpha: tuple[float, ...] = bounded((3.0, 2.0, 2.0, 1.0), "[0, inf)")
     rho: float = bounded(0.3, "[0, 1]")
     batch_size: int = bounded(32, "[2, inf)")
     steps: int = bounded(800, "[0, inf)")

@@ -1,5 +1,6 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
-checksums, and the one float64 array codec every artifact uses.
+checksums, the config schema walker, and the one float64 array codec every
+artifact uses.
 
 Every float array is written as ``b64_block``, padded standard-alphabet base64
 of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
@@ -15,9 +16,11 @@ import hashlib
 import json
 import math
 import os
+import re
+import sys
 import time
-from dataclasses import field, fields
-from typing import Any
+from dataclasses import field, fields, is_dataclass, replace
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -103,6 +106,96 @@ def check_ranges(obj) -> None:
                                       and (v <= hi if interval[-1] == "]" else v < hi)):
                 raise ValidationError(f"{type(obj).__name__}.{f.name} must be in "
                                       f"{interval}, got {v}")
+
+
+# The name of each type json.load gives, as config errors print it.
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a float",
+               type(None): "null"}
+# The text a stage flag takes for an int and a float field; nan and inf
+# pass here so that the field's interval refuses them by name.
+_FLAG_TEXT = {int: re.compile(r"-?[0-9]+"),
+              float: re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?"
+                                r"|-?inf|nan")}
+
+
+def config_fields(cls) -> list:
+    """(name, type from its annotation) of each field of the config dataclass
+    ``cls`` but ``seed``, which runs derive: one config document key and one
+    stage flag each. A dataclass type is a nested section; ``int`` is never a
+    bool; ``float`` is any finite number, stored as a float; ``int | None``
+    also takes null; ``tuple[X, ...]`` is an array of X."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls) if f.name != "seed"]
+
+
+def config_to_dict(config) -> dict:
+    """The config dataclass instance ``config`` as its config document."""
+    doc = {}
+    for name, hint in config_fields(type(config)):
+        value = getattr(config, name)
+        doc[name] = (config_to_dict(value) if is_dataclass(hint)
+                     else list(value) if get_origin(hint) is tuple
+                     else value)
+    return doc
+
+
+def config_from_dict(base, doc, section: str = ""):
+    """The config dataclass instance ``base`` with the keys the config
+    document ``doc`` sets; a key left out, in a nested section too, keeps
+    base's value. An unknown key, or a value not of its field's JSON type,
+    is refused naming the dotted key; building each config checks the rest."""
+    if type(doc) is not dict:
+        raise ValidationError(f"config section {section} must be an object"
+                              if section else "config must be a JSON object")
+    hints = dict(config_fields(type(base)))
+    values = {}
+    for key, value in doc.items():
+        dotted = f"{section}.{key}" if section else key
+        if key not in hints:
+            raise ValidationError(f"unknown config key: {dotted}")
+        values[key] = (config_from_dict(getattr(base, key), value, dotted)
+                       if is_dataclass(hints[key])
+                       else _json_value(value, hints[key], dotted))
+    return replace(base, **values)
+
+
+def _json_value(value, hint, key: str):
+    """value, checked to be of a JSON type that the field type ``hint`` takes."""
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    if get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise ValidationError(f"config key {key} must be an array, got {got}")
+        return tuple(_json_value(v, get_args(hint)[0], f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    kinds = [k for t in get_args(hint) or (hint,)
+             for k in ((int, float) if t is float else (t,))]
+    if type(value) not in kinds:
+        want = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValidationError(f"config key {key} must be {want}, got {got}")
+    if hint is not float:
+        return value
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"config key {key} must be a finite number")
+    return float(value)
+
+
+def flag_type(hint, flag: str):
+    """The argparse type of stage flag ``flag`` for a field of type ``hint``:
+    a tuple takes a comma list of its element type, an int a plain decimal
+    integer, a float a decimal number. Other text raises ValidationError
+    ``bad <flag>: ...``, which argparse passes on to its caller."""
+    if get_origin(hint) is tuple:
+        item = flag_type(get_args(hint)[0], flag)
+        return lambda text: tuple(map(item, text.split(",")))
+    kind = float if hint is float else int    # int | None takes an int
+
+    def parse(text: str):
+        if not _FLAG_TEXT[kind].fullmatch(text):
+            raise ValidationError(f"bad {flag}: {text!r} is not a decimal "
+                                  f"{'number' if kind is float else 'integer'}")
+        return kind(text)
+    return parse
 
 
 def check_params(arrays: dict, shapes: dict, what: str) -> None:

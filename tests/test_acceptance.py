@@ -17,7 +17,9 @@ import numpy as np
 from augqual.corpus import (
     DEFAULT_PROFILE,
     IGNORE_INDEX,
+    CorpusConfig,
     CorruptionProfile,
+    SplitConfig,
     generate_corpus,
     serialize_corpus,
     train_eval_split,
@@ -26,11 +28,10 @@ from augqual.finetune import HeadConfig, _loss_and_grads, train_stage1
 from augqual.forge import FAMILIES
 from augqual.metrics import (
     acc_k,
+    compute_metrics,
     mae,
     pearson_corr,
     roc_auc,
-    weighted_f1,
-    weighted_precision,
 )
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import (
@@ -400,8 +401,9 @@ def test_criterion_05_weighted_beats_uniform_under_corruption(criterion,
                                                               tmp_path):
     t0 = time.monotonic()
     cfg = PipelineConfig(
-        n_originals=128, augments_per_original=4, d=128, d_t=192,
-        profile=_CORRUPT30, eval_fraction=60 / 64, seeds=(1, 2, 3, 4, 5),
+        corpus=CorpusConfig(n_originals=128, augments_per_original=4, d=128,
+                            d_t=192, profile=_CORRUPT30),
+        split=SplitConfig(eval_fraction=60 / 64), seeds=(1, 2, 3, 4, 5),
         arms=("weighted", "uniform", "original_only"),
         qa=QaConfig(steps=400), head=HeadConfig(steps=300))
     result = run_pipeline(cfg, tmp_path / "trend")
@@ -424,8 +426,9 @@ def test_criterion_05_weighted_beats_uniform_under_corruption(criterion,
 
 def test_criterion_06_no_spurious_gap_on_clean_data(criterion, tmp_path):
     cfg = PipelineConfig(
-        n_originals=160, augments_per_original=2, d=64, d_t=96,
-        profile=_CLEAN, eval_fraction=0.5, seeds=(1, 2, 3),
+        corpus=CorpusConfig(n_originals=160, augments_per_original=2, d=64,
+                            d_t=96, profile=_CLEAN),
+        split=SplitConfig(eval_fraction=0.5), seeds=(1, 2, 3),
         arms=("weighted", "uniform"),
         qa=QaConfig(steps=400), head=HeadConfig(steps=300))
     result = run_pipeline(cfg, tmp_path / "clean")
@@ -444,11 +447,13 @@ def test_criterion_06_no_spurious_gap_on_clean_data(criterion, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_weighted_low_label_budget_holds_up(criterion, tmp_path):
-    base = dict(n_originals=280, augments_per_original=4, d=32, d_t=48,
-                profile=_CORRUPT30, eval_fraction=0.3, seeds=(1, 2, 3),
-                qa=QaConfig(steps=400), head=HeadConfig(steps=300))
-    full = PipelineConfig(label_fraction=1.0, arms=("original_only",), **base)
-    low = PipelineConfig(label_fraction=0.1, arms=("weighted",), **base)
+    base = dict(corpus=CorpusConfig(n_originals=280, augments_per_original=4,
+                                     d=32, d_t=48, profile=_CORRUPT30),
+                seeds=(1, 2, 3), qa=QaConfig(steps=400), head=HeadConfig(steps=300))
+    full = PipelineConfig(split=SplitConfig(eval_fraction=0.3, label_fraction=1.0),
+                          arms=("original_only",), **base)
+    low = PipelineConfig(split=SplitConfig(eval_fraction=0.3, label_fraction=0.1),
+                         arms=("weighted",), **base)
     res_full = run_pipeline(full, tmp_path / "full_budget")
     res_low = run_pipeline(low, tmp_path / "low_budget")
     acc_full = res_full.arm_reports["original_only"].mean["acc2"]
@@ -469,8 +474,9 @@ def test_criterion_07_weighted_low_label_budget_holds_up(criterion, tmp_path):
 def test_criterion_08_artifacts_byte_identical_across_runs(criterion,
                                                            tmp_path):
     cfg = PipelineConfig(
-        n_originals=24, augments_per_original=1, d=8, d_t=12,
-        profile=CorruptionProfile(0.05, 0.1, 0.1, 0.5, 0.1), seeds=(1, 2),
+        corpus=CorpusConfig(n_originals=24, augments_per_original=1, d=8, d_t=12,
+                            profile=CorruptionProfile(0.05, 0.1, 0.1, 0.5, 0.1)),
+        seeds=(1, 2),
         qa=QaConfig(steps=30, hidden=16), head=HeadConfig(steps=30))
     res_a = run_pipeline(cfg, tmp_path / "run_a")
     res_b = run_pipeline(cfg, tmp_path / "run_b")
@@ -540,14 +546,15 @@ def test_criterion_10_metrics_match_brute_force(criterion):
         g_list = gold.tolist()
         pc = [_brute_bin(v, 5) for v in p_list]
         gc = [_brute_bin(v, 5) for v in g_list]
+        reported = compute_metrics(pred, gold)
 
         devs = [
             abs(acc_k(pred, gold, 2) - _brute_acc_k(p_list, g_list, 2)),
             abs(acc_k(pred, gold, 5) - _brute_acc_k(p_list, g_list, 5)),
-            abs(weighted_precision(pc, gc) - _brute_weighted(pc, gc, 1)),
+            abs(reported["wprec"] - _brute_weighted(pc, gc, 1)),
             # support-weighted recall is acc5 by construction
             abs(acc_k(pred, gold, 5) - _brute_weighted(pc, gc, 2)),
-            abs(weighted_f1(pc, gc) - _brute_weighted(pc, gc, 3)),
+            abs(reported["f1_weighted"] - _brute_weighted(pc, gc, 3)),
             abs(mae(pred, gold) - _brute_mae(p_list, g_list)),
             abs(pearson_corr(pred, gold) - _brute_pearson(p_list, g_list)),
         ]
@@ -555,12 +562,12 @@ def test_criterion_10_metrics_match_brute_force(criterion):
 
     rng = np.random.default_rng(4242)
     perfect = rng.uniform(-1.0, 1.0, size=50)
-    cls = [_brute_bin(v, 5) for v in perfect.tolist()]
+    reported = compute_metrics(perfect, perfect)
     identities = (
         acc_k(perfect, perfect, 2) == 1.0
         and acc_k(perfect, perfect, 5) == 1.0
-        and weighted_precision(cls, cls) == 1.0
-        and weighted_f1(cls, cls) == 1.0
+        and reported["wprec"] == 1.0
+        and reported["f1_weighted"] == 1.0
         and mae(perfect, perfect) == 0.0
         and abs(pearson_corr(perfect, perfect) - 1.0) <= 1e-12
     )

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
+import argparse
 import base64
 import copy
 import csv
@@ -8,7 +9,9 @@ import json
 import math
 import subprocess
 import sys
+import typing
 from dataclasses import fields as dataclass_fields
+from dataclasses import is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +19,10 @@ import pytest
 
 from augqual import cli
 from augqual.cli import main
-from augqual.corpus import MAX_DIM, CorruptionProfile
+from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionProfile,
+                            SplitConfig)
 from augqual.finetune import HeadConfig
-from augqual.pipeline import (_INT, _INT_OR_NULL, _NUMBER, _SECTIONS, PipelineConfig,
-                              run_pipeline)
+from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, WeightMapConfig
 from oracles import FEATURE_KEYS, block_values, feature_block
 
@@ -255,9 +258,10 @@ class TestStageByStageMatchesPipeline:
             proc = run(*cmd)
             assert proc.returncode == 0, proc.stderr
         res = run_pipeline(PipelineConfig(
-            n_originals=24, d=8, d_t=12, seeds=(3,), arms=("weighted", "uniform"),
-            label_fraction=float(label_fraction), qa=QaConfig(steps=40),
-            head=HeadConfig(steps=30)), tmp_path / "pipe")
+            corpus=CorpusConfig(n_originals=24, d=8, d_t=12, profile=DEFAULT_PROFILE),
+            seeds=(3,), arms=("weighted", "uniform"),
+            split=SplitConfig(label_fraction=float(label_fraction)),
+            qa=QaConfig(steps=40), head=HeadConfig(steps=30)), tmp_path / "pipe")
         pairs = {"corpus.jsonl": "corpus_s3", "qa.json": "qa_s3",
                  "weights.json": "weights_s3", "head.json": "head_s3_weighted",
                  "trace.jsonl": "runlog_s3_weighted",
@@ -1021,31 +1025,30 @@ class TestConfigRanges:
             assert proc.stdout == "" and not out.exists()
 
 
-def _bounded_keys():
+def _bounded_keys(config=PipelineConfig(), section=""):
     """(dotted key, Class.field, interval, value just outside) for every bounded
     field of the document's dataclass sections, read from the field metadata
-    and _SECTIONS; a value at an open end, or one ulp past a closed one."""
+    and annotations; a value at an open end, or one ulp past a closed one."""
     cases = []
-    for name in ("corpus.profile", "qa", "weight_map", "head"):
-        part, kinds = _SECTIONS[name]
-        config = getattr(PipelineConfig(), part)
-        for f in dataclass_fields(config):
-            interval = f.metadata.get("interval")
-            if interval is None:
-                continue
-            assert f.name in kinds, f"{name}.{f.name} missing from _SECTIONS"
-            step = 1 if kinds[f.name] in (_INT, _INT_OR_NULL) else None
-            lo, hi = (float(x) for x in interval[1:-1].split(","))
-            ends = [(lo, interval[0] == "[", -1)] + (
-                [(hi, interval[-1] == "]", 1)] if math.isfinite(hi) else [])
-            for end, closed, sign in ends:
-                value = end if not closed else (
-                    int(end) + sign * step if step else
-                    math.nextafter(end, sign * math.inf))
-                if kinds[f.name] == [_NUMBER]:   # an array: one bad element
-                    value = [1.0, value, 1.0, 1.0]
-                cases.append((f"{name}.{f.name}",
-                              f"{type(config).__name__}.{f.name}", interval, value))
+    hints = typing.get_type_hints(type(config))
+    for f in dataclass_fields(config):
+        key, hint = f"{section}{f.name}", hints[f.name]
+        if is_dataclass(hint):
+            cases += _bounded_keys(getattr(config, f.name), f"{key}.")
+        interval = f.metadata.get("interval")
+        if interval is None:
+            continue
+        step = 1 if hint in (int, int | None) else None
+        lo, hi = (float(x) for x in interval[1:-1].split(","))
+        ends = [(lo, interval[0] == "[", -1)] + (
+            [(hi, interval[-1] == "]", 1)] if math.isfinite(hi) else [])
+        for end, closed, sign in ends:
+            value = end if not closed else (
+                int(end) + sign * step if step else
+                math.nextafter(end, sign * math.inf))
+            if hint == tuple[float, ...]:   # an array: one bad element
+                value = [1.0, value, 1.0, 1.0]
+            cases.append((key, f"{type(config).__name__}.{f.name}", interval, value))
     return cases
 
 
@@ -1055,9 +1058,8 @@ class TestConfigDocumentRanges:
     field, before anything is written."""
 
     def test_every_bounded_key_covered(self):
-        sections = ("corpus.profile.", "qa.", "weight_map.", "head.")
         assert {key for key, *_ in _bounded_keys()} == {
-            key for key in CONFIG_KEYS if key.startswith(sections)
+            key for key in CONFIG_KEYS if "." in key
             and key != "qa.include_augmented"}
 
     @pytest.mark.parametrize("key, name, interval, value", _bounded_keys(),
@@ -1106,8 +1108,8 @@ class TestMixOnlyAlpha:
 
 
 # Flags argparse reads as floats, NaN and infinities included, that once ran
-# until a late, misleading failure; each is now refused by its config, or
-# --label-fraction by the split's own fraction check.
+# until a late, misleading failure; each is now refused by its config. The
+# eval row once read the corpus and the head first (exit 2, "No such file").
 NON_FINITE_FLAGS = [
     ("gen-corpus", "--sigma-benign", "nan", "CorruptionProfile.sigma_benign"),
     ("stage0", "--lr", "nan", "QaConfig.lr"),
@@ -1116,8 +1118,9 @@ NON_FINITE_FLAGS = [
     ("score", "--w-max", "inf", "WeightMapConfig.w_max"),
     ("stage0", "--rho", "-inf", "QaConfig.rho"),
     ("stage1", "--steps", "-1", "HeadConfig.steps"),
-    ("stage0", "--label-fraction", "nan", "label_fraction"),
-    ("stage1", "--label-fraction", "0", "label_fraction"),
+    ("stage0", "--label-fraction", "nan", "SplitConfig.label_fraction"),
+    ("stage1", "--label-fraction", "0", "SplitConfig.label_fraction"),
+    ("eval", "--eval-fraction", "nan", "SplitConfig.eval_fraction"),
 ]
 
 
@@ -1134,15 +1137,19 @@ class TestFlagRanges:
 
         def no_work(*args, **kwargs):
             raise AssertionError("input read before the config was checked")
-        for loader in ("generate_corpus", "load_corpus", "load_qa_snapshot"):
+        for loader in ("generate_corpus", "load_corpus", "load_qa_snapshot",
+                       "load_head_snapshot"):
             monkeypatch.setattr(cli, loader, no_work)
-        argv = {"gen-corpus": ["gen-corpus", "--seed", "1"],
-                "stage0": ["stage0", "--corpus", str(corpus), "--seed", "1"],
-                "stage1": ["stage1", "--corpus", str(corpus), "--seed", "1"],
+        to = ["--out", str(out)]
+        argv = {"gen-corpus": ["gen-corpus", "--seed", "1", *to],
+                "stage0": ["stage0", "--corpus", str(corpus), "--seed", "1", *to],
+                "stage1": ["stage1", "--corpus", str(corpus), "--seed", "1", *to],
                 "score": ["score", "--corpus", str(corpus),
-                          "--qa", str(paths["scorer"])]}[command]
+                          "--qa", str(paths["scorer"]), *to],
+                "eval": ["eval", "--corpus", str(corpus),
+                         "--head", str(paths["head"])]}[command]
         capsys.readouterr()
-        rc = main([*argv, "--out", str(out), f"{flag}={value}"])
+        rc = main([*argv, f"{flag}={value}"])
         printed = capsys.readouterr()
         assert rc == 1, printed.err
         assert printed.err.startswith(f"error: {name} must be in ")
@@ -1156,6 +1163,81 @@ class TestFlagRanges:
         assert proc.stderr == ("error: CorruptionProfile.sigma_benign must be "
                                "in [0, inf), got nan\n")
         assert proc.stdout == "" and not out.exists()
+
+
+BAD_DECIMALS = [("--seeds", "1_0,2"), ("--seeds", " 1,2"), ("--seeds", "1,2.0"),
+                ("--seeds", "1,,2"), ("--seeds", ""), ("--alpha", "1_0,1,1,1"),
+                ("--alpha", "1,1,1,0x1"), ("--alpha", "1,1,1, 1"),
+                ("--seed", "1_0"), ("--steps", " 5"), ("--lr", "1_0.5")]
+
+
+class TestDecimalFlags:
+    """Number flags, and the comma lists --seeds and --alpha, take only plain
+    decimal literals, as a config document takes only JSON numbers: int()
+    and float() once let ``1_0`` through as 10 and `` 1`` as 1."""
+
+    @pytest.mark.parametrize("flag, value", BAD_DECIMALS,
+                             ids=[f"{f}={v}" for f, v in BAD_DECIMALS])
+    def test_bad_literal_refused(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        argv = {"--seeds": ["pipeline"], "--seed": ["gen-corpus"]}.get(
+            flag, ["stage0", "--corpus", "c", "--seed", "1"])
+        capsys.readouterr()
+        rc = main([*argv, "--out", str(out), flag, value])
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith(f"error: bad {flag}: ")
+        assert printed.out == "" and not out.exists()
+
+    def test_lists_parsed(self, monkeypatch):
+        calls = TestStageDefaults._calls(
+            monkeypatch, ["stage0", "--corpus", "c", "--out", "q", "--seed", "5",
+                          "--alpha", "1.5,-0,2e0,.5"], "train_stage0")
+        assert calls["train_stage0"][0][1].alpha == (1.5, 0.0, 2.0, 0.5)
+        calls = TestStageDefaults._calls(
+            monkeypatch, ["pipeline", "--out", "r", "--seeds", "10,-2"],
+            "run_pipeline")
+        assert calls["run_pipeline"][0][0].seeds == (10, -2)
+
+
+# The flags of each stage command that set no config field.
+_OWN_FLAGS = {
+    "gen-corpus": {"--out", "--seed", "--json"},
+    "stage0": {"--corpus", "--out", "--seed", "--json"},
+    "score": {"--corpus", "--qa", "--out", "--json"},
+    "stage1": {"--corpus", "--out", "--seed", "--weights", "--pool",
+               "--run-log", "--json"},
+}
+
+
+def _field_flags(*classes):
+    """--field-name for each field of classes and of the configs nested in
+    them, but seed; --augments stands for augments_per_original."""
+    flags = set()
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for f in dataclass_fields(cls):
+            if is_dataclass(hints[f.name]):
+                flags |= _field_flags(hints[f.name])
+            elif f.name != "seed":
+                flags.add("--augments" if f.name == "augments_per_original"
+                          else "--" + f.name.replace("_", "-"))
+    return flags
+
+
+class TestDerivedFlags:
+    """Each stage command has one flag per field of the configs it builds."""
+
+    @pytest.mark.parametrize("command, classes", [
+        ("gen-corpus", (CorpusConfig,)), ("stage0", (QaConfig, SplitConfig)),
+        ("score", (WeightMapConfig,)), ("stage1", (HeadConfig, SplitConfig))],
+        ids=["gen-corpus", "stage0", "score", "stage1"])
+    def test_flags_are_the_config_fields(self, command, classes):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        flags = {opt for a in sub._actions for opt in a.option_strings
+                 if opt not in ("-h", "--help")}
+        assert flags - _OWN_FLAGS[command] == _field_flags(*classes)
 
 
 class _Stop(Exception):
@@ -1198,7 +1280,7 @@ class TestStageDefaults:
     def test_gen_corpus(self, monkeypatch):
         calls = self._calls(monkeypatch, ["gen-corpus", "--out", "c", "--seed", "5"],
                             "generate_corpus")
-        base = PipelineConfig()
+        base = PipelineConfig().corpus
         assert calls["generate_corpus"] == (
             (base.n_originals, base.augments_per_original, CorruptionProfile()),
             {"seed": 5, "d": base.d, "d_t": base.d_t, "vocab_size": base.vocab_size})
@@ -1208,8 +1290,8 @@ class TestStageDefaults:
                                           "--seed", "5"], "train_stage0")
         assert calls["train_stage0"][0][1] == QaConfig(seed=5)
         assert calls["train_eval_split"] == (
-            (_CORPUS, PipelineConfig().eval_fraction),
-            {"label_fraction": PipelineConfig().label_fraction})
+            (_CORPUS, PipelineConfig().split.eval_fraction),
+            {"label_fraction": PipelineConfig().split.label_fraction})
 
     def test_score(self, monkeypatch):
         calls = self._calls(monkeypatch, ["score", "--corpus", "c", "--qa", "q",
@@ -1221,13 +1303,14 @@ class TestStageDefaults:
                                           "--seed", "5"], "train_stage1")
         assert calls["train_stage1"][0][2] == HeadConfig(seed=5)
         assert calls["train_eval_split"] == (
-            (_CORPUS, PipelineConfig().eval_fraction),
-            {"label_fraction": PipelineConfig().label_fraction})
+            (_CORPUS, PipelineConfig().split.eval_fraction),
+            {"label_fraction": PipelineConfig().split.label_fraction})
 
     def test_eval(self, monkeypatch):
         calls = self._calls(monkeypatch, ["eval", "--corpus", "c", "--head", "h"],
                             "train_eval_split")
-        assert calls["train_eval_split"][0] == (_CORPUS, PipelineConfig().eval_fraction)
+        assert calls["train_eval_split"][0] == (_CORPUS,
+                                                PipelineConfig().split.eval_fraction)
 
 
 # A well-formed report as format_report_table and report_csv read it.

@@ -12,16 +12,20 @@ from dataclasses import dataclass, fields
 
 import pytest
 
-from augqual.corpus import CorruptionProfile
+from augqual.corpus import MAX_ROWS, CorpusConfig, CorruptionProfile, SplitConfig
 from augqual.finetune import HeadConfig
 from augqual.forge import ForgeConfig
 from augqual.qa import QaConfig, WeightMapConfig
 from augqual.util import ValidationError, bounded, check_ranges
 
-CONFIG_CLASSES = (CorruptionProfile, QaConfig, WeightMapConfig, HeadConfig,
-                  ForgeConfig)
+CONFIG_CLASSES = (CorpusConfig, CorruptionProfile, SplitConfig, QaConfig,
+                  WeightMapConfig, HeadConfig, ForgeConfig)
 
 INTERVALS = {
+    "CorpusConfig": {"n_originals": "[2, inf)", "augments_per_original": "[0, inf)",
+                     "d": "[4, 65536]", "d_t": "[4, 65536]",
+                     "vocab_size": "[1, 65536]"},
+    "SplitConfig": {"eval_fraction": "[0, 1)", "label_fraction": "(0, 1]"},
     "CorruptionProfile": {"sigma_benign": "[0, inf)", "p_swap": "[0, 1]",
                           "p_degrade": "[0, 1]", "degrade_mask_rate": "[0, 1]",
                           "p_label_noise": "[0, 1]"},
@@ -104,8 +108,15 @@ class TestCheckedAtConstruction:
                 inner = ([lo] if interval[0] == "[" else []) + (
                     [hi] if interval[-1] == "]" else [])
                 for value in inner:   # w_max at 0 needs w_min there too
-                    cls(**{name: (value, 1.0, 1.0, 1.0) if name == "alpha"
-                           else value, **({"w_min": value} if name == "w_max" else {})})
+                    kwargs = {name: (value, 1.0, 1.0, 1.0) if name == "alpha"
+                              else value, **({"w_min": value} if name == "w_max" else {})}
+                    if (cls, name, value) == (CorpusConfig, "vocab_size", 1):
+                        # in range, but the verbal table's tokens run to 7
+                        with pytest.raises(ValidationError, match="^verbal tokens "
+                                                                  "exceed vocab_size$"):
+                            cls(**kwargs)
+                    else:
+                        cls(**kwargs)
 
     def test_cross_field_rules(self):
         with pytest.raises(ValidationError, match="w_min <= w_max, got 1.0 > 0.5"):
@@ -121,6 +132,12 @@ class TestCheckedAtConstruction:
         with pytest.raises(ValidationError, match="nonzero weight besides mix"):
             QaConfig(alpha=(0.0, 2.0, 0.0, 0.0))
         QaConfig(alpha=(0.0, 2.0, 0.0, 0.5))
+        with pytest.raises(ValidationError, match=f"<= MAX_ROWS = {MAX_ROWS}$"):
+            CorpusConfig(n_originals=MAX_ROWS // 2 + 1, augments_per_original=1)
+        CorpusConfig(n_originals=MAX_ROWS // 2, augments_per_original=1)
+        with pytest.raises(ValidationError, match="verbal tokens exceed vocab_size"):
+            CorpusConfig(vocab_size=7)
+        CorpusConfig(vocab_size=8)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ from augqual.corpus import (
     IGNORE_INDEX,
     MAX_DIM,
     MAX_ROWS,
-    CorruptionProfile,
+    CorpusConfig,
     CorpusHeader,
+    CorruptionProfile,
     VerbalScheme,
     corpus_checksum,
     generate_corpus,
-    generation_header,
     load_corpus,
     save_corpus,
     sentiment_class,
@@ -173,14 +173,17 @@ class TestGenerate:
         assert int(np.sum(c.augmented)) == 20
 
     def test_needs_both_polarities(self):
-        with pytest.raises(ValidationError, match="cannot generate corpus"):
+        with pytest.raises(ValidationError, match=r"^CorpusConfig\.n_originals "
+                                                  r"must be in \[2, inf\), got 1$"):
             generate_corpus(1, 2, CLEAN, seed=0, d=8, d_t=8)
-        with pytest.raises(ValidationError, match="cannot generate corpus"):
+        with pytest.raises(ValidationError, match=r"^CorpusConfig\.n_originals "
+                                                  r"must be in \[2, inf\), got 0$"):
             generate_corpus(0, 0, CLEAN, seed=0, d=8, d_t=8)
 
     def test_row_count_bounded_before_generating(self):
         n = MAX_ROWS // 4
-        assert generation_header(n, 3, CLEAN, 8, 8, 8).d == 8
+        assert CorpusConfig(n_originals=n, augments_per_original=3, d=8, d_t=8,
+                            profile=CLEAN).n_originals == n
         for n_originals, augments in ((n + 1, 3), (MAX_ROWS + 1, 0), (10 ** 20, 2)):
             with pytest.raises(ValidationError, match=f"MAX_ROWS = {MAX_ROWS}"):
                 generate_corpus(n_originals, augments, CLEAN, seed=0, d=8, d_t=8)

@@ -15,12 +15,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from augqual.corpus import DEFAULT_PROFILE, CorpusConfig
 from augqual.finetune import HeadConfig, load_head_snapshot
 from augqual.pipeline import ARMS, PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, load_qa_snapshot
 
-GOLDEN_CONFIG = PipelineConfig(n_originals=24, d=8, d_t=12, seeds=(1, 2),
-                               arms=ARMS, qa=QaConfig(steps=40),
+GOLDEN_CONFIG = PipelineConfig(corpus=CorpusConfig(n_originals=24, d=8, d_t=12,
+                                                   profile=DEFAULT_PROFILE),
+                               seeds=(1, 2), arms=ARMS, qa=QaConfig(steps=40),
                                head=HeadConfig(steps=30))
 
 GOLDEN_SHA256 = {

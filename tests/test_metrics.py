@@ -13,8 +13,6 @@ from augqual.metrics import (
     mae,
     pearson_corr,
     roc_auc,
-    weighted_f1,
-    weighted_precision,
 )
 from augqual.util import ValidationError
 from oracles import derive_polarity
@@ -139,20 +137,22 @@ class TestBinnedAccuracy:
 
 
 class TestWeightedClassMetrics:
-    def _classes(self, rng, n, k=5):
-        return (rng.integers(0, k, n).tolist(), rng.integers(0, k, n).tolist())
+    """The support-weighted 5-class precision and F1 that compute_metrics
+    reports as ``wprec`` and ``f1_weighted``."""
 
     def test_match_brute_force(self):
         rng = np.random.default_rng(13)
-        labels = np.array([-7, 0, 3, 42, 10**9])      # any integers are classes
         for _ in range(400):
             n = int(rng.integers(1, 60))
-            pred_c, gold_c = self._classes(rng, n, int(rng.integers(2, 6)))
-            if rng.random() < 0.5:
-                pred_c, gold_c = labels[pred_c].tolist(), labels[gold_c].tolist()
-            assert weighted_precision(pred_c, gold_c) == pytest.approx(
+            pred, gold = _draw(rng, n)
+            if rng.random() < 0.5:      # leave some classes out of one side
+                pred = rng.uniform(-1.0, rng.uniform(-0.6, 1.0), n)
+            out = compute_metrics(pred, gold)
+            pred_c = [_brute_bin(p, 5) for p in pred]
+            gold_c = [_brute_bin(g, 5) for g in gold]
+            assert out["wprec"] == pytest.approx(
                 _brute_weighted(pred_c, gold_c, 1), abs=1e-12)
-            assert weighted_f1(pred_c, gold_c) == pytest.approx(
+            assert out["f1_weighted"] == pytest.approx(
                 _brute_weighted(pred_c, gold_c, 3), abs=1e-12)
 
     def test_weighted_recall_is_accuracy(self):
@@ -167,27 +167,27 @@ class TestWeightedClassMetrics:
                 _brute_weighted(pred_c, gold_c, 2), abs=1e-12)
 
     def test_classes_absent_from_gold_excluded(self):
-        # predictions hit class 3 which never appears in gold; only gold
-        # classes weigh in
-        pred_c = [3, 3, 0, 1]
-        gold_c = [0, 0, 0, 1]
-        assert weighted_precision(pred_c, gold_c) == 1.0
-        assert weighted_f1(pred_c, gold_c) == pytest.approx(
-            (3 * 0.5 + 1 * 1.0) / 4, abs=1e-12)
-        # the same bins as sentiment values: recall (3 * (1/3) + 1 * 1) / 4
-        assert acc_k([0.4, 0.4, -0.8, -0.4], [-0.8, -0.8, -0.8, -0.4], 5) == 0.5
+        # predictions hit class 3 (0.4) which never appears in gold; only
+        # gold classes 0 (-0.8) and 1 (-0.4) weigh in
+        pred, gold = [0.4, 0.4, -0.8, -0.4], [-0.8, -0.8, -0.8, -0.4]
+        out = compute_metrics(pred, gold)
+        assert out["wprec"] == 1.0
+        assert out["f1_weighted"] == pytest.approx((3 * 0.5 + 1 * 1.0) / 4,
+                                                   abs=1e-12)
+        # recall (3 * (1/3) + 1 * 1) / 4
+        assert acc_k(pred, gold, 5) == 0.5
 
     def test_perfect_prediction_identities(self):
         rng = np.random.default_rng(15)
-        gold_c = rng.integers(0, 5, 80).tolist()
-        for fn in (weighted_precision, weighted_f1):
-            assert fn(gold_c, gold_c) == 1.0
+        gold = rng.uniform(-1.0, 1.0, 80)
+        out = compute_metrics(gold, gold)
+        assert out["wprec"] == 1.0 and out["f1_weighted"] == 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            weighted_f1([0, 1], [0])
+            compute_metrics([0, 1], [0])
         with pytest.raises(ValidationError):
-            weighted_precision([], [])
+            compute_metrics([], [])
 
 
 class TestScalarMetrics:
@@ -278,8 +278,10 @@ class TestComputeMetrics:
         assert out["corr"] == pearson_corr(pred, gold)
         pred_c = [_brute_bin(p, 5) for p in pred]
         gold_c = [_brute_bin(g, 5) for g in gold]
-        assert out["f1_weighted"] == weighted_f1(pred_c, gold_c)
-        assert out["wprec"] == weighted_precision(pred_c, gold_c)
+        assert out["f1_weighted"] == pytest.approx(
+            _brute_weighted(pred_c, gold_c, 3), abs=1e-12)
+        assert out["wprec"] == pytest.approx(
+            _brute_weighted(pred_c, gold_c, 1), abs=1e-12)
         # plain Python numbers: the canonical JSON writer refuses numpy ones
         assert {type(v) for v in out.values()} == {int, float}
 

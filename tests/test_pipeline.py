@@ -10,12 +10,13 @@ import multiprocessing
 import os
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augqual.corpus import CorruptionProfile, Split
+from augqual.corpus import CorpusConfig, CorruptionProfile, Split, SplitConfig
 from augqual.finetune import HeadConfig
 from augqual import numerics, pipeline
 from augqual.metrics import MetricsReport
@@ -31,9 +32,10 @@ from augqual.pipeline import (
 from augqual.qa import QaConfig
 from augqual.util import PipelineError, ValidationError, dumps_canonical
 
+FAST_CORPUS = CorpusConfig(n_originals=24, augments_per_original=1, d=8, d_t=12,
+                           profile=CorruptionProfile(0.05, 0.1, 0.1, 0.5, 0.1))
 FAST = dict(
-    n_originals=24, augments_per_original=1, d=8, d_t=12,
-    profile=CorruptionProfile(0.05, 0.1, 0.1, 0.5, 0.1),
+    corpus=FAST_CORPUS,
     seeds=(1, 2), qa=QaConfig(steps=30, hidden=16),
     head=HeadConfig(steps=30),
 )
@@ -59,13 +61,13 @@ class TestConfigParsing:
             "seeds": [7],
             "arms": ["weighted", "uniform"],
         })
-        assert cfg.n_originals == 50
-        assert cfg.profile.p_swap == 0.2
-        assert cfg.profile.p_degrade == 0.15   # untouched default
+        assert cfg.corpus.n_originals == 50
+        assert cfg.corpus.profile.p_swap == 0.2
+        assert cfg.corpus.profile.p_degrade == 0.15   # untouched default
         assert cfg.qa.alpha == (1, 1, 1, 1)
         assert cfg.weight_map.gamma == 2.0
         assert cfg.head.lr == 0.01
-        assert cfg.eval_fraction == 0.5
+        assert cfg.split.eval_fraction == 0.5
         assert cfg.seeds == (7,)
         assert cfg.arms == ("weighted", "uniform")
 
@@ -158,7 +160,7 @@ class TestConfigDocument:
     def test_numbers_are_stored_as_floats(self):
         cfg = pipeline_config_from_dict({"qa": {"lr": 1, "alpha": [3, 2, 2, 1]},
                                          "corpus": {"profile": {"p_swap": 0}}})
-        assert type(cfg.qa.lr) is float and type(cfg.profile.p_swap) is float
+        assert type(cfg.qa.lr) is float and type(cfg.corpus.profile.p_swap) is float
         assert [type(a) for a in cfg.qa.alpha] == [float] * 4
         assert '"lr":1.0' in dumps_canonical(cfg.to_dict())
 
@@ -226,15 +228,16 @@ class TestRunPipeline:
         assert logs["weighted"] != logs["uniform"]
 
     def test_augmented_only_without_augments_fails_as_stage_error(self, tmp_path):
-        cfg = PipelineConfig(**{**FAST, "augments_per_original": 0})
+        cfg = PipelineConfig(**{**FAST, "corpus": replace(FAST_CORPUS,
+                                                          augments_per_original=0)})
         with pytest.raises(PipelineError,
                            match="stage stage1:augmented_only failed"):
             run_pipeline(cfg, tmp_path)
 
     def test_empty_eval_set_refused_before_writing(self, tmp_path):
-        cfg = PipelineConfig(**{**FAST, "eval_fraction": 0.0})
         with pytest.raises(ValidationError, match="need eval_fraction > 0"):
-            run_pipeline(cfg, tmp_path / "out")
+            run_pipeline(PipelineConfig(**FAST, split=SplitConfig(eval_fraction=0.0)),
+                         tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_arm_subset_runs_only_those(self, tmp_path):
