@@ -54,7 +54,8 @@ from .qa import (
     save_qa_snapshot,
     train_stage0,
 )
-from .util import AugqualError, ValidationError, config_fields, flag_type
+from .util import (AugqualError, ValidationError, config_fields, flag_type,
+                   write_atomic)
 
 
 class _UsageError(Exception):
@@ -211,7 +212,7 @@ def _cmd_report(args) -> int:
     report_path = Path(args.results) / "report.json"
     report = check_report(_load_json_file(report_path), str(report_path))
     if args.dump_csv is not None:
-        Path(args.dump_csv).write_text(report_csv(report), encoding="utf-8")
+        write_atomic([report_csv(report)], args.dump_csv)
     if args.json:
         _print_json(report)
     else:
@@ -228,8 +229,7 @@ def _cmd_pipeline(args) -> int:
         cfg = replace(cfg, seeds=args.seeds)
     result = run_pipeline(cfg, args.out)
     if args.dump_csv is not None:
-        Path(args.dump_csv).write_text(report_csv(result.report),
-                                       encoding="utf-8")
+        write_atomic([report_csv(result.report)], args.dump_csv)
     if args.json:
         _print_json(result.report)
     else:

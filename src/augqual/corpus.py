@@ -36,7 +36,7 @@ import numpy as np
 
 from .util import (ValidationError, b64_block, bounded, check_fields,
                    check_ranges, config_to_dict, decode_block, derived_rng,
-                   sha256_hex)
+                   write_atomic)
 
 GENERATOR_VERSION = "augqual-gen-2"
 IGNORE_INDEX = -100
@@ -453,8 +453,9 @@ def header_from_dict(raw) -> CorpusHeader:
         raise ValidationError(f"bad corpus header: {exc}") from exc
 
 
-def _file_lines(corpus: Corpus):
-    """The corpus file, one line at a time (header first), each with its newline."""
+def corpus_lines(corpus: Corpus):
+    """The corpus file, one line at a time (header first), each with its
+    newline; deterministic for a given corpus."""
     f = corpus.features
     ids = corpus.ids.tolist()
     yield json.dumps(header_dict(corpus.header), separators=(",", ":")) + "\n"
@@ -472,19 +473,16 @@ def _file_lines(corpus: Corpus):
             "target_tokens": corpus.targets[i].tolist()}, separators=(",", ":")) + "\n"
 
 
-def serialize_corpus(corpus: Corpus) -> bytes:
-    """Corpus file bytes; deterministic for a given corpus."""
-    return "".join(_file_lines(corpus)).encode("utf-8")
-
-
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write the corpus file and keep its checksum, taken from those bytes."""
+    """Write the corpus file (``util.write_atomic``) and keep its checksum,
+    taken from those bytes."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for line in _file_lines(corpus):
-            data = line.encode("utf-8")
-            fh.write(data)
-            digest.update(data)
+
+    def hashed_lines():
+        for line in corpus_lines(corpus):
+            digest.update(line.encode("utf-8"))
+            yield line
+    write_atomic(hashed_lines(), path)
     corpus._checksum = digest.hexdigest()
 
 
@@ -593,9 +591,12 @@ def load_corpus(path) -> Corpus:
 
 def corpus_checksum(corpus: Corpus) -> str:
     """SHA-256 of the corpus file: the bytes last saved or loaded, or else of
-    the canonical serialization, computed once per corpus."""
+    ``corpus_lines``, hashed line by line once per corpus."""
     if corpus._checksum is None:
-        corpus._checksum = sha256_hex(serialize_corpus(corpus))
+        digest = hashlib.sha256()
+        for line in corpus_lines(corpus):
+            digest.update(line.encode("utf-8"))
+        corpus._checksum = digest.hexdigest()
     return corpus._checksum
 
 

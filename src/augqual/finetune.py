@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,8 +32,9 @@ from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, verify_weight_file
 from .util import (ValidationError, bounded, check_params, check_ranges,
-                   decode_params, derived_rng, dumps_canonical, encode_params,
-                   load_json_object)
+                   decode_params, derived_rng, document_chunks, encode_params,
+                   load_json_object, write_atomic)
+from .util import dumps_canonical  # noqa: F401 - bound for per-module tracing
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
 
@@ -199,18 +199,20 @@ def predict_all(head: HeadParams, corpus: Corpus, rows) -> np.ndarray:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def serialize_head_snapshot(head: HeadParams, d: int, d_t: int) -> bytes:
-    doc = {
+def head_snapshot_chunks(head: HeadParams, d: int, d_t: int):
+    """The head snapshot's text in pieces (``util.document_chunks``), each
+    parameter block streamed; non-finite parameters are refused here, before
+    any piece."""
+    return document_chunks({
         "kind": "head_snapshot",
         "d": d,
         "d_t": d_t,
         "params": encode_params(head.to_dict()),
-    }
-    return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
+    })
 
 
 def save_head_snapshot(head: HeadParams, d: int, d_t: int, path) -> None:
-    Path(path).write_bytes(serialize_head_snapshot(head, d, d_t))
+    write_atomic(head_snapshot_chunks(head, d, d_t), path)
 
 
 def load_head_snapshot(path) -> tuple[HeadParams, int, int]:
@@ -230,7 +232,5 @@ def load_head_snapshot(path) -> tuple[HeadParams, int, int]:
 
 def write_run_log(trace, path) -> None:
     """Loss trace as JSONL rows {step, loss}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, loss in enumerate(trace):
-            fh.write(json.dumps({"step": step, "loss": loss},
-                                separators=(",", ":")) + "\n")
+    write_atomic((json.dumps({"step": step, "loss": loss}, separators=(",", ":"))
+                  + "\n" for step, loss in enumerate(trace)), path)

@@ -6,8 +6,10 @@ every parameter in one flat vector and every gradient in another, updates the
 parameters in place, and hands the model two ``dict[str, np.ndarray]`` of
 views, one into each vector, so it stays agnostic of model structure. A loss
 writes its gradients straight into ``state.grad_views`` (numpy's ``out=``);
-``adam_step`` then reads them from ``state.grad``. ``one_blas_thread`` holds
-numpy's OpenBLAS to one thread for a block of work.
+``adam_step`` then reads them from ``state.grad``, and once the second moment
+is updated reuses ``state.grad`` for the update's denominator. So every loss
+must overwrite every element of ``state.grad`` on every step.
+``one_blas_thread`` holds numpy's OpenBLAS to one thread for a block of work.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ def bce_with_logit(logit, label):
 class AdamState:
     """Bias-corrected Adam over one float64 vector ``flat``: ``params`` and
     ``grad_views`` map each name to a reshaped view of ``flat`` and ``grad``;
-    ``m``, ``v`` and the two ``work`` vectors share that layout."""
+    ``m``, ``v`` and the ``work`` vector share that layout. ``adam_step``
+    leaves the update's denominator in ``grad``, so the loss must write every
+    element of ``grad`` before each step."""
 
     params: dict
     grad_views: dict
@@ -75,7 +79,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
-    work: tuple
+    work: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -91,10 +95,10 @@ def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
               for (k, p), end in zip(params.items(), ends)]
     # a block of its own: trained parameters, as views, keep only it alive
     flat = np.concatenate([np.ravel(p) for p in params.values()], dtype=np.float64)
-    m, v, grad, *work = np.zeros((5, flat.size))
+    m, v, grad, work = np.zeros((4, flat.size))
     return AdamState(params={k: flat[a:b].reshape(s) for k, a, b, s in layout},
                      grad_views={k: grad[a:b].reshape(s) for k, a, b, s in layout},
-                     flat=flat, m=m, v=v, grad=grad, work=tuple(work), lr=lr,
+                     flat=flat, m=m, v=v, grad=grad, work=work, lr=lr,
                      beta1=beta1, beta2=beta2, eps=eps)
 
 
@@ -105,12 +109,13 @@ def adam_step(state: AdamState) -> None:
     A non-finite gradient is refused before anything changes. The arithmetic
     and its order are those of the textbook ``p - lr * (m / (1 - b1**t)) /
     (sqrt(v / (1 - b2**t)) + eps)``, elementwise, so the result is
-    bit-identical to it."""
+    bit-identical to it. Once ``v`` is updated the gradient is spent, and
+    ``state.grad`` holds the denominator: the next loss overwrites it."""
     if not np.isfinite(state.grad).all():
         bad = next(k for k, g in state.grad_views.items() if not np.isfinite(g).all())
         raise ValidationError(f"adam_step: non-finite gradient for '{bad}'")
     t, b1, b2 = state.step + 1, state.beta1, state.beta2
-    g, m, v, (step, denom) = state.grad, state.m, state.v, state.work
+    g, m, v, step = state.grad, state.m, state.v, state.work
     np.multiply(g, 1.0 - b1, out=step)          # m = b1 m + (1 - b1) g
     m *= b1
     m += step
@@ -118,7 +123,8 @@ def adam_step(state: AdamState) -> None:
     step *= g
     v *= b2
     v += step
-    np.divide(v, 1.0 - b2 ** t, out=denom)      # sqrt(v_hat) + eps
+    denom = g                                   # sqrt(v_hat) + eps, over g
+    np.divide(v, 1.0 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     np.divide(m, 1.0 - b1 ** t, out=step)       # lr m_hat / denom

@@ -23,20 +23,24 @@ key or a value of another type is refused, as is a value outside the
 interval its config field declares (``util.bounded``), named
 ``<Class>.<field> must be in <interval>`` when that config is built.
 
-Only the weighted arm reads the scorer. So once a seed is split, one forked
-worker process trains, saves and evaluates every other arm while this
-process runs stage 0, exports the weights and trains the weighted arm; BLAS
-is held to one thread for the run, leaving the second CPU to the worker.
-Both sides call the same per-arm code on the same inputs, and results are
-gathered in config order, so no artifact byte depends on scheduling or on
-the BLAS thread count. The CLI stage-by-stage test, which runs at default
+Only the weighted arm reads the scorer. So once a seed is split, a worker
+process forked for that seed trains, saves and evaluates every other arm
+while this process runs stage 0, exports the weights and trains the weighted
+arm; BLAS is held to one thread for the run, leaving the second CPU to the
+worker. The worker takes the seed's corpus, split and config through the
+fork itself, so nothing but the call and the metrics is pickled between the
+two. Both sides call the same per-arm code on the same inputs, and results
+are gathered in config order, so no artifact byte depends on scheduling or
+on the BLAS thread count. The CLI stage-by-stage test, which runs at default
 BLAS threads, checks that.
 
 Per-seed metric rows are aggregated arm-wise into arithmetic means and
 written as a canonical-JSON report (byte-deterministic for a given config),
-a plain-text table, and optionally a per-seed CSV. Any stage failure is
-rethrown as PipelineError("stage <name> failed: <cause>"); a failure in this
-process stops the worker at once.
+a plain-text table, and optionally a per-seed CSV. Every artifact is written
+through ``util.write_atomic``, so none is ever left truncated. Any stage
+failure is rethrown as PipelineError("stage <name> failed: <cause>"), a
+killed worker as a failure of the stages it ran; a failure in this process
+stops the worker at once, and no worker outlives the run.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ from .numerics import one_blas_thread
 from .qa import (QaConfig, WeightMapConfig, export_weights, save_qa_snapshot,
                  train_stage0)
 from .util import (AugqualError, PipelineError, ValidationError, check_fields,
-                   config_from_dict, config_to_dict, dumps_canonical)
+                   config_from_dict, config_to_dict, document_chunks, write_atomic)
+from .util import dumps_canonical  # noqa: F401 - bound for per-module tracing
 
 # Each arm's training pool, named as in Split.pool.
 ARM_POOLS = {"weighted": "all", "uniform": "all", "original_only": "original",
@@ -138,19 +143,44 @@ def _stage(name: str):
         raise PipelineError(f"stage {name} failed: {exc}") from exc
 
 
+# The inputs of _train_arms, set only in a forked arm worker, by its
+# initializer; this process never sets it.
+_inherited = None
+
+
+def _inherit(*inputs) -> None:
+    global _inherited
+    _inherited = inputs
+
+
+def _train_inherited_arms() -> dict:
+    return _train_arms(*_inherited)
+
+
 @contextlib.contextmanager
-def _arm_worker():
-    """A pool of one forked worker for the arms that do not read the scorer.
+def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
+                seed: int, out: Path):
+    """A future of the metrics of ``_train_arms(arms, corpus, split, None,
+    config, seed, out)``, run in a worker process forked for this seed; None
+    when ``arms`` is empty.
 
     Fork, not spawn: the worker starts from this process's imported modules
-    in milliseconds, and OpenBLAS stops its own threads around a fork. When
-    the block fails, the worker is stopped at once rather than left to finish
-    arms whose results nobody will read.
+    in milliseconds, OpenBLAS stops its own threads around a fork, and the
+    inputs reach the worker through the fork (the initializer's arguments are
+    inherited, not pickled), so only the call and the metrics are pickled.
+    The pool starts its threads after the fork. When the block fails, the
+    worker is stopped at once rather than left to finish arms whose results
+    nobody will read.
     """
+    if not arms:
+        yield None
+        return
     pool = ProcessPoolExecutor(max_workers=1,
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit,
+                               initargs=(arms, corpus, split, None, config, seed, out))
     try:
-        yield pool
+        yield pool.submit(_train_inherited_arms)
     except BaseException:
         # ProcessPoolExecutor gains terminate_workers() only in Python 3.14
         for proc in list(pool._processes.values()):
@@ -188,7 +218,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
     worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
 
-    with one_blas_thread(), _arm_worker() as pool:
+    with one_blas_thread():
         for seed in config.seeds:
             with _stage("gen-corpus"):
                 c = config.corpus
@@ -204,30 +234,29 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
                 split = train_eval_split(corpus, config.split.eval_fraction,
                                          config.split.label_fraction)
 
-            pending = (pool.submit(_train_arms, worker_arms, corpus, split, None,
-                                   config, seed, out) if worker_arms else None)
+            with _arm_worker(worker_arms, corpus, split, config, seed,
+                             out) as pending:
+                with _stage("stage0"):
+                    params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
+                                             rows=split.pool("all"))
+                    qa_path = out / f"qa_s{seed}.json"
+                    save_qa_snapshot(params, corpus.header, qa_path)
+                    paths[f"qa_s{seed}"] = qa_path
 
-            with _stage("stage0"):
-                params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
-                                         rows=split.pool("all"))
-                qa_path = out / f"qa_s{seed}.json"
-                save_qa_snapshot(params, corpus.header, qa_path)
-                paths[f"qa_s{seed}"] = qa_path
+                with _stage("export-weights"):
+                    weights_path = out / f"weights_s{seed}.json"
+                    weight_file = export_weights(corpus, params, config.weight_map,
+                                                 weights_path)
+                    paths[f"weights_s{seed}"] = weights_path
 
-            with _stage("export-weights"):
-                weights_path = out / f"weights_s{seed}.json"
-                weight_file = export_weights(corpus, params, config.weight_map,
-                                             weights_path)
-                paths[f"weights_s{seed}"] = weights_path
-
-            metrics = _train_arms(parent_arms, corpus, split, weight_file,
-                                  config, seed, out)
-            if pending is not None:
-                try:
-                    metrics.update(pending.result())
-                except BrokenProcessPool as exc:
-                    raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
-                                        f"failed: {exc}") from exc
+                metrics = _train_arms(parent_arms, corpus, split, weight_file,
+                                      config, seed, out)
+                if pending is not None:
+                    try:
+                        metrics.update(pending.result())
+                    except BrokenProcessPool as exc:
+                        raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
+                                            f"failed: {exc}") from exc
             for arm in config.arms:
                 paths[f"head_s{seed}_{arm}"] = out / f"head_s{seed}_{arm}.json"
                 paths[f"runlog_s{seed}_{arm}"] = out / f"runlog_s{seed}_{arm}.jsonl"
@@ -245,11 +274,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
             "arms": {arm: arm_reports[arm].to_dict() for arm in config.arms},
         }
         report_path = out / "report.json"
-        report_path.write_bytes(
-            (dumps_canonical(report, indent=1) + "\n").encode("utf-8"))
+        write_atomic(document_chunks(report), report_path)
         paths["report"] = report_path
         text_path = out / "report.txt"
-        text_path.write_text(format_report_table(report), encoding="utf-8")
+        write_atomic([format_report_table(report)], text_path)
         paths["report_txt"] = text_path
 
     return PipelineResult(config=config, arm_reports=arm_reports,

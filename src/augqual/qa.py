@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -69,9 +68,11 @@ from .util import (
     decode_params,
     derived_rng,
     deterministic_timestamp,
-    dumps_canonical,
+    document_chunks,
+    dumps_canonical,  # noqa: F401 - bound for per-module tracing
     encode_params,
     load_json_object,
+    write_atomic,
 )
 
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
@@ -364,8 +365,9 @@ def qa_checksum(params: QaParams) -> str:
     return digest.hexdigest()
 
 
-def serialize_weight_file(wf: WeightFile) -> bytes:
-    doc = {
+def weight_file_chunks(wf: WeightFile):
+    """The weight file's text in pieces (``util.document_chunks``)."""
+    return document_chunks({
         "metadata": {
             "w_min": wf.w_min, "w_max": wf.w_max, "gamma": wf.gamma,
             "qa_checksum": wf.qa_checksum,
@@ -375,8 +377,7 @@ def serialize_weight_file(wf: WeightFile) -> bytes:
         "entries": [{"id": i, "score": s, "weight": w, "origin": _ORIGINS[a]}
                     for i, s, w, a in zip(wf.ids.tolist(), wf.scores.tolist(),
                                           wf.weights.tolist(), wf.augmented.tolist())],
-    }
-    return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
+    })
 
 
 def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
@@ -400,7 +401,7 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
                     weights=[sample_weight(_ORIGINS[a], s, cfg) for s, a
                              in zip(scores.tolist(), augmented.tolist())])
     if path is not None:
-        Path(path).write_bytes(serialize_weight_file(wf))
+        write_atomic(weight_file_chunks(wf), path)
     return wf
 
 
@@ -507,17 +508,18 @@ def verify_weight_file(wf: WeightFile, corpus: Corpus) -> np.ndarray:
 # Scorer snapshots
 # ---------------------------------------------------------------------------
 
-def serialize_qa_snapshot(params: QaParams, header: CorpusHeader) -> bytes:
-    doc = {
+def qa_snapshot_chunks(params: QaParams, header: CorpusHeader):
+    """The scorer snapshot's text in pieces (``util.document_chunks``);
+    non-finite parameters are refused here, before any piece."""
+    return document_chunks({
         "kind": "qa_snapshot",
         "header": header_dict(header),
         "params": encode_params(params.to_dict()),
-    }
-    return (dumps_canonical(doc, indent=1) + "\n").encode("utf-8")
+    })
 
 
 def save_qa_snapshot(params: QaParams, header: CorpusHeader, path) -> None:
-    Path(path).write_bytes(serialize_qa_snapshot(params, header))
+    write_atomic(qa_snapshot_chunks(params, header), path)
 
 
 def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:

@@ -1,12 +1,19 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
-checksums, the config schema walker, and the one float64 array codec every
-artifact uses.
+checksums, the config schema walker, the one float64 array codec every
+artifact uses, and the one writer every artifact goes through.
 
 Every float array is written as ``b64_block``, padded standard-alphabet base64
 of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
 as bare blocks, snapshot parameters with their shape (``encode_params`` /
 ``decode_params``). ``dumps_canonical`` writes every scalar float in Python's
-shortest round-trip repr.
+shortest round-trip repr; ``document_chunks`` yields the same text in pieces,
+from the same encoder, streaming each ``B64Block`` so that no piece holds a
+whole parameter's text.
+
+``write_atomic`` writes an artifact's chunks into a temporary file beside the
+target and renames it into place with ``os.replace``; on any failure the
+temporary file is removed. So a run that fails or is killed mid-write never
+leaves a truncated artifact at the target path.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ import re
 import sys
 import time
 from dataclasses import field, fields, is_dataclass, replace
-from typing import Any, get_args, get_origin, get_type_hints
+from json.encoder import encode_basestring
+from pathlib import Path
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,10 +59,6 @@ def derived_rng(seed: int, *tags: object) -> np.random.Generator:
     msg = ":".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")
     digest = hashlib.sha256(msg).digest()
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def load_json_object(path, what: str) -> dict:
@@ -226,11 +231,31 @@ def decode_block(text: str, n_floats: int, where: str, key: str) -> bytes:
     return data
 
 
+# Raw bytes per streamed piece of a B64Block: a multiple of 3, so every piece
+# but the last encodes without padding and the pieces join to one b64_block.
+_B64_PIECE = 3 * 4096
+
+
+class B64Block:
+    """A float64 array that canonical JSON writes as the string
+    ``b64_block(arr)``, encoded ``_B64_PIECE`` bytes at a time."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, arr):
+        self.data = np.ascontiguousarray(arr, dtype="<f8")
+
+    def pieces(self) -> Iterator[str]:
+        raw = memoryview(self.data).cast("B")
+        for lo in range(0, len(raw), _B64_PIECE):
+            yield base64.b64encode(raw[lo:lo + _B64_PIECE]).decode("ascii")
+
+
 def encode_params(arrays: dict) -> dict:
-    """Each named finite array as ``{"shape": [...], "data": b64_block}``."""
+    """Each named finite array as ``{"shape": [...], "data": B64Block}``."""
     if not all(np.isfinite(a).all() for a in arrays.values()):
         raise ValidationError("non-finite float cannot be serialized")
-    return {k: {"shape": list(a.shape), "data": b64_block(a)}
+    return {k: {"shape": list(a.shape), "data": B64Block(a)}
             for k, a in arrays.items()}
 
 
@@ -260,18 +285,103 @@ def decode_params(raw, keys, what: str) -> dict:
 def dumps_canonical(obj: Any, *, indent: int = 0) -> str:
     """JSON text with sorted keys, ``indent`` spaces per nesting level (compact
     when 0), and every float in Python's shortest round-trip repr, as
-    ``json.dumps`` writes corpus lines and run logs.
+    ``json.dumps`` writes corpus lines and run logs; a ``B64Block`` is its
+    base64 string.
 
     Byte-deterministic: equal structures give equal text, and every float
-    parses back bit for bit."""
+    parses back bit for bit. The text is ``json.dumps(obj, sort_keys=True,
+    ensure_ascii=False, allow_nan=False, indent=indent or None)`` with
+    ``(",", ": ")`` separators when indented and ``(",", ":")`` when compact,
+    for documents whose keys are all strings; a non-string key is refused."""
+    return "".join(_encode(obj, indent, 0))
+
+
+def document_chunks(doc) -> Iterator[str]:
+    """The text of a JSON artifact in pieces: ``dumps_canonical(doc,
+    indent=1)`` and a newline."""
+    yield from _encode(doc, 1, 0)
+    yield "\n"
+
+
+def _scalar(obj) -> str | None:
+    """The JSON text of a string, number, bool or null; None otherwise."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValidationError("non-finite float cannot be serialized")
+        return float.__repr__(obj)
+    return None
+
+
+def _encode(obj, indent: int, level: int) -> Iterator[str]:
+    """The canonical JSON text of ``obj`` in pieces: one per scalar with the
+    separator and key before it, and each B64Block in its own pieces."""
+    text = _scalar(obj)
+    if text is not None:
+        yield text
+        return
+    if isinstance(obj, B64Block):
+        yield '"'
+        yield from obj.pieces()
+        yield '"'
+        return
+    if not isinstance(obj, (dict, list, tuple)):
+        raise ValidationError(f"cannot serialize: Object of type "
+                              f"{type(obj).__name__} is not JSON serializable")
+    is_dict = isinstance(obj, dict)
+    opener, closer = "{}" if is_dict else "[]"
+    if not obj:
+        yield opener + closer
+        return
+    if is_dict:
+        if not all(isinstance(k, str) for k in obj):
+            raise ValidationError("cannot serialize: a key is not a string")
+        colon = ": " if indent else ":"
+        items = ((encode_basestring(k) + colon, obj[k]) for k in sorted(obj))
+    else:
+        items = (("", item) for item in obj)
+    inner = "\n" + " " * (indent * (level + 1)) if indent else ""
+    sep = opener + inner
+    for key, value in items:
+        text = _scalar(value)
+        if text is not None:
+            yield sep + key + text
+        else:
+            yield sep + key
+            yield from _encode(value, indent, level + 1)
+        sep = "," + inner
+    yield ("\n" + " " * (indent * level) if indent else "") + closer
+
+
+def write_atomic(chunks: Iterable[str], path) -> None:
+    """Write the text ``chunks`` to ``path`` as UTF-8, through a temporary
+    file beside it that ``os.replace`` renames into place once every chunk is
+    written. On any failure, the chunks' own included, the temporary file is
+    removed and ``path`` keeps what it held before, or stays absent."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
-                          indent=indent or None,
-                          separators=(",", ": ") if indent else (",", ":"))
-    except ValueError:   # allow_nan=False refused a NaN or an infinity
-        raise ValidationError("non-finite float cannot be serialized") from None
-    except TypeError as exc:   # a value or dict key JSON has no form for
-        raise ValidationError(f"cannot serialize: {exc}") from None
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:   # a missing or unwritable directory: name the target
+        exc.filename = str(path)
+        raise
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def deterministic_timestamp() -> str:

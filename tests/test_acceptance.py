@@ -9,6 +9,7 @@ computed in pure Python from the documented formulas, never by calling back
 into the library's vectorized code paths.
 """
 
+import hashlib
 import math
 import time
 
@@ -20,8 +21,8 @@ from augqual.corpus import (
     CorpusConfig,
     CorruptionProfile,
     SplitConfig,
+    corpus_lines,
     generate_corpus,
-    serialize_corpus,
     train_eval_split,
 )
 from augqual.finetune import HeadConfig, _loss_and_grads, train_stage1
@@ -41,12 +42,11 @@ from augqual.qa import (
     export_weights,
     map_weight,
     qa_loss_and_grads,
+    qa_snapshot_chunks,
     sample_weight,
     score_corpus,
-    serialize_qa_snapshot,
     train_stage0,
 )
-from augqual.util import sha256_hex
 from forge_reference import ForgedItem, forged_batch_from_items
 from oracles import (
     empty_grads,
@@ -498,21 +498,25 @@ def test_criterion_08_artifacts_byte_identical_across_runs(criterion,
 # Criterion 9: upstream stages stay frozen while downstream stages train
 # ---------------------------------------------------------------------------
 
+def _file_sha256(corpus) -> str:
+    return hashlib.sha256("".join(corpus_lines(corpus)).encode()).hexdigest()
+
+
 def test_criterion_09_upstream_stages_stay_frozen(criterion):
     corpus = generate_corpus(60, 2, DEFAULT_PROFILE, seed=5, d=8, d_t=12)
     features_before = feature_checksum(corpus)
     # recomputed from fresh bytes: corpus_checksum caches its digest
-    corpus_before = sha256_hex(serialize_corpus(corpus))
+    corpus_before = _file_sha256(corpus)
 
     params, _ = train_stage0(corpus, QaConfig(steps=60, hidden=16,
                                               batch_size=16, seed=5))
     features_ok_s0 = (feature_checksum(corpus) == features_before
-                      and sha256_hex(serialize_corpus(corpus)) == corpus_before)
+                      and _file_sha256(corpus) == corpus_before)
 
-    scorer_before = serialize_qa_snapshot(params, corpus.header)
+    scorer_before = "".join(qa_snapshot_chunks(params, corpus.header))
     weight_file = export_weights(corpus, params, WeightMapConfig())
     train_stage1(corpus, weight_file, HeadConfig(steps=40, seed=5))
-    scorer_ok_s1 = serialize_qa_snapshot(params, corpus.header) == scorer_before
+    scorer_ok_s1 = "".join(qa_snapshot_chunks(params, corpus.header)) == scorer_before
     features_ok_s1 = feature_checksum(corpus) == features_before
 
     ok = features_ok_s0 and scorer_ok_s1 and features_ok_s1

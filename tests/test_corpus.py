@@ -18,15 +18,15 @@ from augqual.corpus import (
     CorruptionProfile,
     VerbalScheme,
     corpus_checksum,
+    corpus_lines,
     generate_corpus,
     load_corpus,
     save_corpus,
     sentiment_class,
-    serialize_corpus,
     train_eval_split,
     validate_corpus,
 )
-from augqual.util import ValidationError, sha256_hex
+from augqual.util import ValidationError
 import oracles
 from oracles import (
     Sample,
@@ -306,15 +306,19 @@ class TestGenerate:
             assert not col.flags.writeable
 
 
+def _text(corpus) -> str:
+    return "".join(corpus_lines(corpus))
+
+
 class TestSerialization:
     def test_same_seed_byte_identical(self):
-        a = serialize_corpus(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
-        b = serialize_corpus(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
+        a = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
+        b = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
         assert a == b
 
     def test_different_seed_differs(self):
-        a = serialize_corpus(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
-        b = serialize_corpus(generate_corpus(8, 2, DEFAULTISH, seed=43, d=8, d_t=8))
+        a = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
+        b = _text(generate_corpus(8, 2, DEFAULTISH, seed=43, d=8, d_t=8))
         assert a != b
 
     def test_save_load_round_trip(self, tmp_path):
@@ -333,7 +337,7 @@ class TestSerialization:
             assert s.hidden_quality == t.hidden_quality
             assert s.target_tokens == t.target_tokens
         # re-serialization of the loaded corpus is bit-identical
-        assert serialize_corpus(back) == serialize_corpus(c)
+        assert _text(back) == _text(c)
 
     @pytest.mark.parametrize("n_originals", [300, 600])
     def test_load_memory_is_the_columns(self, tmp_path, n_originals):
@@ -355,7 +359,7 @@ class TestSerialization:
         c = generate_corpus(6, 1, DEFAULTISH, seed=77, d=8, d_t=8)
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
-        assert corpus_checksum(c) == sha256_hex(path.read_bytes())
+        assert corpus_checksum(c) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_feature_checksum_ignores_labels(self):
         c = generate_corpus(6, 1, DEFAULTISH, seed=77, d=8, d_t=8)
@@ -577,7 +581,7 @@ class TestLoadValidation:
         path.write_bytes(path.read_bytes() + b"\n")
         loaded = load_corpus(path)
         assert corpus_checksum(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert corpus_checksum(loaded) != sha256_hex(serialize_corpus(loaded))
+        assert corpus_checksum(loaded) != hashlib.sha256(_text(loaded).encode()).hexdigest()
 
     def test_garbage_json_line(self, tmp_path):
         path = tmp_path / "garbage.jsonl"

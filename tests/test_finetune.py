@@ -19,11 +19,11 @@ from augqual.finetune import (
     HeadParams,
     _head_matrix,
     _loss_and_grads,
+    head_snapshot_chunks,
     init_head,
     load_head_snapshot,
     predict_all,
     save_head_snapshot,
-    serialize_head_snapshot,
     train_stage1,
     write_run_log,
 )
@@ -237,6 +237,7 @@ class TestBatchedPath:
             state = init_adam(arrays)
             state.grad[:] = np.nan                 # every entry must be written
             assert _loss_and_grads(arrays, X, targets, w, state.grad_views) == want_loss
+            assert not np.isnan(state.grad).any()   # adam_step reuses it
             for k, g in state.grad_views.items():
                 assert np.shares_memory(g, state.grad)
                 assert g.tobytes() == want[k].tobytes(), (seed, k)
@@ -283,8 +284,8 @@ class TestTrainStage1:
         a = train_stage1(corpus, None, cfg)
         b = train_stage1(corpus, None, cfg)
         assert a.loss_trace == b.loss_trace
-        assert serialize_head_snapshot(a.head, 12, 18) == \
-            serialize_head_snapshot(b.head, 12, 18)
+        assert "".join(head_snapshot_chunks(a.head, 12, 18)) == \
+            "".join(head_snapshot_chunks(b.head, 12, 18))
 
     def test_seed_changes_run(self):
         corpus = self._corpus()
@@ -463,7 +464,26 @@ class TestHeadPersistence:
         assert (d, d_t) == (8, 10)
         for k, v in run.head.to_dict().items():
             assert np.array_equal(v, loaded.to_dict()[k])
-        assert serialize_head_snapshot(loaded, d, d_t) == path.read_bytes()
+        assert "".join(head_snapshot_chunks(loaded, d, d_t)).encode() == path.read_bytes()
+
+    def test_save_streams_the_blocks(self, tmp_path):
+        """At the criterion-5 widths (hidden 256 over a 448-wide input, 123,168
+        parameters) the snapshot's text is 1.3 MB; saving holds a few
+        pieces of it at a time, never the whole."""
+        head = init_head(128, 192, 8, HeadConfig(hidden=256),
+                         np.random.default_rng(0))
+        path = tmp_path / "head.json"
+        tracemalloc.start()
+        try:
+            save_head_snapshot(head, 128, 192, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_300_000
+        assert peak < 256 * 1024
+        loaded, *_ = load_head_snapshot(path)
+        assert all(np.array_equal(v, loaded.to_dict()[k])
+                   for k, v in head.to_dict().items())
 
     def test_foreign_document_rejected(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +214,27 @@ class TestAdam:
             assert np.array_equal(np.concatenate([state.params["w"].ravel(),
                                                   state.params["b"]]), state.flat)
         assert params["w"][0, 0] == 1.0 and state.params["w"][0, 0] != 1.0
+
+    def test_allocates_m_v_grad_and_one_work_vector(self):
+        """Beside the parameters, Adam holds m, v, the gradient and one work
+        vector, each a vector of its own: the update's denominator reuses
+        the spent gradient (numerics module docstring)."""
+        n = 100_000
+        params = {"w": np.ones((n - 10, 1)), "b": np.zeros(10)}
+        tracemalloc.start()
+        try:
+            state = init_adam(params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = {f.name for f in dataclasses.fields(state)
+                  if isinstance(getattr(state, f.name), np.ndarray)}
+        assert arrays == {"flat", "m", "v", "grad", "work"}
+        vectors = [getattr(state, name) for name in sorted(arrays)]
+        assert all(v.shape == (n,) for v in vectors)
+        assert not any(np.shares_memory(a, b)
+                       for a, b in itertools.combinations(vectors, 2))
+        assert 5 * 8 * n <= held < 5 * 8 * n + 65536
 
     @staticmethod
     def _trained_state():

@@ -9,8 +9,10 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import time
 from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -247,8 +249,9 @@ class TestRunPipeline:
         assert not (tmp_path / "head_s1_weighted.json").exists()
 
     def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "dumps_canonical", lambda doc, **kw:
-                            dumps_canonical({**doc, "bad": float("nan")}, **kw))
+        real = pipeline.document_chunks
+        monkeypatch.setattr(pipeline, "document_chunks", lambda doc:
+                            real({**doc, "bad": float("nan")}))
         cfg = PipelineConfig(**{**FAST, "seeds": (1,)}, arms=("original_only",))
         with pytest.raises(PipelineError, match="^stage report failed: non-finite"):
             run_pipeline(cfg, tmp_path)
@@ -258,10 +261,58 @@ class TestRunPipeline:
 
 
 class TestArmWorker:
-    """The arms that do not read the scorer train in one forked worker while
-    this process runs stage 0, with BLAS held to one thread for the run."""
+    """The arms that do not read the scorer train in a worker forked for each
+    seed while this process runs stage 0, with BLAS held to one thread for
+    the run."""
 
     CFG = PipelineConfig(**{**FAST, "seeds": (1,)}, arms=("weighted", "uniform"))
+    TWO_SEEDS = PipelineConfig(**FAST, arms=("weighted", "uniform"))
+
+    def test_failure_in_the_second_seed_names_its_stage(self, tmp_path, monkeypatch):
+        real = pipeline.train_stage1
+
+        def fail_uniform_s2(corpus, weight_file, config, *args, **kw):
+            if weight_file is None and config.seed == 2:
+                raise ValidationError(f"boom in process {os.getpid()}")
+            return real(corpus, weight_file, config, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "train_stage1", fail_uniform_s2)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(self.TWO_SEEDS, tmp_path)
+        match = re.fullmatch(r"stage stage1:uniform failed: boom in process (\d+)",
+                             str(info.value))
+        assert match and int(match.group(1)) != os.getpid()
+        assert (tmp_path / "head_s1_uniform.json").exists()
+        assert not (tmp_path / "head_s2_uniform.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_a_stage_failure(self, tmp_path, monkeypatch):
+        real = pipeline.train_stage1
+
+        def die_in_worker(corpus, weight_file, *args, **kw):
+            if weight_file is None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(corpus, weight_file, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "train_stage1", die_in_worker)
+        with pytest.raises(PipelineError, match="^stage stage1:uniform failed: "):
+            run_pipeline(self.CFG, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_pickles_no_corpus(self, tmp_path, monkeypatch):
+        """The worker takes its inputs through the fork: all this process
+        pickles is the call and its stage bookkeeping, not the corpus."""
+        sizes = []
+        real = ForkingPickler.dumps
+
+        def dumps(cls, obj, protocol=None):
+            data = real(obj, protocol)
+            sizes.append(len(data))
+            return data
+
+        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(dumps))
+        run_pipeline(self.TWO_SEEDS, tmp_path)
+        assert len(sizes) >= 2 and max(sizes) < 4096
 
     def test_worker_arm_failure_names_its_stage(self, tmp_path, monkeypatch):
         real = pipeline.train_stage1

@@ -32,13 +32,13 @@ from augqual.qa import (
     map_weight,
     qa_checksum,
     qa_loss_and_grads,
+    qa_snapshot_chunks,
     sample_weight,
     save_qa_snapshot,
     score_corpus,
-    serialize_qa_snapshot,
-    serialize_weight_file,
     train_stage0,
     verify_weight_file,
+    weight_file_chunks,
 )
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
@@ -321,6 +321,7 @@ class TestGradients:
                 state.grad[:] = np.nan             # every entry must be written
                 loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
                 assert loss == want_loss
+                assert not np.isnan(state.grad).any()   # adam_step reuses it
                 for k, g in state.grad_views.items():
                     assert np.shares_memory(g, state.grad)
                     assert g.tobytes() == want[k].tobytes(), (i, k)
@@ -566,9 +567,9 @@ class TestWeightFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real = qa.dumps_canonical
-        monkeypatch.setattr(qa, "dumps_canonical", lambda doc, **kw: real(
-            {**doc, "bad": float("nan")}, **kw))
+        real = qa.document_chunks
+        monkeypatch.setattr(qa, "document_chunks", lambda doc: real(
+            {**doc, "bad": float("nan")}))
         c, params = self._trained()
         path = tmp_path / "w.json"
         with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
@@ -601,7 +602,7 @@ class TestWeightFile:
         assert not any(col.flags.writeable for col in (
             back.ids, back.scores, back.weights, back.augmented))
         assert scores_by_id(back) == scores_by_id(wf)
-        assert serialize_weight_file(back) == serialize_weight_file(wf)
+        assert "".join(weight_file_chunks(back)) == "".join(weight_file_chunks(wf))
 
     def test_verify_binds_to_corpus(self, tmp_path):
         c, params = self._trained()
@@ -744,8 +745,8 @@ class TestSnapshots:
     def test_serialization_deterministic(self):
         c = generate_corpus(4, 0, PROFILE, seed=71, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=5, seed=16, hidden=4))
-        assert (serialize_qa_snapshot(params, c.header)
-                == serialize_qa_snapshot(params, c.header))
+        assert ("".join(qa_snapshot_chunks(params, c.header))
+                == "".join(qa_snapshot_chunks(params, c.header)))
 
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,25 +1,32 @@
-"""Canonical JSON and the float64 block codec of snapshot parameters.
+"""Canonical JSON, the float64 block codec of snapshot parameters, and the
+atomic artifact writer.
 
 ``dumps_canonical`` writes scalar floats in Python's shortest round-trip repr:
 every finite float64 parses back bit for bit, key order never shows, and a
 value JSON cannot hold is refused. Snapshot parameters are base64 float64
 blocks: a save/load round trip returns every bit, a parameter set that cannot
 be written leaves no file, and the first, decimal-list snapshot format is
-refused by name.
+refused by name. Every artifact goes through ``write_atomic``: a write that
+fails at any chunk leaves no temporary file, and the target as it was.
 """
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augqual.corpus import DEFAULT_PROFILE, generate_corpus
-from augqual.finetune import (HeadConfig, HeadParams, init_head, load_head_snapshot,
-                              save_head_snapshot, serialize_head_snapshot)
-from augqual.qa import (QaParams, init_qa_params, load_qa_snapshot, qa_checksum,
-                        save_qa_snapshot, serialize_qa_snapshot)
-from augqual.util import ValidationError, dumps_canonical
+from augqual import cli, corpus, finetune, pipeline, qa
+from augqual.corpus import DEFAULT_PROFILE, CorpusConfig, generate_corpus, save_corpus
+from augqual.finetune import (HeadConfig, HeadParams, head_snapshot_chunks, init_head,
+                              load_head_snapshot, save_head_snapshot)
+from augqual.qa import (QaParams, WeightMapConfig, export_weights, init_qa_params,
+                        load_qa_snapshot, qa_checksum, qa_snapshot_chunks,
+                        save_qa_snapshot)
+from augqual.util import (B64Block, ValidationError, b64_block, document_chunks,
+                          dumps_canonical, write_atomic)
 
 # signed zero, integer values on both sides of the 1e16 cut, a value with no
 # short decimal, a subnormal and a huge magnitude
@@ -76,6 +83,42 @@ class TestDumpsCanonical:
     def test_value_without_json_form_refused(self, bad, name):
         with pytest.raises(ValidationError, match=f"cannot serialize: .*{name}"):
             dumps_canonical({"w": [bad]})
+
+    @pytest.mark.parametrize("indent", (0, 1, 2))
+    def test_text_is_that_of_json_dumps(self, indent):
+        doc = {"z": [1, -2, 2 ** 70, True, False, None, [], {}, [[]], [{}]],
+               "a": {"s": 'q"\\\n\x00é\u2028', "t": (0.5, -0.0, 5e-324, 1e300),
+                     "n": {"m": {"o": [[], {}, [1]]}}}, "": "", "é": 1.5}
+        want = json.dumps(doc, sort_keys=True, ensure_ascii=False, allow_nan=False,
+                          indent=indent or None,
+                          separators=(",", ": ") if indent else (",", ":"))
+        assert dumps_canonical(doc, indent=indent) == want
+        if indent == 1:
+            assert "".join(document_chunks(doc)) == want + "\n"
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(ValidationError, match="cannot serialize: a key is not"):
+            dumps_canonical({"a": {1: 2.0}})
+
+
+# floats per base64 piece: 3 * 4096 bytes
+PIECE = 1536
+
+
+class TestB64Block:
+    @pytest.mark.parametrize("n", (0, 1, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 7))
+    def test_pieces_join_to_one_block(self, n):
+        arr = _finite_bits(np.random.default_rng(n), n)
+        pieces = list(B64Block(arr).pieces())
+        assert len(pieces) == -(-n // PIECE)
+        assert "".join(pieces) == b64_block(arr)
+        assert dumps_canonical({"data": B64Block(arr)}) == f'{{"data":"{b64_block(arr)}"}}'
+
+    def test_no_piece_holds_the_whole_block(self):
+        arr = np.random.default_rng(0).standard_normal(10 * PIECE)
+        pieces = list(document_chunks({"data": B64Block(arr)}))
+        assert max(map(len, pieces)) <= 4 * 3 * 4096
+        assert "".join(pieces) == f'{{\n "data": "{b64_block(arr)}"\n}}\n'
 
 
 D, D_T, VOCAB = 4, 6, 8
@@ -168,9 +211,9 @@ class TestSnapshotBlocks:
         next(iter(params.to_dict().values())).flat[0] = np.nan
         with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
             if kind == "scorer":
-                serialize_qa_snapshot(params, _header())
+                qa_snapshot_chunks(params, _header())
             else:
-                serialize_head_snapshot(params, D, D_T)
+                head_snapshot_chunks(params, D, D_T)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_failed_save_leaves_no_file(self, tmp_path, kind, make, bad):
@@ -190,3 +233,112 @@ def test_qa_checksum_hashes_shapes_and_bytes():
         arr = getattr(params, k)
         digest.update(json.dumps(list(arr.shape)).encode() + arr.astype("<f8").tobytes())
     assert qa_checksum(params) == digest.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Interrupted artifact writes
+# ---------------------------------------------------------------------------
+
+class _Injected(Exception):
+    """A write failure the tests inject."""
+
+
+def _fail_at(chunks, k):
+    for i, chunk in enumerate(chunks):
+        if i == k:
+            raise _Injected(f"write failed at chunk {k}")
+        yield chunk
+
+
+def _listing(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+class _EveryChunkFails:
+    """Stands in for a module's ``write_atomic`` binding: each write is first
+    tried once per chunk, failing at that chunk, and each try must leave the
+    directory as it was; then the write is made in full."""
+
+    def __init__(self):
+        self.chunks = {}      # file name -> number of chunks written
+
+    def __call__(self, chunks, path):
+        chunks, path = list(chunks), Path(path)
+        before = _listing(path.parent)
+        for k in range(len(chunks)):
+            with pytest.raises(_Injected):
+                write_atomic(_fail_at(chunks, k), path)
+            assert _listing(path.parent) == before, (path.name, k)
+        write_atomic(chunks, path)
+        self.chunks[path.name] = len(chunks)
+
+
+def _small_corpus():
+    return generate_corpus(8, 1, DEFAULT_PROFILE, seed=4, d=D, d_t=D_T)
+
+
+def _run_small_pipeline(out: Path):
+    small = CorpusConfig(n_originals=8, augments_per_original=1, d=D, d_t=D_T,
+                         profile=DEFAULT_PROFILE)
+    cfg = pipeline.PipelineConfig(corpus=small, seeds=(1,), arms=("original_only",),
+                                  qa=qa.QaConfig(steps=2, hidden=4),
+                                  head=HeadConfig(steps=2))
+    pipeline.run_pipeline(cfg, out)
+
+
+# artifact -> (module whose write_atomic binding writes it, file names, how to
+# write them into a directory)
+ARTIFACTS = {
+    "corpus": (corpus, ["corpus.jsonl"],
+               lambda d: save_corpus(_small_corpus(), d / "corpus.jsonl")),
+    "run log": (finetune, ["runlog.jsonl"],
+                lambda d: finetune.write_run_log([0.5, 0.25, 0.125], d / "runlog.jsonl")),
+    "scorer snapshot": (qa, ["qa.json"], lambda d: save_qa_snapshot(
+        _scorer(np.random.default_rng(1)), _header(), d / "qa.json")),
+    "head snapshot": (finetune, ["head.json"], lambda d: save_head_snapshot(
+        _head(np.random.default_rng(1)), D, D_T, d / "head.json")),
+    "weight file": (qa, ["weights.json"], lambda d: export_weights(
+        _small_corpus(), _scorer(np.random.default_rng(1)), WeightMapConfig(),
+        d / "weights.json")),
+    "report": (pipeline, ["report.json", "report.txt"], _run_small_pipeline),
+    "CSV dump": (cli, ["rows.csv"], lambda d: cli.main(
+        ["report", "--results", str(d / "run"), "--dump-csv", str(d / "rows.csv")])),
+}
+
+
+@pytest.mark.parametrize("old", (None, b"old bytes\n"), ids=("absent", "present"))
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_write_failing_at_any_chunk_leaves_the_target_as_it_was(
+        tmp_path, monkeypatch, artifact, old):
+    module, names, write = ARTIFACTS[artifact]
+    if artifact == "CSV dump":
+        _run_small_pipeline(tmp_path / "run")
+    if old is not None:
+        for name in names:
+            (tmp_path / name).write_bytes(old)
+    tries = _EveryChunkFails()
+    monkeypatch.setattr(module, "write_atomic", tries)
+    write(tmp_path)
+    assert set(tries.chunks) == set(names)
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.rglob("*"))
+    assert all((tmp_path / name).read_bytes() != old for name in names)
+
+
+def test_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "head.json"
+    path.write_bytes(b"old bytes\n")
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        save_head_snapshot(_head(np.random.default_rng(1)), D, D_T, path)
+    assert _listing(tmp_path) == {"head.json": b"old bytes\n"}
+
+
+def test_unopenable_target_is_named_and_writes_nothing(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(FileNotFoundError, match=f"No such file or directory: '{path}'"):
+        write_atomic(["text"], path)
+    assert list(tmp_path.iterdir()) == []
