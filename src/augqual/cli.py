@@ -83,7 +83,7 @@ def _load_json_file(path) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
     """One flag per field of the config dataclass instance ``config`` and of
-    each config nested in it (util.config_fields, so never a seed):
+    each config nested in it (util.config_fields):
     --field-name, or the flag ``names`` gives the field (None for none),
     typed as the field (util.flag_type) and defaulting to its value in
     ``config``; a bool field is a switch. Text a flag's type refuses raises
@@ -102,9 +102,10 @@ def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
                            default=value)
 
 
-def _config_from_flags(cls, args, **given):
-    """A cls built from ``given`` and the flags _add_config_flags gave it; a
-    field with no flag keeps its default."""
+def _config_from_flags(cls, args):
+    """A cls built from the flags _add_config_flags gave it; a field with no
+    flag keeps its default."""
+    given = {}
     for name, hint in config_fields(cls):
         if is_dataclass(hint):
             given[name] = _config_from_flags(hint, args)
@@ -132,12 +133,12 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_stage0(args) -> int:
-    config = _config_from_flags(QaConfig, args, seed=args.seed)
+    config = _config_from_flags(QaConfig, args)
     split = _config_from_flags(SplitConfig, args)
     corpus = load_corpus(args.corpus)
     train = train_eval_split(corpus, split.eval_fraction,
                              label_fraction=split.label_fraction).pool("all")
-    params, trace = train_stage0(corpus, config, rows=train)
+    params, trace = train_stage0(corpus, config, args.seed, rows=train)
     save_qa_snapshot(params, corpus.header, args.out)
     doc = {"snapshot": str(args.out), "qa_checksum": qa_checksum(params),
            "steps": len(trace),
@@ -166,13 +167,13 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_stage1(args) -> int:
-    config = _config_from_flags(HeadConfig, args, seed=args.seed)
+    config = _config_from_flags(HeadConfig, args)
     split = _config_from_flags(SplitConfig, args)
     corpus = load_corpus(args.corpus)
     weight_file = None if args.weights is None else load_weight_file(args.weights)
     pool = train_eval_split(corpus, split.eval_fraction,
                             label_fraction=split.label_fraction).pool(args.pool)
-    run = train_stage1(corpus, weight_file, config, rows=pool)
+    run = train_stage1(corpus, weight_file, config, args.seed, rows=pool)
     save_head_snapshot(run.head, corpus.header.d, corpus.header.d_t, args.out)
     if args.run_log is not None:
         write_run_log(run.loss_trace, args.run_log)

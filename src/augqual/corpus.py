@@ -13,6 +13,11 @@ GENERATOR_VERSION files. Files are read and written one line at a time; the
 loader checks every field's JSON type and every block's alphabet, padding and
 byte length.
 
+The header is read and written by the config walker (``util.config_from_dict``,
+``util.config_to_dict``) from the fields of ``CorpusHeader`` and its
+``VerbalScheme``, which check their ranges and rules when built, so an
+invalid header cannot exist.
+
 In memory a ``Corpus`` is columnar: one read-only array per field, row i
 holding record i, with the features stacked as ``FeatureRows``. Training,
 scoring, splitting and evaluation all select rows by index arrays.
@@ -30,12 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .util import (ValidationError, b64_block, bounded, check_fields,
-                   check_ranges, config_to_dict, decode_block, derived_rng,
+from .util import (ValidationError, b64_block, bounded, check_ranges,
+                   config_from_dict, config_to_dict, decode_block, derived_rng,
                    write_atomic)
 
 GENERATOR_VERSION = "augqual-gen-2"
@@ -77,9 +82,8 @@ def sentiment_class(y, k: int):
                       .astype(np.intp), k - 1)
 
 
-_VERBAL_FIELDS = {"sign_tokens": (list,), "class_tokens": (list,),
-                  "class_values": (list,), "neutral_value": (int, float),
-                  "eos_token": (int,)}
+# Tokens index a vocabulary of at most MAX_DIM entries.
+_TOKEN = f"[0, {MAX_DIM})"
 
 
 @dataclass(frozen=True)
@@ -91,33 +95,33 @@ class VerbalScheme:
     neutral bin (center 0.0) decodes to +-neutral_value using the polarity
     token, every other bin decodes to its center. ``encode`` maps an (n,)
     sentiment column to (n, 4) tokens; ``decode`` maps (n, T) predicted tokens
-    to (n,) floats.
+    to (n,) floats. As ``decode`` indexes the table by ``token -
+    class_tokens[0]``, the class tokens are consecutive ascending integers,
+    one per class value; the two sign tokens differ.
     """
 
-    sign_tokens: tuple[int, int] = (0, 1)
-    class_tokens: tuple[int, ...] = (2, 3, 4, 5, 6)
-    class_values: tuple[float, ...] = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    neutral_value: float = 0.1
-    eos_token: int = 7
+    sign_tokens: tuple[int, int] = bounded((0, 1), _TOKEN)
+    class_tokens: tuple[int, ...] = bounded((2, 3, 4, 5, 6), _TOKEN)
+    class_values: tuple[float, ...] = bounded((-0.8, -0.4, 0.0, 0.4, 0.8), "[-1, 1]")
+    neutral_value: float = bounded(0.1, "[-1, 1]")
+    eos_token: int = bounded(7, _TOKEN)
 
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
+    def __post_init__(self):
+        check_ranges(self)
+        sign, cls = self.sign_tokens, self.class_tokens
+        if len(sign) != 2 or sign[0] == sign[1]:
+            raise ValidationError(f"verbal table needs 2 distinct sign tokens, "
+                                  f"got {list(sign)}")
+        if not cls or len(self.class_values) != len(cls):
+            raise ValidationError("verbal table needs one value per class token")
+        if any(b - a != 1 for a, b in zip(cls, cls[1:])):
+            raise ValidationError(f"verbal class tokens must be consecutive "
+                                  f"ascending integers, got {list(cls)}")
 
-    @staticmethod
-    def from_dict(raw) -> "VerbalScheme":
-        """The table from its JSON object: integer tokens, number values."""
-        check_fields(raw, _VERBAL_FIELDS, "bad verbal table in header")
-        if (not set(map(type, raw["sign_tokens"] + raw["class_tokens"])) <= {int}
-                or not set(map(type, raw["class_values"])) <= {int, float}):
-            raise ValidationError("bad verbal table in header: tokens must be "
-                                  "integers and class values numbers")
-        return VerbalScheme(
-            sign_tokens=tuple(raw["sign_tokens"]),
-            class_tokens=tuple(raw["class_tokens"]),
-            class_values=tuple(float(v) for v in raw["class_values"]),
-            neutral_value=float(raw["neutral_value"]),
-            eos_token=raw["eos_token"],
-        )
+    def check_vocab(self, vocab_size: int) -> None:
+        """ValidationError unless every token of the table is below vocab_size."""
+        if max(*self.sign_tokens, *self.class_tokens, self.eos_token) >= vocab_size:
+            raise ValidationError("verbal tokens exceed vocab_size")
 
     def encode(self, sentiment) -> np.ndarray:
         """(n, 4) int64 target tokens of an (n,) sentiment column: polarity
@@ -146,26 +150,19 @@ class VerbalScheme:
 
 @dataclass(frozen=True)
 class CorpusHeader:
-    d: int
-    d_t: int
-    vocab_size: int
+    """Line 1 of a corpus file, also echoed in every scorer snapshot; its
+    fields, in order, are the header's keys on disk."""
+
+    d: int = bounded(MISSING, f"[1, {MAX_DIM}]")
+    d_t: int = bounded(MISSING, f"[1, {MAX_DIM}]")
+    vocab_size: int = bounded(MISSING, f"[1, {MAX_DIM}]")
     seed: int
     generator_version: str = GENERATOR_VERSION
     verbal: VerbalScheme = field(default_factory=VerbalScheme)
 
-    def validate(self) -> None:
-        for name in ("d", "d_t", "vocab_size"):
-            value = getattr(self, name)
-            if not 1 <= value <= MAX_DIM:
-                raise ValidationError(f"{name} must be in [1, {MAX_DIM}], got {value}")
-        v = self.verbal
-        if (len(v.sign_tokens) != 2 or not v.class_tokens
-                or len(v.class_tokens) != len(v.class_values)):
-            raise ValidationError("verbal table needs 2 sign tokens and one "
-                                  "value per class token")
-        toks = (*v.sign_tokens, *v.class_tokens, v.eos_token)
-        if any(t < 0 or t >= self.vocab_size for t in toks):
-            raise ValidationError("verbal tokens exceed vocab_size")
+    def __post_init__(self):
+        check_ranges(self)
+        self.verbal.check_vocab(self.vocab_size)
 
 
 @dataclass(frozen=True)
@@ -208,9 +205,7 @@ class CorpusConfig:
         if self.n_originals * (1 + self.augments_per_original) > MAX_ROWS:
             raise ValidationError(f"n_originals * (1 + augments_per_original) "
                                   f"must be <= MAX_ROWS = {MAX_ROWS}")
-        # the verbal table's tokens must fit vocab_size
-        CorpusHeader(d=self.d, d_t=self.d_t, vocab_size=self.vocab_size,
-                     seed=0).validate()
+        VerbalScheme().check_vocab(self.vocab_size)   # the table generate_corpus uses
 
 
 @dataclass(frozen=True)
@@ -289,7 +284,6 @@ def validate_corpus(corpus: Corpus) -> None:
     is written so that NaN fails it. The error names the first bad record.
     """
     h, f, n = corpus.header, corpus.features, len(corpus)
-    h.validate()
     s, p, aug, hq, toks = (corpus.sentiment, corpus.parent, corpus.augmented,
                            corpus.hidden_quality, corpus.targets)
     if (f.V.shape != (n, h.d) or f.A.shape != (n, h.d) or f.T.shape != (n, h.d_t)
@@ -420,37 +414,19 @@ def generate_corpus(n_originals: int, augments_per_original: int,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def header_dict(header: CorpusHeader) -> dict:
-    """Header as a JSON-ready dict in canonical field order."""
-    return {
-        "d": header.d,
-        "d_t": header.d_t,
-        "vocab_size": header.vocab_size,
-        "seed": header.seed,
-        "generator_version": header.generator_version,
-        "verbal": header.verbal.to_dict(),
-    }
-
-
-_HEADER_FIELDS = {"d": (int,), "d_t": (int,), "vocab_size": (int,), "seed": (int,),
-                  "generator_version": (str,), "verbal": (dict,)}
-
-
 def header_from_dict(raw) -> CorpusHeader:
-    """A header from its JSON object, each field of its exact JSON type."""
-    check_fields(raw, _HEADER_FIELDS, "bad corpus header")
-    if raw["generator_version"] != GENERATOR_VERSION:
+    """A header from its JSON object: a file of another format version is told
+    to regenerate; otherwise every key of CorpusHeader, no other, each of its
+    exact JSON type (``util.config_from_dict``), and the header's own checks."""
+    version = raw.get("generator_version") if type(raw) is dict else None
+    if type(version) is str and version != GENERATOR_VERSION:
         raise ValidationError(
-            f"corpus format {raw['generator_version']!r}: this build reads only "
+            f"corpus format {version!r}: this build reads only "
             f"{GENERATOR_VERSION!r} files; regenerate the corpus with gen-corpus")
     try:
-        return CorpusHeader(
-            d=raw["d"], d_t=raw["d_t"], vocab_size=raw["vocab_size"],
-            seed=raw["seed"], generator_version=raw["generator_version"],
-            verbal=VerbalScheme.from_dict(raw["verbal"]),
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad corpus header: {exc}") from exc
+        return config_from_dict(CorpusHeader, raw, what="header")
+    except ValidationError as exc:
+        raise ValidationError(f"bad corpus header: {exc}") from None
 
 
 def corpus_lines(corpus: Corpus):
@@ -458,7 +434,7 @@ def corpus_lines(corpus: Corpus):
     newline; deterministic for a given corpus."""
     f = corpus.features
     ids = corpus.ids.tolist()
-    yield json.dumps(header_dict(corpus.header), separators=(",", ":")) + "\n"
+    yield json.dumps(config_to_dict(corpus.header), separators=(",", ":")) + "\n"
     for i, (pol, y, aug, p, q, audio) in enumerate(zip(
             f.P.tolist(), corpus.sentiment.tolist(), corpus.augmented.tolist(),
             corpus.parent.tolist(), corpus.hidden_quality.tolist(),
@@ -551,7 +527,6 @@ def load_corpus(path) -> Corpus:
             header = header_from_dict(json.loads(first))
         except ValueError as exc:   # bad JSON or bad UTF-8
             raise ValidationError(f"bad corpus header: {exc}") from exc
-        header.validate()
         for line_no, line in enumerate(fh, start=2):
             digest.update(line)
             if not line.strip():

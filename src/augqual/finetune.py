@@ -75,7 +75,6 @@ class HeadConfig:
     lr: float = bounded(3e-3, "(0, inf)")
     steps: int = bounded(600, "[0, inf)")
     batch_size: int = bounded(32, "[1, inf)")
-    seed: int = 0
 
     def __post_init__(self):
         check_ranges(self)
@@ -149,7 +148,7 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
 
 
 def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
-                 config: HeadConfig, rows=None) -> TrainRun:
+                 config: HeadConfig, seed: int, rows=None) -> TrainRun:
     """Minibatch Adam on the weighted token loss.
 
     ``weight_file`` None means uniform mode (every weight 1), bit-identical
@@ -158,7 +157,7 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     (arm selection); default is the whole corpus. Each step gathers its input
     rows from the corpus columns (no copy of the pool's features is kept) and
     writes the gradients into Adam's buffer. Deterministic given (corpus,
-    inputs, config).
+    inputs, config, seed).
     """
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
@@ -173,10 +172,10 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     targets[:, :n_tokens] = corpus.targets[rows]
     h = corpus.header
     state = init_adam(init_head(h.d, h.d_t, h.vocab_size, config, derived_rng(
-        config.seed, "stage1", "init")).to_dict(), lr=config.lr)
+        seed, "stage1", "init")).to_dict(), lr=config.lr)
     trace = []
     for step in range(config.steps):
-        rng = derived_rng(config.seed, "stage1", "step", step)
+        rng = derived_rng(seed, "stage1", "step", step)
         take = min(config.batch_size, rows.size)
         idx = rng.choice(rows.size, size=take, replace=False)
         X = _head_matrix(corpus.features, rows[idx])

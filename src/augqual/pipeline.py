@@ -34,9 +34,12 @@ are gathered in config order, so no artifact byte depends on scheduling or
 on the BLAS thread count. The CLI stage-by-stage test, which runs at default
 BLAS threads, checks that.
 
-Per-seed metric rows are aggregated arm-wise into arithmetic means and
-written as a canonical-JSON report (byte-deterministic for a given config),
-a plain-text table, and optionally a per-seed CSV. Every artifact is written
+Each seed runs in one call that returns only its corpus checksum and
+metrics, so a seed's corpus, split, scorer and weights are freed before the
+next seed's corpus is generated. Per-seed metric rows are aggregated
+arm-wise into arithmetic means and written as a canonical-JSON report
+(byte-deterministic for a given config), a plain-text table, and optionally
+a per-seed CSV. Every artifact is written
 through ``util.write_atomic``, so none is ever left truncated. Any stage
 failure is rethrown as PipelineError("stage <name> failed: <cause>"), a
 killed worker as a failure of the stages it ran; a failure in this process
@@ -51,7 +54,7 @@ import io
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -112,8 +115,8 @@ def pipeline_config_from_dict(doc) -> PipelineConfig:
     JSON type, at any level is an error naming the key; a key left out keeps
     the value of PipelineConfig().
 
-    The qa and head seeds are not configurable here; each run derives them
-    from the pipeline seed so arms stay paired.
+    The qa and head configs hold no seed: each run trains its scorer and
+    every arm's head under the pipeline seed, so arms stay paired.
     """
     return config_from_dict(PipelineConfig(), doc)
 
@@ -197,15 +200,53 @@ def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
     for arm in arms:
         with _stage(f"stage1:{arm}"):
             run = train_stage1(
-                corpus, weight_file if arm == "weighted" else None,
-                replace(config.head, seed=seed),
-                rows=split.pool(ARM_POOLS[arm]))
+                corpus, weight_file if arm == "weighted" else None, config.head,
+                seed, rows=split.pool(ARM_POOLS[arm]))
             save_head_snapshot(run.head, config.corpus.d, config.corpus.d_t,
                                out / f"head_s{seed}_{arm}.json")
             write_run_log(run.loss_trace, out / f"runlog_s{seed}_{arm}.jsonl")
         with _stage(f"eval:{arm}"):
             metrics[arm] = evaluate(run.head, corpus, split)
     return metrics
+
+
+def _run_seed(config: PipelineConfig, seed: int, out: Path) -> tuple[str, dict]:
+    """Generate, split and save one seed's corpus, train and save its scorer
+    and weights, then train, save and evaluate every arm; the corpus checksum
+    and arm -> held-out metrics. What the seed built is freed when this
+    returns, before the next seed's corpus is generated."""
+    with _stage("gen-corpus"):
+        c = config.corpus
+        corpus = generate_corpus(
+            c.n_originals, c.augments_per_original, c.profile,
+            seed=seed, d=c.d, d_t=c.d_t, vocab_size=c.vocab_size)
+        save_corpus(corpus, out / f"corpus_s{seed}.jsonl")
+        checksum = corpus_checksum(corpus)
+
+    with _stage("split"):
+        split = train_eval_split(corpus, config.split.eval_fraction,
+                                 config.split.label_fraction)
+
+    parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
+    worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
+    with _arm_worker(worker_arms, corpus, split, config, seed, out) as pending:
+        with _stage("stage0"):
+            params, _ = train_stage0(corpus, config.qa, seed, rows=split.pool("all"))
+            save_qa_snapshot(params, corpus.header, out / f"qa_s{seed}.json")
+
+        with _stage("export-weights"):
+            weight_file = export_weights(corpus, params, config.weight_map,
+                                         out / f"weights_s{seed}.json")
+
+        metrics = _train_arms(parent_arms, corpus, split, weight_file, config,
+                              seed, out)
+        if pending is not None:
+            try:
+                metrics.update(pending.result())
+            except BrokenProcessPool as exc:
+                raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
+                                    f"failed: {exc}") from exc
+    return checksum, metrics
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
@@ -215,48 +256,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
     paths = {}
     rows = {arm: {} for arm in config.arms}   # arm -> seed -> metrics
     checksums = {}
-    parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
-    worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
 
     with one_blas_thread():
         for seed in config.seeds:
-            with _stage("gen-corpus"):
-                c = config.corpus
-                corpus = generate_corpus(
-                    c.n_originals, c.augments_per_original, c.profile,
-                    seed=seed, d=c.d, d_t=c.d_t, vocab_size=c.vocab_size)
-                corpus_path = out / f"corpus_s{seed}.jsonl"
-                save_corpus(corpus, corpus_path)
-                paths[f"corpus_s{seed}"] = corpus_path
-                checksums[f"corpus_s{seed}"] = corpus_checksum(corpus)
-
-            with _stage("split"):
-                split = train_eval_split(corpus, config.split.eval_fraction,
-                                         config.split.label_fraction)
-
-            with _arm_worker(worker_arms, corpus, split, config, seed,
-                             out) as pending:
-                with _stage("stage0"):
-                    params, _ = train_stage0(corpus, replace(config.qa, seed=seed),
-                                             rows=split.pool("all"))
-                    qa_path = out / f"qa_s{seed}.json"
-                    save_qa_snapshot(params, corpus.header, qa_path)
-                    paths[f"qa_s{seed}"] = qa_path
-
-                with _stage("export-weights"):
-                    weights_path = out / f"weights_s{seed}.json"
-                    weight_file = export_weights(corpus, params, config.weight_map,
-                                                 weights_path)
-                    paths[f"weights_s{seed}"] = weights_path
-
-                metrics = _train_arms(parent_arms, corpus, split, weight_file,
-                                      config, seed, out)
-                if pending is not None:
-                    try:
-                        metrics.update(pending.result())
-                    except BrokenProcessPool as exc:
-                        raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
-                                            f"failed: {exc}") from exc
+            checksums[f"corpus_s{seed}"], metrics = _run_seed(config, seed, out)
+            paths[f"corpus_s{seed}"] = out / f"corpus_s{seed}.jsonl"
+            paths[f"qa_s{seed}"] = out / f"qa_s{seed}.json"
+            paths[f"weights_s{seed}"] = out / f"weights_s{seed}.json"
             for arm in config.arms:
                 paths[f"head_s{seed}_{arm}"] = out / f"head_s{seed}_{arm}.json"
                 paths[f"runlog_s{seed}_{arm}"] = out / f"runlog_s{seed}_{arm}.jsonl"

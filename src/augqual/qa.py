@@ -46,7 +46,6 @@ from .corpus import (
     FeatureRows,
     _freeze,
     corpus_checksum,
-    header_dict,
     header_from_dict,
 )
 from .forge import FAMILIES, ForgeConfig, ForgedBatch, forge_batch
@@ -65,6 +64,7 @@ from .util import (
     check_fields,
     check_params,
     check_ranges,
+    config_to_dict,
     decode_params,
     derived_rng,
     deterministic_timestamp,
@@ -132,7 +132,6 @@ class QaConfig:
     batch_size: int = bounded(32, "[2, inf)")
     steps: int = bounded(800, "[0, inf)")
     lr: float = bounded(3e-3, "(0, inf)")
-    seed: int = 0
     hidden: int = bounded(64, "[1, inf)")
     include_augmented: bool = False  # add augments to the positive pool
 
@@ -232,7 +231,7 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha, grads: dict,
     return loss
 
 
-def train_stage0(corpus: Corpus, config: QaConfig,
+def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
                  rows=None) -> tuple[QaParams, list]:
     """Train the scorer on forged batches drawn from trusted samples.
 
@@ -242,7 +241,7 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     copy of the pool is kept), writes the gradients into Adam's buffer, and
     assembles the scorer input and its gradient in two work arrays allocated
     once per call. Returns the trained parameters and the per-step loss
-    trace. Deterministic for a given (corpus, config).
+    trace. Deterministic for a given (corpus, config, seed).
     """
     pool = np.flatnonzero(~corpus.augmented)
     if config.include_augmented:
@@ -253,7 +252,7 @@ def train_stage0(corpus: Corpus, config: QaConfig,
         raise ValidationError("stage-0 training pool is empty")
     d, d_t = corpus.header.d, corpus.header.d_t
     state = init_adam(init_qa_params(d, d_t, config.hidden, derived_rng(
-        config.seed, "stage0", "init")).to_dict(), lr=config.lr)
+        seed, "stage0", "init")).to_dict(), lr=config.lr)
     params = QaParams.from_dict(state.params)
     forge_cfg = ForgeConfig(mask_rate=config.rho)
     take = min(config.batch_size, pool.size)
@@ -261,7 +260,7 @@ def train_stage0(corpus: Corpus, config: QaConfig,
     x_work, g_x_work = np.empty((2, len(FAMILIES) * take, 4 * d))
     trace = []
     for step in range(config.steps):
-        rng = derived_rng(config.seed, "stage0", "step", step)
+        rng = derived_rng(seed, "stage0", "step", step)
         idx = rng.choice(pool.size, size=take, replace=False)
         forged = forge_batch(corpus.features.take(pool[idx]), rng, forge_cfg)
         n = forged.labels.shape[0]
@@ -513,7 +512,7 @@ def qa_snapshot_chunks(params: QaParams, header: CorpusHeader):
     non-finite parameters are refused here, before any piece."""
     return document_chunks({
         "kind": "qa_snapshot",
-        "header": header_dict(header),
+        "header": config_to_dict(header),
         "params": encode_params(params.to_dict()),
     })
 
@@ -529,7 +528,6 @@ def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:
     if "header" not in raw:
         raise ValidationError("bad scorer snapshot: no header")
     header = header_from_dict(raw["header"])
-    header.validate()
     params = QaParams.from_dict(decode_params(raw.get("params"), _PARAM_KEYS, "scorer"))
     params.validate()
     if params.d != header.d or params.d_t != header.d_t:

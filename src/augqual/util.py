@@ -1,6 +1,7 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
-checksums, the config schema walker, the one float64 array codec every
-artifact uses, and the one writer every artifact goes through.
+checksums, the schema walker that reads and writes config documents and
+corpus headers, the one float64 array codec every artifact uses, and the one
+writer every artifact goes through.
 
 Every float array is written as ``b64_block``, padded standard-alphabet base64
 of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
@@ -91,9 +92,10 @@ def check_fields(obj, fields: dict, where: str) -> dict:
 
 
 def bounded(default, interval: str):
-    """A dataclass field defaulting to ``default`` whose value ``check_ranges``
-    keeps in ``interval``, written ``"[lo, hi)"``: a bracket closes an end and
-    a parenthesis opens it; ``inf`` is always an open end."""
+    """A dataclass field defaulting to ``default`` (none when it is
+    ``dataclasses.MISSING``) whose value ``check_ranges`` keeps in
+    ``interval``, written ``"[lo, hi)"``: a bracket closes an end and a
+    parenthesis opens it; ``inf`` is always an open end."""
     return field(default=default, metadata={"interval": interval})
 
 
@@ -126,16 +128,17 @@ _FLAG_TEXT = {int: re.compile(r"-?[0-9]+"),
 
 def config_fields(cls) -> list:
     """(name, type from its annotation) of each field of the config dataclass
-    ``cls`` but ``seed``, which runs derive: one config document key and one
-    stage flag each. A dataclass type is a nested section; ``int`` is never a
-    bool; ``float`` is any finite number, stored as a float; ``int | None``
-    also takes null; ``tuple[X, ...]`` is an array of X."""
+    ``cls``: one document key and one stage flag each. A dataclass type is a
+    nested section; ``int`` is never a bool; ``float`` is any finite number,
+    stored as a float; ``int | None`` also takes null; ``tuple[X, ...]`` is an
+    array of X."""
     hints = get_type_hints(cls)
-    return [(f.name, hints[f.name]) for f in fields(cls) if f.name != "seed"]
+    return [(f.name, hints[f.name]) for f in fields(cls)]
 
 
 def config_to_dict(config) -> dict:
-    """The config dataclass instance ``config`` as its config document."""
+    """The config dataclass instance ``config`` as its document, keys in
+    field order."""
     doc = {}
     for name, hint in config_fields(type(config)):
         value = getattr(config, name)
@@ -145,43 +148,53 @@ def config_to_dict(config) -> dict:
     return doc
 
 
-def config_from_dict(base, doc, section: str = ""):
-    """The config dataclass instance ``base`` with the keys the config
+def config_from_dict(base, doc, section: str = "", what: str = "config"):
+    """The config dataclass instance ``base`` with the keys the ``what``
     document ``doc`` sets; a key left out, in a nested section too, keeps
-    base's value. An unknown key, or a value not of its field's JSON type,
-    is refused naming the dotted key; building each config checks the rest."""
+    base's value. When ``base`` is a dataclass type, ``doc`` must set every
+    key of it and of its sections. An unknown or missing key, or a value not
+    of its field's JSON type, is refused naming the dotted key; building each
+    dataclass checks the rest."""
+    cls = base if isinstance(base, type) else type(base)
     if type(doc) is not dict:
-        raise ValidationError(f"config section {section} must be an object"
-                              if section else "config must be a JSON object")
-    hints = dict(config_fields(type(base)))
+        raise ValidationError(f"{what} section {section} must be an object"
+                              if section else f"{what} must be a JSON object")
+    hints = dict(config_fields(cls))
     values = {}
     for key, value in doc.items():
         dotted = f"{section}.{key}" if section else key
         if key not in hints:
-            raise ValidationError(f"unknown config key: {dotted}")
-        values[key] = (config_from_dict(getattr(base, key), value, dotted)
+            raise ValidationError(f"unknown {what} key: {dotted}")
+        values[key] = (config_from_dict(hints[key] if base is cls else getattr(base, key),
+                                        value, dotted, what)
                        if is_dataclass(hints[key])
-                       else _json_value(value, hints[key], dotted))
-    return replace(base, **values)
+                       else _json_value(value, hints[key], dotted, what))
+    if base is not cls:
+        return replace(base, **values)
+    missing = [key for key in hints if key not in values]
+    if missing:
+        key = f"{section}.{missing[0]}" if section else missing[0]
+        raise ValidationError(f"missing {what} key: {key}")
+    return cls(**values)
 
 
-def _json_value(value, hint, key: str):
+def _json_value(value, hint, key: str, what: str):
     """value, checked to be of a JSON type that the field type ``hint`` takes."""
     got = _JSON_NAMES.get(type(value), type(value).__name__)
     if get_origin(hint) is tuple:
         if type(value) is not list:
-            raise ValidationError(f"config key {key} must be an array, got {got}")
-        return tuple(_json_value(v, get_args(hint)[0], f"{key}[{i}]")
+            raise ValidationError(f"{what} key {key} must be an array, got {got}")
+        return tuple(_json_value(v, get_args(hint)[0], f"{key}[{i}]", what)
                      for i, v in enumerate(value))
     kinds = [k for t in get_args(hint) or (hint,)
              for k in ((int, float) if t is float else (t,))]
     if type(value) not in kinds:
         want = " or ".join(_JSON_NAMES[k] for k in kinds)
-        raise ValidationError(f"config key {key} must be {want}, got {got}")
+        raise ValidationError(f"{what} key {key} must be {want}, got {got}")
     if hint is not float:
         return value
     if not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"config key {key} must be a finite number")
+        raise ValidationError(f"{what} key {key} must be a finite number")
     return float(value)
 
 

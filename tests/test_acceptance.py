@@ -339,7 +339,7 @@ def test_criterion_03_scorer_separates_clean_from_corrupted(criterion):
     t0 = time.monotonic()
     corpus = generate_corpus(400, 2, DEFAULT_PROFILE, seed=42)
     split = train_eval_split(corpus, 0.25)
-    params, _ = train_stage0(corpus, QaConfig(seed=42),
+    params, _ = train_stage0(corpus, QaConfig(), 42,
                              rows=split.train_originals)
     scores = score_corpus(corpus, params)
 
@@ -509,13 +509,13 @@ def test_criterion_09_upstream_stages_stay_frozen(criterion):
     corpus_before = _file_sha256(corpus)
 
     params, _ = train_stage0(corpus, QaConfig(steps=60, hidden=16,
-                                              batch_size=16, seed=5))
+                                              batch_size=16), 5)
     features_ok_s0 = (feature_checksum(corpus) == features_before
                       and _file_sha256(corpus) == corpus_before)
 
     scorer_before = "".join(qa_snapshot_chunks(params, corpus.header))
     weight_file = export_weights(corpus, params, WeightMapConfig())
-    train_stage1(corpus, weight_file, HeadConfig(steps=40, seed=5))
+    train_stage1(corpus, weight_file, HeadConfig(steps=40), 5)
     scorer_ok_s1 = "".join(qa_snapshot_chunks(params, corpus.header)) == scorer_before
     features_ok_s1 = feature_checksum(corpus) == features_before
 

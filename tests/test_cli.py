@@ -717,6 +717,61 @@ class TestCorpusFormatMutations:
                 assert proc.stdout == "" and not out.exists()
 
 
+def _verbal(**changes):
+    return lambda h: {**h, "verbal": {**h["verbal"], **changes}}
+
+
+# Corpus headers that every earlier check let through, each refused now: a
+# key the header does not have, and verbal tables that decode wrongly.
+_HEADER_EDITS = {
+    "unknown key": lambda h: {**h, "comment": "made by hand"},
+    "class tokens apart": lambda h: _verbal(class_tokens=[2, 4, 6, 8, 10])(
+        {**h, "vocab_size": 11}),
+    "class tokens descending": _verbal(class_tokens=[6, 5, 4, 3, 2]),
+    "class value 5": _verbal(class_values=[-0.8, -0.4, 0.0, 0.4, 5.0]),
+    "neutral value nan": _verbal(neutral_value=float("nan")),
+}
+
+
+class TestHeaderChecks:
+    """A corpus header, or a scorer snapshot's echo of it, holding an unknown
+    key or a verbal table that breaks decoding makes each command that reads
+    it exit 1 with a ``bad corpus header`` line, before any output."""
+
+    @pytest.mark.parametrize("command", ("stage1", "eval"))
+    @pytest.mark.parametrize("case", _HEADER_EDITS)
+    def test_corpus_header_refused(self, clean_artifacts, tmp_path, capsys, case,
+                                   command):
+        corpus, artifacts = clean_artifacts
+        lines = corpus.read_text().splitlines()
+        lines[0] = json.dumps(_HEADER_EDITS[case](json.loads(lines[0])))
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "head.json"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = (["stage1", "--corpus", str(bad), "--out", str(out), "--seed", "5",
+                 "--steps", "2"] if command == "stage1"
+                else _corpus_commands(bad, artifacts, out)["eval"])
+        capsys.readouterr()
+        rc = main(argv)
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err.startswith("error: bad corpus header: ")
+        assert printed.out == "" and not out.exists()
+
+    def test_scorer_snapshot_header_refused(self, clean_artifacts, tmp_path, capsys):
+        corpus, artifacts = clean_artifacts
+        doc = json.loads(artifacts["scorer"].read_text())
+        doc["header"]["comment"] = "made by hand"
+        bad, out = tmp_path / "qa.json", tmp_path / "weights.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["score", "--corpus", str(corpus), "--qa", str(bad),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: bad corpus header: unknown header key: comment\n"
+        assert not out.exists()
+
+
 class TestCorruptArtifactMutations:
     """Every damaged scorer snapshot (through ``score``), head snapshot
     (through ``eval``) and weight file (through ``stage1 --weights``) exits 1
@@ -1288,7 +1343,7 @@ class TestStageDefaults:
     def test_stage0(self, monkeypatch):
         calls = self._calls(monkeypatch, ["stage0", "--corpus", "c", "--out", "q",
                                           "--seed", "5"], "train_stage0")
-        assert calls["train_stage0"][0][1] == QaConfig(seed=5)
+        assert calls["train_stage0"][0][1:] == (QaConfig(), 5)
         assert calls["train_eval_split"] == (
             (_CORPUS, PipelineConfig().split.eval_fraction),
             {"label_fraction": PipelineConfig().split.label_fraction})
@@ -1301,7 +1356,7 @@ class TestStageDefaults:
     def test_stage1(self, monkeypatch):
         calls = self._calls(monkeypatch, ["stage1", "--corpus", "c", "--out", "h",
                                           "--seed", "5"], "train_stage1")
-        assert calls["train_stage1"][0][2] == HeadConfig(seed=5)
+        assert calls["train_stage1"][0][2:] == (HeadConfig(), 5)
         assert calls["train_eval_split"] == (
             (_CORPUS, PipelineConfig().split.eval_fraction),
             {"label_fraction": PipelineConfig().split.label_fraction})

@@ -1,6 +1,7 @@
 """Config ranges: each knob's interval is declared once, on its dataclass field
 (``util.bounded``), and building the config checks every one
-(``util.check_ranges``), so an out-of-range config cannot exist.
+(``util.check_ranges``), so an out-of-range config cannot exist. The corpus
+header and its verbal table declare theirs the same way.
 
 The tables here pin the declared intervals, so loosening a bound is a visible
 edit, and a guard fails any new numeric knob that declares none.
@@ -12,14 +13,18 @@ from dataclasses import dataclass, fields
 
 import pytest
 
-from augqual.corpus import MAX_ROWS, CorpusConfig, CorruptionProfile, SplitConfig
+from augqual.corpus import (MAX_ROWS, CorpusConfig, CorpusHeader, CorruptionProfile,
+                            SplitConfig, VerbalScheme)
 from augqual.finetune import HeadConfig
 from augqual.forge import ForgeConfig
 from augqual.qa import QaConfig, WeightMapConfig
 from augqual.util import ValidationError, bounded, check_ranges
 
 CONFIG_CLASSES = (CorpusConfig, CorruptionProfile, SplitConfig, QaConfig,
-                  WeightMapConfig, HeadConfig, ForgeConfig)
+                  WeightMapConfig, HeadConfig, ForgeConfig, CorpusHeader,
+                  VerbalScheme)
+# The fields a class has no default for, at valid values.
+REQUIRED = {CorpusHeader: {"d": 8, "d_t": 8, "vocab_size": 8, "seed": 0}}
 
 INTERVALS = {
     "CorpusConfig": {"n_originals": "[2, inf)", "augments_per_original": "[0, inf)",
@@ -36,6 +41,11 @@ INTERVALS = {
     "HeadConfig": {"hidden": "[1, inf)", "t_max": "[1, inf)", "lr": "(0, inf)",
                    "steps": "[0, inf)", "batch_size": "[1, inf)"},
     "ForgeConfig": {"mask_rate": "[0, 1]"},
+    "CorpusHeader": {"d": "[1, 65536]", "d_t": "[1, 65536]",
+                     "vocab_size": "[1, 65536]"},
+    "VerbalScheme": {"sign_tokens": "[0, 65536)", "class_tokens": "[0, 65536)",
+                     "class_values": "[-1, 1]", "neutral_value": "[-1, 1]",
+                     "eos_token": "[0, 65536)"},
 }
 
 _NUMBER = r"(-?\d+(?:\.\d+)?|-inf|inf)"
@@ -56,6 +66,13 @@ def _outside(interval: str) -> list:
     if math.isfinite(hi):
         values.append(math.nextafter(hi, math.inf) if interval[-1] == "]" else hi)
     return values
+
+
+def _with(cls, name, value, at=1):
+    """The value a field of cls takes to hold ``value``: a tuple field keeps
+    its default with element ``at`` replaced."""
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return default[:at] + (value,) + default[at + 1:] if type(default) is tuple else value
 
 
 def _cases():
@@ -92,14 +109,9 @@ class TestCheckedAtConstruction:
     @pytest.mark.parametrize("cls, name, interval, value", _cases(),
                              ids=[f"{c.__name__}.{n}={v}" for c, n, _, v in _cases()])
     def test_out_of_range_refused(self, cls, name, interval, value):
-        if name == "alpha":
-            value = (1.0, value, 1.0, 1.0)
-            shown = value[1]
-        else:
-            shown = value
-        message = f"{cls.__name__}.{name} must be in {interval}, got {shown}"
+        message = f"{cls.__name__}.{name} must be in {interval}, got {value}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            cls(**{name: value})
+            cls(**{**REQUIRED.get(cls, {}), name: _with(cls, name, value)})
 
     def test_ends_of_each_interval_accepted(self):
         for cls in CONFIG_CLASSES:
@@ -108,9 +120,12 @@ class TestCheckedAtConstruction:
                 inner = ([lo] if interval[0] == "[" else []) + (
                     [hi] if interval[-1] == "]" else [])
                 for value in inner:   # w_max at 0 needs w_min there too
-                    kwargs = {name: (value, 1.0, 1.0, 1.0) if name == "alpha"
-                              else value, **({"w_min": value} if name == "w_max" else {})}
-                    if (cls, name, value) == (CorpusConfig, "vocab_size", 1):
+                    # class tokens start a run of consecutive ones
+                    held = (tuple(value + k for k in range(5)) if name == "class_tokens"
+                            else _with(cls, name, value, at=0))
+                    kwargs = {**REQUIRED.get(cls, {}), name: held,
+                              **({"w_min": value} if name == "w_max" else {})}
+                    if name == "vocab_size" and value == 1:
                         # in range, but the verbal table's tokens run to 7
                         with pytest.raises(ValidationError, match="^verbal tokens "
                                                                   "exceed vocab_size$"):

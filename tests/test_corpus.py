@@ -23,10 +23,11 @@ from augqual.corpus import (
     load_corpus,
     save_corpus,
     sentiment_class,
+    header_from_dict,
     train_eval_split,
     validate_corpus,
 )
-from augqual.util import ValidationError
+from augqual.util import ValidationError, config_from_dict, config_to_dict
 import oracles
 from oracles import (
     Sample,
@@ -133,7 +134,7 @@ class TestVerbalScheme:
     ])
     def test_array_forms_match_scalar_oracles(self, v):
         vocab = 8
-        CorpusHeader(d=1, d_t=1, vocab_size=vocab, seed=0, verbal=v).validate()
+        CorpusHeader(d=1, d_t=1, vocab_size=vocab, seed=0, verbal=v)   # fits vocab
         y = np.concatenate([_sentiment_grid(k) for k in range(2, 9)])
         assert v.encode(y).tolist() == [list(encode(v, float(s))) for s in y]
         # every (polarity, class) token pair, class tokens off the table too
@@ -145,7 +146,7 @@ class TestVerbalScheme:
 
     def test_dict_round_trip(self):
         v = VerbalScheme()
-        assert VerbalScheme.from_dict(v.to_dict()) == v
+        assert config_from_dict(VerbalScheme, config_to_dict(v)) == v
 
 
 class TestProfileValidation:
@@ -453,7 +454,7 @@ def _write_lines(path, lines):
 def _header(**changes):
     return {"d": 4, "d_t": 4, "vocab_size": 8, "seed": 0,
             "generator_version": GENERATOR_VERSION,
-            "verbal": VerbalScheme().to_dict(), **changes}
+            "verbal": config_to_dict(VerbalScheme()), **changes}
 
 
 def _tiny_file(tmp_path, mutate):
@@ -629,6 +630,100 @@ class TestLoadValidation:
         _write_lines(path, [json.dumps(_header(d=MAX_DIM, d_t=MAX_DIM,
                                                vocab_size=MAX_DIM))])
         assert load_corpus(path).header.d == MAX_DIM
+
+
+# Verbal tables that pass every type check but break what decoding relies
+# on, with the message each is refused with.
+BAD_VERBAL = [
+    ("class tokens apart", {"class_tokens": [2, 4, 6, 8, 10]}, 11,
+     r"class tokens must be consecutive ascending integers, got \[2, 4, 6, 8, 10\]"),
+    ("class tokens descending", {"class_tokens": [6, 5, 4, 3, 2]}, 8,
+     r"class tokens must be consecutive ascending integers, got \[6, 5, 4, 3, 2\]"),
+    ("class value 5", {"class_values": [-0.8, -0.4, 0.0, 0.4, 5.0]}, 8,
+     r"VerbalScheme.class_values must be in \[-1, 1\], got 5.0"),
+    ("neutral value nan", {"neutral_value": float("nan")}, 8,
+     "key verbal.neutral_value must be a finite number"),
+    ("neutral value -1.5", {"neutral_value": -1.5}, 8,
+     r"VerbalScheme.neutral_value must be in \[-1, 1\]"),
+    ("equal sign tokens", {"sign_tokens": [1, 1]}, 8,
+     r"2 distinct sign tokens, got \[1, 1\]"),
+    ("three sign tokens", {"sign_tokens": [0, 1, 2]}, 8, "2 distinct sign tokens"),
+    ("one class value", {"class_values": [0.0]}, 8, "one value per class token"),
+    ("no class tokens", {"class_tokens": [], "class_values": []}, 8,
+     "one value per class token"),
+    ("negative eos token", {"eos_token": -1}, 8,
+     r"VerbalScheme.eos_token must be in \[0, 65536\), got -1"),
+    ("eos token beyond vocab", {"eos_token": 8}, 8,
+     "^bad corpus header: verbal tokens exceed vocab_size$"),
+]
+
+
+class TestHeaderSchema:
+    """The header and its verbal table are read, written and checked by the
+    config walker from their dataclass fields: every key, of its exact JSON
+    type, and no other; building either checks its ranges and the table's
+    cross-field rules."""
+
+    def test_walker_round_trip(self):
+        v = VerbalScheme(sign_tokens=(7, 2), class_tokens=(3, 4, 5),
+                         class_values=(-0.5, 0.0, 0.5), neutral_value=-0.05,
+                         eos_token=1)
+        h = CorpusHeader(d=3, d_t=5, vocab_size=9, seed=-4, verbal=v)
+        doc = config_to_dict(h)
+        assert list(doc) == ["d", "d_t", "vocab_size", "seed",
+                             "generator_version", "verbal"]
+        assert doc["verbal"] == {"sign_tokens": [7, 2], "class_tokens": [3, 4, 5],
+                                 "class_values": [-0.5, 0.0, 0.5],
+                                 "neutral_value": -0.05, "eos_token": 1}
+        assert config_from_dict(VerbalScheme, doc["verbal"]) == v
+        assert header_from_dict(json.loads(json.dumps(doc))) == h
+
+    @pytest.mark.parametrize("header, message", [
+        (_header(extra=1), "unknown header key: extra"),
+        (_header(verbal={**config_to_dict(VerbalScheme()), "pad_token": 9}),
+         "unknown header key: verbal.pad_token"),
+        ({k: v for k, v in _header().items() if k != "seed"},
+         "missing header key: seed"),
+        (_header(verbal={k: v for k, v in config_to_dict(VerbalScheme()).items()
+                         if k != "eos_token"}),
+         "missing header key: verbal.eos_token"),
+        (_header(seed="0"), "header key seed must be an integer, got a string"),
+        (_header(d=4.0), "header key d must be an integer, got a float"),
+        (_header(vocab_size=True), "header key vocab_size must be an integer, got a boolean"),
+        (_header(generator_version=2), "header key generator_version must be a string"),
+        (_header(verbal=[]), "header section verbal must be an object"),
+        (_header(verbal={**config_to_dict(VerbalScheme()), "class_tokens": [2, 3.0]}),
+         r"header key verbal.class_tokens\[1\] must be an integer, got a float"),
+        (_header(verbal={**config_to_dict(VerbalScheme()), "class_values": "x"}),
+         "header key verbal.class_values must be an array, got a string"),
+        ([_header()], "header must be a JSON object"),
+    ], ids=["unknown key", "unknown verbal key", "missing key", "missing verbal key",
+            "string seed", "float d", "bool vocab_size", "int version",
+            "verbal a list", "float class token", "string class values", "a list"])
+    def test_bad_key_refused(self, tmp_path, header, message):
+        path = tmp_path / "bad.jsonl"
+        _write_lines(path, [json.dumps(header)])
+        with pytest.raises(ValidationError, match=f"^bad corpus header: ({message})"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("case, verbal, vocab, message", BAD_VERBAL,
+                             ids=[case[0] for case in BAD_VERBAL])
+    def test_verbal_invariants_on_load(self, tmp_path, case, verbal, vocab, message):
+        path = tmp_path / "bad.jsonl"
+        table = {**config_to_dict(VerbalScheme()), **verbal}
+        _write_lines(path, [json.dumps(_header(vocab_size=vocab, verbal=table))])
+        with pytest.raises(ValidationError, match=message):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("case, verbal, vocab, message", BAD_VERBAL,
+                             ids=[case[0] for case in BAD_VERBAL])
+    def test_verbal_invariants_in_memory(self, case, verbal, vocab, message):
+        if "finite" in message:   # the reader refuses NaN before building the table
+            message = r"VerbalScheme.neutral_value must be in \[-1, 1\], got nan"
+        with pytest.raises(ValidationError, match=message.replace("^bad corpus header: ", "^")):
+            CorpusHeader(d=1, d_t=1, vocab_size=vocab, seed=0,
+                         verbal=VerbalScheme(**{k: tuple(v) if type(v) is list else v
+                                                for k, v in verbal.items()}))
 
 
 class TestSplit:

@@ -280,24 +280,24 @@ class TestTrainStage1:
 
     def test_deterministic_given_seed(self):
         corpus = self._corpus()
-        cfg = HeadConfig(steps=20, seed=3)
-        a = train_stage1(corpus, None, cfg)
-        b = train_stage1(corpus, None, cfg)
+        cfg = HeadConfig(steps=20)
+        a = train_stage1(corpus, None, cfg, 3)
+        b = train_stage1(corpus, None, cfg, 3)
         assert a.loss_trace == b.loss_trace
         assert "".join(head_snapshot_chunks(a.head, 12, 18)) == \
             "".join(head_snapshot_chunks(b.head, 12, 18))
 
     def test_seed_changes_run(self):
         corpus = self._corpus()
-        a = train_stage1(corpus, None, HeadConfig(steps=20, seed=3))
-        b = train_stage1(corpus, None, HeadConfig(steps=20, seed=4))
+        a = train_stage1(corpus, None, HeadConfig(steps=20), 3)
+        b = train_stage1(corpus, None, HeadConfig(steps=20), 4)
         assert a.loss_trace != b.loss_trace
 
     def test_uniform_equals_all_ones_weight_file(self):
         corpus = self._corpus()
-        cfg = HeadConfig(steps=25, seed=7)
-        uniform = train_stage1(corpus, None, cfg)
-        ones = train_stage1(corpus, _all_ones_weight_file(corpus), cfg)
+        cfg = HeadConfig(steps=25)
+        uniform = train_stage1(corpus, None, cfg, 7)
+        ones = train_stage1(corpus, _all_ones_weight_file(corpus), cfg, 7)
         assert uniform.loss_trace == ones.loss_trace
         for k, v in uniform.head.to_dict().items():
             assert np.array_equal(v, ones.head.to_dict()[k])
@@ -306,23 +306,23 @@ class TestTrainStage1:
 
     def test_weights_change_training(self):
         corpus = self._corpus()
-        cfg = HeadConfig(steps=25, seed=7)
+        cfg = HeadConfig(steps=25)
         wf = _all_ones_weight_file(corpus, w_min=0.1, w_max=1.5, score=1e-9)
         assert set(wf.weights.tolist()) == {1.0, map_weight(1e-9, WeightMapConfig())}
-        down = train_stage1(corpus, wf, cfg)
-        uniform = train_stage1(corpus, None, cfg)
+        down = train_stage1(corpus, wf, cfg, 7)
+        uniform = train_stage1(corpus, None, cfg, 7)
         assert down.loss_trace != uniform.loss_trace
 
     def test_batch_selection_ignores_weights(self):
         # same seed, different weights: the loss differs but the order of
         # first-step batch losses under weight scaling stays proportional
         corpus = self._corpus()
-        cfg = HeadConfig(steps=1, seed=9)
+        cfg = HeadConfig(steps=1)
         wf = _all_ones_weight_file(corpus)
         doubled = dataclasses.replace(wf, weights=np.ones(len(wf.ids)))
         # halve Originals is illegal (must be 1), so scale augmented only
-        run_a = train_stage1(corpus, wf, cfg)
-        run_b = train_stage1(corpus, doubled, cfg)
+        run_a = train_stage1(corpus, wf, cfg, 9)
+        run_b = train_stage1(corpus, doubled, cfg, 9)
         assert run_a.loss_trace == run_b.loss_trace
 
     def test_wrong_corpus_checksum_rejected(self):
@@ -331,7 +331,7 @@ class TestTrainStage1:
         wf = _all_ones_weight_file(other)
         with pytest.raises(ChecksumError,
                            match="exported for a different corpus"):
-            train_stage1(corpus, wf, HeadConfig(steps=1))
+            train_stage1(corpus, wf, HeadConfig(steps=1), 0)
 
     def test_missing_weight_for_pool_member(self):
         corpus = self._corpus()
@@ -339,10 +339,10 @@ class TestTrainStage1:
         dropped = _take(wf, slice(1, None))
         with pytest.raises(ValidationError,
                            match=f"no weight for sample {wf.ids[0]}"):
-            train_stage1(corpus, dropped, HeadConfig(steps=1))
+            train_stage1(corpus, dropped, HeadConfig(steps=1), 0)
         with pytest.raises(ValidationError,
                            match=f"no weight for sample {corpus.ids[0]}"):
-            train_stage1(corpus, _take(wf, slice(0, 0)), HeadConfig(steps=1))
+            train_stage1(corpus, _take(wf, slice(0, 0)), HeadConfig(steps=1), 0)
 
     def test_sample_listed_twice_rejected(self):
         corpus = self._corpus()
@@ -351,7 +351,7 @@ class TestTrainStage1:
         twice = _take(wf, np.append(np.arange(len(wf.ids)), k))
         with pytest.raises(ValidationError,
                            match=f"^weight file lists {wf.ids[k]} twice$"):
-            train_stage1(corpus, twice, HeadConfig(steps=1))
+            train_stage1(corpus, twice, HeadConfig(steps=1), 0)
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")))
     def test_bad_augment_weight_rejected_before_training(self, bad):
@@ -362,19 +362,19 @@ class TestTrainStage1:
         weights[k] = bad
         with pytest.raises(ValidationError, match=wf.ids[k]):
             train_stage1(corpus, dataclasses.replace(wf, weights=weights),
-                         HeadConfig(steps=1))
+                         HeadConfig(steps=1), 0)
 
     def test_empty_pool_rejected(self):
         corpus = self._corpus()
         with pytest.raises(ValidationError, match="training pool is empty"):
-            train_stage1(corpus, None, HeadConfig(steps=1), rows=[])
+            train_stage1(corpus, None, HeadConfig(steps=1), 0, rows=[])
 
     def test_pool_restriction_trains_on_subset_only(self):
         corpus = self._corpus()
         rows = np.flatnonzero(~corpus.augmented)[:10]
-        run = train_stage1(corpus, None, HeadConfig(steps=5, seed=2), rows=rows)
+        run = train_stage1(corpus, None, HeadConfig(steps=5), 2, rows=rows)
         np.testing.assert_array_equal(run.rows, rows)
-        full = train_stage1(corpus, None, HeadConfig(steps=5, seed=2))
+        full = train_stage1(corpus, None, HeadConfig(steps=5), 2)
         assert run.loss_trace != full.loss_trace
 
     def test_memory_holds_no_copy_of_the_pool(self):
@@ -387,7 +387,7 @@ class TestTrainStage1:
         def traced_peak(rows):
             tracemalloc.start()
             try:
-                train_stage1(corpus, wf, HeadConfig(steps=3), rows=rows)
+                train_stage1(corpus, wf, HeadConfig(steps=3), 0, rows=rows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -396,7 +396,7 @@ class TestTrainStage1:
 
     def test_learns_polarity_on_clean_data(self):
         corpus = generate_corpus(80, 0, CLEAN, seed=21, d=16, d_t=24)
-        run = train_stage1(corpus, None, HeadConfig(steps=300, seed=5))
+        run = train_stage1(corpus, None, HeadConfig(steps=300), 5)
         early = float(np.mean(run.loss_trace[:10]))
         late = float(np.mean(run.loss_trace[-10:]))
         assert late < early * 0.5
@@ -406,8 +406,8 @@ class TestTrainStage1:
 
     def test_zero_steps_returns_init(self):
         corpus = self._corpus()
-        cfg = HeadConfig(steps=0, seed=5)
-        run = train_stage1(corpus, None, cfg)
+        cfg = HeadConfig(steps=0)
+        run = train_stage1(corpus, None, cfg, 5)
         want = init_head(12, 18, corpus.header.vocab_size, cfg,
                          derived_rng(5, "stage1", "init"))
         for k, v in run.head.to_dict().items():
@@ -417,14 +417,14 @@ class TestTrainStage1:
     def test_targets_longer_than_positions_rejected(self):
         corpus = self._corpus()
         with pytest.raises(ValidationError, match="exceed head positions"):
-            train_stage1(corpus, None, HeadConfig(steps=1, t_max=2))
+            train_stage1(corpus, None, HeadConfig(steps=1, t_max=2), 0)
 
     def test_config_validated(self):
         corpus = self._corpus()
         with pytest.raises(ValidationError):
-            train_stage1(corpus, None, HeadConfig(steps=-1))
+            train_stage1(corpus, None, HeadConfig(steps=-1), 0)
         with pytest.raises(ValidationError):
-            train_stage1(corpus, None, HeadConfig(lr=0.0))
+            train_stage1(corpus, None, HeadConfig(lr=0.0), 0)
 
 
 class TestPredict:
@@ -439,7 +439,7 @@ class TestPredict:
     def test_batched_tokens_equal_per_sample_path(self):
         corpus = generate_corpus(60, 2, CorruptionProfile(p_swap=0.3), seed=8,
                                  d=12, d_t=18)
-        run = train_stage1(corpus, None, HeadConfig(steps=100, seed=1))
+        run = train_stage1(corpus, None, HeadConfig(steps=100), 1)
         samples = samples_of(corpus)
         verbal = corpus.header.verbal
         want = [decode(verbal, predict_tokens(run.head, s, 12)) for s in samples]
@@ -448,7 +448,7 @@ class TestPredict:
 
     def test_decode_round_trip_on_trained_head(self):
         corpus = generate_corpus(30, 0, CLEAN, seed=8, d=12, d_t=18)
-        run = train_stage1(corpus, None, HeadConfig(steps=200, seed=1))
+        run = train_stage1(corpus, None, HeadConfig(steps=200), 1)
         val = run.head  # smoke: decoded prediction stays in label range
         pred = predict_all(val, corpus, [0])[0]
         assert -1.0 <= pred <= 1.0
@@ -457,7 +457,7 @@ class TestPredict:
 class TestHeadPersistence:
     def test_snapshot_round_trip(self, tmp_path):
         corpus = generate_corpus(10, 0, CLEAN, seed=2, d=8, d_t=10)
-        run = train_stage1(corpus, None, HeadConfig(steps=5, seed=2))
+        run = train_stage1(corpus, None, HeadConfig(steps=5), 2)
         path = tmp_path / "head.json"
         save_head_snapshot(run.head, 8, 10, path)
         loaded, d, d_t = load_head_snapshot(path)
@@ -493,7 +493,7 @@ class TestHeadPersistence:
 
     def test_dim_disagreement_rejected(self, tmp_path):
         corpus = generate_corpus(10, 0, CLEAN, seed=2, d=8, d_t=10)
-        run = train_stage1(corpus, None, HeadConfig(steps=1, seed=2))
+        run = train_stage1(corpus, None, HeadConfig(steps=1), 2)
         path = tmp_path / "head.json"
         save_head_snapshot(run.head, 8, 10, path)
         doc = json.loads(path.read_text())

@@ -65,7 +65,7 @@ def test_evaluate_predicts_and_scores_through_the_hooked_globals(monkeypatch):
     for name in calls:
         monkeypatch.setattr(pipeline, name, counting(name))
     corpus = generate_corpus(40, 1, CorruptionProfile(), seed=3, d=8, d_t=8)
-    head = train_stage1(corpus, None, HeadConfig(steps=2)).head
+    head = train_stage1(corpus, None, HeadConfig(steps=2), 0).head
     pipeline.evaluate(head, corpus, train_eval_split(corpus, 0.25))
     assert calls == {"predict_all": 1, "compute_metrics": 1}
 
@@ -89,7 +89,7 @@ def test_training_steps_call_through_the_hooked_globals(monkeypatch):
     for module, name in hooked:
         monkeypatch.setattr(module, name, counting(module, name))
     corpus = generate_corpus(40, 1, CorruptionProfile(), seed=3, d=8, d_t=8)
-    qa.train_stage0(corpus, qa.QaConfig(steps=5, hidden=4))
-    train_stage1(corpus, None, HeadConfig(steps=3))
+    qa.train_stage0(corpus, qa.QaConfig(steps=5, hidden=4), 0)
+    train_stage1(corpus, None, HeadConfig(steps=3), 0)
     assert calls == {"augqual.qa.forge_batch": 5, "augqual.qa.qa_loss_and_grads": 5,
                      "augqual.qa.adam_step": 5, "augqual.finetune.adam_step": 3}

@@ -11,6 +11,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
@@ -260,6 +261,31 @@ class TestRunPipeline:
 
 
 
+    def test_seed_frees_its_corpus_before_the_next(self, tmp_path, monkeypatch):
+        """Everything a seed built is freed before the next seed's corpus is
+        generated: on entering generate_corpus the traced live memory stays
+        small, not the ~3 MB of a trend-width corpus, split and scorer."""
+        cfg = PipelineConfig(
+            corpus=CorpusConfig(n_originals=128, augments_per_original=4, d=128,
+                                d_t=192, profile=FAST_CORPUS.profile),
+            split=SplitConfig(eval_fraction=60 / 64), seeds=(1, 2),
+            qa=QaConfig(steps=3), head=HeadConfig(steps=3))
+        live = []
+        real = pipeline.generate_corpus
+
+        def traced(*args, **kw):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(pipeline, "generate_corpus", traced)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, tmp_path)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2 and live[1] < 0.5 * 2 ** 20, live
+
+
 class TestArmWorker:
     """The arms that do not read the scorer train in a worker forked for each
     seed while this process runs stage 0, with BLAS held to one thread for
@@ -271,10 +297,10 @@ class TestArmWorker:
     def test_failure_in_the_second_seed_names_its_stage(self, tmp_path, monkeypatch):
         real = pipeline.train_stage1
 
-        def fail_uniform_s2(corpus, weight_file, config, *args, **kw):
-            if weight_file is None and config.seed == 2:
+        def fail_uniform_s2(corpus, weight_file, config, seed, *args, **kw):
+            if weight_file is None and seed == 2:
                 raise ValidationError(f"boom in process {os.getpid()}")
-            return real(corpus, weight_file, config, *args, **kw)
+            return real(corpus, weight_file, config, seed, *args, **kw)
 
         monkeypatch.setattr(pipeline, "train_stage1", fail_uniform_s2)
         with pytest.raises(PipelineError) as info:

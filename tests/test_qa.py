@@ -333,8 +333,8 @@ class TestTrainStage0:
 
     def test_zero_steps_returns_init(self):
         c = self._corpus()
-        cfg = QaConfig(steps=0, seed=5, hidden=8)
-        params, trace = train_stage0(c, cfg)
+        cfg = QaConfig(steps=0, hidden=8)
+        params, trace = train_stage0(c, cfg, 5)
         want = init_qa_params(c.header.d, c.header.d_t, 8,
                               derived_rng(5, "stage0", "init"))
         for k, arr in params.to_dict().items():
@@ -343,9 +343,9 @@ class TestTrainStage0:
 
     def test_same_seed_bit_identical(self):
         c = self._corpus()
-        cfg = QaConfig(steps=30, seed=6, hidden=8)
-        p1, t1 = train_stage0(c, cfg)
-        p2, t2 = train_stage0(c, cfg)
+        cfg = QaConfig(steps=30, hidden=8)
+        p1, t1 = train_stage0(c, cfg, 6)
+        p2, t2 = train_stage0(c, cfg, 6)
         assert t1 == t2
         for k in p1.to_dict():
             np.testing.assert_array_equal(p1.to_dict()[k], p2.to_dict()[k])
@@ -353,7 +353,7 @@ class TestTrainStage0:
     def test_corpus_features_untouched(self):
         c = self._corpus()
         before = feature_checksum(c)
-        train_stage0(c, QaConfig(steps=25, seed=7, hidden=8))
+        train_stage0(c, QaConfig(steps=25, hidden=8), 7)
         assert feature_checksum(c) == before
 
     def test_memory_flat_in_steps_and_pool(self):
@@ -366,7 +366,7 @@ class TestTrainStage0:
         def traced_peak(steps, n_rows):
             tracemalloc.start()
             try:
-                train_stage0(corpus, QaConfig(steps=steps), rows=np.arange(n_rows))
+                train_stage0(corpus, QaConfig(steps=steps), 0, rows=np.arange(n_rows))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -376,13 +376,13 @@ class TestTrainStage0:
 
     def test_loss_decreases(self):
         c = self._corpus()
-        _, trace = train_stage0(c, QaConfig(steps=120, seed=8, hidden=16))
+        _, trace = train_stage0(c, QaConfig(steps=120, hidden=16), 8)
         assert np.mean(trace[-20:]) < 0.5 * np.mean(trace[:20])
 
     def test_heldout_auc_clean_vs_forged(self):
         c = self._corpus(n=400, d=64, d_t=96, seed=202)
         split = train_eval_split(c, eval_fraction=0.25)
-        params, _ = train_stage0(c, QaConfig(seed=9),
+        params, _ = train_stage0(c, QaConfig(), 9,
                                  rows=split.train_originals)
         samples = samples_of(c)
         held = [samples[i] for i in split.eval_originals]
@@ -400,9 +400,9 @@ class TestTrainStage0:
     def test_train_ids_restriction_changes_result(self):
         c = self._corpus()
         half = np.flatnonzero(~c.augmented)[:40]
-        cfg = QaConfig(steps=20, seed=10, hidden=8)
-        full, _ = train_stage0(c, cfg)
-        sub, _ = train_stage0(c, cfg, rows=half)
+        cfg = QaConfig(steps=20, hidden=8)
+        full, _ = train_stage0(c, cfg, 10)
+        sub, _ = train_stage0(c, cfg, 10, rows=half)
         assert any(not np.array_equal(full.to_dict()[k], sub.to_dict()[k])
                    for k in full.to_dict())
 
@@ -428,7 +428,7 @@ class TestScoreCorpus:
     def test_purity_duplicate_features_same_score(self):
         c = generate_corpus(6, 1, CorruptionProfile(sigma_benign=0.0),
                             seed=56, d=8, d_t=8)
-        params, _ = train_stage0(c, QaConfig(steps=40, seed=11, hidden=8))
+        params, _ = train_stage0(c, QaConfig(steps=40, hidden=8), 11)
         scores = score_corpus(c, params)
         for a in np.flatnonzero(c.augmented):
             # clean-profile augments are bitwise copies of their parents
@@ -436,7 +436,7 @@ class TestScoreCorpus:
 
     def test_scores_open_interval(self):
         c = generate_corpus(10, 2, PROFILE, seed=57, d=8, d_t=8)
-        params, _ = train_stage0(c, QaConfig(steps=60, seed=12, hidden=8))
+        params, _ = train_stage0(c, QaConfig(steps=60, hidden=8), 12)
         assert all(0.0 < v < 1.0 for v in score_corpus(c, params))
 
     def test_dimension_guard(self):
@@ -549,12 +549,12 @@ class TestWeightMap:
 class TestWeightFile:
     def _trained(self, n=12, m=2, profile=PROFILE, seed=60):
         c = generate_corpus(n, m, profile, seed=seed, d=8, d_t=8)
-        params, _ = train_stage0(c, QaConfig(steps=40, seed=13, hidden=8))
+        params, _ = train_stage0(c, QaConfig(steps=40, hidden=8), 13)
         return c, params
 
     def test_all_original_corpus_all_weights_one(self):
         c = generate_corpus(8, 0, PROFILE, seed=61, d=8, d_t=8)
-        params, _ = train_stage0(c, QaConfig(steps=10, seed=14, hidden=8))
+        params, _ = train_stage0(c, QaConfig(steps=10, hidden=8), 14)
         wf = export_weights(c, params, WeightMapConfig())
         assert len(wf.ids) == 8
         assert (wf.weights == 1.0).all()
@@ -733,7 +733,7 @@ class TestWeightFile:
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
         c = generate_corpus(6, 1, PROFILE, seed=70, d=8, d_t=12)
-        params, _ = train_stage0(c, QaConfig(steps=15, seed=15, hidden=8))
+        params, _ = train_stage0(c, QaConfig(steps=15, hidden=8), 15)
         path = tmp_path / "qa.json"
         save_qa_snapshot(params, c.header, path)
         back, header = load_qa_snapshot(path)
@@ -744,7 +744,7 @@ class TestSnapshots:
 
     def test_serialization_deterministic(self):
         c = generate_corpus(4, 0, PROFILE, seed=71, d=8, d_t=8)
-        params, _ = train_stage0(c, QaConfig(steps=5, seed=16, hidden=4))
+        params, _ = train_stage0(c, QaConfig(steps=5, hidden=4), 16)
         assert ("".join(qa_snapshot_chunks(params, c.header))
                 == "".join(qa_snapshot_chunks(params, c.header)))
 
