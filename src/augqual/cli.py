@@ -86,8 +86,8 @@ def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
     each config nested in it (util.config_fields):
     --field-name, or the flag ``names`` gives the field (None for none),
     typed as the field (util.flag_type) and defaulting to its value in
-    ``config``; a bool field is a switch. Text a flag's type refuses raises
-    ValidationError out of parse_args, and main reports it."""
+    ``config``. Text a flag's type refuses raises ValidationError out of
+    parse_args, and main reports it."""
     for name, hint in config_fields(type(config)):
         value = getattr(config, name)
         flag = names.get(name, "--" + name.replace("_", "-"))
@@ -95,8 +95,6 @@ def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
             _add_config_flags(p, value, **names)
         elif flag is None:
             continue
-        elif hint is bool:
-            p.add_argument(flag, dest=name, action="store_true", default=value)
         else:
             p.add_argument(flag, dest=name, type=flag_type(hint, flag),
                            default=value)
@@ -118,8 +116,7 @@ def _cmd_gen_corpus(args) -> int:
     config = _config_from_flags(CorpusConfig, args)
     corpus = generate_corpus(
         config.n_originals, config.augments_per_original, config.profile,
-        seed=args.seed, d=config.d, d_t=config.d_t,
-        vocab_size=config.vocab_size)
+        seed=args.seed, d=config.d, d_t=config.d_t)
     save_corpus(corpus, args.out)
     doc = {"path": str(args.out), "n_samples": len(corpus),
            "n_originals": int((~corpus.augmented).sum()),
@@ -194,9 +191,9 @@ def _cmd_eval(args) -> int:
     head, d, d_t = load_head_snapshot(args.head)
     if (d, d_t) != (corpus.header.d, corpus.header.d_t):
         raise ValidationError("head was trained for different dimensions")
-    t_max, vocab = head.out_b.shape
-    if vocab != corpus.header.vocab_size or t_max < corpus.targets.shape[1]:
-        raise ValidationError(f"head predicts {t_max} positions over {vocab} "
+    positions, vocab = head.out_b.shape
+    if vocab != corpus.header.vocab_size or positions < corpus.targets.shape[1]:
+        raise ValidationError(f"head predicts {positions} positions over {vocab} "
                               f"tokens; the corpus needs "
                               f"{corpus.targets.shape[1]} over "
                               f"{corpus.header.vocab_size}")

@@ -118,9 +118,14 @@ class VerbalScheme:
             raise ValidationError(f"verbal class tokens must be consecutive "
                                   f"ascending integers, got {list(cls)}")
 
+    @property
+    def min_vocab(self) -> int:
+        """The smallest vocab_size that holds every token of the table."""
+        return max(*self.sign_tokens, *self.class_tokens, self.eos_token) + 1
+
     def check_vocab(self, vocab_size: int) -> None:
         """ValidationError unless every token of the table is below vocab_size."""
-        if max(*self.sign_tokens, *self.class_tokens, self.eos_token) >= vocab_size:
+        if self.min_vocab > vocab_size:
             raise ValidationError("verbal tokens exceed vocab_size")
 
     def encode(self, sentiment) -> np.ndarray:
@@ -197,7 +202,6 @@ class CorpusConfig:
     augments_per_original: int = bounded(2, "[0, inf)")
     d: int = bounded(64, f"[4, {MAX_DIM}]")
     d_t: int = bounded(96, f"[4, {MAX_DIM}]")
-    vocab_size: int = bounded(8, f"[1, {MAX_DIM}]")
     profile: CorruptionProfile = CorruptionProfile()
 
     def __post_init__(self):
@@ -205,7 +209,6 @@ class CorpusConfig:
         if self.n_originals * (1 + self.augments_per_original) > MAX_ROWS:
             raise ValidationError(f"n_originals * (1 + augments_per_original) "
                                   f"must be <= MAX_ROWS = {MAX_ROWS}")
-        VerbalScheme().check_vocab(self.vocab_size)   # the table generate_corpus uses
 
 
 @dataclass(frozen=True)
@@ -321,7 +324,7 @@ def validate_corpus(corpus: Corpus) -> None:
 
 def generate_corpus(n_originals: int, augments_per_original: int,
                     profile: CorruptionProfile, seed: int,
-                    d: int = 64, d_t: int = 96, vocab_size: int = 8) -> Corpus:
+                    d: int = CorpusConfig.d, d_t: int = CorpusConfig.d_t) -> Corpus:
     """Deterministic synthetic corpus from a single root seed.
 
     Originals alternate polarity (so 2k originals give k per class) and come
@@ -329,12 +332,14 @@ def generate_corpus(n_originals: int, augments_per_original: int,
     its parent under exactly one perturbation kind chosen by the profile,
     with hidden_quality 1.0 for benign jitter and a graded value in [0, 0.3]
     for the corrupted kinds. Per-sample RNG streams are derived from (seed,
-    purpose, index), so output is order-independent.
+    purpose, index), so output is order-independent. The header's vocab_size
+    is the verbal table's ``min_vocab``.
     """
     CorpusConfig(n_originals=n_originals,
                  augments_per_original=augments_per_original, d=d, d_t=d_t,
-                 vocab_size=vocab_size, profile=profile)
-    header = CorpusHeader(d=d, d_t=d_t, vocab_size=vocab_size, seed=seed)
+                 profile=profile)
+    header = CorpusHeader(d=d, d_t=d_t, vocab_size=VerbalScheme().min_vocab,
+                          seed=seed)
     dims = {"v": d, "a": d, "t": d_t}
     dir_rng = derived_rng(seed, "directions")
     axis = {m: _SIGNAL_SCALE[m] * _unit_direction(dir_rng, dims[m])

@@ -45,8 +45,8 @@ class HeadParams:
 
     in_w: np.ndarray    # (hidden, 2d + d_t)
     in_b: np.ndarray    # (hidden,)
-    out_w: np.ndarray   # (t_max, vocab, hidden)
-    out_b: np.ndarray   # (t_max, vocab)
+    out_w: np.ndarray   # (positions, vocab, hidden)
+    out_b: np.ndarray   # (positions, vocab)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _HEAD_KEYS}
@@ -59,10 +59,10 @@ class HeadParams:
         """Shapes that agree with each other, and finite values."""
         if self.in_w.ndim != 2 or self.out_b.ndim != 2:
             raise ValidationError("head params in_w and out_b must be matrices")
-        (hidden, in_dim), (t_max, vocab) = self.in_w.shape, self.out_b.shape
+        (hidden, in_dim), (positions, vocab) = self.in_w.shape, self.out_b.shape
         check_params(self.to_dict(), {
             "in_w": (hidden, in_dim), "in_b": (hidden,),
-            "out_w": (t_max, vocab, hidden), "out_b": (t_max, vocab),
+            "out_w": (positions, vocab, hidden), "out_b": (positions, vocab),
         }, "head")
 
 
@@ -71,7 +71,6 @@ class HeadConfig:
     """Stage-1 training hyperparameters; hidden None means 2 * d."""
 
     hidden: int | None = bounded(None, "[1, inf)")
-    t_max: int = bounded(4, "[1, inf)")
     lr: float = bounded(3e-3, "(0, inf)")
     steps: int = bounded(600, "[0, inf)")
     batch_size: int = bounded(32, "[1, inf)")
@@ -96,15 +95,19 @@ def _head_matrix(features: FeatureRows, rows) -> np.ndarray:
                           axis=1)
 
 
-def init_head(d: int, d_t: int, vocab_size: int, config: HeadConfig,
+def init_head(corpus: Corpus, config: HeadConfig,
               rng: np.random.Generator) -> HeadParams:
-    width = config.hidden if config.hidden is not None else 2 * d
-    in_dim = 2 * d + d_t
+    """A head for the corpus: it reads the header's d and d_t features and
+    predicts one token of the header's vocabulary per target position."""
+    h = corpus.header
+    width = config.hidden if config.hidden is not None else 2 * h.d
+    in_dim = 2 * h.d + h.d_t
+    out_shape = (corpus.targets.shape[1], h.vocab_size)
     return HeadParams(
         in_w=rng.standard_normal((width, in_dim)) / np.sqrt(in_dim),
         in_b=np.zeros(width),
-        out_w=rng.standard_normal((config.t_max, vocab_size, width)) / np.sqrt(width),
-        out_b=np.zeros((config.t_max, vocab_size)),
+        out_w=rng.standard_normal((*out_shape, width)) / np.sqrt(width),
+        out_b=np.zeros(out_shape),
     )
 
 
@@ -154,33 +157,28 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     ``weight_file`` None means uniform mode (every weight 1), bit-identical
     to an all-ones file under the same seed: batch selection never depends on
     the weights. ``rows`` (corpus row indices) restricts the training pool
-    (arm selection); default is the whole corpus. Each step gathers its input
-    rows from the corpus columns (no copy of the pool's features is kept) and
-    writes the gradients into Adam's buffer. Deterministic given (corpus,
-    inputs, config, seed).
+    (arm selection); default is the whole corpus. The head has one output
+    position per corpus target token (``init_head``). Each step gathers its
+    input rows and targets from the corpus columns (no copy of the pool is
+    kept) and writes the gradients into Adam's buffer. Deterministic given
+    (corpus, inputs, config, seed).
     """
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
         raise ValidationError("stage-1 training pool is empty")
     weights = (np.ones(rows.size) if weight_file is None
                else verify_weight_file(weight_file, corpus)[rows])
-    n_tokens = corpus.targets.shape[1]
-    if n_tokens > config.t_max:
-        raise ValidationError(f"{n_tokens} target tokens exceed head positions "
-                              f"{config.t_max}")
-    targets = np.full((rows.size, config.t_max), IGNORE_INDEX, dtype=np.int64)
-    targets[:, :n_tokens] = corpus.targets[rows]
-    h = corpus.header
-    state = init_adam(init_head(h.d, h.d_t, h.vocab_size, config, derived_rng(
+    state = init_adam(init_head(corpus, config, derived_rng(
         seed, "stage1", "init")).to_dict(), lr=config.lr)
     trace = []
     for step in range(config.steps):
         rng = derived_rng(seed, "stage1", "step", step)
         take = min(config.batch_size, rows.size)
         idx = rng.choice(rows.size, size=take, replace=False)
-        X = _head_matrix(corpus.features, rows[idx])
-        trace.append(_loss_and_grads(state.params, X, targets[idx], weights[idx],
-                                     state.grad_views))
+        batch = rows[idx]
+        X = _head_matrix(corpus.features, batch)
+        trace.append(_loss_and_grads(state.params, X, corpus.targets[batch],
+                                     weights[idx], state.grad_views))
         adam_step(state)
     return TrainRun(head=HeadParams.from_dict(state.params),
                     weight_mode="uniform" if weight_file is None else "weighted",

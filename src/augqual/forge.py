@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FeatureRows
-from .util import ValidationError, bounded, check_ranges
+from .util import ValidationError
 
 FAMILIES = ("pos", "mix", "mask", "flip")
 
@@ -42,14 +42,6 @@ class ForgedBatch:
     rows: FeatureRows
     labels: np.ndarray             # (n,) float64
     sizes: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class ForgeConfig:
-    mask_rate: float = bounded(0.3, "[0, 1]")
-
-    def __post_init__(self):
-        check_ranges(self)
 
 
 def _mix_rows(batch: FeatureRows, rng: np.random.Generator) -> FeatureRows:
@@ -87,18 +79,18 @@ def _mask_rows(batch: FeatureRows, rng: np.random.Generator,
 
 
 def forge_batch(batch: FeatureRows, rng: np.random.Generator,
-                config: ForgeConfig | None = None) -> ForgedBatch:
-    """Positives plus one negative per sample per family.
+                mask_rate: float) -> ForgedBatch:
+    """Positives plus one negative per sample per family; ``mask_rate`` in
+    [0, 1] is the mask family's Bernoulli rate (``QaConfig.rho``).
 
     Draw order is fixed (mix first, then mask), so results are reproducible
     for a given generator state.
     """
-    config = config or ForgeConfig()
     n = len(batch)
     if n == 0:
         raise ValidationError("cannot forge from an empty batch")
     mix = _mix_rows(batch, rng)
-    mask = _mask_rows(batch, rng, config.mask_rate)
+    mask = _mask_rows(batch, rng, mask_rate)
     blocks = (batch, mix, mask, batch)
     sizes = (n, len(mix), n, n)
     rows = FeatureRows(

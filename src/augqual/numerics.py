@@ -31,6 +31,8 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # the largest double strictly below 1.
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
+# Adam's moment decay rates and denominator guard, the textbook values.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def gelu_and_cdf(x) -> tuple[np.ndarray, np.ndarray]:
@@ -80,15 +82,11 @@ class AdamState:
     v: np.ndarray
     grad: np.ndarray
     work: np.ndarray
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
 
 
-def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: dict, lr: float = 1e-3) -> AdamState:
     """Copy ``params`` into one flat vector, with zero moment accumulators."""
     ends = np.cumsum([np.size(p) for p in params.values()]).tolist()
     layout = [(k, end - np.size(p), end, np.shape(p))
@@ -98,8 +96,7 @@ def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
     m, v, grad, work = np.zeros((4, flat.size))
     return AdamState(params={k: flat[a:b].reshape(s) for k, a, b, s in layout},
                      grad_views={k: grad[a:b].reshape(s) for k, a, b, s in layout},
-                     flat=flat, m=m, v=v, grad=grad, work=work, lr=lr,
-                     beta1=beta1, beta2=beta2, eps=eps)
+                     flat=flat, m=m, v=v, grad=grad, work=work, lr=lr)
 
 
 def adam_step(state: AdamState) -> None:
@@ -114,7 +111,7 @@ def adam_step(state: AdamState) -> None:
     if not np.isfinite(state.grad).all():
         bad = next(k for k, g in state.grad_views.items() if not np.isfinite(g).all())
         raise ValidationError(f"adam_step: non-finite gradient for '{bad}'")
-    t, b1, b2 = state.step + 1, state.beta1, state.beta2
+    t, b1, b2 = state.step + 1, ADAM_BETA1, ADAM_BETA2
     g, m, v, step = state.grad, state.m, state.v, state.work
     np.multiply(g, 1.0 - b1, out=step)          # m = b1 m + (1 - b1) g
     m *= b1
@@ -126,7 +123,7 @@ def adam_step(state: AdamState) -> None:
     denom = g                                   # sqrt(v_hat) + eps, over g
     np.divide(v, 1.0 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     np.divide(m, 1.0 - b1 ** t, out=step)       # lr m_hat / denom
     step *= state.lr
     step /= denom

@@ -162,9 +162,9 @@ def _train_inherited_arms() -> dict:
 
 @contextlib.contextmanager
 def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
-                seed: int, out: Path):
+                seed: int, files: dict):
     """A future of the metrics of ``_train_arms(arms, corpus, split, None,
-    config, seed, out)``, run in a worker process forked for this seed; None
+    config, seed, files)``, run in a worker process forked for this seed; None
     when ``arms`` is empty.
 
     Fork, not spawn: the worker starts from this process's imported modules
@@ -181,7 +181,8 @@ def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
     pool = ProcessPoolExecutor(max_workers=1,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_inherit,
-                               initargs=(arms, corpus, split, None, config, seed, out))
+                               initargs=(arms, corpus, split, None, config, seed,
+                                         files))
     try:
         yield pool.submit(_train_inherited_arms)
     except BaseException:
@@ -193,9 +194,23 @@ def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
         pool.shutdown(cancel_futures=True)
 
 
+def _seed_files(out: Path, seed: int, arms) -> dict:
+    """(kind, arm) -> path of each artifact one seed writes, arm None for the
+    corpus, scorer and weights; in ``PipelineResult.paths`` order, where each
+    is named by its file's stem."""
+    files = {("corpus", None): out / f"corpus_s{seed}.jsonl",
+             ("qa", None): out / f"qa_s{seed}.json",
+             ("weights", None): out / f"weights_s{seed}.json"}
+    for arm in arms:
+        files["head", arm] = out / f"head_s{seed}_{arm}.json"
+        files["runlog", arm] = out / f"runlog_s{seed}_{arm}.jsonl"
+    return files
+
+
 def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
-                config: PipelineConfig, seed: int, out: Path) -> dict:
-    """Train, save and evaluate each arm in order; arm -> held-out metrics."""
+                config: PipelineConfig, seed: int, files: dict) -> dict:
+    """Train, save and evaluate each arm in order, into its ``files``; arm ->
+    held-out metrics."""
     metrics = {}
     for arm in arms:
         with _stage(f"stage1:{arm}"):
@@ -203,24 +218,25 @@ def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
                 corpus, weight_file if arm == "weighted" else None, config.head,
                 seed, rows=split.pool(ARM_POOLS[arm]))
             save_head_snapshot(run.head, config.corpus.d, config.corpus.d_t,
-                               out / f"head_s{seed}_{arm}.json")
-            write_run_log(run.loss_trace, out / f"runlog_s{seed}_{arm}.jsonl")
+                               files["head", arm])
+            write_run_log(run.loss_trace, files["runlog", arm])
         with _stage(f"eval:{arm}"):
             metrics[arm] = evaluate(run.head, corpus, split)
     return metrics
 
 
-def _run_seed(config: PipelineConfig, seed: int, out: Path) -> tuple[str, dict]:
+def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict]:
     """Generate, split and save one seed's corpus, train and save its scorer
-    and weights, then train, save and evaluate every arm; the corpus checksum
-    and arm -> held-out metrics. What the seed built is freed when this
-    returns, before the next seed's corpus is generated."""
+    and weights, then train, save and evaluate every arm, each into its
+    ``_seed_files`` path; the corpus checksum and arm -> held-out metrics.
+    What the seed built is freed when this returns, before the next seed's
+    corpus is generated."""
     with _stage("gen-corpus"):
         c = config.corpus
         corpus = generate_corpus(
             c.n_originals, c.augments_per_original, c.profile,
-            seed=seed, d=c.d, d_t=c.d_t, vocab_size=c.vocab_size)
-        save_corpus(corpus, out / f"corpus_s{seed}.jsonl")
+            seed=seed, d=c.d, d_t=c.d_t)
+        save_corpus(corpus, files["corpus", None])
         checksum = corpus_checksum(corpus)
 
     with _stage("split"):
@@ -229,17 +245,17 @@ def _run_seed(config: PipelineConfig, seed: int, out: Path) -> tuple[str, dict]:
 
     parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
     worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
-    with _arm_worker(worker_arms, corpus, split, config, seed, out) as pending:
+    with _arm_worker(worker_arms, corpus, split, config, seed, files) as pending:
         with _stage("stage0"):
             params, _ = train_stage0(corpus, config.qa, seed, rows=split.pool("all"))
-            save_qa_snapshot(params, corpus.header, out / f"qa_s{seed}.json")
+            save_qa_snapshot(params, corpus.header, files["qa", None])
 
         with _stage("export-weights"):
             weight_file = export_weights(corpus, params, config.weight_map,
-                                         out / f"weights_s{seed}.json")
+                                         files["weights", None])
 
         metrics = _train_arms(parent_arms, corpus, split, weight_file, config,
-                              seed, out)
+                              seed, files)
         if pending is not None:
             try:
                 metrics.update(pending.result())
@@ -259,13 +275,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
 
     with one_blas_thread():
         for seed in config.seeds:
-            checksums[f"corpus_s{seed}"], metrics = _run_seed(config, seed, out)
-            paths[f"corpus_s{seed}"] = out / f"corpus_s{seed}.jsonl"
-            paths[f"qa_s{seed}"] = out / f"qa_s{seed}.json"
-            paths[f"weights_s{seed}"] = out / f"weights_s{seed}.json"
+            files = _seed_files(out, seed, config.arms)
+            checksum, metrics = _run_seed(config, seed, files)
+            checksums[files["corpus", None].stem] = checksum
+            paths.update((path.stem, path) for path in files.values())
             for arm in config.arms:
-                paths[f"head_s{seed}_{arm}"] = out / f"head_s{seed}_{arm}.json"
-                paths[f"runlog_s{seed}_{arm}"] = out / f"runlog_s{seed}_{arm}.jsonl"
                 rows[arm][seed] = metrics[arm]
 
     with _stage("report"):

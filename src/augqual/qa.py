@@ -48,7 +48,7 @@ from .corpus import (
     corpus_checksum,
     header_from_dict,
 )
-from .forge import FAMILIES, ForgeConfig, ForgedBatch, forge_batch
+from .forge import FAMILIES, ForgedBatch, forge_batch
 from .numerics import (
     adam_step,
     bce_with_logit,
@@ -67,7 +67,6 @@ from .util import (
     config_to_dict,
     decode_params,
     derived_rng,
-    deterministic_timestamp,
     document_chunks,
     dumps_canonical,  # noqa: F401 - bound for per-module tracing
     encode_params,
@@ -78,6 +77,8 @@ from .util import (
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
                "hidden_w", "hidden_b", "out_w", "out_b")
 _ORIGINS = ("Original", "Augmented")   # a weight-file origin by augmented flag
+# A weight file's creation stamp: one fixed value, so equal inputs give equal bytes.
+CREATED_AT = "1970-01-01T00:00:00Z"
 
 
 @dataclass
@@ -133,7 +134,6 @@ class QaConfig:
     steps: int = bounded(800, "[0, inf)")
     lr: float = bounded(3e-3, "(0, inf)")
     hidden: int = bounded(64, "[1, inf)")
-    include_augmented: bool = False  # add augments to the positive pool
 
     def __post_init__(self):
         check_ranges(self)
@@ -235,7 +235,7 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
                  rows=None) -> tuple[QaParams, list]:
     """Train the scorer on forged batches drawn from trusted samples.
 
-    The positive pool is the corpus originals (plus augments when configured),
+    The positive pool is the corpus originals, the trusted samples,
     optionally restricted to the row indices ``rows`` so held-out evaluation
     stays untouched. Each step gathers its batch from the corpus columns (no
     copy of the pool is kept), writes the gradients into Adam's buffer, and
@@ -244,8 +244,6 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
     trace. Deterministic for a given (corpus, config, seed).
     """
     pool = np.flatnonzero(~corpus.augmented)
-    if config.include_augmented:
-        pool = np.concatenate([pool, np.flatnonzero(corpus.augmented)])
     if rows is not None:
         pool = pool[np.isin(pool, rows)]
     if not pool.size:
@@ -254,7 +252,6 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
     state = init_adam(init_qa_params(d, d_t, config.hidden, derived_rng(
         seed, "stage0", "init")).to_dict(), lr=config.lr)
     params = QaParams.from_dict(state.params)
-    forge_cfg = ForgeConfig(mask_rate=config.rho)
     take = min(config.batch_size, pool.size)
     # a forged batch has at most one row per family per sample
     x_work, g_x_work = np.empty((2, len(FAMILIES) * take, 4 * d))
@@ -262,7 +259,7 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
     for step in range(config.steps):
         rng = derived_rng(seed, "stage0", "step", step)
         idx = rng.choice(pool.size, size=take, replace=False)
-        forged = forge_batch(corpus.features.take(pool[idx]), rng, forge_cfg)
+        forged = forge_batch(corpus.features.take(pool[idx]), rng, config.rho)
         n = forged.labels.shape[0]
         trace.append(qa_loss_and_grads(forged, params, config.alpha, state.grad_views,
                                        x_work[:n], g_x_work[:n]))
@@ -386,8 +383,7 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     Weights come from the scalar ``sample_weight``, as numpy's power rounds
     some scores apart from Python's ``**``. Output bytes are deterministic for
     a given (corpus, params, cfg): canonical JSON, floats in shortest
-    round-trip repr, and a timestamp taken from SOURCE_DATE_EPOCH (epoch 0
-    when unset).
+    round-trip repr, and the fixed ``CREATED_AT`` stamp.
     """
     order = np.argsort(corpus.ids)
     scores = score_corpus(corpus, params)[order]
@@ -395,7 +391,7 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
     wf = WeightFile(w_min=cfg.w_min, w_max=cfg.w_max, gamma=cfg.gamma,
                     qa_checksum=qa_checksum(params),
                     corpus_checksum=corpus_checksum(corpus),
-                    created_at=deterministic_timestamp(), ids=corpus.ids[order],
+                    created_at=CREATED_AT, ids=corpus.ids[order],
                     scores=scores, augmented=augmented,
                     weights=[sample_weight(_ORIGINS[a], s, cfg) for s, a
                              in zip(scores.tolist(), augmented.tolist())])

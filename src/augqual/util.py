@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-import time
 from dataclasses import field, fields, is_dataclass, replace
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -395,13 +394,3 @@ def write_atomic(chunks: Iterable[str], path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def deterministic_timestamp() -> str:
-    """ISO-8601 creation stamp that is reproducible by default.
-
-    Honors SOURCE_DATE_EPOCH (reproducible-build convention); otherwise pins
-    the Unix epoch so identical inputs yield byte-identical artifacts.
-    """
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))

@@ -56,6 +56,22 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("gen-corpus --seed 1", "--vocab-size 8"),
+        ("stage0 --corpus c --seed 1", "--include-augmented"),
+        ("stage1 --corpus c --seed 1", "--t-max 4")],
+        ids=["--vocab-size", "--include-augmented", "--t-max"])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        """The vocabulary and the head's positions come from the corpus, and
+        the scorer trains on originals alone: none of them is a flag."""
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main([*argv.split(), "--out", str(out), *flag.split()])
+        printed = capsys.readouterr()
+        assert rc == 1
+        assert printed.err.startswith(f"usage error: unrecognized arguments: {flag}\n")
+        assert printed.out == "" and not out.exists()
+
     def test_missing_required_seed(self, tmp_path):
         proc = run("gen-corpus", "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
@@ -918,7 +934,7 @@ class TestPipelineCommand:
 # "number" is an int or a float; "[...]" is an array of that.
 CONFIG_KEYS = {
     "corpus.n_originals": "int", "corpus.augments_per_original": "int",
-    "corpus.d": "int", "corpus.d_t": "int", "corpus.vocab_size": "int",
+    "corpus.d": "int", "corpus.d_t": "int",
     "corpus.profile.sigma_benign": "number", "corpus.profile.p_swap": "number",
     "corpus.profile.p_degrade": "number",
     "corpus.profile.degrade_mask_rate": "number",
@@ -926,10 +942,9 @@ CONFIG_KEYS = {
     "split.eval_fraction": "number", "split.label_fraction": "number",
     "qa.alpha": "[number]", "qa.rho": "number", "qa.batch_size": "int",
     "qa.steps": "int", "qa.lr": "number", "qa.hidden": "int",
-    "qa.include_augmented": "bool",
     "weight_map.w_min": "number", "weight_map.w_max": "number",
     "weight_map.gamma": "number",
-    "head.hidden": "int or null", "head.t_max": "int", "head.lr": "number",
+    "head.hidden": "int or null", "head.lr": "number",
     "head.steps": "int", "head.batch_size": "int",
     "seeds": "[int]", "arms": "[str]",
 }
@@ -944,8 +959,15 @@ VALID_ARRAYS = {"qa.alpha": [1.0, 2.0, 1.0], "seeds": [1, 2, 3],
                 "arms": ["weighted", "uniform", "original_only"]}
 
 
+# Keys of earlier versions: the vocabulary and the head's positions are read
+# off the corpus, and the scorer trains on originals alone. A document setting
+# one is refused as unknown, whatever the value.
+REMOVED_KEYS = ("corpus.vocab_size", "qa.include_augmented", "head.t_max")
+
+
 def _config_mutants():
-    cases = []
+    cases = [(f"{key}={name}", key, value) for key in REMOVED_KEYS
+             for name, (value, _) in JSON_VALUES.items()]
     for key, kind in CONFIG_KEYS.items():
         for name, (value, takes) in JSON_VALUES.items():
             if kind.startswith("["):
@@ -983,8 +1005,9 @@ MOTIVATING = [
 
 
 class TestConfigMutations:
-    """Every config key given a value of a JSON type it does not take makes
-    ``pipeline --config`` exit 1 naming the key, before anything is written."""
+    """Every config key given a value of a JSON type it does not take, and
+    every removed key given any value, makes ``pipeline --config`` exit 1
+    naming the key, before anything is written."""
 
     def test_table_covers_every_key(self):
         def leaves(doc, prefix=""):
@@ -1004,7 +1027,8 @@ class TestConfigMutations:
         rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
         printed = capsys.readouterr()
         assert rc == 1, printed.err
-        assert printed.err.startswith("error: config key ")
+        assert printed.err.startswith(f"error: unknown config key: {key}\n"
+                                      if key in REMOVED_KEYS else "error: config key ")
         assert key in printed.err and "Traceback" not in printed.err
         assert printed.out == "" and not out.exists()
 
@@ -1022,7 +1046,7 @@ class TestConfigMutations:
 # Documents of the right JSON types with values out of range. The first
 # seven once passed the parser, created --out and only then failed in
 # gen-corpus or split (the huge d in a traceback); the rest sit at the edges
-# of the same checks.
+# of the same checks. corpus.vocab_size is now refused as an unknown key.
 OUT_OF_RANGE = [
     ("corpus.d", 0), ("corpus.n_originals", -4), ("corpus.vocab_size", 1),
     ("corpus.augments_per_original", -1), ("split.eval_fraction", 1.5),
@@ -1107,18 +1131,27 @@ def _bounded_keys(config=PipelineConfig(), section=""):
     return cases
 
 
+# The removed keys just outside the intervals they last declared
+# (corpus.vocab_size [1, 65536], head.t_max [1, inf)).
+REMOVED_OUTSIDE = [("corpus.vocab_size", None, None, 0),
+                   ("corpus.vocab_size", None, None, 65537),
+                   ("head.t_max", None, None, 0)]
+
+
 class TestConfigDocumentRanges:
     """Every bounded key of a config document, given a value just outside its
     field's declared interval, makes ``pipeline --config`` exit 1 naming the
-    field, before anything is written."""
+    field, before anything is written; a removed key at a value its old
+    interval refused exits 1 the same way, as an unknown key."""
 
     def test_every_bounded_key_covered(self):
         assert {key for key, *_ in _bounded_keys()} == {
-            key for key in CONFIG_KEYS if "." in key
-            and key != "qa.include_augmented"}
+            key for key in CONFIG_KEYS if "." in key}
 
-    @pytest.mark.parametrize("key, name, interval, value", _bounded_keys(),
-                             ids=[f"{k}={v}" for k, _, _, v in _bounded_keys()])
+    @pytest.mark.parametrize("key, name, interval, value",
+                             _bounded_keys() + REMOVED_OUTSIDE,
+                             ids=[f"{k}={v}" for k, _, _, v in
+                                  _bounded_keys() + REMOVED_OUTSIDE])
     def test_just_outside_rejected(self, tmp_path, capsys, key, name, interval,
                                    value):
         cfg, out = tmp_path / "cfg.json", tmp_path / "results"
@@ -1127,7 +1160,9 @@ class TestConfigDocumentRanges:
         rc = main(["pipeline", "--out", str(out), "--config", str(cfg)])
         printed = capsys.readouterr()
         assert rc == 1, printed.err
-        assert printed.err.startswith(f"error: {name} must be in {interval}, got ")
+        assert printed.err.startswith(f"error: unknown config key: {key}\n"
+                                      if key in REMOVED_KEYS else
+                                      f"error: {name} must be in {interval}, got ")
         assert "Traceback" not in printed.err
         assert printed.out == "" and not out.exists()
 
@@ -1338,7 +1373,7 @@ class TestStageDefaults:
         base = PipelineConfig().corpus
         assert calls["generate_corpus"] == (
             (base.n_originals, base.augments_per_original, CorruptionProfile()),
-            {"seed": 5, "d": base.d, "d_t": base.d_t, "vocab_size": base.vocab_size})
+            {"seed": 5, "d": base.d, "d_t": base.d_t})
 
     def test_stage0(self, monkeypatch):
         calls = self._calls(monkeypatch, ["stage0", "--corpus", "c", "--out", "q",

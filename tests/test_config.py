@@ -13,23 +13,21 @@ from dataclasses import dataclass, fields
 
 import pytest
 
+from augqual import forge
 from augqual.corpus import (MAX_ROWS, CorpusConfig, CorpusHeader, CorruptionProfile,
                             SplitConfig, VerbalScheme)
 from augqual.finetune import HeadConfig
-from augqual.forge import ForgeConfig
 from augqual.qa import QaConfig, WeightMapConfig
 from augqual.util import ValidationError, bounded, check_ranges
 
 CONFIG_CLASSES = (CorpusConfig, CorruptionProfile, SplitConfig, QaConfig,
-                  WeightMapConfig, HeadConfig, ForgeConfig, CorpusHeader,
-                  VerbalScheme)
+                  WeightMapConfig, HeadConfig, CorpusHeader, VerbalScheme)
 # The fields a class has no default for, at valid values.
 REQUIRED = {CorpusHeader: {"d": 8, "d_t": 8, "vocab_size": 8, "seed": 0}}
 
 INTERVALS = {
     "CorpusConfig": {"n_originals": "[2, inf)", "augments_per_original": "[0, inf)",
-                     "d": "[4, 65536]", "d_t": "[4, 65536]",
-                     "vocab_size": "[1, 65536]"},
+                     "d": "[4, 65536]", "d_t": "[4, 65536]"},
     "SplitConfig": {"eval_fraction": "[0, 1)", "label_fraction": "(0, 1]"},
     "CorruptionProfile": {"sigma_benign": "[0, inf)", "p_swap": "[0, 1]",
                           "p_degrade": "[0, 1]", "degrade_mask_rate": "[0, 1]",
@@ -38,9 +36,8 @@ INTERVALS = {
                  "steps": "[0, inf)", "lr": "(0, inf)", "hidden": "[1, inf)"},
     "WeightMapConfig": {"w_min": "[0, inf)", "w_max": "[0, inf)",
                         "gamma": "(0, inf)"},
-    "HeadConfig": {"hidden": "[1, inf)", "t_max": "[1, inf)", "lr": "(0, inf)",
+    "HeadConfig": {"hidden": "[1, inf)", "lr": "(0, inf)",
                    "steps": "[0, inf)", "batch_size": "[1, inf)"},
-    "ForgeConfig": {"mask_rate": "[0, 1]"},
     "CorpusHeader": {"d": "[1, 65536]", "d_t": "[1, 65536]",
                      "vocab_size": "[1, 65536]"},
     "VerbalScheme": {"sign_tokens": "[0, 65536)", "class_tokens": "[0, 65536)",
@@ -75,11 +72,22 @@ def _with(cls, name, value, at=1):
     return default[:at] + (value,) + default[at + 1:] if type(default) is tuple else value
 
 
+# Fields that left their class, and the field that now holds their range:
+# gen-corpus writes the vocabulary into the corpus header, and the forge's
+# mask rate is QaConfig.rho.
+MOVED = {"CorpusConfig.vocab_size": (CorpusHeader, "vocab_size"),
+         "ForgeConfig.mask_rate": (QaConfig, "rho")}
+
+
 def _cases():
-    return [(cls, name, interval, value)
-            for cls in CONFIG_CLASSES
-            for name, interval in _intervals(cls).items()
-            for value in _outside(interval)]
+    """(id label, cls, field, interval, value) for each value just outside a
+    declared interval; a moved field's cases build the class that holds it."""
+    held = [(f"{cls.__name__}.{name}", cls, name) for cls in CONFIG_CLASSES
+            for name in _intervals(cls)]
+    held += [(label, cls, name) for label, (cls, name) in MOVED.items()]
+    return [(label, cls, name, _intervals(cls)[name], value)
+            for label, cls, name in held
+            for value in _outside(_intervals(cls)[name])]
 
 
 class TestDeclaredIntervals:
@@ -106,12 +114,16 @@ class TestDeclaredIntervals:
 
 
 class TestCheckedAtConstruction:
-    @pytest.mark.parametrize("cls, name, interval, value", _cases(),
-                             ids=[f"{c.__name__}.{n}={v}" for c, n, _, v in _cases()])
-    def test_out_of_range_refused(self, cls, name, interval, value):
+    @pytest.mark.parametrize("label, cls, name, interval, value", _cases(),
+                             ids=[f"{label}={v}" for label, *_, v in _cases()])
+    def test_out_of_range_refused(self, label, cls, name, interval, value):
         message = f"{cls.__name__}.{name} must be in {interval}, got {value}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             cls(**{**REQUIRED.get(cls, {}), name: _with(cls, name, value)})
+
+    def test_moved_fields_left_their_classes(self):
+        assert "vocab_size" not in {f.name for f in fields(CorpusConfig)}
+        assert not hasattr(forge, "ForgeConfig")
 
     def test_ends_of_each_interval_accepted(self):
         for cls in CONFIG_CLASSES:
@@ -151,8 +163,8 @@ class TestCheckedAtConstruction:
             CorpusConfig(n_originals=MAX_ROWS // 2 + 1, augments_per_original=1)
         CorpusConfig(n_originals=MAX_ROWS // 2, augments_per_original=1)
         with pytest.raises(ValidationError, match="verbal tokens exceed vocab_size"):
-            CorpusConfig(vocab_size=7)
-        CorpusConfig(vocab_size=8)
+            CorpusHeader(d=8, d_t=8, vocab_size=7, seed=0)
+        CorpusHeader(d=8, d_t=8, vocab_size=8, seed=0)
 
 
 @dataclass(frozen=True)

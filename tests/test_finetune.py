@@ -224,7 +224,7 @@ class TestBatchedPath:
         corpus = generate_corpus(40, 1, CLEAN, seed=12, d=d, d_t=d_t)
         for seed in range(5):
             rng = np.random.default_rng(200 + seed)
-            arrays = init_head(d, d_t, 8, HeadConfig(hidden=hidden), rng)
+            arrays = init_head(corpus, HeadConfig(hidden=hidden), rng)
             arrays = {k: v + rng.standard_normal(v.shape)
                       for k, v in arrays.to_dict().items()}
             rows = rng.choice(len(corpus), size=32, replace=False)
@@ -408,16 +408,19 @@ class TestTrainStage1:
         corpus = self._corpus()
         cfg = HeadConfig(steps=0)
         run = train_stage1(corpus, None, cfg, 5)
-        want = init_head(12, 18, corpus.header.vocab_size, cfg,
-                         derived_rng(5, "stage1", "init"))
+        want = init_head(corpus, cfg, derived_rng(5, "stage1", "init"))
         for k, v in run.head.to_dict().items():
             assert np.array_equal(v, want.to_dict()[k])
         assert run.loss_trace == []
 
-    def test_targets_longer_than_positions_rejected(self):
+    def test_head_positions_follow_the_targets(self):
+        """The head has one output position per corpus target token, so no
+        width can be configured that the targets do not fit."""
         corpus = self._corpus()
-        with pytest.raises(ValidationError, match="exceed head positions"):
-            train_stage1(corpus, None, HeadConfig(steps=1, t_max=2), 0)
+        for width in (4, 2):
+            narrow = dataclasses.replace(corpus, targets=corpus.targets[:, :width])
+            head = train_stage1(narrow, None, HeadConfig(steps=2), 0).head
+            assert head.out_w.shape[:2] == head.out_b.shape == (width, 8)
 
     def test_config_validated(self):
         corpus = self._corpus()
@@ -470,8 +473,8 @@ class TestHeadPersistence:
         """At the criterion-5 widths (hidden 256 over a 448-wide input, 123,168
         parameters) the snapshot's text is 1.3 MB; saving holds a few
         pieces of it at a time, never the whole."""
-        head = init_head(128, 192, 8, HeadConfig(hidden=256),
-                         np.random.default_rng(0))
+        corpus = generate_corpus(2, 0, CLEAN, seed=0, d=128, d_t=192)
+        head = init_head(corpus, HeadConfig(hidden=256), np.random.default_rng(0))
         path = tmp_path / "head.json"
         tracemalloc.start()
         try:

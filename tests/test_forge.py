@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from augqual import qa
 from augqual.corpus import VerbalScheme
-from augqual.corpus import FeatureRows
-from augqual.forge import FAMILIES, ForgeConfig, _mix_rows, forge_batch
+from augqual.corpus import CorruptionProfile, FeatureRows, generate_corpus
+from augqual.forge import FAMILIES, _mix_rows, forge_batch
+from augqual.qa import QaConfig
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
 from oracles import Sample, encode, mix_rows_loop, rows_of
@@ -25,8 +27,7 @@ def _mk(idx, sentiment, audio=True):
 
 
 def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
-    return forge_batch(rows_of(samples, d, d_t), rng,
-                       ForgeConfig(mask_rate=mask_rate))
+    return forge_batch(rows_of(samples, d, d_t), rng, mask_rate)
 
 
 def _family(samples, rng, family, mask_rate=0.3, d=D, d_t=DT):
@@ -121,11 +122,11 @@ class TestMask:
         it = _family([wide], rng, "mask", mask_rate=0.5, d=2000, d_t=2000)[0]
         assert not np.array_equal(it.h_v == 0.0, it.h_a == 0.0)
 
-    def test_rate_bounds(self, batch):
-        rng = derived_rng(6, "forge-test")
+    def test_rate_bounds(self):
+        # forge_batch's mask rate is QaConfig.rho, which refuses a rate outside [0, 1]
         for bad in (-0.2, 1.5):
-            with pytest.raises(ValidationError):
-                _forge(batch, rng, mask_rate=bad)
+            with pytest.raises(ValidationError, match=r"^QaConfig\.rho must be in"):
+                QaConfig(rho=bad)
 
     def test_zero_rate_is_identity_on_features(self, batch):
         rng = derived_rng(6, "forge-test")
@@ -188,9 +189,20 @@ class TestForgeBatch:
         with pytest.raises(ValidationError, match="empty batch"):
             _forge([], derived_rng(10, "forge-test"))
 
-    def test_config_validated(self, batch):
-        with pytest.raises(ValidationError):
-            _forge(batch, derived_rng(11, "forge-test"), mask_rate=1.5)
+    def test_config_validated(self, monkeypatch):
+        """Stage 0 forges every batch at its config's rho, which QaConfig
+        keeps in [0, 1]."""
+        with pytest.raises(ValidationError, match=r"^QaConfig\.rho must be in "):
+            QaConfig(rho=1.5)
+        rates = []
+
+        def recorded(rows, rng, mask_rate):
+            rates.append(mask_rate)
+            return forge_batch(rows, rng, mask_rate)
+        monkeypatch.setattr(qa, "forge_batch", recorded)
+        corpus = generate_corpus(8, 1, CorruptionProfile(), seed=1, d=4, d_t=4)
+        qa.train_stage0(corpus, QaConfig(steps=3, hidden=4, rho=0.45), 0)
+        assert rates == [0.45] * 3
 
 
 class TestAgainstPerItemReference:

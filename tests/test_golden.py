@@ -38,7 +38,7 @@ GOLDEN_SHA256 = {
     "head_s2_weighted": "faabe7cf51209e864ed925a2d2d3f42d25e6c6216a84fdfdc66abca260f5884f",
     "qa_s1": "4c1d21d52eb4220e8d363d317096cf8d0d159f14581347ad490eeaf0bbb0d44f",
     "qa_s2": "2329ab2e69f8a2c2808c3643fff7e41a330891fea5b26409605835c5926776d5",
-    "report": "6ee78b3a5ef7ba743d328facd7fdb4b18b0bac4d7e9f79bf7fe7b5e8b1335127",
+    "report": "60ce22452c16283aa122a7661eea7fc93daff5fccb499634245cdd9e7daaa2b6",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
     "runlog_s1_augmented_only": "2952f5dcafe904f0ad360ae69a5bd761b67feb102acfea5b99c798cefc9777b7",
     "runlog_s1_original_only": "4d4d165003bc0d64cf1579c251098810d321d1133aa1bc15420c35466c907f82",
@@ -80,9 +80,7 @@ def _blas_name() -> str:
 
 @pytest.fixture(scope="module")
 def golden_paths(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("SOURCE_DATE_EPOCH", raising=False)
-        return run_pipeline(GOLDEN_CONFIG, tmp_path_factory.mktemp("golden")).paths
+    return run_pipeline(GOLDEN_CONFIG, tmp_path_factory.mktemp("golden")).paths
 
 
 def test_golden_digests(golden_paths):

@@ -20,7 +20,6 @@ WEIGHTS_SHA256 = "b59da0dcb632e028a925c09ac465ecc4d9cc202f1fa404afe56f5ba7aa19d0
 
 
 def test_cli_flow_weight_file_digest(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     corpus, scorer, weights = (tmp_path / name for name in
                                ("corpus.jsonl", "qa.json", "weights.json"))
     for argv in (["gen-corpus", "--out", str(corpus), "--seed", SEED,

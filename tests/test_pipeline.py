@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augqual.corpus import CorpusConfig, CorruptionProfile, Split, SplitConfig
-from augqual.finetune import HeadConfig
+from augqual.corpus import (CorpusConfig, CorruptionProfile, Split, SplitConfig,
+                            corpus_checksum, generate_corpus, train_eval_split)
+from augqual.finetune import HeadConfig, train_stage1
 from augqual import numerics, pipeline
 from augqual.metrics import MetricsReport
 from augqual.pipeline import (
@@ -32,8 +34,9 @@ from augqual.pipeline import (
     report_csv,
     run_pipeline,
 )
-from augqual.qa import QaConfig
-from augqual.util import PipelineError, ValidationError, dumps_canonical
+from augqual.qa import QaConfig, WeightMapConfig, export_weights, train_stage0
+from augqual.util import (PipelineError, ValidationError, config_fields,
+                          derived_rng, dumps_canonical)
 
 FAST_CORPUS = CorpusConfig(n_originals=24, augments_per_original=1, d=8, d_t=12,
                            profile=CorruptionProfile(0.05, 0.1, 0.1, 0.5, 0.1))
@@ -59,7 +62,7 @@ class TestConfigParsing:
                        "profile": {"p_swap": 0.2}},
             "qa": {"alpha": [1, 1, 1, 1], "steps": 10},
             "weight_map": {"gamma": 2.0},
-            "head": {"t_max": 4, "lr": 0.01},
+            "head": {"lr": 0.01},
             "split": {"eval_fraction": 0.5},
             "seeds": [7],
             "arms": ["weighted", "uniform"],
@@ -111,18 +114,18 @@ class TestConfigParsing:
 
 
 # A config document setting every key to a valid value other than its
-# default (the verbal table's tokens run to 7, so vocab_size is above 8).
+# default.
 FULL_CONFIG = {
     "corpus": {"n_originals": 37, "augments_per_original": 3, "d": 10,
-               "d_t": 14, "vocab_size": 9,
+               "d_t": 14,
                "profile": {"sigma_benign": 0.07, "p_swap": 0.11,
                            "p_degrade": 0.12, "degrade_mask_rate": 0.4,
                            "p_label_noise": 0.13}},
     "split": {"eval_fraction": 0.3, "label_fraction": 0.8},
     "qa": {"alpha": [2.5, 1.0, 0.5, 1.5], "rho": 0.2, "batch_size": 16,
-           "steps": 50, "lr": 0.002, "hidden": 24, "include_augmented": True},
+           "steps": 50, "lr": 0.002, "hidden": 24},
     "weight_map": {"w_min": 0.2, "w_max": 1.25, "gamma": 2.0},
-    "head": {"hidden": 40, "t_max": 3, "lr": 0.005, "steps": 70,
+    "head": {"hidden": 40, "lr": 0.005, "steps": 70,
              "batch_size": 12},
     "seeds": [4, 9],
     "arms": ["uniform", "weighted"],
@@ -142,10 +145,12 @@ class TestConfigDocument:
     # taken from the hand-written to_dict and parser the table replaced
     # ("full" from the table's first version, once vocab_size became valid);
     # re-pinned when floats moved from 17-digit to shortest repr text, the
-    # parsed documents unchanged
+    # parsed documents unchanged; re-pinned when corpus.vocab_size,
+    # qa.include_augmented and head.t_max left the document, to the digest
+    # of the earlier text with those three keys deleted
     DIGESTS = {
-        "empty": "9be70e0ec00c5815808ea1a89ee28ac5f3f450a77f71c946f3b8ff03c7b965a3",
-        "full": "8db4ead0ef020ae886caf31da1c8189bdd82ea3762ac04f714f249da750fdacd",
+        "empty": "6054f7be2605d782da31de503e759a474e03285b96c06bc61edf8d2ddc510347",
+        "full": "1acc2986be43f8b180161575b8605f206e81b01e4fdf0a511aab36f8dd4ac1e2",
     }
 
     @pytest.mark.parametrize("name, doc", [("empty", {}), ("full", FULL_CONFIG)])
@@ -160,12 +165,48 @@ class TestConfigDocument:
         assert [k for k in full if full[k] == default[k]] == []
         assert full == dict(_leaves(FULL_CONFIG))
 
+    def test_full_document_runs(self, tmp_path):
+        """With every key set, the run reports both seeds of both arms: the
+        head's positions are the corpus target width, so no accepted document
+        fails at stage 1 once the corpus, scorer and weights are written."""
+        report = run_pipeline(pipeline_config_from_dict(FULL_CONFIG), tmp_path).report
+        assert list(report["arms"]) == FULL_CONFIG["arms"]
+        for rep in report["arms"].values():
+            assert rep["seeds"] == FULL_CONFIG["seeds"]
+            assert sorted(rep["per_seed"]) == ["4", "9"]
+
     def test_numbers_are_stored_as_floats(self):
         cfg = pipeline_config_from_dict({"qa": {"lr": 1, "alpha": [3, 2, 2, 1]},
                                          "corpus": {"profile": {"p_swap": 0}}})
         assert type(cfg.qa.lr) is float and type(cfg.corpus.profile.p_swap) is float
         assert [type(a) for a in cfg.qa.alpha] == [float] * 4
         assert '"lr":1.0' in dumps_canonical(cfg.to_dict())
+
+
+class TestHiddenQualityIsEvaluationOnly:
+    def test_permuted_tags_change_no_trained_value(self):
+        """Permuting hidden_quality among the augments leaves the scorer, its
+        scores, the weights and both heads equal. Values are compared, not
+        bytes: the corpus file, and so its checksum, holds the tags."""
+        corpus = generate_corpus(24, 2, FAST_CORPUS.profile, seed=3, d=8, d_t=12)
+        aug = np.flatnonzero(corpus.augmented)
+        quality = corpus.hidden_quality.copy()
+        quality[aug] = derived_rng(3, "permute").permutation(quality[aug])
+        assert not np.array_equal(quality, corpus.hidden_quality)
+        permuted = dataclasses.replace(corpus, hidden_quality=quality)
+        assert corpus_checksum(permuted) != corpus_checksum(corpus)
+
+        def trained(c):
+            rows = train_eval_split(c, 0.25).pool("all")
+            params, trace = train_stage0(c, QaConfig(steps=30, hidden=8), 3, rows=rows)
+            wf = export_weights(c, params, WeightMapConfig())
+            heads = [train_stage1(c, weights, HeadConfig(steps=30), 3, rows=rows).head
+                     for weights in (wf, None)]
+            return [*params.to_dict().values(), np.array(trace), wf.scores,
+                    wf.weights, *(a for h in heads for a in h.to_dict().values())]
+
+        for want, got in zip(trained(corpus), trained(permuted), strict=True):
+            assert np.array_equal(want, got)
 
 
 class TestArmWiring:
@@ -431,9 +472,35 @@ class TestReportRendering:
         assert {r[0] for r in rows[1:]} == {"weighted", "uniform"}
 
 
+def _bounded_fields(cls, section=""):
+    """(dotted document key, declared interval) of each bounded field of the
+    config dataclass cls and of the sections nested in it."""
+    intervals = {f.name: f.metadata.get("interval") for f in dataclasses.fields(cls)}
+    for name, hint in config_fields(cls):
+        if dataclasses.is_dataclass(hint):
+            yield from _bounded_fields(hint, f"{section}{name}.")
+        elif intervals[name] is not None:
+            yield f"{section}{name}", intervals[name]
+
+
 class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_interval_table_lists_every_bounded_key(self):
+        """The README table of config intervals names exactly the bounded
+        fields of the document's config classes, each with its interval."""
+        table = self.README.read_text().split("| section | key | interval |\n")[1]
+        listed = []
+        for line in table.splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            section, keys, interval = line.split("|")[1:4]
+            listed += [(f"{section.strip(' `')}.{key}", interval.strip(" `"))
+                       for key in re.findall(r"`(\w+)`", keys) if key != "null"]
+        assert sorted(listed) == sorted(_bounded_fields(PipelineConfig))
+
     def test_python_flow_prints_the_pipeline_row(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = self.README.read_text()
         section = readme[readme.index("The same flow in Python"):]
         block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
         out = io.StringIO()

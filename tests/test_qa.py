@@ -173,7 +173,8 @@ def _brute_loss(items, params, alpha):
 
 def _forge(batch, d, rng):
     """The library's forged batch plus its rows as per-sample items by family."""
-    fb = forge_batch(rows_of(batch, d, batch[0].h_t_raw.shape[0]), rng)
+    fb = forge_batch(rows_of(batch, d, batch[0].h_t_raw.shape[0]), rng,
+                     QaConfig().rho)
     return fb, family_items(fb, batch)
 
 
@@ -312,7 +313,8 @@ class TestGradients:
         alpha = (3.0, 2.0, 2.0, 1.0)
         for i, idx in enumerate(batches):
             params = _params(d, d_t, hidden, seed=i)
-            fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i))
+            fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i),
+                             QaConfig().rho)
             assert (fb.sizes[1] == 0) == (i == len(batches) - 1)
             want_loss, want = ref_qa_loss_and_grads(fb, params, alpha)
             n = fb.labels.shape[0]

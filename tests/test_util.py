@@ -121,7 +121,7 @@ class TestB64Block:
         assert "".join(pieces) == f'{{\n "data": "{b64_block(arr)}"\n}}\n'
 
 
-D, D_T, VOCAB = 4, 6, 8
+D, D_T = 4, 6
 
 
 def _scorer(rng):
@@ -129,7 +129,8 @@ def _scorer(rng):
 
 
 def _head(rng):
-    return init_head(D, D_T, VOCAB, HeadConfig(hidden=5, t_max=3), rng)
+    corpus = generate_corpus(2, 0, DEFAULT_PROFILE, seed=0, d=D, d_t=D_T)
+    return init_head(corpus, HeadConfig(hidden=5), rng)
 
 
 def _with_bits(params, seed):
