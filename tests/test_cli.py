@@ -104,12 +104,14 @@ class TestExitCodes:
         assert "different corpus" in proc.stderr
 
     def test_import_leaves_scipy_stats_out(self):
+        # nor any scipy package: numerics loads only the ufunc extension
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, augqual.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, augqual.cli, augqual.pipeline; "
+             "print(sorted({'scipy', 'scipy.special', 'scipy.stats'} & set(sys.modules)))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_version_exits_zero(self):
         proc = run("--version")

@@ -234,7 +234,7 @@ class TestBatchedPath:
             targets[:, 0] = corpus.targets[rows, 0]
             w = rng.random(32) * (rng.random(32) > 0.2)
             want_loss, want = ref_head_loss_and_grads(arrays, X, targets, w)
-            state = init_adam(arrays)
+            state = init_adam(arrays, lr=1e-3)
             state.grad[:] = np.nan                 # every entry must be written
             assert _loss_and_grads(arrays, X, targets, w, state.grad_views) == want_loss
             assert not np.isnan(state.grad).any()   # adam_step reuses it

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -172,6 +174,38 @@ def _step(state, grads):
     adam_step(state)
 
 
+class TestScipyUfuncs:
+    """numerics binds scipy's own erf and expit, not copies of them."""
+
+    @staticmethod
+    def _run(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize("order", ["augqual.numerics, scipy.special",
+                                       "scipy.special, augqual.numerics"])
+    def test_same_objects_as_scipy_special_in_either_import_order(self, order):
+        assert self._run(
+            f"import {order}, scipy.special as s, augqual.numerics as n; "
+            "print(n.erf is s.erf, n.expit is s.expit)") == ["True", "True"]
+
+    def test_falls_back_to_the_package_without_the_module(self, tmp_path):
+        # scipy located in an empty directory, so no _special_ufuncs is found
+        assert self._run(
+            "import importlib.machinery, importlib.util, sys\n"
+            "empty = importlib.machinery.ModuleSpec('scipy', None, is_package=True)\n"
+            f"empty.submodule_search_locations.append({str(tmp_path)!r})\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = "
+            "lambda name, *a: empty if name == 'scipy' else find_spec(name, *a)\n"
+            "import augqual.numerics as n\n"
+            "print('scipy.special' in sys.modules)\n"
+            "import scipy.special as s\n"
+            "print(n.erf is s.erf, n.expit is s.expit)"
+        ) == ["True", "True", "True"]
+
+
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array(0.5)}
@@ -198,7 +232,7 @@ class TestAdam:
 
     def test_views_alias_one_vector_and_step_counter_advances(self):
         params = {"w": np.array([[1.0, 2.0], [3.0, 4.0]]), "b": np.array([5.0])}
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-3)
         for k, view in state.params.items():
             assert view.base is state.flat    # pins no optimizer buffer
             assert not np.shares_memory(view, params[k])   # init copies
@@ -223,7 +257,7 @@ class TestAdam:
         params = {"w": np.ones((n - 10, 1)), "b": np.zeros(10)}
         tracemalloc.start()
         try:
-            state = init_adam(params)
+            state = init_adam(params, lr=1e-3)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -239,7 +273,7 @@ class TestAdam:
     @staticmethod
     def _trained_state():
         """Two keys after a few steps, so m and v are nonzero."""
-        state = init_adam({"x": np.zeros(3), "y": np.ones((2, 2))})
+        state = init_adam({"x": np.zeros(3), "y": np.ones((2, 2))}, lr=1e-3)
         for _ in range(3):
             _step(state, {"x": np.array([0.1, -0.2, 0.3]),
                           "y": np.full((2, 2), -0.5)})

@@ -319,7 +319,7 @@ class TestGradients:
             want_loss, want = ref_qa_loss_and_grads(fb, params, alpha)
             n = fb.labels.shape[0]
             for work in ((), np.full((2, n + 3, 4 * d), np.nan)[:, :n]):
-                state = init_adam(params.to_dict())
+                state = init_adam(params.to_dict(), lr=1e-3)
                 state.grad[:] = np.nan             # every entry must be written
                 loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
                 assert loss == want_loss
