@@ -10,6 +10,7 @@ usage, 2 runtime failure (checksum mismatch, missing file, stage error).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import is_dataclass, replace
@@ -35,6 +36,7 @@ from .finetune import (
     write_run_log,
 )
 from .metrics import compute_metrics  # noqa: F401 - as predict_all
+from .numerics import one_blas_thread
 from .pipeline import (
     PipelineConfig,
     check_report,
@@ -307,10 +309,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code. The subcommand runs with BLAS held
+    to one thread, as ``run_pipeline`` runs: its matmuls have 32-row
+    operands, on which a second thread only spins."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -323,5 +329,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def exit_main() -> None:
+    """The ``augqual`` command: main(), then exit with its code.
+
+    Everything the process built is moved out of the collector's reach
+    first (``gc.freeze``), so exiting skips a garbage-collection pass over
+    every object the imports made; memory is the operating system's to
+    reclaim. The freeze also runs when argparse exits (--help, --version).
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

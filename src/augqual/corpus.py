@@ -283,8 +283,9 @@ def validate_corpus(corpus: Corpus) -> None:
     Checks column shapes against the header, then per record: a unique
     id, finite features, lineage (originals have no parent, every augment's
     parent is an original), polarity against sentiment, the hidden-quality
-    and token ranges, and at least one supervised token. Every range check
-    is written so that NaN fails it. The error names the first bad record.
+    and token ranges, at least one supervised token, and target tokens that
+    are the header's verbal encoding of the sentiment. Every range check is
+    written so that NaN fails it. The error names the first bad record.
     """
     h, f, n = corpus.header, corpus.features, len(corpus)
     s, p, aug, hq, toks = (corpus.sentiment, corpus.parent, corpus.augmented,
@@ -298,6 +299,9 @@ def validate_corpus(corpus: Corpus) -> None:
     first_use[np.unique(ids, return_index=True)[1]] = True
     has_parent = (p >= 0) & (p < n)
     tok_ok = (toks == IGNORE_INDEX) | ((toks >= 0) & (toks < h.vocab_size))
+    s_ok = (s >= -1.0) & (s <= 1.0)
+    # a sentiment outside [-1, 1] fails its own check first
+    want = h.verbal.encode(np.where(s_ok, s, 0.0))
     checks = (
         (first_use, lambda i: "duplicate id"),
         (np.isfinite(f.V).all(1) & np.isfinite(f.A).all(1) & np.isfinite(f.T).all(1),
@@ -307,13 +311,16 @@ def validate_corpus(corpus: Corpus) -> None:
         (~aug | has_parent, lambda i: "Augmented without parent_id"),
         (~aug | ~aug[np.where(has_parent, p, 0)],
          lambda i: f"parent_id {ids[p[i]]} is not an Original"),
-        ((s >= -1.0) & (s <= 1.0), lambda i: f"sentiment {s[i]} outside [-1, 1]"),
+        (s_ok, lambda i: f"sentiment {s[i]} outside [-1, 1]"),
         (f.P == (s >= 0.0), lambda i: "polarity inconsistent with sentiment"),
         (np.isnan(hq) | ((hq >= 0.0) & (hq <= 1.0)),
          lambda i: "hidden_quality outside [0, 1]"),
         (tok_ok.all(1),
          lambda i: f"target token {toks[i][~tok_ok[i]][0]} out of range"),
         ((toks != IGNORE_INDEX).any(1), lambda i: "no supervised target token"),
+        ((toks == want).all(1) if toks.shape == want.shape else np.zeros(n, bool),
+         lambda i: f"target tokens {toks[i].tolist()} do not encode sentiment "
+                   f"{s[i]}"),
     )
     ok = np.stack([c for c, _ in checks])
     if not ok.all():

@@ -31,8 +31,9 @@ worker. The worker takes the seed's corpus, split and config through the
 fork itself, so nothing but the call and the metrics is pickled between the
 two. Both sides call the same per-arm code on the same inputs, and results
 are gathered in config order, so no artifact byte depends on scheduling or
-on the BLAS thread count. The CLI stage-by-stage test, which runs at default
-BLAS threads, checks that.
+on the BLAS thread count. The CLI stage-by-stage test checks the first; as
+the stage commands also hold BLAS to one thread, a test that runs the stages
+at two BLAS threads checks the second.
 
 Each seed runs in one call that returns only its corpus checksum and
 metrics, so a seed's corpus, split, scorer and weights are freed before the
@@ -51,9 +52,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,9 +161,10 @@ def _train_inherited_arms() -> dict:
 @contextlib.contextmanager
 def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
                 seed: int, files: dict):
-    """A future of the metrics of ``_train_arms(arms, corpus, split, None,
-    config, seed, files)``, run in a worker process forked for this seed; None
-    when ``arms`` is empty.
+    """A function returning the metrics of ``_train_arms(arms, corpus, split,
+    None, config, seed, files)``, run in a worker process forked for this
+    seed; it returns {} at once when ``arms`` is empty. A killed worker is
+    raised as a PipelineError naming the stages it ran.
 
     Fork, not spawn: the worker starts from this process's imported modules
     in milliseconds, OpenBLAS stops its own threads around a fork, and the
@@ -173,18 +172,32 @@ def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
     inherited, not pickled), so only the call and the metrics are pickled.
     The pool starts its threads after the fork. When the block fails, the
     worker is stopped at once rather than left to finish arms whose results
-    nobody will read.
+    nobody will read. The pool's modules are imported here, so a process
+    that never runs the pipeline, such as a stage command, never loads them.
     """
     if not arms:
-        yield None
+        yield dict
         return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = ProcessPoolExecutor(max_workers=1,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_inherit,
                                initargs=(arms, corpus, split, None, config, seed,
                                          files))
+
+    def metrics() -> dict:
+        try:
+            return pending.result()
+        except BrokenProcessPool as exc:
+            raise PipelineError(f"stage stage1:{','.join(arms)} failed: "
+                                f"{exc}") from exc
+
     try:
-        yield pool.submit(_train_inherited_arms)
+        pending = pool.submit(_train_inherited_arms)
+        yield metrics
     except BaseException:
         # ProcessPoolExecutor gains terminate_workers() only in Python 3.14
         for proc in list(pool._processes.values()):
@@ -245,7 +258,8 @@ def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict
 
     parent_arms = tuple(arm for arm in config.arms if arm == "weighted")
     worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
-    with _arm_worker(worker_arms, corpus, split, config, seed, files) as pending:
+    with _arm_worker(worker_arms, corpus, split, config, seed,
+                     files) as worker_metrics:
         with _stage("stage0"):
             params, _ = train_stage0(corpus, config.qa, seed, rows=split.pool("all"))
             save_qa_snapshot(params, corpus.header, files["qa", None])
@@ -256,12 +270,7 @@ def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict
 
         metrics = _train_arms(parent_arms, corpus, split, weight_file, config,
                               seed, files)
-        if pending is not None:
-            try:
-                metrics.update(pending.result())
-            except BrokenProcessPool as exc:
-                raise PipelineError(f"stage stage1:{','.join(worker_arms)} "
-                                    f"failed: {exc}") from exc
+        metrics.update(worker_metrics())
     return checksum, metrics
 
 

@@ -12,12 +12,13 @@ import sys
 import typing
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from augqual import cli
+from augqual import cli, numerics
 from augqual.cli import main
 from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionProfile,
                             SplitConfig)
@@ -104,11 +105,13 @@ class TestExitCodes:
         assert "different corpus" in proc.stderr
 
     def test_import_leaves_scipy_stats_out(self):
-        # nor any scipy package: numerics loads only the ufunc extension
+        # nor any scipy package: numerics loads only the ufunc extension; nor
+        # the process pool, which only a pipeline run imports
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, augqual.cli, augqual.pipeline; "
-             "print(sorted({'scipy', 'scipy.special', 'scipy.stats'} & set(sys.modules)))"],
+             "print(sorted({'scipy', 'scipy.special', 'scipy.stats', "
+             "'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -854,6 +857,112 @@ class TestCorruptArtifactMutations:
             assert proc.stderr.startswith("error: ") and message in proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == "" and not out.exists()
+
+
+def _contradict_targets(corpus, out) -> dict:
+    """Write to ``out`` a copy of the corpus file whose first positive
+    record has the target tokens [0, 2, 7, -100], a negative polarity token
+    and the lowest bin; that record, as edited."""
+    lines = corpus.read_text().splitlines()
+    recs = [json.loads(line) for line in lines[1:]]
+    rec = next(r for r in recs if r["sentiment"] >= 0.0)
+    rec["target_tokens"] = [0, 2, 7, -100]
+    out.write_text("\n".join([lines[0]] + [json.dumps(r) for r in recs]) + "\n")
+    return rec
+
+
+class TestTargetsMatchSentiment:
+    def test_contradicting_record_refused_by_stage1(self, clean_artifacts, tmp_path):
+        """A record's target tokens are its sentiment's verbal encoding: a
+        record edited apart from its sentiment is refused, not trained on."""
+        corpus, _ = clean_artifacts
+        bad = tmp_path / "bad.jsonl"
+        rec = _contradict_targets(corpus, bad)
+        head = tmp_path / "head.json"
+        proc = run("stage1", "--corpus", str(bad), "--out", str(head),
+                   "--seed", "5", "--steps", "5")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (f"error: record {rec['id']}: target tokens "
+                               f"[0, 2, 7, -100] do not encode sentiment "
+                               f"{rec['sentiment']}\n")
+        assert not head.exists()
+
+
+class TestBlasScope:
+    """A stage command runs with BLAS held to one thread and leaves the
+    thread count it found, also when it fails."""
+
+    def test_one_thread_while_training(self, clean_artifacts, tmp_path, monkeypatch):
+        corpus, _ = clean_artifacts
+        threads, puts, seen = [3], [], []
+
+        def put(n):
+            puts.append(n)
+            threads[0] = n
+
+        monkeypatch.setattr(numerics, "_openblas", lambda: (lambda: threads[0], put))
+        real = cli.train_stage1
+
+        def train(*args, **kw):
+            seen.append(threads[0])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, "train_stage1", train)
+        argv = ["stage1", "--out", str(tmp_path / "head.json"), "--seed", "5",
+                "--steps", "3"]
+        assert main([*argv, "--corpus", str(corpus)]) == 0
+        assert seen == [1] and puts == [1, 3] and threads == [3]
+        bad = tmp_path / "bad.jsonl"
+        _contradict_targets(corpus, bad)
+        assert main([*argv, "--corpus", str(bad)]) == 1
+        assert seen == [1] and puts == [1, 3, 1, 3] and threads == [3]
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+class TestExitPath:
+    """``python -m augqual.cli`` and the ``augqual`` console script both
+    exit through one function: main's exit code, stdout written in full
+    down a pipe, and the collector frozen before the interpreter exits."""
+
+    # run first: reports, as the interpreter exits, whether gc.freeze ran
+    PROBE = ("import atexit, gc, sys; atexit.register(lambda: print("
+             "f'frozen {gc.get_freeze_count() > 0}', file=sys.stderr)); ")
+
+    @staticmethod
+    def _launcher(kind):
+        if kind == "-m":
+            return "import runpy; runpy.run_module('augqual.cli', run_name='__main__')"
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+        module, func = scripts["augqual"].split(":")
+        return f"from {module} import {func}; {func}()"
+
+    @pytest.mark.parametrize("kind", ["-m", "console script"])
+    def test_exit_codes_and_piped_stdout(self, clean_artifacts, tmp_path, capsys,
+                                         kind):
+        corpus, paths = clean_artifacts
+        code = self.PROBE + self._launcher(kind)
+        evaluate = ["eval", "--corpus", str(corpus), "--head", str(paths["head"]),
+                    "--json"]
+        cases = (
+            (["--version"], 0),
+            (["make-it-so"], 1),
+            (["stage0", "--corpus", str(tmp_path / "absent.jsonl"),
+              "--out", str(tmp_path / "qa.json"), "--seed", "1"], 2),
+            (evaluate, 0),
+        )
+        for argv, want in cases:
+            proc = subprocess.run([sys.executable, "-c", code, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == want, (argv, proc.stderr)
+            assert proc.stderr.splitlines()[-1] == "frozen True", argv
+        assert not (tmp_path / "qa.json").exists()
+        capsys.readouterr()
+        assert main(evaluate) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert set(json.loads(proc.stdout)) >= {"n", "acc2", "acc5", "mae", "corr"}
 
 
 CONFIG = {

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -528,6 +529,16 @@ class TestLoadValidation:
         def bad(_h, recs):
             recs[0]["target_tokens"] = [1, 9, 7, -100]
         with pytest.raises(ValidationError, match="target token 9 out of range"):
+            load_corpus(_tiny_file(tmp_path, bad))
+
+    @pytest.mark.parametrize("tokens", (
+        [0, 5, 7, -100], [1, 4, 7, -100], [1, 5, 7, 7], [1, 5, -100, -100]),
+        ids=("polarity", "bin", "padding", "end"))
+    def test_tokens_must_encode_sentiment(self, tmp_path, tokens):
+        def bad(_h, recs):
+            recs[0]["target_tokens"] = tokens
+        with pytest.raises(ValidationError, match=re.escape(
+                f"record r0: target tokens {tokens} do not encode sentiment 0.5")):
             load_corpus(_tiny_file(tmp_path, bad))
 
     def test_header_only_file_is_valid_and_empty(self, tmp_path):

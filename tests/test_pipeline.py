@@ -22,7 +22,8 @@ import pytest
 
 from augqual.corpus import (CorpusConfig, CorruptionProfile, Split, SplitConfig,
                             corpus_checksum, generate_corpus, train_eval_split)
-from augqual.finetune import HeadConfig, train_stage1
+from augqual.finetune import (HeadConfig, save_head_snapshot, train_stage1,
+                              write_run_log)
 from augqual import numerics, pipeline
 from augqual.metrics import MetricsReport
 from augqual.pipeline import (
@@ -34,7 +35,8 @@ from augqual.pipeline import (
     report_csv,
     run_pipeline,
 )
-from augqual.qa import QaConfig, WeightMapConfig, export_weights, train_stage0
+from augqual.qa import (QaConfig, WeightMapConfig, export_weights,
+                        save_qa_snapshot, train_stage0)
 from augqual.util import (PipelineError, ValidationError, config_fields,
                           derived_rng, dumps_canonical)
 
@@ -441,6 +443,41 @@ class TestArmWorker:
         assert seen == [1 if api else None]
         assert (tmp_path / "worker_threads").read_text() == str(1 if api else None)
         assert after == (2 if api else None)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Stage 0, the weight export and a stage 1 arm run at two BLAS
+        threads write the bytes that the pipeline, at one, writes."""
+        cfg = PipelineConfig(
+            corpus=CorpusConfig(profile=FAST_CORPUS.profile),
+            seeds=(4,), arms=("weighted",), qa=QaConfig(steps=20),
+            head=HeadConfig(steps=20))
+        res = run_pipeline(cfg, tmp_path / "pipe")
+        c = cfg.corpus
+        corpus = generate_corpus(c.n_originals, c.augments_per_original, c.profile,
+                                 seed=4, d=c.d, d_t=c.d_t)
+        rows = train_eval_split(corpus, cfg.split.eval_fraction,
+                                cfg.split.label_fraction).pool("all")
+        api = numerics._openblas()
+        prior = api[0]() if api else None
+        if api:
+            api[1](2)
+        try:
+            params, _ = train_stage0(corpus, cfg.qa, 4, rows=rows)
+            save_qa_snapshot(params, corpus.header, tmp_path / "qa.json")
+            weights = export_weights(corpus, params, cfg.weight_map,
+                                     tmp_path / "weights.json")
+            run = train_stage1(corpus, weights, cfg.head, 4, rows=rows)
+            threads = api[0]() if api else None
+        finally:
+            if api:
+                api[1](prior)
+        save_head_snapshot(run.head, c.d, c.d_t, tmp_path / "head.json")
+        write_run_log(run.loss_trace, tmp_path / "runlog.jsonl")
+        assert threads == (2 if api else None)
+        for name, key in (("qa.json", "qa_s4"), ("weights.json", "weights_s4"),
+                          ("head.json", "head_s4_weighted"),
+                          ("runlog.jsonl", "runlog_s4_weighted")):
+            assert (tmp_path / name).read_bytes() == res.paths[key].read_bytes(), name
 
 
 class TestReportRendering:
