@@ -3,10 +3,13 @@
 The head stands in for a full generative task model while keeping the exact
 loss structure: one GELU projection over the raw pooled features (video,
 audio-or-zeros, text), then an independent linear layer per target position
-producing vocabulary logits. Per-sample loss is the mean token cross-entropy
-over supervised positions (IGNORE_INDEX marks unsupervised ones); the batch
-loss is ``(1/B) * sum(w_i * loss_i)`` with the divisor deliberately B rather
-than the weight sum, so scaling every weight scales loss and gradient alike.
+producing vocabulary logits. That output layer runs as one BLAS matmul over
+the 2-D view ``(positions * vocab, hidden)`` of ``out_w``, in the forward pass
+and in both of its backward products. Per-sample loss is the mean token
+cross-entropy over supervised positions (IGNORE_INDEX marks unsupervised
+ones); the batch loss is ``(1/B) * sum(w_i * loss_i)`` with the divisor
+deliberately B rather than the weight sum, so scaling every weight scales loss
+and gradient alike.
 
 Sample weights come from a previously exported weight file, checked against
 the corpus checksum and the weight map before training; uniform mode (no
@@ -112,9 +115,15 @@ def init_head(corpus: Corpus, config: HeadConfig,
 
 
 def _batch_logits(arrays: dict, X: np.ndarray):
+    """Logits (n, positions, vocab) plus the caches backprop needs. Every
+    position's output layer is one block of rows of the 2-D view
+    ``(positions * vocab, hidden)`` of ``out_w``, so the whole layer is one
+    BLAS matmul."""
     pre = X @ arrays["in_w"].T + arrays["in_b"]
     z, cdf = gelu_and_cdf(pre)
-    logits = np.einsum("nh,tvh->ntv", z, arrays["out_w"]) + arrays["out_b"]
+    out_b = arrays["out_b"]
+    W2 = arrays["out_w"].reshape(out_b.size, -1)
+    logits = (z @ W2.T).reshape(z.shape[0], *out_b.shape) + out_b
     return logits, pre, z, cdf
 
 
@@ -141,9 +150,12 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
     G = np.exp(log_probs)
     G[rows, cols, t_safe] -= 1.0
     G *= scale[..., None]
-    np.einsum("ntv,nh->tvh", G, z, out=grads["out_w"])
+    G2 = G.reshape(n, -1)                              # (n, positions * vocab)
+    W2 = arrays["out_w"].reshape(G2.shape[1], -1)
+    # grads["out_w"] is contiguous, so its reshape is a view the product fills
+    np.matmul(G2.T, z, out=grads["out_w"].reshape(W2.shape))
     G.sum(axis=0, out=grads["out_b"])
-    g_z = np.einsum("ntv,tvh->nh", G, arrays["out_w"])
+    g_z = G2 @ W2
     g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
     np.matmul(g_pre.T, X, out=grads["in_w"])
     g_pre.sum(axis=0, out=grads["in_b"])

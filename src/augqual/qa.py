@@ -205,10 +205,12 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha, grads: dict,
     parameter is written into the same-named array of ``grads`` (in training,
     ``AdamState.grad_views``), through numpy's ``out=``.
 
-    ``x_out`` and ``g_x_out``, when given, are (n, 4d) work arrays for the
-    assembled input and its gradient, n the forged batch's height. Gradients
-    flow through the text projection and polarity embedding but stop at the
-    raw feature blocks, which are treated as constants.
+    ``x_out`` and ``g_x_out``, when given, are work arrays for the (n, 4d)
+    assembled input and the (n, 2d) gradient of its text and polarity
+    blocks, n the forged batch's height. Gradients flow through the text
+    projection and polarity embedding but stop at the raw feature blocks,
+    which are treated as constants, so the gradient of the video and audio
+    blocks is never computed.
     """
     coef = _family_coefficients(forged, alpha)
     Y = forged.labels
@@ -219,11 +221,12 @@ def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha, grads: dict,
     g_logit = coef * (sigmoid(logits) - Y)            # (n,)
     g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
     g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
-    g_x = np.matmul(g_pre, params.hidden_w, out=g_x_out)   # (n, 4d)
-    g_ht = g_x[:, 2 * d:3 * d]
+    # (n, 2d): the text and polarity blocks, the columns past the raw features
+    g_x = np.matmul(g_pre, params.hidden_w[:, 2 * d:], out=g_x_out)
+    g_ht = g_x[:, :d]
     np.matmul(g_ht.T, forged.rows.T, out=grads["text_proj_w"])
     g_ht.sum(axis=0, out=grads["text_proj_b"])
-    _polarity_sums(g_x[:, 3 * d:], forged.rows.P, grads["polarity_emb"])
+    _polarity_sums(g_x[:, d:], forged.rows.P, grads["polarity_emb"])
     np.matmul(g_pre.T, x, out=grads["hidden_w"])
     g_pre.sum(axis=0, out=grads["hidden_b"])
     np.matmul(act.T, g_logit, out=grads["out_w"])
@@ -254,7 +257,8 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
     params = QaParams.from_dict(state.params)
     take = min(config.batch_size, pool.size)
     # a forged batch has at most one row per family per sample
-    x_work, g_x_work = np.empty((2, len(FAMILIES) * take, 4 * d))
+    x_work = np.empty((len(FAMILIES) * take, 4 * d))
+    g_x_work = np.empty((len(FAMILIES) * take, 2 * d))
     trace = []
     for step in range(config.steps):
         rng = derived_rng(seed, "stage0", "step", step)

@@ -13,7 +13,9 @@ map it to and from target tokens, which the library does for whole columns.
 ``ref_qa_loss_and_grads`` and ``ref_head_loss_and_grads`` are the two batch
 losses with each gradient returned as a fresh array, the form the library's
 losses had before they wrote into Adam's gradient buffer; the library's
-gradients must equal theirs bit for bit.
+gradients must equal theirs bit for bit. The scorer reference computes the
+gradient of all four input blocks and slices out the two it needs, where the
+library computes only those two.
 """
 
 from __future__ import annotations
@@ -284,8 +286,9 @@ def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:
 
 
 def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
-    """The scorer loss and a dict of freshly allocated gradients, one per
-    parameter, in the library's order of float operations."""
+    """The scorer loss, a dict of freshly allocated gradients, one per
+    parameter, in the library's order of float operations, and the (n, 4d)
+    gradient of the whole assembled input."""
     coef = _family_coefficients(forged, alpha)
     Y = forged.labels
     logits, (x, pre, act, cdf) = _forward(forged.rows, params)
@@ -295,7 +298,7 @@ def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     g_logit = coef * (sigmoid(logits) - Y)            # (n,)
     g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
     g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
-    g_x = g_pre @ params.hidden_w                     # (n, 4d)
+    g_x = g_pre @ params.hidden_w                     # (n, 4d), all four blocks
     g_ht = g_x[:, 2 * d:3 * d]
     g_hp = g_x[:, 3 * d:]
     grads = {
@@ -307,7 +310,7 @@ def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
         "out_w": act.T @ g_logit,
         "out_b": np.array([g_logit.sum()]),
     }
-    return loss, grads
+    return loss, grads, g_x
 
 
 def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
@@ -331,11 +334,13 @@ def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
     G = np.exp(log_probs)
     G[rows, cols, t_safe] -= 1.0
     G *= scale[..., None]
+    G2 = G.reshape(n, -1)                              # (n, positions * vocab)
+    W2 = arrays["out_w"].reshape(G2.shape[1], -1)
     grads = {
-        "out_w": np.einsum("ntv,nh->tvh", G, z),
+        "out_w": (G2.T @ z).reshape(arrays["out_w"].shape),
         "out_b": G.sum(axis=0),
     }
-    g_z = np.einsum("ntv,tvh->nh", G, arrays["out_w"])
+    g_z = G2 @ W2
     g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
     grads["in_w"] = g_pre.T @ X
     grads["in_b"] = g_pre.sum(axis=0)

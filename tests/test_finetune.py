@@ -242,6 +242,18 @@ class TestBatchedPath:
                 assert np.shares_memory(g, state.grad)
                 assert g.tobytes() == want[k].tobytes(), (seed, k)
 
+    def test_output_layer_never_calls_einsum(self, monkeypatch):
+        """The output layer runs on BLAS matmul: with numpy's einsum made to
+        raise, training and prediction still run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called on the head's path")
+
+        corpus = generate_corpus(20, 1, CLEAN, seed=3, d=6, d_t=8)
+        monkeypatch.setattr(np, "einsum", refuse)
+        run = train_stage1(corpus, None, HeadConfig(steps=5), 0)
+        preds = predict_all(run.head, corpus, np.arange(len(corpus)))
+        assert preds.shape == (len(corpus),) and np.isfinite(run.loss_trace).all()
+
     def test_positions_are_independent_heads(self):
         rng = np.random.default_rng(6)
         arrays = _rand_head(rng, 5, 6, 3, 4)

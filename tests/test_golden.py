@@ -28,43 +28,46 @@ GOLDEN_CONFIG = PipelineConfig(corpus=CorpusConfig(n_originals=24, d=8, d_t=12,
 GOLDEN_SHA256 = {
     "corpus_s1": "43bbd03ecd65d8e95eec483f71b72e3236ad1ab1ad5b126ca7633b6e5a651d68",
     "corpus_s2": "f39348d5b11631c77718e436368398463626c0dd7119e15b477c5c7fa5adeff9",
-    "head_s1_augmented_only": "823c714443dff0d3d2d17723e52f0a0b7983f25cfbf809467828ef5428e25c79",
-    "head_s1_original_only": "299acbfa9054f5d8169635b884c417b38d2cf30f54255e5f460022b3dabd796d",
-    "head_s1_uniform": "9db993477da5ad7f621c1b218e6cc828f759838a025a76db13c532f2a50b3a1b",
-    "head_s1_weighted": "e53ed684fff0075e8441ca5744d8b99fa5926be9adfcab6a4cd8588231d142c5",
-    "head_s2_augmented_only": "b2a1249dc795e55b1757f69d5eb63839902262673e057906dc9d89b5184c9b95",
-    "head_s2_original_only": "0fda3bc05c5d776c13829aae984cd71e014ceb197d48a60e8fbd9c1d25517288",
-    "head_s2_uniform": "e48dfbd3600cde477c0874389f31578b667f749815c3ba7912d1c4e9cdadbf0c",
-    "head_s2_weighted": "faabe7cf51209e864ed925a2d2d3f42d25e6c6216a84fdfdc66abca260f5884f",
+    "head_s1_augmented_only": "74ef34346c9d5cdf7862c248213abb17a8d115ffd44488b68ec57476677ad364",
+    "head_s1_original_only": "e139c77121f4acd825dba2ebfc00826cceec78dd684c93e37cf5cf3931e29104",
+    "head_s1_uniform": "a83a7a5adb69b491aabae7baa6322a4e2d75c97a29860ac69f52e0d3dc9fee43",
+    "head_s1_weighted": "f2681bfc30ce6020670185b39a8b37f773f78bec717ce1f89626dc9bec8d2a16",
+    "head_s2_augmented_only": "bf84c2c450d02d3e030fc32df3b7e5b39f583b099b641b527feafdefc28bc327",
+    "head_s2_original_only": "d0d80596fa39056f20d932b51aa903997d99d721bb09b8dba5a3e75d0b03c1c8",
+    "head_s2_uniform": "d1498f2b3d53f9043ae6a184a9b1f2fe8ecbdf64ce1b003705ea61be8899bae8",
+    "head_s2_weighted": "bff6433eae03d344c9ce89611cac970286911433280f4d63900f22ec1d1464e7",
     "qa_s1": "4c1d21d52eb4220e8d363d317096cf8d0d159f14581347ad490eeaf0bbb0d44f",
     "qa_s2": "2329ab2e69f8a2c2808c3643fff7e41a330891fea5b26409605835c5926776d5",
     "report": "60ce22452c16283aa122a7661eea7fc93daff5fccb499634245cdd9e7daaa2b6",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
-    "runlog_s1_augmented_only": "2952f5dcafe904f0ad360ae69a5bd761b67feb102acfea5b99c798cefc9777b7",
-    "runlog_s1_original_only": "4d4d165003bc0d64cf1579c251098810d321d1133aa1bc15420c35466c907f82",
-    "runlog_s1_uniform": "a72ccb7194a83c2c78b05d0c120e78d66ffcae5034b2c5810b560ce656f73c76",
-    "runlog_s1_weighted": "d43630504424f9e0051b48287d2ab20166b8334c1c5b17393c68784f7350bc11",
-    "runlog_s2_augmented_only": "9647d3aa52413f6c98ec6f215ef5bbb04adeedac9cb5125ab887feca00c847ff",
-    "runlog_s2_original_only": "9c399d46c4bc1ff716100f938d63ffe5521cfd9db9187b2d2332de6392255c92",
-    "runlog_s2_uniform": "970c3c9d00938045e29063d55005a3ccb4ff53f2dd659fe0ce4a2e3679f58a5c",
-    "runlog_s2_weighted": "6e6f37c89050040cdff3386598de24165339eef40fada671065d5c3918ae3506",
+    "runlog_s1_augmented_only": "7158f545a71c7151f0765b36ecfb93976c6136f07b692a65f15a009e5aeed402",
+    "runlog_s1_original_only": "f658fb8f7007e8e6bbe29fd06622d6173d0afe57cd2e4e19ed1e982020159c5a",
+    "runlog_s1_uniform": "24e06100f129d87ca8efa9b36fd095a98f32c7295827947ba189051f38933dc8",
+    "runlog_s1_weighted": "cface8618f821057d4c4a57bed67c21d4c3e9a1fc9009e3383d354b868bd5320",
+    "runlog_s2_augmented_only": "acd7e862237c3872e53b461e5fa774d91ab4ad6666311d0a5d6af0ee90bbdecc",
+    "runlog_s2_original_only": "fdcd8c335487754bd1ae09b7d87815549dfc94fa6ad717544f5221a1eda15d20",
+    "runlog_s2_uniform": "d6155d640ef5999f0f2214de5b0c35846659d39f1145a2a08e06a2fa45044a2d",
+    "runlog_s2_weighted": "22a5bec3c76842bbf08c8b763ef60a10f2f23f3b5dd4cd7520410262be926829",
     "weights_s1": "d09f8aa5be9cbb222a734875a6d7b83646797884e5e6a0809630b3889db10ee5",
     "weights_s2": "0be5a81c1c1695cdcd924e342c235e35de7476f94fc36d9535e3a29d034eb453",
 }
 
 
 # sha256 of each snapshot's decoded parameters: the little-endian float64
-# bytes of every array, concatenated in the class's field order. Taken from
-# the decimal-list snapshots of the commit before the base64 snapshot format.
+# bytes of every array, concatenated in the class's field order. The qa_*
+# entries were taken from the decimal-list snapshots of the commit before the
+# base64 snapshot format; the head_* entries were taken again when the head's
+# output layer moved from einsum to one BLAS matmul, which changed the order of
+# its float sums.
 GOLDEN_PARAMS_SHA256 = {
-    "head_s1_augmented_only": "04f8c1b2bdc190ec161d14175fe65ca4006c719996f671b8d17af27048590f34",
-    "head_s1_original_only": "569a8afbe9c7a4c88415eed8c186df254beccf9d01a4c7abf51c399a61294d16",
-    "head_s1_uniform": "3d4203416cee5adc1806d514aa204b9b0913c6b78d0096b9b5376a2920c96d53",
-    "head_s1_weighted": "139797fd2ea2ac087df98bba375a4b6985ebef2e5b9b4f4c23275c055f6a0507",
-    "head_s2_augmented_only": "dab8cf2d3645c43a30d9ef52a41224a5cbdce748f4663c952a6d18b7aba5bbd0",
-    "head_s2_original_only": "564a42e20d4fcfc16e49679c16f192e96a5a17958432a6e750487bdf5d6ef0c7",
-    "head_s2_uniform": "c0d65f6f02cab096470e8cdd5f3eae68ab8240fa8639261e47034c8fad049736",
-    "head_s2_weighted": "28417059488a4e99f3904527e0bc575d99f74e55af781b0685b3999df3486f03",
+    "head_s1_augmented_only": "4b28630d83ecdd3923ee837e5b4bd3384a74b957caa21ba417f597eb2602e46a",
+    "head_s1_original_only": "a4d8ba2bd29838f712d181ab819c45522c5118af3ac1870b204fc166c020a64f",
+    "head_s1_uniform": "09fee7e5b2473f9145e1e1d6fda9a2a7c45e1f939b10a43c98fd5d662af3e16b",
+    "head_s1_weighted": "ff0ceda515352c1bb394c3f4a4e3cabfba92736f624ebcf9bcbd8cf279063dfc",
+    "head_s2_augmented_only": "f0267703aaa34ee6fe334d24b5172c50b4fc9186faf9861c63341b2ffd50cea3",
+    "head_s2_original_only": "5fbd63e3b0685fd04a1d83f6ba3938081acb18dc71cf47d16ceef48efec3c22d",
+    "head_s2_uniform": "db0f35ca4e487cd0172e490700c91a14045f5b247fd60f0aa5dd888cd8b28aeb",
+    "head_s2_weighted": "645138b372ac00f08b5211b2030142c4a0518b78909c29dab7e5a48cb7a07bc9",
     "qa_s1": "957681a9211580e980d7504fa0f644517871b48e3a8e30aa98dc65bf7e84aa6f",
     "qa_s2": "4c6a851cfbae55bc97bccd8e353fe32253489bd64f46342f30f8c0783830edd6",
 }

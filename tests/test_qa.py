@@ -1,11 +1,16 @@
 """Quality-scorer tests: assembly, forward/backward, training, weight export."""
 
+import ctypes
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +69,11 @@ from oracles import (
 _VERBAL = VerbalScheme()
 PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
                             degrade_mask_rate=0.5, p_label_noise=0.15)
+
+# OPENBLAS_CORETYPE value -> the core name the library reports once it loads it
+KERNEL_CORES = {"SkylakeX": "SkylakeX", "Haswell": "Haswell",
+                "SandyBridge": "Sandybridge", "Nehalem": "Nehalem",
+                "Prescott": "Katmai"}
 
 
 def _sample(idx, sentiment, d, d_t, audio=True):
@@ -302,31 +312,82 @@ class TestGradients:
     @pytest.mark.parametrize("d, d_t, hidden", [(64, 96, 64), (5, 4, 3)],
                              ids=["default widths", "narrow"])
     def test_grads_written_into_adam_buffer_match_reference(self, d, d_t, hidden):
-        """Every gradient lands in its view of Adam's gradient vector, bit
-        for bit the reference's fresh arrays, with and without the stage-0
-        work arrays, over seeded batches; the last holds one polarity, so
-        its mix family is empty."""
-        corpus = generate_corpus(40, 1, PROFILE, seed=70, d=d, d_t=d_t)
-        positives = np.flatnonzero(corpus.features.P)
-        batches = [derived_rng(70, "batch", i).choice(len(corpus), 16, replace=False)
-                   for i in range(4)] + [positives[:8]]
-        alpha = (3.0, 2.0, 2.0, 1.0)
-        for i, idx in enumerate(batches):
-            params = _params(d, d_t, hidden, seed=i)
-            fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i),
-                             QaConfig().rho)
-            assert (fb.sizes[1] == 0) == (i == len(batches) - 1)
-            want_loss, want = ref_qa_loss_and_grads(fb, params, alpha)
-            n = fb.labels.shape[0]
-            for work in ((), np.full((2, n + 3, 4 * d), np.nan)[:, :n]):
-                state = init_adam(params.to_dict(), lr=1e-3)
-                state.grad[:] = np.nan             # every entry must be written
-                loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
-                assert loss == want_loss
-                assert not np.isnan(state.grad).any()   # adam_step reuses it
-                for k, g in state.grad_views.items():
-                    assert np.shares_memory(g, state.grad)
-                    assert g.tobytes() == want[k].tobytes(), (i, k)
+        check_grads_against_reference(d, d_t, hidden)
+
+    @pytest.mark.parametrize("kernel, core", KERNEL_CORES.items(),
+                             ids=list(KERNEL_CORES))
+    def test_trimmed_input_gradient_under_each_kernel(self, kernel, core):
+        """The default-widths check above, in a process whose OpenBLAS runs
+        the named kernel: the trimmed input gradient must equal the full
+        product's columns under each, not only the host's own."""
+        src = Path(qa.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(src)])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import test_qa; test_qa.check_under_core({core!r}, 64, 96, 64)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.strip()
+        if loaded != core:
+            pytest.skip(f"OPENBLAS_CORETYPE={kernel}: the library reports core "
+                        f"{loaded}, not {core}, on this host; nothing checked")
+
+
+def check_grads_against_reference(d, d_t, hidden):
+    """Every gradient lands in its view of Adam's gradient vector, bit for
+    bit the reference's fresh arrays, with and without the stage-0 work
+    arrays, over seeded batches; the (n, 2d) input-gradient work array holds
+    exactly the text and polarity columns of the reference's full (n, 4d)
+    product. The last two batches hold one polarity, so their mix family is
+    empty, and the last has an odd row count."""
+    corpus = generate_corpus(40, 1, PROFILE, seed=70, d=d, d_t=d_t)
+    positives = np.flatnonzero(corpus.features.P)
+    negatives = np.flatnonzero(corpus.features.P == 0)
+    batches = [derived_rng(70, "batch", i).choice(len(corpus), 16, replace=False)
+               for i in range(4)] + [positives[:8], negatives[:7]]
+    alpha = (3.0, 2.0, 2.0, 1.0)
+    for i, idx in enumerate(batches):
+        params = _params(d, d_t, hidden, seed=i)
+        fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i),
+                         QaConfig().rho)
+        assert (fb.sizes[1] == 0) == (i >= 4)
+        want_loss, want, want_g_x = ref_qa_loss_and_grads(fb, params, alpha)
+        n = fb.labels.shape[0]
+        assert n % 2 == (i == len(batches) - 1)
+        for work in ((), (np.full((n + 3, 4 * d), np.nan)[:n],
+                          np.full((n + 3, 2 * d), np.nan)[:n])):
+            state = init_adam(params.to_dict(), lr=1e-3)
+            state.grad[:] = np.nan             # every entry must be written
+            loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
+            assert loss == want_loss
+            assert not np.isnan(state.grad).any()   # adam_step reuses it
+            for k, g in state.grad_views.items():
+                assert np.shares_memory(g, state.grad)
+                assert g.tobytes() == want[k].tobytes(), (i, k)
+            if work:
+                assert work[1].tobytes() == want_g_x[:, 2 * d:].tobytes(), i
+
+
+def _loaded_core():
+    """The name of the core the OpenBLAS in numpy.libs loaded, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_",
+                           None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def check_under_core(core, d, d_t, hidden):
+    """Print the loaded core's name; run the reference check only when it is
+    ``core``. Runs in the subprocess of the kernel sweep."""
+    loaded = _loaded_core()
+    print(loaded)
+    if loaded == core:
+        check_grads_against_reference(d, d_t, hidden)
 
 
 class TestTrainStage0:
