@@ -18,6 +18,14 @@ The quality scorer is not an input here, which is the strongest form of
 keeping it frozen. Training and prediction take the corpus rows they use as
 an index array and run batched over the columnar features.
 
+``train_stage1`` works out each pool row's supervision once
+(``_supervision``: the target-token index, supervision mask, token count and
+weight scale), and each step gathers those rows of it. The step gathers its
+input rows straight into a ``_StepWork``, allocated once per loop, that holds
+every intermediate of the forward and backward pass; the float operations and
+their order are those of a step with fresh arrays (tests/test_loops.py
+checks the whole loop against one bit for bit).
+
 The head deliberately never sees the polarity condition: that bit encodes the
 answer, and feeding it would collapse the task to copying. A head snapshot
 records ``d``, ``d_t`` and each parameter as its shape and one base64 float64
@@ -35,7 +43,8 @@ from .corpus import IGNORE_INDEX, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, verify_weight_file
 from .util import (ValidationError, bounded, check_params, check_ranges,
-                   decode_params, derived_rng, document_chunks, encode_params,
+                   decode_params, derived_rng, derived_rngs, document_chunks,
+                   encode_params,
                    load_json_object, write_atomic)
 from .util import dumps_canonical  # noqa: F401 - bound for per-module tracing
 
@@ -92,10 +101,16 @@ class TrainRun:
     rows: np.ndarray          # corpus rows of the training pool
 
 
-def _head_matrix(features: FeatureRows, rows) -> np.ndarray:
-    """Raw-feature input rows [video; audio-or-zeros; text], one per index."""
-    return np.concatenate([features.V[rows], features.A[rows], features.T[rows]],
-                          axis=1)
+def _head_matrix(features: FeatureRows, rows, out=None) -> np.ndarray:
+    """Raw-feature input rows [video; audio-or-zeros; text], one per index,
+    gathered into ``out`` when given."""
+    d, d_t = features.V.shape[1], features.T.shape[1]
+    if out is None:
+        out = np.empty((len(rows), 2 * d + d_t))
+    np.take(features.V, rows, axis=0, out=out[:, :d])
+    np.take(features.A, rows, axis=0, out=out[:, d:2 * d])
+    np.take(features.T, rows, axis=0, out=out[:, 2 * d:])
+    return out
 
 
 def init_head(corpus: Corpus, config: HeadConfig,
@@ -114,49 +129,113 @@ def init_head(corpus: Corpus, config: HeadConfig,
     )
 
 
-def _batch_logits(arrays: dict, X: np.ndarray):
-    """Logits (n, positions, vocab) plus the caches backprop needs. Every
-    position's output layer is one block of rows of the 2-D view
-    ``(positions * vocab, hidden)`` of ``out_w``, so the whole layer is one
-    BLAS matmul."""
-    pre = X @ arrays["in_w"].T + arrays["in_b"]
-    z, cdf = gelu_and_cdf(pre)
-    out_b = arrays["out_b"]
+class _Supervision:
+    """What the loss reads of each row's targets and weight, one row per
+    sample: ``tok`` (n, T), each position's target token as an index into
+    the sample's ``(positions * vocab)`` logits (token 0 where the position
+    is unsupervised); the mask ``sup`` of supervised positions, their count
+    ``t_counts``, the sample ``weights``, and ``scale``, the weight over
+    (batch size * t_counts) on supervised positions and 0 elsewhere."""
+
+    __slots__ = ("tok", "sup", "t_counts", "weights", "scale")
+
+    def __init__(self, tok, sup, t_counts, weights, scale):
+        self.tok, self.sup, self.t_counts = tok, sup, t_counts
+        self.weights, self.scale = weights, scale
+
+    def take(self, idx) -> "_Supervision":
+        return _Supervision(self.tok[idx], self.sup[idx], self.t_counts[idx],
+                            self.weights[idx], self.scale[idx])
+
+
+def _supervision(targets: np.ndarray, weights: np.ndarray, batch: int,
+                 vocab: int) -> _Supervision:
+    """The supervision of rows with these targets and weights, for batches of
+    ``batch`` samples; a training loop builds it once for its whole pool."""
+    sup = targets != IGNORE_INDEX                      # (n, T)
+    t_counts = sup.sum(axis=1)
+    tok = np.where(sup, targets, 0) + vocab * np.arange(targets.shape[1])
+    scale = (weights / (batch * t_counts))[:, None] * sup
+    return _Supervision(tok, sup, t_counts, weights, scale)
+
+
+class _ForwardWork:
+    """The head forward pass's intermediates for batches of ``n`` rows: the
+    hidden pre-activation, its GELU and Phi, and the logits."""
+
+    def __init__(self, n: int, arrays: dict):
+        hidden, (positions, vocab) = arrays["in_w"].shape[0], arrays["out_b"].shape
+        self.pre, self.z, self.cdf = np.empty((3, n, hidden))
+        self.logits = np.empty((n, positions, vocab))
+
+
+class _StepWork(_ForwardWork):
+    """A training step's arrays for batches of ``n`` rows: the input ``X``,
+    the forward pass's intermediates, then the backward pass's softmax
+    gradient ``G`` and per-position reduction ``lse``, and the flat index of
+    each target token into the logits, which starts from each row's offset
+    ``offsets``. The backward pass writes the GELU slope over ``z`` and the
+    hidden-wide gradient over ``pre``, each once its last reader is done."""
+
+    def __init__(self, n: int, arrays: dict):
+        super().__init__(n, arrays)
+        positions, vocab = arrays["out_b"].shape
+        self.X = np.empty((n, arrays["in_w"].shape[1]))
+        self.G = np.empty_like(self.logits)
+        self.lse = np.empty((n, positions, 1))
+        self.offsets = np.arange(n)[:, None] * (positions * vocab)
+        self.flat = np.empty((n, positions), dtype=self.offsets.dtype)
+
+
+def _batch_logits(arrays: dict, X: np.ndarray, work: _ForwardWork | None = None):
+    """Logits (n, positions, vocab) plus the caches backprop needs, in the
+    arrays of ``work`` (allocated for X's rows when None). Every position's
+    output layer is one block of rows of the 2-D view ``(positions * vocab,
+    hidden)`` of ``out_w``, so the whole layer is one BLAS matmul."""
+    if work is None:
+        work = _ForwardWork(X.shape[0], arrays)
+    pre = np.matmul(X, arrays["in_w"].T, out=work.pre)
+    pre += arrays["in_b"]
+    z, cdf = gelu_and_cdf(pre, work.z, work.cdf)
+    out_b, logits = arrays["out_b"], work.logits
     W2 = arrays["out_w"].reshape(out_b.size, -1)
-    logits = (z @ W2.T).reshape(z.shape[0], *out_b.shape) + out_b
+    np.matmul(z, W2.T, out=logits.reshape(z.shape[0], -1))
+    logits += out_b
     return logits, pre, z, cdf
 
 
-def _loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, grads: dict) -> float:
+def _loss_and_grads(arrays: dict, X: np.ndarray, sv: _Supervision, grads: dict,
+                    work: _StepWork | None = None) -> float:
     """Weighted batch loss; its gradient for every head parameter is written
     into the same-named array of ``grads`` (in training,
-    ``AdamState.grad_views``), through numpy's ``out=``. Zero-weight samples
+    ``AdamState.grad_views``), through numpy's ``out=``. Every intermediate
+    goes into ``work``, allocated for X's rows when None. Zero-weight samples
     contribute zero."""
     n = X.shape[0]
-    logits, pre, z, cdf = _batch_logits(arrays, X)
-    shift = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shift - np.log(np.sum(np.exp(shift), axis=-1, keepdims=True))
-    sup = targets != IGNORE_INDEX                      # (n, T)
-    t_counts = sup.sum(axis=1)
-    t_safe = np.where(sup, targets, 0)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(targets.shape[1])[None, :]
-    ce = -log_probs[rows, cols, t_safe]                # (n, T)
-    per_sample = np.sum(ce * sup, axis=1) / t_counts
-    loss = float(np.sum(weights * per_sample) / n)
+    if work is None:
+        work = _StepWork(n, arrays)
+    logits, pre, z, cdf = _batch_logits(arrays, X, work)
+    lse = work.lse
+    shift = np.subtract(logits, logits.max(axis=-1, keepdims=True, out=lse),
+                        out=logits)
+    np.sum(np.exp(shift, out=work.G), axis=-1, keepdims=True, out=lse)
+    log_probs = np.subtract(shift, np.log(lse, out=lse), out=shift)
+    flat = np.add(sv.tok, work.offsets, out=work.flat)     # (n, T)
+    ce = -log_probs.reshape(-1)[flat]                      # (n, T)
+    per_sample = np.sum(ce * sv.sup, axis=1) / sv.t_counts
+    loss = float(np.sum(sv.weights * per_sample) / n)
 
-    scale = (weights / (n * t_counts))[:, None] * sup  # (n, T)
-    G = np.exp(log_probs)
-    G[rows, cols, t_safe] -= 1.0
-    G *= scale[..., None]
-    G2 = G.reshape(n, -1)                              # (n, positions * vocab)
+    G = np.exp(log_probs, out=work.G)
+    G.reshape(-1)[flat] -= 1.0
+    G *= sv.scale[..., None]
+    G2 = G.reshape(n, -1)                                  # (n, positions * vocab)
     W2 = arrays["out_w"].reshape(G2.shape[1], -1)
     # grads["out_w"] is contiguous, so its reshape is a view the product fills
     np.matmul(G2.T, z, out=grads["out_w"].reshape(W2.shape))
     G.sum(axis=0, out=grads["out_b"])
-    g_z = G2 @ W2
-    g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
+    slope = gelu_grad_from_cdf(pre, cdf, out=z)            # z is spent
+    g_pre = np.matmul(G2, W2, out=pre)                     # and now pre
+    g_pre *= slope
     np.matmul(g_pre.T, X, out=grads["in_w"])
     g_pre.sum(axis=0, out=grads["in_b"])
     return loss
@@ -170,10 +249,12 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     to an all-ones file under the same seed: batch selection never depends on
     the weights. ``rows`` (corpus row indices) restricts the training pool
     (arm selection); default is the whole corpus. The head has one output
-    position per corpus target token (``init_head``). Each step gathers its
-    input rows and targets from the corpus columns (no copy of the pool is
-    kept) and writes the gradients into Adam's buffer. Deterministic given
-    (corpus, inputs, config, seed).
+    position per corpus target token (``init_head``). Each pool row's
+    supervision is worked out once (``_supervision``); each step gathers its
+    input rows from the corpus columns (no copy of the pool's features is
+    kept) into a ``_StepWork`` allocated once per call, and writes the
+    gradients into Adam's buffer. The step generators come from
+    ``derived_rngs``. Deterministic given (corpus, inputs, config, seed).
     """
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
     if not rows.size:
@@ -182,15 +263,15 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
                else verify_weight_file(weight_file, corpus)[rows])
     state = init_adam(init_head(corpus, config, derived_rng(
         seed, "stage1", "init")).to_dict(), lr=config.lr)
+    take = min(config.batch_size, rows.size)
+    pool = _supervision(corpus.targets[rows], weights, take, corpus.header.vocab_size)
+    work = _StepWork(take, state.params)
     trace = []
-    for step in range(config.steps):
-        rng = derived_rng(seed, "stage1", "step", step)
-        take = min(config.batch_size, rows.size)
+    for rng in derived_rngs(seed, "stage1", "step", count=config.steps):
         idx = rng.choice(rows.size, size=take, replace=False)
-        batch = rows[idx]
-        X = _head_matrix(corpus.features, batch)
-        trace.append(_loss_and_grads(state.params, X, corpus.targets[batch],
-                                     weights[idx], state.grad_views))
+        X = _head_matrix(corpus.features, rows[idx], out=work.X)
+        trace.append(_loss_and_grads(state.params, X, pool.take(idx),
+                                     state.grad_views, work))
         adam_step(state)
     return TrainRun(head=HeadParams.from_dict(state.params),
                     weight_mode="uniform" if weight_file is None else "weighted",

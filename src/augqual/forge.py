@@ -15,11 +15,20 @@ staying on the real feature manifold:
 Positives are the trusted samples themselves. Missing audio is represented
 by a zero vector throughout, matching how the scorer assembles its input.
 
-A forged batch is array-backed: the rows of every family are stacked in
-``FAMILIES`` order (pos, mix, mask, flip), and ``sizes`` gives each family's
-block length. Every family but mix has one row per batch sample, in batch
-order. Mix has one row per sample too, or none when the batch holds a single
-polarity and no sample has a donor.
+A forged batch is array-backed and laid out as the scorer's input: the rows
+of every family are stacked in ``FAMILIES`` order (pos, mix, mask, flip), the
+video and audio features of row i in the first ``2d`` columns of row i of the
+scorer input ``x`` (n, 4d), its text in ``T`` and its polarity in ``P``;
+``sizes`` gives each family's block length. Every family but mix has one row
+per batch sample, in batch order. Mix has one row per sample too, or none when
+the batch holds a single polarity and no sample has a donor.
+
+``forge_batch`` gathers the batch from the corpus columns and writes every
+family block straight into those arrays, the ``ForgeWork`` a training loop
+allocates once and reuses each step; the scorer fills the last ``2d`` columns
+of ``x`` itself (``qa._forward``), so nothing is concatenated or copied again.
+Labels, 1 for the positives and 0 for the rest, are one read-only column of
+the work, sliced to the batch.
 """
 
 from __future__ import annotations
@@ -36,68 +45,107 @@ FAMILIES = ("pos", "mix", "mask", "flip")
 
 @dataclass(frozen=True)
 class ForgedBatch:
-    """Scorer training rows: features, label (1 = trusted positive, 0 = forged
-    negative) and the block size of each family, in ``FAMILIES`` order."""
+    """Scorer training rows: the scorer input ``x`` whose video and audio
+    columns hold the forged features, text ``T``, polarity ``P``, label (1 =
+    trusted positive, 0 = forged negative) and the block size of each family,
+    in ``FAMILIES`` order. The fields are views of a ``ForgeWork``."""
 
-    rows: FeatureRows
-    labels: np.ndarray             # (n,) float64
+    x: np.ndarray                  # (n, 4d) float64; forge writes [:, :2d]
+    T: np.ndarray                  # (n, d_t) float64
+    P: np.ndarray                  # (n,) intp
+    labels: np.ndarray             # (n,) float64, read-only
     sizes: tuple[int, int, int, int]
 
+    @property
+    def rows(self) -> FeatureRows:
+        """The forged features as rows of video, audio, text and polarity."""
+        d = self.x.shape[1] // 4
+        return FeatureRows(V=self.x[:, :d], A=self.x[:, d:2 * d], T=self.T, P=self.P)
 
-def _mix_rows(batch: FeatureRows, rng: np.random.Generator) -> FeatureRows:
-    """Pathway swaps against opposite-polarity donors within the batch.
+
+class ForgeWork:
+    """The arrays ``forge_batch`` writes a batch of ``n`` samples into, for
+    every family: the scorer input ``x``, text ``t`` and polarity ``p``, one
+    row per forged row, plus the mask family's draws and the labels."""
+
+    def __init__(self, n: int, d: int, d_t: int):
+        rows = len(FAMILIES) * n
+        self.d = d
+        self.x = np.empty((rows, 4 * d))
+        self.t = np.empty((rows, d_t))
+        self.p = np.empty(rows, dtype=np.intp)
+        self.draws = np.empty((n, 2 * d + d_t))
+        self.keep = np.empty((n, 2 * d + d_t), dtype=bool)
+        self.labels = np.zeros(rows)
+        self.labels[:n] = 1.0
+        self.labels.setflags(write=False)
+
+
+def _mix_rows(P: np.ndarray, rng: np.random.Generator):
+    """Pathway swaps against opposite-polarity donors within the batch: the
+    batch rows each mix row takes its video and its audio from, or None when
+    the batch holds one polarity.
 
     Two draws per sample, in batch order: the donor among the opposite
     polarity's samples, then the coin (1 keeps video and takes the donor's
     audio, 0 keeps audio and takes the donor's video).
     """
-    P, n = batch.P, len(batch)
-    n0 = int(np.count_nonzero(P == 0))
+    n, zero = P.shape[0], P == 0
+    n0 = int(np.count_nonzero(zero))
     if n0 == 0 or n0 == n:
-        return batch.take(np.zeros(0, dtype=np.intp))
+        return None
     # one call draws what two scalar calls per sample would; donors sorted by polarity
-    highs = np.column_stack([np.where(P == 0, n - n0, n0), np.full(n, 2)])
+    highs = np.column_stack([np.where(zero, n - n0, n0), np.full(n, 2)])
     pick, keep_video = rng.integers(0, highs).T
-    donor = np.argsort(P, kind="stable")[np.where(P == 0, n0, 0) + pick]
+    donor = np.argsort(P, kind="stable")[np.where(zero, n0, 0) + pick]
     own = np.arange(n)
-    return FeatureRows(V=batch.V[np.where(keep_video, own, donor)],
-                       A=batch.A[np.where(keep_video, donor, own)], T=batch.T, P=P)
+    return np.where(keep_video, own, donor), np.where(keep_video, donor, own)
 
 
-def _mask_rows(batch: FeatureRows, rng: np.random.Generator,
-               mask_rate: float) -> FeatureRows:
-    """Zero a Bernoulli(mask_rate) subset of dims in each pathway.
-
-    One uniform draw per dimension, sample after sample, each sample's
-    draws in video, audio, text order. Rate 0 is a feature-preserving
-    identity (the rows still carry label 0).
-    """
-    n, d, d_t = len(batch), batch.V.shape[1], batch.T.shape[1]
-    keep = rng.random(n * (2 * d + d_t)).reshape(n, -1) >= mask_rate
-    return FeatureRows(V=batch.V * keep[:, :d], A=batch.A * keep[:, d:2 * d],
-                       T=batch.T * keep[:, 2 * d:], P=batch.P)
-
-
-def forge_batch(batch: FeatureRows, rng: np.random.Generator,
-                mask_rate: float) -> ForgedBatch:
-    """Positives plus one negative per sample per family; ``mask_rate`` in
+def forge_batch(features: FeatureRows, rows: np.ndarray, rng: np.random.Generator,
+                mask_rate: float, work: ForgeWork | None = None) -> ForgedBatch:
+    """Positives, the batch of ``features`` at ``rows``, plus one negative per
+    sample per family, written into ``work``, a ``ForgeWork`` for
+    ``len(rows)`` samples (allocated here when None); ``mask_rate`` in
     [0, 1] is the mask family's Bernoulli rate (``QaConfig.rho``).
 
     Draw order is fixed (mix first, then mask), so results are reproducible
-    for a given generator state.
+    for a given generator state. The mask family takes one uniform draw per
+    dimension, sample after sample, each sample's draws in video, audio,
+    text order; a dimension is zeroed where its draw is below the rate, so
+    rate 0 is a feature-preserving identity (the rows still carry label 0).
     """
-    n = len(batch)
+    n = len(rows)
     if n == 0:
         raise ValidationError("cannot forge from an empty batch")
-    mix = _mix_rows(batch, rng)
-    mask = _mask_rows(batch, rng, mask_rate)
-    blocks = (batch, mix, mask, batch)
-    sizes = (n, len(mix), n, n)
-    rows = FeatureRows(
-        V=np.concatenate([b.V for b in blocks]),
-        A=np.concatenate([b.A for b in blocks]),
-        T=np.concatenate([b.T for b in blocks]),
-        P=np.concatenate([batch.P, mix.P, batch.P, 1 - batch.P]))
-    labels = np.zeros(sum(sizes))
-    labels[:n] = 1.0
-    return ForgedBatch(rows=rows, labels=labels, sizes=sizes)
+    if work is None:
+        work = ForgeWork(n, features.V.shape[1], features.T.shape[1])
+    d, x, t, p = work.d, work.x, work.t, work.p
+    va = x[:, :2 * d]                  # the video and audio columns, side by side
+    np.take(features.V, rows, axis=0, out=x[:n, :d])
+    np.take(features.A, rows, axis=0, out=x[:n, d:2 * d])
+    np.take(features.T, rows, axis=0, out=t[:n])
+    P = np.take(features.P, rows, out=p[:n])
+
+    mix = _mix_rows(P, rng)
+    at = n                             # the first row of the next family block
+    if mix is not None:
+        video_from, audio_from = mix
+        np.take(x[:n, :d], video_from, axis=0, out=x[n:2 * n, :d])
+        np.take(x[:n, d:2 * d], audio_from, axis=0, out=x[n:2 * n, d:2 * d])
+        t[n:2 * n] = t[:n]
+        p[n:2 * n] = P
+        at = 2 * n
+
+    keep = np.greater_equal(rng.random(out=work.draws), mask_rate, out=work.keep)
+    np.multiply(va[:n], keep[:, :2 * d], out=va[at:at + n])
+    np.multiply(t[:n], keep[:, 2 * d:], out=t[at:at + n])
+    p[at:at + n] = P
+
+    at += n
+    va[at:at + n] = va[:n]
+    t[at:at + n] = t[:n]
+    np.subtract(1, P, out=p[at:at + n])
+    end = at + n
+    return ForgedBatch(x=x[:end], T=t[:end], P=p[:end], labels=work.labels[:end],
+                       sizes=(n, 0 if mix is None else n, n, n))

@@ -72,17 +72,36 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def gelu_and_cdf(x) -> tuple[np.ndarray, np.ndarray]:
+def gelu_and_cdf(x, act=None, cdf=None) -> tuple[np.ndarray, np.ndarray]:
     """gelu(x) and Phi(x) from one erf evaluation, for a forward pass that
-    keeps Phi for its backward pass (see gelu_grad_from_cdf)."""
+    keeps Phi for its backward pass (see gelu_grad_from_cdf); written into
+    ``act`` and ``cdf`` when given, arrays of x's shape.
+
+    The float operations are those of ``x * 0.5 * (1 + erf(x / sqrt 2))``
+    and ``0.5 * (1 + erf(x / sqrt 2))``, in that order, so the bits do not
+    depend on where the results go."""
     arr = np.asarray(x, dtype=np.float64)
-    one_plus_erf = 1.0 + erf(arr * _INV_SQRT2)
-    return arr * 0.5 * one_plus_erf, 0.5 * one_plus_erf
+    cdf = np.multiply(arr, _INV_SQRT2, out=np.empty_like(arr) if cdf is None else cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0                                  # 1 + erf, for now
+    act = np.multiply(arr, 0.5, out=np.empty_like(arr) if act is None else act)
+    act *= cdf
+    cdf *= 0.5
+    return act, cdf
 
 
-def gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dx gelu(x) = Phi(x) + x * phi(x), given Phi(x) from gelu_and_cdf."""
-    return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+def gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """d/dx gelu(x) = Phi(x) + x * phi(x), given Phi(x) from gelu_and_cdf;
+    written into ``out`` when given, in the float operations of
+    ``cdf + x * (phi0 * exp(-0.5 * x * x))``."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.multiply(arr, -0.5, out=np.empty_like(arr) if out is None else out)
+    out *= arr
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI
+    out *= arr
+    out += cdf
+    return out
 
 
 def sigmoid(x):

@@ -23,13 +23,13 @@ key or a value of another type is refused, as is a value outside the
 interval its config field declares (``util.bounded``), named
 ``<Class>.<field> must be in <interval>`` when that config is built.
 
-Only the weighted arm reads the scorer. So once a seed is split, a worker
-process forked for that seed trains, saves and evaluates every other arm
-while this process runs stage 0, exports the weights and trains the weighted
-arm; BLAS is held to one thread for the run, leaving the second CPU to the
-worker. The worker takes the seed's corpus, split and config through the
-fork itself, so nothing but the call and the metrics is pickled between the
-two. Both sides call the same per-arm code on the same inputs, and results
+Only the weighted arm reads the scorer, and no arm reads the corpus file.
+So once a seed is split, a worker process forked for that seed trains, saves
+and evaluates every other arm while this process saves the corpus, runs
+stage 0, exports the weights and trains the weighted arm; BLAS is held to
+one thread for the run, leaving the second CPU to the worker. The worker
+takes the seed's corpus, split and config through the fork itself, so
+nothing but the call and the metrics is pickled between the two. Both sides call the same per-arm code on the same inputs, and results
 are gathered in config order, so no artifact byte depends on scheduling or
 on the BLAS thread count. The CLI stage-by-stage test checks the first; as
 the stage commands also hold BLAS to one thread, a test that runs the stages
@@ -239,18 +239,18 @@ def _train_arms(arms, corpus: Corpus, split: Split, weight_file,
 
 
 def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict]:
-    """Generate, split and save one seed's corpus, train and save its scorer
-    and weights, then train, save and evaluate every arm, each into its
+    """Generate and split one seed's corpus, fork the worker for every arm
+    but ``weighted``, then save the corpus, train and save the scorer and
+    weights and train, save and evaluate ``weighted``, each into its
     ``_seed_files`` path; the corpus checksum and arm -> held-out metrics.
-    What the seed built is freed when this returns, before the next seed's
-    corpus is generated."""
+    The worker's arms never read the corpus file or its checksum, so it
+    starts before the save. What the seed built is freed when this returns,
+    before the next seed's corpus is generated."""
     with _stage("gen-corpus"):
         c = config.corpus
         corpus = generate_corpus(
             c.n_originals, c.augments_per_original, c.profile,
             seed=seed, d=c.d, d_t=c.d_t)
-        save_corpus(corpus, files["corpus", None])
-        checksum = corpus_checksum(corpus)
 
     with _stage("split"):
         split = train_eval_split(corpus, config.split.eval_fraction,
@@ -260,6 +260,10 @@ def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict
     worker_arms = tuple(arm for arm in config.arms if arm != "weighted")
     with _arm_worker(worker_arms, corpus, split, config, seed,
                      files) as worker_metrics:
+        with _stage("gen-corpus"):
+            save_corpus(corpus, files["corpus", None])
+            checksum = corpus_checksum(corpus)
+
         with _stage("stage0"):
             params, _ = train_stage0(corpus, config.qa, seed, rows=split.pool("all"))
             save_qa_snapshot(params, corpus.header, files["qa", None])

@@ -13,12 +13,24 @@ Training minimizes a family-weighted binary cross-entropy: positives are
 trusted samples (label 1), negatives are forged per batch (label 0), each
 family's mean loss is weighted by its configured coefficient and the total is
 normalized by the coefficient sum of the families actually present. As a
-batch of one polarity has no mix rows, ``alpha`` must weight some other family.
+batch of one polarity has no mix rows, ``alpha`` must weight some other family,
+and a batch has one of two size patterns, so the per-row coefficients are
+built once per pattern and reused.
 
-``score_corpus`` runs the forward over ``SCORE_WINDOW`` rows at a time and
-keeps no backprop caches, so scoring memory is bounded by the window, not the
-corpus. The window heights are chosen so that every score is bit-identical to
-one batched pass over the whole corpus.
+A training step allocates no array as wide as a layer: ``forge_batch`` writes
+the batch into the video and audio columns of the scorer input ``x``, the
+forward pass writes the projected text and polarity embedding into its other
+columns, and every layer-wide intermediate of the forward and backward pass
+goes into a ``_StepWork`` that ``train_stage0`` allocates once for its
+largest batch. The
+float operations and their order are those of a step with fresh arrays
+(tests/test_loops.py checks the whole loop against one bit for bit).
+
+``score_corpus`` runs the forward over ``SCORE_WINDOW`` rows at a time, into
+one input array and one ``_ForwardWork`` of the window's height, so scoring
+memory is bounded by the window, not the corpus. The window heights are
+chosen so that every score is bit-identical to one batched pass over the
+whole corpus.
 
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
 Original samples always weigh 1. A ``WeightFile`` holds ids, scores, weights and
@@ -34,6 +46,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -43,12 +56,11 @@ import numpy as np
 from .corpus import (
     Corpus,
     CorpusHeader,
-    FeatureRows,
     _freeze,
     corpus_checksum,
     header_from_dict,
 )
-from .forge import FAMILIES, ForgedBatch, forge_batch
+from .forge import FAMILIES, ForgedBatch, ForgeWork, forge_batch
 from .numerics import (
     adam_step,
     bce_with_logit,
@@ -67,6 +79,7 @@ from .util import (
     config_to_dict,
     decode_params,
     derived_rng,
+    derived_rngs,
     document_chunks,
     dumps_canonical,  # noqa: F401 - bound for per-module tracing
     encode_params,
@@ -163,28 +176,59 @@ def init_qa_params(d: int, d_t: int, hidden: int,
     )
 
 
-def _forward(rows: FeatureRows, params: QaParams, x_out=None):
-    """Batched forward pass; returns logits plus caches for backprop. The
-    assembled (n, 4d) input ``x`` is written into ``x_out`` when given."""
-    h_t = rows.T @ params.text_proj_w.T + params.text_proj_b
-    h_p = params.polarity_emb[rows.P]
-    x = np.concatenate([rows.V, rows.A, h_t, h_p], axis=1, out=x_out)
-    pre = x @ params.hidden_w.T + params.hidden_b
-    act, cdf = gelu_and_cdf(pre)
-    logits = act @ params.out_w + params.out_b[0]
-    return logits, (x, pre, act, cdf)
+class _ForwardWork:
+    """The scorer forward pass's intermediates for up to ``n`` rows: the
+    hidden pre-activation, its GELU and Phi, and the logits."""
+
+    def __init__(self, n: int, hidden: int):
+        self.pre, self.act, self.cdf = np.empty((3, n, hidden))
+        self.logits = np.empty(n)
 
 
-def _family_coefficients(forged: ForgedBatch, alpha) -> np.ndarray:
-    """Per-row loss coefficients alpha_k / (Z * n_k); Z sums present families."""
-    if not forged.labels.shape[0]:
+class _StepWork(_ForwardWork):
+    """A training step's intermediates for up to ``n`` forged rows: the
+    forward pass's, then the (n, 2d) gradient of the text and polarity
+    blocks. The backward pass writes the GELU slope over ``act`` and the
+    hidden-wide gradient over ``pre``, each once its last reader is done."""
+
+    def __init__(self, n: int, d: int, hidden: int):
+        super().__init__(n, hidden)
+        self.g_x = np.empty((n, 2 * d))
+
+
+def _forward(x: np.ndarray, T: np.ndarray, P: np.ndarray, params: QaParams,
+             work: _ForwardWork):
+    """Batched forward pass over the scorer input ``x`` (n, 4d), whose video
+    and audio columns are set: writes its projected-text and polarity columns
+    from ``T`` and ``P``, then returns the logits and the caches backprop
+    needs, each the first n rows of an array of ``work``."""
+    n, d = x.shape[0], params.d
+    h_t = np.matmul(T, params.text_proj_w.T, out=x[:, 2 * d:3 * d])
+    h_t += params.text_proj_b
+    np.take(params.polarity_emb, P, axis=0, out=x[:, 3 * d:])
+    pre = np.matmul(x, params.hidden_w.T, out=work.pre[:n])
+    pre += params.hidden_b
+    act, cdf = gelu_and_cdf(pre, work.act[:n], work.cdf[:n])
+    logits = np.matmul(act, params.out_w, out=work.logits[:n])
+    logits += params.out_b[0]
+    return logits, pre, act, cdf
+
+
+@functools.lru_cache(maxsize=16)
+def _family_coefficients(sizes: tuple, alpha: tuple) -> np.ndarray:
+    """Per-row loss coefficients alpha_k / (Z * n_k); Z sums present families.
+    A batch has one of two size patterns, with mix rows or without, so a
+    training loop builds each once; the result is read-only."""
+    if not sum(sizes):
         raise ValidationError("no forged items: every family is empty")
-    norm = sum(a for a, n in zip(alpha, forged.sizes) if n > 0)
+    norm = sum(a for a, n in zip(alpha, sizes) if n > 0)
     if norm <= 0:
         raise ValidationError(
             "scorer loss undefined: no weighted family has items")
-    return np.repeat([a / (norm * n) if n else 0.0
-                      for a, n in zip(alpha, forged.sizes)], forged.sizes)
+    coef = np.repeat([a / (norm * n) if n else 0.0 for a, n in zip(alpha, sizes)],
+                     sizes)
+    coef.setflags(write=False)
+    return coef
 
 
 def _polarity_sums(rows: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,37 +244,40 @@ def _polarity_sums(rows: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 def qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha, grads: dict,
-                      x_out=None, g_x_out=None) -> float:
+                      work: _StepWork | None = None) -> float:
     """Loss of one forged batch; its hand-derived gradient for every scorer
     parameter is written into the same-named array of ``grads`` (in training,
     ``AdamState.grad_views``), through numpy's ``out=``.
 
-    ``x_out`` and ``g_x_out``, when given, are work arrays for the (n, 4d)
-    assembled input and the (n, 2d) gradient of its text and polarity
-    blocks, n the forged batch's height. Gradients flow through the text
-    projection and polarity embedding but stop at the raw feature blocks,
-    which are treated as constants, so the gradient of the video and audio
-    blocks is never computed.
+    The projected-text and polarity columns of ``forged.x`` are filled here.
+    Every layer-wide intermediate goes into ``work``, allocated for this
+    batch when None; a training loop allocates one for its largest batch and
+    reuses it. Gradients flow through the text projection and polarity
+    embedding but stop at the raw feature blocks, which are treated as
+    constants, so the gradient of the video and audio blocks is never
+    computed.
     """
-    coef = _family_coefficients(forged, alpha)
-    Y = forged.labels
-    logits, (x, pre, act, cdf) = _forward(forged.rows, params, x_out)
+    coef = _family_coefficients(forged.sizes, tuple(alpha))
+    Y, x, n, d = forged.labels, forged.x, forged.labels.shape[0], params.d
+    if work is None:
+        work = _StepWork(n, d, params.hidden)
+    logits, pre, act, cdf = _forward(x, forged.T, forged.P, params, work)
     loss = float(np.sum(coef * bce_with_logit(logits, Y)))
 
-    d = params.d
-    g_logit = coef * (sigmoid(logits) - Y)            # (n,)
-    g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
-    g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
-    # (n, 2d): the text and polarity blocks, the columns past the raw features
-    g_x = np.matmul(g_pre, params.hidden_w[:, 2 * d:], out=g_x_out)
-    g_ht = g_x[:, :d]
-    np.matmul(g_ht.T, forged.rows.T, out=grads["text_proj_w"])
-    g_ht.sum(axis=0, out=grads["text_proj_b"])
-    _polarity_sums(g_x[:, d:], forged.rows.P, grads["polarity_emb"])
-    np.matmul(g_pre.T, x, out=grads["hidden_w"])
-    g_pre.sum(axis=0, out=grads["hidden_b"])
+    g_logit = coef * (sigmoid(logits) - Y)                   # (n,)
     np.matmul(act.T, g_logit, out=grads["out_w"])
     g_logit.sum(keepdims=True, out=grads["out_b"])
+    slope = gelu_grad_from_cdf(pre, cdf, out=act)           # act is spent
+    g_pre = np.outer(g_logit, params.out_w, out=pre)        # and now pre
+    g_pre *= slope                                          # (n, hidden)
+    # (n, 2d): the text and polarity blocks, the columns past the raw features
+    g_x = np.matmul(g_pre, params.hidden_w[:, 2 * d:], out=work.g_x[:n])
+    g_ht = g_x[:, :d]
+    np.matmul(g_ht.T, forged.T, out=grads["text_proj_w"])
+    g_ht.sum(axis=0, out=grads["text_proj_b"])
+    _polarity_sums(g_x[:, d:], forged.P, grads["polarity_emb"])
+    np.matmul(g_pre.T, x, out=grads["hidden_w"])
+    g_pre.sum(axis=0, out=grads["hidden_b"])
     return loss
 
 
@@ -240,10 +287,11 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
 
     The positive pool is the corpus originals, the trusted samples,
     optionally restricted to the row indices ``rows`` so held-out evaluation
-    stays untouched. Each step gathers its batch from the corpus columns (no
-    copy of the pool is kept), writes the gradients into Adam's buffer, and
-    assembles the scorer input and its gradient in two work arrays allocated
-    once per call. Returns the trained parameters and the per-step loss
+    stays untouched. Each step forges its batch from the corpus columns (no
+    copy of the pool is kept) into a ``ForgeWork``, runs the forward and
+    backward pass in a ``_StepWork``, both allocated once per call, and
+    writes the gradients into Adam's buffer. The step generators come from
+    ``derived_rngs``. Returns the trained parameters and the per-step loss
     trace. Deterministic for a given (corpus, config, seed).
     """
     pool = np.flatnonzero(~corpus.augmented)
@@ -256,17 +304,15 @@ def train_stage0(corpus: Corpus, config: QaConfig, seed: int,
         seed, "stage0", "init")).to_dict(), lr=config.lr)
     params = QaParams.from_dict(state.params)
     take = min(config.batch_size, pool.size)
+    forge_work = ForgeWork(take, d, d_t)
     # a forged batch has at most one row per family per sample
-    x_work = np.empty((len(FAMILIES) * take, 4 * d))
-    g_x_work = np.empty((len(FAMILIES) * take, 2 * d))
+    step_work = _StepWork(len(FAMILIES) * take, d, config.hidden)
     trace = []
-    for step in range(config.steps):
-        rng = derived_rng(seed, "stage0", "step", step)
+    for rng in derived_rngs(seed, "stage0", "step", count=config.steps):
         idx = rng.choice(pool.size, size=take, replace=False)
-        forged = forge_batch(corpus.features.take(pool[idx]), rng, config.rho)
-        n = forged.labels.shape[0]
-        trace.append(qa_loss_and_grads(forged, params, config.alpha, state.grad_views,
-                                       x_work[:n], g_x_work[:n]))
+        forged = forge_batch(corpus.features, pool[idx], rng, config.rho, forge_work)
+        trace.append(qa_loss_and_grads(forged, params, config.alpha,
+                                       state.grad_views, step_work))
         adam_step(state)
     params.validate()
     return params, trace
@@ -290,12 +336,16 @@ def score_corpus(corpus: Corpus, params: QaParams) -> np.ndarray:
     params.validate()
     if params.d != corpus.header.d or params.d_t != corpus.header.d_t:
         raise ValidationError("scorer was trained for different dimensions")
-    rows, n = corpus.features, len(corpus)
+    f, n, d = corpus.features, len(corpus), params.d
     tail = max(0, n - SCORE_WINDOW - n % 4)
     windows = [(lo, lo + SCORE_WINDOW) for lo in range(0, tail, SCORE_WINDOW)]
+    height = max(hi - lo for lo, hi in windows + [(tail, n)])
+    x, work = np.empty((height, 4 * d)), _ForwardWork(height, params.hidden)
     logits = np.empty(n)
     for lo, hi in windows + [(tail, n)]:
-        logits[lo:hi] = _forward(rows.take(slice(lo, hi)), params)[0]
+        xw = x[:hi - lo]
+        xw[:, :d], xw[:, d:2 * d] = f.V[lo:hi], f.A[lo:hi]
+        logits[lo:hi] = _forward(xw, f.T[lo:hi], f.P[lo:hi], params, work)[0]
     return sigmoid(logits)
 
 

@@ -50,15 +50,61 @@ class PipelineError(AugqualError):
     """A pipeline stage failed; message carries the stage name and cause."""
 
 
+def _stream_seed(seed: int, tags: tuple) -> int:
+    """The 128-bit PCG64 seed of the stream keyed by (seed, tags): the first
+    16 bytes of SHA-256 over ``seed:tag:tag...``, little-endian."""
+    msg = ":".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(msg).digest()[:16], "little")
+
+
 def derived_rng(seed: int, *tags: object) -> np.random.Generator:
     """Independent PCG64 stream keyed by (seed, tags) via SHA-256.
 
     Streams for distinct tag tuples are statistically independent, so
     per-sample generation does not depend on iteration order.
     """
-    msg = ":".join([str(int(seed))] + [str(t) for t in tags]).encode("utf-8")
-    digest = hashlib.sha256(msg).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
+    return np.random.Generator(np.random.PCG64(_stream_seed(seed, tags)))
+
+
+class _StateWords:
+    """A seed sequence whose one answer, the four uint64 words ``PCG64``
+    seeds itself from, was generated in advance by a ``SeedSequence``;
+    ``derived_rngs`` registers it as a numpy ``ISeedSequence``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"state words hold {self.words.size} "
+                             f"{self.words.dtype}, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+# Streams derived_rngs seeds back to back: their SeedSequence work then runs
+# warm, not cold between a training step's BLAS, erf and Adam calls.
+RNG_BLOCK = 32
+
+
+def derived_rngs(seed: int, *tags: object, count: int) -> Iterator[np.random.Generator]:
+    """``derived_rng(seed, *tags, k)`` for k in ``range(count)``: the same
+    streams, in order. The SeedSequence of each stream, which hashes its seed
+    into PCG64's four state words, runs ``RNG_BLOCK`` streams at a time, when
+    the first of a block is asked for; only those words are kept (32 bytes a
+    stream), so no block past the one in use is ever built, and each
+    generator is made from its words when it is yielded."""
+    # numpy.random loads on first use, as for derived_rng, not at import
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_StateWords)
+    for start in range(0, count, RNG_BLOCK):
+        words = np.empty((min(RNG_BLOCK, count - start), 4), dtype=np.uint64)
+        for i in range(words.shape[0]):
+            words[i] = np.random.SeedSequence(_stream_seed(
+                seed, (*tags, start + i))).generate_state(4, np.uint64)
+        for row in words:
+            yield np.random.Generator(np.random.PCG64(_StateWords(row)))
 
 
 def load_json_object(path, what: str) -> dict:

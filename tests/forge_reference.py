@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from augqual.corpus import FeatureRows
 from augqual.forge import FAMILIES, ForgedBatch
 from augqual.util import ValidationError
 from oracles import Sample
@@ -104,17 +103,19 @@ def by_family(items) -> dict:
 
 
 def forged_batch_from_items(items, d: int, d_t: int) -> ForgedBatch:
-    """The array batch holding these items, grouped into family blocks."""
+    """The array batch holding these items, grouped into family blocks; the
+    scorer's own columns of ``x`` (past the first 2d) hold NaN until the
+    scorer writes them."""
     groups = by_family(items)
     ordered = [it for f in FAMILIES for it in groups[f]]
-    rows = FeatureRows(
-        V=np.array([it.h_v for it in ordered]).reshape(-1, d),
-        A=np.array([it.h_a for it in ordered]).reshape(-1, d),
-        T=np.array([it.h_t_raw for it in ordered]).reshape(-1, d_t),
-        P=np.array([it.polarity for it in ordered], dtype=np.intp))
+    x = np.full((len(ordered), 4 * d), np.nan)
+    x[:, :d] = np.array([it.h_v for it in ordered]).reshape(-1, d)
+    x[:, d:2 * d] = np.array([it.h_a for it in ordered]).reshape(-1, d)
     labels = np.array([it.label for it in ordered], dtype=np.float64)
-    return ForgedBatch(rows=rows, labels=labels,
-                       sizes=tuple(len(groups[f]) for f in FAMILIES))
+    return ForgedBatch(
+        x=x, T=np.array([it.h_t_raw for it in ordered]).reshape(-1, d_t),
+        P=np.array([it.polarity for it in ordered], dtype=np.intp), labels=labels,
+        sizes=tuple(len(groups[f]) for f in FAMILIES))
 
 
 def family_items(fb: ForgedBatch, samples) -> dict:

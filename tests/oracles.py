@@ -11,11 +11,16 @@ over a whole corpus at once, which windowed scoring must match bit for bit.
 ``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
 map it to and from target tokens, which the library does for whole columns.
 ``ref_qa_loss_and_grads`` and ``ref_head_loss_and_grads`` are the two batch
-losses with each gradient returned as a fresh array, the form the library's
-losses had before they wrote into Adam's gradient buffer; the library's
-gradients must equal theirs bit for bit. The scorer reference computes the
-gradient of all four input blocks and slices out the two it needs, where the
-library computes only those two.
+losses with every intermediate and each gradient a fresh array, the form the
+library's losses had before they wrote into work arrays and Adam's gradient
+buffer; the library's gradients must equal theirs bit for bit. The scorer
+reference computes the gradient of all four input blocks and slices out the
+two it needs, where the library computes only those two.
+``ref_train_stage0`` and ``ref_train_stage1`` are the two training loops in
+that form, step for step: each step seeds its own generator, gathers and
+concatenates its batch (``ref_forge_batch`` for the scorer) and calls those
+losses. ``head_loss_and_grads`` calls the library's head loss on raw targets
+and weights, building their supervision as a training loop does for a pool.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ import numpy as np
 from scipy.special import erf, expit
 
 from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows, VerbalScheme
-from augqual.finetune import HeadParams, _batch_logits
+from augqual.finetune import HeadParams, _loss_and_grads, _supervision, init_head
 from augqual.forge import ForgedBatch
-from augqual.numerics import bce_with_logit, gelu_and_cdf, gelu_grad_from_cdf, sigmoid
-from augqual.qa import QaParams, WeightFile, _family_coefficients, _forward
-from augqual.util import ValidationError
+from augqual.numerics import adam_step, bce_with_logit, gelu_and_cdf, init_adam, sigmoid
+from augqual.qa import (QaParams, WeightFile, _family_coefficients, _forward,
+                        _ForwardWork, init_qa_params, verify_weight_file)
+from augqual.util import ValidationError, derived_rng
 
 
 # ---------------------------------------------------------------------------
@@ -279,32 +285,63 @@ def score_one_pass(corpus: Corpus, params: QaParams) -> np.ndarray:
 
 
 def qa_loss(forged: ForgedBatch, params: QaParams, alpha) -> float:
-    """Family-weighted mean BCE over one forged batch."""
-    coef = _family_coefficients(forged, alpha)
-    logits, _ = _forward(forged.rows, params)
+    """Family-weighted mean BCE over one forged batch, from the library's
+    forward pass and coefficients alone."""
+    coef = _family_coefficients(forged.sizes, tuple(alpha))
+    work = _ForwardWork(forged.x.shape[0], params.hidden)
+    logits = _forward(forged.x, forged.T, forged.P, params, work)[0]
     return float(np.sum(coef * bce_with_logit(logits, forged.labels)))
+
+
+def ref_gelu_and_cdf(x: np.ndarray):
+    """gelu(x) and Phi(x) as fresh arrays, in the textbook expressions."""
+    one_plus_erf = 1.0 + erf(x * (1.0 / np.sqrt(2.0)))
+    return x * 0.5 * one_plus_erf, 0.5 * one_plus_erf
+
+
+def ref_gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    return cdf + x * ((1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x))
+
+
+def ref_forward(rows: FeatureRows, params: QaParams):
+    """The scorer's batched forward pass with every array fresh: the input
+    assembled by concatenation, then logits and the backprop caches."""
+    h_t = rows.T @ params.text_proj_w.T + params.text_proj_b
+    h_p = params.polarity_emb[rows.P]
+    x = np.concatenate([rows.V, rows.A, h_t, h_p], axis=1)
+    pre = x @ params.hidden_w.T + params.hidden_b
+    act, cdf = ref_gelu_and_cdf(pre)
+    logits = act @ params.out_w + params.out_b[0]
+    return logits, (x, pre, act, cdf)
+
+
+def ref_family_coefficients(sizes, alpha) -> np.ndarray:
+    """Per-row loss coefficients alpha_k / (Z * n_k); Z sums present families."""
+    norm = sum(a for a, n in zip(alpha, sizes) if n > 0)
+    return np.repeat([a / (norm * n) if n else 0.0 for a, n in zip(alpha, sizes)],
+                     sizes)
 
 
 def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     """The scorer loss, a dict of freshly allocated gradients, one per
     parameter, in the library's order of float operations, and the (n, 4d)
     gradient of the whole assembled input."""
-    coef = _family_coefficients(forged, alpha)
+    coef = ref_family_coefficients(forged.sizes, alpha)
     Y = forged.labels
-    logits, (x, pre, act, cdf) = _forward(forged.rows, params)
+    logits, (x, pre, act, cdf) = ref_forward(forged.rows, params)
     loss = float(np.sum(coef * bce_with_logit(logits, Y)))
 
     d = params.d
     g_logit = coef * (sigmoid(logits) - Y)            # (n,)
     g_act = np.outer(g_logit, params.out_w)           # (n, hidden)
-    g_pre = g_act * gelu_grad_from_cdf(pre, cdf)      # (n, hidden)
+    g_pre = g_act * ref_gelu_grad_from_cdf(pre, cdf)  # (n, hidden)
     g_x = g_pre @ params.hidden_w                     # (n, 4d), all four blocks
     g_ht = g_x[:, 2 * d:3 * d]
     g_hp = g_x[:, 3 * d:]
     grads = {
-        "text_proj_w": g_ht.T @ forged.rows.T,
+        "text_proj_w": g_ht.T @ forged.T,
         "text_proj_b": g_ht.sum(axis=0),
-        "polarity_emb": polarity_sums_add_at(g_hp, forged.rows.P),
+        "polarity_emb": polarity_sums_add_at(g_hp, forged.P),
         "hidden_w": g_pre.T @ x,
         "hidden_b": g_pre.sum(axis=0),
         "out_w": act.T @ g_logit,
@@ -313,12 +350,23 @@ def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     return loss, grads, g_x
 
 
+def ref_head_logits(arrays: dict, X: np.ndarray):
+    """The head's logits (n, positions, vocab) and backprop caches, every
+    array fresh; the output layer is one matmul over the 2-D view of out_w."""
+    pre = X @ arrays["in_w"].T + arrays["in_b"]
+    z, cdf = ref_gelu_and_cdf(pre)
+    out_b = arrays["out_b"]
+    W2 = arrays["out_w"].reshape(out_b.size, -1)
+    logits = (z @ W2.T).reshape(z.shape[0], *out_b.shape) + out_b
+    return logits, pre, z, cdf
+
+
 def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
                             weights: np.ndarray):
     """The weighted token loss and a dict of freshly allocated gradients, one
     per head parameter, in the library's order of float operations."""
     n = X.shape[0]
-    logits, pre, z, cdf = _batch_logits(arrays, X)
+    logits, pre, z, cdf = ref_head_logits(arrays, X)
     shift = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shift - np.log(np.sum(np.exp(shift), axis=-1, keepdims=True))
     sup = targets != IGNORE_INDEX                      # (n, T)
@@ -341,10 +389,104 @@ def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
         "out_b": G.sum(axis=0),
     }
     g_z = G2 @ W2
-    g_pre = g_z * gelu_grad_from_cdf(pre, cdf)
+    g_pre = g_z * ref_gelu_grad_from_cdf(pre, cdf)
     grads["in_w"] = g_pre.T @ X
     grads["in_b"] = g_pre.sum(axis=0)
     return loss, grads
+
+
+def head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
+                        weights: np.ndarray, grads: dict) -> float:
+    """The library's head loss on one batch of targets and weights, its
+    gradients written into ``grads``: the batch's supervision built as
+    training builds a pool's."""
+    sv = _supervision(targets, weights, X.shape[0], arrays["out_b"].shape[1])
+    return _loss_and_grads(arrays, X, sv, grads)
+
+
+# ---------------------------------------------------------------------------
+# The training loops step for step, every array fresh
+# ---------------------------------------------------------------------------
+
+def ref_forge_batch(batch: FeatureRows, rng: np.random.Generator,
+                    mask_rate: float) -> ForgedBatch:
+    """The array forge over an already gathered batch, each family built as
+    its own rows and the four blocks concatenated: mix draws its donors and
+    coins in one call, then mask one uniform per dimension."""
+    P, n = batch.P, len(batch)
+    n0 = int(np.count_nonzero(P == 0))
+    if n0 == 0 or n0 == n:
+        mix = batch.take(np.zeros(0, dtype=np.intp))
+    else:
+        highs = np.column_stack([np.where(P == 0, n - n0, n0), np.full(n, 2)])
+        pick, keep_video = rng.integers(0, highs).T
+        donor = np.argsort(P, kind="stable")[np.where(P == 0, n0, 0) + pick]
+        own = np.arange(n)
+        mix = FeatureRows(V=batch.V[np.where(keep_video, own, donor)],
+                          A=batch.A[np.where(keep_video, donor, own)], T=batch.T, P=P)
+    d, d_t = batch.V.shape[1], batch.T.shape[1]
+    keep = rng.random(n * (2 * d + d_t)).reshape(n, -1) >= mask_rate
+    mask = FeatureRows(V=batch.V * keep[:, :d], A=batch.A * keep[:, d:2 * d],
+                       T=batch.T * keep[:, 2 * d:], P=P)
+    blocks = (batch, mix, mask, batch)
+    sizes = (n, len(mix), n, n)
+    V = np.concatenate([b.V for b in blocks])
+    A = np.concatenate([b.A for b in blocks])
+    labels = np.zeros(sum(sizes))
+    labels[:n] = 1.0
+    return ForgedBatch(
+        x=np.concatenate([V, A, np.full((V.shape[0], 2 * d), np.nan)], axis=1),
+        T=np.concatenate([b.T for b in blocks]),
+        P=np.concatenate([P, mix.P, P, 1 - P]), labels=labels, sizes=sizes)
+
+
+def ref_train_stage0(corpus: Corpus, config, seed: int, rows=None):
+    """``train_stage0`` step for step with every array fresh: the trained
+    parameters (name -> array), the loss trace and the final Adam state."""
+    pool = np.flatnonzero(~corpus.augmented)
+    if rows is not None:
+        pool = pool[np.isin(pool, rows)]
+    d, d_t = corpus.header.d, corpus.header.d_t
+    state = init_adam(init_qa_params(d, d_t, config.hidden, derived_rng(
+        seed, "stage0", "init")).to_dict(), lr=config.lr)
+    trace = []
+    for step in range(config.steps):
+        rng = derived_rng(seed, "stage0", "step", step)
+        take = min(config.batch_size, pool.size)
+        idx = rng.choice(pool.size, size=take, replace=False)
+        forged = ref_forge_batch(corpus.features.take(pool[idx]), rng, config.rho)
+        loss, grads, _ = ref_qa_loss_and_grads(
+            forged, QaParams.from_dict(state.params), config.alpha)
+        for k, g in grads.items():
+            state.grad_views[k][...] = g
+        trace.append(loss)
+        adam_step(state)
+    return state.params, trace, state
+
+
+def ref_train_stage1(corpus: Corpus, weight_file, config, seed: int, rows=None):
+    """``train_stage1`` step for step with every array fresh: the trained
+    head (name -> array), the loss trace and the final Adam state."""
+    rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
+    weights = (np.ones(rows.size) if weight_file is None
+               else verify_weight_file(weight_file, corpus)[rows])
+    state = init_adam(init_head(corpus, config, derived_rng(
+        seed, "stage1", "init")).to_dict(), lr=config.lr)
+    f = corpus.features
+    trace = []
+    for step in range(config.steps):
+        rng = derived_rng(seed, "stage1", "step", step)
+        take = min(config.batch_size, rows.size)
+        idx = rng.choice(rows.size, size=take, replace=False)
+        batch = rows[idx]
+        X = np.concatenate([f.V[batch], f.A[batch], f.T[batch]], axis=1)
+        loss, grads = ref_head_loss_and_grads(state.params, X, corpus.targets[batch],
+                                              weights[idx])
+        for k, g in grads.items():
+            state.grad_views[k][...] = g
+        trace.append(loss)
+        adam_step(state)
+    return state.params, trace, state
 
 
 # ---------------------------------------------------------------------------

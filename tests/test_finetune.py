@@ -18,7 +18,6 @@ from augqual.finetune import (
     HeadConfig,
     HeadParams,
     _head_matrix,
-    _loss_and_grads,
     head_snapshot_chunks,
     init_head,
     load_head_snapshot,
@@ -37,6 +36,7 @@ from oracles import (
     empty_grads,
     finite_diff_grad,
     flatten_arrays,
+    head_loss_and_grads,
     head_input,
     head_logits,
     per_sample_loss,
@@ -166,7 +166,7 @@ class TestBatchedPath:
             targets[rng.random((n, t_max)) < 0.3] = IGNORE_INDEX
             targets[:, 0] = rng.integers(0, vocab, size=n)
             w = rng.random(n) * 2
-            loss = _loss_and_grads(arrays, X, targets.astype(np.int64), w,
+            loss = head_loss_and_grads(arrays, X, targets.astype(np.int64), w,
                                    empty_grads(arrays))
             head = HeadParams.from_dict(arrays)
             ps = [per_sample_loss(head_logits(head, X[i]), targets[i])
@@ -185,11 +185,11 @@ class TestBatchedPath:
             targets[2, 1:] = IGNORE_INDEX
             w = np.array([1.5, 0.0, 0.7, 1.0])
             grads = empty_grads(arrays)
-            _loss_and_grads(arrays, X, targets, w, grads)
+            head_loss_and_grads(arrays, X, targets, w, grads)
             vec, layout = flatten_arrays(arrays)
 
             def f(v, _layout=layout, _X=X, _t=targets, _w=w):
-                return _loss_and_grads(unflatten_arrays(v, _layout), _X, _t, _w,
+                return head_loss_and_grads(unflatten_arrays(v, _layout), _X, _t, _w,
                                        empty_grads(arrays))
 
             fd = finite_diff_grad(f, vec)
@@ -207,10 +207,10 @@ class TestBatchedPath:
         targets = rng.integers(0, vocab, size=(n, t_max)).astype(np.int64)
         w = np.array([1.0, 0.0, 1.0, 0.5])
         grads_a, grads_b = empty_grads(arrays), empty_grads(arrays)
-        loss_a = _loss_and_grads(arrays, X, targets, w, grads_a)
+        loss_a = head_loss_and_grads(arrays, X, targets, w, grads_a)
         flipped = targets.copy()
         flipped[1] = (flipped[1] + 1) % vocab
-        loss_b = _loss_and_grads(arrays, X, flipped, w, grads_b)
+        loss_b = head_loss_and_grads(arrays, X, flipped, w, grads_b)
         assert loss_a == loss_b
         for k in grads_a:
             assert np.array_equal(grads_a[k], grads_b[k])
@@ -236,7 +236,7 @@ class TestBatchedPath:
             want_loss, want = ref_head_loss_and_grads(arrays, X, targets, w)
             state = init_adam(arrays, lr=1e-3)
             state.grad[:] = np.nan                 # every entry must be written
-            assert _loss_and_grads(arrays, X, targets, w, state.grad_views) == want_loss
+            assert head_loss_and_grads(arrays, X, targets, w, state.grad_views) == want_loss
             assert not np.isnan(state.grad).any()   # adam_step reuses it
             for k, g in state.grad_views.items():
                 assert np.shares_memory(g, state.grad)

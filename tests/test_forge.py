@@ -27,7 +27,8 @@ def _mk(idx, sentiment, audio=True):
 
 
 def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
-    return forge_batch(rows_of(samples, d, d_t), rng, mask_rate)
+    return forge_batch(rows_of(samples, d, d_t), np.arange(len(samples)), rng,
+                       mask_rate)
 
 
 def _family(samples, rng, family, mask_rate=0.3, d=D, d_t=DT):
@@ -196,9 +197,9 @@ class TestForgeBatch:
             QaConfig(rho=1.5)
         rates = []
 
-        def recorded(rows, rng, mask_rate):
+        def recorded(features, rows, rng, mask_rate, work):
             rates.append(mask_rate)
-            return forge_batch(rows, rng, mask_rate)
+            return forge_batch(features, rows, rng, mask_rate, work)
         monkeypatch.setattr(qa, "forge_batch", recorded)
         corpus = generate_corpus(8, 1, CorruptionProfile(), seed=1, d=4, d_t=4)
         qa.train_stage0(corpus, QaConfig(steps=3, hidden=4, rho=0.45), 0)
@@ -269,17 +270,24 @@ class TestMixAgainstLoop:
             batch = self._batch(pick, n, pol)
             rng_lib = derived_rng(seed, "mix-vs-loop")
             rng_ref = derived_rng(seed, "mix-vs-loop")
-            got = _mix_rows(batch, rng_lib)
+            got = _mix_rows(batch.P, rng_lib)
             want = mix_rows_loop(batch, rng_ref)
+            # forge_batch draws mix first, so its mix block holds these rows
+            forged = forge_batch(batch, np.arange(n), derived_rng(seed, "mix-vs-loop"),
+                                 0.3)
             if want is None:
-                assert len(got) == 0 and got.V.shape == (0, D)
+                assert got is None and forged.sizes[1] == 0
                 assert len(set(pol.tolist())) == 1
             else:
                 video_from, audio_from, rows = want
-                assert got.V[:, 0].astype(np.intp).tolist() == video_from.tolist()
-                assert got.A[:, 0].astype(np.intp).tolist() == audio_from.tolist()
+                assert got[0].tolist() == video_from.tolist()
+                assert got[1].tolist() == audio_from.tolist()
+                assert forged.rows.V[n:2 * n, 0].astype(np.intp).tolist() == \
+                    video_from.tolist()
+                assert forged.rows.A[n:2 * n, 0].astype(np.intp).tolist() == \
+                    audio_from.tolist()
                 for name in ("V", "A", "T", "P"):
-                    x, y = getattr(got, name), getattr(rows, name)
+                    x, y = getattr(forged.rows, name)[n:2 * n], getattr(rows, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
                 kinds[kind] += 1
             assert rng_lib.bit_generator.state == rng_ref.bit_generator.state

@@ -414,6 +414,28 @@ class TestArmWorker:
         assert time.monotonic() - t0 < 30
         assert multiprocessing.active_children() == []
 
+    def test_worker_starts_before_the_corpus_save(self, tmp_path, monkeypatch):
+        """The worker's arms read neither the corpus file nor its checksum, so
+        the worker is forked before the corpus is saved; a save failure
+        stops it at once and names the gen-corpus stage."""
+        children = []
+
+        def slow_arm(*args, **kw):
+            time.sleep(60)
+
+        def failed_save(corpus, path):
+            children.append(len(multiprocessing.active_children()))
+            raise ValidationError("disk full")
+
+        monkeypatch.setattr(pipeline, "train_stage1", slow_arm)
+        monkeypatch.setattr(pipeline, "save_corpus", failed_save)
+        t0 = time.monotonic()
+        with pytest.raises(PipelineError, match="^stage gen-corpus failed: disk full$"):
+            run_pipeline(self.CFG, tmp_path)
+        assert time.monotonic() - t0 < 30
+        assert children == [1]
+        assert multiprocessing.active_children() == []
+
     def test_blas_held_to_one_thread_for_the_run(self, tmp_path, monkeypatch):
         api = numerics._openblas()
         count = (lambda: api[0]()) if api else (lambda: None)

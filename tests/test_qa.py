@@ -183,8 +183,8 @@ def _brute_loss(items, params, alpha):
 
 def _forge(batch, d, rng):
     """The library's forged batch plus its rows as per-sample items by family."""
-    fb = forge_batch(rows_of(batch, d, batch[0].h_t_raw.shape[0]), rng,
-                     QaConfig().rho)
+    fb = forge_batch(rows_of(batch, d, batch[0].h_t_raw.shape[0]),
+                     np.arange(len(batch)), rng, QaConfig().rho)
     return fb, family_items(fb, batch)
 
 
@@ -336,8 +336,9 @@ class TestGradients:
 
 def check_grads_against_reference(d, d_t, hidden):
     """Every gradient lands in its view of Adam's gradient vector, bit for
-    bit the reference's fresh arrays, with and without the stage-0 work
-    arrays, over seeded batches; the (n, 2d) input-gradient work array holds
+    bit the reference's fresh arrays, with the step's work arrays allocated
+    for the batch and with a taller, NaN-filled work used from its first
+    rows, over seeded batches; the (n, 2d) input-gradient work array holds
     exactly the text and polarity columns of the reference's full (n, 4d)
     product. The last two batches hold one polarity, so their mix family is
     empty, and the last has an odd row count."""
@@ -349,24 +350,26 @@ def check_grads_against_reference(d, d_t, hidden):
     alpha = (3.0, 2.0, 2.0, 1.0)
     for i, idx in enumerate(batches):
         params = _params(d, d_t, hidden, seed=i)
-        fb = forge_batch(corpus.features.take(idx), derived_rng(70, "forge", i),
+        fb = forge_batch(corpus.features, idx, derived_rng(70, "forge", i),
                          QaConfig().rho)
         assert (fb.sizes[1] == 0) == (i >= 4)
         want_loss, want, want_g_x = ref_qa_loss_and_grads(fb, params, alpha)
         n = fb.labels.shape[0]
         assert n % 2 == (i == len(batches) - 1)
-        for work in ((), (np.full((n + 3, 4 * d), np.nan)[:n],
-                          np.full((n + 3, 2 * d), np.nan)[:n])):
+        tall = qa._StepWork(n + 3, d, hidden)
+        for arr in vars(tall).values():
+            arr[...] = np.nan
+        for work in (None, tall):
             state = init_adam(params.to_dict(), lr=1e-3)
             state.grad[:] = np.nan             # every entry must be written
-            loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, *work)
+            loss = qa_loss_and_grads(fb, params, alpha, state.grad_views, work)
             assert loss == want_loss
             assert not np.isnan(state.grad).any()   # adam_step reuses it
             for k, g in state.grad_views.items():
                 assert np.shares_memory(g, state.grad)
                 assert g.tobytes() == want[k].tobytes(), (i, k)
-            if work:
-                assert work[1].tobytes() == want_g_x[:, 2 * d:].tobytes(), i
+            if work is not None:
+                assert work.g_x[:n].tobytes() == want_g_x[:, 2 * d:].tobytes(), i
 
 
 def _loaded_core():
@@ -420,8 +423,8 @@ class TestTrainStage0:
         assert feature_checksum(c) == before
 
     def test_memory_flat_in_steps_and_pool(self):
-        """Each step gathers its batch from the corpus and reuses two work
-        arrays: more steps cost only their losses, a pool three times the
+        """Each step forges its batch from the corpus into work arrays it
+        reuses: more steps cost only their losses, a pool three times the
         size only its row indices, not a copy of its features (1,792 bytes
         a row at these widths)."""
         corpus = generate_corpus(1350, 0, PROFILE, seed=62)

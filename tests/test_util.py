@@ -8,6 +8,7 @@ blocks: a save/load round trip returns every bit, a parameter set that cannot
 be written leaves no file, and the first, decimal-list snapshot format is
 refused by name. Every artifact goes through ``write_atomic``: a write that
 fails at any chunk leaves no temporary file, and the target as it was.
+``derived_rngs`` yields ``derived_rng``'s streams, seeded in blocks.
 """
 
 import hashlib
@@ -18,15 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augqual import cli, corpus, finetune, pipeline, qa
+from augqual import cli, corpus, finetune, pipeline, qa, util
 from augqual.corpus import DEFAULT_PROFILE, CorpusConfig, generate_corpus, save_corpus
 from augqual.finetune import (HeadConfig, HeadParams, head_snapshot_chunks, init_head,
                               load_head_snapshot, save_head_snapshot)
 from augqual.qa import (QaParams, WeightMapConfig, export_weights, init_qa_params,
                         load_qa_snapshot, qa_checksum, qa_snapshot_chunks,
                         save_qa_snapshot)
-from augqual.util import (B64Block, ValidationError, b64_block, document_chunks,
-                          dumps_canonical, write_atomic)
+from augqual.util import (RNG_BLOCK, B64Block, ValidationError, b64_block,
+                          derived_rng, derived_rngs, document_chunks, dumps_canonical,
+                          write_atomic)
 
 # signed zero, integer values on both sides of the 1e16 cut, a value with no
 # short decimal, a subnormal and a huge magnitude
@@ -343,3 +345,35 @@ def test_unopenable_target_is_named_and_writes_nothing(tmp_path):
     with pytest.raises(FileNotFoundError, match=f"No such file or directory: '{path}'"):
         write_atomic(["text"], path)
     assert list(tmp_path.iterdir()) == []
+
+
+class TestDerivedRngs:
+    """``derived_rngs`` yields the streams ``derived_rng`` derives, seeded a
+    block of ``RNG_BLOCK`` at a time and never a block ahead."""
+
+    @pytest.mark.parametrize("count", [0, 1, RNG_BLOCK, 2 * RNG_BLOCK + 3])
+    def test_same_streams_across_block_boundaries(self, count):
+        got = list(derived_rngs(7, "stage0", "step", count=count))
+        assert len(got) == count
+        for k, rng in enumerate(got):
+            want = derived_rng(7, "stage0", "step", k)
+            assert rng.bit_generator.state == want.bit_generator.state, k
+            assert rng.random(5).tobytes() == want.random(5).tobytes(), k
+
+    def test_never_builds_a_block_past_the_one_in_use(self, monkeypatch):
+        seeded = []
+        real = util._stream_seed
+
+        def counting(seed, tags):
+            seeded.append(tags[-1])
+            return real(seed, tags)
+        monkeypatch.setattr(util, "_stream_seed", counting)
+        count = 2 * RNG_BLOCK + 3
+        streams = derived_rngs(3, "stage1", "step", count=count)
+        assert seeded == []
+        for used in range(1, count + 1):
+            next(streams)
+            in_use = min(count, -(-used // RNG_BLOCK) * RNG_BLOCK)
+            assert seeded == list(range(in_use)), used
+        assert next(streams, None) is None
+        assert len(seeded) == count
