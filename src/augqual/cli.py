@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     POOLS,
+    TARGET_WIDTH,
     CorpusConfig,
     SplitConfig,
     corpus_checksum,
@@ -194,10 +195,9 @@ def _cmd_eval(args) -> int:
     if (d, d_t) != (corpus.header.d, corpus.header.d_t):
         raise ValidationError("head was trained for different dimensions")
     positions, vocab = head.out_b.shape
-    if vocab != corpus.header.vocab_size or positions < corpus.targets.shape[1]:
+    if (positions, vocab) != (TARGET_WIDTH, corpus.header.vocab_size):
         raise ValidationError(f"head predicts {positions} positions over {vocab} "
-                              f"tokens; the corpus needs "
-                              f"{corpus.targets.shape[1]} over "
+                              f"tokens; the corpus needs {TARGET_WIDTH} over "
                               f"{corpus.header.vocab_size}")
     metrics = evaluate(head, corpus, train_eval_split(corpus, split.eval_fraction))
     if args.json:

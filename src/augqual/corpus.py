@@ -2,8 +2,11 @@
 
 A corpus file is line-oriented JSON: line 1 is the header
 ``{d, d_t, vocab_size, seed, generator_version, verbal}``; every further line
-is one sample with fields ``id, h_v, h_a (null when missing), h_t_raw,
-polarity, sentiment, origin, parent_id, hidden_quality, target_tokens``.
+is one sample with exactly the fields ``id, h_v, h_a (null when missing),
+h_t_raw, sentiment, parent_id, hidden_quality``. Nothing a record determines
+is stored: its polarity (``sentiment >= 0``), whether it is an augment
+(``parent_id`` set) and its target tokens (the header's verbal encoding of the
+sentiment) are derived, so a file cannot contradict itself.
 Each feature block (``h_v``, ``h_a``, ``h_t_raw``) is one padded
 standard-alphabet base64 string of the row's little-endian float64 bytes, so
 save/load round-trips are bit-exact, files are byte-reproducible from a seed,
@@ -11,7 +14,7 @@ and a float costs about 11 bytes rather than the ~20 of a decimal. The
 header's ``generator_version`` names this format; the loader reads only
 GENERATOR_VERSION files. Files are read and written one line at a time; the
 loader checks every field's JSON type and every block's alphabet, padding and
-byte length.
+byte length, and refuses a field it does not know.
 
 The header is read and written by the config walker (``util.config_from_dict``,
 ``util.config_to_dict``) from the fields of ``CorpusHeader`` and its
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, InitVar, dataclass, field
 
 import numpy as np
 
@@ -43,8 +46,9 @@ from .util import (ValidationError, b64_block, bounded, check_ranges,
                    config_from_dict, config_to_dict, decode_block, derived_rng,
                    write_atomic)
 
-GENERATOR_VERSION = "augqual-gen-2"
-IGNORE_INDEX = -100
+GENERATOR_VERSION = "augqual-gen-3"
+# Target tokens per sample: polarity, sentiment bin, end (VerbalScheme.encode).
+TARGET_WIDTH = 3
 # Largest d, d_t and vocab_size a header may declare: far above any encoder
 # width or token table the pipeline models, and small enough that a damaged
 # file or config is refused before numpy is asked for an impossible array.
@@ -91,11 +95,11 @@ class VerbalScheme:
     """Token table mapping sentiment to a 3-token target sequence.
 
     Position 0 is the polarity token, position 1 the sentiment-bin token,
-    position 2 the end token; one trailing IGNORE pads the sequence. The
-    neutral bin (center 0.0) decodes to +-neutral_value using the polarity
-    token, every other bin decodes to its center. ``encode`` maps an (n,)
-    sentiment column to (n, 4) tokens; ``decode`` maps (n, T) predicted tokens
-    to (n,) floats. As ``decode`` indexes the table by ``token -
+    position 2 the end token; every position is supervised. The neutral bin
+    (center 0.0) decodes to +-neutral_value using the polarity token, every
+    other bin decodes to its center. ``encode`` maps an (n,) sentiment column
+    to (n, TARGET_WIDTH) tokens; ``decode`` maps (n, T) predicted tokens to
+    (n,) floats. As ``decode`` indexes the table by ``token -
     class_tokens[0]``, the class tokens are consecutive ascending integers,
     one per class value; the two sign tokens differ.
     """
@@ -129,17 +133,17 @@ class VerbalScheme:
             raise ValidationError("verbal tokens exceed vocab_size")
 
     def encode(self, sentiment) -> np.ndarray:
-        """(n, 4) int64 target tokens of an (n,) sentiment column: polarity
-        token (y >= 0 is positive), bin token, end token, IGNORE."""
+        """(n, TARGET_WIDTH) int64 target tokens of an (n,) sentiment column:
+        polarity token (y >= 0 is positive), bin token, end token."""
         y = np.asarray(sentiment, dtype=np.float64)
         outside = ~((y >= -1.0) & (y <= 1.0))
         if outside.any():
             raise ValidationError(f"sentiment {y[outside][0]} outside [-1, 1]")
-        tokens = np.empty((y.shape[0], 4), dtype=np.int64)
+        tokens = np.empty((y.shape[0], TARGET_WIDTH), dtype=np.int64)
         tokens[:, 0] = np.asarray(self.sign_tokens)[(y >= 0.0).astype(np.intp)]
         tokens[:, 1] = np.asarray(self.class_tokens)[
             sentiment_class(y, len(self.class_tokens))]
-        tokens[:, 2:] = (self.eos_token, IGNORE_INDEX)
+        tokens[:, 2] = self.eos_token
         return tokens
 
     def decode(self, tokens) -> np.ndarray:
@@ -242,31 +246,38 @@ def _freeze(arr, dtype) -> np.ndarray:
 class Corpus:
     """Header plus one read-only column per record field; row i is record i.
 
-    ``parent`` is the row of an augment's parent (-1 for originals) and
-    ``hidden_quality`` is NaN where a record has none. As the columns cannot
-    be written, the file checksum is computed once and kept (corpus_checksum).
+    It is built from the record fields alone: the feature columns ``V``,
+    ``A`` (zeros where ``has_audio`` is false) and ``T``, stacked as
+    ``features``, and ``parent``, the row of an augment's parent (-1 for
+    originals). ``hidden_quality`` is NaN where a record has none. What a
+    record determines is derived here, so it cannot disagree with the record:
+    the polarity ``features.P`` is ``sentiment >= 0`` and ``augmented`` is
+    ``parent >= 0``; the target tokens are ``header.verbal.encode(sentiment)``
+    (``finetune`` encodes its pool's). As the columns cannot be written, the
+    file checksum is computed once and kept (corpus_checksum).
     """
 
     header: CorpusHeader
     ids: np.ndarray             # (n,) str, object dtype
-    features: FeatureRows
+    V: InitVar[np.ndarray]      # (n, d)
+    A: InitVar[np.ndarray]      # (n, d)
+    T: InitVar[np.ndarray]      # (n, d_t)
     has_audio: np.ndarray       # (n,) bool
     sentiment: np.ndarray       # (n,) float64
-    augmented: np.ndarray       # (n,) bool
     parent: np.ndarray          # (n,) intp
     hidden_quality: np.ndarray  # (n,) float64
-    targets: np.ndarray         # (n, L) int64 target tokens
+    features: FeatureRows = field(init=False)
+    augmented: np.ndarray = field(init=False)   # (n,) bool
     _checksum: str | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        f = self.features
-        self.features = FeatureRows(*map(_freeze, (f.V, f.A, f.T, f.P),
-                                         (np.float64,) * 3 + (np.intp,)))
+    def __post_init__(self, V, A, T):
         for name, dtype in (("ids", object), ("has_audio", bool),
-                            ("sentiment", np.float64), ("augmented", bool),
-                            ("parent", np.intp), ("hidden_quality", np.float64),
-                            ("targets", np.int64)):
+                            ("sentiment", np.float64), ("parent", np.intp),
+                            ("hidden_quality", np.float64)):
             setattr(self, name, _freeze(getattr(self, name), dtype))
+        self.features = FeatureRows(*map(_freeze, (V, A, T, self.sentiment >= 0.0),
+                                         (np.float64,) * 3 + (np.intp,)))
+        self.augmented = _freeze(self.parent >= 0, bool)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -280,47 +291,32 @@ def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
 def validate_corpus(corpus: Corpus) -> None:
     """Structural validation in one vectorized pass over the columns.
 
-    Checks column shapes against the header, then per record: a unique
-    id, finite features, lineage (originals have no parent, every augment's
-    parent is an original), polarity against sentiment, the hidden-quality
-    and token ranges, at least one supervised token, and target tokens that
-    are the header's verbal encoding of the sentiment. Every range check is
-    written so that NaN fails it. The error names the first bad record.
+    Checks column shapes against the header, then per record: a unique id,
+    finite features, no audio features where the audio is missing, an
+    augment's parent that is an original, and the sentiment and
+    hidden-quality ranges. Every range check is written so that NaN fails
+    it. The error names the first bad record. Polarity, origin and target
+    tokens are derived from these fields (``Corpus``), so they need no check.
     """
     h, f, n = corpus.header, corpus.features, len(corpus)
-    s, p, aug, hq, toks = (corpus.sentiment, corpus.parent, corpus.augmented,
-                           corpus.hidden_quality, corpus.targets)
+    s, p, aug, hq = (corpus.sentiment, corpus.parent, corpus.augmented,
+                     corpus.hidden_quality)
     if (f.V.shape != (n, h.d) or f.A.shape != (n, h.d) or f.T.shape != (n, h.d_t)
-            or {c.shape for c in (f.P, corpus.has_audio, s, aug, p, hq)} != {(n,)}
-            or toks.ndim != 2 or toks.shape[0] != n):
+            or {c.shape for c in (corpus.has_audio, s, p, hq)} != {(n,)}):
         raise ValidationError("corpus columns disagree with the header or each other")
     ids = corpus.ids
     first_use = np.zeros(n, dtype=bool)
     first_use[np.unique(ids, return_index=True)[1]] = True
-    has_parent = (p >= 0) & (p < n)
-    tok_ok = (toks == IGNORE_INDEX) | ((toks >= 0) & (toks < h.vocab_size))
-    s_ok = (s >= -1.0) & (s <= 1.0)
-    # a sentiment outside [-1, 1] fails its own check first
-    want = h.verbal.encode(np.where(s_ok, s, 0.0))
     checks = (
         (first_use, lambda i: "duplicate id"),
         (np.isfinite(f.V).all(1) & np.isfinite(f.A).all(1) & np.isfinite(f.T).all(1),
          lambda i: "non-finite feature"),
         (corpus.has_audio | ~f.A.any(1), lambda i: "audio features but no audio"),
-        (aug | (p == -1), lambda i: "Original with parent_id"),
-        (~aug | has_parent, lambda i: "Augmented without parent_id"),
-        (~aug | ~aug[np.where(has_parent, p, 0)],
-         lambda i: f"parent_id {ids[p[i]]} is not an Original"),
-        (s_ok, lambda i: f"sentiment {s[i]} outside [-1, 1]"),
-        (f.P == (s >= 0.0), lambda i: "polarity inconsistent with sentiment"),
+        # an original's parent is -1, so aug[p] reads the last row, unused
+        (~aug | ~aug[p], lambda i: f"parent_id {ids[p[i]]} is not an Original"),
+        ((s >= -1.0) & (s <= 1.0), lambda i: f"sentiment {s[i]} outside [-1, 1]"),
         (np.isnan(hq) | ((hq >= 0.0) & (hq <= 1.0)),
          lambda i: "hidden_quality outside [0, 1]"),
-        (tok_ok.all(1),
-         lambda i: f"target token {toks[i][~tok_ok[i]][0]} out of range"),
-        ((toks != IGNORE_INDEX).any(1), lambda i: "no supervised target token"),
-        ((toks == want).all(1) if toks.shape == want.shape else np.zeros(n, bool),
-         lambda i: f"target tokens {toks[i].tolist()} do not encode sentiment "
-                   f"{s[i]}"),
     )
     ok = np.stack([c for c, _ in checks])
     if not ok.all():
@@ -413,11 +409,8 @@ def generate_corpus(n_originals: int, augments_per_original: int,
             for k in range(augments_per_original)]
     corpus = Corpus(
         header=header, ids=np.array(ids, dtype=object),
-        features=FeatureRows(V=cols["v"], A=cols["a"], T=cols["t"],
-                             P=sentiment >= 0.0),
-        has_audio=np.ones(n, dtype=bool), sentiment=sentiment,
-        augmented=parent >= 0, parent=parent, hidden_quality=quality,
-        targets=header.verbal.encode(sentiment))
+        V=cols["v"], A=cols["a"], T=cols["t"], has_audio=np.ones(n, dtype=bool),
+        sentiment=sentiment, parent=parent, hidden_quality=quality)
     validate_corpus(corpus)
     return corpus
 
@@ -447,18 +440,14 @@ def corpus_lines(corpus: Corpus):
     f = corpus.features
     ids = corpus.ids.tolist()
     yield json.dumps(config_to_dict(corpus.header), separators=(",", ":")) + "\n"
-    for i, (pol, y, aug, p, q, audio) in enumerate(zip(
-            f.P.tolist(), corpus.sentiment.tolist(), corpus.augmented.tolist(),
-            corpus.parent.tolist(), corpus.hidden_quality.tolist(),
-            corpus.has_audio.tolist())):
+    for i, (y, p, q, audio) in enumerate(zip(
+            corpus.sentiment.tolist(), corpus.parent.tolist(),
+            corpus.hidden_quality.tolist(), corpus.has_audio.tolist())):
         yield json.dumps({
             "id": ids[i], "h_v": b64_block(f.V[i]),
             "h_a": b64_block(f.A[i]) if audio else None, "h_t_raw": b64_block(f.T[i]),
-            "polarity": pol, "sentiment": y,
-            "origin": "Augmented" if aug else "Original",
-            "parent_id": ids[p] if p >= 0 else None,
-            "hidden_quality": None if q != q else q,
-            "target_tokens": corpus.targets[i].tolist()}, separators=(",", ":")) + "\n"
+            "sentiment": y, "parent_id": ids[p] if p >= 0 else None,
+            "hidden_quality": None if q != q else q}, separators=(",", ":")) + "\n"
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -474,23 +463,25 @@ def save_corpus(corpus: Corpus, path) -> None:
     corpus._checksum = digest.hexdigest()
 
 
-# Exact JSON types of the record fields; a JSON true or false is a bool,
-# never a number. A feature block is a base64 string (util.b64_block).
+# The record fields and their exact JSON types; a JSON true or false is a
+# bool, never a number. A feature block is a base64 string (util.b64_block).
 _FIELDS = {"id": (str,), "h_v": (str,), "h_a": (str, type(None)),
-           "h_t_raw": (str,), "polarity": (int,), "sentiment": (int, float),
-           "origin": (str,), "parent_id": (str, type(None)),
-           "hidden_quality": (int, float, type(None)), "target_tokens": (list,)}
+           "h_t_raw": (str,), "sentiment": (int, float),
+           "parent_id": (str, type(None)), "hidden_quality": (int, float, type(None))}
 
 
 def _parse_record(raw, header: CorpusHeader, line_no: int, columns) -> tuple:
-    """One record line's fields, each checked for its exact JSON type. Once
-    every check passes, the decoded feature blocks are appended to
-    ``columns`` (video, audio, text bytearrays; the zero row for missing
-    audio) and the other fields returned, with has_audio second."""
+    """One record line's fields: every field of _FIELDS, no other, each of
+    its exact JSON type. Once every check passes, the decoded feature blocks
+    are appended to ``columns`` (video, audio, text bytearrays; the zero row
+    for missing audio) and the other fields returned, with has_audio second."""
     if type(raw) is not dict or not set(_FIELDS) <= set(raw):
         raise ValidationError(f"line {line_no}: malformed record: need an object "
                               f"with fields {', '.join(_FIELDS)}")
     where = f"record {raw['id']}" if type(raw["id"]) is str else f"line {line_no}"
+    unknown = next((key for key in raw if key not in _FIELDS), None)
+    if unknown is not None:
+        raise ValidationError(f"{where}: unknown field {unknown}")
     for key, kinds in _FIELDS.items():
         if type(raw[key]) not in kinds:
             raise ValidationError(f"{where}: field {key} has type "
@@ -498,21 +489,13 @@ def _parse_record(raw, header: CorpusHeader, line_no: int, columns) -> tuple:
     blocks = [None if raw[key] is None else decode_block(raw[key], width, where, key)
               for key, width in (("h_v", header.d), ("h_a", header.d),
                                  ("h_t_raw", header.d_t))]
-    if not set(map(type, raw["target_tokens"])) <= {int}:
-        raise ValidationError(f"{where}: target tokens must be integers")
-    if raw["origin"] not in ("Original", "Augmented"):
-        raise ValidationError(f"{where}: bad origin {raw['origin']!r}")
-    if raw["polarity"] not in (0, 1):
-        raise ValidationError(f"{where}: polarity must be 0 or 1")
     quality = raw["hidden_quality"]
     if quality != quality:
         raise ValidationError(f"{where}: hidden_quality is NaN (null means absent)")
     try:
-        fields = (raw["id"], raw["h_a"] is not None,
-                  raw["polarity"], float(raw["sentiment"]), raw["origin"] == "Augmented",
-                  raw["parent_id"], np.nan if quality is None else float(quality),
-                  np.array(raw["target_tokens"], dtype=np.int64))
-    except OverflowError as exc:   # an integer beyond float64 or int64
+        fields = (raw["id"], raw["h_a"] is not None, float(raw["sentiment"]),
+                  raw["parent_id"], np.nan if quality is None else float(quality))
+    except OverflowError as exc:   # an integer beyond float64
         raise ValidationError(f"{where}: number out of range: {exc}") from None
     for column, block in zip(columns, blocks):
         column += bytes(8 * header.d) if block is None else block
@@ -549,14 +532,8 @@ def load_corpus(path) -> Corpus:
                 raise ValidationError(f"line {line_no}: bad JSON: {exc}") from exc
             records.append(_parse_record(raw, header, line_no, columns))
     n = len(records)
-    ids, has_audio, P, S, aug, parent_ids, Q, toks = (
-        zip(*records) if records else [()] * 8)
+    ids, has_audio, S, parent_ids, Q = zip(*records) if records else [()] * 5
     del records
-    width = len(toks[0]) if toks else 0
-    bad = next((i for i, t in enumerate(toks) if len(t) != width), None)
-    if bad is not None:
-        raise ValidationError(f"record {ids[bad]}: {len(toks[bad])} target "
-                              f"tokens, record {ids[0]} has {width}")
     index = {sid: row for row, sid in enumerate(ids)}
     parent = [-1 if pid is None else index.get(pid, -2) for pid in parent_ids]
     if -2 in parent:
@@ -565,12 +542,8 @@ def load_corpus(path) -> Corpus:
                               f"{parent_ids[row]}")
     V, A, T = (np.frombuffer(column, "<f8").reshape(n, dim) for column, dim
                in zip(columns, (header.d, header.d, header.d_t)))
-    corpus = Corpus(
-        header=header, ids=np.array(ids, dtype=object),
-        features=FeatureRows(V=V, A=A, T=T, P=P),
-        has_audio=has_audio, sentiment=S, augmented=aug,
-        parent=parent, hidden_quality=Q,
-        targets=np.array(toks, dtype=np.int64).reshape(n, width))
+    corpus = Corpus(header=header, ids=np.array(ids, dtype=object), V=V, A=A, T=T,
+                    has_audio=has_audio, sentiment=S, parent=parent, hidden_quality=Q)
     validate_corpus(corpus)
     corpus._checksum = digest.hexdigest()
     return corpus

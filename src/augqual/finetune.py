@@ -3,13 +3,13 @@
 The head stands in for a full generative task model while keeping the exact
 loss structure: one GELU projection over the raw pooled features (video,
 audio-or-zeros, text), then an independent linear layer per target position
-producing vocabulary logits. That output layer runs as one BLAS matmul over
-the 2-D view ``(positions * vocab, hidden)`` of ``out_w``, in the forward pass
-and in both of its backward products. Per-sample loss is the mean token
-cross-entropy over supervised positions (IGNORE_INDEX marks unsupervised
-ones); the batch loss is ``(1/B) * sum(w_i * loss_i)`` with the divisor
-deliberately B rather than the weight sum, so scaling every weight scales loss
-and gradient alike.
+(``TARGET_WIDTH`` of them) producing vocabulary logits. That output layer runs
+as one BLAS matmul over the 2-D view ``(positions * vocab, hidden)`` of
+``out_w``, in the forward pass and in both of its backward products. A
+sample's targets are the verbal encoding of its sentiment, every position
+supervised; its loss is the mean token cross-entropy over them. The batch
+loss is ``(1/B) * sum(w_i * loss_i)`` with the divisor deliberately B rather
+than the weight sum, so scaling every weight scales loss and gradient alike.
 
 Sample weights come from a previously exported weight file, checked against
 the corpus checksum and the weight map before training; uniform mode (no
@@ -19,12 +19,12 @@ keeping it frozen. Training and prediction take the corpus rows they use as
 an index array and run batched over the columnar features.
 
 ``train_stage1`` works out each pool row's supervision once
-(``_supervision``: the target-token index, supervision mask, token count and
-weight scale), and each step gathers those rows of it. The step gathers its
-input rows straight into a ``_StepWork``, allocated once per loop, that holds
-every intermediate of the forward and backward pass; the float operations and
-their order are those of a step with fresh arrays (tests/test_loops.py
-checks the whole loop against one bit for bit).
+(``_supervision``: the target-token index and weight scale), and each step
+gathers those rows of it. The step gathers its input rows straight into a
+``_StepWork``, allocated once per loop, that holds every intermediate of the
+forward and backward pass; the float operations and their order are those of
+a step with fresh arrays (tests/test_loops.py checks the whole loop against
+one bit for bit).
 
 The head deliberately never sees the polarity condition: that bit encodes the
 answer, and feeding it would collapse the task to copying. A head snapshot
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import IGNORE_INDEX, Corpus, FeatureRows
+from .corpus import TARGET_WIDTH, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, verify_weight_file
 from .util import (ValidationError, bounded, check_params, check_ranges,
@@ -116,11 +116,12 @@ def _head_matrix(features: FeatureRows, rows, out=None) -> np.ndarray:
 def init_head(corpus: Corpus, config: HeadConfig,
               rng: np.random.Generator) -> HeadParams:
     """A head for the corpus: it reads the header's d and d_t features and
-    predicts one token of the header's vocabulary per target position."""
+    predicts one token of the header's vocabulary at each of the
+    TARGET_WIDTH target positions."""
     h = corpus.header
     width = config.hidden if config.hidden is not None else 2 * h.d
     in_dim = 2 * h.d + h.d_t
-    out_shape = (corpus.targets.shape[1], h.vocab_size)
+    out_shape = (TARGET_WIDTH, h.vocab_size)
     return HeadParams(
         in_w=rng.standard_normal((width, in_dim)) / np.sqrt(in_dim),
         in_b=np.zeros(width),
@@ -132,31 +133,26 @@ def init_head(corpus: Corpus, config: HeadConfig,
 class _Supervision:
     """What the loss reads of each row's targets and weight, one row per
     sample: ``tok`` (n, T), each position's target token as an index into
-    the sample's ``(positions * vocab)`` logits (token 0 where the position
-    is unsupervised); the mask ``sup`` of supervised positions, their count
-    ``t_counts``, the sample ``weights``, and ``scale``, the weight over
-    (batch size * t_counts) on supervised positions and 0 elsewhere."""
+    the sample's ``(positions * vocab)`` logits; the sample ``weights``; and
+    ``scale`` (n, 1, 1), the weight over (batch size * T), which multiplies
+    the loss gradient of each of the sample's logits."""
 
-    __slots__ = ("tok", "sup", "t_counts", "weights", "scale")
+    __slots__ = ("tok", "weights", "scale")
 
-    def __init__(self, tok, sup, t_counts, weights, scale):
-        self.tok, self.sup, self.t_counts = tok, sup, t_counts
-        self.weights, self.scale = weights, scale
+    def __init__(self, tok, weights, scale):
+        self.tok, self.weights, self.scale = tok, weights, scale
 
     def take(self, idx) -> "_Supervision":
-        return _Supervision(self.tok[idx], self.sup[idx], self.t_counts[idx],
-                            self.weights[idx], self.scale[idx])
+        return _Supervision(self.tok[idx], self.weights[idx], self.scale[idx])
 
 
 def _supervision(targets: np.ndarray, weights: np.ndarray, batch: int,
                  vocab: int) -> _Supervision:
     """The supervision of rows with these targets and weights, for batches of
     ``batch`` samples; a training loop builds it once for its whole pool."""
-    sup = targets != IGNORE_INDEX                      # (n, T)
-    t_counts = sup.sum(axis=1)
-    tok = np.where(sup, targets, 0) + vocab * np.arange(targets.shape[1])
-    scale = (weights / (batch * t_counts))[:, None] * sup
-    return _Supervision(tok, sup, t_counts, weights, scale)
+    tok = targets + vocab * np.arange(targets.shape[1])
+    scale = (weights / (batch * targets.shape[1]))[:, None, None]
+    return _Supervision(tok, weights, scale)
 
 
 class _ForwardWork:
@@ -222,12 +218,12 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, sv: _Supervision, grads: dict,
     log_probs = np.subtract(shift, np.log(lse, out=lse), out=shift)
     flat = np.add(sv.tok, work.offsets, out=work.flat)     # (n, T)
     ce = -log_probs.reshape(-1)[flat]                      # (n, T)
-    per_sample = np.sum(ce * sv.sup, axis=1) / sv.t_counts
+    per_sample = np.sum(ce, axis=1) / ce.shape[1]
     loss = float(np.sum(sv.weights * per_sample) / n)
 
     G = np.exp(log_probs, out=work.G)
     G.reshape(-1)[flat] -= 1.0
-    G *= sv.scale[..., None]
+    G *= sv.scale
     G2 = G.reshape(n, -1)                                  # (n, positions * vocab)
     W2 = arrays["out_w"].reshape(G2.shape[1], -1)
     # grads["out_w"] is contiguous, so its reshape is a view the product fills
@@ -248,12 +244,12 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     ``weight_file`` None means uniform mode (every weight 1), bit-identical
     to an all-ones file under the same seed: batch selection never depends on
     the weights. ``rows`` (corpus row indices) restricts the training pool
-    (arm selection); default is the whole corpus. The head has one output
-    position per corpus target token (``init_head``). Each pool row's
-    supervision is worked out once (``_supervision``); each step gathers its
-    input rows from the corpus columns (no copy of the pool's features is
-    kept) into a ``_StepWork`` allocated once per call, and writes the
-    gradients into Adam's buffer. The step generators come from
+    (arm selection); default is the whole corpus. The targets are the
+    header's verbal encoding of each pool row's sentiment, and each pool
+    row's supervision is worked out once (``_supervision``); each step
+    gathers its input rows from the corpus columns (no copy of the pool's
+    features is kept) into a ``_StepWork`` allocated once per call, and
+    writes the gradients into Adam's buffer. The step generators come from
     ``derived_rngs``. Deterministic given (corpus, inputs, config, seed).
     """
     rows = np.arange(len(corpus)) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -264,7 +260,9 @@ def train_stage1(corpus: Corpus, weight_file: WeightFile | None,
     state = init_adam(init_head(corpus, config, derived_rng(
         seed, "stage1", "init")).to_dict(), lr=config.lr)
     take = min(config.batch_size, rows.size)
-    pool = _supervision(corpus.targets[rows], weights, take, corpus.header.vocab_size)
+    h = corpus.header
+    pool = _supervision(h.verbal.encode(corpus.sentiment[rows]), weights, take,
+                        h.vocab_size)
     work = _StepWork(take, state.params)
     trace = []
     for rng in derived_rngs(seed, "stage1", "step", count=config.steps):

@@ -29,22 +29,23 @@ and evaluates every other arm while this process saves the corpus, runs
 stage 0, exports the weights and trains the weighted arm; BLAS is held to
 one thread for the run, leaving the second CPU to the worker. The worker
 takes the seed's corpus, split and config through the fork itself, so
-nothing but the call and the metrics is pickled between the two. Both sides call the same per-arm code on the same inputs, and results
-are gathered in config order, so no artifact byte depends on scheduling or
-on the BLAS thread count. The CLI stage-by-stage test checks the first; as
-the stage commands also hold BLAS to one thread, a test that runs the stages
-at two BLAS threads checks the second.
+nothing but the call and the metrics is pickled between the two. Both sides
+call the same per-arm code on the same inputs, and results are gathered in
+config order, so no artifact byte depends on scheduling or on the BLAS
+thread count. The CLI stage-by-stage test checks the first; as the stage
+commands also hold BLAS to one thread, a test that runs the stages at two
+BLAS threads checks the second.
 
 Each seed runs in one call that returns only its corpus checksum and
 metrics, so a seed's corpus, split, scorer and weights are freed before the
 next seed's corpus is generated. Per-seed metric rows are aggregated
 arm-wise into arithmetic means and written as a canonical-JSON report
 (byte-deterministic for a given config), a plain-text table, and optionally
-a per-seed CSV. Every artifact is written
-through ``util.write_atomic``, so none is ever left truncated. Any stage
-failure is rethrown as PipelineError("stage <name> failed: <cause>"), a
-killed worker as a failure of the stages it ran; a failure in this process
-stops the worker at once, and no worker outlives the run.
+a per-seed CSV. Every artifact is written through ``util.write_atomic``, so
+none is ever left truncated. Any stage failure is rethrown as
+PipelineError("stage <name> failed: <cause>"), a killed worker as a failure
+of the stages it ran; a failure in this process stops the worker at once,
+and no worker outlives the run.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The library keeps a corpus as columns and computes whole batches at once.
 The functions here work one sample at a time, in the textbook form of each
 formula, and the tests assert that both agree. ``Sample`` is one corpus
-record as separate fields; ``samples_of`` and ``corpus_from_samples``
-convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
+record as separate fields, with the polarity condition the scorer and the
+forge read (a corpus derives it from the sentiment); ``samples_of`` and
+``corpus_from_samples`` convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
 record dict as a corpus file line, from the format's definition rather than
 the library's writer. ``score_one_pass`` writes out the scorer's forward
 over a whole corpus at once, which windowed scoring must match bit for bit.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, expit
 
-from augqual.corpus import IGNORE_INDEX, Corpus, FeatureRows, VerbalScheme
+from augqual.corpus import Corpus, FeatureRows, VerbalScheme
 from augqual.finetune import HeadParams, _loss_and_grads, _supervision, init_head
 from augqual.forge import ForgedBatch
 from augqual.numerics import adam_step, bce_with_logit, gelu_and_cdf, init_adam, sigmoid
@@ -48,7 +49,8 @@ from augqual.util import ValidationError, derived_rng
 
 @dataclass(frozen=True)
 class Sample:
-    """One record: pooled per-modality features plus labels and lineage."""
+    """One record: pooled per-modality features plus label and lineage (an
+    augment has a parent_id), and the polarity condition of its features."""
 
     id: str
     h_v: np.ndarray
@@ -56,10 +58,8 @@ class Sample:
     h_t_raw: np.ndarray
     polarity: int
     sentiment: float
-    origin: str  # "Original" | "Augmented"
     parent_id: str | None = None
     hidden_quality: float | None = None
-    target_tokens: tuple[int, ...] = ()
 
 
 def samples_of(corpus: Corpus) -> list:
@@ -68,11 +68,9 @@ def samples_of(corpus: Corpus) -> list:
     return [Sample(id=ids[i], h_v=f.V[i],
                    h_a=f.A[i] if corpus.has_audio[i] else None, h_t_raw=f.T[i],
                    polarity=int(f.P[i]), sentiment=float(corpus.sentiment[i]),
-                   origin="Augmented" if corpus.augmented[i] else "Original",
                    parent_id=ids[corpus.parent[i]] if corpus.parent[i] >= 0 else None,
                    hidden_quality=(None if np.isnan(corpus.hidden_quality[i])
-                                   else float(corpus.hidden_quality[i])),
-                   target_tokens=tuple(corpus.targets[i].tolist()))
+                                   else float(corpus.hidden_quality[i])))
             for i in range(len(corpus))]
 
 
@@ -92,20 +90,18 @@ def rows_of(samples, d: int, d_t: int) -> FeatureRows:
 
 
 def corpus_from_samples(header, samples) -> Corpus:
-    """The columnar corpus holding these records (parents looked up by id)."""
+    """The columnar corpus holding these records (parents looked up by id);
+    as in a corpus file, the polarity follows from the sentiment."""
     samples = list(samples)
     row = {s.id: i for i, s in enumerate(samples)}
+    f = rows_of(samples, header.d, header.d_t)
     return Corpus(
         header=header, ids=np.array([s.id for s in samples], dtype=object),
-        features=rows_of(samples, header.d, header.d_t),
-        has_audio=[s.h_a is not None for s in samples],
+        V=f.V, A=f.A, T=f.T, has_audio=[s.h_a is not None for s in samples],
         sentiment=[s.sentiment for s in samples],
-        augmented=[s.origin == "Augmented" for s in samples],
         parent=[-1 if s.parent_id is None else row[s.parent_id] for s in samples],
         hidden_quality=[np.nan if s.hidden_quality is None else s.hidden_quality
-                        for s in samples],
-        targets=np.array([s.target_tokens for s in samples],
-                         dtype=np.int64).reshape(len(samples), -1))
+                        for s in samples])
 
 
 def feature_checksum(corpus: Corpus) -> str:
@@ -163,10 +159,10 @@ def derive_polarity(y: float) -> int:
 
 
 def encode(verbal: VerbalScheme, y: float) -> tuple[int, ...]:
-    """Target tokens for a sentiment value (length 4, last is IGNORE)."""
+    """Target tokens for a sentiment value: polarity, bin, end."""
     cls = sentiment_class(y, len(verbal.class_tokens))
     return (verbal.sign_tokens[derive_polarity(y)], verbal.class_tokens[cls],
-            verbal.eos_token, IGNORE_INDEX)
+            verbal.eos_token)
 
 
 def decode(verbal: VerbalScheme, tokens) -> float:
@@ -369,19 +365,16 @@ def ref_head_loss_and_grads(arrays: dict, X: np.ndarray, targets: np.ndarray,
     logits, pre, z, cdf = ref_head_logits(arrays, X)
     shift = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shift - np.log(np.sum(np.exp(shift), axis=-1, keepdims=True))
-    sup = targets != IGNORE_INDEX                      # (n, T)
-    t_counts = sup.sum(axis=1)
-    t_safe = np.where(sup, targets, 0)
     rows = np.arange(n)[:, None]
     cols = np.arange(targets.shape[1])[None, :]
-    ce = -log_probs[rows, cols, t_safe]                # (n, T)
-    per_sample = np.sum(ce * sup, axis=1) / t_counts
+    ce = -log_probs[rows, cols, targets]               # (n, T)
+    per_sample = np.sum(ce, axis=1) / targets.shape[1]
     loss = float(np.sum(weights * per_sample) / n)
 
-    scale = (weights / (n * t_counts))[:, None] * sup  # (n, T)
+    scale = weights / (n * targets.shape[1])           # (n,)
     G = np.exp(log_probs)
-    G[rows, cols, t_safe] -= 1.0
-    G *= scale[..., None]
+    G[rows, cols, targets] -= 1.0
+    G *= scale[:, None, None]
     G2 = G.reshape(n, -1)                              # (n, positions * vocab)
     W2 = arrays["out_w"].reshape(G2.shape[1], -1)
     grads = {
@@ -480,8 +473,8 @@ def ref_train_stage1(corpus: Corpus, weight_file, config, seed: int, rows=None):
         idx = rng.choice(rows.size, size=take, replace=False)
         batch = rows[idx]
         X = np.concatenate([f.V[batch], f.A[batch], f.T[batch]], axis=1)
-        loss, grads = ref_head_loss_and_grads(state.params, X, corpus.targets[batch],
-                                              weights[idx])
+        targets = corpus.header.verbal.encode(corpus.sentiment[batch])
+        loss, grads = ref_head_loss_and_grads(state.params, X, targets, weights[idx])
         for k, g in grads.items():
             state.grad_views[k][...] = g
         trace.append(loss)
@@ -512,15 +505,12 @@ def predict_tokens(head: HeadParams, sample, d: int) -> tuple:
 
 
 def per_sample_loss(logits: np.ndarray, targets) -> float:
-    """Mean token cross-entropy over supervised positions."""
+    """Mean token cross-entropy over the target positions."""
     targets = np.asarray(targets)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ValidationError("logits/targets shape mismatch")
-    supervised = [t for t in range(targets.shape[0]) if targets[t] != IGNORE_INDEX]
-    if not supervised:
-        raise ValidationError("sample has no supervised tokens")
     return float(np.mean([softmax_cross_entropy(logits[t], int(targets[t]))
-                          for t in supervised]))
+                          for t in range(targets.shape[0])]))
 
 
 def weighted_batch_loss(per_sample, weights) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 
 from augqual.corpus import (
     DEFAULT_PROFILE,
-    IGNORE_INDEX,
     CorpusConfig,
     CorruptionProfile,
     SplitConfig,
@@ -118,7 +117,7 @@ def _brute_token_ce(logits_row, target: int) -> float:
 
 def _brute_sample_loss(logits, targets) -> float:
     per = [_brute_token_ce(logits[t].tolist(), int(targets[t]))
-           for t in range(len(targets)) if targets[t] != IGNORE_INDEX]
+           for t in range(len(targets))]
     return sum(per) / len(per)
 
 
@@ -199,14 +198,9 @@ def _rand_forged_items(rng, d, d_t, n_items, tag) -> list:
     return items
 
 
-def _rand_targets(rng, n_rows, t_max):
-    """Targets with at least one supervised position per row."""
-    out = np.full((n_rows, t_max), IGNORE_INDEX, dtype=np.int64)
-    for i in range(n_rows):
-        n_sup = int(rng.integers(1, t_max + 1))
-        cols = rng.choice(t_max, size=n_sup, replace=False)
-        out[i, cols] = rng.integers(0, 5, size=n_sup)
-    return out
+def _rand_targets(rng, n_rows, t_max, vocab):
+    """Targets of n_rows samples, every one of the t_max positions supervised."""
+    return rng.integers(0, vocab, size=(n_rows, t_max), dtype=np.int64)
 
 
 def _rel_grad_err(analytic: dict, fd: np.ndarray) -> float:
@@ -264,8 +258,7 @@ def test_criterion_01_gradients_match_finite_differences(criterion):
             "out_b": rng.standard_normal((t_max, vocab)) * 0.7,
         }
         X = rng.standard_normal((batch, in_dim))
-        targets = _rand_targets(rng, batch, t_max)
-        targets[targets != IGNORE_INDEX] %= vocab
+        targets = _rand_targets(rng, batch, t_max, vocab)
         weights = rng.uniform(0.0, 2.0, size=batch)
         if rng.random() < 0.3:
             weights[int(rng.integers(batch))] = 0.0
@@ -313,8 +306,7 @@ def test_criterion_02_losses_match_brute_force_oracles(criterion):
         t_max = int(rng.integers(1, 5))
         vocab = int(rng.integers(2, 7))
         logits = rng.standard_normal((batch, t_max, vocab)) * 3.0
-        targets = _rand_targets(rng, batch, t_max)
-        targets[targets != IGNORE_INDEX] %= vocab
+        targets = _rand_targets(rng, batch, t_max, vocab)
         weights = rng.uniform(0.0, 2.0, size=batch)
         per_lib = [per_sample_loss(logits[b], targets[b]) for b in range(batch)]
         per_ref = [_brute_sample_loss(logits[b], targets[b])

@@ -21,11 +21,11 @@ import pytest
 from augqual import cli, numerics
 from augqual.cli import main
 from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionProfile,
-                            SplitConfig)
+                            SplitConfig, VerbalScheme)
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, WeightMapConfig
-from oracles import FEATURE_KEYS, block_values, feature_block
+from oracles import FEATURE_KEYS, block_values, encode, feature_block
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -303,12 +303,6 @@ def _mutants():
             recs[rng.integers(len(recs))][key] = value
         return edit
 
-    def feature(key, value):
-        def edit(recs, rng):
-            rec = recs[rng.integers(len(recs))]
-            rec[key][rng.integers(len(rec[key]))] = value
-        return edit
-
     def block(key, fn):
         """Replace the key's block of a seeded record by fn(values, rng)."""
         def edit(recs, rng):
@@ -318,25 +312,32 @@ def _mutants():
 
     def augment(fn):
         def edit(recs, rng):
-            augs = [r for r in recs if r["origin"] == "Augmented"]
+            augs = [r for r in recs if r["parent_id"] is not None]
             fn(augs[rng.integers(len(augs))], augs)
         return edit
 
     wrong_types = {
         "id": [["o00001"], 7], "h_v": ["abc", {"x": 1.0}, [True] * 8],
         "h_a": ["abc", 5.0], "h_t_raw": [None, [1.0] * 11 + ["x"]],
-        "polarity": ["1", 1.0, True, 2], "sentiment": ["0.5", None, True],
-        "origin": [3, "Synthetic"], "parent_id": [7, ["o00001"]],
-        "hidden_quality": ["high", True], "target_tokens": ["1234", 5, None],
+        "sentiment": ["0.5", None, True], "parent_id": [7, ["o00001"]],
+        "hidden_quality": ["high", True],
+    }
+    # Fields of the augqual-gen-2 records, which the format now derives: a
+    # record carrying one is refused as having an unknown field, whatever
+    # its value.
+    derived = {
+        "polarity": ["1", 1.0, True, 2], "origin": [3, "Synthetic"],
+        "target_tokens": ["1234", 5, None],
     }
     cases = [(f"{key}={value!r}", field(key, value))
-             for key, values in wrong_types.items() for value in values]
+             for fields in (wrong_types, derived)
+             for key, values in fields.items() for value in values]
     cases += [
-        ("missing field", lambda recs, rng: recs[rng.integers(len(recs))].pop("origin")),
-        ("token 9 of vocab 8", feature("target_tokens", 9)),
-        ("token -1", feature("target_tokens", -1)),
-        ("token 0.5", feature("target_tokens", 0.5)),
-        ("token 1e30", feature("target_tokens", 10 ** 30)),
+        ("missing field", lambda recs, rng: recs[rng.integers(len(recs))].pop("parent_id")),
+        ("token 9 of vocab 8", field("target_tokens", [1, 9, 7])),
+        ("token -1", field("target_tokens", [1, -1, 7])),
+        ("token 0.5", field("target_tokens", [1, 0.5, 7])),
+        ("token 1e30", field("target_tokens", [1, 10 ** 30, 7])),
         ("sentiment 1e400", field("sentiment", 10 ** 400)),
         ("hidden_quality 1e400", field("hidden_quality", 10 ** 400)),
         ("unresolvable parent", augment(lambda a, _: a.update(parent_id="ghost"))),
@@ -352,8 +353,7 @@ def _mutants():
         ("NaN hidden_quality", field("hidden_quality", float("nan"))),
         ("hidden_quality 2", field("hidden_quality", 2.0)),
         ("NaN sentiment", field("sentiment", float("nan"))),
-        ("short target list", lambda recs, rng: recs[rng.integers(len(recs))][
-            "target_tokens"].pop()),
+        ("short target list", field("target_tokens", [1, 5])),
         ("record is a list", lambda recs, rng: recs.__setitem__(
             rng.integers(len(recs)), [1, 2])),
     ]
@@ -488,11 +488,11 @@ class TestCorruptCorpusMutations:
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
         # the three defects once seen as a traceback or a silent run
         edits = (lambda recs, augs: recs[0].update(id=[recs[0]["id"]]),
-                 lambda recs, augs: recs[1].update(target_tokens=[0.5, 5, 7, -100]),
+                 lambda recs, augs: recs[1].update(target_tokens=[0.5, 5, 7]),
                  lambda recs, augs: augs[0].update(parent_id=augs[1]["id"]))
         for edit in edits:
             recs = [json.loads(line) for line in clean[1:]]
-            edit(recs, [r for r in recs if r["origin"] == "Augmented"])
+            edit(recs, [r for r in recs if r["parent_id"] is not None])
             path = tmp_path / "bad.jsonl"
             path.write_text("\n".join([clean[0]] + [json.dumps(r) for r in recs]) + "\n")
             proc = run("stage0", "--corpus", str(path), "--out",
@@ -695,6 +695,20 @@ def _v1_file(lines):
                                    for line in lines[1:]]
 
 
+def _v2_file(lines):
+    """The lines of a corpus file in the second format, whose records also
+    stored their polarity, origin and padded target tokens."""
+    out = [json.dumps({**json.loads(lines[0]), "generator_version": "augqual-gen-2"})]
+    for line in lines[1:]:
+        rec = json.loads(line)
+        y = rec["sentiment"]
+        rec.update(polarity=int(y >= 0),
+                   origin="Original" if rec["parent_id"] is None else "Augmented",
+                   target_tokens=[*encode(VerbalScheme(), y), -100])
+        out.append(json.dumps(rec))
+    return out
+
+
 class TestCorpusFormatMutations:
     """Every corpus file with a malformed feature block, or in another format
     version, makes each command that loads a corpus (stage0, score,
@@ -719,13 +733,17 @@ class TestCorpusFormatMutations:
         assert printed.out == "" and not out.exists()
 
     def test_defects_exit_cleanly_as_a_process(self, clean_artifacts, tmp_path):
-        # a first-format file, and a header whose d once ended stage0 and
-        # eval in numpy's "Maximum allowed dimension exceeded" traceback
+        # a first- and a second-format file, and a header whose d once ended
+        # stage0 and eval in numpy's "Maximum allowed dimension exceeded"
+        # traceback
         corpus, artifacts = clean_artifacts
         lines = corpus.read_text().splitlines()
         huge = json.dumps({**json.loads(lines[0]), "d": 10 ** 20})
         for text, commands, message in (
                 (_v1_file(lines), ("stage0", "score", "stage1", "eval"),
+                 "regenerate the corpus with gen-corpus"),
+                (_v2_file(lines), ("stage0", "score", "stage1", "eval"),
+                 "'augqual-gen-2': this build reads only 'augqual-gen-3' files; "
                  "regenerate the corpus with gen-corpus"),
                 ([huge], ("stage0", "eval"), f"d must be in [1, {MAX_DIM}]")):
             bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
@@ -829,7 +847,9 @@ class TestCorruptArtifactMutations:
 
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
         # the defects once seen as a traceback or as metrics from NaN logits,
-        # in the block format, and a snapshot in the first, decimal-list format
+        # in the block format, a snapshot in the first, decimal-list format,
+        # and a head with the fourth, padding position of the second corpus
+        # format's targets
         corpus, docs = clean
         scorer, head = docs["scorer"], docs["head"]
 
@@ -837,8 +857,10 @@ class TestCorruptArtifactMutations:
             values = np.asarray(values, dtype=np.float64)
             return {**doc, "params": {**doc["params"], key: {
                 "shape": list(values.shape), "data": feature_block(values)}}}
-        out_w = block_values(head["params"]["out_w"]["data"]).reshape(
-            head["params"]["out_w"]["shape"])
+        out_w, out_b = (block_values(head["params"][k]["data"]).reshape(
+            head["params"][k]["shape"]) for k in ("out_w", "out_b"))
+        four = param(param(head, "out_w", np.concatenate([out_w, out_w[-1:]])),
+                     "out_b", np.concatenate([out_b, out_b[-1:]]))
         decimals = {**scorer, "params": {
             k: block_values(v["data"]).reshape(v["shape"]).tolist()
             for k, v in scorer["params"].items()}}
@@ -848,7 +870,9 @@ class TestCorruptArtifactMutations:
                  ("head", param(head, "out_w", out_w[:-1]), "param out_w"),
                  ("head", param(head, "in_b", np.full(
                      head["params"]["in_b"]["shape"], np.nan)), "non-finite"),
-                 ("scorer", decimals, "decimal list, the first snapshot format"))
+                 ("scorer", decimals, "decimal list, the first snapshot format"),
+                 ("head", four, "error: head predicts 4 positions over 8 tokens; "
+                                "the corpus needs 3 over 8\n"))
         for artifact, doc, message in cases:
             bad, out = tmp_path / "bad.json", tmp_path / "out.json"
             bad.write_text(json.dumps(doc))
@@ -861,20 +885,21 @@ class TestCorruptArtifactMutations:
 
 def _contradict_targets(corpus, out) -> dict:
     """Write to ``out`` a copy of the corpus file whose first positive
-    record has the target tokens [0, 2, 7, -100], a negative polarity token
-    and the lowest bin; that record, as edited."""
+    record also carries the target tokens [0, 2, 7], a negative polarity
+    token and the lowest bin; that record, as edited."""
     lines = corpus.read_text().splitlines()
     recs = [json.loads(line) for line in lines[1:]]
     rec = next(r for r in recs if r["sentiment"] >= 0.0)
-    rec["target_tokens"] = [0, 2, 7, -100]
+    rec["target_tokens"] = [0, 2, 7]
     out.write_text("\n".join([lines[0]] + [json.dumps(r) for r in recs]) + "\n")
     return rec
 
 
 class TestTargetsMatchSentiment:
     def test_contradicting_record_refused_by_stage1(self, clean_artifacts, tmp_path):
-        """A record's target tokens are its sentiment's verbal encoding: a
-        record edited apart from its sentiment is refused, not trained on."""
+        """A record's target tokens are derived from its sentiment, so a
+        record cannot state others: one that carries a target_tokens field
+        is refused as having an unknown field, not trained on."""
         corpus, _ = clean_artifacts
         bad = tmp_path / "bad.jsonl"
         rec = _contradict_targets(corpus, bad)
@@ -882,9 +907,8 @@ class TestTargetsMatchSentiment:
         proc = run("stage1", "--corpus", str(bad), "--out", str(head),
                    "--seed", "5", "--steps", "5")
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr == (f"error: record {rec['id']}: target tokens "
-                               f"[0, 2, 7, -100] do not encode sentiment "
-                               f"{rec['sentiment']}\n")
+        assert proc.stderr == (f"error: record {rec['id']}: unknown field "
+                               f"target_tokens\n")
         assert not head.exists()
 
 
@@ -1446,12 +1470,11 @@ class _Stop(Exception):
 
 
 # Stand-ins for what the stage commands load, enough to reach the library call.
-_CORPUS = SimpleNamespace(header=SimpleNamespace(d=8, d_t=12, vocab_size=8),
-                          targets=np.zeros((1, 4)))
+_CORPUS = SimpleNamespace(header=SimpleNamespace(d=8, d_t=12, vocab_size=8))
 _LOADED = {"load_corpus": _CORPUS,
            "train_eval_split": SimpleNamespace(pool=lambda name: np.arange(2)),
            "load_qa_snapshot": (None, None),
-           "load_head_snapshot": (SimpleNamespace(out_b=np.zeros((4, 8))), 8, 12)}
+           "load_head_snapshot": (SimpleNamespace(out_b=np.zeros((3, 8))), 8, 12)}
 
 
 class TestStageDefaults:

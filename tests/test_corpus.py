@@ -11,7 +11,6 @@ import pytest
 
 from augqual.corpus import (
     GENERATOR_VERSION,
-    IGNORE_INDEX,
     MAX_DIM,
     MAX_ROWS,
     CorpusConfig,
@@ -50,8 +49,8 @@ DEFAULTISH = CorruptionProfile(sigma_benign=0.05, p_swap=0.2, p_degrade=0.2,
 def _records(c):
     """Originals, augments and an id lookup, as per-sample records."""
     samples = samples_of(c)
-    return ([s for s in samples if s.origin == "Original"],
-            [s for s in samples if s.origin == "Augmented"],
+    return ([s for s in samples if s.parent_id is None],
+            [s for s in samples if s.parent_id is not None],
             {s.id: s for s in samples})
 
 
@@ -102,8 +101,7 @@ class TestPolarityAndBins:
 class TestVerbalScheme:
     def test_encode_examples(self):
         v = VerbalScheme()
-        assert v.encode([0.5, -0.9, 0.0]).tolist() == [
-            [1, 5, 7, IGNORE_INDEX], [0, 2, 7, IGNORE_INDEX], [1, 4, 7, IGNORE_INDEX]]
+        assert v.encode([0.5, -0.9, 0.0]).tolist() == [[1, 5, 7], [0, 2, 7], [1, 4, 7]]
 
     def test_decode_bin_centers(self):
         v = VerbalScheme()
@@ -204,7 +202,6 @@ class TestGenerate:
             for a in kids:
                 assert a.sentiment == s.sentiment
                 assert a.polarity == s.polarity
-                assert a.target_tokens == s.target_tokens
 
     def test_clean_profile_copies_parent_features(self):
         c = generate_corpus(10, 2, CLEAN, seed=7, d=8, d_t=8)
@@ -304,7 +301,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             c.features.V[0, 0] = 99.0
         for col in (c.ids, *vars(c.features).values(), c.has_audio, c.sentiment,
-                    c.augmented, c.parent, c.hidden_quality, c.targets):
+                    c.augmented, c.parent, c.hidden_quality):
             assert not col.flags.writeable
 
 
@@ -337,7 +334,7 @@ class TestSerialization:
             np.testing.assert_array_equal(s.h_t_raw, t.h_t_raw)
             assert s.sentiment == t.sentiment
             assert s.hidden_quality == t.hidden_quality
-            assert s.target_tokens == t.target_tokens
+            assert s.polarity == t.polarity and s.parent_id == t.parent_id
         # re-serialization of the loaded corpus is bit-identical
         assert _text(back) == _text(c)
 
@@ -386,9 +383,8 @@ class TestSerialization:
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
         rec = json.loads(path.read_text().splitlines()[1])
-        assert list(rec.keys()) == ["id", "h_v", "h_a", "h_t_raw", "polarity",
-                                    "sentiment", "origin", "parent_id",
-                                    "hidden_quality", "target_tokens"]
+        assert list(rec.keys()) == ["id", "h_v", "h_a", "h_t_raw", "sentiment",
+                                    "parent_id", "hidden_quality"]
 
     def test_features_on_disk_are_base64_float64(self, tmp_path):
         c = generate_corpus(2, 1, DEFAULTISH, seed=1, d=8, d_t=12)
@@ -416,8 +412,7 @@ class TestSerialization:
         header = CorpusHeader(d=8, d_t=8, vocab_size=8, seed=0)
         c = corpus_from_samples(header, [
             Sample(id=f"x{i}", h_v=v, h_a=None if i == 1 else a, h_t_raw=t,
-                   polarity=1, sentiment=0.5, origin="Original",
-                   target_tokens=encode(header.verbal, 0.5))
+                   polarity=1, sentiment=0.5)
             for i, (v, a, t) in enumerate(values)])
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
@@ -431,15 +426,10 @@ class TestSerialization:
 
     def test_missing_audio_round_trip(self, tmp_path):
         header = CorpusHeader(d=4, d_t=4, vocab_size=8, seed=0)
-        v = header.verbal
         ones = np.ones(4)
         c = corpus_from_samples(header, [
-            Sample(id="x0", h_v=ones, h_a=None, h_t_raw=ones,
-                   polarity=1, sentiment=0.5, origin="Original",
-                   target_tokens=encode(v, 0.5)),
-            Sample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones,
-                   polarity=0, sentiment=-0.5, origin="Original",
-                   target_tokens=encode(v, -0.5)),
+            Sample(id="x0", h_v=ones, h_a=None, h_t_raw=ones, polarity=1, sentiment=0.5),
+            Sample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones, polarity=0, sentiment=-0.5),
         ])
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
@@ -464,15 +454,11 @@ def _tiny_file(tmp_path, mutate):
     header = _header()
     recs = [
         {"id": "r0", "h_v": np.full(4, 1.0), "h_a": np.full(4, 1.0),
-         "h_t_raw": np.full(4, 1.0),
-         "polarity": 1, "sentiment": 0.5, "origin": "Original",
-         "parent_id": None, "hidden_quality": None,
-         "target_tokens": [1, 5, 7, -100]},
+         "h_t_raw": np.full(4, 1.0), "sentiment": 0.5,
+         "parent_id": None, "hidden_quality": None},
         {"id": "r1", "h_v": np.full(4, 2.0), "h_a": None,
-         "h_t_raw": np.full(4, 2.0),
-         "polarity": 0, "sentiment": -0.5, "origin": "Augmented",
-         "parent_id": "r0", "hidden_quality": 0.3,
-         "target_tokens": [0, 3, 7, -100]},
+         "h_t_raw": np.full(4, 2.0), "sentiment": -0.5,
+         "parent_id": "r0", "hidden_quality": 0.3},
     ]
     mutate(header, recs)
     path = tmp_path / "bad.jsonl"
@@ -497,7 +483,6 @@ class TestLoadValidation:
         def dup(_h, recs):
             recs[1]["id"] = "r0"
             recs[1]["parent_id"] = None
-            recs[1]["origin"] = "Original"
         with pytest.raises(ValidationError, match="record r0: duplicate id"):
             load_corpus(_tiny_file(tmp_path, dup))
 
@@ -508,37 +493,66 @@ class TestLoadValidation:
             load_corpus(_tiny_file(tmp_path, orphan))
 
     def test_polarity_must_match_sentiment(self, tmp_path):
+        """The polarity is the sentiment's sign, derived on load; a record
+        cannot state another."""
+        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        assert loaded.features.P.tolist() == [1, 0]
+
         def flip(_h, recs):
             recs[0]["polarity"] = 0
-        with pytest.raises(ValidationError, match="polarity"):
+        with pytest.raises(ValidationError, match="record r0: unknown field polarity"):
             load_corpus(_tiny_file(tmp_path, flip))
 
     def test_original_with_parent_rejected(self, tmp_path):
+        """A record with a parent_id is an augment, so an original cannot
+        have one: r0 given the augment r1 as parent is an augment of an
+        augment."""
         def bad(_h, recs):
             recs[0]["parent_id"] = "r1"
-        with pytest.raises(ValidationError, match="Original with parent_id"):
+        with pytest.raises(ValidationError,
+                           match="record r0: parent_id r1 is not an Original"):
             load_corpus(_tiny_file(tmp_path, bad))
 
     def test_augmented_needs_parent(self, tmp_path):
-        def bad(_h, recs):
+        """Whether a record is an augment is whether it has a parent_id:
+        without one, r1 loads as an original."""
+        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        assert loaded.augmented.tolist() == [False, True]
+
+        def orphan(_h, recs):
             recs[1]["parent_id"] = None
-        with pytest.raises(ValidationError, match="Augmented without parent_id"):
-            load_corpus(_tiny_file(tmp_path, bad))
+        loaded = load_corpus(_tiny_file(tmp_path, orphan))
+        assert loaded.augmented.tolist() == [False, False]
+        assert loaded.parent.tolist() == [-1, -1]
 
     def test_token_out_of_vocab(self, tmp_path):
+        """Target tokens come from the header's verbal table, which fits
+        vocab_size; a record carrying its own tokens is refused, here one
+        beyond the vocabulary."""
+        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        tokens = loaded.header.verbal.encode(loaded.sentiment)
+        assert ((tokens >= 0) & (tokens < loaded.header.vocab_size)).all()
+
         def bad(_h, recs):
-            recs[0]["target_tokens"] = [1, 9, 7, -100]
-        with pytest.raises(ValidationError, match="target token 9 out of range"):
+            recs[0]["target_tokens"] = [1, 9, 7]
+        with pytest.raises(ValidationError,
+                           match="record r0: unknown field target_tokens"):
             load_corpus(_tiny_file(tmp_path, bad))
 
     @pytest.mark.parametrize("tokens", (
-        [0, 5, 7, -100], [1, 4, 7, -100], [1, 5, 7, 7], [1, 5, -100, -100]),
+        [0, 5, 7], [1, 4, 7], [1, 5, 7, -100], [1, 5, 0]),
         ids=("polarity", "bin", "padding", "end"))
     def test_tokens_must_encode_sentiment(self, tmp_path, tokens):
+        """A record's target tokens are its sentiment's encoding, [1, 5, 7]
+        for r0, because the file cannot state them: tokens that differ in
+        one place, or the old padded form, are refused as an unknown field."""
+        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        assert loaded.header.verbal.encode(loaded.sentiment[:1]).tolist() == [[1, 5, 7]]
+
         def bad(_h, recs):
             recs[0]["target_tokens"] = tokens
         with pytest.raises(ValidationError, match=re.escape(
-                f"record r0: target tokens {tokens} do not encode sentiment 0.5")):
+                "record r0: unknown field target_tokens")):
             load_corpus(_tiny_file(tmp_path, bad))
 
     def test_header_only_file_is_valid_and_empty(self, tmp_path):
@@ -561,13 +575,14 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize("field, value, message", (
         ("id", ["r0"], "line 2: field id has type list"),
-        ("polarity", "1", "record r0: field polarity has type str"),
-        ("polarity", True, "record r0: field polarity has type bool"),
+        # fields the second corpus format stored and the format now derives
+        ("polarity", "1", "record r0: unknown field polarity"),
+        ("bogus", 1, "record r0: unknown field bogus"),
         ("sentiment", "0.5", "record r0: field sentiment has type str"),
         # a decimal list is how the first corpus format held features
         ("h_v", [1.0, 2.0, 3.0, 4.0], "record r0: field h_v has type list"),
-        ("target_tokens", [1, 5, 7.0, -100], "record r0: target tokens must be integers"),
-        ("target_tokens", [1, 5, 7], "record r1: 4 target tokens, record r0 has 3"),
+        ("target_tokens", [1, 5, 7], "record r0: unknown field target_tokens"),
+        ("origin", "Original", "record r0: unknown field origin"),
         ("hidden_quality", float("nan"), "record r0: hidden_quality is NaN"),
         ("h_a", np.array([1.0, np.inf, 1.0, 1.0]), "record r0: non-finite feature"),
         ("sentiment", float("nan"), r"record r0: sentiment nan outside \[-1, 1\]"),
@@ -582,9 +597,9 @@ class TestLoadValidation:
         c = generate_corpus(4, 1, CLEAN, seed=2, d=8, d_t=8)
         samples = samples_of(c)
         samples[6] = dataclasses.replace(samples[6], hidden_quality=1.5)
-        samples[2] = dataclasses.replace(samples[2], target_tokens=(1, 9, 7, -100))
+        samples[2] = dataclasses.replace(samples[2], sentiment=1.5)
         with pytest.raises(ValidationError,
-                           match="record o00002: target token 9 out of range"):
+                           match=r"record o00002: sentiment 1.5 outside \[-1, 1\]"):
             validate_corpus(corpus_from_samples(c.header, samples))
 
     def test_checksum_is_of_the_bytes_read(self, tmp_path):
@@ -616,7 +631,7 @@ class TestLoadValidation:
         with pytest.raises(ValidationError, match=f"record r0: {message}"):
             load_corpus(_tiny_file(tmp_path, bad))
 
-    @pytest.mark.parametrize("version", ("augqual-gen-1", "whatever", ""))
+    @pytest.mark.parametrize("version", ("augqual-gen-1", "augqual-gen-2", "whatever", ""))
     def test_other_format_version_refused(self, tmp_path, version):
         path = tmp_path / "old.jsonl"
         _write_lines(path, [json.dumps(_header(generator_version=version))])
@@ -760,7 +775,7 @@ class TestSplit:
         path = tmp_path / "c.jsonl"
         save_corpus(c, path)
         head, *records = path.read_text().splitlines()
-        records.sort(key=lambda line: json.loads(line)["polarity"])
+        records.sort(key=lambda line: json.loads(line)["sentiment"] >= 0.0)
         _write_lines(path, [head] + records)
         sorted_c = load_corpus(path)
         assert sorted_c.features.P.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from augqual.corpus import (
-    IGNORE_INDEX,
+    TARGET_WIDTH,
     CorruptionProfile,
     corpus_checksum,
     generate_corpus,
@@ -76,42 +76,25 @@ class TestPerSampleLoss:
             assert per_sample_loss(logits, [tok]) == pytest.approx(
                 softmax_cross_entropy(logits[0], tok), abs=1e-12)
 
-    def test_ignored_tail_does_not_touch_loss(self):
-        rng = np.random.default_rng(1)
-        logits = rng.standard_normal((4, 8))
-        targets = [1, 4, 7, IGNORE_INDEX]
-        base = per_sample_loss(logits, targets)
-        logits2 = logits.copy()
-        logits2[3] = 1e6
-        assert per_sample_loss(logits2, targets) == base
-
     def test_three_position_hand_case(self):
         logits = np.array([[0.5, -1.0, 2.0],
                            [3.0, 3.0, 3.0],
                            [-0.5, 0.0, 1.5]])
-        targets = [0, IGNORE_INDEX, 2]
-        want = (_brute_ce([0.5, -1.0, 2.0], 0) + _brute_ce([-0.5, 0.0, 1.5], 2)) / 2
+        targets = [0, 1, 2]
+        want = (_brute_ce([0.5, -1.0, 2.0], 0) + _brute_ce([3.0, 3.0, 3.0], 1)
+                + _brute_ce([-0.5, 0.0, 1.5], 2)) / 3
         assert per_sample_loss(logits, targets) == pytest.approx(want, abs=1e-12)
 
     def test_mean_over_supervised_positions(self):
+        """Every position is supervised: the loss is the mean over all."""
         rng = np.random.default_rng(2)
         for trial in range(200):
             T = int(rng.integers(1, 6))
             vocab = int(rng.integers(2, 9))
             logits = rng.standard_normal((T, vocab))
-            targets = [int(rng.integers(vocab)) if rng.random() < 0.7
-                       else IGNORE_INDEX for _ in range(T)]
-            if all(t == IGNORE_INDEX for t in targets):
-                targets[0] = 0
-            sup = [t for t in range(T) if targets[t] != IGNORE_INDEX]
-            want = sum(_brute_ce(list(logits[t]), targets[t]) for t in sup) / len(sup)
+            targets = [int(rng.integers(vocab)) for _ in range(T)]
+            want = sum(_brute_ce(list(logits[t]), targets[t]) for t in range(T)) / T
             assert per_sample_loss(logits, targets) == pytest.approx(want, abs=1e-12)
-
-    def test_all_ignored_rejected(self):
-        logits = np.zeros((3, 4))
-        with pytest.raises(ValidationError,
-                           match="sample has no supervised tokens"):
-            per_sample_loss(logits, [IGNORE_INDEX] * 3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -163,8 +146,6 @@ class TestBatchedPath:
             arrays = _rand_head(rng, hidden, in_dim, t_max, vocab)
             X = rng.standard_normal((n, in_dim))
             targets = rng.integers(0, vocab, size=(n, t_max))
-            targets[rng.random((n, t_max)) < 0.3] = IGNORE_INDEX
-            targets[:, 0] = rng.integers(0, vocab, size=n)
             w = rng.random(n) * 2
             loss = head_loss_and_grads(arrays, X, targets.astype(np.int64), w,
                                    empty_grads(arrays))
@@ -181,8 +162,6 @@ class TestBatchedPath:
             arrays = _rand_head(rng, hidden, in_dim, t_max, vocab)
             X = rng.standard_normal((n, in_dim))
             targets = rng.integers(0, vocab, size=(n, t_max)).astype(np.int64)
-            targets[0, 2] = IGNORE_INDEX
-            targets[2, 1:] = IGNORE_INDEX
             w = np.array([1.5, 0.0, 0.7, 1.0])
             grads = empty_grads(arrays)
             head_loss_and_grads(arrays, X, targets, w, grads)
@@ -219,8 +198,8 @@ class TestBatchedPath:
                              ids=["default widths", "narrow"])
     def test_grads_written_into_adam_buffer_match_reference(self, d, d_t, hidden):
         """Every gradient lands in its view of Adam's gradient vector, bit
-        for bit the reference's fresh arrays, over seeded batches with
-        ignored positions and zero weights."""
+        for bit the reference's fresh arrays, over seeded batches with zero
+        weights."""
         corpus = generate_corpus(40, 1, CLEAN, seed=12, d=d, d_t=d_t)
         for seed in range(5):
             rng = np.random.default_rng(200 + seed)
@@ -229,9 +208,7 @@ class TestBatchedPath:
                       for k, v in arrays.to_dict().items()}
             rows = rng.choice(len(corpus), size=32, replace=False)
             X = _head_matrix(corpus.features, rows)
-            targets = corpus.targets[rows].copy()
-            targets[rng.random(targets.shape) < 0.2] = IGNORE_INDEX
-            targets[:, 0] = corpus.targets[rows, 0]
+            targets = corpus.header.verbal.encode(corpus.sentiment[rows])
             w = rng.random(32) * (rng.random(32) > 0.2)
             want_loss, want = ref_head_loss_and_grads(arrays, X, targets, w)
             state = init_adam(arrays, lr=1e-3)
@@ -426,13 +403,13 @@ class TestTrainStage1:
         assert run.loss_trace == []
 
     def test_head_positions_follow_the_targets(self):
-        """The head has one output position per corpus target token, so no
-        width can be configured that the targets do not fit."""
+        """The head has one output position per target token, TARGET_WIDTH,
+        so no width can be configured that the targets do not fit."""
         corpus = self._corpus()
-        for width in (4, 2):
-            narrow = dataclasses.replace(corpus, targets=corpus.targets[:, :width])
-            head = train_stage1(narrow, None, HeadConfig(steps=2), 0).head
-            assert head.out_w.shape[:2] == head.out_b.shape == (width, 8)
+        assert corpus.header.verbal.encode(corpus.sentiment).shape == (
+            len(corpus), TARGET_WIDTH)
+        head = train_stage1(corpus, None, HeadConfig(steps=2), 0).head
+        assert head.out_w.shape[:2] == head.out_b.shape == (TARGET_WIDTH, 8)
 
     def test_config_validated(self):
         corpus = self._corpus()
@@ -482,8 +459,8 @@ class TestHeadPersistence:
         assert "".join(head_snapshot_chunks(loaded, d, d_t)).encode() == path.read_bytes()
 
     def test_save_streams_the_blocks(self, tmp_path):
-        """At the criterion-5 widths (hidden 256 over a 448-wide input, 123,168
-        parameters) the snapshot's text is 1.3 MB; saving holds a few
+        """At the criterion-5 widths (hidden 256 over a 448-wide input, 121,112
+        parameters) the snapshot's text is 1.29 MB; saving holds a few
         pieces of it at a time, never the whole."""
         corpus = generate_corpus(2, 0, CLEAN, seed=0, d=128, d_t=192)
         head = init_head(corpus, HeadConfig(hidden=256), np.random.default_rng(0))
@@ -494,7 +471,7 @@ class TestHeadPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 1_300_000
+        assert path.stat().st_size > 1_250_000
         assert peak < 256 * 1024
         loaded, *_ = load_head_snapshot(path)
         assert all(np.array_equal(v, loaded.to_dict()[k])

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from augqual import qa
-from augqual.corpus import VerbalScheme
 from augqual.corpus import CorruptionProfile, FeatureRows, generate_corpus
 from augqual.forge import FAMILIES, _mix_rows, forge_batch
 from augqual.qa import QaConfig
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
-from oracles import Sample, encode, mix_rows_loop, rows_of
+from oracles import Sample, mix_rows_loop, rows_of
 
 D, DT = 6, 10
-_VERBAL = VerbalScheme()
 
 
 def _mk(idx, sentiment, audio=True):
@@ -22,8 +20,7 @@ def _mk(idx, sentiment, audio=True):
         id=f"s{idx}", h_v=rng.standard_normal(D),
         h_a=rng.standard_normal(D) if audio else None,
         h_t_raw=rng.standard_normal(DT),
-        polarity=1 if sentiment >= 0 else 0, sentiment=sentiment,
-        origin="Original", target_tokens=encode(_VERBAL, sentiment))
+        polarity=1 if sentiment >= 0 else 0, sentiment=sentiment)
 
 
 def _forge(samples, rng, mask_rate=0.3, d=D, d_t=DT):
@@ -109,8 +106,7 @@ class TestMask:
     def test_mask_fraction_tracks_rate(self):
         rng = derived_rng(4, "forge-test")
         wide = Sample(id="w", h_v=np.ones(4000), h_a=np.ones(4000),
-                             h_t_raw=np.ones(4000), polarity=1, sentiment=0.5,
-                             origin="Original", target_tokens=encode(_VERBAL, 0.5))
+                             h_t_raw=np.ones(4000), polarity=1, sentiment=0.5)
         it = _family([wide], rng, "mask", mask_rate=0.3, d=4000, d_t=4000)[0]
         frac = np.mean(it.h_v == 0.0)
         assert abs(frac - 0.3) < 0.03
@@ -118,8 +114,7 @@ class TestMask:
     def test_pathways_masked_independently(self):
         rng = derived_rng(5, "forge-test")
         wide = Sample(id="w", h_v=np.ones(2000), h_a=np.ones(2000),
-                             h_t_raw=np.ones(2000), polarity=1, sentiment=0.5,
-                             origin="Original", target_tokens=encode(_VERBAL, 0.5))
+                             h_t_raw=np.ones(2000), polarity=1, sentiment=0.5)
         it = _family([wide], rng, "mask", mask_rate=0.5, d=2000, d_t=2000)[0]
         assert not np.array_equal(it.h_v == 0.0, it.h_a == 0.0)
 
@@ -155,8 +150,7 @@ class TestFlip:
         once = _family(batch, derived_rng(7, "forge-test"), "flip")
         relabeled = [Sample(id=it.source_id, h_v=it.h_v, h_a=it.h_a,
                                    h_t_raw=it.h_t_raw, polarity=it.polarity,
-                                   sentiment=s.sentiment, origin=s.origin,
-                                   target_tokens=s.target_tokens)
+                                   sentiment=s.sentiment)
                      for it, s in zip(once, batch)]
         twice = _family(relabeled, derived_rng(7, "forge-test"), "flip")
         for it, s in zip(twice, batch):

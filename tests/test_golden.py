@@ -26,19 +26,19 @@ GOLDEN_CONFIG = PipelineConfig(corpus=CorpusConfig(n_originals=24, d=8, d_t=12,
                                head=HeadConfig(steps=30))
 
 GOLDEN_SHA256 = {
-    "corpus_s1": "43bbd03ecd65d8e95eec483f71b72e3236ad1ab1ad5b126ca7633b6e5a651d68",
-    "corpus_s2": "f39348d5b11631c77718e436368398463626c0dd7119e15b477c5c7fa5adeff9",
-    "head_s1_augmented_only": "74ef34346c9d5cdf7862c248213abb17a8d115ffd44488b68ec57476677ad364",
-    "head_s1_original_only": "e139c77121f4acd825dba2ebfc00826cceec78dd684c93e37cf5cf3931e29104",
-    "head_s1_uniform": "a83a7a5adb69b491aabae7baa6322a4e2d75c97a29860ac69f52e0d3dc9fee43",
-    "head_s1_weighted": "f2681bfc30ce6020670185b39a8b37f773f78bec717ce1f89626dc9bec8d2a16",
-    "head_s2_augmented_only": "bf84c2c450d02d3e030fc32df3b7e5b39f583b099b641b527feafdefc28bc327",
-    "head_s2_original_only": "d0d80596fa39056f20d932b51aa903997d99d721bb09b8dba5a3e75d0b03c1c8",
-    "head_s2_uniform": "d1498f2b3d53f9043ae6a184a9b1f2fe8ecbdf64ce1b003705ea61be8899bae8",
-    "head_s2_weighted": "bff6433eae03d344c9ce89611cac970286911433280f4d63900f22ec1d1464e7",
-    "qa_s1": "4c1d21d52eb4220e8d363d317096cf8d0d159f14581347ad490eeaf0bbb0d44f",
-    "qa_s2": "2329ab2e69f8a2c2808c3643fff7e41a330891fea5b26409605835c5926776d5",
-    "report": "60ce22452c16283aa122a7661eea7fc93daff5fccb499634245cdd9e7daaa2b6",
+    "corpus_s1": "cab8f8187564c7b3bc2e65d3ba6f10bc24a955918afcdc5db6d770b61e398fa4",
+    "corpus_s2": "aefbeec1b435f7ba289f720fdd2ff1334d28cbd36f2ed3661cb6e4be826940e2",
+    "head_s1_augmented_only": "c3ba3faa3b64429ff85e0738ce60a10f4b162631fb9a762c53f75f3e5d82e170",
+    "head_s1_original_only": "29e52fdf5b693ea2baba5ce9d8719f5f9776238ca54d48e39347075e180f6b2f",
+    "head_s1_uniform": "800f584e66335af460bacf61cc9219eb8f96d26a39e5d897f7ccb20a51770e61",
+    "head_s1_weighted": "3751290e8146ca564d7ac5d412b05172c6f8bd61908d2619fde4985078d9ea68",
+    "head_s2_augmented_only": "5c8b43684c3afe853c2fdd4f40fa14b240fdaa3ebcc9306af67a263530c46fbb",
+    "head_s2_original_only": "5c6c3769b1589995953cf9425633c3a2bf370340bef242fc80b539b3124e6236",
+    "head_s2_uniform": "ee4f006ab4c47c3746013ba6ce1bf9d90698c9166ba3cbae205fadd9640b7bc2",
+    "head_s2_weighted": "859b95845eca5b21eb31bbeb2e234ea60bb58109e5170d2fe4b86f0dfdff5e68",
+    "qa_s1": "df06b6b05ed72705b9301d1c574335479884f4f5e051f95fe7833f23b13684fd",
+    "qa_s2": "44f2c2ce313149582746533ea9b774809e06298c216f6ee1d775f6069fad5e6b",
+    "report": "250c1b85f965f7045e7ee18a56650ed6cac0da8c9e6e4ce3c4021d70437393b9",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
     "runlog_s1_augmented_only": "7158f545a71c7151f0765b36ecfb93976c6136f07b692a65f15a009e5aeed402",
     "runlog_s1_original_only": "f658fb8f7007e8e6bbe29fd06622d6173d0afe57cd2e4e19ed1e982020159c5a",
@@ -48,26 +48,28 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "fdcd8c335487754bd1ae09b7d87815549dfc94fa6ad717544f5221a1eda15d20",
     "runlog_s2_uniform": "d6155d640ef5999f0f2214de5b0c35846659d39f1145a2a08e06a2fa45044a2d",
     "runlog_s2_weighted": "22a5bec3c76842bbf08c8b763ef60a10f2f23f3b5dd4cd7520410262be926829",
-    "weights_s1": "d09f8aa5be9cbb222a734875a6d7b83646797884e5e6a0809630b3889db10ee5",
-    "weights_s2": "0be5a81c1c1695cdcd924e342c235e35de7476f94fc36d9535e3a29d034eb453",
+    "weights_s1": "ab40000d9ed2041e3a64cf161e27d94f883d2dcee686be43122f1f0d4b5936ee",
+    "weights_s2": "fb0b5616b6cd431933be1e957a5add1986e9d23cd8dfbfac18e2694d115aea87",
 }
 
 
 # sha256 of each snapshot's decoded parameters: the little-endian float64
 # bytes of every array, concatenated in the class's field order. The qa_*
 # entries were taken from the decimal-list snapshots of the commit before the
-# base64 snapshot format; the head_* entries were taken again when the head's
+# base64 snapshot format. The head_* entries were taken again when the head's
 # output layer moved from einsum to one BLAS matmul, which changed the order of
-# its float sums.
+# its float sums, and again when the targets lost their unsupervised padding
+# position: each head then lost its fourth output position, and every other
+# parameter kept its bits.
 GOLDEN_PARAMS_SHA256 = {
-    "head_s1_augmented_only": "4b28630d83ecdd3923ee837e5b4bd3384a74b957caa21ba417f597eb2602e46a",
-    "head_s1_original_only": "a4d8ba2bd29838f712d181ab819c45522c5118af3ac1870b204fc166c020a64f",
-    "head_s1_uniform": "09fee7e5b2473f9145e1e1d6fda9a2a7c45e1f939b10a43c98fd5d662af3e16b",
-    "head_s1_weighted": "ff0ceda515352c1bb394c3f4a4e3cabfba92736f624ebcf9bcbd8cf279063dfc",
-    "head_s2_augmented_only": "f0267703aaa34ee6fe334d24b5172c50b4fc9186faf9861c63341b2ffd50cea3",
-    "head_s2_original_only": "5fbd63e3b0685fd04a1d83f6ba3938081acb18dc71cf47d16ceef48efec3c22d",
-    "head_s2_uniform": "db0f35ca4e487cd0172e490700c91a14045f5b247fd60f0aa5dd888cd8b28aeb",
-    "head_s2_weighted": "645138b372ac00f08b5211b2030142c4a0518b78909c29dab7e5a48cb7a07bc9",
+    "head_s1_augmented_only": "0899e309e2057d66037fa64978ad80f9a066f40169ab58b4df0d0d0ce98382d8",
+    "head_s1_original_only": "ab92db4effa1c89b7faed41a33e9d9f191d045f20584012c999a91fea259bd56",
+    "head_s1_uniform": "784efebec01488d4de08d3757ed3f3d08bed12abe43fd92f9040530a3ff8c9d3",
+    "head_s1_weighted": "748c2460584766b2390be5a0f941d291fd6ccf5e3600734300d0f6cc9cbd9550",
+    "head_s2_augmented_only": "6624c0dec687d29f0fc8f6368ccd9df3dcadbd5171e0d3b06f3c5c7c8f4c5ead",
+    "head_s2_original_only": "ef7239568226252e19f4b01180646ce20c195f5e277b643b06f4b2fbf6060316",
+    "head_s2_uniform": "e984610a3306d7d5b10d5f5537899bf239405b047e3ccbb017ca5c42ad2db3dd",
+    "head_s2_weighted": "a3fdabc49671e29a4046f202044b837bce001ebf61ac0325f1cfb1c40e28afe2",
     "qa_s1": "957681a9211580e980d7504fa0f644517871b48e3a8e30aa98dc65bf7e84aa6f",
     "qa_s2": "4c6a851cfbae55bc97bccd8e353fe32253489bd64f46342f30f8c0783830edd6",
 }

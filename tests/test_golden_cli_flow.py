@@ -16,7 +16,7 @@ from augqual.cli import main
 
 SEED = "13"
 N_ORIGINALS = 600   # 2 augments each: 1,800 rows
-WEIGHTS_SHA256 = "b59da0dcb632e028a925c09ac465ecc4d9cc202f1fa404afe56f5ba7aa19d01e"
+WEIGHTS_SHA256 = "b595f6ce6a002db8d433ac41a2c0060940c4dd819e8e564f17d205438908ad59"
 
 
 def test_cli_flow_weight_file_digest(tmp_path, monkeypatch, capsys):

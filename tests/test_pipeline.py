@@ -195,7 +195,8 @@ class TestHiddenQualityIsEvaluationOnly:
         quality = corpus.hidden_quality.copy()
         quality[aug] = derived_rng(3, "permute").permutation(quality[aug])
         assert not np.array_equal(quality, corpus.hidden_quality)
-        permuted = dataclasses.replace(corpus, hidden_quality=quality)
+        f = corpus.features
+        permuted = dataclasses.replace(corpus, V=f.V, A=f.A, T=f.T, hidden_quality=quality)
         assert corpus_checksum(permuted) != corpus_checksum(corpus)
 
         def trained(c):

@@ -18,7 +18,6 @@ import pytest
 from augqual import qa
 from augqual.corpus import (
     CorruptionProfile,
-    VerbalScheme,
     generate_corpus,
     train_eval_split,
 )
@@ -51,7 +50,6 @@ from oracles import (
     Sample,
     assemble_input,
     empty_grads,
-    encode,
     feature_checksum,
     finite_diff_grad,
     flatten_arrays,
@@ -66,7 +64,6 @@ from oracles import (
     unflatten_arrays,
 )
 
-_VERBAL = VerbalScheme()
 PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
                             degrade_mask_rate=0.5, p_label_noise=0.15)
 
@@ -82,8 +79,7 @@ def _sample(idx, sentiment, d, d_t, audio=True):
         id=f"q{idx}", h_v=rng.standard_normal(d),
         h_a=rng.standard_normal(d) if audio else None,
         h_t_raw=rng.standard_normal(d_t),
-        polarity=1 if sentiment >= 0 else 0, sentiment=sentiment,
-        origin="Original", target_tokens=encode(_VERBAL, sentiment))
+        polarity=1 if sentiment >= 0 else 0, sentiment=sentiment)
 
 
 def _params(d, d_t, hidden, seed=0, trained_shape=True):
@@ -123,8 +119,7 @@ class TestAssemble:
         s = _sample(2, 0.4, d, d_t)
         flipped = Sample(id=s.id, h_v=s.h_v, h_a=s.h_a,
                          h_t_raw=s.h_t_raw, polarity=0,
-                         sentiment=s.sentiment, origin=s.origin,
-                         target_tokens=s.target_tokens)
+                         sentiment=s.sentiment)
         xa, xb = assemble_input(s, params), assemble_input(flipped, params)
         np.testing.assert_array_equal(xa[:3 * d], xb[:3 * d])
         assert not np.array_equal(xa[3 * d:], xb[3 * d:])
@@ -515,8 +510,9 @@ class TestScoreCorpus:
 def _first_rows(corpus, n):
     """The corpus cut to its first n rows; every column a view."""
     cols = {f.name: getattr(corpus, f.name)[:n] for f in fields(corpus)
-            if f.init and f.name not in ("header", "features")}
-    return replace(corpus, features=corpus.features.take(slice(0, n)), **cols)
+            if f.init and f.name != "header"}
+    f = corpus.features
+    return replace(corpus, V=f.V[:n], A=f.A[:n], T=f.T[:n], **cols)
 
 
 def _drawn_scorer(d, d_t, seed):
