@@ -1,20 +1,22 @@
-"""Feature-corpus data model, JSONL file format, and the synthetic generator.
+"""Feature-corpus data model, binary file format, and the synthetic generator.
 
-A corpus file is line-oriented JSON: line 1 is the header
-``{d, d_t, vocab_size, seed, generator_version, verbal}``; every further line
-is one sample with exactly the fields ``id, h_v, h_a (null when missing),
-h_t_raw, sentiment, parent_id, hidden_quality``. Nothing a record determines
-is stored: its polarity (``sentiment >= 0``), whether it is an augment
-(``parent_id`` set) and its target tokens (the header's verbal encoding of the
-sentiment) are derived, so a file cannot contradict itself.
-Each feature block (``h_v``, ``h_a``, ``h_t_raw``) is one padded
-standard-alphabet base64 string of the row's little-endian float64 bytes, so
-save/load round-trips are bit-exact, files are byte-reproducible from a seed,
-and a float costs about 11 bytes rather than the ~20 of a decimal. The
+A corpus file is columnar. Line 1 is the header JSON ``{d, d_t, vocab_size,
+seed, generator_version, verbal, rows}``, padded with spaces to a multiple of 8
+bytes and ended by a newline. Then come the raw little-endian columns, each
+``rows`` long, in this order: ``V``, ``A`` (zeros where a row has no audio)
+and ``T`` (float64 rows of ``d``, ``d`` and ``d_t``), ``sentiment`` and
+``hidden_quality`` (float64, NaN when absent), ``parent`` (int64: the row of
+an augment's parent, -1 for an original) and ``has_audio`` (one byte, 0 or 1).
+So every offset follows from the header, every float column is 8-byte
+aligned, and files are byte-reproducible from a seed. Nothing a row
+determines is stored: its id (``o00012`` for an original, ``o00012-a0`` for
+its first augment), its polarity (``sentiment >= 0``), whether it is an
+augment (``parent >= 0``) and its target tokens (the header's verbal encoding
+of the sentiment) are derived, so a file cannot contradict itself. The
 header's ``generator_version`` names this format; the loader reads only
-GENERATOR_VERSION files. Files are read and written one line at a time; the
-loader checks every field's JSON type and every block's alphabet, padding and
-byte length, and refuses a field it does not know.
+GENERATOR_VERSION files. It reads the whole file into one buffer, takes each
+column as a read-only view of it, and refuses a file whose size is not the
+header's plus ``rows`` whole rows.
 
 The header is read and written by the config walker (``util.config_from_dict``,
 ``util.config_to_dict``) from the fields of ``CorpusHeader`` and its
@@ -38,15 +40,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 from dataclasses import MISSING, InitVar, dataclass, field
 
 import numpy as np
 
-from .util import (ValidationError, b64_block, bounded, check_ranges,
-                   config_from_dict, config_to_dict, decode_block, derived_rng,
-                   write_atomic)
+from .util import (ValidationError, bounded, check_ranges, config_from_dict,
+                   config_to_dict, derived_rng, write_atomic)
 
-GENERATOR_VERSION = "augqual-gen-3"
+GENERATOR_VERSION = "augqual-gen-4"
 # Target tokens per sample: polarity, sentiment bin, end (VerbalScheme.encode).
 TARGET_WIDTH = 3
 # Largest d, d_t and vocab_size a header may declare: far above any encoder
@@ -244,21 +247,22 @@ def _freeze(arr, dtype) -> np.ndarray:
 
 @dataclass(eq=False)
 class Corpus:
-    """Header plus one read-only column per record field; row i is record i.
+    """Header plus one read-only column per column of the file; row i is
+    record i.
 
-    It is built from the record fields alone: the feature columns ``V``,
-    ``A`` (zeros where ``has_audio`` is false) and ``T``, stacked as
-    ``features``, and ``parent``, the row of an augment's parent (-1 for
-    originals). ``hidden_quality`` is NaN where a record has none. What a
-    record determines is derived here, so it cannot disagree with the record:
-    the polarity ``features.P`` is ``sentiment >= 0`` and ``augmented`` is
-    ``parent >= 0``; the target tokens are ``header.verbal.encode(sentiment)``
-    (``finetune`` encodes its pool's). As the columns cannot be written, the
-    file checksum is computed once and kept (corpus_checksum).
+    It is built from the stored columns alone: the features ``V``, ``A``
+    (zeros where ``has_audio`` is false) and ``T``, stacked as ``features``,
+    and ``parent``, the row of an augment's parent (-1 for originals).
+    ``hidden_quality`` is NaN where a record has none. What a record
+    determines is derived here, so it cannot disagree with the record: the
+    polarity ``features.P`` is ``sentiment >= 0``, ``augmented`` is
+    ``parent >= 0`` and ``ids`` follow from ``parent`` in row order; the
+    target tokens are ``header.verbal.encode(sentiment)`` (``finetune``
+    encodes its pool's). As the columns cannot be written, the file checksum
+    is computed once and kept (corpus_checksum).
     """
 
     header: CorpusHeader
-    ids: np.ndarray             # (n,) str, object dtype
     V: InitVar[np.ndarray]      # (n, d)
     A: InitVar[np.ndarray]      # (n, d)
     T: InitVar[np.ndarray]      # (n, d_t)
@@ -268,16 +272,26 @@ class Corpus:
     hidden_quality: np.ndarray  # (n,) float64
     features: FeatureRows = field(init=False)
     augmented: np.ndarray = field(init=False)   # (n,) bool
+    ids: np.ndarray = field(init=False)         # (n,) str, object dtype
     _checksum: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, V, A, T):
-        for name, dtype in (("ids", object), ("has_audio", bool),
-                            ("sentiment", np.float64), ("parent", np.intp),
-                            ("hidden_quality", np.float64)):
+        for name, dtype in (("has_audio", bool), ("sentiment", np.float64),
+                            ("parent", np.intp), ("hidden_quality", np.float64)):
             setattr(self, name, _freeze(getattr(self, name), dtype))
         self.features = FeatureRows(*map(_freeze, (V, A, T, self.sentiment >= 0.0),
                                          (np.float64,) * 3 + (np.intp,)))
         self.augmented = _freeze(self.parent >= 0, bool)
+        # ids as generate_corpus lays rows out: o{row:05d} for an original,
+        # {parent id}-a{k} for the k-th augment of its parent in row order
+        ids, augments = [], {}
+        for row, parent in enumerate(self.parent.tolist()):
+            if parent < 0:
+                ids.append(f"o{row:05d}")
+            else:
+                k = augments[parent] = augments.get(parent, -1) + 1
+                ids.append(f"o{parent:05d}-a{k}")
+        self.ids = _freeze(np.array(ids, dtype=object), object)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -291,12 +305,13 @@ def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
 def validate_corpus(corpus: Corpus) -> None:
     """Structural validation in one vectorized pass over the columns.
 
-    Checks column shapes against the header, then per record: a unique id,
-    finite features, no audio features where the audio is missing, an
-    augment's parent that is an original, and the sentiment and
-    hidden-quality ranges. Every range check is written so that NaN fails
-    it. The error names the first bad record. Polarity, origin and target
-    tokens are derived from these fields (``Corpus``), so they need no check.
+    Checks column shapes against the header and every parent against the
+    row range, then per record: finite features, no audio features where the
+    audio is missing, an augment's parent that is an original, and the
+    sentiment and hidden-quality ranges. Every range check is written so that
+    NaN fails it. The error names the first bad record. Ids, polarity, origin
+    and target tokens are derived from these columns (``Corpus``), so they
+    need no check.
     """
     h, f, n = corpus.header, corpus.features, len(corpus)
     s, p, aug, hq = (corpus.sentiment, corpus.parent, corpus.augmented,
@@ -304,16 +319,17 @@ def validate_corpus(corpus: Corpus) -> None:
     if (f.V.shape != (n, h.d) or f.A.shape != (n, h.d) or f.T.shape != (n, h.d_t)
             or {c.shape for c in (corpus.has_audio, s, p, hq)} != {(n,)}):
         raise ValidationError("corpus columns disagree with the header or each other")
+    outside = (p < -1) | (p >= n)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ValidationError(f"row {row}: parent {p[row]} outside [-1, {n})")
     ids = corpus.ids
-    first_use = np.zeros(n, dtype=bool)
-    first_use[np.unique(ids, return_index=True)[1]] = True
     checks = (
-        (first_use, lambda i: "duplicate id"),
         (np.isfinite(f.V).all(1) & np.isfinite(f.A).all(1) & np.isfinite(f.T).all(1),
          lambda i: "non-finite feature"),
         (corpus.has_audio | ~f.A.any(1), lambda i: "audio features but no audio"),
         # an original's parent is -1, so aug[p] reads the last row, unused
-        (~aug | ~aug[p], lambda i: f"parent_id {ids[p[i]]} is not an Original"),
+        (~aug | ~aug[p], lambda i: f"parent {ids[p[i]]} is not an Original"),
         ((s >= -1.0) & (s <= 1.0), lambda i: f"sentiment {s[i]} outside [-1, 1]"),
         (np.isnan(hq) | ((hq >= 0.0) & (hq <= 1.0)),
          lambda i: "hidden_quality outside [0, 1]"),
@@ -404,12 +420,9 @@ def generate_corpus(n_originals: int, augments_per_original: int,
             sentiment[row], parent[row], quality[row] = y, i, q
             row += 1
 
-    ids = [f"o{i:05d}" for i in range(n_originals)]
-    ids += [f"{ids[i]}-a{k}" for i in range(n_originals)
-            for k in range(augments_per_original)]
     corpus = Corpus(
-        header=header, ids=np.array(ids, dtype=object),
-        V=cols["v"], A=cols["a"], T=cols["t"], has_audio=np.ones(n, dtype=bool),
+        header=header, V=cols["v"], A=cols["a"], T=cols["t"],
+        has_audio=np.ones(n, dtype=bool),
         sentiment=sentiment, parent=parent, hidden_quality=quality)
     validate_corpus(corpus)
     return corpus
@@ -434,20 +447,26 @@ def header_from_dict(raw) -> CorpusHeader:
         raise ValidationError(f"bad corpus header: {exc}") from None
 
 
-def corpus_lines(corpus: Corpus):
-    """The corpus file, one line at a time (header first), each with its
-    newline; deterministic for a given corpus."""
+# The stored columns in file order: (name, dtype on disk, the header field
+# that gives a feature column's width, None for one value per row).
+_COLUMNS = (("V", "<f8", "d"), ("A", "<f8", "d"), ("T", "<f8", "d_t"),
+            ("sentiment", "<f8", None), ("hidden_quality", "<f8", None),
+            ("parent", "<i8", None), ("has_audio", "u1", None))
+_NEWLINE = re.compile(b"\n")
+
+
+def _file_chunks(corpus: Corpus):
+    """The corpus file in pieces: the padded header line, then each column's
+    own buffer; deterministic for a given corpus."""
+    text = json.dumps({**config_to_dict(corpus.header), "rows": len(corpus)},
+                      separators=(",", ":"))
+    yield (text + " " * (-(len(text) + 1) % 8) + "\n").encode("ascii")
     f = corpus.features
-    ids = corpus.ids.tolist()
-    yield json.dumps(config_to_dict(corpus.header), separators=(",", ":")) + "\n"
-    for i, (y, p, q, audio) in enumerate(zip(
-            corpus.sentiment.tolist(), corpus.parent.tolist(),
-            corpus.hidden_quality.tolist(), corpus.has_audio.tolist())):
-        yield json.dumps({
-            "id": ids[i], "h_v": b64_block(f.V[i]),
-            "h_a": b64_block(f.A[i]) if audio else None, "h_t_raw": b64_block(f.T[i]),
-            "sentiment": y, "parent_id": ids[p] if p >= 0 else None,
-            "hidden_quality": None if q != q else q}, separators=(",", ":")) + "\n"
+    stored = {"V": f.V, "A": f.A, "T": f.T, "sentiment": corpus.sentiment,
+              "hidden_quality": corpus.hidden_quality, "parent": corpus.parent,
+              "has_audio": corpus.has_audio}
+    for name, dtype, _ in _COLUMNS:
+        yield memoryview(np.ascontiguousarray(stored[name], dtype=dtype)).cast("B")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -455,107 +474,76 @@ def save_corpus(corpus: Corpus, path) -> None:
     taken from those bytes."""
     digest = hashlib.sha256()
 
-    def hashed_lines():
-        for line in corpus_lines(corpus):
-            digest.update(line.encode("utf-8"))
-            yield line
-    write_atomic(hashed_lines(), path)
+    def hashed_chunks():
+        for chunk in _file_chunks(corpus):
+            digest.update(chunk)
+            yield chunk
+    write_atomic(hashed_chunks(), path)
     corpus._checksum = digest.hexdigest()
-
-
-# The record fields and their exact JSON types; a JSON true or false is a
-# bool, never a number. A feature block is a base64 string (util.b64_block).
-_FIELDS = {"id": (str,), "h_v": (str,), "h_a": (str, type(None)),
-           "h_t_raw": (str,), "sentiment": (int, float),
-           "parent_id": (str, type(None)), "hidden_quality": (int, float, type(None))}
-
-
-def _parse_record(raw, header: CorpusHeader, line_no: int, columns) -> tuple:
-    """One record line's fields: every field of _FIELDS, no other, each of
-    its exact JSON type. Once every check passes, the decoded feature blocks
-    are appended to ``columns`` (video, audio, text bytearrays; the zero row
-    for missing audio) and the other fields returned, with has_audio second."""
-    if type(raw) is not dict or not set(_FIELDS) <= set(raw):
-        raise ValidationError(f"line {line_no}: malformed record: need an object "
-                              f"with fields {', '.join(_FIELDS)}")
-    where = f"record {raw['id']}" if type(raw["id"]) is str else f"line {line_no}"
-    unknown = next((key for key in raw if key not in _FIELDS), None)
-    if unknown is not None:
-        raise ValidationError(f"{where}: unknown field {unknown}")
-    for key, kinds in _FIELDS.items():
-        if type(raw[key]) not in kinds:
-            raise ValidationError(f"{where}: field {key} has type "
-                                  f"{type(raw[key]).__name__}")
-    blocks = [None if raw[key] is None else decode_block(raw[key], width, where, key)
-              for key, width in (("h_v", header.d), ("h_a", header.d),
-                                 ("h_t_raw", header.d_t))]
-    quality = raw["hidden_quality"]
-    if quality != quality:
-        raise ValidationError(f"{where}: hidden_quality is NaN (null means absent)")
-    try:
-        fields = (raw["id"], raw["h_a"] is not None, float(raw["sentiment"]),
-                  raw["parent_id"], np.nan if quality is None else float(quality))
-    except OverflowError as exc:   # an integer beyond float64
-        raise ValidationError(f"{where}: number out of range: {exc}") from None
-    for column, block in zip(columns, blocks):
-        column += bytes(8 * header.d) if block is None else block
-    return fields
 
 
 def load_corpus(path) -> Corpus:
-    """Parse a corpus file line by line and fully validate it.
+    """Read a corpus file and fully validate it.
 
-    Each record's feature blocks are decoded straight onto the end of its
-    column's buffer, one bytearray per column, which becomes the column as
-    little-endian float64 without a copy; no per-record block is kept. The
-    corpus checksum is the SHA-256 of the bytes read.
+    The file is read with one ``readinto`` into one buffer, and each column
+    is a read-only view of that buffer, not a copy. The header line must be
+    padded to 8 bytes, its ``rows`` a non-negative integer, and the file size
+    the header's plus ``rows`` whole rows; every parent must be a row or -1
+    and every ``has_audio`` byte 0 or 1. The corpus checksum is the SHA-256
+    of the bytes read.
     """
-    digest = hashlib.sha256()
-    columns = (bytearray(), bytearray(), bytearray())
-    records = []
     with open(path, "rb") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValidationError("empty corpus file: missing header")
-        digest.update(first)
-        try:
-            header = header_from_dict(json.loads(first))
-        except ValueError as exc:   # bad JSON or bad UTF-8
-            raise ValidationError(f"bad corpus header: {exc}") from exc
-        for line_no, line in enumerate(fh, start=2):
-            digest.update(line)
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:
-                raise ValidationError(f"line {line_no}: bad JSON: {exc}") from exc
-            records.append(_parse_record(raw, header, line_no, columns))
-    n = len(records)
-    ids, has_audio, S, parent_ids, Q = zip(*records) if records else [()] * 5
-    del records
-    index = {sid: row for row, sid in enumerate(ids)}
-    parent = [-1 if pid is None else index.get(pid, -2) for pid in parent_ids]
-    if -2 in parent:
-        row = parent.index(-2)
-        raise ValidationError(f"record {ids[row]}: unresolvable parent_id "
-                              f"{parent_ids[row]}")
-    V, A, T = (np.frombuffer(column, "<f8").reshape(n, dim) for column, dim
-               in zip(columns, (header.d, header.d, header.d_t)))
-    corpus = Corpus(header=header, ids=np.array(ids, dtype=object), V=V, A=A, T=T,
-                    has_audio=has_audio, sentiment=S, parent=parent, hidden_quality=Q)
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(buf) != buf.size:
+            raise ValidationError("corpus file changed while it was read")
+    if not buf.size:
+        raise ValidationError("empty corpus file: missing header")
+    newline = _NEWLINE.search(buf)
+    if newline is None:
+        raise ValidationError("bad corpus header: no newline ends the header line")
+    offset = newline.end()
+    try:
+        raw = json.loads(bytes(buf[:offset]))
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise ValidationError(f"bad corpus header: {exc}") from exc
+    rows = raw.pop("rows", None) if type(raw) is dict else None
+    header = header_from_dict(raw)
+    if type(rows) is not int or rows < 0:
+        raise ValidationError(f"bad corpus header: rows must be a non-negative "
+                              f"integer, got {rows!r}")
+    if offset % 8:
+        raise ValidationError(f"bad corpus header: its line of {offset} bytes is "
+                              f"not padded to a multiple of 8")
+    widths = [getattr(header, key) if key else 1 for _, _, key in _COLUMNS]
+    row_bytes = sum(w * np.dtype(dtype).itemsize
+                    for w, (_, dtype, _) in zip(widths, _COLUMNS))
+    if buf.size != offset + rows * row_bytes:
+        raise ValidationError(f"corpus file holds {buf.size} bytes, not the "
+                              f"{offset}-byte header plus {rows} rows of "
+                              f"{row_bytes} bytes")
+    columns = {}
+    for w, (name, dtype, key) in zip(widths, _COLUMNS):
+        column = np.frombuffer(buf, dtype, rows * w, offset)
+        columns[name] = column.reshape(rows, w) if key else column
+        offset += column.nbytes
+    has_audio = columns.pop("has_audio")
+    if (has_audio > 1).any():
+        row = int(np.argmax(has_audio > 1))
+        raise ValidationError(f"row {row}: has_audio byte {has_audio[row]} is not "
+                              f"0 or 1")
+    corpus = Corpus(header=header, has_audio=has_audio.view(bool), **columns)
     validate_corpus(corpus)
-    corpus._checksum = digest.hexdigest()
+    corpus._checksum = hashlib.sha256(buf).hexdigest()
     return corpus
 
 
 def corpus_checksum(corpus: Corpus) -> str:
     """SHA-256 of the corpus file: the bytes last saved or loaded, or else of
-    ``corpus_lines``, hashed line by line once per corpus."""
+    the file ``save_corpus`` would write, hashed once per corpus."""
     if corpus._checksum is None:
         digest = hashlib.sha256()
-        for line in corpus_lines(corpus):
-            digest.update(line.encode("utf-8"))
+        for chunk in _file_chunks(corpus):
+            digest.update(chunk)
         corpus._checksum = digest.hexdigest()
     return corpus._checksum
 

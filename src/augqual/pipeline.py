@@ -212,7 +212,7 @@ def _seed_files(out: Path, seed: int, arms) -> dict:
     """(kind, arm) -> path of each artifact one seed writes, arm None for the
     corpus, scorer and weights; in ``PipelineResult.paths`` order, where each
     is named by its file's stem."""
-    files = {("corpus", None): out / f"corpus_s{seed}.jsonl",
+    files = {("corpus", None): out / f"corpus_s{seed}.bin",
              ("qa", None): out / f"qa_s{seed}.json",
              ("weights", None): out / f"weights_s{seed}.json"}
     for arm in arms:
@@ -272,6 +272,7 @@ def _run_seed(config: PipelineConfig, seed: int, files: dict) -> tuple[str, dict
         with _stage("export-weights"):
             weight_file = export_weights(corpus, params, config.weight_map,
                                          files["weights", None])
+        del params   # saved, and read by nothing after the export
 
         metrics = _train_arms(parent_arms, corpus, split, weight_file, config,
                               seed, files)

@@ -1,20 +1,21 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
 checksums, the schema walker that reads and writes config documents and
-corpus headers, the one float64 array codec every artifact uses, and the one
+corpus headers, the float64 array codec of the JSON artifacts, and the one
 writer every artifact goes through.
 
-Every float array is written as ``b64_block``, padded standard-alphabet base64
-of its little-endian float64 bytes, so a round trip is bit-exact: corpus rows
-as bare blocks, snapshot parameters with their shape (``encode_params`` /
-``decode_params``). ``dumps_canonical`` writes every scalar float in Python's
-shortest round-trip repr; ``document_chunks`` yields the same text in pieces,
-from the same encoder, streaming each ``B64Block`` so that no piece holds a
-whole parameter's text.
+A JSON artifact writes each float array as a ``B64Block``, padded
+standard-alphabet base64 of its little-endian float64 bytes, with its shape
+(``encode_params`` / ``decode_params``), so a round trip is bit-exact; the
+corpus file holds its columns as raw bytes instead (``corpus``).
+``dumps_canonical`` writes every scalar float in Python's shortest round-trip
+repr; ``document_chunks`` yields the same text in pieces, from the same
+encoder, streaming each ``B64Block`` so that no piece holds a whole
+parameter's text.
 
-``write_atomic`` writes an artifact's chunks into a temporary file beside the
-target and renames it into place with ``os.replace``; on any failure the
-temporary file is removed. So a run that fails or is killed mid-write never
-leaves a truncated artifact at the target path.
+``write_atomic`` writes an artifact's chunks, text or bytes, into a temporary
+file beside the target and renames it into place with ``os.replace``; on any
+failure the temporary file is removed. So a run that fails or is killed
+mid-write never leaves a truncated artifact at the target path.
 """
 
 from __future__ import annotations
@@ -272,31 +273,15 @@ def check_params(arrays: dict, shapes: dict, what: str) -> None:
             raise ValidationError(f"{what} param {k}: non-finite values")
 
 
-def b64_block(arr: np.ndarray) -> str:
-    """An array as padded base64 of its little-endian float64 bytes."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")
-
-
-def decode_block(text: str, n_floats: int, where: str, key: str) -> bytes:
-    """The float64 bytes of block ``text``, which must hold ``n_floats``."""
-    try:
-        data = base64.b64decode(text, validate=True)
-    except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
-        raise ValidationError(f"{where}: field {key} is not base64: {exc}") from None
-    if len(data) != 8 * n_floats:
-        raise ValidationError(f"{where}: dim mismatch: field {key} holds "
-                              f"{len(data)} bytes, not 8 x {n_floats}")
-    return data
-
-
 # Raw bytes per streamed piece of a B64Block: a multiple of 3, so every piece
-# but the last encodes without padding and the pieces join to one b64_block.
+# but the last encodes without padding and the pieces join to one block.
 _B64_PIECE = 3 * 4096
 
 
 class B64Block:
-    """A float64 array that canonical JSON writes as the string
-    ``b64_block(arr)``, encoded ``_B64_PIECE`` bytes at a time."""
+    """A float64 array that canonical JSON writes as one string, the padded
+    base64 of its little-endian float64 bytes, encoded ``_B64_PIECE`` bytes
+    at a time."""
 
     __slots__ = ("data",)
 
@@ -332,7 +317,14 @@ def decode_params(raw, keys, what: str) -> dict:
         shape = check_fields(raw[k], {"shape": (list,), "data": (str,)}, where)["shape"]
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValidationError(f"{where}: shape must list non-negative integers")
-        data = decode_block(raw[k]["data"], math.prod(shape), where, "data")
+        try:
+            data = base64.b64decode(raw[k]["data"], validate=True)
+        except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
+            raise ValidationError(f"{where}: field data is not base64: {exc}") from None
+        n = math.prod(shape)
+        if len(data) != 8 * n:
+            raise ValidationError(f"{where}: dim mismatch: field data holds "
+                                  f"{len(data)} bytes, not 8 x {n}")
         try:
             arrays[k] = np.frombuffer(data, "<f8").reshape(shape)
         except ValueError as exc:   # an empty block with a dimension numpy refuses
@@ -420,11 +412,12 @@ def _encode(obj, indent: int, level: int) -> Iterator[str]:
     yield ("\n" + " " * (indent * level) if indent else "") + closer
 
 
-def write_atomic(chunks: Iterable[str], path) -> None:
-    """Write the text ``chunks`` to ``path`` as UTF-8, through a temporary
-    file beside it that ``os.replace`` renames into place once every chunk is
-    written. On any failure, the chunks' own included, the temporary file is
-    removed and ``path`` keeps what it held before, or stays absent."""
+def write_atomic(chunks: Iterable, path) -> None:
+    """Write ``chunks`` to ``path``, each a str (written as UTF-8) or a
+    bytes-like object (written as it is), through a temporary file beside it
+    that ``os.replace`` renames into place once every chunk is written. On
+    any failure, the chunks' own included, the temporary file is removed and
+    ``path`` keeps what it held before, or stays absent."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -435,7 +428,11 @@ def write_atomic(chunks: Iterable[str], path) -> None:
     try:
         with fh:
             for chunk in chunks:
-                fh.write(chunk)
+                if isinstance(chunk, str):
+                    fh.write(chunk)
+                else:   # the text written so far goes first
+                    fh.flush()
+                    fh.buffer.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -5,8 +5,10 @@ The functions here work one sample at a time, in the textbook form of each
 formula, and the tests assert that both agree. ``Sample`` is one corpus
 record as separate fields, with the polarity condition the scorer and the
 forge read (a corpus derives it from the sentiment); ``samples_of`` and
-``corpus_from_samples`` convert between it and the columnar ``Corpus``; ``corpus_line`` writes one
-record dict as a corpus file line, from the format's definition rather than
+``corpus_from_samples`` convert between it and the columnar ``Corpus``, and
+``corpus_with`` copies a corpus with some of its columns replaced.
+``corpus_file`` writes a corpus as its file's bytes and ``with_header``
+rewrites a file's header line, both from the format's definition rather than
 the library's writer. ``score_one_pass`` writes out the scorer's forward
 over a whole corpus at once, which windowed scoring must match bit for bit.
 ``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
@@ -29,6 +31,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ from augqual.forge import ForgedBatch
 from augqual.numerics import adam_step, bce_with_logit, gelu_and_cdf, init_adam, sigmoid
 from augqual.qa import (QaParams, WeightFile, _family_coefficients, _forward,
                         _ForwardWork, init_qa_params, verify_weight_file)
-from augqual.util import ValidationError, derived_rng
+from augqual.util import ValidationError, config_to_dict, derived_rng
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +94,57 @@ def rows_of(samples, d: int, d_t: int) -> FeatureRows:
 
 def corpus_from_samples(header, samples) -> Corpus:
     """The columnar corpus holding these records (parents looked up by id);
-    as in a corpus file, the polarity follows from the sentiment."""
+    as in a corpus file, the polarity follows from the sentiment and the ids
+    from the row order, whatever the samples' own ids are."""
     samples = list(samples)
     row = {s.id: i for i, s in enumerate(samples)}
     f = rows_of(samples, header.d, header.d_t)
     return Corpus(
-        header=header, ids=np.array([s.id for s in samples], dtype=object),
+        header=header,
         V=f.V, A=f.A, T=f.T, has_audio=[s.h_a is not None for s in samples],
         sentiment=[s.sentiment for s in samples],
         parent=[-1 if s.parent_id is None else row[s.parent_id] for s in samples],
         hidden_quality=[np.nan if s.hidden_quality is None else s.hidden_quality
                         for s in samples])
+
+
+def corpus_with(corpus: Corpus, **columns) -> Corpus:
+    """A corpus with the header and columns of ``corpus`` but the named ones
+    (V, A, T, has_audio, sentiment, parent, hidden_quality) replaced; nothing
+    is validated, so a test can save a corpus the loader must refuse."""
+    f = corpus.features
+    given = {"V": f.V, "A": f.A, "T": f.T, "has_audio": corpus.has_audio,
+             "sentiment": corpus.sentiment, "parent": corpus.parent,
+             "hidden_quality": corpus.hidden_quality}
+    return Corpus(header=corpus.header, **{**given, **columns})
+
+
+def _header_line(doc: dict) -> bytes:
+    """A header object as the corpus file's first line: compact JSON padded
+    with spaces to a multiple of 8 bytes, newline included."""
+    text = json.dumps(doc, separators=(",", ":")).encode("ascii")
+    return text + b" " * (-(len(text) + 1) % 8) + b"\n"
+
+
+def corpus_file(corpus: Corpus) -> bytes:
+    """The bytes of a corpus file: the header with its row count, then the
+    columns V, A, T, sentiment, hidden_quality (float64), parent (int64) and
+    has_audio (one byte), each little-endian, packed value by value."""
+    n, f = len(corpus), corpus.features
+    floats = [f.V.ravel(), f.A.ravel(), f.T.ravel(), corpus.sentiment,
+              corpus.hidden_quality]
+    return b"".join([
+        _header_line({**config_to_dict(corpus.header), "rows": n}),
+        *(struct.pack(f"<{len(c)}d", *c.tolist()) for c in floats),
+        struct.pack(f"<{n}q", *corpus.parent.tolist()),
+        struct.pack(f"<{n}B", *corpus.has_audio.tolist())])
+
+
+def with_header(data: bytes, edit) -> bytes:
+    """Corpus file bytes whose header object is replaced by ``edit(header)``
+    and padded again; the columns are kept as they are."""
+    line, rest = data.split(b"\n", 1)
+    return _header_line(edit(json.loads(line))) + rest
 
 
 def feature_checksum(corpus: Corpus) -> str:
@@ -115,27 +158,15 @@ def feature_checksum(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-FEATURE_KEYS = ("h_v", "h_a", "h_t_raw")
-
-
-def feature_block(values) -> str:
-    """A feature row as the corpus file holds it: padded standard base64 of
-    its little-endian float64 bytes."""
+def float_block(values) -> str:
+    """A float array as a snapshot holds it: padded standard base64 of its
+    little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def block_values(text: str) -> np.ndarray:
-    """The float64 values of a well-formed feature block."""
+    """The float64 values of a well-formed float block."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
-def corpus_line(record: dict) -> str:
-    """One record dict as a corpus file line. A feature given as a numpy
-    array is written as its block; any other value (a string, null, a JSON
-    list of decimals) as it is, so a test can write damaged records."""
-    return json.dumps({key: feature_block(value)
-                       if key in FEATURE_KEYS and isinstance(value, np.ndarray)
-                       else value for key, value in record.items()})
 
 
 def scores_by_id(wf: WeightFile) -> dict:

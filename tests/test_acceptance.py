@@ -20,7 +20,6 @@ from augqual.corpus import (
     CorpusConfig,
     CorruptionProfile,
     SplitConfig,
-    corpus_lines,
     generate_corpus,
     train_eval_split,
 )
@@ -48,6 +47,7 @@ from augqual.qa import (
 )
 from forge_reference import ForgedItem, forged_batch_from_items
 from oracles import (
+    corpus_file,
     empty_grads,
     feature_checksum,
     finite_diff_grad,
@@ -492,7 +492,7 @@ def test_criterion_08_artifacts_byte_identical_across_runs(criterion,
 # ---------------------------------------------------------------------------
 
 def _file_sha256(corpus) -> str:
-    return hashlib.sha256("".join(corpus_lines(corpus)).encode()).hexdigest()
+    return hashlib.sha256(corpus_file(corpus)).hexdigest()
 
 
 def test_criterion_09_upstream_stages_stay_frozen(criterion):

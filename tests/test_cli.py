@@ -1,12 +1,12 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
 import argparse
-import base64
 import copy
 import csv
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 import typing
@@ -21,11 +21,13 @@ import pytest
 from augqual import cli, numerics
 from augqual.cli import main
 from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionProfile,
-                            SplitConfig, VerbalScheme)
+                            SplitConfig, VerbalScheme, load_corpus, save_corpus)
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, WeightMapConfig
-from oracles import FEATURE_KEYS, block_values, encode, feature_block
+from augqual.util import config_to_dict
+from oracles import (block_values, corpus_file, corpus_with, encode, float_block,
+                     samples_of, with_header)
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -38,7 +40,7 @@ def run(*args, **kw):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
 
 
-def _gen(tmp_path, name="c.jsonl", seed="5"):
+def _gen(tmp_path, name="c.bin", seed="5"):
     path = tmp_path / name
     proc = run(*GEN, "--out", str(path), "--seed", seed)
     assert proc.returncode == 0, proc.stderr
@@ -84,13 +86,13 @@ class TestExitCodes:
         assert "p_swap" in proc.stderr
 
     def test_missing_input_file_is_runtime_error(self, tmp_path):
-        proc = run("stage0", "--corpus", str(tmp_path / "absent.jsonl"),
+        proc = run("stage0", "--corpus", str(tmp_path / "absent.bin"),
                    "--out", str(tmp_path / "qa.json"), "--seed", "1")
         assert proc.returncode == 2
 
     def test_weight_corpus_mismatch_is_runtime_error(self, tmp_path):
-        a = _gen(tmp_path, "a.jsonl", "5")
-        b = _gen(tmp_path, "b.jsonl", "6")
+        a = _gen(tmp_path, "a.bin", "5")
+        b = _gen(tmp_path, "b.bin", "6")
         qa = tmp_path / "qa.json"
         w = tmp_path / "w.json"
         assert run("stage0", "--corpus", str(a), "--out", str(qa),
@@ -124,12 +126,12 @@ class TestExitCodes:
 
 class TestGenCorpus:
     def test_byte_deterministic(self, tmp_path):
-        a = _gen(tmp_path, "a.jsonl")
-        b = _gen(tmp_path, "b.jsonl")
+        a = _gen(tmp_path, "a.bin")
+        b = _gen(tmp_path, "b.bin")
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_output(self, tmp_path):
-        path = tmp_path / "c.jsonl"
+        path = tmp_path / "c.bin"
         proc = run(*GEN, "--out", str(path), "--seed", "5", "--json")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -230,9 +232,18 @@ class TestStageCommands:
         assert capsys.readouterr().out == f"wrote 48 weights to {w}\n"
 
     def test_checksum_of_file_with_trailing_blank_line(self, artifacts, tmp_path):
+        """A trailing newline is a byte past the last row, so the file is
+        refused; a header padded with 8 more spaces than the writer puts is
+        a whole file, and its checksum is that of its bytes."""
         corpus, qa, _, _ = artifacts
-        padded = tmp_path / "padded.jsonl"
-        padded.write_bytes(corpus.read_bytes() + b"\n")
+        trailing = tmp_path / "trailing.bin"
+        trailing.write_bytes(corpus.read_bytes() + b"\n")
+        proc = run("score", "--corpus", str(trailing), "--qa", str(qa),
+                   "--out", str(tmp_path / "w_trailing.json"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: corpus file holds ")
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes(corpus.read_bytes().replace(b"\n", b"        \n", 1))
         w = tmp_path / "w_padded.json"
         proc = run("score", "--corpus", str(padded), "--qa", str(qa),
                    "--out", str(w), "--json")
@@ -262,10 +273,10 @@ class TestStageByStageMatchesPipeline:
         gen = ["gen-corpus", "--n-originals", "24", "--augments", "2",
                "--d", "8", "--d-t", "12", "--p-swap", "0.15",
                "--p-degrade", "0.15", "--p-label-noise", "0.15"]
-        c = ["--corpus", str(tmp_path / "corpus.jsonl")]
+        c = ["--corpus", str(tmp_path / "corpus.bin")]
         labels = ["--label-fraction", label_fraction]
         for cmd in (
-            [*gen, "--out", str(tmp_path / "corpus.jsonl"), "--seed", seed],
+            [*gen, "--out", str(tmp_path / "corpus.bin"), "--seed", seed],
             ["stage0", *c, "--out", str(tmp_path / "qa.json"), "--seed", seed,
              "--steps", "40", *labels],
             ["score", *c, "--qa", str(tmp_path / "qa.json"),
@@ -283,7 +294,7 @@ class TestStageByStageMatchesPipeline:
             seeds=(3,), arms=("weighted", "uniform"),
             split=SplitConfig(label_fraction=float(label_fraction)),
             qa=QaConfig(steps=40), head=HeadConfig(steps=30)), tmp_path / "pipe")
-        pairs = {"corpus.jsonl": "corpus_s3", "qa.json": "qa_s3",
+        pairs = {"corpus.bin": "corpus_s3", "qa.json": "qa_s3",
                  "weights.json": "weights_s3", "head.json": "head_s3_weighted",
                  "trace.jsonl": "runlog_s3_weighted",
                  "head_uniform.json": "head_s3_uniform"}
@@ -296,68 +307,49 @@ class TestStageByStageMatchesPipeline:
 
 
 def _mutants():
-    """(case, edit) pairs; edit(records, rng) damages the parsed record dicts
-    of a clean corpus, at a record the seeded rng picks."""
-    def field(key, value):
-        def edit(recs, rng):
-            recs[rng.integers(len(recs))][key] = value
-        return edit
-
-    def block(key, fn):
-        """Replace the key's block of a seeded record by fn(values, rng)."""
-        def edit(recs, rng):
-            rec = recs[rng.integers(len(recs))]
-            rec[key] = fn(block_values(rec[key]), rng)
+    """(case, edit) pairs; edit(corpus, rng) damages a clean corpus at a row
+    the seeded rng picks and returns the damaged corpus, saved with
+    save_corpus, or the damaged file bytes."""
+    def column(name, fn):
+        """Replace a seeded row's value of the column by fn(row value, rng)."""
+        def edit(c, rng):
+            values = np.array(getattr(c.features, name) if name in ("V", "A", "T")
+                              else getattr(c, name))
+            k = rng.integers(len(c))
+            values[k] = fn(values[k], rng)
+            return corpus_with(c, **{name: values})
         return edit
 
     def augment(fn):
-        def edit(recs, rng):
-            augs = [r for r in recs if r["parent_id"] is not None]
-            fn(augs[rng.integers(len(augs))], augs)
+        """Give a seeded augment the parent fn(its row, augment rows)."""
+        def edit(c, rng):
+            augs = np.flatnonzero(c.augmented)
+            parent = np.array(c.parent)
+            k = augs[rng.integers(len(augs))]
+            parent[k] = fn(k, augs, len(c))
+            return corpus_with(c, parent=parent)
         return edit
 
-    wrong_types = {
-        "id": [["o00001"], 7], "h_v": ["abc", {"x": 1.0}, [True] * 8],
-        "h_a": ["abc", 5.0], "h_t_raw": [None, [1.0] * 11 + ["x"]],
-        "sentiment": ["0.5", None, True], "parent_id": [7, ["o00001"]],
-        "hidden_quality": ["high", True],
-    }
-    # Fields of the augqual-gen-2 records, which the format now derives: a
-    # record carrying one is refused as having an unknown field, whatever
-    # its value.
-    derived = {
-        "polarity": ["1", 1.0, True, 2], "origin": [3, "Synthetic"],
-        "target_tokens": ["1234", 5, None],
-    }
-    cases = [(f"{key}={value!r}", field(key, value))
-             for fields in (wrong_types, derived)
-             for key, values in fields.items() for value in values]
-    cases += [
-        ("missing field", lambda recs, rng: recs[rng.integers(len(recs))].pop("parent_id")),
-        ("token 9 of vocab 8", field("target_tokens", [1, 9, 7])),
-        ("token -1", field("target_tokens", [1, -1, 7])),
-        ("token 0.5", field("target_tokens", [1, 0.5, 7])),
-        ("token 1e30", field("target_tokens", [1, 10 ** 30, 7])),
-        ("sentiment 1e400", field("sentiment", 10 ** 400)),
-        ("hidden_quality 1e400", field("hidden_quality", 10 ** 400)),
-        ("unresolvable parent", augment(lambda a, _: a.update(parent_id="ghost"))),
+    return [
+        # beyond float64, a value can only be stored as infinity
+        ("sentiment 1e400", column("sentiment", lambda v, rng: np.inf)),
+        ("hidden_quality 1e400", column("hidden_quality", lambda v, rng: np.inf)),
+        ("unresolvable parent", augment(lambda k, augs, n: n + 5)),
         ("parent is an augment",
-         augment(lambda a, augs: a.update(parent_id=next(
-             b["id"] for b in augs if b["id"] != a["id"])))),
-        ("NaN feature", block("h_v", lambda v, rng: feature_block(
-            _poke(v.tolist(), rng, float("nan"))))),
-        ("inf feature", block("h_t_raw", lambda v, rng: feature_block(
-            _poke(v.tolist(), rng, float("inf"))))),
-        ("feature block a byte long", block("h_a", lambda v, rng: base64.b64encode(
-            v.tobytes() + b"\0").decode("ascii"))),
-        ("NaN hidden_quality", field("hidden_quality", float("nan"))),
-        ("hidden_quality 2", field("hidden_quality", 2.0)),
-        ("NaN sentiment", field("sentiment", float("nan"))),
-        ("short target list", field("target_tokens", [1, 5])),
-        ("record is a list", lambda recs, rng: recs.__setitem__(
-            rng.integers(len(recs)), [1, 2])),
+         augment(lambda k, augs, n: next(b for b in augs if b != k))),
+        ("NaN feature", column("V", lambda v, rng: _poke(v, rng, np.nan))),
+        ("inf feature", column("T", lambda v, rng: _poke(v, rng, np.inf))),
+        ("feature block a byte long", lambda c, rng: corpus_file(c) + b"\0"),
+        ("hidden_quality 2", column("hidden_quality", lambda v, rng: 2.0)),
+        ("NaN sentiment", column("sentiment", lambda v, rng: np.nan)),
+        ("missing field", lambda c, rng: corpus_file(c)[:-len(c)]),
+        ("parent -2", augment(lambda k, augs, n: -2)),
+        ("has_audio byte 2", lambda c, rng: corpus_file(c)[:-1] + b"\2"),
+        ("audio features without audio",
+         lambda c, rng: corpus_with(c, has_audio=np.arange(len(c)) != 3)),
+        ("a row more than the header says", lambda c, rng: with_header(
+            corpus_file(c), lambda h: {**h, "rows": h["rows"] - 1})),
     ]
-    return cases
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +357,7 @@ def clean_artifacts(tmp_path_factory):
     """A clean corpus and the scorer, weight file and head built from it."""
     tmp = tmp_path_factory.mktemp("artifacts")
     paths = {name: tmp / f"{name}.json" for name in ("scorer", "weights", "head")}
-    corpus = tmp / "c.jsonl"
+    corpus = tmp / "c.bin"
     c = ["--corpus", str(corpus)]
     for cmd in (
         [*GEN, "--out", str(corpus), "--seed", "5"],
@@ -415,13 +407,13 @@ def _change(*path, fn):
 
 
 def _poke(value, rng, new):
-    """A number replaced by new, or a nested list with one seeded element
-    replaced by new."""
-    if not isinstance(value, list):
+    """A number replaced by new, or a nested list or an array with one
+    seeded element replaced by new."""
+    if not isinstance(value, (list, np.ndarray)):
         return new
-    arr = np.asarray(value, dtype=object)
+    arr = np.array(value, dtype=object if isinstance(value, list) else None)
     arr.flat[rng.integers(arr.size)] = new
-    return arr.tolist()
+    return arr.tolist() if isinstance(value, list) else arr
 
 
 def _header_mutants():
@@ -448,13 +440,16 @@ class TestCorruptCorpusMutations:
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("clean") / "c.jsonl"
+        path = tmp_path_factory.mktemp("clean") / "c.bin"
         assert main([*GEN, "--out", str(path), "--seed", "5"]) == 0
-        return path.read_text().splitlines()
+        return load_corpus(path)
 
-    def _stage0(self, tmp_path, capsys, lines):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+    def _stage0(self, tmp_path, capsys, damaged):
+        path = tmp_path / "bad.bin"
+        if isinstance(damaged, bytes):
+            path.write_bytes(damaged)
+        else:
+            save_corpus(damaged, path)
         capsys.readouterr()
         rc = main(["stage0", "--corpus", str(path), "--out",
                    str(tmp_path / "qa.json"), "--seed", "1", "--steps", "2"])
@@ -466,41 +461,40 @@ class TestCorruptCorpusMutations:
 
     @pytest.mark.parametrize("case, edit", _mutants(), ids=[c for c, _ in _mutants()])
     def test_mutant_rejected(self, clean, tmp_path, capsys, case, edit):
-        rng = np.random.default_rng(sum(map(ord, case)))
-        recs = [json.loads(line) for line in clean[1:]]
-        edit(recs, rng)
-        self._stage0(tmp_path, capsys, clean[:1] + [json.dumps(r) for r in recs])
+        self._stage0(tmp_path, capsys, edit(clean, np.random.default_rng(sum(map(ord, case)))))
 
     @pytest.mark.parametrize("case, edit", _header_mutants(),
                              ids=[c for c, _ in _header_mutants()])
     def test_header_mutant_rejected(self, clean, tmp_path, capsys, case, edit):
-        header = edit(json.loads(clean[0]), None)
-        self._stage0(tmp_path, capsys, [json.dumps(header)] + clean[1:])
+        self._stage0(tmp_path, capsys,
+                     with_header(corpus_file(clean), lambda h: edit(h, None)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_truncated_line_rejected(self, clean, tmp_path, capsys, seed):
+        """The file cut at a seeded byte: inside the header line for seed 0,
+        inside the columns otherwise."""
         rng = np.random.default_rng(seed)
-        lines = list(clean)
-        k = 1 + int(rng.integers(len(lines) - 1))
-        lines[k] = lines[k][:int(rng.integers(1, len(lines[k])))]
-        assert f"line {k + 1}" in self._stage0(tmp_path, capsys, lines)
+        data = corpus_file(clean)
+        end = data.index(b"\n") + 1
+        cut = int(rng.integers(1, end) if seed == 0 else rng.integers(end, len(data)))
+        err = self._stage0(tmp_path, capsys, data[:cut])
+        assert ("bad corpus header" if seed == 0 else "corpus file holds") in err
 
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
-        # the three defects once seen as a traceback or a silent run
-        edits = (lambda recs, augs: recs[0].update(id=[recs[0]["id"]]),
-                 lambda recs, augs: recs[1].update(target_tokens=[0.5, 5, 7]),
-                 lambda recs, augs: augs[0].update(parent_id=augs[1]["id"]))
-        for edit in edits:
-            recs = [json.loads(line) for line in clean[1:]]
-            edit(recs, [r for r in recs if r["parent_id"] is not None])
-            path = tmp_path / "bad.jsonl"
-            path.write_text("\n".join([clean[0]] + [json.dumps(r) for r in recs]) + "\n")
+        # defects that would index past the rows or read a byte as a bool
+        # if the loader let them through
+        parent = np.array(clean.parent)
+        parent[-1] = len(clean)
+        data = corpus_file(clean)
+        for damaged in (corpus_file(corpus_with(clean, parent=parent)),
+                        data[:-1] + b"\x07", data[:len(data) // 2]):
+            path = tmp_path / "bad.bin"
+            path.write_bytes(damaged)
             proc = run("stage0", "--corpus", str(path), "--out",
                        str(tmp_path / "qa.json"), "--seed", "1", "--steps", "2")
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: ")
             assert "Traceback" not in proc.stderr
-
 
 
 # JSON values of every type but the one a field holds; an int field also
@@ -587,7 +581,7 @@ def _block_mutants():
         return block_values(e["data"]).reshape(e["shape"])
 
     def block(v):
-        return {"shape": list(v.shape), "data": feature_block(v)}
+        return {"shape": list(v.shape), "data": float_block(v)}
 
     def poke(new):
         def fn(e, rng):
@@ -615,8 +609,8 @@ def _block_mutants():
         ("extra axis", shape(lambda s, rng: [1, *s])),
         ("bad padding", data(lambda t, rng: t[:-1])),
         ("non-alphabet character", data(_swap_char)),
-        ("one float short", data(lambda t, rng: feature_block(block_values(t)[:-1]))),
-        ("one float long", data(lambda t, rng: feature_block(
+        ("one float short", data(lambda t, rng: float_block(block_values(t)[:-1]))),
+        ("one float long", data(lambda t, rng: float_block(
             np.append(block_values(t), 0.5)))),
         ("shape disagrees with byte count", shape(lambda s, rng: [s[0] + 1, *s[1:]])),
         ("data a number", data(lambda t, rng: 5.0)),
@@ -630,43 +624,33 @@ def _block_mutants():
 
 
 def _format_mutants():
-    """(case, edit) pairs; edit(lines, rng) damages the feature blocks or the
-    format version of a clean corpus file's lines (header first), at a record
-    the seeded rng picks."""
-    def record(fn):
-        def edit(lines, rng):
-            k = 1 + int(rng.integers(len(lines) - 1))
-            rec = json.loads(lines[k])
-            fn(rec, rng)
-            lines[k] = json.dumps(rec)
+    """(case, edit) pairs; edit(corpus, rng) returns the bytes of a clean
+    corpus's file with a feature column of the wrong length or a bad value at
+    a seeded place, or in another format version."""
+    def feature(name, fn):
+        def edit(c, rng):
+            values = np.array(getattr(c.features, name))
+            values.flat[rng.integers(values.size)] = fn
+            return corpus_file(corpus_with(c, **{name: values}))
         return edit
 
-    def text(key, fn):
-        return record(lambda rec, rng: rec.update({key: fn(rec[key], rng)}))
-
-    def values(key, fn):
-        return text(key, lambda t, rng: feature_block(fn(block_values(t), rng)))
-
-    def poke(new):
-        def fn(v, rng):
-            v[rng.integers(v.size)] = new
-            return v
-        return fn
-
-    def v1_header(lines, rng):
-        lines[0] = json.dumps({**json.loads(lines[0]),
-                               "generator_version": "augqual-gen-1"})
+    def v_column(fn):
+        """The file with the bytes after the V column's first n floats,
+        n = rows x d, given as fn(V bytes, rest of the file)."""
+        def edit(c, rng):
+            data = corpus_file(c)
+            start = data.index(b"\n") + 1
+            end = start + c.features.V.nbytes
+            return data[:start] + fn(data[start:end]) + data[end:]
+        return edit
 
     return [
-        ("bad padding", text("h_v", lambda t, rng: t.rstrip("="))),
-        ("non-alphabet character", text("h_a", _swap_char)),
-        ("block one float short", values("h_t_raw", lambda v, rng: v[:-1])),
-        ("block one float long", values("h_v", lambda v, rng: np.append(v, 0.5))),
-        ("NaN payload", values("h_a", poke(np.nan))),
-        ("inf payload", values("h_t_raw", poke(-np.inf))),
-        ("h_a a number", text("h_a", lambda t, rng: 5.0)),
-        ("v1 record with decimal lists", record(lambda rec, rng: _as_decimals(rec))),
-        ("generator_version augqual-gen-1", v1_header),
+        ("block one float short", v_column(lambda v: v[:-8])),
+        ("block one float long", v_column(lambda v: v + struct.pack("<d", 0.5))),
+        ("NaN payload", feature("A", np.nan)),
+        ("inf payload", feature("T", -np.inf)),
+        ("generator_version augqual-gen-1", lambda c, rng: with_header(
+            corpus_file(c), lambda h: {**h, "generator_version": "augqual-gen-1"})),
     ]
 
 
@@ -681,39 +665,32 @@ def _corpus_commands(corpus, artifacts, out):
             "eval": ["eval", *c, "--head", str(artifacts["head"]), "--json"]}
 
 
-def _as_decimals(rec):
-    """A record's feature blocks replaced by decimal lists, as the first
-    corpus format wrote them."""
-    rec.update({k: block_values(rec[k]).tolist() for k in FEATURE_KEYS})
-    return rec
-
-
-def _v1_file(lines):
-    """The lines of a corpus file in the first format."""
-    header = {**json.loads(lines[0]), "generator_version": "augqual-gen-1"}
-    return [json.dumps(header)] + [json.dumps(_as_decimals(json.loads(line)))
-                                   for line in lines[1:]]
-
-
-def _v2_file(lines):
-    """The lines of a corpus file in the second format, whose records also
-    stored their polarity, origin and padded target tokens."""
-    out = [json.dumps({**json.loads(lines[0]), "generator_version": "augqual-gen-2"})]
-    for line in lines[1:]:
-        rec = json.loads(line)
-        y = rec["sentiment"]
-        rec.update(polarity=int(y >= 0),
-                   origin="Original" if rec["parent_id"] is None else "Augmented",
-                   target_tokens=[*encode(VerbalScheme(), y), -100])
-        out.append(json.dumps(rec))
-    return out
+def _jsonl_file(corpus, version: str) -> str:
+    """The corpus as a file of an earlier, line-oriented format: a header
+    line, then one JSON record a row with base64 feature blocks; the second
+    format's records also stored their polarity, origin and padded target
+    tokens, and the first format's held features as decimal lists."""
+    header = {**config_to_dict(corpus.header), "generator_version": version}
+    block = (lambda v: v.tolist()) if version == "augqual-gen-1" else float_block
+    lines = [json.dumps(header)]
+    for s in samples_of(corpus):
+        rec = {"id": s.id, "h_v": block(s.h_v),
+               "h_a": None if s.h_a is None else block(s.h_a),
+               "h_t_raw": block(s.h_t_raw), "sentiment": s.sentiment,
+               "parent_id": s.parent_id, "hidden_quality": s.hidden_quality}
+        if version == "augqual-gen-2":
+            rec.update(polarity=int(s.sentiment >= 0),
+                       origin="Original" if s.parent_id is None else "Augmented",
+                       target_tokens=[*encode(VerbalScheme(), s.sentiment), -100])
+        lines.append(json.dumps(rec))
+    return "\n".join(lines) + "\n"
 
 
 class TestCorpusFormatMutations:
-    """Every corpus file with a malformed feature block, or in another format
-    version, makes each command that loads a corpus (stage0, score,
-    stage1 --weights, eval) exit 1 with an error line: never a traceback,
-    never an output."""
+    """Every corpus file with a feature column of the wrong length or a
+    non-finite value, or in another format version, makes each command that
+    loads a corpus (stage0, score, stage1 --weights, eval) exit 1 with an
+    error line: never a traceback, never an output."""
 
     @pytest.mark.parametrize("command", ("stage0", "score", "stage1", "eval"))
     @pytest.mark.parametrize("case, edit", _format_mutants(),
@@ -721,10 +698,9 @@ class TestCorpusFormatMutations:
     def test_mutant_rejected(self, clean_artifacts, tmp_path, capsys, case, edit,
                              command):
         corpus, artifacts = clean_artifacts
-        lines = corpus.read_text().splitlines()
-        edit(lines, np.random.default_rng(sum(map(ord, case))))
-        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
-        bad.write_text("\n".join(lines) + "\n")
+        bad, out = tmp_path / "bad.bin", tmp_path / "out.json"
+        bad.write_bytes(edit(load_corpus(corpus),
+                             np.random.default_rng(sum(map(ord, case)))))
         capsys.readouterr()
         rc = main(_corpus_commands(bad, artifacts, out)[command])
         printed = capsys.readouterr()
@@ -733,21 +709,25 @@ class TestCorpusFormatMutations:
         assert printed.out == "" and not out.exists()
 
     def test_defects_exit_cleanly_as_a_process(self, clean_artifacts, tmp_path):
-        # a first- and a second-format file, and a header whose d once ended
-        # stage0 and eval in numpy's "Maximum allowed dimension exceeded"
-        # traceback
+        # a file of each earlier, line-oriented format, and a header whose d
+        # once ended stage0 and eval in numpy's "Maximum allowed dimension
+        # exceeded" traceback
         corpus, artifacts = clean_artifacts
-        lines = corpus.read_text().splitlines()
-        huge = json.dumps({**json.loads(lines[0]), "d": 10 ** 20})
-        for text, commands, message in (
-                (_v1_file(lines), ("stage0", "score", "stage1", "eval"),
+        clean = load_corpus(corpus)
+        huge = with_header(corpus.read_bytes(), lambda h: {**h, "d": 10 ** 20})
+        every = ("stage0", "score", "stage1", "eval")
+        for data, commands, message in (
+                (_jsonl_file(clean, "augqual-gen-1").encode(), every,
                  "regenerate the corpus with gen-corpus"),
-                (_v2_file(lines), ("stage0", "score", "stage1", "eval"),
-                 "'augqual-gen-2': this build reads only 'augqual-gen-3' files; "
+                (_jsonl_file(clean, "augqual-gen-2").encode(), every,
+                 "'augqual-gen-2': this build reads only 'augqual-gen-4' files; "
                  "regenerate the corpus with gen-corpus"),
-                ([huge], ("stage0", "eval"), f"d must be in [1, {MAX_DIM}]")):
-            bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
-            bad.write_text("\n".join(text) + "\n")
+                (_jsonl_file(clean, "augqual-gen-3").encode(), every,
+                 "'augqual-gen-3': this build reads only 'augqual-gen-4' files; "
+                 "regenerate the corpus with gen-corpus"),
+                (huge, ("stage0", "eval"), f"d must be in [1, {MAX_DIM}]")):
+            bad, out = tmp_path / "bad.bin", tmp_path / "out.json"
+            bad.write_bytes(data)
             for command in commands:
                 proc = run(*_corpus_commands(bad, artifacts, out)[command])
                 assert proc.returncode == 1, proc.stderr
@@ -782,10 +762,8 @@ class TestHeaderChecks:
     def test_corpus_header_refused(self, clean_artifacts, tmp_path, capsys, case,
                                    command):
         corpus, artifacts = clean_artifacts
-        lines = corpus.read_text().splitlines()
-        lines[0] = json.dumps(_HEADER_EDITS[case](json.loads(lines[0])))
-        bad, out = tmp_path / "bad.jsonl", tmp_path / "head.json"
-        bad.write_text("\n".join(lines) + "\n")
+        bad, out = tmp_path / "bad.bin", tmp_path / "head.json"
+        bad.write_bytes(with_header(corpus.read_bytes(), _HEADER_EDITS[case]))
         argv = (["stage1", "--corpus", str(bad), "--out", str(out), "--seed", "5",
                  "--steps", "2"] if command == "stage1"
                 else _corpus_commands(bad, artifacts, out)["eval"])
@@ -856,7 +834,7 @@ class TestCorruptArtifactMutations:
         def param(doc, key, values):
             values = np.asarray(values, dtype=np.float64)
             return {**doc, "params": {**doc["params"], key: {
-                "shape": list(values.shape), "data": feature_block(values)}}}
+                "shape": list(values.shape), "data": float_block(values)}}}
         out_w, out_b = (block_values(head["params"][k]["data"]).reshape(
             head["params"][k]["shape"]) for k in ("out_w", "out_b"))
         four = param(param(head, "out_w", np.concatenate([out_w, out_w[-1:]])),
@@ -883,32 +861,22 @@ class TestCorruptArtifactMutations:
             assert proc.stdout == "" and not out.exists()
 
 
-def _contradict_targets(corpus, out) -> dict:
-    """Write to ``out`` a copy of the corpus file whose first positive
-    record also carries the target tokens [0, 2, 7], a negative polarity
-    token and the lowest bin; that record, as edited."""
-    lines = corpus.read_text().splitlines()
-    recs = [json.loads(line) for line in lines[1:]]
-    rec = next(r for r in recs if r["sentiment"] >= 0.0)
-    rec["target_tokens"] = [0, 2, 7]
-    out.write_text("\n".join([lines[0]] + [json.dumps(r) for r in recs]) + "\n")
-    return rec
-
-
 class TestTargetsMatchSentiment:
     def test_contradicting_record_refused_by_stage1(self, clean_artifacts, tmp_path):
-        """A record's target tokens are derived from its sentiment, so a
-        record cannot state others: one that carries a target_tokens field
-        is refused as having an unknown field, not trained on."""
+        """A row's target tokens are derived from its sentiment, so a file
+        cannot state others: one that carries a token column after its own
+        columns is refused for its size, not trained on."""
         corpus, _ = clean_artifacts
-        bad = tmp_path / "bad.jsonl"
-        rec = _contradict_targets(corpus, bad)
+        clean = load_corpus(corpus)
+        tokens = np.tile([0, 2, 7], (len(clean), 1)).astype("<i8")
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(corpus.read_bytes() + tokens.tobytes())
         head = tmp_path / "head.json"
         proc = run("stage1", "--corpus", str(bad), "--out", str(head),
                    "--seed", "5", "--steps", "5")
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr == (f"error: record {rec['id']}: unknown field "
-                               f"target_tokens\n")
+        assert proc.stderr.startswith(f"error: corpus file holds "
+                                      f"{bad.stat().st_size} bytes, not the ")
         assert not head.exists()
 
 
@@ -936,8 +904,9 @@ class TestBlasScope:
                 "--steps", "3"]
         assert main([*argv, "--corpus", str(corpus)]) == 0
         assert seen == [1] and puts == [1, 3] and threads == [3]
-        bad = tmp_path / "bad.jsonl"
-        _contradict_targets(corpus, bad)
+        bad = tmp_path / "bad.bin"
+        clean = load_corpus(corpus)
+        save_corpus(corpus_with(clean, sentiment=np.full(len(clean), np.nan)), bad)
         assert main([*argv, "--corpus", str(bad)]) == 1
         assert seen == [1] and puts == [1, 3, 1, 3] and threads == [3]
 
@@ -973,7 +942,7 @@ class TestExitPath:
         cases = (
             (["--version"], 0),
             (["make-it-so"], 1),
-            (["stage0", "--corpus", str(tmp_path / "absent.jsonl"),
+            (["stage0", "--corpus", str(tmp_path / "absent.bin"),
               "--out", str(tmp_path / "qa.json"), "--seed", "1"], 2),
             (evaluate, 0),
         )
@@ -1381,7 +1350,7 @@ class TestFlagRanges:
         assert printed.out == "" and not out.exists()
 
     def test_refused_as_a_process(self, tmp_path):
-        out = tmp_path / "c.jsonl"
+        out = tmp_path / "c.bin"
         proc = run("gen-corpus", "--out", str(out), "--seed", "1",
                    "--sigma-benign", "nan")
         assert proc.returncode == 1

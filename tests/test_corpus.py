@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,12 @@ from augqual.corpus import (
     GENERATOR_VERSION,
     MAX_DIM,
     MAX_ROWS,
+    Corpus,
     CorpusConfig,
     CorpusHeader,
     CorruptionProfile,
     VerbalScheme,
     corpus_checksum,
-    corpus_lines,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -31,13 +32,13 @@ from augqual.util import ValidationError, config_from_dict, config_to_dict
 import oracles
 from oracles import (
     Sample,
-    block_values,
+    corpus_file,
     corpus_from_samples,
-    corpus_line,
+    corpus_with,
     encode,
-    feature_block,
     feature_checksum,
     samples_of,
+    with_header,
 )
 
 CLEAN = CorruptionProfile(sigma_benign=0.0, p_swap=0.0, p_degrade=0.0,
@@ -305,24 +306,25 @@ class TestGenerate:
             assert not col.flags.writeable
 
 
-def _text(corpus) -> str:
-    return "".join(corpus_lines(corpus))
+def _saved(corpus, path) -> bytes:
+    save_corpus(corpus, path)
+    return path.read_bytes()
 
 
 class TestSerialization:
-    def test_same_seed_byte_identical(self):
-        a = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
-        b = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
+    def test_same_seed_byte_identical(self, tmp_path):
+        a = _saved(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8), tmp_path / "a")
+        b = _saved(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8), tmp_path / "b")
         assert a == b
 
-    def test_different_seed_differs(self):
-        a = _text(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8))
-        b = _text(generate_corpus(8, 2, DEFAULTISH, seed=43, d=8, d_t=8))
+    def test_different_seed_differs(self, tmp_path):
+        a = _saved(generate_corpus(8, 2, DEFAULTISH, seed=42, d=8, d_t=8), tmp_path / "a")
+        b = _saved(generate_corpus(8, 2, DEFAULTISH, seed=43, d=8, d_t=8), tmp_path / "b")
         assert a != b
 
     def test_save_load_round_trip(self, tmp_path):
         c = generate_corpus(10, 2, DEFAULTISH, seed=9, d=8, d_t=12)
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.bin"
         save_corpus(c, path)
         back = load_corpus(path)
         assert back.header == c.header
@@ -336,27 +338,36 @@ class TestSerialization:
             assert s.hidden_quality == t.hidden_quality
             assert s.polarity == t.polarity and s.parent_id == t.parent_id
         # re-serialization of the loaded corpus is bit-identical
-        assert _text(back) == _text(c)
+        assert _saved(back, tmp_path / "again.bin") == path.read_bytes()
 
     @pytest.mark.parametrize("n_originals", [300, 600])
     def test_load_memory_is_the_columns(self, tmp_path, n_originals):
-        """The loader decodes each block onto the end of its column, so its
-        traced peak is the final feature columns plus a per-row allowance
-        for ids, the other fields and the buffers' growth; a copy of the
-        blocks (1,792 bytes a row at these widths) does not fit."""
-        path = tmp_path / "c.jsonl"
+        """The loader reads the file into one buffer and takes each column as
+        a view of it, so its traced peak is the feature columns plus a per-row
+        allowance for the other columns and what the checks derive; a second
+        copy of the features (1,792 bytes a row at these widths) does not
+        fit. Every stored column is an aligned, read-only view of that one
+        buffer."""
+        path = tmp_path / "c.bin"
         save_corpus(generate_corpus(n_originals, 2, DEFAULTISH, seed=8), path)
         tracemalloc.start()
         try:
-            f = load_corpus(path).features
+            c = load_corpus(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        f = c.features
         assert peak <= f.V.nbytes + f.A.nbytes + f.T.nbytes + 1024 * len(f)
+        columns = (f.V, f.A, f.T, c.sentiment, c.hidden_quality, c.parent, c.has_audio)
+        buffer = f.V.base
+        assert buffer.nbytes == path.stat().st_size
+        for column in columns:
+            assert column.flags.aligned and not column.flags.writeable
+            assert column.base is buffer and np.shares_memory(column, buffer)
 
     def test_checksum_matches_file_bytes(self, tmp_path):
         c = generate_corpus(6, 1, DEFAULTISH, seed=77, d=8, d_t=8)
-        path = tmp_path / "c.jsonl"
+        path = tmp_path / "c.bin"
         save_corpus(c, path)
         assert corpus_checksum(c) == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -371,34 +382,53 @@ class TestSerialization:
 
     def test_header_field_order_on_disk(self, tmp_path):
         c = generate_corpus(2, 0, CLEAN, seed=1, d=8, d_t=8)
-        path = tmp_path / "c.jsonl"
-        save_corpus(c, path)
-        first = path.read_text().splitlines()[0]
+        first = _saved(c, tmp_path / "c.bin").split(b"\n")[0]
         keys = list(json.loads(first).keys())
         assert keys == ["d", "d_t", "vocab_size", "seed", "generator_version",
-                        "verbal"]
+                        "verbal", "rows"]
 
     def test_record_field_order_on_disk(self, tmp_path):
-        c = generate_corpus(2, 1, CLEAN, seed=1, d=8, d_t=8)
-        path = tmp_path / "c.jsonl"
-        save_corpus(c, path)
-        rec = json.loads(path.read_text().splitlines()[1])
-        assert list(rec.keys()) == ["id", "h_v", "h_a", "h_t_raw", "sentiment",
-                                    "parent_id", "hidden_quality"]
+        """The columns follow the header in the order V, A, T, sentiment,
+        hidden_quality, parent, has_audio (oracles.corpus_file)."""
+        c = generate_corpus(3, 2, DEFAULTISH, seed=1, d=8, d_t=12)
+        assert _saved(c, tmp_path / "c.bin") == corpus_file(c)
 
-    def test_features_on_disk_are_base64_float64(self, tmp_path):
+    def test_layout_of_three_rows(self, tmp_path):
+        """The file of a 3-row corpus, built by hand: the header with its row
+        count, padded with spaces to 8 bytes, then each column's little-endian
+        values in file order."""
+        header = CorpusHeader(d=2, d_t=1, vocab_size=8, seed=5)
+        c = Corpus(header=header, V=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                   A=[[0.5, -0.5], [0.0, 0.0], [7.0, 8.0]], T=[[9.0], [-9.0], [0.25]],
+                   has_audio=[True, False, True], sentiment=[0.5, -0.5, 0.5],
+                   parent=[-1, -1, 0], hidden_quality=[np.nan, np.nan, 0.25])
+        text = ('{"d":2,"d_t":1,"vocab_size":8,"seed":5,'
+                f'"generator_version":"{GENERATOR_VERSION}","verbal":'
+                '{"sign_tokens":[0,1],"class_tokens":[2,3,4,5,6],'
+                '"class_values":[-0.8,-0.4,0.0,0.4,0.8],"neutral_value":0.1,'
+                '"eos_token":7},"rows":3}').encode()
+        line = text + b" " * (-(len(text) + 1) % 8) + b"\n"
+        assert len(line) % 8 == 0 and line.rstrip(b" \n") == text
+        nan = struct.pack("<d", np.nan)
+        want = (line + struct.pack("<6d", 1, 2, 3, 4, 5, 6)
+                + struct.pack("<6d", 0.5, -0.5, 0, 0, 7, 8)
+                + struct.pack("<3d", 9, -9, 0.25) + struct.pack("<3d", 0.5, -0.5, 0.5)
+                + nan + nan + struct.pack("<d", 0.25)
+                + struct.pack("<3q", -1, -1, 0) + bytes([1, 0, 1]))
+        assert _saved(c, tmp_path / "c.bin") == want
+        assert load_corpus(tmp_path / "c.bin").ids.tolist() == ["o00000", "o00001",
+                                                                "o00000-a0"]
+
+    def test_features_on_disk_are_raw_float64(self, tmp_path):
         c = generate_corpus(2, 1, DEFAULTISH, seed=1, d=8, d_t=12)
-        path = tmp_path / "c.jsonl"
-        save_corpus(c, path)
-        header, *lines = path.read_text().splitlines()
-        assert json.loads(header)["generator_version"] == GENERATOR_VERSION
-        for row, line in enumerate(lines):
-            rec = json.loads(line)
-            for key, column in (("h_v", c.features.V), ("h_a", c.features.A),
-                                ("h_t_raw", c.features.T)):
-                assert rec[key] == feature_block(column[row])
-                assert (block_values(rec[key]).view(np.uint64)
-                        == column[row].view(np.uint64)).all()
+        data = _saved(c, tmp_path / "c.bin")
+        line = data[:data.index(b"\n") + 1]
+        assert json.loads(line)["generator_version"] == GENERATOR_VERSION
+        offset = len(line)
+        for column in (c.features.V, c.features.A, c.features.T):
+            raw = np.frombuffer(data, "<u8", column.size, offset)
+            assert (raw == column.ravel().view(np.uint64)).all()
+            offset += column.nbytes
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-310])
@@ -414,7 +444,7 @@ class TestSerialization:
             Sample(id=f"x{i}", h_v=v, h_a=None if i == 1 else a, h_t_raw=t,
                    polarity=1, sentiment=0.5)
             for i, (v, a, t) in enumerate(values)])
-        path = tmp_path / "c.jsonl"
+        path = tmp_path / "c.bin"
         save_corpus(c, path)
         back = load_corpus(path)
         for name in ("V", "A", "T"):
@@ -431,15 +461,11 @@ class TestSerialization:
             Sample(id="x0", h_v=ones, h_a=None, h_t_raw=ones, polarity=1, sentiment=0.5),
             Sample(id="x1", h_v=ones, h_a=ones, h_t_raw=ones, polarity=0, sentiment=-0.5),
         ])
-        path = tmp_path / "c.jsonl"
+        path = tmp_path / "c.bin"
         save_corpus(c, path)
-        back = {s.id: s for s in samples_of(load_corpus(path))}
-        assert back["x0"].h_a is None
-        np.testing.assert_array_equal(back["x1"].h_a, ones)
-
-
-def _write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n")
+        back = samples_of(load_corpus(path))
+        assert back[0].h_a is None
+        np.testing.assert_array_equal(back[1].h_a, ones)
 
 
 def _header(**changes):
@@ -448,150 +474,193 @@ def _header(**changes):
             "verbal": config_to_dict(VerbalScheme()), **changes}
 
 
-def _tiny_file(tmp_path, mutate):
-    """Write a two-record corpus, letting the test tamper with the dicts;
-    features given as arrays are written as blocks (oracles.corpus_line)."""
-    header = _header()
-    recs = [
-        {"id": "r0", "h_v": np.full(4, 1.0), "h_a": np.full(4, 1.0),
-         "h_t_raw": np.full(4, 1.0), "sentiment": 0.5,
-         "parent_id": None, "hidden_quality": None},
-        {"id": "r1", "h_v": np.full(4, 2.0), "h_a": None,
-         "h_t_raw": np.full(4, 2.0), "sentiment": -0.5,
-         "parent_id": "r0", "hidden_quality": 0.3},
-    ]
-    mutate(header, recs)
-    path = tmp_path / "bad.jsonl"
-    _write_lines(path, [json.dumps(header)] + [corpus_line(r) for r in recs])
+def _header_only(path, header, rows=0):
+    """Write a corpus file that holds only its header line: the header
+    object, with the row count when it is an object, padded as the format
+    pads it."""
+    doc = {**header, "rows": rows} if type(header) is dict else header
+    path.write_bytes(with_header(b"{}\n", lambda _: doc))
     return path
+
+
+def _tiny():
+    """A two-row corpus: o00000, an original with audio, and its augment
+    o00000-a0, which has none."""
+    return Corpus(header=CorpusHeader(d=4, d_t=4, vocab_size=8, seed=0),
+                  V=[np.full(4, 1.0), np.full(4, 2.0)],
+                  A=[np.full(4, 1.0), np.zeros(4)], T=[np.full(4, 1.0), np.full(4, 2.0)],
+                  has_audio=[True, False], sentiment=[0.5, -0.5], parent=[-1, 0],
+                  hidden_quality=[np.nan, 0.3])
+
+
+def _tiny_file(tmp_path, **columns):
+    """Save the two-row corpus with the named columns replaced; nothing is
+    checked before the loader."""
+    path = tmp_path / "tiny.bin"
+    save_corpus(corpus_with(_tiny(), **columns), path)
+    return path
+
+
+def _edited_file(tmp_path, edit):
+    """Save the two-row corpus and rewrite its bytes with edit(bytes)."""
+    path = tmp_path / "tiny.bin"
+    save_corpus(_tiny(), path)
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+# Bytes after the 8-aligned header of the two-row corpus: V, A, T, then the
+# one-value columns sentiment, hidden_quality and parent, then has_audio.
+_TINY_HEADER = len(with_header(b"{}\n", lambda _: {**_header(), "rows": 2}))
+_TINY_A = _TINY_HEADER + 2 * 4 * 8
 
 
 class TestLoadValidation:
     def test_dim_mismatch_message(self, tmp_path):
-        def cut(_h, recs):
-            recs[1]["h_v"] = np.full(3, 2.0)
-        with pytest.raises(ValidationError, match=r"record r1: dim mismatch"):
-            load_corpus(_tiny_file(tmp_path, cut))
+        """A header whose d disagrees with the columns leaves the file's size
+        at odds with its rows."""
+        path = _edited_file(tmp_path, lambda data: with_header(
+            data, lambda h: {**h, "d": 3}))
+        row_bytes = 8 * (3 + 3 + 4 + 3) + 1
+        with pytest.raises(ValidationError, match=re.escape(
+                f"corpus file holds {path.stat().st_size} bytes, not the "
+                f"{_TINY_HEADER}-byte header plus 2 rows of {row_bytes} bytes")):
+            load_corpus(path)
 
     def test_audio_dim_checked_when_present(self, tmp_path):
-        def cut(_h, recs):
-            recs[0]["h_a"] = np.full(5, 1.0)
-        with pytest.raises(ValidationError, match=r"record r0: dim mismatch"):
-            load_corpus(_tiny_file(tmp_path, cut))
-
-    def test_duplicate_id(self, tmp_path):
-        def dup(_h, recs):
-            recs[1]["id"] = "r0"
-            recs[1]["parent_id"] = None
-        with pytest.raises(ValidationError, match="record r0: duplicate id"):
-            load_corpus(_tiny_file(tmp_path, dup))
+        """An audio column one float longer than rows x d shifts every column
+        after it, and the size gives it away."""
+        path = _edited_file(tmp_path, lambda data: (
+            data[:_TINY_A + 8] + struct.pack("<d", 1.0) + data[_TINY_A + 8:]))
+        with pytest.raises(ValidationError, match="corpus file holds .* bytes, not"):
+            load_corpus(path)
 
     def test_unresolvable_parent(self, tmp_path):
-        def orphan(_h, recs):
-            recs[1]["parent_id"] = "ghost"
-        with pytest.raises(ValidationError, match="unresolvable parent_id ghost"):
-            load_corpus(_tiny_file(tmp_path, orphan))
+        for parent in (2, 7, -2):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"row 1: parent {parent} outside [-1, 2)")):
+                load_corpus(_tiny_file(tmp_path, parent=[-1, parent]))
 
     def test_polarity_must_match_sentiment(self, tmp_path):
-        """The polarity is the sentiment's sign, derived on load; a record
-        cannot state another."""
-        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
-        assert loaded.features.P.tolist() == [1, 0]
-
-        def flip(_h, recs):
-            recs[0]["polarity"] = 0
-        with pytest.raises(ValidationError, match="record r0: unknown field polarity"):
-            load_corpus(_tiny_file(tmp_path, flip))
+        """The polarity is the sentiment's sign, derived on load; the file
+        stores no polarity to disagree with it."""
+        assert load_corpus(_tiny_file(tmp_path)).features.P.tolist() == [1, 0]
+        flipped = load_corpus(_tiny_file(tmp_path, sentiment=[-0.5, 0.5]))
+        assert flipped.features.P.tolist() == [0, 1]
 
     def test_original_with_parent_rejected(self, tmp_path):
-        """A record with a parent_id is an augment, so an original cannot
-        have one: r0 given the augment r1 as parent is an augment of an
+        """A row with a parent is an augment, so an original cannot have one:
+        row 0 given the augment in row 1 as parent is an augment of an
         augment."""
-        def bad(_h, recs):
-            recs[0]["parent_id"] = "r1"
-        with pytest.raises(ValidationError,
-                           match="record r0: parent_id r1 is not an Original"):
-            load_corpus(_tiny_file(tmp_path, bad))
+        with pytest.raises(ValidationError, match="record o00001-a0: parent "
+                                                  "o00000-a0 is not an Original"):
+            load_corpus(_tiny_file(tmp_path, parent=[1, 0]))
 
     def test_augmented_needs_parent(self, tmp_path):
-        """Whether a record is an augment is whether it has a parent_id:
-        without one, r1 loads as an original."""
-        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        """Whether a row is an augment is whether it has a parent: with
+        parent -1, row 1 loads as an original."""
+        loaded = load_corpus(_tiny_file(tmp_path))
         assert loaded.augmented.tolist() == [False, True]
-
-        def orphan(_h, recs):
-            recs[1]["parent_id"] = None
-        loaded = load_corpus(_tiny_file(tmp_path, orphan))
+        assert loaded.ids.tolist() == ["o00000", "o00000-a0"]
+        loaded = load_corpus(_tiny_file(tmp_path, parent=[-1, -1]))
         assert loaded.augmented.tolist() == [False, False]
         assert loaded.parent.tolist() == [-1, -1]
+        assert loaded.ids.tolist() == ["o00000", "o00001"]
 
     def test_token_out_of_vocab(self, tmp_path):
         """Target tokens come from the header's verbal table, which fits
-        vocab_size; a record carrying its own tokens is refused, here one
-        beyond the vocabulary."""
-        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
+        vocab_size; the file stores no tokens that could leave it."""
+        loaded = load_corpus(_tiny_file(tmp_path))
         tokens = loaded.header.verbal.encode(loaded.sentiment)
         assert ((tokens >= 0) & (tokens < loaded.header.vocab_size)).all()
-
-        def bad(_h, recs):
-            recs[0]["target_tokens"] = [1, 9, 7]
-        with pytest.raises(ValidationError,
-                           match="record r0: unknown field target_tokens"):
-            load_corpus(_tiny_file(tmp_path, bad))
 
     @pytest.mark.parametrize("tokens", (
         [0, 5, 7], [1, 4, 7], [1, 5, 7, -100], [1, 5, 0]),
         ids=("polarity", "bin", "padding", "end"))
     def test_tokens_must_encode_sentiment(self, tmp_path, tokens):
-        """A record's target tokens are its sentiment's encoding, [1, 5, 7]
-        for r0, because the file cannot state them: tokens that differ in
-        one place, or the old padded form, are refused as an unknown field."""
-        loaded = load_corpus(_tiny_file(tmp_path, lambda _h, recs: None))
-        assert loaded.header.verbal.encode(loaded.sentiment[:1]).tolist() == [[1, 5, 7]]
-
-        def bad(_h, recs):
-            recs[0]["target_tokens"] = tokens
-        with pytest.raises(ValidationError, match=re.escape(
-                "record r0: unknown field target_tokens")):
-            load_corpus(_tiny_file(tmp_path, bad))
+        """A row's target tokens are its sentiment's encoding, [1, 5, 7] for
+        o00000, because the file stores only the sentiment. A row reaches
+        other tokens only by storing a sentiment that encodes to them, whose
+        polarity then agrees with the polarity token; tokens no sentiment
+        encodes to, such as the old padded form, cannot be reached."""
+        verbal = VerbalScheme()
+        assert load_corpus(_tiny_file(tmp_path)).features.P[0] == 1
+        grid = _sentiment_grid(5)
+        hits = grid[[t == tokens for t in verbal.encode(grid).tolist()]]
+        assert (hits.size > 0) == (tokens == [1, 4, 7])   # 0 <= y < 0.2
+        for y in hits[:3]:
+            loaded = load_corpus(_tiny_file(tmp_path, sentiment=[y, -0.5]))
+            assert verbal.encode(loaded.sentiment[:1]).tolist() == [tokens]
+            assert verbal.sign_tokens[loaded.features.P[0]] == tokens[0]
 
     def test_header_only_file_is_valid_and_empty(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        _write_lines(path, [json.dumps(_header())])
-        assert len(load_corpus(path)) == 0
+        assert len(load_corpus(_header_only(tmp_path / "empty.bin", _header()))) == 0
 
     def test_truly_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "none.jsonl"
+        path = tmp_path / "none.bin"
         path.write_text("")
         with pytest.raises(ValidationError, match="missing header"):
             load_corpus(path)
 
     def test_parent_must_be_an_original(self, tmp_path):
-        def chain(_h, recs):
-            recs.append(dict(recs[1], id="r2", parent_id="r1"))
-        with pytest.raises(ValidationError,
-                           match="record r2: parent_id r1 is not an Original"):
-            load_corpus(_tiny_file(tmp_path, chain))
+        c = _tiny()
+        chain = Corpus(header=c.header, V=np.r_[c.features.V, c.features.V[1:]],
+                       A=np.r_[c.features.A, c.features.A[1:]],
+                       T=np.r_[c.features.T, c.features.T[1:]],
+                       has_audio=[True, False, False], sentiment=[0.5, -0.5, -0.5],
+                       parent=[-1, 0, 1], hidden_quality=[np.nan, 0.3, 0.3])
+        path = tmp_path / "chain.bin"
+        save_corpus(chain, path)
+        with pytest.raises(ValidationError, match="record o00001-a0: parent "
+                                                  "o00000-a0 is not an Original"):
+            load_corpus(path)
 
-    @pytest.mark.parametrize("field, value, message", (
-        ("id", ["r0"], "line 2: field id has type list"),
-        # fields the second corpus format stored and the format now derives
-        ("polarity", "1", "record r0: unknown field polarity"),
-        ("bogus", 1, "record r0: unknown field bogus"),
-        ("sentiment", "0.5", "record r0: field sentiment has type str"),
-        # a decimal list is how the first corpus format held features
-        ("h_v", [1.0, 2.0, 3.0, 4.0], "record r0: field h_v has type list"),
-        ("target_tokens", [1, 5, 7], "record r0: unknown field target_tokens"),
-        ("origin", "Original", "record r0: unknown field origin"),
-        ("hidden_quality", float("nan"), "record r0: hidden_quality is NaN"),
-        ("h_a", np.array([1.0, np.inf, 1.0, 1.0]), "record r0: non-finite feature"),
-        ("sentiment", float("nan"), r"record r0: sentiment nan outside \[-1, 1\]"),
-    ))
-    def test_field_types_and_values(self, tmp_path, field, value, message):
-        def bad(_h, recs):
-            recs[0][field] = value
+    @pytest.mark.parametrize("column, values, message", (
+        ("sentiment", [np.nan, -0.5], r"record o00000: sentiment nan outside \[-1, 1\]"),
+        ("sentiment", [0.5, -1.5], r"record o00000-a0: sentiment -1.5 outside"),
+        ("hidden_quality", [np.nan, np.inf], "record o00000-a0: hidden_quality outside"),
+        ("hidden_quality", [-0.5, 0.3], "record o00000: hidden_quality outside"),
+        ("A", [[1.0, np.inf, 1.0, 1.0], np.zeros(4)], "record o00000: non-finite feature"),
+        ("T", [np.ones(4), [2.0, 2.0, np.nan, 2.0]], "record o00000-a0: non-finite feature"),
+        ("A", [np.ones(4), [0.0, 0.0, 5e-324, 0.0]],
+         "record o00000-a0: audio features but no audio"),
+    ), ids=("sentiment nan", "sentiment -1.5", "hidden_quality inf",
+            "hidden_quality -0.5", "inf audio", "nan text", "audio without audio"))
+    def test_column_values(self, tmp_path, column, values, message):
         with pytest.raises(ValidationError, match=message):
-            load_corpus(_tiny_file(tmp_path, bad))
+            load_corpus(_tiny_file(tmp_path, **{column: values}))
+
+    @pytest.mark.parametrize("edit, message", (
+        (lambda data: data[:-1], "corpus file holds .* bytes, not"),
+        (lambda data: data[:-33], "corpus file holds .* bytes, not"),
+        (lambda data: data + b"\n", "corpus file holds .* bytes, not"),
+        (lambda data: data + bytes(8 * (4 + 4 + 4 + 3) + 1),
+         "corpus file holds .* bytes, not"),
+        (lambda data: with_header(data, lambda h: {**h, "rows": 3}),
+         "corpus file holds .* bytes, not .* plus 3 rows"),
+        (lambda data: with_header(data, lambda h: {k: v for k, v in h.items()
+                                                   if k != "rows"}),
+         "rows must be a non-negative integer, got None"),
+        (lambda data: with_header(data, lambda h: {**h, "rows": -2}),
+         "rows must be a non-negative integer, got -2"),
+        (lambda data: with_header(data, lambda h: {**h, "rows": 2.0}),
+         "rows must be a non-negative integer, got 2.0"),
+        (lambda data: with_header(data, lambda h: {**h, "rows": "2"}),
+         "rows must be a non-negative integer, got '2'"),
+        (lambda data: with_header(data, lambda h: {**h, "rows": True}),
+         "rows must be a non-negative integer, got True"),
+        (lambda data: data[:data.index(b"\n")], "no newline ends the header line"),
+        (lambda data: data.replace(b"\n", b" \n", 1),
+         "bad corpus header: its line of .* bytes is not padded to a multiple of 8"),
+        (lambda data: data[:-1] + b"\x02", "row 1: has_audio byte 2 is not 0 or 1"),
+        (lambda data: data[:-2] + b"\xff\x00", "row 0: has_audio byte 255 is not 0 or 1"),
+    ), ids=("a byte short", "a column short", "trailing newline", "a row long",
+            "rows too many", "rows missing", "rows negative", "rows a float",
+            "rows a string", "rows a bool", "no newline", "header not padded",
+            "has_audio 2", "has_audio 255"))
+    def test_bad_binary_refused(self, tmp_path, edit, message):
+        with pytest.raises(ValidationError, match=message):
+            load_corpus(_edited_file(tmp_path, edit))
 
     def test_first_bad_record_named(self):
         c = generate_corpus(4, 1, CLEAN, seed=2, d=8, d_t=8)
@@ -603,38 +672,28 @@ class TestLoadValidation:
             validate_corpus(corpus_from_samples(c.header, samples))
 
     def test_checksum_is_of_the_bytes_read(self, tmp_path):
-        path = tmp_path / "c.jsonl"
+        """A header padded with 8 more spaces than the writer puts loads, and
+        the checksum is that of its bytes, not of the file save_corpus would
+        write."""
+        path = tmp_path / "c.bin"
         save_corpus(generate_corpus(4, 1, DEFAULTISH, seed=3, d=8, d_t=8), path)
-        path.write_bytes(path.read_bytes() + b"\n")
+        written = path.read_bytes()
+        path.write_bytes(written.replace(b"\n", b"        \n", 1))
         loaded = load_corpus(path)
         assert corpus_checksum(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert corpus_checksum(loaded) != hashlib.sha256(_text(loaded).encode()).hexdigest()
+        assert corpus_checksum(loaded) != hashlib.sha256(written).hexdigest()
 
     def test_garbage_json_line(self, tmp_path):
-        path = tmp_path / "garbage.jsonl"
-        _write_lines(path, [json.dumps(_header()), "{not json"])
-        with pytest.raises(ValidationError, match="line 2: bad JSON"):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(b"{not json      \n")
+        with pytest.raises(ValidationError, match="bad corpus header: Expecting"):
             load_corpus(path)
 
-    @pytest.mark.parametrize("block, message", (
-        (feature_block(np.ones(4)).rstrip("="), "field h_v is not base64: Incorrect padding"),
-        (feature_block(np.ones(4)).replace("A", "-", 1), "field h_v is not base64"),
-        (feature_block(np.ones(4)).replace("A", "\u00e9", 1), "field h_v is not base64"),
-        (feature_block(np.ones(4)) + " ", "field h_v is not base64"),
-        (feature_block(np.ones(4))[:-4], "dim mismatch: field h_v holds 30 bytes, not 8 x 4"),
-        ("", "dim mismatch: field h_v holds 0 bytes"),
-    ), ids=("no padding", "url-safe character", "non-ASCII", "trailing space",
-            "30 bytes", "empty"))
-    def test_malformed_block(self, tmp_path, block, message):
-        def bad(_h, recs):
-            recs[0]["h_v"] = block
-        with pytest.raises(ValidationError, match=f"record r0: {message}"):
-            load_corpus(_tiny_file(tmp_path, bad))
-
-    @pytest.mark.parametrize("version", ("augqual-gen-1", "augqual-gen-2", "whatever", ""))
+    @pytest.mark.parametrize("version", ("augqual-gen-1", "augqual-gen-2",
+                                         "augqual-gen-3", "whatever", ""))
     def test_other_format_version_refused(self, tmp_path, version):
         path = tmp_path / "old.jsonl"
-        _write_lines(path, [json.dumps(_header(generator_version=version))])
+        path.write_text(json.dumps(_header(generator_version=version)) + "\n")
         with pytest.raises(ValidationError) as info:
             load_corpus(path)
         message = str(info.value)
@@ -645,16 +704,14 @@ class TestLoadValidation:
         ("d", MAX_DIM + 1), ("d", 10 ** 20), ("d_t", MAX_DIM + 1),
         ("vocab_size", 10 ** 20), ("d", 0)))
     def test_header_dimensions_bounded(self, tmp_path, key, value):
-        path = tmp_path / "huge.jsonl"
-        _write_lines(path, [json.dumps(_header(**{key: value}))])
+        path = _header_only(tmp_path / "huge.bin", _header(**{key: value}), rows=10 ** 6)
         with pytest.raises(ValidationError,
                            match=rf"{key} must be in \[1, {MAX_DIM}\], got {value}"):
             load_corpus(path)
 
     def test_header_dimension_limit_is_inclusive(self, tmp_path):
-        path = tmp_path / "wide.jsonl"
-        _write_lines(path, [json.dumps(_header(d=MAX_DIM, d_t=MAX_DIM,
-                                               vocab_size=MAX_DIM))])
+        path = _header_only(tmp_path / "wide.bin", _header(d=MAX_DIM, d_t=MAX_DIM,
+                                                           vocab_size=MAX_DIM))
         assert load_corpus(path).header.d == MAX_DIM
 
 
@@ -727,17 +784,15 @@ class TestHeaderSchema:
             "string seed", "float d", "bool vocab_size", "int version",
             "verbal a list", "float class token", "string class values", "a list"])
     def test_bad_key_refused(self, tmp_path, header, message):
-        path = tmp_path / "bad.jsonl"
-        _write_lines(path, [json.dumps(header)])
+        path = _header_only(tmp_path / "bad.bin", header)
         with pytest.raises(ValidationError, match=f"^bad corpus header: ({message})"):
             load_corpus(path)
 
     @pytest.mark.parametrize("case, verbal, vocab, message", BAD_VERBAL,
                              ids=[case[0] for case in BAD_VERBAL])
     def test_verbal_invariants_on_load(self, tmp_path, case, verbal, vocab, message):
-        path = tmp_path / "bad.jsonl"
         table = {**config_to_dict(VerbalScheme()), **verbal}
-        _write_lines(path, [json.dumps(_header(vocab_size=vocab, verbal=table))])
+        path = _header_only(tmp_path / "bad.bin", _header(vocab_size=vocab, verbal=table))
         with pytest.raises(ValidationError, match=message):
             load_corpus(path)
 
@@ -772,11 +827,12 @@ class TestSplit:
         # originals paired by polarity, not by position: a file sorted by
         # polarity gave an eval set of one polarity when pairs were (2i, 2i+1)
         c = generate_corpus(8, 0, CLEAN, seed=4, d=8, d_t=8)
-        path = tmp_path / "c.jsonl"
-        save_corpus(c, path)
-        head, *records = path.read_text().splitlines()
-        records.sort(key=lambda line: json.loads(line)["sentiment"] >= 0.0)
-        _write_lines(path, [head] + records)
+        order = np.argsort(c.sentiment >= 0.0, kind="stable")
+        f = c.features
+        path = tmp_path / "c.bin"
+        save_corpus(corpus_with(c, V=f.V[order], A=f.A[order], T=f.T[order],
+                                sentiment=c.sentiment[order],
+                                hidden_quality=c.hidden_quality[order]), path)
         sorted_c = load_corpus(path)
         assert sorted_c.features.P.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
         split = train_eval_split(sorted_c, eval_fraction=0.25)

@@ -26,8 +26,8 @@ GOLDEN_CONFIG = PipelineConfig(corpus=CorpusConfig(n_originals=24, d=8, d_t=12,
                                head=HeadConfig(steps=30))
 
 GOLDEN_SHA256 = {
-    "corpus_s1": "cab8f8187564c7b3bc2e65d3ba6f10bc24a955918afcdc5db6d770b61e398fa4",
-    "corpus_s2": "aefbeec1b435f7ba289f720fdd2ff1334d28cbd36f2ed3661cb6e4be826940e2",
+    "corpus_s1": "f520c6617cff3b30c8c405e6bffe5a934d18e7324dc71e0188a1760813869a25",
+    "corpus_s2": "f8c9d3b7694d956d0474699ed0b74b4b96598d41b477d80021b8757dd1fb6040",
     "head_s1_augmented_only": "c3ba3faa3b64429ff85e0738ce60a10f4b162631fb9a762c53f75f3e5d82e170",
     "head_s1_original_only": "29e52fdf5b693ea2baba5ce9d8719f5f9776238ca54d48e39347075e180f6b2f",
     "head_s1_uniform": "800f584e66335af460bacf61cc9219eb8f96d26a39e5d897f7ccb20a51770e61",
@@ -36,9 +36,9 @@ GOLDEN_SHA256 = {
     "head_s2_original_only": "5c6c3769b1589995953cf9425633c3a2bf370340bef242fc80b539b3124e6236",
     "head_s2_uniform": "ee4f006ab4c47c3746013ba6ce1bf9d90698c9166ba3cbae205fadd9640b7bc2",
     "head_s2_weighted": "859b95845eca5b21eb31bbeb2e234ea60bb58109e5170d2fe4b86f0dfdff5e68",
-    "qa_s1": "df06b6b05ed72705b9301d1c574335479884f4f5e051f95fe7833f23b13684fd",
-    "qa_s2": "44f2c2ce313149582746533ea9b774809e06298c216f6ee1d775f6069fad5e6b",
-    "report": "250c1b85f965f7045e7ee18a56650ed6cac0da8c9e6e4ce3c4021d70437393b9",
+    "qa_s1": "a2a2c217e65272b2e03e2da01bf1acaa7464fd8a0f3ce966471053b9eede9dac",
+    "qa_s2": "0b07e8fa8f9bc1751541f08574d1298c16ec3fa5770a1d8fe112907ff3e9624a",
+    "report": "f857bb561e519c8c84b9519f04ad6cc0f408214b6b55cb2f2bf0e70a642accda",
     "report_txt": "2b83d8f60d58e5fe4812e029078dad489eb9e069651a4940c4becadd1bf9e221",
     "runlog_s1_augmented_only": "7158f545a71c7151f0765b36ecfb93976c6136f07b692a65f15a009e5aeed402",
     "runlog_s1_original_only": "f658fb8f7007e8e6bbe29fd06622d6173d0afe57cd2e4e19ed1e982020159c5a",
@@ -48,8 +48,8 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "fdcd8c335487754bd1ae09b7d87815549dfc94fa6ad717544f5221a1eda15d20",
     "runlog_s2_uniform": "d6155d640ef5999f0f2214de5b0c35846659d39f1145a2a08e06a2fa45044a2d",
     "runlog_s2_weighted": "22a5bec3c76842bbf08c8b763ef60a10f2f23f3b5dd4cd7520410262be926829",
-    "weights_s1": "ab40000d9ed2041e3a64cf161e27d94f883d2dcee686be43122f1f0d4b5936ee",
-    "weights_s2": "fb0b5616b6cd431933be1e957a5add1986e9d23cd8dfbfac18e2694d115aea87",
+    "weights_s1": "e6516514261ab1d7e4a84096e7f5cbcb906f69695317e805c2b2cb7abe82ca4b",
+    "weights_s2": "d2b53aa24c3452aa4a2ede9a6bae9d9be5c6d33923755a7d3d185a126a2beba1",
 }
 
 

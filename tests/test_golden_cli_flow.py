@@ -4,7 +4,9 @@ The corpora of ``test_golden.py`` have 48 rows, fewer than one scoring window
 (``qa.SCORE_WINDOW``), so they never reach the windowed path of
 ``score_corpus``. This pins the weight file of the stage-by-stage flow at the
 benchmark's ``cli_flow`` size instead: 600 originals with 2 augments each
-(1,800 rows, eight windows), taken before scoring was windowed.
+(1,800 rows, eight windows), taken before scoring was windowed and taken
+again when the corpus file became binary, which moved only the corpus
+checksum the weight file records.
 """
 
 import hashlib
@@ -16,12 +18,12 @@ from augqual.cli import main
 
 SEED = "13"
 N_ORIGINALS = 600   # 2 augments each: 1,800 rows
-WEIGHTS_SHA256 = "b595f6ce6a002db8d433ac41a2c0060940c4dd819e8e564f17d205438908ad59"
+WEIGHTS_SHA256 = "2344661553c310d8b31ee245c4956ad878ec625295cd7205e05db54e542b9c99"
 
 
 def test_cli_flow_weight_file_digest(tmp_path, monkeypatch, capsys):
     corpus, scorer, weights = (tmp_path / name for name in
-                               ("corpus.jsonl", "qa.json", "weights.json"))
+                               ("corpus.bin", "qa.json", "weights.json"))
     for argv in (["gen-corpus", "--out", str(corpus), "--seed", SEED,
                   "--n-originals", str(N_ORIGINALS), "--augments", "2",
                   "--p-swap", "0.15", "--p-degrade", "0.15",

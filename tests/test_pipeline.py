@@ -235,7 +235,7 @@ class TestRunPipeline:
         cfg = PipelineConfig(**FAST)
         res = run_pipeline(cfg, tmp_path)
         for seed in (1, 2):
-            assert (tmp_path / f"corpus_s{seed}.jsonl").exists()
+            assert (tmp_path / f"corpus_s{seed}.bin").exists()
             assert (tmp_path / f"qa_s{seed}.json").exists()
             assert (tmp_path / f"weights_s{seed}.json").exists()
             for arm in ARMS:
@@ -260,7 +260,7 @@ class TestRunPipeline:
         cfg = PipelineConfig(**FAST)
         run_pipeline(cfg, tmp_path / "a")
         run_pipeline(cfg, tmp_path / "b")
-        for name in ("report.json", "report.txt", "corpus_s1.jsonl",
+        for name in ("report.json", "report.txt", "corpus_s1.bin",
                      "weights_s1.json", "qa_s1.json", "head_s1_weighted.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name

@@ -6,8 +6,9 @@ every finite float64 parses back bit for bit, key order never shows, and a
 value JSON cannot hold is refused. Snapshot parameters are base64 float64
 blocks: a save/load round trip returns every bit, a parameter set that cannot
 be written leaves no file, and the first, decimal-list snapshot format is
-refused by name. Every artifact goes through ``write_atomic``: a write that
-fails at any chunk leaves no temporary file, and the target as it was.
+refused by name. Every artifact goes through ``write_atomic``, text and bytes
+chunks alike: a write that fails at any chunk leaves no temporary file, and
+the target as it was.
 ``derived_rngs`` yields ``derived_rng``'s streams, seeded in blocks.
 """
 
@@ -26,9 +27,9 @@ from augqual.finetune import (HeadConfig, HeadParams, head_snapshot_chunks, init
 from augqual.qa import (QaParams, WeightMapConfig, export_weights, init_qa_params,
                         load_qa_snapshot, qa_checksum, qa_snapshot_chunks,
                         save_qa_snapshot)
-from augqual.util import (RNG_BLOCK, B64Block, ValidationError, b64_block,
-                          derived_rng, derived_rngs, document_chunks, dumps_canonical,
-                          write_atomic)
+from augqual.util import (RNG_BLOCK, B64Block, ValidationError, derived_rng,
+                          derived_rngs, document_chunks, dumps_canonical, write_atomic)
+from oracles import float_block
 
 # signed zero, integer values on both sides of the 1e16 cut, a value with no
 # short decimal, a subnormal and a huge magnitude
@@ -113,14 +114,14 @@ class TestB64Block:
         arr = _finite_bits(np.random.default_rng(n), n)
         pieces = list(B64Block(arr).pieces())
         assert len(pieces) == -(-n // PIECE)
-        assert "".join(pieces) == b64_block(arr)
-        assert dumps_canonical({"data": B64Block(arr)}) == f'{{"data":"{b64_block(arr)}"}}'
+        assert "".join(pieces) == float_block(arr)
+        assert dumps_canonical({"data": B64Block(arr)}) == f'{{"data":"{float_block(arr)}"}}'
 
     def test_no_piece_holds_the_whole_block(self):
         arr = np.random.default_rng(0).standard_normal(10 * PIECE)
         pieces = list(document_chunks({"data": B64Block(arr)}))
         assert max(map(len, pieces)) <= 4 * 3 * 4096
-        assert "".join(pieces) == f'{{\n "data": "{b64_block(arr)}"\n}}\n'
+        assert "".join(pieces) == f'{{\n "data": "{float_block(arr)}"\n}}\n'
 
 
 D, D_T = 4, 6
@@ -292,8 +293,8 @@ def _run_small_pipeline(out: Path):
 # artifact -> (module whose write_atomic binding writes it, file names, how to
 # write them into a directory)
 ARTIFACTS = {
-    "corpus": (corpus, ["corpus.jsonl"],
-               lambda d: save_corpus(_small_corpus(), d / "corpus.jsonl")),
+    "corpus": (corpus, ["corpus.bin"],
+               lambda d: save_corpus(_small_corpus(), d / "corpus.bin")),
     "run log": (finetune, ["runlog.jsonl"],
                 lambda d: finetune.write_run_log([0.5, 0.25, 0.125], d / "runlog.jsonl")),
     "scorer snapshot": (qa, ["qa.json"], lambda d: save_qa_snapshot(
@@ -338,6 +339,15 @@ def test_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename refused"):
         save_head_snapshot(_head(np.random.default_rng(1)), D, D_T, path)
     assert _listing(tmp_path) == {"head.json": b"old bytes\n"}
+
+
+def test_text_and_bytes_chunks_written_in_order(tmp_path):
+    path = tmp_path / "mixed.bin"
+    column = np.array([1.5, -0.0])
+    write_atomic(["h\u00e9ader ", b"\x00\x01", memoryview(column).cast("B"), "end\n"],
+                 path)
+    assert path.read_bytes() == ("h\u00e9ader ".encode() + b"\x00\x01"
+                                 + column.tobytes() + b"end\n")
 
 
 def test_unopenable_target_is_named_and_writes_nothing(tmp_path):
