@@ -330,6 +330,18 @@ def _mutants():
             return corpus_with(c, parent=parent)
         return edit
 
+    def verbal(**changes):
+        """The file with the header's verbal table, from which every row's
+        target tokens are derived, given the changes."""
+        return lambda c, rng: with_header(corpus_file(c), lambda h: {
+            **h, "verbal": {**h["verbal"], **changes}})
+
+    def no_text_column(c, rng):
+        """The file without the T column's bytes."""
+        data, f = corpus_file(c), c.features
+        start = data.index(b"\n") + 1 + f.V.nbytes + f.A.nbytes
+        return data[:start] + data[start + f.T.nbytes:]
+
     return [
         # beyond float64, a value can only be stored as infinity
         ("sentiment 1e400", column("sentiment", lambda v, rng: np.inf)),
@@ -349,6 +361,14 @@ def _mutants():
          lambda c, rng: corpus_with(c, has_audio=np.arange(len(c)) != 3)),
         ("a row more than the header says", lambda c, rng: with_header(
             corpus_file(c), lambda h: {**h, "rows": h["rows"] - 1})),
+        ("h_t_raw=None", no_text_column),
+        # target tokens outside the vocabulary or the token range, or a
+        # table one bin token short, come only from the header's table
+        ("token 9 of vocab 8", verbal(eos_token=9)),
+        ("token -1", verbal(class_tokens=[-1, 0, 1, 2, 3])),
+        ("token 0.5", verbal(class_tokens=[2, 0.5, 4, 5, 6])),
+        ("token 1e30", verbal(eos_token=10 ** 30)),
+        ("short target list", verbal(class_tokens=[2, 3, 4, 5])),
     ]
 
 
@@ -626,7 +646,8 @@ def _block_mutants():
 def _format_mutants():
     """(case, edit) pairs; edit(corpus, rng) returns the bytes of a clean
     corpus's file with a feature column of the wrong length or a bad value at
-    a seeded place, or in another format version."""
+    a seeded place, a header line that is not padded or not text, or in
+    another format version."""
     def feature(name, fn):
         def edit(c, rng):
             values = np.array(getattr(c.features, name))
@@ -634,23 +655,41 @@ def _format_mutants():
             return corpus_file(corpus_with(c, **{name: values}))
         return edit
 
-    def v_column(fn):
-        """The file with the bytes after the V column's first n floats,
-        n = rows x d, given as fn(V bytes, rest of the file)."""
+    def column(name, fn):
+        """The file with the bytes of the feature column V or A, rows x d
+        floats, given as fn(column bytes)."""
         def edit(c, rng):
             data = corpus_file(c)
-            start = data.index(b"\n") + 1
-            end = start + c.features.V.nbytes
+            start = data.index(b"\n") + 1 + (c.features.V.nbytes if name == "A" else 0)
+            end = start + getattr(c.features, name).nbytes
             return data[:start] + fn(data[start:end]) + data[end:]
         return edit
 
+    def header_line(fn):
+        """The file with the header line, newline excluded, given as
+        fn(line, rng)."""
+        def edit(c, rng):
+            line, rest = corpus_file(c).split(b"\n", 1)
+            return fn(line, rng) + b"\n" + rest
+        return edit
+
+    def non_text(line, rng):
+        """The line with a byte that is not UTF-8 put at a seeded place."""
+        i = int(rng.integers(len(line)))
+        return line[:i] + b"\xe9" + line[i + 1:]
+
     return [
-        ("block one float short", v_column(lambda v: v[:-8])),
-        ("block one float long", v_column(lambda v: v + struct.pack("<d", 0.5))),
+        ("block one float short", column("V", lambda v: v[:-8])),
+        ("block one float long", column("V", lambda v: v + struct.pack("<d", 0.5))),
+        ("h_a a number", column("A", lambda a: struct.pack("<d", 5.0))),
         ("NaN payload", feature("A", np.nan)),
         ("inf payload", feature("T", -np.inf)),
+        ("bad padding", header_line(lambda line, rng: line + b" ")),
+        ("non-alphabet character", header_line(non_text)),
         ("generator_version augqual-gen-1", lambda c, rng: with_header(
             corpus_file(c), lambda h: {**h, "generator_version": "augqual-gen-1"})),
+        ("v1 record with decimal lists",
+         lambda c, rng: _jsonl_file(c, "augqual-gen-1").encode()),
     ]
 
 
@@ -688,7 +727,8 @@ def _jsonl_file(corpus, version: str) -> str:
 
 class TestCorpusFormatMutations:
     """Every corpus file with a feature column of the wrong length or a
-    non-finite value, or in another format version, makes each command that
+    non-finite value, a header line not padded to 8 bytes or not UTF-8, or in
+    another format version, makes each command that
     loads a corpus (stage0, score, stage1 --weights, eval) exit 1 with an
     error line: never a traceback, never an output."""
 

@@ -662,6 +662,27 @@ class TestLoadValidation:
         with pytest.raises(ValidationError, match=message):
             load_corpus(_edited_file(tmp_path, edit))
 
+    @pytest.mark.parametrize("edit, message", (
+        # seed 10 is a digit longer than seed 0, so its line is padded
+        (lambda data: re.sub(rb" +\n", b"\n", with_header(
+            data, lambda h: {**h, "seed": 10}), count=1),
+         "bad corpus header: its line of 217 bytes is not padded"),
+        (lambda data: data.replace(b"\n", b"\xe9\n", 1),
+         "bad corpus header: 'utf-8' codec can't decode byte 0xe9"),
+        (lambda data: data[:_TINY_A] + b" " + data[_TINY_A:],
+         "corpus file holds .* bytes, not"),
+        (lambda data: data[:_TINY_HEADER + 30] + data[_TINY_A:],
+         "corpus file holds .* bytes, not"),
+        (lambda data: data[:_TINY_HEADER] + data[_TINY_A:],
+         "corpus file holds .* bytes, not"),
+    ), ids=("no padding", "non-ASCII", "trailing space", "30 bytes", "empty"))
+    def test_malformed_block(self, tmp_path, edit, message):
+        """The header line without its padding or with a byte that is not
+        UTF-8, and the V column with a byte past its end, cut to 30 of its
+        64 bytes, or empty."""
+        with pytest.raises(ValidationError, match=message):
+            load_corpus(_edited_file(tmp_path, edit))
+
     def test_first_bad_record_named(self):
         c = generate_corpus(4, 1, CLEAN, seed=2, d=8, d_t=8)
         samples = samples_of(c)
