@@ -259,7 +259,8 @@ class Corpus:
     ``parent >= 0`` and ``ids`` follow from ``parent`` in row order; the
     target tokens are ``header.verbal.encode(sentiment)`` (``finetune``
     encodes its pool's). As the columns cannot be written, the file checksum
-    is computed once and kept (corpus_checksum).
+    is computed once, when first read, and kept (corpus_checksum); a loaded
+    corpus keeps the buffer it was read into, which its columns view.
     """
 
     header: CorpusHeader
@@ -274,6 +275,7 @@ class Corpus:
     augmented: np.ndarray = field(init=False)   # (n,) bool
     ids: np.ndarray = field(init=False)         # (n,) str, object dtype
     _checksum: str | None = field(default=None, init=False, repr=False)
+    _file: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, V, A, T):
         for name, dtype in (("has_audio", bool), ("sentiment", np.float64),
@@ -490,7 +492,7 @@ def load_corpus(path) -> Corpus:
     padded to 8 bytes, its ``rows`` a non-negative integer, and the file size
     the header's plus ``rows`` whole rows; every parent must be a row or -1
     and every ``has_audio`` byte 0 or 1. The corpus checksum is the SHA-256
-    of the bytes read.
+    of the bytes read, taken when corpus_checksum is first called.
     """
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
@@ -533,7 +535,8 @@ def load_corpus(path) -> Corpus:
                               f"0 or 1")
     corpus = Corpus(header=header, has_audio=has_audio.view(bool), **columns)
     validate_corpus(corpus)
-    corpus._checksum = hashlib.sha256(buf).hexdigest()
+    buf.setflags(write=False)
+    corpus._file = buf
     return corpus
 
 
@@ -542,7 +545,7 @@ def corpus_checksum(corpus: Corpus) -> str:
     the file ``save_corpus`` would write, hashed once per corpus."""
     if corpus._checksum is None:
         digest = hashlib.sha256()
-        for chunk in _file_chunks(corpus):
+        for chunk in _file_chunks(corpus) if corpus._file is None else [corpus._file]:
             digest.update(chunk)
         corpus._checksum = digest.hexdigest()
     return corpus._checksum

@@ -24,17 +24,16 @@ interval its config field declares (``util.bounded``), named
 ``<Class>.<field> must be in <interval>`` when that config is built.
 
 Only the weighted arm reads the scorer, and no arm reads the corpus file.
-So once a seed is split, a worker process forked for that seed trains, saves
-and evaluates every other arm while this process saves the corpus, runs
-stage 0, exports the weights and trains the weighted arm; BLAS is held to
-one thread for the run, leaving the second CPU to the worker. The worker
-takes the seed's corpus, split and config through the fork itself, so
-nothing but the call and the metrics is pickled between the two. Both sides
-call the same per-arm code on the same inputs, and results are gathered in
-config order, so no artifact byte depends on scheduling or on the BLAS
-thread count. The CLI stage-by-stage test checks the first; as the stage
-commands also hold BLAS to one thread, a test that runs the stages at two
-BLAS threads checks the second.
+So once a seed is split, a child forked for that seed trains, saves and
+evaluates every other arm while this process saves the corpus, runs stage 0,
+exports the weights and trains the weighted arm; BLAS is held to one thread
+for the run, leaving the second CPU to the child. The child takes the seed's
+corpus, split and config through the fork; only its metrics come back,
+pickled, through a pipe. Both sides call the same per-arm code on the same
+inputs, and results are gathered in config order, so no artifact byte
+depends on scheduling or on the BLAS thread count. The CLI stage-by-stage
+test checks the first; as the stage commands also hold BLAS to one thread, a
+test that runs the stages at two BLAS threads checks the second.
 
 Each seed runs in one call that returns only its corpus checksum and
 metrics, so a seed's corpus, split, scorer and weights are freed before the
@@ -43,9 +42,9 @@ arm-wise into arithmetic means and written as a canonical-JSON report
 (byte-deterministic for a given config), a plain-text table, and optionally
 a per-seed CSV. Every artifact is written through ``util.write_atomic``, so
 none is ever left truncated. Any stage failure is rethrown as
-PipelineError("stage <name> failed: <cause>"), a killed worker as a failure
-of the stages it ran; a failure in this process stops the worker at once,
-and no worker outlives the run.
+PipelineError("stage <name> failed: <cause>"), a child that dies as a
+failure of the stages it ran; a failure in this process stops the child at
+once, and no child outlives the run.
 """
 
 from __future__ import annotations
@@ -53,6 +52,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,67 +147,64 @@ def _stage(name: str):
         raise PipelineError(f"stage {name} failed: {exc}") from exc
 
 
-# The inputs of _train_arms, set only in a forked arm worker, by its
-# initializer; this process never sets it.
-_inherited = None
-
-
-def _inherit(*inputs) -> None:
-    global _inherited
-    _inherited = inputs
-
-
-def _train_inherited_arms() -> dict:
-    return _train_arms(*_inherited)
-
-
 @contextlib.contextmanager
 def _arm_worker(arms, corpus: Corpus, split: Split, config: PipelineConfig,
                 seed: int, files: dict):
     """A function returning the metrics of ``_train_arms(arms, corpus, split,
-    None, config, seed, files)``, run in a worker process forked for this
-    seed; it returns {} at once when ``arms`` is empty. A killed worker is
-    raised as a PipelineError naming the stages it ran.
+    None, config, seed, files)``, run in a child forked for this seed, or {}
+    at once when ``arms`` is empty.
 
-    Fork, not spawn: the worker starts from this process's imported modules
-    in milliseconds, OpenBLAS stops its own threads around a fork, and the
-    inputs reach the worker through the fork (the initializer's arguments are
-    inherited, not pickled), so only the call and the metrics are pickled.
-    The pool starts its threads after the fork. When the block fails, the
-    worker is stopped at once rather than left to finish arms whose results
-    nobody will read. The pool's modules are imported here, so a process
-    that never runs the pipeline, such as a stage command, never loads them.
+    The child takes its inputs through the fork, writes one pickled ``(ok,
+    metrics or PipelineError)`` to a pipe (any other exception restated as a
+    PipelineError naming the stage) and leaves only through ``os._exit``. The
+    function reads the pipe to its end, then reaps the child; no payload is a
+    PipelineError naming how the child ended. A block that fails first stops
+    the child with SIGTERM and reaps it, rather than wait for unread arms.
     """
     if not arms:
         yield dict
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    stage = f"stage stage1:{','.join(arms)} failed"
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        pid = os.fork()
+        if not pid:
+            try:
+                reader.close()
+                try:
+                    payload = (True, _train_arms(arms, corpus, split, None,
+                                                 config, seed, files))
+                except Exception as exc:
+                    payload = (False, exc if isinstance(exc, PipelineError) else
+                               PipelineError(f"{stage}: {type(exc).__name__}: {exc}"))
+                writer.write(pickle.dumps(payload))
+                writer.close()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        writer.close()
+        status = None
 
-    pool = ProcessPoolExecutor(max_workers=1,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_inherit,
-                               initargs=(arms, corpus, split, None, config, seed,
-                                         files))
+        def metrics() -> dict:
+            nonlocal status
+            data = reader.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                how = (f"ended by signal {-status}" if status < 0
+                       else f"exit status {status}")
+                raise PipelineError(f"{stage}: worker {how}") from None
+            if not ok:
+                raise value
+            return value
 
-    def metrics() -> dict:
         try:
-            return pending.result()
-        except BrokenProcessPool as exc:
-            raise PipelineError(f"stage stage1:{','.join(arms)} failed: "
-                                f"{exc}") from exc
-
-    try:
-        pending = pool.submit(_train_inherited_arms)
-        yield metrics
-    except BaseException:
-        # ProcessPoolExecutor gains terminate_workers() only in Python 3.14
-        for proc in list(pool._processes.values()):
-            proc.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+            yield metrics
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
 
 
 def _seed_files(out: Path, seed: int, arms) -> dict:

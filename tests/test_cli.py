@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from augqual import cli, numerics
+from augqual import corpus as corpus_module
 from augqual.cli import main
 from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionProfile,
                             SplitConfig, VerbalScheme, load_corpus, save_corpus)
@@ -108,7 +109,7 @@ class TestExitCodes:
 
     def test_import_leaves_scipy_stats_out(self):
         # nor any scipy package: numerics loads only the ufunc extension; nor
-        # the process pool, which only a pipeline run imports
+        # the process pool modules (next test)
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, augqual.cli, augqual.pipeline; "
@@ -116,6 +117,24 @@ class TestExitCodes:
              "'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_pipeline_run_imports_no_process_pool(self, tmp_path):
+        """A pipeline run forks its arm worker with os.fork and a pipe, so a
+        whole run loads neither multiprocessing nor concurrent.futures."""
+        doc = {"corpus": {"n_originals": 24, "d": 8, "d_t": 12},
+               "qa": {"steps": 5}, "head": {"steps": 5}, "seeds": [1],
+               "arms": ["weighted", "uniform"]}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from augqual.pipeline import pipeline_config_from_dict, run_pipeline\n"
+             f"run_pipeline(pipeline_config_from_dict({doc!r}), {str(tmp_path)!r})\n"
+             "print(sorted({'multiprocessing', 'concurrent.futures'} "
+             "& set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "head_s1_uniform.json").exists()
         assert proc.stdout.strip() == "[]"
 
     def test_version_exits_zero(self):
@@ -216,6 +235,34 @@ class TestStageCommands:
         assert proc.returncode == 1, proc.stderr
         assert entry["id"] in proc.stderr
         assert not head.exists()
+
+    def test_only_score_and_weighted_stage1_hash_the_corpus(self, artifacts, tmp_path,
+                                                            monkeypatch, capsys):
+        """A loaded corpus is hashed when its checksum is first read, so
+        stage0, stage1 without --weights and eval make no SHA-256 call over
+        it; score prints the file's SHA-256 and stage1 --weights checks it."""
+        corpus, qa, w, head = artifacts
+        calls = []
+
+        def sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(corpus_module, "hashlib", SimpleNamespace(sha256=sha256))
+        given = ["--corpus", str(corpus), "--seed", "5", "--steps", "3"]
+        for argv in (["stage0", *given, "--hidden", "8", "--out", str(tmp_path / "q")],
+                     ["stage1", *given, "--out", str(tmp_path / "u")],
+                     ["eval", "--corpus", str(corpus), "--head", str(head)]):
+            assert main(argv) == 0 and calls == [], argv
+        capsys.readouterr()
+        assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
+                     "--out", str(tmp_path / "w"), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["corpus_checksum"]
+        assert printed == hashlib.sha256(corpus.read_bytes()).hexdigest()
+        assert len(calls) == 1
+        assert main(["stage1", *given, "--weights", str(w),
+                     "--out", str(tmp_path / "h")]) == 0
+        assert len(calls) == 2
 
     def test_score_reports_one_entry_per_corpus_row(self, artifacts, tmp_path, capsys):
         corpus, qa, _, _ = artifacts

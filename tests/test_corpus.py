@@ -704,6 +704,20 @@ class TestLoadValidation:
         assert corpus_checksum(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
         assert corpus_checksum(loaded) != hashlib.sha256(written).hexdigest()
 
+    def test_replaced_corpus_hashes_its_own_file(self, tmp_path):
+        """A corpus made by dataclasses.replace from a loaded one does not
+        keep the bytes that one was read from: its checksum is that of the
+        file save_corpus would write."""
+        path = tmp_path / "c.bin"
+        save_corpus(generate_corpus(4, 1, DEFAULTISH, seed=3, d=8, d_t=8), path)
+        written = path.read_bytes()
+        path.write_bytes(written.replace(b"\n", b"        \n", 1))
+        loaded = load_corpus(path)
+        f = loaded.features
+        replaced = dataclasses.replace(loaded, V=f.V, A=f.A, T=f.T)
+        assert corpus_checksum(replaced) == hashlib.sha256(written).hexdigest()
+        assert corpus_checksum(loaded) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_garbage_json_line(self, tmp_path):
         path = tmp_path / "garbage.bin"
         path.write_bytes(b"{not json      \n")

@@ -7,14 +7,13 @@ import dataclasses
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import pickle
 import re
 import signal
 import time
 import tracemalloc
 from dataclasses import replace
-from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +329,17 @@ class TestRunPipeline:
         assert len(live) == 2 and live[1] < 0.5 * 2 ** 20, live
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _unpicklable():
+    class Unpicklable(Exception):   # pickle cannot name a local class
+        pass
+    return Unpicklable("boom")
+
+
 class TestArmWorker:
     """The arms that do not read the scorer train in a worker forked for each
     seed while this process runs stage 0, with BLAS held to one thread for
@@ -354,7 +364,7 @@ class TestArmWorker:
         assert match and int(match.group(1)) != os.getpid()
         assert (tmp_path / "head_s1_uniform.json").exists()
         assert not (tmp_path / "head_s2_uniform.json").exists()
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_killed_worker_is_a_stage_failure(self, tmp_path, monkeypatch):
         real = pipeline.train_stage1
@@ -365,24 +375,27 @@ class TestArmWorker:
             return real(corpus, weight_file, *args, **kw)
 
         monkeypatch.setattr(pipeline, "train_stage1", die_in_worker)
-        with pytest.raises(PipelineError, match="^stage stage1:uniform failed: "):
+        with pytest.raises(PipelineError, match="^stage stage1:uniform failed: "
+                           f"worker ended by signal {int(signal.SIGKILL)}$"):
             run_pipeline(self.CFG, tmp_path)
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_parent_pickles_no_corpus(self, tmp_path, monkeypatch):
-        """The worker takes its inputs through the fork: all this process
-        pickles is the call and its stage bookkeeping, not the corpus."""
-        sizes = []
-        real = ForkingPickler.dumps
+        """The worker takes its inputs through the fork: all that crosses
+        the pipe is its arms' metrics, not the corpus."""
+        received = []
+        real = pickle.loads
 
-        def dumps(cls, obj, protocol=None):
-            data = real(obj, protocol)
-            sizes.append(len(data))
-            return data
+        def loads(data):
+            payload = real(data)
+            received.append((len(data), payload))
+            return payload
 
-        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(dumps))
+        monkeypatch.setattr(pipeline.pickle, "loads", loads)
         run_pipeline(self.TWO_SEEDS, tmp_path)
-        assert len(sizes) >= 2 and max(sizes) < 4096
+        assert len(received) == 2
+        for size, (ok, metrics) in received:
+            assert ok and set(metrics) == {"uniform"} and size < 4096
 
     def test_worker_arm_failure_names_its_stage(self, tmp_path, monkeypatch):
         real = pipeline.train_stage1
@@ -398,7 +411,35 @@ class TestArmWorker:
         match = re.fullmatch(r"stage stage1:uniform failed: boom in process (\d+)",
                              str(info.value))
         assert match and int(match.group(1)) != os.getpid()
-        assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("raise_in_worker, cause", [
+        (lambda: RuntimeError("boom"), "RuntimeError: boom"),
+        (_unpicklable, "Unpicklable: boom"),
+        (KeyboardInterrupt, "worker exit status 1")],
+        ids=["RuntimeError", "unpicklable", "KeyboardInterrupt"])
+    def test_child_exits(self, tmp_path, monkeypatch, raise_in_worker, cause):
+        """Whatever a worker arm raises, the child leaves through os._exit:
+        an exception reaches this process as a PipelineError naming the
+        arm's stage, an interrupt as the child's exit status; no child and
+        no pipe end is left, and this process is still the test's."""
+        real = pipeline.train_stage1
+
+        def fail_uniform(corpus, weight_file, *args, **kw):
+            if weight_file is None:
+                raise raise_in_worker()
+            return real(corpus, weight_file, *args, **kw)
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(_unpicklable())
+        monkeypatch.setattr(pipeline, "train_stage1", fail_uniform)
+        pid, fds = os.getpid(), sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(self.CFG, tmp_path)
+        assert str(info.value) == f"stage stage1:uniform failed: {cause}"
+        assert os.getpid() == pid
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        _no_child_left()
 
     def test_stage0_failure_stops_the_worker_at_once(self, tmp_path, monkeypatch):
         def slow_arm(*args, **kw):
@@ -413,7 +454,7 @@ class TestArmWorker:
         with pytest.raises(PipelineError, match="^stage stage0 failed: no scorer$"):
             run_pipeline(self.CFG, tmp_path)
         assert time.monotonic() - t0 < 30
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_worker_starts_before_the_corpus_save(self, tmp_path, monkeypatch):
         """The worker's arms read neither the corpus file nor its checksum, so
@@ -425,7 +466,7 @@ class TestArmWorker:
             time.sleep(60)
 
         def failed_save(corpus, path):
-            children.append(len(multiprocessing.active_children()))
+            children.append(os.waitpid(-1, os.WNOHANG))   # (0, 0): one runs
             raise ValidationError("disk full")
 
         monkeypatch.setattr(pipeline, "train_stage1", slow_arm)
@@ -434,8 +475,8 @@ class TestArmWorker:
         with pytest.raises(PipelineError, match="^stage gen-corpus failed: disk full$"):
             run_pipeline(self.CFG, tmp_path)
         assert time.monotonic() - t0 < 30
-        assert children == [1]
-        assert multiprocessing.active_children() == []
+        assert children == [(0, 0)]
+        _no_child_left()
 
     def test_blas_held_to_one_thread_for_the_run(self, tmp_path, monkeypatch):
         api = numerics._openblas()
