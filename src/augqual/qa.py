@@ -33,10 +33,12 @@ chosen so that every score is bit-identical to one batched pass over the
 whole corpus.
 
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
-Original samples always weigh 1. A ``WeightFile`` holds ids, scores, weights and
-augmented flags as columns in id order; it is written as canonical JSON, one
-entry per sample, with checksums binding it to the corpus and the scorer
-(``qa_checksum`` hashes each parameter's shape and float64 bytes). A scorer
+Original samples always weigh 1. A ``WeightFile`` holds the map, and ids and
+scores as columns in id order; it is written as canonical JSON, one
+``{"id", "score"}`` entry per sample, with checksums binding it to the corpus
+and the scorer (``qa_checksum`` hashes each parameter's shape and float64
+bytes). No weight is stored: ``verify_weight_file`` derives each one from its
+score, the map and the corpus's ``augmented`` column. A scorer
 snapshot echoes the corpus header and stores each parameter as its shape and one
 base64 float64 block (``util.encode_params``); the loader reads no other format.
 
@@ -89,7 +91,6 @@ from .util import (
 
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
                "hidden_w", "hidden_b", "out_w", "out_b")
-_ORIGINS = ("Original", "Augmented")   # a weight-file origin by augmented flag
 # A weight file's creation stamp: one fixed value, so equal inputs give equal bytes.
 CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -382,26 +383,29 @@ def sample_weight(origin: str, score: float, cfg: WeightMapConfig) -> float:
 
 @dataclass(eq=False)
 class WeightFile:
-    """Map parameters, checksums, and one read-only column per entry field:
-    ``ids`` (str, object dtype), ``scores``, ``weights`` (float64) and
-    ``augmented`` (bool), kept in id order: ``export_weights`` sorts the rows
-    and the serializer writes them in the order held."""
+    """The score map, checksums, and two read-only columns kept in id order:
+    ``ids`` (str, object dtype) and ``scores`` (float64); ``export_weights``
+    sorts the rows and the serializer writes them in the order held. Built
+    only when each id is listed once and every score is in (0, 1)."""
 
-    w_min: float
-    w_max: float
-    gamma: float
+    weight_map: WeightMapConfig
     qa_checksum: str
     corpus_checksum: str
     created_at: str
     ids: np.ndarray
     scores: np.ndarray
-    weights: np.ndarray
-    augmented: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("ids", object), ("scores", np.float64),
-                            ("weights", np.float64), ("augmented", bool)):
-            setattr(self, name, _freeze(getattr(self, name), dtype))
+        self.ids, self.scores = _freeze(self.ids, object), _freeze(self.scores, np.float64)
+        ids = np.sort(self.ids)
+        twice = ids[1:] == ids[:-1]
+        if twice.any():
+            raise ValidationError(f"weight file lists {ids[1:][twice][0]} twice")
+        scored = (self.scores > 0.0) & (self.scores < 1.0)
+        if not scored.all():
+            k = int(np.argmin(scored))
+            raise ValidationError(f"weight file gives {self.ids[k]} score "
+                                  f"{float(self.scores[k])!r}, outside (0, 1)")
 
 
 def qa_checksum(params: QaParams) -> str:
@@ -417,38 +421,32 @@ def qa_checksum(params: QaParams) -> str:
 
 def weight_file_chunks(wf: WeightFile):
     """The weight file's text in pieces (``util.document_chunks``)."""
+    cfg = wf.weight_map
     return document_chunks({
         "metadata": {
-            "w_min": wf.w_min, "w_max": wf.w_max, "gamma": wf.gamma,
+            "w_min": cfg.w_min, "w_max": cfg.w_max, "gamma": cfg.gamma,
             "qa_checksum": wf.qa_checksum,
             "corpus_checksum": wf.corpus_checksum,
             "created_at": wf.created_at,
         },
-        "entries": [{"id": i, "score": s, "weight": w, "origin": _ORIGINS[a]}
-                    for i, s, w, a in zip(wf.ids.tolist(), wf.scores.tolist(),
-                                          wf.weights.tolist(), wf.augmented.tolist())],
+        "entries": [{"id": i, "score": s}
+                    for i, s in zip(wf.ids.tolist(), wf.scores.tolist())],
     })
 
 
 def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
                    path=None) -> WeightFile:
-    """Score every sample and persist id -> weight, sorted by id.
+    """Score every sample and persist id -> score under the map, sorted by id.
 
-    Weights come from the scalar ``sample_weight``, as numpy's power rounds
-    some scores apart from Python's ``**``. Output bytes are deterministic for
-    a given (corpus, params, cfg): canonical JSON, floats in shortest
-    round-trip repr, and the fixed ``CREATED_AT`` stamp.
+    Output bytes are deterministic for a given (corpus, params, cfg):
+    canonical JSON, floats in shortest round-trip repr, and the fixed
+    ``CREATED_AT`` stamp.
     """
     order = np.argsort(corpus.ids)
-    scores = score_corpus(corpus, params)[order]
-    augmented = corpus.augmented[order]
-    wf = WeightFile(w_min=cfg.w_min, w_max=cfg.w_max, gamma=cfg.gamma,
-                    qa_checksum=qa_checksum(params),
+    wf = WeightFile(weight_map=cfg, qa_checksum=qa_checksum(params),
                     corpus_checksum=corpus_checksum(corpus),
                     created_at=CREATED_AT, ids=corpus.ids[order],
-                    scores=scores, augmented=augmented,
-                    weights=[sample_weight(_ORIGINS[a], s, cfg) for s, a
-                             in zip(scores.tolist(), augmented.tolist())])
+                    scores=score_corpus(corpus, params)[order])
     if path is not None:
         write_atomic(weight_file_chunks(wf), path)
     return wf
@@ -459,8 +457,7 @@ def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
 _META_FIELDS = {"w_min": (int, float), "w_max": (int, float), "gamma": (int, float),
                 "qa_checksum": (str,), "corpus_checksum": (str,),
                 "created_at": (str,)}
-_ENTRY_FIELDS = {"id": (str,), "score": (int, float), "weight": (int, float),
-                 "origin": (str,)}
+_ENTRY_FIELDS = {"id": (str,), "score": (int, float)}
 
 
 def load_weight_file(path) -> WeightFile:
@@ -472,85 +469,44 @@ def load_weight_file(path) -> WeightFile:
         raise ValidationError("bad weight file: entries must be a list")
     for k, e in enumerate(entries):
         check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
-        if e["origin"] not in _ORIGINS:
-            raise ValidationError(f"bad weight file: entry {e['id']} has "
-                                  f"origin {e['origin']!r}")
+        if len(e) > len(_ENTRY_FIELDS):
+            unknown = next(key for key in e if key not in _ENTRY_FIELDS)
+            raise ValidationError(f"bad weight file: entry {e['id']}: unknown field "
+                                  f"{unknown}; re-run augqual score to rewrite it")
     try:
-        wf = WeightFile(w_min=float(meta["w_min"]), w_max=float(meta["w_max"]),
-                        gamma=float(meta["gamma"]),
-                        qa_checksum=meta["qa_checksum"],
-                        corpus_checksum=meta["corpus_checksum"],
-                        created_at=meta["created_at"],
-                        ids=[e["id"] for e in entries],
-                        scores=[e["score"] for e in entries],
-                        weights=[e["weight"] for e in entries],
-                        augmented=[e["origin"] == "Augmented" for e in entries])
+        weight_map = WeightMapConfig(w_min=float(meta["w_min"]),
+                                     w_max=float(meta["w_max"]),
+                                     gamma=float(meta["gamma"]))
+        return WeightFile(weight_map=weight_map, qa_checksum=meta["qa_checksum"],
+                          corpus_checksum=meta["corpus_checksum"],
+                          created_at=meta["created_at"],
+                          ids=[e["id"] for e in entries],
+                          scores=[e["score"] for e in entries])
     except OverflowError as exc:   # an integer beyond float64
         raise ValidationError(f"bad weight file: number out of range: {exc}") from None
-    check_weights(wf)
-    return wf
-
-
-# Tolerance, relative to w_max, between a file's weight and the map of its
-# score recomputed here (map_weight can round an ulp either way); still far
-# below any hand edit.
-_WEIGHT_SLACK = 1e-12
-
-
-def check_weights(wf: WeightFile) -> None:
-    """Reject weights that training must never see, in one vectorized pass.
-
-    Every id is listed once with a score in (0, 1). Originals must weigh
-    exactly 1, augments a weight in the file's own [w_min, w_max] that equals
-    ``w_min + score**gamma * (w_max - w_min)`` within _WEIGHT_SLACK, with
-    w_min >= 0 and every map parameter finite. That rules out negative, NaN
-    and infinite weights, and any weight edited apart from its score.
-    """
-    if not np.isfinite([wf.w_min, wf.w_max, wf.gamma]).all():
-        raise ValidationError("weight file has a non-finite w_min, w_max or gamma")
-    WeightMapConfig(w_min=wf.w_min, w_max=wf.w_max, gamma=wf.gamma)   # range check
-    ids = np.sort(wf.ids)
-    twice = ids[1:] == ids[:-1]
-    if twice.any():
-        raise ValidationError(f"weight file lists {ids[1:][twice][0]} twice")
-    w, s = wf.weights, wf.scores
-    scored = (s > 0.0) & (s < 1.0)
-    mapped = wf.w_min + np.where(scored, s, 0.5) ** wf.gamma * (wf.w_max - wf.w_min)
-    slack = _WEIGHT_SLACK * wf.w_max
-    ok = scored & np.where(wf.augmented, (w >= wf.w_min) & (w <= wf.w_max + slack)
-                           & (np.abs(w - mapped) <= slack), w == 1.0)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        want = (f"w_min + score**gamma * (w_max - w_min) = {float(mapped[k])!r}"
-                if wf.augmented[k] else "1")
-        raise ValidationError(f"weight file gives {_ORIGINS[bool(wf.augmented[k])]} "
-                              f"{wf.ids[k]} weight {w[k]}, expected {want} for a "
-                              f"score in (0, 1), got score {float(s[k])!r}")
 
 
 def verify_weight_file(wf: WeightFile, corpus: Corpus) -> np.ndarray:
-    """The file's weights in corpus row order, once ``check_weights`` passes
-    and the file is bound to the corpus: its checksum, and one entry of the
-    sample's origin for every corpus sample and for nothing else."""
+    """Each corpus row's weight, in row order, once the file is bound to the
+    corpus: its checksum, and one entry for every corpus sample and for
+    nothing else. A weight is ``sample_weight`` of the row's score under the
+    file's map, the corpus's ``augmented`` column deciding which rows weigh
+    1; the scalar map, as numpy's power rounds some scores apart from
+    Python's ``**``."""
     if wf.corpus_checksum != corpus_checksum(corpus):
         raise ChecksumError("weight file was exported for a different corpus")
-    check_weights(wf)
     order = np.argsort(wf.ids)
     pos = np.searchsorted(wf.ids, corpus.ids, sorter=order)
     ok = pos < order.size
     at = order[pos[ok]]    # the file row at each in-range corpus id's sorted place
-    ok[ok] = (wf.ids[at] == corpus.ids[ok]) & (wf.augmented[at] == corpus.augmented[ok])
+    ok[ok] = wf.ids[at] == corpus.ids[ok]
     if not ok.all():
-        row = int(np.argmin(ok))
-        sid, aug = corpus.ids[row], bool(corpus.augmented[row])
-        if sid not in wf.ids:
-            raise ValidationError(f"no weight for sample {sid}")
-        raise ValidationError(f"weight file gives {sid} origin {_ORIGINS[not aug]}, "
-                              f"the corpus {_ORIGINS[aug]}")
+        raise ValidationError(f"no weight for sample {corpus.ids[int(np.argmin(ok))]}")
     if order.size != len(corpus):
         raise ValidationError(f"weight file lists {order.size} samples, "
                               f"the corpus {len(corpus)}")
-    return wf.weights[at]
+    return np.array([sample_weight("Augmented" if a else "Original", s, wf.weight_map)
+                     for a, s in zip(corpus.augmented.tolist(), wf.scores[at].tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionPr
                             SplitConfig, VerbalScheme, load_corpus, save_corpus)
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
-from augqual.qa import QaConfig, WeightMapConfig
+from augqual.qa import QaConfig, WeightMapConfig, sample_weight
 from augqual.util import config_to_dict
 from oracles import (block_values, corpus_file, corpus_with, encode, float_block,
                      samples_of, with_header)
@@ -206,35 +206,51 @@ class TestStageCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["weight_mode"] == "uniform"
 
-    @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")),
-                             ids=("negative", "huge", "nan"))
-    def test_hand_edited_weight_rejected(self, artifacts, tmp_path, bad):
-        corpus, _, w, _ = artifacts
-        doc = json.loads(w.read_text())
-        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
-        entry["weight"] = bad
+    def _stage1_refuses(self, corpus, doc, tmp_path):
+        """stage1's stderr for the weight file ``doc``, which it must refuse
+        with exit 1 and no head written."""
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))       # NaN is written as NaN
         head = tmp_path / "h_bad.json"
         proc = run("stage1", "--corpus", str(corpus), "--weights", str(edited),
                    "--out", str(head), "--seed", "5", "--steps", "5")
         assert proc.returncode == 1, proc.stderr
-        assert entry["id"] in proc.stderr
         assert not head.exists()
+        return proc.stderr
+
+    @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")),
+                             ids=("negative", "huge", "nan"))
+    def test_hand_edited_weight_rejected(self, artifacts, tmp_path, bad):
+        # an entry holds no weight: any weight written into one is refused
+        corpus, _, w, _ = artifacts
+        doc = json.loads(w.read_text())
+        entry = next(e for e in doc["entries"] if "-a" in e["id"])
+        entry["weight"] = bad
+        err = self._stage1_refuses(corpus, doc, tmp_path)
+        assert f"entry {entry['id']}: unknown field weight" in err
 
     def test_weight_edited_apart_from_its_score_rejected(self, artifacts, tmp_path):
         corpus, _, w, _ = artifacts
         doc = json.loads(w.read_text())
-        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
-        entry["weight"] = 0.9 if abs(entry["weight"] - 0.9) > 0.1 else 1.2
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))
-        head = tmp_path / "h_edit.json"
-        proc = run("stage1", "--corpus", str(corpus), "--weights", str(edited),
-                   "--out", str(head), "--seed", "5", "--steps", "5")
-        assert proc.returncode == 1, proc.stderr
-        assert entry["id"] in proc.stderr
-        assert not head.exists()
+        entry = next(e for e in doc["entries"] if "-a" in e["id"])
+        entry.update(origin="Augmented", weight=0.9)
+        err = self._stage1_refuses(corpus, doc, tmp_path)
+        assert f"entry {entry['id']}: unknown field origin" in err
+
+    def test_weight_file_in_the_former_format_rejected(self, artifacts, tmp_path):
+        """A weight file as the format that stored each entry's origin and
+        weight wrote it is refused, naming the field and the way to a new
+        file."""
+        corpus, _, w, _ = artifacts
+        doc = json.loads(w.read_text())
+        cfg = WeightMapConfig(**{k: doc["metadata"][k] for k in ("w_min", "w_max", "gamma")})
+        for e in doc["entries"]:
+            origin = "Augmented" if "-a" in e["id"] else "Original"
+            e.update(origin=origin, weight=sample_weight(origin, e["score"], cfg))
+        first = doc["entries"][0]["id"]
+        assert self._stage1_refuses(corpus, doc, tmp_path) == (
+            f"error: bad weight file: entry {first}: unknown field origin; "
+            f"re-run augqual score to rewrite it\n")
 
     def test_only_score_and_weighted_stage1_hash_the_corpus(self, artifacts, tmp_path,
                                                             monkeypatch, capsys):
@@ -586,14 +602,28 @@ _ARTIFACT_FIELDS = {
                 *((("metadata", k), "num") for k in ("w_min", "w_max", "gamma")),
                 *((("metadata", k), "str") for k in (
                     "qa_checksum", "corpus_checksum", "created_at")),
-                *((("entries", "*", k), "str") for k in ("id", "origin")),
-                *((("entries", "*", k), "num") for k in ("score", "weight"))],
+                (("entries", "*", "id"), "str"), (("entries", "*", "score"), "num")],
 }
+# The entry fields a weight file once stored beside each score. Their mutants
+# run on the clean file rewritten in that format, each entry with an origin
+# and a weight, which the loader refuses as having an unknown field.
+_FORMER_FIELDS = {"weights": [(("entries", "*", "origin"), "str"),
+                              (("entries", "*", "weight"), "num")]}
+
+
+def _in_former_format(edit):
+    def former(doc, rng):
+        for e in doc["entries"]:
+            e.update(origin="Augmented" if "-a" in e["id"] else "Original",
+                     weight=1.0)
+        return edit(doc, rng)
+    return former
 
 
 def _artifact_mutants():
-    """(artifact, case, edit) triples; edit(doc, rng) returns the damaged
-    parsed document, or the damaged file text when it returns a str."""
+    """(artifact, case, edit, expected) tuples; edit(doc, rng) returns the
+    damaged parsed document, or the damaged file text when it returns a str,
+    and the refusal holds the text ``expected``."""
     def relabel(doc, rng):
         augs = [e for e in doc["entries"] if e["origin"] == "Augmented"]
         augs[rng.integers(len(augs))].update(origin="Original", weight=1.0)
@@ -603,17 +633,22 @@ def _artifact_mutants():
         text = json.dumps(doc, indent=1)
         return text[:int(rng.integers(1, len(text) - 2))]
 
-    cases = [("weights", "weights augment relabelled Original at weight 1", relabel)]
+    cases = [("weights", "weights augment relabelled Original at weight 1",
+              _in_former_format(relabel), "unknown field")]
     for artifact, fields in _ARTIFACT_FIELDS.items():
+        former, in_former = _FORMER_FIELDS.get(artifact, []), False
+
         def add(case, edit):
-            cases.append((artifact, f"{artifact} {case}", edit))
+            cases.append((artifact, f"{artifact} {case}", *(
+                (_in_former_format(edit), "unknown field") if in_former
+                else (edit, "error: "))))
         add("file holds a list", lambda doc, rng: [doc])
         add("file holds a number", lambda doc, rng: 3)
         add("file holds null", lambda doc, rng: None)
         for cut in range(3):
             add(f"truncated {cut}", truncate)
-        for path, kind in fields:
-            name = "/".join(path)
+        for path, kind in fields + former:
+            name, in_former = "/".join(path), (path, kind) in former
             if path[-1] != "*":
                 add(f"{name} missing", _drop(*path))
             for label, value in _WRONG.items():
@@ -895,9 +930,10 @@ class TestCorruptArtifactMutations:
                 "weights": ["stage1", *c, "--weights", str(bad), "--out", str(out),
                             "--seed", "5", "--steps", "2"]}[artifact]
 
-    @pytest.mark.parametrize("artifact, case, edit", _artifact_mutants(),
-                             ids=[case for _, case, _ in _artifact_mutants()])
-    def test_mutant_rejected(self, clean, tmp_path, capsys, artifact, case, edit):
+    @pytest.mark.parametrize("artifact, case, edit, expected", _artifact_mutants(),
+                             ids=[case for _, case, _, _ in _artifact_mutants()])
+    def test_mutant_rejected(self, clean, tmp_path, capsys, artifact, case, edit,
+                             expected):
         corpus, docs = clean
         damaged = edit(copy.deepcopy(docs[artifact]),
                        np.random.default_rng(sum(map(ord, case))))
@@ -908,6 +944,7 @@ class TestCorruptArtifactMutations:
         printed = capsys.readouterr()
         assert rc == 1, printed.err
         assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+        assert expected in printed.err
         assert printed.out == "" and not out.exists()
 
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):

@@ -28,7 +28,7 @@ from augqual.finetune import (
 )
 from augqual.metrics import acc_k
 from augqual.numerics import init_adam
-from augqual.qa import WeightFile, WeightMapConfig, map_weight
+from augqual.qa import WeightFile, WeightMapConfig, map_weight, verify_weight_file
 from augqual.util import ChecksumError, ValidationError, derived_rng
 from oracles import (
     corpus_from_samples,
@@ -245,22 +245,17 @@ class TestBatchedPath:
 
 
 def _all_ones_weight_file(corpus, w_min=1.0, w_max=1.0, score=0.5):
-    """Every augment scored ``score``; with w_min = w_max = 1 it weighs 1."""
-    cfg = WeightMapConfig(w_min=w_min, w_max=w_max)
+    """Every sample scored ``score``; with w_min = w_max = 1 it weighs 1."""
     order = np.argsort(corpus.ids)
-    augmented = corpus.augmented[order]
-    return WeightFile(w_min=w_min, w_max=w_max, gamma=1.0, qa_checksum="0" * 64,
-                      corpus_checksum=corpus_checksum(corpus),
+    return WeightFile(weight_map=WeightMapConfig(w_min=w_min, w_max=w_max),
+                      qa_checksum="0" * 64, corpus_checksum=corpus_checksum(corpus),
                       created_at="1970-01-01T00:00:00Z", ids=corpus.ids[order],
-                      scores=np.full(len(corpus), score),
-                      weights=np.where(augmented, map_weight(score, cfg), 1.0),
-                      augmented=augmented)
+                      scores=np.full(len(corpus), score))
 
 
 def _take(wf, rows):
     """The weight file holding only the entries at ``rows``, in that order."""
-    return dataclasses.replace(wf, ids=wf.ids[rows], scores=wf.scores[rows],
-                               weights=wf.weights[rows], augmented=wf.augmented[rows])
+    return dataclasses.replace(wf, ids=wf.ids[rows], scores=wf.scores[rows])
 
 
 class TestTrainStage1:
@@ -297,21 +292,22 @@ class TestTrainStage1:
         corpus = self._corpus()
         cfg = HeadConfig(steps=25)
         wf = _all_ones_weight_file(corpus, w_min=0.1, w_max=1.5, score=1e-9)
-        assert set(wf.weights.tolist()) == {1.0, map_weight(1e-9, WeightMapConfig())}
+        assert set(verify_weight_file(wf, corpus).tolist()) == {
+            1.0, map_weight(1e-9, WeightMapConfig())}
         down = train_stage1(corpus, wf, cfg, 7)
         uniform = train_stage1(corpus, None, cfg, 7)
         assert down.loss_trace != uniform.loss_trace
 
     def test_batch_selection_ignores_weights(self):
-        # same seed, different weights: the loss differs but the order of
-        # first-step batch losses under weight scaling stays proportional
+        # same seed, different scores mapped to the same weights (w_min =
+        # w_max = 1): training reads the derived weights, never the scores
         corpus = self._corpus()
         cfg = HeadConfig(steps=1)
         wf = _all_ones_weight_file(corpus)
-        doubled = dataclasses.replace(wf, weights=np.ones(len(wf.ids)))
-        # halve Originals is illegal (must be 1), so scale augmented only
+        rescored = _all_ones_weight_file(corpus, score=0.9)
+        assert not np.array_equal(wf.scores, rescored.scores)
         run_a = train_stage1(corpus, wf, cfg, 9)
-        run_b = train_stage1(corpus, doubled, cfg, 9)
+        run_b = train_stage1(corpus, rescored, cfg, 9)
         assert run_a.loss_trace == run_b.loss_trace
 
     def test_wrong_corpus_checksum_rejected(self):
@@ -336,21 +332,23 @@ class TestTrainStage1:
     def test_sample_listed_twice_rejected(self):
         corpus = self._corpus()
         wf = _all_ones_weight_file(corpus)
-        k = int(np.flatnonzero(wf.augmented)[0])
-        twice = _take(wf, np.append(np.arange(len(wf.ids)), k))
+        k = len(wf.ids) - 1
+        # refused when the file is built, before any training
         with pytest.raises(ValidationError,
                            match=f"^weight file lists {wf.ids[k]} twice$"):
-            train_stage1(corpus, twice, HeadConfig(steps=1), 0)
+            _take(wf, np.append(np.arange(len(wf.ids)), k))
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")))
     def test_bad_augment_weight_rejected_before_training(self, bad):
+        # a weight is derived from its score, so the score outside (0, 1)
+        # is what is refused, when the file is built
         corpus = self._corpus()
         wf = _all_ones_weight_file(corpus)
-        k = int(np.flatnonzero(wf.augmented)[0])
-        weights = wf.weights.copy()
-        weights[k] = bad
-        with pytest.raises(ValidationError, match=wf.ids[k]):
-            train_stage1(corpus, dataclasses.replace(wf, weights=weights),
+        k = len(wf.ids) - 1
+        scores = wf.scores.copy()
+        scores[k] = bad
+        with pytest.raises(ValidationError, match=f"weight file gives {wf.ids[k]} score"):
+            train_stage1(corpus, dataclasses.replace(wf, scores=scores),
                          HeadConfig(steps=1), 0)
 
     def test_empty_pool_rejected(self):

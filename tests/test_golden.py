@@ -48,8 +48,10 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "fdcd8c335487754bd1ae09b7d87815549dfc94fa6ad717544f5221a1eda15d20",
     "runlog_s2_uniform": "d6155d640ef5999f0f2214de5b0c35846659d39f1145a2a08e06a2fa45044a2d",
     "runlog_s2_weighted": "22a5bec3c76842bbf08c8b763ef60a10f2f23f3b5dd4cd7520410262be926829",
-    "weights_s1": "e6516514261ab1d7e4a84096e7f5cbcb906f69695317e805c2b2cb7abe82ca4b",
-    "weights_s2": "d2b53aa24c3452aa4a2ede9a6bae9d9be5c6d33923755a7d3d185a126a2beba1",
+    # taken again when weight-file entries became {"id", "score"}: each file
+    # is the one before with every entry's origin and weight removed
+    "weights_s1": "3e591f87dc6b71d755a0f871bc502c475e3aea7c50e0baa82632ab7b578926fe",
+    "weights_s2": "67ae6a17e83e3dd6628a5f87b1f50ca2fff47b223f085783efebc13f4794d464",
 }
 
 

@@ -4,9 +4,11 @@ The corpora of ``test_golden.py`` have 48 rows, fewer than one scoring window
 (``qa.SCORE_WINDOW``), so they never reach the windowed path of
 ``score_corpus``. This pins the weight file of the stage-by-stage flow at the
 benchmark's ``cli_flow`` size instead: 600 originals with 2 augments each
-(1,800 rows, eight windows), taken before scoring was windowed and taken
+(1,800 rows, eight windows), taken before scoring was windowed, taken
 again when the corpus file became binary, which moved only the corpus
-checksum the weight file records.
+checksum the weight file records, and again when weight-file entries became
+``{"id", "score"}``, dropping each entry's origin and weight (207,759 ->
+110,972 bytes; every score unchanged).
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from augqual.cli import main
 
 SEED = "13"
 N_ORIGINALS = 600   # 2 augments each: 1,800 rows
-WEIGHTS_SHA256 = "2344661553c310d8b31ee245c4956ad878ec625295cd7205e05db54e542b9c99"
+WEIGHTS_SHA256 = "b4693b53f8ad6c51bc58061a47ea520467c4bd40806d91c2ad45777a9d1b723b"
 
 
 def test_cli_flow_weight_file_digest(tmp_path, monkeypatch, capsys):

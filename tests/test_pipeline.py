@@ -35,7 +35,7 @@ from augqual.pipeline import (
     run_pipeline,
 )
 from augqual.qa import (QaConfig, WeightMapConfig, export_weights,
-                        save_qa_snapshot, train_stage0)
+                        save_qa_snapshot, train_stage0, verify_weight_file)
 from augqual.util import (PipelineError, ValidationError, config_fields,
                           derived_rng, dumps_canonical)
 
@@ -205,7 +205,8 @@ class TestHiddenQualityIsEvaluationOnly:
             heads = [train_stage1(c, weights, HeadConfig(steps=30), 3, rows=rows).head
                      for weights in (wf, None)]
             return [*params.to_dict().values(), np.array(trace), wf.scores,
-                    wf.weights, *(a for h in heads for a in h.to_dict().values())]
+                    verify_weight_file(wf, c),
+                    *(a for h in heads for a in h.to_dict().values())]
 
         for want, got in zip(trained(corpus), trained(permuted), strict=True):
             assert np.array_equal(want, got)

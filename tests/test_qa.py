@@ -619,7 +619,7 @@ class TestWeightFile:
         params, _ = train_stage0(c, QaConfig(steps=10, hidden=8), 14)
         wf = export_weights(c, params, WeightMapConfig())
         assert len(wf.ids) == 8
-        assert (wf.weights == 1.0).all()
+        assert (verify_weight_file(wf, c) == 1.0).all()
 
     def test_reexport_byte_identical(self, tmp_path):
         c, params = self._trained()
@@ -648,8 +648,9 @@ class TestWeightFile:
     def test_score_weight_rank_agreement(self):
         c, params = self._trained(n=20, m=3)
         wf = export_weights(c, params, WeightMapConfig(gamma=2.5))
-        by_score = np.argsort(wf.scores[wf.augmented], kind="stable")
-        by_weight = np.argsort(wf.weights[wf.augmented], kind="stable")
+        scores = score_corpus(c, params)[c.augmented]
+        by_score = np.argsort(scores, kind="stable")
+        by_weight = np.argsort(verify_weight_file(wf, c)[c.augmented], kind="stable")
         np.testing.assert_array_equal(by_score, by_weight)
 
     def test_round_trip(self, tmp_path):
@@ -660,9 +661,10 @@ class TestWeightFile:
         assert back.corpus_checksum == wf.corpus_checksum
         assert back.qa_checksum == qa_checksum(params)
         assert back.ids.tolist() == wf.ids.tolist()
-        np.testing.assert_array_equal(back.weights, wf.weights)
-        assert not any(col.flags.writeable for col in (
-            back.ids, back.scores, back.weights, back.augmented))
+        assert back.weight_map == wf.weight_map
+        np.testing.assert_array_equal(verify_weight_file(back, c),
+                                      verify_weight_file(wf, c))
+        assert not any(col.flags.writeable for col in (back.ids, back.scores))
         assert scores_by_id(back) == scores_by_id(wf)
         assert "".join(weight_file_chunks(back)) == "".join(weight_file_chunks(wf))
 
@@ -684,112 +686,145 @@ class TestWeightFile:
         aug = ids[int(np.flatnonzero(c.augmented)[0])]
         # corpus row order (o00001 before its augments) is not id order
         assert ids.index("o00001") < ids.index(aug) and aug < "o00001"
-        extra = {"id": "zz-extra", "score": 0.5, "weight": 1.0, "origin": "Original"}
+        extra = {"id": "zz-extra", "score": 0.5}
 
         def relabel(e):
+            # an augment relabelled Original in the former format, which
+            # stored origins and weights: refused before any binding check
             return {**e, "origin": "Original", "weight": 1.0} if e["id"] == aug else e
 
         def rename(e):
             return {**e, "id": "zz-renamed"} if e["id"] == "o00001" else e
 
+        unknown = f"bad weight file: entry {aug}: unknown field origin; " \
+                  f"re-run augqual score to rewrite it"
         cases = (
             (lambda es: es + [extra], f"weight file lists {len(ids) + 1} samples, "
                                       f"the corpus {len(ids)}"),
-            (lambda es: [relabel(e) for e in es],
-             f"weight file gives {aug} origin Original, the corpus Augmented"),
+            (lambda es: [relabel(e) for e in es], unknown),
             (lambda es: [e for e in es if e["id"] not in (aug, "o00001")],
              "no weight for sample o00001"),
-            (lambda es: [relabel(rename(e)) for e in es], "no weight for sample o00001"),
-            (lambda es: [relabel(e) for e in es if e["id"] != ids[-1]],
-             f"weight file gives {aug} origin Original, the corpus Augmented"),
+            (lambda es: [rename(e) for e in es], "no weight for sample o00001"),
+            (lambda es: [rename(e) for e in es if e["id"] != ids[-1]],
+             "no weight for sample o00001"),
+            (lambda es: [e for e in es if e["id"] != ids[-1]],
+             f"no weight for sample {ids[-1]}"),
+            (lambda es: [relabel(e) for e in es if e["id"] != ids[-1]], unknown),
         )
         for k, (edit, message) in enumerate(cases):
             edited = tmp_path / f"w{k}.json"
             edited.write_text(json.dumps({**clean, "entries": edit(clean["entries"])}))
-            wf = load_weight_file(edited)
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                verify_weight_file(wf, c)
+                verify_weight_file(load_weight_file(edited), c)
         twice = tmp_path / "twice.json"
         twice.write_text(json.dumps({**clean, "entries": clean["entries"] + [
             next(e for e in clean["entries"] if e["id"] == aug)]}))
         with pytest.raises(ValidationError, match=f"^weight file lists {aug} twice$"):
             load_weight_file(twice)
 
-    def test_load_rejects_tampered_original_weight(self, tmp_path):
+    def _exported(self, tmp_path):
+        """A weight file's path and its parsed document, and the first
+        augment's entry in it."""
         c, params = self._trained()
         path = tmp_path / "w.json"
         export_weights(c, params, WeightMapConfig(), path)
-        doc = path.read_text().replace('"weight": 1.0', '"weight": 0.7', 1)
-        path.write_text(doc)
-        with pytest.raises(ValidationError, match="expected 1"):
+        doc = json.loads(path.read_text())
+        augs = set(c.ids[c.augmented].tolist())
+        return path, doc, next(e for e in doc["entries"] if e["id"] in augs)
+
+    @staticmethod
+    def _unknown(entry, field):
+        return (f"^bad weight file: entry {re.escape(entry['id'])}: unknown field "
+                f"{field}; re-run augqual score to rewrite it$")
+
+    def test_load_rejects_tampered_original_weight(self, tmp_path):
+        # an entry carrying a weight is refused, whatever the weight
+        path, doc, _ = self._exported(tmp_path)
+        entry = next(e for e in doc["entries"] if "-a" not in e["id"])
+        entry["weight"] = 0.7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=self._unknown(entry, "weight")):
             load_weight_file(path)
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan"), float("inf"),
                                      0.05, 1.6))
     def test_load_rejects_out_of_range_augment_weight(self, tmp_path, bad):
-        c, params = self._trained()
-        path = tmp_path / "w.json"
-        export_weights(c, params, WeightMapConfig(), path)
-        doc = json.loads(path.read_text())
-        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        path, doc, entry = self._exported(tmp_path)
         entry["weight"] = bad
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=entry["id"]):
+        with pytest.raises(ValidationError, match=self._unknown(entry, "weight")):
             load_weight_file(path)
 
     def test_load_rejects_weight_edited_apart_from_its_score(self, tmp_path):
-        c, params = self._trained()
-        path = tmp_path / "w.json"
-        export_weights(c, params, WeightMapConfig(), path)
-        doc = json.loads(path.read_text())
-        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
-        entry["weight"] = 0.9 if abs(entry["weight"] - 0.9) > 0.1 else 1.2
-        path.write_text(json.dumps(doc))
-        # the whole refusal, every number in it a plain float repr
-        mapped = 0.1 + entry["score"] ** 1.0 * (1.5 - 0.1)
-        message = (f"weight file gives Augmented {entry['id']} weight "
-                   f"{entry['weight']}, expected w_min + score**gamma * "
-                   f"(w_max - w_min) = {mapped!r} for a score in (0, 1), "
-                   f"got score {entry['score']!r}")
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        # an entry of the former format: its first unknown field in key order
+        path, doc, entry = self._exported(tmp_path)
+        entry.update(origin="Augmented", weight=0.9)
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(ValidationError, match=self._unknown(entry, "origin")):
             load_weight_file(path)
 
     @pytest.mark.parametrize("bad", (0.0, 1.0, -0.2, float("nan")))
     def test_load_rejects_augment_score_outside_open_interval(self, tmp_path, bad):
-        c, params = self._trained()
-        path = tmp_path / "w.json"
-        export_weights(c, params, WeightMapConfig(), path)
-        doc = json.loads(path.read_text())
-        entry = next(e for e in doc["entries"] if e["origin"] == "Augmented")
+        path, doc, entry = self._exported(tmp_path)
         entry["score"] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=entry["id"]):
             load_weight_file(path)
 
     def test_load_rejects_non_finite_map_bounds(self, tmp_path):
-        c, params = self._trained()
-        path = tmp_path / "w.json"
-        export_weights(c, params, WeightMapConfig(), path)
-        doc = json.loads(path.read_text())
+        path, doc, _ = self._exported(tmp_path)
         doc["metadata"]["w_max"] = float("inf")
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError,
+                           match=re.escape("WeightMapConfig.w_max must be in [0, inf), "
+                                           "got inf")):
+            load_weight_file(path)
+
+    @pytest.mark.parametrize("case", ("duplicate id", "score 0", "score 1", "score nan",
+                                      "w_max inf"))
+    def test_bad_file_refused_in_memory_and_on_load(self, tmp_path, case):
+        """One set of checks, made when a ``WeightFile`` is built: the same
+        refusal whether the file is built in memory or loaded from disk."""
+        c, params = self._trained()
+        wf = export_weights(c, params, WeightMapConfig())
+        ids, scores = wf.ids.tolist(), wf.scores.tolist()
+        meta = {"w_min": 0.1, "w_max": 1.5, "gamma": 1.0}
+        k, message = 3, None
+        if case == "duplicate id":
+            ids[k + 1] = ids[k]
+            message = f"^weight file lists {ids[k]} twice$"
+        elif case == "w_max inf":
+            meta["w_max"] = float("inf")
+            message = re.escape("WeightMapConfig.w_max must be in [0, inf), got inf")
+        else:
+            scores[k] = float(case.split()[1])
+            message = (f"^weight file gives {ids[k]} score {scores[k]!r}, "
+                       f"outside \\(0, 1\\)$")
+        binding = {"qa_checksum": wf.qa_checksum, "corpus_checksum": wf.corpus_checksum,
+                   "created_at": wf.created_at}
+        with pytest.raises(ValidationError, match=message):
+            qa.WeightFile(weight_map=WeightMapConfig(**meta), ids=ids, scores=scores,
+                          **binding)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"metadata": {**meta, **binding}, "entries": [
+            {"id": i, "score": s} for i, s in zip(ids, scores)]}))
+        with pytest.raises(ValidationError, match=message):
             load_weight_file(path)
 
     def test_exported_extreme_scores_stay_loadable(self, tmp_path):
-        # weights at the ends of the map survive the range check, and each is
-        # the scalar map of its score bit for bit: numpy's vectorized power
-        # rounds some scores differently at gamma != 1
+        # each derived weight is sample_weight of its score, bit for bit, at
+        # the ends of the map too: numpy's vectorized power rounds some
+        # scores differently at gamma != 1
         _, params = self._trained()
         c = generate_corpus(100, 3, PROFILE, seed=63, d=8, d_t=8)
+        scores = score_corpus(c, params).tolist()
+        origins = np.where(c.augmented, "Augmented", "Original").tolist()
         for gamma in (0.05, 1.0, 2.5, 20.0):
             path = tmp_path / f"w{gamma}.json"
             cfg = WeightMapConfig(w_min=0.3, w_max=0.7, gamma=gamma)
-            wf = export_weights(c, params, cfg, path)
-            origins = np.where(wf.augmented, "Augmented", "Original").tolist()
-            assert wf.weights.tolist() == [sample_weight(o, s, cfg) for o, s
-                                           in zip(origins, wf.scores.tolist())]
-            assert load_weight_file(path).weights.tolist() == wf.weights.tolist()
+            want = np.array([sample_weight(o, s, cfg) for o, s in zip(origins, scores)])
+            for wf in (export_weights(c, params, cfg, path), load_weight_file(path)):
+                assert verify_weight_file(wf, c).tobytes() == want.tobytes()
 
 
 class TestSnapshots:
