@@ -58,7 +58,7 @@ from .qa import (
     train_stage0,
 )
 from .util import (AugqualError, ValidationError, config_fields, flag_type,
-                   write_atomic)
+                   load_json_object, write_atomic)
 
 
 class _UsageError(Exception):
@@ -74,14 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=1, sort_keys=True))
-
-
-def _load_json_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:   # bad JSON or bad UTF-8
-        raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
 def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
@@ -162,7 +154,7 @@ def _cmd_score(args) -> int:
     if args.json:
         _print_json(doc)
     else:
-        print(f"wrote {doc['n_entries']} weights to {doc['path']}")
+        print(f"wrote {doc['n_entries']} scores to {doc['path']}")
     return 0
 
 
@@ -210,7 +202,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     report_path = Path(args.results) / "report.json"
-    report = check_report(_load_json_file(report_path), str(report_path))
+    report = check_report(load_json_object(report_path, f"JSON in {report_path}"),
+                          str(report_path))
     if args.dump_csv is not None:
         write_atomic([report_csv(report)], args.dump_csv)
     if args.json:
@@ -222,7 +215,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     if args.config is not None:
-        cfg = pipeline_config_from_dict(_load_json_file(args.config))
+        cfg = pipeline_config_from_dict(load_json_object(args.config,
+                                                         f"JSON in {args.config}"))
     else:
         cfg = PipelineConfig()
     if args.seeds is not None:
@@ -261,7 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stage0)
 
-    p = sub.add_parser("score", help="export per-sample weights")
+    p = sub.add_parser("score", help="export per-sample quality scores")
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", required=True, help="scorer snapshot path")
     p.add_argument("--out", required=True)

@@ -1,22 +1,18 @@
 """Feature-corpus data model, binary file format, and the synthetic generator.
 
-A corpus file is columnar. Line 1 is the header JSON ``{d, d_t, vocab_size,
-seed, generator_version, verbal, rows}``, padded with spaces to a multiple of 8
-bytes and ended by a newline. Then come the raw little-endian columns, each
-``rows`` long, in this order: ``V``, ``A`` (zeros where a row has no audio)
-and ``T`` (float64 rows of ``d``, ``d`` and ``d_t``), ``sentiment`` and
-``hidden_quality`` (float64, NaN when absent), ``parent`` (int64: the row of
-an augment's parent, -1 for an original) and ``has_audio`` (one byte, 0 or 1).
-So every offset follows from the header, every float column is 8-byte
-aligned, and files are byte-reproducible from a seed. Nothing a row
-determines is stored: its id (``o00012`` for an original, ``o00012-a0`` for
-its first augment), its polarity (``sentiment >= 0``), whether it is an
-augment (``parent >= 0``) and its target tokens (the header's verbal encoding
-of the sentiment) are derived, so a file cannot contradict itself. The
-header's ``generator_version`` names this format; the loader reads only
-GENERATOR_VERSION files. It reads the whole file into one buffer, takes each
-column as a read-only view of it, and refuses a file whose size is not the
-header's plus ``rows`` whole rows.
+A corpus file is a columnar array file (``util.read_array_file``): its
+padded header line holds ``{d, d_t, vocab_size, seed, generator_version,
+verbal, rows}``, then come the raw little-endian columns, each ``rows``
+long: ``V``, ``A`` (zeros where a row has no audio) and ``T`` (float64 rows
+of ``d``, ``d`` and ``d_t``), ``sentiment`` and ``hidden_quality`` (float64,
+NaN when absent), ``parent`` (int64: the row of an augment's parent, -1 for
+an original) and ``has_audio`` (one byte, 0 or 1). Nothing a row determines
+is stored: its id (``o00012`` for an original, ``o00012-a0`` for its first
+augment), its polarity (``sentiment >= 0``), whether it is an augment
+(``parent >= 0``) and its target tokens (the header's verbal encoding of the
+sentiment) are derived, so a file cannot contradict itself. The header's
+``generator_version`` names this format; the loader reads only
+GENERATOR_VERSION files.
 
 The header is read and written by the config walker (``util.config_from_dict``,
 ``util.config_to_dict``) from the fields of ``CorpusHeader`` and its
@@ -39,15 +35,14 @@ that training code never reads.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import re
+import math
 from dataclasses import MISSING, InitVar, dataclass, field
 
 import numpy as np
 
-from .util import (ValidationError, bounded, check_ranges, config_from_dict,
-                   config_to_dict, derived_rng, write_atomic)
+from .util import (ValidationError, array_file_chunks, bounded, check_ranges,
+                   config_from_dict, config_to_dict, derived_rng, read_array_file,
+                   write_atomic)
 
 GENERATOR_VERSION = "augqual-gen-4"
 # Target tokens per sample: polarity, sentiment bin, end (VerbalScheme.encode).
@@ -454,21 +449,15 @@ def header_from_dict(raw) -> CorpusHeader:
 _COLUMNS = (("V", "<f8", "d"), ("A", "<f8", "d"), ("T", "<f8", "d_t"),
             ("sentiment", "<f8", None), ("hidden_quality", "<f8", None),
             ("parent", "<i8", None), ("has_audio", "u1", None))
-_NEWLINE = re.compile(b"\n")
 
 
-def _file_chunks(corpus: Corpus):
-    """The corpus file in pieces: the padded header line, then each column's
-    own buffer; deterministic for a given corpus."""
-    text = json.dumps({**config_to_dict(corpus.header), "rows": len(corpus)},
-                      separators=(",", ":"))
-    yield (text + " " * (-(len(text) + 1) % 8) + "\n").encode("ascii")
+def _file_chunks(corpus: Corpus) -> list:
+    """The corpus file in pieces (``util.array_file_chunks``)."""
     f = corpus.features
-    stored = {"V": f.V, "A": f.A, "T": f.T, "sentiment": corpus.sentiment,
-              "hidden_quality": corpus.hidden_quality, "parent": corpus.parent,
-              "has_audio": corpus.has_audio}
-    for name, dtype, _ in _COLUMNS:
-        yield memoryview(np.ascontiguousarray(stored[name], dtype=dtype)).cast("B")
+    stored = (f.V, f.A, f.T, corpus.sentiment, corpus.hidden_quality, corpus.parent,
+              corpus.has_audio)   # in _COLUMNS order
+    arrays = [np.asarray(c, dtype) for c, (_, dtype, _) in zip(stored, _COLUMNS)]
+    return array_file_chunks({**config_to_dict(corpus.header), "rows": len(corpus)}, arrays)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -484,50 +473,30 @@ def save_corpus(corpus: Corpus, path) -> None:
     corpus._checksum = digest.hexdigest()
 
 
-def load_corpus(path) -> Corpus:
-    """Read a corpus file and fully validate it.
-
-    The file is read with one ``readinto`` into one buffer, and each column
-    is a read-only view of that buffer, not a copy. The header line must be
-    padded to 8 bytes, its ``rows`` a non-negative integer, and the file size
-    the header's plus ``rows`` whole rows; every parent must be a row or -1
-    and every ``has_audio`` byte 0 or 1. The corpus checksum is the SHA-256
-    of the bytes read, taken when corpus_checksum is first called.
-    """
-    with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        if fh.readinto(buf) != buf.size:
-            raise ValidationError("corpus file changed while it was read")
-    if not buf.size:
-        raise ValidationError("empty corpus file: missing header")
-    newline = _NEWLINE.search(buf)
-    if newline is None:
-        raise ValidationError("bad corpus header: no newline ends the header line")
-    offset = newline.end()
-    try:
-        raw = json.loads(bytes(buf[:offset]))
-    except ValueError as exc:   # bad JSON or bad UTF-8
-        raise ValidationError(f"bad corpus header: {exc}") from exc
+def _layout(raw) -> tuple:
+    """The corpus header and columns of a header line (``util.read_array_file``)."""
     rows = raw.pop("rows", None) if type(raw) is dict else None
     header = header_from_dict(raw)
     if type(rows) is not int or rows < 0:
         raise ValidationError(f"bad corpus header: rows must be a non-negative "
                               f"integer, got {rows!r}")
-    if offset % 8:
-        raise ValidationError(f"bad corpus header: its line of {offset} bytes is "
-                              f"not padded to a multiple of 8")
-    widths = [getattr(header, key) if key else 1 for _, _, key in _COLUMNS]
-    row_bytes = sum(w * np.dtype(dtype).itemsize
-                    for w, (_, dtype, _) in zip(widths, _COLUMNS))
-    if buf.size != offset + rows * row_bytes:
-        raise ValidationError(f"corpus file holds {buf.size} bytes, not the "
-                              f"{offset}-byte header plus {rows} rows of "
-                              f"{row_bytes} bytes")
-    columns = {}
-    for w, (name, dtype, key) in zip(widths, _COLUMNS):
-        column = np.frombuffer(buf, dtype, rows * w, offset)
-        columns[name] = column.reshape(rows, w) if key else column
-        offset += column.nbytes
+    specs = [(name, dtype, (rows, getattr(header, key)) if key else (rows,))
+             for name, dtype, key in _COLUMNS]
+    row_bytes = sum(np.dtype(dtype).itemsize * math.prod(shape[1:])
+                    for _, dtype, shape in specs)
+    return header, specs, f"{rows} rows of {row_bytes} bytes"
+
+
+def load_corpus(path) -> Corpus:
+    """Read a corpus file and fully validate it.
+
+    Each column is a read-only view of the one buffer the file is read into
+    (``util.read_array_file``), which holds the header and ``rows`` whole
+    rows; every parent must be a row or -1 and every ``has_audio`` byte 0 or
+    1. The corpus checksum is the SHA-256 of the bytes read, taken when
+    corpus_checksum is first called.
+    """
+    header, columns, buf = read_array_file(path, "corpus", _layout)
     has_audio = columns.pop("has_audio")
     if (has_audio > 1).any():
         row = int(np.argmax(has_audio > 1))
@@ -535,7 +504,6 @@ def load_corpus(path) -> Corpus:
                               f"0 or 1")
     corpus = Corpus(header=header, has_audio=has_audio.view(bool), **columns)
     validate_corpus(corpus)
-    buf.setflags(write=False)
     corpus._file = buf
     return corpus
 

@@ -28,8 +28,8 @@ one bit for bit).
 
 The head deliberately never sees the polarity condition: that bit encodes the
 answer, and feeding it would collapse the task to copying. A head snapshot
-records ``d``, ``d_t`` and each parameter as its shape and one base64 float64
-block (``util.encode_params``), so a save/load round trip is bit-exact.
+is an array file (``util.snapshot_chunks``) whose header records ``d`` and
+``d_t``, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .corpus import TARGET_WIDTH, Corpus, FeatureRows
 from .numerics import adam_step, gelu_and_cdf, gelu_grad_from_cdf, init_adam
 from .qa import WeightFile, verify_weight_file
 from .util import (ValidationError, bounded, check_params, check_ranges,
-                   decode_params, derived_rng, derived_rngs, document_chunks,
-                   encode_params,
-                   load_json_object, write_atomic)
+                   derived_rng, derived_rngs, read_snapshot, snapshot_chunks,
+                   write_atomic)
 from .util import dumps_canonical  # noqa: F401 - bound for per-module tracing
 
 _HEAD_KEYS = ("in_w", "in_b", "out_w", "out_b")
@@ -287,16 +286,11 @@ def predict_all(head: HeadParams, corpus: Corpus, rows) -> np.ndarray:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def head_snapshot_chunks(head: HeadParams, d: int, d_t: int):
-    """The head snapshot's text in pieces (``util.document_chunks``), each
-    parameter block streamed; non-finite parameters are refused here, before
-    any piece."""
-    return document_chunks({
-        "kind": "head_snapshot",
-        "d": d,
-        "d_t": d_t,
-        "params": encode_params(head.to_dict()),
-    })
+def head_snapshot_chunks(head: HeadParams, d: int, d_t: int) -> list:
+    """The head snapshot in pieces (``util.snapshot_chunks``); non-finite
+    parameters are refused here, before any piece."""
+    return snapshot_chunks({"kind": "head_snapshot", "d": d, "d_t": d_t},
+                           head.to_dict())
 
 
 def save_head_snapshot(head: HeadParams, d: int, d_t: int, path) -> None:
@@ -304,14 +298,13 @@ def save_head_snapshot(head: HeadParams, d: int, d_t: int, path) -> None:
 
 
 def load_head_snapshot(path) -> tuple[HeadParams, int, int]:
-    raw = load_json_object(path, "head snapshot")
-    if raw.get("kind") != "head_snapshot":
-        raise ValidationError("not a head snapshot file")
-    d, d_t, arrays = raw.get("d"), raw.get("d_t"), raw.get("params")
+    raw, arrays = read_snapshot(path, "head snapshot", "head_snapshot", ("d", "d_t"),
+                                _HEAD_KEYS)
+    d, d_t = raw["d"], raw["d_t"]
     if type(d) is not int or type(d_t) is not int or d < 1 or d_t < 1:
         raise ValidationError("bad head snapshot: d and d_t must be positive "
                               "integers")
-    head = HeadParams.from_dict(decode_params(arrays, _HEAD_KEYS, "head"))
+    head = HeadParams.from_dict(arrays)
     head.validate()
     if head.in_w.shape[1] != 2 * d + d_t:
         raise ValidationError("snapshot params disagree with recorded dims")

@@ -69,8 +69,7 @@ from .numerics import one_blas_thread
 from .qa import (QaConfig, WeightMapConfig, export_weights, save_qa_snapshot,
                  train_stage0)
 from .util import (AugqualError, PipelineError, ValidationError, check_fields,
-                   config_from_dict, config_to_dict, document_chunks, write_atomic)
-from .util import dumps_canonical  # noqa: F401 - bound for per-module tracing
+                   config_from_dict, config_to_dict, dumps_canonical, write_atomic)
 
 # Each arm's training pool, named as in Split.pool.
 ARM_POOLS = {"weighted": "all", "uniform": "all", "original_only": "original",
@@ -212,10 +211,10 @@ def _seed_files(out: Path, seed: int, arms) -> dict:
     corpus, scorer and weights; in ``PipelineResult.paths`` order, where each
     is named by its file's stem."""
     files = {("corpus", None): out / f"corpus_s{seed}.bin",
-             ("qa", None): out / f"qa_s{seed}.json",
+             ("qa", None): out / f"qa_s{seed}.bin",
              ("weights", None): out / f"weights_s{seed}.json"}
     for arm in arms:
-        files["head", arm] = out / f"head_s{seed}_{arm}.json"
+        files["head", arm] = out / f"head_s{seed}_{arm}.bin"
         files["runlog", arm] = out / f"runlog_s{seed}_{arm}.jsonl"
     return files
 
@@ -308,7 +307,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> PipelineResult:
             "arms": {arm: arm_reports[arm].to_dict() for arm in config.arms},
         }
         report_path = out / "report.json"
-        write_atomic(document_chunks(report), report_path)
+        write_atomic([dumps_canonical(report, indent=1), "\n"], report_path)
         paths["report"] = report_path
         text_path = out / "report.txt"
         write_atomic([format_report_table(report)], text_path)

@@ -39,8 +39,8 @@ scores as columns in id order; it is written as canonical JSON, one
 and the scorer (``qa_checksum`` hashes each parameter's shape and float64
 bytes). No weight is stored: ``verify_weight_file`` derives each one from its
 score, the map and the corpus's ``augmented`` column. A scorer
-snapshot echoes the corpus header and stores each parameter as its shape and one
-base64 float64 block (``util.encode_params``); the loader reads no other format.
+snapshot is an array file (``util.snapshot_chunks``) whose header echoes the
+corpus header; a loaded scorer's parameters are read-only views of its bytes.
 
 All backward passes are hand-derived and checked against central finite
 differences in the test suite.
@@ -79,13 +79,13 @@ from .util import (
     check_params,
     check_ranges,
     config_to_dict,
-    decode_params,
     derived_rng,
     derived_rngs,
-    document_chunks,
     dumps_canonical,  # noqa: F401 - bound for per-module tracing
-    encode_params,
+    json_pieces,
     load_json_object,
+    read_snapshot,
+    snapshot_chunks,
     write_atomic,
 )
 
@@ -420,9 +420,10 @@ def qa_checksum(params: QaParams) -> str:
 
 
 def weight_file_chunks(wf: WeightFile):
-    """The weight file's text in pieces (``util.document_chunks``)."""
+    """The weight file's text in pieces: its canonical JSON, indented one
+    space a level (``util.json_pieces``), then a newline."""
     cfg = wf.weight_map
-    return document_chunks({
+    yield from json_pieces({
         "metadata": {
             "w_min": cfg.w_min, "w_max": cfg.w_max, "gamma": cfg.gamma,
             "qa_checksum": wf.qa_checksum,
@@ -432,6 +433,7 @@ def weight_file_chunks(wf: WeightFile):
         "entries": [{"id": i, "score": s}
                     for i, s in zip(wf.ids.tolist(), wf.scores.tolist())],
     })
+    yield "\n"
 
 
 def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
@@ -460,19 +462,27 @@ _META_FIELDS = {"w_min": (int, float), "w_max": (int, float), "gamma": (int, flo
 _ENTRY_FIELDS = {"id": (str,), "score": (int, float)}
 
 
+def _refuse_unknown(obj: dict, fields, where: str, hint: str = "") -> None:
+    """ValidationError naming the first key of ``obj``, which holds every key
+    of ``fields``, that ``fields`` does not list."""
+    if len(obj) > len(fields):
+        unknown = next(key for key in obj if key not in fields)
+        raise ValidationError(f"bad weight file: {where}unknown field {unknown}{hint}")
+
+
 def load_weight_file(path) -> WeightFile:
     raw = load_json_object(path, "weight file")
     meta = check_fields(raw.get("metadata"), _META_FIELDS,
                         "bad weight file: metadata")
+    _refuse_unknown(meta, _META_FIELDS, "metadata: ")
     entries = raw.get("entries")
     if type(entries) is not list:
         raise ValidationError("bad weight file: entries must be a list")
+    _refuse_unknown(raw, ("metadata", "entries"), "")
     for k, e in enumerate(entries):
         check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
-        if len(e) > len(_ENTRY_FIELDS):
-            unknown = next(key for key in e if key not in _ENTRY_FIELDS)
-            raise ValidationError(f"bad weight file: entry {e['id']}: unknown field "
-                                  f"{unknown}; re-run augqual score to rewrite it")
+        _refuse_unknown(e, _ENTRY_FIELDS, f"entry {e['id']}: ",
+                        "; re-run augqual score to rewrite it")
     try:
         weight_map = WeightMapConfig(w_min=float(meta["w_min"]),
                                      w_max=float(meta["w_max"]),
@@ -513,14 +523,11 @@ def verify_weight_file(wf: WeightFile, corpus: Corpus) -> np.ndarray:
 # Scorer snapshots
 # ---------------------------------------------------------------------------
 
-def qa_snapshot_chunks(params: QaParams, header: CorpusHeader):
-    """The scorer snapshot's text in pieces (``util.document_chunks``);
-    non-finite parameters are refused here, before any piece."""
-    return document_chunks({
-        "kind": "qa_snapshot",
-        "header": config_to_dict(header),
-        "params": encode_params(params.to_dict()),
-    })
+def qa_snapshot_chunks(params: QaParams, header: CorpusHeader) -> list:
+    """The scorer snapshot in pieces (``util.snapshot_chunks``); non-finite
+    parameters are refused here, before any piece."""
+    return snapshot_chunks({"kind": "qa_snapshot", "header": config_to_dict(header)},
+                           params.to_dict())
 
 
 def save_qa_snapshot(params: QaParams, header: CorpusHeader, path) -> None:
@@ -528,13 +535,10 @@ def save_qa_snapshot(params: QaParams, header: CorpusHeader, path) -> None:
 
 
 def load_qa_snapshot(path) -> tuple[QaParams, CorpusHeader]:
-    raw = load_json_object(path, "scorer snapshot")
-    if raw.get("kind") != "qa_snapshot":
-        raise ValidationError("not a scorer snapshot file")
-    if "header" not in raw:
-        raise ValidationError("bad scorer snapshot: no header")
+    raw, arrays = read_snapshot(path, "scorer snapshot", "qa_snapshot", ("header",),
+                                _PARAM_KEYS)
     header = header_from_dict(raw["header"])
-    params = QaParams.from_dict(decode_params(raw.get("params"), _PARAM_KEYS, "scorer"))
+    params = QaParams.from_dict(arrays)
     params.validate()
     if params.d != header.d or params.d_t != header.d_t:
         raise ValidationError("snapshot params disagree with echoed header")

@@ -1,16 +1,17 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
-checksums, the schema walker that reads and writes config documents and
-corpus headers, the float64 array codec of the JSON artifacts, and the one
-writer every artifact goes through.
+the schema walker that reads and writes config documents and corpus headers,
+the array file, and the one writer every artifact goes through.
 
-A JSON artifact writes each float array as a ``B64Block``, padded
-standard-alphabet base64 of its little-endian float64 bytes, with its shape
-(``encode_params`` / ``decode_params``), so a round trip is bit-exact; the
-corpus file holds its columns as raw bytes instead (``corpus``).
-``dumps_canonical`` writes every scalar float in Python's shortest round-trip
-repr; ``document_chunks`` yields the same text in pieces, from the same
-encoder, streaming each ``B64Block`` so that no piece holds a whole
-parameter's text.
+A JSON document (weight file, report) is written by the standard library's
+encoder with sorted keys (``json_pieces``, ``dumps_canonical``). The corpus
+and both snapshots are array files: a first line holding the header as
+compact JSON, padded with spaces to a multiple of 8 bytes, then the raw bytes
+of each array the header lays out, so every float array is 8-byte aligned
+and a round trip is bit-exact. ``read_array_file`` reads one with
+one ``readinto`` into one buffer, each array a read-only view of it; a
+snapshot's header gives each parameter's shape and its body holds the
+parameters' little-endian float64 bytes (``snapshot_chunks``,
+``read_snapshot``).
 
 ``write_atomic`` writes an artifact's chunks, text or bytes, into a temporary
 file beside the target and renames it into place with ``os.replace``; on any
@@ -20,7 +21,6 @@ mid-write never leaves a truncated artifact at the target path.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -28,7 +28,6 @@ import os
 import re
 import sys
 from dataclasses import field, fields, is_dataclass, replace
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
@@ -111,8 +110,7 @@ def derived_rngs(seed: int, *tags: object, count: int) -> Iterator[np.random.Gen
 def load_json_object(path, what: str) -> dict:
     """The JSON object a file holds; ValidationError naming ``what`` when the
     file is not UTF-8 JSON or holds another JSON value."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     try:
         raw = json.loads(data.decode("utf-8"))
     except ValueError as exc:   # bad JSON or bad UTF-8
@@ -273,143 +271,119 @@ def check_params(arrays: dict, shapes: dict, what: str) -> None:
             raise ValidationError(f"{what} param {k}: non-finite values")
 
 
-# Raw bytes per streamed piece of a B64Block: a multiple of 3, so every piece
-# but the last encodes without padding and the pieces join to one block.
-_B64_PIECE = 3 * 4096
-
-
-class B64Block:
-    """A float64 array that canonical JSON writes as one string, the padded
-    base64 of its little-endian float64 bytes, encoded ``_B64_PIECE`` bytes
-    at a time."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, arr):
-        self.data = np.ascontiguousarray(arr, dtype="<f8")
-
-    def pieces(self) -> Iterator[str]:
-        raw = memoryview(self.data).cast("B")
-        for lo in range(0, len(raw), _B64_PIECE):
-            yield base64.b64encode(raw[lo:lo + _B64_PIECE]).decode("ascii")
-
-
-def encode_params(arrays: dict) -> dict:
-    """Each named finite array as ``{"shape": [...], "data": B64Block}``."""
-    if not all(np.isfinite(a).all() for a in arrays.values()):
-        raise ValidationError("non-finite float cannot be serialized")
-    return {k: {"shape": list(a.shape), "data": B64Block(a)}
-            for k, a in arrays.items()}
-
-
-def decode_params(raw, keys, what: str) -> dict:
-    """The float64 arrays ``keys`` of a snapshot's params object, each read
-    from its block of exactly 8 x prod(shape) bytes; ValidationError naming
-    the ``what`` snapshot otherwise, and for the first, decimal-list format."""
-    if type(raw) is not dict or not set(keys) <= set(raw):
-        raise ValidationError(f"bad {what} snapshot: params needs {', '.join(keys)}")
-    arrays = {}
-    for k in keys:
-        where = f"bad {what} snapshot: param {k}"
-        if type(raw[k]) is list:
-            raise ValidationError(f"{where} is a decimal list, the first snapshot "
-                                  "format: this build reads only base64 float64 blocks")
-        shape = check_fields(raw[k], {"shape": (list,), "data": (str,)}, where)["shape"]
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise ValidationError(f"{where}: shape must list non-negative integers")
-        try:
-            data = base64.b64decode(raw[k]["data"], validate=True)
-        except ValueError as exc:   # bad padding, a non-alphabet or non-ASCII character
-            raise ValidationError(f"{where}: field data is not base64: {exc}") from None
-        n = math.prod(shape)
-        if len(data) != 8 * n:
-            raise ValidationError(f"{where}: dim mismatch: field data holds "
-                                  f"{len(data)} bytes, not 8 x {n}")
-        try:
-            arrays[k] = np.frombuffer(data, "<f8").reshape(shape)
-        except ValueError as exc:   # an empty block with a dimension numpy refuses
-            raise ValidationError(f"{where}: {exc}") from None
-    return arrays
+def json_pieces(obj, indent: int = 1) -> Iterator[str]:
+    """The canonical JSON text of ``obj`` in the pieces that
+    ``json.JSONEncoder.iterencode`` yields: keys sorted, ``indent`` spaces per
+    nesting level (compact when 0), non-ASCII text kept and every float in
+    Python's shortest round-trip repr; NaN, an infinity or a value JSON cannot
+    hold raises ValidationError. Written piece by piece, a long document is
+    never held whole."""
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False,
+                               check_circular=False, indent=indent or None,
+                               separators=(",", ": ") if indent else (",", ":"))
+    try:
+        yield from encoder.iterencode(obj)
+    except ValueError:   # allow_nan refuses NaN and the infinities
+        raise ValidationError("non-finite float cannot be serialized") from None
+    except TypeError as exc:   # a value or key JSON cannot hold
+        raise ValidationError(f"cannot serialize: {exc}") from None
 
 
 def dumps_canonical(obj: Any, *, indent: int = 0) -> str:
-    """JSON text with sorted keys, ``indent`` spaces per nesting level (compact
-    when 0), and every float in Python's shortest round-trip repr, as
-    ``json.dumps`` writes corpus lines and run logs; a ``B64Block`` is its
-    base64 string.
-
-    Byte-deterministic: equal structures give equal text, and every float
-    parses back bit for bit. The text is ``json.dumps(obj, sort_keys=True,
-    ensure_ascii=False, allow_nan=False, indent=indent or None)`` with
-    ``(",", ": ")`` separators when indented and ``(",", ":")`` when compact,
-    for documents whose keys are all strings; a non-string key is refused."""
-    return "".join(_encode(obj, indent, 0))
+    """The text of ``json_pieces(obj, indent)``, which is ``json.dumps``'s:
+    equal structures give equal text, and every float parses back bit for
+    bit."""
+    return "".join(json_pieces(obj, indent))
 
 
-def document_chunks(doc) -> Iterator[str]:
-    """The text of a JSON artifact in pieces: ``dumps_canonical(doc,
-    indent=1)`` and a newline."""
-    yield from _encode(doc, 1, 0)
-    yield "\n"
+_NEWLINE = re.compile(b"\n")
 
 
-def _scalar(obj) -> str | None:
-    """The JSON text of a string, number, bool or null; None otherwise."""
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValidationError("non-finite float cannot be serialized")
-        return float.__repr__(obj)
-    return None
+def array_file_chunks(header: dict, arrays) -> list:
+    """An array file in pieces: the header line, then each array's own buffer,
+    not a copy, in its dtype on disk."""
+    text = json.dumps(header, separators=(",", ":"))
+    line = (text + " " * (-(len(text) + 1) % 8) + "\n").encode("ascii")
+    return [line, *(memoryview(np.ascontiguousarray(a)).cast("B") for a in arrays)]
 
 
-def _encode(obj, indent: int, level: int) -> Iterator[str]:
-    """The canonical JSON text of ``obj`` in pieces: one per scalar with the
-    separator and key before it, and each B64Block in its own pieces."""
-    text = _scalar(obj)
-    if text is not None:
-        yield text
-        return
-    if isinstance(obj, B64Block):
-        yield '"'
-        yield from obj.pieces()
-        yield '"'
-        return
-    if not isinstance(obj, (dict, list, tuple)):
-        raise ValidationError(f"cannot serialize: Object of type "
-                              f"{type(obj).__name__} is not JSON serializable")
-    is_dict = isinstance(obj, dict)
-    opener, closer = "{}" if is_dict else "[]"
-    if not obj:
-        yield opener + closer
-        return
-    if is_dict:
-        if not all(isinstance(k, str) for k in obj):
-            raise ValidationError("cannot serialize: a key is not a string")
-        colon = ": " if indent else ":"
-        items = ((encode_basestring(k) + colon, obj[k]) for k in sorted(obj))
-    else:
-        items = (("", item) for item in obj)
-    inner = "\n" + " " * (indent * (level + 1)) if indent else ""
-    sep = opener + inner
-    for key, value in items:
-        text = _scalar(value)
-        if text is not None:
-            yield sep + key + text
-        else:
-            yield sep + key
-            yield from _encode(value, indent, level + 1)
-        sep = "," + inner
-    yield ("\n" + " " * (indent * level) if indent else "") + closer
+def read_array_file(path, what: str, layout) -> tuple:
+    """``(value, arrays, buffer)`` of the array file at ``path``, each array a
+    read-only view of the buffer. ``layout(header)`` refuses a parsed header
+    line it cannot lay out, or returns ``(value, [(name, dtype, shape), ...],
+    body)``, body saying what the arrays hold. The header line must be padded
+    and the file hold it and the arrays' bytes, nothing more."""
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(buf) != buf.size:
+            raise ValidationError(f"{what} file changed while it was read")
+    if not buf.size:
+        raise ValidationError(f"empty {what} file: missing header")
+    if bytes(buf[:2]) == b"{\n":   # never a compact header line
+        raise ValidationError(f"{what} file holds indented JSON, an earlier format: "
+                              "this build reads only binary files; write it again")
+    newline = _NEWLINE.search(buf)
+    if newline is None:
+        raise ValidationError(f"bad {what} header: no newline ends the header line")
+    offset = newline.end()
+    try:
+        raw = json.loads(bytes(buf[:offset]))
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise ValidationError(f"bad {what} header: {exc}") from exc
+    value, specs, body = layout(raw)
+    if offset % 8:
+        raise ValidationError(f"bad {what} header: its line of {offset} bytes is "
+                              f"not padded to a multiple of 8")
+    counts = [math.prod(shape) for _, _, shape in specs]
+    need = sum(n * np.dtype(dtype).itemsize for n, (_, dtype, _) in zip(counts, specs))
+    if buf.size != offset + need:
+        raise ValidationError(f"{what} file holds {buf.size} bytes, not the "
+                              f"{offset}-byte header plus {body}")
+    buf.setflags(write=False)
+    arrays = {}
+    for n, (name, dtype, shape) in zip(counts, specs):
+        try:
+            arrays[name] = np.frombuffer(buf, dtype, n, offset).reshape(shape)
+        except ValueError as exc:   # an empty array with a dimension numpy refuses
+            raise ValidationError(f"bad {what}: {name}: {exc}") from None
+        offset += arrays[name].nbytes
+    return value, arrays, buf
+
+
+def snapshot_chunks(header: dict, params: dict) -> list:
+    """A snapshot file in pieces: ``header`` plus each parameter's shape under
+    ``params``, then their float64 bytes; non-finite values are refused."""
+    if not all(np.isfinite(a).all() for a in params.values()):
+        raise ValidationError("non-finite float cannot be serialized")
+    return array_file_chunks({**header, "params": {k: list(a.shape)
+                                                   for k, a in params.items()}},
+                             [np.asarray(a, "<f8") for a in params.values()])
+
+
+def read_snapshot(path, what: str, kind: str, fields, keys) -> tuple[dict, dict]:
+    """The header and the float64 parameters ``keys`` of the ``what``
+    snapshot file at ``path`` (``read_array_file``). Its header must hold
+    ``kind`` under "kind", the keys ``fields``, which the caller checks, and
+    under "params" the shape of each parameter ``keys`` names, and nothing
+    else."""
+    def layout(raw):
+        if type(raw) is not dict or raw.get("kind") != kind:
+            raise ValidationError(f"not a {what} file")
+        if set(raw) != {"kind", *fields, "params"}:
+            raise ValidationError(f"bad {what}: header keys {', '.join(raw)}, not "
+                                  f"kind, {', '.join(fields)}, params")
+        shapes = raw["params"]
+        if type(shapes) is not dict or sorted(shapes) != sorted(keys):
+            raise ValidationError(f"bad {what}: params must give the shapes of "
+                                  f"{', '.join(keys)} and no other")
+        for k in keys:
+            if type(shapes[k]) is not list or not all(type(n) is int and n >= 0
+                                                      for n in shapes[k]):
+                raise ValidationError(f"bad {what}: param {k}: shape must list "
+                                      f"non-negative integers")
+        n = sum(math.prod(shapes[k]) for k in keys)
+        return raw, [(k, "<f8", shapes[k]) for k in keys], f"{n} float64 values"
+    return read_array_file(path, what, layout)[:2]
 
 
 def write_atomic(chunks: Iterable, path) -> None:

@@ -9,8 +9,10 @@ forge read (a corpus derives it from the sentiment); ``samples_of`` and
 ``corpus_with`` copies a corpus with some of its columns replaced.
 ``corpus_file`` writes a corpus as its file's bytes and ``with_header``
 rewrites a file's header line, both from the format's definition rather than
-the library's writer. ``score_one_pass`` writes out the scorer's forward
-over a whole corpus at once, which windowed scoring must match bit for bit.
+the library's writer; ``snapshot_file`` and ``snapshot_doc`` write and read
+a scorer or head snapshot, which share that layout, the same way.
+``score_one_pass`` writes out the scorer's forward over a whole corpus at
+once, which windowed scoring must match bit for bit.
 ``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
 map it to and from target tokens, which the library does for whole columns.
 ``ref_qa_loss_and_grads`` and ``ref_head_loss_and_grads`` are the two batch
@@ -119,10 +121,12 @@ def corpus_with(corpus: Corpus, **columns) -> Corpus:
     return Corpus(header=corpus.header, **{**given, **columns})
 
 
-def _header_line(doc: dict) -> bytes:
-    """A header object as the corpus file's first line: compact JSON padded
-    with spaces to a multiple of 8 bytes, newline included."""
-    text = json.dumps(doc, separators=(",", ":")).encode("ascii")
+def _header_line(doc) -> bytes:
+    """A header as the first line of a corpus or snapshot file: compact JSON,
+    any array in it as a list, padded with spaces to a multiple of 8 bytes,
+    newline included."""
+    text = json.dumps(doc, separators=(",", ":"),
+                      default=lambda a: a.tolist()).encode("ascii")
     return text + b" " * (-(len(text) + 1) % 8) + b"\n"
 
 
@@ -147,6 +151,44 @@ def with_header(data: bytes, edit) -> bytes:
     return _header_line(edit(json.loads(line))) + rest
 
 
+def snapshot_file(doc) -> bytes:
+    """The bytes of a snapshot whose header is ``doc``, each entry of its
+    ``params`` given as ``{"shape": [...], "data": values}``: the header line
+    with each entry replaced by its shape, then each entry's values packed one
+    by one as little-endian float64, in the order ``params`` lists them. An
+    entry without a shape is left out of the header, one without data adds no
+    bytes, data given as bytes is written as it is, and any other entry, or
+    ``params`` or ``doc`` of another JSON type, goes into the header as it
+    is."""
+    params = doc.get("params") if type(doc) is dict else None
+    if type(params) is not dict:
+        return _header_line(doc)
+    shapes, body = {}, []
+    for key, entry in params.items():
+        if type(entry) is not dict:
+            shapes[key] = entry
+            continue
+        if "shape" in entry:
+            shapes[key] = entry["shape"]
+        data = entry.get("data", b"")
+        if not isinstance(data, bytes):
+            data = struct.pack(f"<{np.size(data)}d", *np.ravel(data).tolist())
+        body.append(data)
+    return _header_line({**doc, "params": shapes}) + b"".join(body)
+
+
+def snapshot_doc(data: bytes) -> dict:
+    """A well-formed snapshot file as ``snapshot_file`` takes it: the header
+    with each parameter as its shape and its float64 values."""
+    line, body = data.split(b"\n", 1)
+    doc, at = json.loads(line), 0
+    for key, shape in doc["params"].items():
+        n = int(np.prod(shape))
+        values = np.array(struct.unpack(f"<{n}d", body[at:at + 8 * n])).reshape(shape)
+        doc["params"][key], at = {"shape": shape, "data": values}, at + 8 * n
+    return doc
+
+
 def feature_checksum(corpus: Corpus) -> str:
     """SHA-256 over the raw float64 bytes of every feature array, in record order."""
     h = hashlib.sha256()
@@ -159,14 +201,10 @@ def feature_checksum(corpus: Corpus) -> str:
 
 
 def float_block(values) -> str:
-    """A float array as a snapshot holds it: padded standard base64 of its
-    little-endian float64 bytes."""
+    """A float array as the earlier JSON files held it (corpus records of the
+    line-oriented formats, and the snapshots before the binary ones): padded
+    standard base64 of its little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def block_values(text: str) -> np.ndarray:
-    """The float64 values of a well-formed float block."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
 
 
 def scores_by_id(wf: WeightFile) -> dict:

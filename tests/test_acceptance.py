@@ -506,10 +506,10 @@ def test_criterion_09_upstream_stages_stay_frozen(criterion):
     features_ok_s0 = (feature_checksum(corpus) == features_before
                       and _file_sha256(corpus) == corpus_before)
 
-    scorer_before = "".join(qa_snapshot_chunks(params, corpus.header))
+    scorer_before = b"".join(qa_snapshot_chunks(params, corpus.header))
     weight_file = export_weights(corpus, params, WeightMapConfig())
     train_stage1(corpus, weight_file, HeadConfig(steps=40), 5)
-    scorer_ok_s1 = "".join(qa_snapshot_chunks(params, corpus.header)) == scorer_before
+    scorer_ok_s1 = b"".join(qa_snapshot_chunks(params, corpus.header)) == scorer_before
     features_ok_s1 = feature_checksum(corpus) == features_before
 
     ok = features_ok_s0 and scorer_ok_s1 and features_ok_s1

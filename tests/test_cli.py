@@ -27,8 +27,8 @@ from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
 from augqual.qa import QaConfig, WeightMapConfig, sample_weight
 from augqual.util import config_to_dict
-from oracles import (block_values, corpus_file, corpus_with, encode, float_block,
-                     samples_of, with_header)
+from oracles import (corpus_file, corpus_with, encode, float_block, samples_of,
+                     snapshot_doc, snapshot_file, with_header)
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -134,7 +134,7 @@ class TestExitCodes:
              "& set(sys.modules)))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "head_s1_uniform.json").exists()
+        assert (tmp_path / "head_s1_uniform.bin").exists()
         assert proc.stdout.strip() == "[]"
 
     def test_version_exits_zero(self):
@@ -292,7 +292,7 @@ class TestStageCommands:
                        "qa_checksum": meta["qa_checksum"], "corpus_checksum": digest}
         assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
                      "--out", str(w)]) == 0
-        assert capsys.readouterr().out == f"wrote 48 weights to {w}\n"
+        assert capsys.readouterr().out == f"wrote 48 scores to {w}\n"
 
     def test_checksum_of_file_with_trailing_blank_line(self, artifacts, tmp_path):
         """A trailing newline is a byte past the last row, so the file is
@@ -439,7 +439,8 @@ def _mutants():
 def clean_artifacts(tmp_path_factory):
     """A clean corpus and the scorer, weight file and head built from it."""
     tmp = tmp_path_factory.mktemp("artifacts")
-    paths = {name: tmp / f"{name}.json" for name in ("scorer", "weights", "head")}
+    paths = {name: tmp / f"{name}.{'json' if name == 'weights' else 'bin'}"
+             for name in ("scorer", "weights", "head")}
     corpus = tmp / "c.bin"
     c = ["--corpus", str(corpus)]
     for cmd in (
@@ -622,7 +623,8 @@ def _in_former_format(edit):
 
 def _artifact_mutants():
     """(artifact, case, edit, expected) tuples; edit(doc, rng) returns the
-    damaged parsed document, or the damaged file text when it returns a str,
+    damaged parsed document (a snapshot as ``oracles.snapshot_doc`` reads
+    it), or the damaged file's text or bytes when it returns a str or bytes,
     and the refusal holds the text ``expected``."""
     def relabel(doc, rng):
         augs = [e for e in doc["entries"] if e["origin"] == "Augmented"]
@@ -630,11 +632,16 @@ def _artifact_mutants():
         return doc
 
     def truncate(doc, rng):
-        text = json.dumps(doc, indent=1)
-        return text[:int(rng.integers(1, len(text) - 2))]
+        data = (json.dumps(doc, indent=1) if "entries" in doc
+                else snapshot_file(doc))
+        return data[:int(rng.integers(1, len(data) - 2))]
 
     cases = [("weights", "weights augment relabelled Original at weight 1",
-              _in_former_format(relabel), "unknown field")]
+              _in_former_format(relabel), "unknown field"),
+             ("weights", "weights metadata/bogus", _put("metadata", "bogus", value=1),
+              "error: bad weight file: metadata: unknown field bogus\n"),
+             ("weights", "weights extra", _put("extra", value=[1]),
+              "error: bad weight file: unknown field extra\n")]
     for artifact, fields in _ARTIFACT_FIELDS.items():
         former, in_former = _FORMER_FIELDS.get(artifact, []), False
 
@@ -661,6 +668,7 @@ def _artifact_mutants():
             if kind == "block":
                 for case, fn in _block_mutants():
                     add(f"{name} {case}", _change(*path, fn=fn))
+                add(f"{name} non-alphabet character", _non_text_in_shape(path[-1]))
             if kind == "list":
                 add(f"{name} string element",
                     _change(*path, fn=lambda v, rng: _poke(v, rng, "0.5")))
@@ -670,26 +678,31 @@ def _artifact_mutants():
     return cases
 
 
-def _swap_char(t, rng):
-    """Base64 text with one seeded character, before any padding, made "-"."""
-    i = int(rng.integers(len(t) - 2))
-    return t[:i] + "-" + t[i + 1:]
+def _non_text_in_shape(key):
+    """An edit giving the snapshot file with a byte that is not UTF-8 put
+    inside the shape its header line gives parameter ``key``."""
+    def edit(doc, rng):
+        data = snapshot_file(doc)
+        at = data.index(f'"{key}":['.encode()) + len(key) + 4
+        return data[:at] + b"\xe9" + data[at:]
+    return edit
 
 
 def _block_mutants():
     """(case, fn) pairs; fn(entry, rng) returns a damaged snapshot parameter,
-    given the clean ``{"shape": [...], "data": base64 block}``."""
-    def values(e):
-        return block_values(e["data"]).reshape(e["shape"])
-
-    def block(v):
-        return {"shape": list(v.shape), "data": float_block(v)}
-
+    given the clean ``{"shape": [...], "data": values}`` that
+    ``oracles.snapshot_file`` writes as the shape in the header line and the
+    float64 bytes in the body. Each case restates on the binary format the
+    damage it once did to a parameter's base64 block: a block cut short of
+    whole base64 quanta ("bad padding") is a body cut short of whole floats,
+    data given as a number is the number's text in the body, and a missing
+    shape or missing data leaves the parameter out of the header or the
+    body."""
     def poke(new):
         def fn(e, rng):
-            v = values(e)
+            v = e["data"].copy()
             v.flat[rng.integers(v.size)] = new
-            return block(v)
+            return {**e, "data": v}
         return fn
 
     def shape(fn):
@@ -707,21 +720,21 @@ def _block_mutants():
     return [
         ("nan", poke(np.nan)), ("inf", poke(np.inf)), ("-inf", poke(-np.inf)),
         ("string element", dim("1")),
-        ("last row dropped", lambda e, rng: block(values(e)[:-1])),
+        ("last row dropped", lambda e, rng: {"shape": [len(e["data"]) - 1,
+                                                       *e["shape"][1:]],
+                                             "data": e["data"][:-1]}),
         ("extra axis", shape(lambda s, rng: [1, *s])),
-        ("bad padding", data(lambda t, rng: t[:-1])),
-        ("non-alphabet character", data(_swap_char)),
-        ("one float short", data(lambda t, rng: float_block(block_values(t)[:-1]))),
-        ("one float long", data(lambda t, rng: float_block(
-            np.append(block_values(t), 0.5)))),
+        ("bad padding", data(lambda v, rng: v.astype("<f8").tobytes()[:-1])),
+        ("one float short", data(lambda v, rng: v.ravel()[:-1])),
+        ("one float long", data(lambda v, rng: np.append(v, 0.5))),
         ("shape disagrees with byte count", shape(lambda s, rng: [s[0] + 1, *s[1:]])),
-        ("data a number", data(lambda t, rng: 5.0)),
+        ("data a number", data(lambda v, rng: b"5.0")),
         ("shape entry a float", dim(1.0)),
         ("shape entry a bool", dim(True)),
         ("negative shape entry", dim(-1)),
         ("shape missing", lambda e, rng: {"data": e["data"]}),
         ("data missing", lambda e, rng: {"shape": e["shape"]}),
-        ("decimal list", lambda e, rng: values(e).tolist()),
+        ("decimal list", lambda e, rng: e["data"].tolist()),
     ]
 
 
@@ -898,10 +911,9 @@ class TestHeaderChecks:
 
     def test_scorer_snapshot_header_refused(self, clean_artifacts, tmp_path, capsys):
         corpus, artifacts = clean_artifacts
-        doc = json.loads(artifacts["scorer"].read_text())
-        doc["header"]["comment"] = "made by hand"
-        bad, out = tmp_path / "qa.json", tmp_path / "weights.json"
-        bad.write_text(json.dumps(doc))
+        bad, out = tmp_path / "qa.bin", tmp_path / "weights.json"
+        bad.write_bytes(with_header(artifacts["scorer"].read_bytes(), lambda h: {
+            **h, "header": {**h["header"], "comment": "made by hand"}}))
         capsys.readouterr()
         rc = main(["score", "--corpus", str(corpus), "--qa", str(bad),
                    "--out", str(out)])
@@ -909,6 +921,22 @@ class TestHeaderChecks:
         assert rc == 1
         assert err == "error: bad corpus header: unknown header key: comment\n"
         assert not out.exists()
+
+
+def _json_snapshot(doc, block) -> str:
+    """A snapshot in an earlier JSON format, as the program wrote it (keys
+    sorted, one space a level): the header of ``doc`` with each parameter as
+    ``block(values)``, a decimal list in the first format and a base64 block
+    with its shape in the second."""
+    return json.dumps({**doc, "params": {k: block(e["data"])
+                                         for k, e in doc["params"].items()}},
+                      indent=1, sort_keys=True) + "\n"
+
+
+_EARLIER_FORMATS = {
+    "first": lambda v: v.tolist(),
+    "second": lambda v: {"shape": list(v.shape), "data": float_block(v)},
+}
 
 
 class TestCorruptArtifactMutations:
@@ -919,8 +947,9 @@ class TestCorruptArtifactMutations:
     @pytest.fixture(scope="class")
     def clean(self, clean_artifacts):
         corpus, paths = clean_artifacts
-        return corpus, {name: json.loads(path.read_text())
-                        for name, path in paths.items()}
+        return corpus, {"scorer": snapshot_doc(paths["scorer"].read_bytes()),
+                        "head": snapshot_doc(paths["head"].read_bytes()),
+                        "weights": json.loads(paths["weights"].read_text())}
 
     @staticmethod
     def _command(artifact, corpus, bad, out):
@@ -930,6 +959,17 @@ class TestCorruptArtifactMutations:
                 "weights": ["stage1", *c, "--weights", str(bad), "--out", str(out),
                             "--seed", "5", "--steps", "2"]}[artifact]
 
+    @staticmethod
+    def _write(path, artifact, damaged):
+        if isinstance(damaged, str):
+            path.write_text(damaged)
+        elif isinstance(damaged, bytes):
+            path.write_bytes(damaged)
+        elif artifact == "weights":
+            path.write_text(json.dumps(damaged))
+        else:
+            path.write_bytes(snapshot_file(damaged))
+
     @pytest.mark.parametrize("artifact, case, edit, expected", _artifact_mutants(),
                              ids=[case for _, case, _, _ in _artifact_mutants()])
     def test_mutant_rejected(self, clean, tmp_path, capsys, artifact, case, edit,
@@ -937,8 +977,8 @@ class TestCorruptArtifactMutations:
         corpus, docs = clean
         damaged = edit(copy.deepcopy(docs[artifact]),
                        np.random.default_rng(sum(map(ord, case))))
-        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
-        bad.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        bad, out = tmp_path / "bad.bin", tmp_path / "out.json"
+        self._write(bad, artifact, damaged)
         capsys.readouterr()
         rc = main(self._command(artifact, corpus, bad, out))
         printed = capsys.readouterr()
@@ -947,37 +987,59 @@ class TestCorruptArtifactMutations:
         assert expected in printed.err
         assert printed.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("artifact", ("scorer", "head"))
+    @pytest.mark.parametrize("fmt", _EARLIER_FORMATS)
+    def test_earlier_json_format_rejected(self, clean, clean_artifacts, tmp_path,
+                                          capsys, artifact, fmt):
+        """A snapshot the program wrote as JSON, with decimal lists or with
+        base64 blocks, is refused as an earlier format, the clean binary
+        snapshot beside it being loadable."""
+        corpus, docs = clean
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(_json_snapshot(docs[artifact], _EARLIER_FORMATS[fmt]))
+        capsys.readouterr()
+        rc = main(self._command(artifact, corpus, bad, out))
+        printed = capsys.readouterr()
+        assert rc == 1, printed.err
+        assert printed.err == (f"error: {artifact} snapshot file holds indented JSON, an "
+                               "earlier format: this build reads only binary files; "
+                               "write it again\n")
+        assert printed.out == "" and not out.exists()
+        assert main(self._command(artifact, corpus, clean_artifacts[1][artifact],
+                                  out)) == 0
+
     def test_defects_exit_cleanly_as_a_process(self, clean, tmp_path):
         # the defects once seen as a traceback or as metrics from NaN logits,
-        # in the block format, a snapshot in the first, decimal-list format,
-        # and a head with the fourth, padding position of the second corpus
-        # format's targets
+        # a snapshot in either earlier JSON format, and a head with the
+        # fourth, padding position of the second corpus format's targets
         corpus, docs = clean
         scorer, head = docs["scorer"], docs["head"]
 
         def param(doc, key, values):
             values = np.asarray(values, dtype=np.float64)
             return {**doc, "params": {**doc["params"], key: {
-                "shape": list(values.shape), "data": float_block(values)}}}
-        out_w, out_b = (block_values(head["params"][k]["data"]).reshape(
-            head["params"][k]["shape"]) for k in ("out_w", "out_b"))
+                "shape": list(values.shape), "data": values}}}
+        out_w, out_b = (head["params"][k]["data"] for k in ("out_w", "out_b"))
         four = param(param(head, "out_w", np.concatenate([out_w, out_w[-1:]])),
                      "out_b", np.concatenate([out_b, out_b[-1:]]))
-        decimals = {**scorer, "params": {
-            k: block_values(v["data"]).reshape(v["shape"]).tolist()
-            for k, v in scorer["params"].items()}}
-        cases = (("scorer", [scorer], "holds a JSON list"),
-                 ("scorer", {k: v for k, v in scorer.items() if k != "header"},
-                  "no header"),
-                 ("head", param(head, "out_w", out_w[:-1]), "param out_w"),
-                 ("head", param(head, "in_b", np.full(
-                     head["params"]["in_b"]["shape"], np.nan)), "non-finite"),
-                 ("scorer", decimals, "decimal list, the first snapshot format"),
-                 ("head", four, "error: head predicts 4 positions over 8 tokens; "
-                                "the corpus needs 3 over 8\n"))
-        for artifact, doc, message in cases:
-            bad, out = tmp_path / "bad.json", tmp_path / "out.json"
-            bad.write_text(json.dumps(doc))
+        cases = (("scorer", snapshot_file([scorer]), "not a scorer snapshot file"),
+                 ("scorer", snapshot_file({k: v for k, v in scorer.items()
+                                           if k != "header"}),
+                  "not kind, header, params"),
+                 ("head", snapshot_file(param(head, "out_w", out_w[:-1])),
+                  "param out_w"),
+                 ("head", snapshot_file(param(head, "in_b", np.full(
+                     head["params"]["in_b"]["shape"], np.nan))), "non-finite"),
+                 *((artifact, _json_snapshot(docs[artifact], block).encode(),
+                    "holds indented JSON, an earlier format")
+                   for artifact in ("scorer", "head")
+                   for block in _EARLIER_FORMATS.values()),
+                 ("head", snapshot_file(four),
+                  "error: head predicts 4 positions over 8 tokens; "
+                  "the corpus needs 3 over 8\n"))
+        for artifact, data, message in cases:
+            bad, out = tmp_path / "bad.bin", tmp_path / "out.json"
+            bad.write_bytes(data)
             proc = run(*self._command(artifact, corpus, bad, out))
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: ") and message in proc.stderr
@@ -1150,12 +1212,33 @@ class TestPipelineCommand:
         assert proc.returncode == 1
         assert "not a pipeline report" in proc.stderr
 
+    @pytest.mark.parametrize("command, content, code", (
+        ("pipeline", None, 2), ("pipeline", b"[1, 2]", 1), ("pipeline", b"\xff{}", 1),
+        ("report", None, 2), ("report", b"{not json", 1), ("report", b"\xff{}", 1)),
+        ids=("config missing", "config a list", "config not UTF-8", "report missing",
+             "report bad JSON", "report not UTF-8"))
+    def test_json_input_exit_codes(self, tmp_path, capsys, command, content, code):
+        """``pipeline --config`` and ``report --results`` read their JSON
+        through util.load_json_object: a missing file exits 2, and a file
+        that is not UTF-8 JSON or holds no object exits 1, each with an error
+        line naming the file and nothing written."""
+        path = tmp_path / ("cfg.json" if command == "pipeline" else "report.json")
+        if content is not None:
+            path.write_bytes(content)
+        argv = (["pipeline", "--out", str(tmp_path / "r"), "--config", str(path)]
+                if command == "pipeline" else ["report", "--results", str(tmp_path)])
+        capsys.readouterr()
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error: ") and str(path) in printed.err
+        assert printed.out == "" and not (tmp_path / "r").exists()
+
     def test_report_holding_a_list(self, tmp_path):
         (tmp_path / "report.json").write_text('[1, 2]')
         proc = run("report", "--results", str(tmp_path))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
-        assert "not a pipeline report" in proc.stderr
+        assert "holds a JSON list, not an object" in proc.stderr
 
 
 # Every config key and the JSON types it takes: "int" is never a bool,

@@ -46,6 +46,7 @@ from oracles import (
     softmax_cross_entropy,
     unflatten_arrays,
     weighted_batch_loss,
+    with_header,
 )
 
 CLEAN = CorruptionProfile(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -268,8 +269,8 @@ class TestTrainStage1:
         a = train_stage1(corpus, None, cfg, 3)
         b = train_stage1(corpus, None, cfg, 3)
         assert a.loss_trace == b.loss_trace
-        assert "".join(head_snapshot_chunks(a.head, 12, 18)) == \
-            "".join(head_snapshot_chunks(b.head, 12, 18))
+        assert b"".join(head_snapshot_chunks(a.head, 12, 18)) == \
+            b"".join(head_snapshot_chunks(b.head, 12, 18))
 
     def test_seed_changes_run(self):
         corpus = self._corpus()
@@ -448,47 +449,46 @@ class TestHeadPersistence:
     def test_snapshot_round_trip(self, tmp_path):
         corpus = generate_corpus(10, 0, CLEAN, seed=2, d=8, d_t=10)
         run = train_stage1(corpus, None, HeadConfig(steps=5), 2)
-        path = tmp_path / "head.json"
+        path = tmp_path / "head.bin"
         save_head_snapshot(run.head, 8, 10, path)
         loaded, d, d_t = load_head_snapshot(path)
         assert (d, d_t) == (8, 10)
         for k, v in run.head.to_dict().items():
             assert np.array_equal(v, loaded.to_dict()[k])
-        assert "".join(head_snapshot_chunks(loaded, d, d_t)).encode() == path.read_bytes()
+        assert b"".join(head_snapshot_chunks(loaded, d, d_t)) == path.read_bytes()
 
     def test_save_streams_the_blocks(self, tmp_path):
         """At the criterion-5 widths (hidden 256 over a 448-wide input, 121,112
-        parameters) the snapshot's text is 1.29 MB; saving holds a few
-        pieces of it at a time, never the whole."""
+        parameters) the snapshot is a 120-byte header line and 968,896 bytes
+        of float64 values; saving writes each parameter's own buffer and holds
+        no copy of it."""
         corpus = generate_corpus(2, 0, CLEAN, seed=0, d=128, d_t=192)
         head = init_head(corpus, HeadConfig(hidden=256), np.random.default_rng(0))
-        path = tmp_path / "head.json"
+        path = tmp_path / "head.bin"
         tracemalloc.start()
         try:
             save_head_snapshot(head, 128, 192, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 1_250_000
+        assert path.stat().st_size == 120 + 8 * 121_112
         assert peak < 256 * 1024
         loaded, *_ = load_head_snapshot(path)
         assert all(np.array_equal(v, loaded.to_dict()[k])
                    for k, v in head.to_dict().items())
 
     def test_foreign_document_rejected(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"kind":"qa_snapshot"}')
+        path = tmp_path / "x.bin"
+        path.write_text('{"kind":"qa_snapshot"}\n')
         with pytest.raises(ValidationError, match="not a head snapshot"):
             load_head_snapshot(path)
 
     def test_dim_disagreement_rejected(self, tmp_path):
         corpus = generate_corpus(10, 0, CLEAN, seed=2, d=8, d_t=10)
         run = train_stage1(corpus, None, HeadConfig(steps=1), 2)
-        path = tmp_path / "head.json"
+        path = tmp_path / "head.bin"
         save_head_snapshot(run.head, 8, 10, path)
-        doc = json.loads(path.read_text())
-        doc["d"] = 9
-        path.write_text(json.dumps(doc))
+        path.write_bytes(with_header(path.read_bytes(), lambda h: {**h, "d": 9}))
         with pytest.raises(ValidationError, match="disagree with recorded dims"):
             load_head_snapshot(path)
 

@@ -93,3 +93,26 @@ def test_training_steps_call_through_the_hooked_globals(monkeypatch):
     train_stage1(corpus, None, HeadConfig(steps=3), 0)
     assert calls == {"augqual.qa.forge_batch": 5, "augqual.qa.qa_loss_and_grads": 5,
                      "augqual.qa.adam_step": 5, "augqual.finetune.adam_step": 3}
+
+
+
+def test_report_is_written_through_the_hooked_global(monkeypatch, tmp_path):
+    """The ``util.dumps`` span wraps ``dumps_canonical`` where
+    ``augqual.pipeline`` binds it; a report written by another encoder
+    would leave that span timing nothing."""
+    calls = []
+    dumps_canonical = pipeline.dumps_canonical
+
+    def counting(doc, **kwargs):
+        calls.append(sorted(doc))
+        return dumps_canonical(doc, **kwargs)
+    monkeypatch.setattr(pipeline, "dumps_canonical", counting)
+    cfg = pipeline.PipelineConfig(
+        corpus=pipeline.CorpusConfig(n_originals=8, augments_per_original=1, d=4,
+                                     d_t=4),
+        seeds=(1,), arms=("original_only",), qa=qa.QaConfig(steps=2, hidden=4),
+        head=HeadConfig(steps=2))
+    report = pipeline.run_pipeline(cfg, tmp_path).report
+    assert calls == [["arms", "config", "corpus_checksums", "kind", "versions"]]
+    assert (tmp_path / "report.json").read_text() == (
+        dumps_canonical(report, indent=1) + "\n")

@@ -236,10 +236,10 @@ class TestRunPipeline:
         res = run_pipeline(cfg, tmp_path)
         for seed in (1, 2):
             assert (tmp_path / f"corpus_s{seed}.bin").exists()
-            assert (tmp_path / f"qa_s{seed}.json").exists()
+            assert (tmp_path / f"qa_s{seed}.bin").exists()
             assert (tmp_path / f"weights_s{seed}.json").exists()
             for arm in ARMS:
-                assert (tmp_path / f"head_s{seed}_{arm}.json").exists()
+                assert (tmp_path / f"head_s{seed}_{arm}.bin").exists()
                 assert (tmp_path / f"runlog_s{seed}_{arm}.jsonl").exists()
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["kind"] == "pipeline_report"
@@ -261,7 +261,7 @@ class TestRunPipeline:
         run_pipeline(cfg, tmp_path / "a")
         run_pipeline(cfg, tmp_path / "b")
         for name in ("report.json", "report.txt", "corpus_s1.bin",
-                     "weights_s1.json", "qa_s1.json", "head_s1_weighted.json"):
+                     "weights_s1.json", "qa_s1.bin", "head_s1_weighted.bin"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
@@ -291,16 +291,16 @@ class TestRunPipeline:
         cfg = PipelineConfig(**FAST, arms=("original_only",))
         res = run_pipeline(cfg, tmp_path)
         assert list(res.arm_reports) == ["original_only"]
-        assert not (tmp_path / "head_s1_weighted.json").exists()
+        assert not (tmp_path / "head_s1_weighted.bin").exists()
 
     def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real = pipeline.document_chunks
-        monkeypatch.setattr(pipeline, "document_chunks", lambda doc:
-                            real({**doc, "bad": float("nan")}))
+        real = pipeline.dumps_canonical
+        monkeypatch.setattr(pipeline, "dumps_canonical", lambda doc, indent:
+                            real({**doc, "bad": float("nan")}, indent=indent))
         cfg = PipelineConfig(**{**FAST, "seeds": (1,)}, arms=("original_only",))
         with pytest.raises(PipelineError, match="^stage report failed: non-finite"):
             run_pipeline(cfg, tmp_path)
-        assert (tmp_path / "qa_s1.json").exists()
+        assert (tmp_path / "qa_s1.bin").exists()
         assert not (tmp_path / "report.json").exists()
 
 
@@ -363,8 +363,8 @@ class TestArmWorker:
         match = re.fullmatch(r"stage stage1:uniform failed: boom in process (\d+)",
                              str(info.value))
         assert match and int(match.group(1)) != os.getpid()
-        assert (tmp_path / "head_s1_uniform.json").exists()
-        assert not (tmp_path / "head_s2_uniform.json").exists()
+        assert (tmp_path / "head_s1_uniform.bin").exists()
+        assert not (tmp_path / "head_s2_uniform.bin").exists()
         _no_child_left()
 
     def test_killed_worker_is_a_stage_failure(self, tmp_path, monkeypatch):
@@ -528,7 +528,7 @@ class TestArmWorker:
             api[1](2)
         try:
             params, _ = train_stage0(corpus, cfg.qa, 4, rows=rows)
-            save_qa_snapshot(params, corpus.header, tmp_path / "qa.json")
+            save_qa_snapshot(params, corpus.header, tmp_path / "qa.bin")
             weights = export_weights(corpus, params, cfg.weight_map,
                                      tmp_path / "weights.json")
             run = train_stage1(corpus, weights, cfg.head, 4, rows=rows)
@@ -536,11 +536,11 @@ class TestArmWorker:
         finally:
             if api:
                 api[1](prior)
-        save_head_snapshot(run.head, c.d, c.d_t, tmp_path / "head.json")
+        save_head_snapshot(run.head, c.d, c.d_t, tmp_path / "head.bin")
         write_run_log(run.loss_trace, tmp_path / "runlog.jsonl")
         assert threads == (2 if api else None)
-        for name, key in (("qa.json", "qa_s4"), ("weights.json", "weights_s4"),
-                          ("head.json", "head_s4_weighted"),
+        for name, key in (("qa.bin", "qa_s4"), ("weights.json", "weights_s4"),
+                          ("head.bin", "head_s4_weighted"),
                           ("runlog.jsonl", "runlog_s4_weighted")):
             assert (tmp_path / name).read_bytes() == res.paths[key].read_bytes(), name
 

@@ -44,7 +44,7 @@ from augqual.qa import (
     verify_weight_file,
     weight_file_chunks,
 )
-from augqual.util import ChecksumError, ValidationError, derived_rng
+from augqual.util import ChecksumError, ValidationError, derived_rng, dumps_canonical
 from forge_reference import family_items, forge_items, forged_batch_from_items
 from oracles import (
     Sample,
@@ -621,6 +621,19 @@ class TestWeightFile:
         assert len(wf.ids) == 8
         assert (verify_weight_file(wf, c) == 1.0).all()
 
+    def test_written_in_pieces(self, tmp_path):
+        """The weight file is written as the JSON encoder yields it, no piece
+        holding even one whole entry, so its text is never held whole; the
+        pieces join to the canonical JSON of the document and a newline."""
+        c, params = self._trained()
+        path = tmp_path / "w.json"
+        wf = export_weights(c, params, WeightMapConfig(), path)
+        pieces = list(weight_file_chunks(wf))
+        assert len(pieces) > 4 * len(wf.ids)
+        assert not any('"id"' in piece and '"score"' in piece for piece in pieces)
+        assert "".join(pieces) == path.read_text() == dumps_canonical(
+            json.loads(path.read_text()), indent=1) + "\n"
+
     def test_reexport_byte_identical(self, tmp_path):
         c, params = self._trained()
         p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
@@ -629,8 +642,8 @@ class TestWeightFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real = qa.document_chunks
-        monkeypatch.setattr(qa, "document_chunks", lambda doc: real(
+        real = qa.json_pieces
+        monkeypatch.setattr(qa, "json_pieces", lambda doc: real(
             {**doc, "bad": float("nan")}))
         c, params = self._trained()
         path = tmp_path / "w.json"
@@ -763,6 +776,21 @@ class TestWeightFile:
         with pytest.raises(ValidationError, match=self._unknown(entry, "origin")):
             load_weight_file(path)
 
+    @pytest.mark.parametrize("where", ("metadata", "top level"))
+    def test_load_rejects_unknown_key(self, tmp_path, where):
+        """A key the format does not have, in the metadata or beside it, is
+        refused by name, as an unknown entry field is."""
+        path, doc, _ = self._exported(tmp_path)
+        if where == "metadata":
+            doc["metadata"]["bogus"] = 1
+            message = "^bad weight file: metadata: unknown field bogus$"
+        else:
+            doc["extra"] = [1]
+            message = "^bad weight file: unknown field extra$"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_weight_file(path)
+
     @pytest.mark.parametrize("bad", (0.0, 1.0, -0.2, float("nan")))
     def test_load_rejects_augment_score_outside_open_interval(self, tmp_path, bad):
         path, doc, entry = self._exported(tmp_path)
@@ -831,7 +859,7 @@ class TestSnapshots:
     def test_round_trip(self, tmp_path):
         c = generate_corpus(6, 1, PROFILE, seed=70, d=8, d_t=12)
         params, _ = train_stage0(c, QaConfig(steps=15, hidden=8), 15)
-        path = tmp_path / "qa.json"
+        path = tmp_path / "qa.bin"
         save_qa_snapshot(params, c.header, path)
         back, header = load_qa_snapshot(path)
         assert header == c.header
@@ -842,12 +870,12 @@ class TestSnapshots:
     def test_serialization_deterministic(self):
         c = generate_corpus(4, 0, PROFILE, seed=71, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=5, hidden=4), 16)
-        assert ("".join(qa_snapshot_chunks(params, c.header))
-                == "".join(qa_snapshot_chunks(params, c.header)))
+        assert (b"".join(qa_snapshot_chunks(params, c.header))
+                == b"".join(qa_snapshot_chunks(params, c.header)))
 
     def test_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"kind": "other"}')
+        path = tmp_path / "junk.bin"
+        path.write_text('{"kind": "other"}     \n')
         with pytest.raises(ValidationError, match="not a scorer snapshot"):
             load_qa_snapshot(path)
         path.write_text("{broken")

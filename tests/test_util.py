@@ -1,20 +1,25 @@
-"""Canonical JSON, the float64 block codec of snapshot parameters, and the
-atomic artifact writer.
+"""Canonical JSON, the array file of both snapshots, and the atomic
+artifact writer.
 
 ``dumps_canonical`` writes scalar floats in Python's shortest round-trip repr:
 every finite float64 parses back bit for bit, key order never shows, and a
-value JSON cannot hold is refused. Snapshot parameters are base64 float64
-blocks: a save/load round trip returns every bit, a parameter set that cannot
-be written leaves no file, and the first, decimal-list snapshot format is
-refused by name. Every artifact goes through ``write_atomic``, text and bytes
-chunks alike: a write that fails at any chunk leaves no temporary file, and
-the target as it was.
+value JSON cannot hold is refused. A snapshot is an array file, its
+parameters raw float64 bytes after a padded header line: a save/load round
+trip returns every bit, the loaded parameters are read-only views of one
+buffer, a parameter set that cannot be written leaves no file, and a snapshot
+in either earlier JSON format is refused as such. No module imports base64.
+Every artifact goes through ``write_atomic``, text and bytes chunks alike: a
+write that fails at any chunk leaves no temporary file, and the target as it
+was.
 ``derived_rngs`` yields ``derived_rng``'s streams, seeded in blocks.
 """
 
+import ast
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +32,9 @@ from augqual.finetune import (HeadConfig, HeadParams, head_snapshot_chunks, init
 from augqual.qa import (QaParams, WeightMapConfig, export_weights, init_qa_params,
                         load_qa_snapshot, qa_checksum, qa_snapshot_chunks,
                         save_qa_snapshot)
-from augqual.util import (RNG_BLOCK, B64Block, ValidationError, derived_rng,
-                          derived_rngs, document_chunks, dumps_canonical, write_atomic)
-from oracles import float_block
+from augqual.util import (RNG_BLOCK, ValidationError, config_to_dict, derived_rng,
+                          derived_rngs, dumps_canonical, write_atomic)
+from oracles import snapshot_doc, snapshot_file
 
 # signed zero, integer values on both sides of the 1e16 cut, a value with no
 # short decimal, a subnormal and a huge magnitude
@@ -96,32 +101,48 @@ class TestDumpsCanonical:
                           indent=indent or None,
                           separators=(",", ": ") if indent else (",", ":"))
         assert dumps_canonical(doc, indent=indent) == want
-        if indent == 1:
-            assert "".join(document_chunks(doc)) == want + "\n"
 
     def test_non_string_key_refused(self):
-        with pytest.raises(ValidationError, match="cannot serialize: a key is not"):
-            dumps_canonical({"a": {1: 2.0}})
+        """A key JSON cannot hold, and keys of types that do not sort
+        together, are refused; an int key alone is written as its decimal
+        string, as json.dumps writes it."""
+        with pytest.raises(ValidationError, match="cannot serialize: keys must be "
+                                                  "str, int, float, bool or None, not tuple"):
+            dumps_canonical({"a": {(1, 2): 2.0}})
+        with pytest.raises(ValidationError, match="cannot serialize: '<' not supported"):
+            dumps_canonical({"a": {1: 2.0, "b": 3.0}})
+        assert dumps_canonical({"a": {1: 2.0}}) == '{"a":{"1":2.0}}'
 
 
-# floats per base64 piece: 3 * 4096 bytes
-PIECE = 1536
-
-
-class TestB64Block:
-    @pytest.mark.parametrize("n", (0, 1, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 7))
-    def test_pieces_join_to_one_block(self, n):
-        arr = _finite_bits(np.random.default_rng(n), n)
-        pieces = list(B64Block(arr).pieces())
-        assert len(pieces) == -(-n // PIECE)
-        assert "".join(pieces) == float_block(arr)
-        assert dumps_canonical({"data": B64Block(arr)}) == f'{{"data":"{float_block(arr)}"}}'
-
-    def test_no_piece_holds_the_whole_block(self):
-        arr = np.random.default_rng(0).standard_normal(10 * PIECE)
-        pieces = list(document_chunks({"data": B64Block(arr)}))
-        assert max(map(len, pieces)) <= 4 * 3 * 4096
-        assert "".join(pieces) == f'{{\n "data": "{float_block(arr)}"\n}}\n'
+def test_no_module_imports_base64():
+    """No module of the package imports base64, and with base64 made
+    unimportable every module still imports and both snapshots save and
+    load (numpy.random, which the generators load, imports it itself)."""
+    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {name for name in imported if name.split(".")[0] == "base64"}, path
+    code = ("import sys, tempfile, numpy as np\n"
+            "sys.modules['base64'] = None\n"
+            "from augqual import cli, finetune, pipeline, qa\n"
+            "from augqual.corpus import CorpusHeader\n"
+            "d = tempfile.mkdtemp()\n"
+            "p = qa.QaParams(np.ones((2, 3)), np.ones(2), np.ones((2, 2)),\n"
+            "                np.ones((4, 8)), np.ones(4), np.ones(4), np.ones(1))\n"
+            "qa.save_qa_snapshot(p, CorpusHeader(d=2, d_t=3, vocab_size=8, seed=0),\n"
+            "                    d + '/qa.bin')\n"
+            "h = finetune.HeadParams(np.ones((4, 7)), np.ones(4), np.ones((3, 8, 4)),\n"
+            "                        np.ones((3, 8)))\n"
+            "finetune.save_head_snapshot(h, 2, 3, d + '/head.bin')\n"
+            "qa.load_qa_snapshot(d + '/qa.bin')\n"
+            "finetune.load_head_snapshot(d + '/head.bin')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('augqual')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "'augqual.util'" in proc.stdout
 
 
 D, D_T = 4, 6
@@ -165,49 +186,60 @@ class TestSnapshotBlocks:
     @pytest.mark.parametrize("seed", range(3))
     def test_round_trip_is_bit_exact(self, tmp_path, kind, make, seed):
         params = _with_bits(make(np.random.default_rng(seed)), seed)
-        back = _save_load(kind, params, tmp_path / "snap.json")
+        back = _save_load(kind, params, tmp_path / "snap.bin")
         assert type(back) is (QaParams if kind == "scorer" else HeadParams)
         for k, arr in params.to_dict().items():
             got = back.to_dict()[k]
             assert got.shape == arr.shape
             np.testing.assert_array_equal(got.view(np.uint64), arr.view(np.uint64))
-        first = (tmp_path / "snap.json").read_bytes()
-        _save_load(kind, back, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == first
+        first = (tmp_path / "snap.bin").read_bytes()
+        _save_load(kind, back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == first
+
+    def test_loaded_params_are_read_only_views_of_one_buffer(self, tmp_path, kind,
+                                                             make):
+        path = tmp_path / "snap.bin"
+        back = _save_load(kind, make(np.random.default_rng(0)), path)
+        roots = set()
+        for arr in back.to_dict().values():
+            assert not arr.flags.writeable and not arr.flags.owndata
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            roots.add(id(arr))
+            assert arr.nbytes == path.stat().st_size
+        assert len(roots) == 1
 
     def test_decimal_list_snapshot_refused(self, tmp_path, kind, make):
+        """A snapshot in the first JSON format, each parameter a decimal
+        list, is refused as an earlier format."""
         path = tmp_path / "snap.json"
         params = make(np.random.default_rng(0))
-        _save_load(kind, params, path)
-        doc = json.loads(path.read_text())
-        doc["params"] = {k: v.tolist() for k, v in params.to_dict().items()}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({
+            **({"kind": "qa_snapshot", "header": config_to_dict(_header())}
+               if kind == "scorer" else {"kind": "head_snapshot", "d": D, "d_t": D_T}),
+            "params": {k: v.tolist() for k, v in params.to_dict().items()}},
+            indent=1, sort_keys=True) + "\n")
         load = load_qa_snapshot if kind == "scorer" else load_head_snapshot
-        with pytest.raises(ValidationError, match=f"bad {kind} snapshot: param .* "
-                           "is a decimal list, the first snapshot format"):
+        with pytest.raises(ValidationError, match=f"^{kind} snapshot file holds "
+                           "indented JSON, an earlier format"):
             load(path)
 
     @pytest.mark.parametrize("edit, message", (
-        (lambda e: {**e, "data": e["data"][:-1]}, "field data is not base64"),
-        (lambda e: {**e, "data": e["data"][:4] + "-" + e["data"][4:]},
-         "field data is not base64"),
         (lambda e: {**e, "shape": [e["shape"][0] + 1, *e["shape"][1:]]},
-         "dim mismatch: field data holds"),
-        (lambda e: {**e, "shape": [10 ** 12]}, "dim mismatch: field data holds"),
-        (lambda e: {**e, "shape": [0, 10 ** 30], "data": ""}, "dimension"),
+         "file holds .* bytes, not the"),
+        (lambda e: {**e, "shape": [10 ** 12]}, "file holds .* bytes, not the"),
+        (lambda e: {**e, "shape": [0, 10 ** 30], "data": b""}, "dimension"),
         (lambda e: {**e, "shape": [-1, *e["shape"][1:]]}, "non-negative integers"),
-        (lambda e: {**e, "data": None}, "field data has type NoneType"),
     ))
     def test_damaged_block_named(self, tmp_path, kind, make, edit, message):
-        path = tmp_path / "snap.json"
+        path = tmp_path / "snap.bin"
         _save_load(kind, make(np.random.default_rng(0)), path)
-        doc = json.loads(path.read_text())
+        doc = snapshot_doc(path.read_bytes())
         key = sorted(doc["params"])[0]
         doc["params"][key] = edit(doc["params"][key])
-        path.write_text(json.dumps(doc))
+        path.write_bytes(snapshot_file(doc))
         load = load_qa_snapshot if kind == "scorer" else load_head_snapshot
-        with pytest.raises(ValidationError, match=f"bad {kind} snapshot: param {key}.*"
-                           + message):
+        with pytest.raises(ValidationError, match=f"{kind} snapshot.*" + message):
             load(path)
 
     def test_non_finite_params_not_serialized(self, kind, make):
@@ -223,7 +255,7 @@ class TestSnapshotBlocks:
     def test_failed_save_leaves_no_file(self, tmp_path, kind, make, bad):
         params = make(np.random.default_rng(0))
         list(params.to_dict().values())[-1].flat[-1] = bad
-        path = tmp_path / "snap.json"
+        path = tmp_path / "snap.bin"
         with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
             _save_load(kind, params, path)
         assert not path.exists()
@@ -297,10 +329,10 @@ ARTIFACTS = {
                lambda d: save_corpus(_small_corpus(), d / "corpus.bin")),
     "run log": (finetune, ["runlog.jsonl"],
                 lambda d: finetune.write_run_log([0.5, 0.25, 0.125], d / "runlog.jsonl")),
-    "scorer snapshot": (qa, ["qa.json"], lambda d: save_qa_snapshot(
-        _scorer(np.random.default_rng(1)), _header(), d / "qa.json")),
-    "head snapshot": (finetune, ["head.json"], lambda d: save_head_snapshot(
-        _head(np.random.default_rng(1)), D, D_T, d / "head.json")),
+    "scorer snapshot": (qa, ["qa.bin"], lambda d: save_qa_snapshot(
+        _scorer(np.random.default_rng(1)), _header(), d / "qa.bin")),
+    "head snapshot": (finetune, ["head.bin"], lambda d: save_head_snapshot(
+        _head(np.random.default_rng(1)), D, D_T, d / "head.bin")),
     "weight file": (qa, ["weights.json"], lambda d: export_weights(
         _small_corpus(), _scorer(np.random.default_rng(1)), WeightMapConfig(),
         d / "weights.json")),
@@ -329,7 +361,7 @@ def test_write_failing_at_any_chunk_leaves_the_target_as_it_was(
 
 
 def test_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
-    path = tmp_path / "head.json"
+    path = tmp_path / "head.bin"
     path.write_bytes(b"old bytes\n")
 
     def no_rename(src, dst):
@@ -338,7 +370,7 @@ def test_failed_rename_leaves_the_target_as_it_was(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", no_rename)
     with pytest.raises(OSError, match="rename refused"):
         save_head_snapshot(_head(np.random.default_rng(1)), D, D_T, path)
-    assert _listing(tmp_path) == {"head.json": b"old bytes\n"}
+    assert _listing(tmp_path) == {"head.bin": b"old bytes\n"}
 
 
 def test_text_and_bytes_chunks_written_in_order(tmp_path):
