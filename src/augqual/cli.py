@@ -148,7 +148,7 @@ def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
     params, _ = load_qa_snapshot(args.qa)
     wf = export_weights(corpus, params, config, args.out)
-    doc = {"path": str(args.out), "n_entries": len(wf.ids),
+    doc = {"path": str(args.out), "n_entries": len(wf.scores),
            "qa_checksum": wf.qa_checksum,
            "corpus_checksum": wf.corpus_checksum}
     if args.json:

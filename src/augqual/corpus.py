@@ -7,10 +7,10 @@ long: ``V``, ``A`` (zeros where a row has no audio) and ``T`` (float64 rows
 of ``d``, ``d`` and ``d_t``), ``sentiment`` and ``hidden_quality`` (float64,
 NaN when absent), ``parent`` (int64: the row of an augment's parent, -1 for
 an original) and ``has_audio`` (one byte, 0 or 1). Nothing a row determines
-is stored: its id (``o00012`` for an original, ``o00012-a0`` for its first
-augment), its polarity (``sentiment >= 0``), whether it is an augment
+is stored: its polarity (``sentiment >= 0``), whether it is an augment
 (``parent >= 0``) and its target tokens (the header's verbal encoding of the
-sentiment) are derived, so a file cannot contradict itself. The header's
+sentiment) are derived, so a file cannot contradict itself. A row has no id
+but its index, which the weight file's scores follow. The header's
 ``generator_version`` names this format; the loader reads only
 GENERATOR_VERSION files.
 
@@ -229,10 +229,6 @@ class FeatureRows:
     def __len__(self) -> int:
         return self.P.shape[0]
 
-    def take(self, idx) -> "FeatureRows":
-        return FeatureRows(V=self.V[idx], A=self.A[idx], T=self.T[idx],
-                           P=self.P[idx])
-
 
 def _freeze(arr, dtype) -> np.ndarray:
     arr = np.asarray(arr, dtype=dtype)
@@ -251,11 +247,11 @@ class Corpus:
     ``hidden_quality`` is NaN where a record has none. What a record
     determines is derived here, so it cannot disagree with the record: the
     polarity ``features.P`` is ``sentiment >= 0``, ``augmented`` is
-    ``parent >= 0`` and ``ids`` follow from ``parent`` in row order; the
-    target tokens are ``header.verbal.encode(sentiment)`` (``finetune``
-    encodes its pool's). As the columns cannot be written, the file checksum
-    is computed once, when first read, and kept (corpus_checksum); a loaded
-    corpus keeps the buffer it was read into, which its columns view.
+    ``parent >= 0``; the target tokens are ``header.verbal.encode(sentiment)``
+    (``finetune`` encodes its pool's). A row is named by its index. As the
+    columns cannot be written, the file checksum is computed once, when first
+    read, and kept (corpus_checksum); a loaded corpus keeps the buffer it was
+    read into, which its columns view.
     """
 
     header: CorpusHeader
@@ -268,7 +264,6 @@ class Corpus:
     hidden_quality: np.ndarray  # (n,) float64
     features: FeatureRows = field(init=False)
     augmented: np.ndarray = field(init=False)   # (n,) bool
-    ids: np.ndarray = field(init=False)         # (n,) str, object dtype
     _checksum: str | None = field(default=None, init=False, repr=False)
     _file: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -279,19 +274,9 @@ class Corpus:
         self.features = FeatureRows(*map(_freeze, (V, A, T, self.sentiment >= 0.0),
                                          (np.float64,) * 3 + (np.intp,)))
         self.augmented = _freeze(self.parent >= 0, bool)
-        # ids as generate_corpus lays rows out: o{row:05d} for an original,
-        # {parent id}-a{k} for the k-th augment of its parent in row order
-        ids, augments = [], {}
-        for row, parent in enumerate(self.parent.tolist()):
-            if parent < 0:
-                ids.append(f"o{row:05d}")
-            else:
-                k = augments[parent] = augments.get(parent, -1) + 1
-                ids.append(f"o{parent:05d}-a{k}")
-        self.ids = _freeze(np.array(ids, dtype=object), object)
 
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return self.parent.shape[0]
 
 
 def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -306,9 +291,9 @@ def validate_corpus(corpus: Corpus) -> None:
     row range, then per record: finite features, no audio features where the
     audio is missing, an augment's parent that is an original, and the
     sentiment and hidden-quality ranges. Every range check is written so that
-    NaN fails it. The error names the first bad record. Ids, polarity, origin
-    and target tokens are derived from these columns (``Corpus``), so they
-    need no check.
+    NaN fails it. The error names the first bad row. Polarity, origin and
+    target tokens are derived from these columns (``Corpus``), so they need no
+    check.
     """
     h, f, n = corpus.header, corpus.features, len(corpus)
     s, p, aug, hq = (corpus.sentiment, corpus.parent, corpus.augmented,
@@ -320,13 +305,12 @@ def validate_corpus(corpus: Corpus) -> None:
     if outside.any():
         row = int(np.argmax(outside))
         raise ValidationError(f"row {row}: parent {p[row]} outside [-1, {n})")
-    ids = corpus.ids
     checks = (
         (np.isfinite(f.V).all(1) & np.isfinite(f.A).all(1) & np.isfinite(f.T).all(1),
          lambda i: "non-finite feature"),
         (corpus.has_audio | ~f.A.any(1), lambda i: "audio features but no audio"),
         # an original's parent is -1, so aug[p] reads the last row, unused
-        (~aug | ~aug[p], lambda i: f"parent {ids[p[i]]} is not an Original"),
+        (~aug | ~aug[p], lambda i: f"parent {p[i]} is not an Original"),
         ((s >= -1.0) & (s <= 1.0), lambda i: f"sentiment {s[i]} outside [-1, 1]"),
         (np.isnan(hq) | ((hq >= 0.0) & (hq <= 1.0)),
          lambda i: "hidden_quality outside [0, 1]"),
@@ -335,7 +319,7 @@ def validate_corpus(corpus: Corpus) -> None:
     if not ok.all():
         row = int(np.argmin(ok.all(axis=0)))
         message = checks[int(np.argmin(ok[:, row]))][1](row)
-        raise ValidationError(f"record {ids[row]}: {message}")
+        raise ValidationError(f"row {row}: {message}")
 
 
 def generate_corpus(n_originals: int, augments_per_original: int,

@@ -56,12 +56,6 @@ class ForgedBatch:
     labels: np.ndarray             # (n,) float64, read-only
     sizes: tuple[int, int, int, int]
 
-    @property
-    def rows(self) -> FeatureRows:
-        """The forged features as rows of video, audio, text and polarity."""
-        d = self.x.shape[1] // 4
-        return FeatureRows(V=self.x[:, :d], A=self.x[:, d:2 * d], T=self.T, P=self.P)
-
 
 class ForgeWork:
     """The arrays ``forge_batch`` writes a batch of ``n`` samples into, for

@@ -212,7 +212,7 @@ def _seed_files(out: Path, seed: int, arms) -> dict:
     is named by its file's stem."""
     files = {("corpus", None): out / f"corpus_s{seed}.bin",
              ("qa", None): out / f"qa_s{seed}.bin",
-             ("weights", None): out / f"weights_s{seed}.json"}
+             ("weights", None): out / f"weights_s{seed}.bin"}
     for arm in arms:
         files["head", arm] = out / f"head_s{seed}_{arm}.bin"
         files["runlog", arm] = out / f"runlog_s{seed}_{arm}.jsonl"

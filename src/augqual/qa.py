@@ -33,12 +33,15 @@ chosen so that every score is bit-identical to one batched pass over the
 whole corpus.
 
 Scores map to sample weights via ``w = w_min + s**gamma * (w_max - w_min)``;
-Original samples always weigh 1. A ``WeightFile`` holds the map, and ids and
-scores as columns in id order; it is written as canonical JSON, one
-``{"id", "score"}`` entry per sample, with checksums binding it to the corpus
-and the scorer (``qa_checksum`` hashes each parameter's shape and float64
-bytes). No weight is stored: ``verify_weight_file`` derives each one from its
-score, the map and the corpus's ``augmented`` column. A scorer
+Original samples always weigh 1. A ``WeightFile`` holds the map, checksums
+binding it to the corpus and the scorer (``qa_checksum`` hashes each
+parameter's shape and float64 bytes), and one score per corpus row, in row
+order. It is written as an array file (``util.array_file_chunks``): a header
+line holding the map, both checksums and the row count
+(``WeightFileHeader``), then the scores' float64 bytes. No weight and no
+sample id is stored: the corpus checksum and the row count bind each score to
+its row, and ``verify_weight_file`` derives each weight from its score, the
+map and the corpus's ``augmented`` column. A scorer
 snapshot is an array file (``util.snapshot_chunks``) whose header echoes the
 corpus header; a loaded scorer's parameters are read-only views of its bytes.
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -74,16 +77,16 @@ from .numerics import (
 from .util import (
     ChecksumError,
     ValidationError,
+    array_file_chunks,
     bounded,
-    check_fields,
     check_params,
     check_ranges,
+    config_from_dict,
     config_to_dict,
     derived_rng,
     derived_rngs,
     dumps_canonical,  # noqa: F401 - bound for per-module tracing
-    json_pieces,
-    load_json_object,
+    read_array_file,
     read_snapshot,
     snapshot_chunks,
     write_atomic,
@@ -91,8 +94,6 @@ from .util import (
 
 _PARAM_KEYS = ("text_proj_w", "text_proj_b", "polarity_emb",
                "hidden_w", "hidden_b", "out_w", "out_b")
-# A weight file's creation stamp: one fixed value, so equal inputs give equal bytes.
-CREATED_AT = "1970-01-01T00:00:00Z"
 
 
 @dataclass
@@ -383,29 +384,36 @@ def sample_weight(origin: str, score: float, cfg: WeightMapConfig) -> float:
 
 @dataclass(eq=False)
 class WeightFile:
-    """The score map, checksums, and two read-only columns kept in id order:
-    ``ids`` (str, object dtype) and ``scores`` (float64); ``export_weights``
-    sorts the rows and the serializer writes them in the order held. Built
-    only when each id is listed once and every score is in (0, 1)."""
+    """The score map, the checksums of the scorer and the corpus the scores
+    were taken from, and ``scores``, one read-only float64 per corpus row, in
+    row order. Built only when every score is in (0, 1)."""
 
     weight_map: WeightMapConfig
     qa_checksum: str
     corpus_checksum: str
-    created_at: str
-    ids: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self):
-        self.ids, self.scores = _freeze(self.ids, object), _freeze(self.scores, np.float64)
-        ids = np.sort(self.ids)
-        twice = ids[1:] == ids[:-1]
-        if twice.any():
-            raise ValidationError(f"weight file lists {ids[1:][twice][0]} twice")
+        self.scores = _freeze(self.scores, np.float64)
         scored = (self.scores > 0.0) & (self.scores < 1.0)
         if not scored.all():
             k = int(np.argmin(scored))
-            raise ValidationError(f"weight file gives {self.ids[k]} score "
+            raise ValidationError(f"weight file gives row {k} score "
                                   f"{float(self.scores[k])!r}, outside (0, 1)")
+
+
+@dataclass(frozen=True)
+class WeightFileHeader:
+    """A weight file's header line after its ``"kind": "weight_file"``, read
+    and written by the config walker; ``rows`` float64 scores follow it."""
+
+    weight_map: WeightMapConfig
+    qa_checksum: str
+    corpus_checksum: str
+    rows: int = bounded(MISSING, "[0, inf)")
+
+    def __post_init__(self):
+        check_ranges(self)
 
 
 def qa_checksum(params: QaParams) -> str:
@@ -419,104 +427,53 @@ def qa_checksum(params: QaParams) -> str:
     return digest.hexdigest()
 
 
-def weight_file_chunks(wf: WeightFile):
-    """The weight file's text in pieces: its canonical JSON, indented one
-    space a level (``util.json_pieces``), then a newline."""
-    cfg = wf.weight_map
-    yield from json_pieces({
-        "metadata": {
-            "w_min": cfg.w_min, "w_max": cfg.w_max, "gamma": cfg.gamma,
-            "qa_checksum": wf.qa_checksum,
-            "corpus_checksum": wf.corpus_checksum,
-            "created_at": wf.created_at,
-        },
-        "entries": [{"id": i, "score": s}
-                    for i, s in zip(wf.ids.tolist(), wf.scores.tolist())],
-    })
-    yield "\n"
-
-
 def export_weights(corpus: Corpus, params: QaParams, cfg: WeightMapConfig,
                    path=None) -> WeightFile:
-    """Score every sample and persist id -> score under the map, sorted by id.
-
-    Output bytes are deterministic for a given (corpus, params, cfg):
-    canonical JSON, floats in shortest round-trip repr, and the fixed
-    ``CREATED_AT`` stamp.
-    """
-    order = np.argsort(corpus.ids)
+    """Score every corpus row and, given ``path``, write the weight file, an
+    array file (``util.array_file_chunks``): the ``WeightFileHeader`` line,
+    then the scores in corpus row order. Equal (corpus, params, cfg) give
+    equal bytes."""
     wf = WeightFile(weight_map=cfg, qa_checksum=qa_checksum(params),
                     corpus_checksum=corpus_checksum(corpus),
-                    created_at=CREATED_AT, ids=corpus.ids[order],
-                    scores=score_corpus(corpus, params)[order])
+                    scores=score_corpus(corpus, params))
     if path is not None:
-        write_atomic(weight_file_chunks(wf), path)
+        header = WeightFileHeader(cfg, wf.qa_checksum, wf.corpus_checksum,
+                                  len(wf.scores))
+        write_atomic(array_file_chunks({"kind": "weight_file",
+                                        **config_to_dict(header)},
+                                       [np.asarray(wf.scores, "<f8")]), path)
     return wf
 
 
-# Exact JSON types of the weight file's fields; a JSON true or false is a
-# bool, never a number.
-_META_FIELDS = {"w_min": (int, float), "w_max": (int, float), "gamma": (int, float),
-                "qa_checksum": (str,), "corpus_checksum": (str,),
-                "created_at": (str,)}
-_ENTRY_FIELDS = {"id": (str,), "score": (int, float)}
-
-
-def _refuse_unknown(obj: dict, fields, where: str, hint: str = "") -> None:
-    """ValidationError naming the first key of ``obj``, which holds every key
-    of ``fields``, that ``fields`` does not list."""
-    if len(obj) > len(fields):
-        unknown = next(key for key in obj if key not in fields)
-        raise ValidationError(f"bad weight file: {where}unknown field {unknown}{hint}")
+def _layout(raw) -> tuple:
+    """The header and the scores of a weight file's header line
+    (``util.read_array_file``)."""
+    if type(raw) is not dict or raw.pop("kind", None) != "weight_file":
+        raise ValidationError("not a weight file")
+    header = config_from_dict(WeightFileHeader, raw, what="weight file header")
+    return header, [("scores", "<f8", (header.rows,))], f"{header.rows} float64 scores"
 
 
 def load_weight_file(path) -> WeightFile:
-    raw = load_json_object(path, "weight file")
-    meta = check_fields(raw.get("metadata"), _META_FIELDS,
-                        "bad weight file: metadata")
-    _refuse_unknown(meta, _META_FIELDS, "metadata: ")
-    entries = raw.get("entries")
-    if type(entries) is not list:
-        raise ValidationError("bad weight file: entries must be a list")
-    _refuse_unknown(raw, ("metadata", "entries"), "")
-    for k, e in enumerate(entries):
-        check_fields(e, _ENTRY_FIELDS, f"bad weight file: entry {k}")
-        _refuse_unknown(e, _ENTRY_FIELDS, f"entry {e['id']}: ",
-                        "; re-run augqual score to rewrite it")
-    try:
-        weight_map = WeightMapConfig(w_min=float(meta["w_min"]),
-                                     w_max=float(meta["w_max"]),
-                                     gamma=float(meta["gamma"]))
-        return WeightFile(weight_map=weight_map, qa_checksum=meta["qa_checksum"],
-                          corpus_checksum=meta["corpus_checksum"],
-                          created_at=meta["created_at"],
-                          ids=[e["id"] for e in entries],
-                          scores=[e["score"] for e in entries])
-    except OverflowError as exc:   # an integer beyond float64
-        raise ValidationError(f"bad weight file: number out of range: {exc}") from None
+    header, arrays, _ = read_array_file(path, "weight", _layout,
+                                        rewrite="re-run augqual score to rewrite it")
+    return WeightFile(weight_map=header.weight_map, qa_checksum=header.qa_checksum,
+                      corpus_checksum=header.corpus_checksum, scores=arrays["scores"])
 
 
 def verify_weight_file(wf: WeightFile, corpus: Corpus) -> np.ndarray:
     """Each corpus row's weight, in row order, once the file is bound to the
-    corpus: its checksum, and one entry for every corpus sample and for
-    nothing else. A weight is ``sample_weight`` of the row's score under the
-    file's map, the corpus's ``augmented`` column deciding which rows weigh
-    1; the scalar map, as numpy's power rounds some scores apart from
-    Python's ``**``."""
+    corpus by its checksum and holds one score per corpus row. A weight is
+    ``sample_weight`` of the row's score under the file's map, the corpus's
+    ``augmented`` column deciding which rows weigh 1; the scalar map, as
+    numpy's power rounds some scores apart from Python's ``**``."""
     if wf.corpus_checksum != corpus_checksum(corpus):
         raise ChecksumError("weight file was exported for a different corpus")
-    order = np.argsort(wf.ids)
-    pos = np.searchsorted(wf.ids, corpus.ids, sorter=order)
-    ok = pos < order.size
-    at = order[pos[ok]]    # the file row at each in-range corpus id's sorted place
-    ok[ok] = wf.ids[at] == corpus.ids[ok]
-    if not ok.all():
-        raise ValidationError(f"no weight for sample {corpus.ids[int(np.argmin(ok))]}")
-    if order.size != len(corpus):
-        raise ValidationError(f"weight file lists {order.size} samples, "
-                              f"the corpus {len(corpus)}")
+    if wf.scores.shape != (len(corpus),):
+        raise ValidationError(f"weight file holds {wf.scores.size} scores, "
+                              f"the corpus {len(corpus)} rows")
     return np.array([sample_weight("Augmented" if a else "Original", s, wf.weight_map)
-                     for a, s in zip(corpus.augmented.tolist(), wf.scores[at].tolist())])
+                     for a, s in zip(corpus.augmented.tolist(), wf.scores.tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Shared plumbing: error types, seeded stream derivation, canonical JSON,
-the schema walker that reads and writes config documents and corpus headers,
-the array file, and the one writer every artifact goes through.
+the schema walker that reads and writes config documents and the corpus and
+weight-file headers, the array file, and the one writer every artifact goes
+through.
 
-A JSON document (weight file, report) is written by the standard library's
-encoder with sorted keys (``json_pieces``, ``dumps_canonical``). The corpus
-and both snapshots are array files: a first line holding the header as
-compact JSON, padded with spaces to a multiple of 8 bytes, then the raw bytes
-of each array the header lays out, so every float array is 8-byte aligned
-and a round trip is bit-exact. ``read_array_file`` reads one with
-one ``readinto`` into one buffer, each array a read-only view of it; a
-snapshot's header gives each parameter's shape and its body holds the
-parameters' little-endian float64 bytes (``snapshot_chunks``,
-``read_snapshot``).
+A JSON document (the report) is one ``json.dumps`` text with sorted keys
+(``dumps_canonical``). The corpus, both snapshots and the weight file are
+array files: a first line holding the header as compact JSON, padded with
+spaces to a multiple of 8 bytes, then the raw bytes of each array the header
+lays out, so every float array is 8-byte aligned and a round trip is
+bit-exact. ``read_array_file`` reads one with one ``readinto`` into one
+buffer, each array a read-only view of it; a snapshot's header gives each
+parameter's shape and its body holds the parameters' little-endian float64
+bytes (``snapshot_chunks``, ``read_snapshot``).
 
 ``write_atomic`` writes an artifact's chunks, text or bytes, into a temporary
 file beside the target and renames it into place with ``os.replace``; on any
@@ -271,29 +271,20 @@ def check_params(arrays: dict, shapes: dict, what: str) -> None:
             raise ValidationError(f"{what} param {k}: non-finite values")
 
 
-def json_pieces(obj, indent: int = 1) -> Iterator[str]:
-    """The canonical JSON text of ``obj`` in the pieces that
-    ``json.JSONEncoder.iterencode`` yields: keys sorted, ``indent`` spaces per
-    nesting level (compact when 0), non-ASCII text kept and every float in
-    Python's shortest round-trip repr; NaN, an infinity or a value JSON cannot
-    hold raises ValidationError. Written piece by piece, a long document is
-    never held whole."""
-    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False,
-                               check_circular=False, indent=indent or None,
-                               separators=(",", ": ") if indent else (",", ":"))
+def dumps_canonical(obj: Any, *, indent: int = 0) -> str:
+    """The canonical JSON text of ``obj``, ``json.dumps``'s: keys sorted,
+    ``indent`` spaces per nesting level (compact when 0), non-ASCII text kept
+    and every float in Python's shortest round-trip repr, so equal structures
+    give equal text and every float parses back bit for bit. NaN, an infinity
+    or a value JSON cannot hold raises ValidationError."""
     try:
-        yield from encoder.iterencode(obj)
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
+                          indent=indent or None,
+                          separators=(",", ": ") if indent else (",", ":"))
     except ValueError:   # allow_nan refuses NaN and the infinities
         raise ValidationError("non-finite float cannot be serialized") from None
     except TypeError as exc:   # a value or key JSON cannot hold
         raise ValidationError(f"cannot serialize: {exc}") from None
-
-
-def dumps_canonical(obj: Any, *, indent: int = 0) -> str:
-    """The text of ``json_pieces(obj, indent)``, which is ``json.dumps``'s:
-    equal structures give equal text, and every float parses back bit for
-    bit."""
-    return "".join(json_pieces(obj, indent))
 
 
 _NEWLINE = re.compile(b"\n")
@@ -307,12 +298,14 @@ def array_file_chunks(header: dict, arrays) -> list:
     return [line, *(memoryview(np.ascontiguousarray(a)).cast("B") for a in arrays)]
 
 
-def read_array_file(path, what: str, layout) -> tuple:
+def read_array_file(path, what: str, layout, rewrite="write it again") -> tuple:
     """``(value, arrays, buffer)`` of the array file at ``path``, each array a
     read-only view of the buffer. ``layout(header)`` refuses a parsed header
     line it cannot lay out, or returns ``(value, [(name, dtype, shape), ...],
     body)``, body saying what the arrays hold. The header line must be padded
-    and the file hold it and the arrays' bytes, nothing more."""
+    and the file hold it and the arrays' bytes, nothing more. A file of
+    indented JSON, as earlier formats were, is refused with the advice
+    ``rewrite``."""
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         if fh.readinto(buf) != buf.size:
@@ -321,7 +314,7 @@ def read_array_file(path, what: str, layout) -> tuple:
         raise ValidationError(f"empty {what} file: missing header")
     if bytes(buf[:2]) == b"{\n":   # never a compact header line
         raise ValidationError(f"{what} file holds indented JSON, an earlier format: "
-                              "this build reads only binary files; write it again")
+                              f"this build reads only binary files; {rewrite}")
     newline = _NEWLINE.search(buf)
     if newline is None:
         raise ValidationError(f"bad {what} header: no newline ends the header line")

@@ -15,7 +15,7 @@ import numpy as np
 
 from augqual.forge import FAMILIES, ForgedBatch
 from augqual.util import ValidationError
-from oracles import Sample
+from oracles import Sample, forged_rows
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,12 @@ def family_items(fb: ForgedBatch, samples) -> dict:
     Every family block holds one row per sample in batch order (mix may be
     empty), which gives each row its source id.
     """
-    ids = [s.id for s in samples]
+    ids, rows = [s.id for s in samples], forged_rows(fb)
     out, start = {}, 0
     for family, size in zip(FAMILIES, fb.sizes):
         out[family] = [
-            ForgedItem(h_v=fb.rows.V[r], h_a=fb.rows.A[r], h_t_raw=fb.rows.T[r],
-                       polarity=int(fb.rows.P[r]), label=int(fb.labels[r]),
+            ForgedItem(h_v=rows.V[r], h_a=rows.A[r], h_t_raw=rows.T[r],
+                       polarity=int(rows.P[r]), label=int(fb.labels[r]),
                        family=family, source_id=ids[r - start])
             for r in range(start, start + size)]
         start += size

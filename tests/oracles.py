@@ -5,12 +5,16 @@ The functions here work one sample at a time, in the textbook form of each
 formula, and the tests assert that both agree. ``Sample`` is one corpus
 record as separate fields, with the polarity condition the scorer and the
 forge read (a corpus derives it from the sentiment); ``samples_of`` and
-``corpus_from_samples`` convert between it and the columnar ``Corpus``, and
-``corpus_with`` copies a corpus with some of its columns replaced.
+``corpus_from_samples`` convert between it and the columnar ``Corpus``,
+``sample_ids`` names each row as the generator lays rows out (the library
+names a row by its index alone), and ``corpus_with`` copies a corpus with
+some of its columns replaced.
 ``corpus_file`` writes a corpus as its file's bytes and ``with_header``
 rewrites a file's header line, both from the format's definition rather than
 the library's writer; ``snapshot_file`` and ``snapshot_doc`` write and read
-a scorer or head snapshot, which share that layout, the same way.
+a scorer or head snapshot, and ``weight_file`` and ``weight_doc`` a weight
+file, which share that layout, the same way. ``json_weight_file`` writes a
+weight file in one of the earlier JSON formats.
 ``score_one_pass`` writes out the scorer's forward over a whole corpus at
 once, which windowed scoring must match bit for bit.
 ``sentiment_class``, ``encode`` and ``decode`` bin one sentiment value and
@@ -23,8 +27,9 @@ reference computes the gradient of all four input blocks and slices out the
 two it needs, where the library computes only those two.
 ``ref_train_stage0`` and ``ref_train_stage1`` are the two training loops in
 that form, step for step: each step seeds its own generator, gathers and
-concatenates its batch (``ref_forge_batch`` for the scorer) and calls those
-losses. ``head_loss_and_grads`` calls the library's head loss on raw targets
+concatenates its batch (``take_rows`` and ``ref_forge_batch`` for the
+scorer) and calls those losses; ``forged_rows`` reads a forged batch back as
+feature rows. ``head_loss_and_grads`` calls the library's head loss on raw targets
 and weights, building their supervision as a training loop does for a pool.
 """
 
@@ -43,8 +48,9 @@ from augqual.corpus import Corpus, FeatureRows, VerbalScheme
 from augqual.finetune import HeadParams, _loss_and_grads, _supervision, init_head
 from augqual.forge import ForgedBatch
 from augqual.numerics import adam_step, bce_with_logit, gelu_and_cdf, init_adam, sigmoid
-from augqual.qa import (QaParams, WeightFile, _family_coefficients, _forward,
-                        _ForwardWork, init_qa_params, verify_weight_file)
+from augqual.qa import (QaParams, _family_coefficients, _forward,
+                        _ForwardWork, init_qa_params, sample_weight,
+                        verify_weight_file)
 from augqual.util import ValidationError, config_to_dict, derived_rng
 
 
@@ -67,9 +73,24 @@ class Sample:
     hidden_quality: float | None = None
 
 
+def sample_ids(corpus: Corpus) -> list:
+    """A name for each corpus row, as ``generate_corpus`` lays rows out:
+    ``o{row:05d}`` for an original, ``{parent's id}-a{k}`` for the k-th
+    augment of its parent in row order."""
+    ids, augments = [], {}
+    for row, parent in enumerate(corpus.parent.tolist()):
+        if parent < 0:
+            ids.append(f"o{row:05d}")
+        else:
+            k = augments[parent] = augments.get(parent, -1) + 1
+            ids.append(f"o{parent:05d}-a{k}")
+    return ids
+
+
 def samples_of(corpus: Corpus) -> list:
-    """Every row of a corpus as a Sample, in corpus order."""
-    f, ids = corpus.features, corpus.ids.tolist()
+    """Every row of a corpus as a Sample, in corpus order, named by
+    ``sample_ids``."""
+    f, ids = corpus.features, sample_ids(corpus)
     return [Sample(id=ids[i], h_v=f.V[i],
                    h_a=f.A[i] if corpus.has_audio[i] else None, h_t_raw=f.T[i],
                    polarity=int(f.P[i]), sentiment=float(corpus.sentiment[i]),
@@ -96,8 +117,8 @@ def rows_of(samples, d: int, d_t: int) -> FeatureRows:
 
 def corpus_from_samples(header, samples) -> Corpus:
     """The columnar corpus holding these records (parents looked up by id);
-    as in a corpus file, the polarity follows from the sentiment and the ids
-    from the row order, whatever the samples' own ids are."""
+    as in a corpus file, the polarity follows from the sentiment, and the
+    samples' own ids are not kept."""
     samples = list(samples)
     row = {s.id: i for i, s in enumerate(samples)}
     f = rows_of(samples, header.d, header.d_t)
@@ -189,6 +210,44 @@ def snapshot_doc(data: bytes) -> dict:
     return doc
 
 
+def weight_file(doc) -> bytes:
+    """The bytes of a weight file given as ``{"header": ..., "scores": [...]}``:
+    the header line, then each score packed as a little-endian float64, or
+    written as it is when given as bytes; without scores, the header line
+    alone."""
+    return _header_line(doc["header"]) + b"".join(
+        s if isinstance(s, bytes) else struct.pack("<d", s)
+        for s in doc.get("scores", ()))
+
+
+def weight_doc(data: bytes) -> dict:
+    """A well-formed weight file as ``weight_file`` takes it."""
+    line, body = data.split(b"\n", 1)
+    return {"header": json.loads(line),
+            "scores": list(struct.unpack(f"<{len(body) // 8}d", body))}
+
+
+def json_weight_file(corpus: Corpus, wf, former: bool = False) -> str:
+    """The weight file of ``corpus`` in an earlier JSON format, as the program
+    wrote it (keys sorted, one space a level, then a newline): ``metadata``
+    holding the map, both checksums and a fixed creation stamp, and one
+    ``{"id", "score"}`` entry per row, in ``sample_ids`` order; the ``former``
+    format also gave each entry its origin and its weight."""
+    entries = []
+    for id_, row in sorted(zip(sample_ids(corpus), range(len(corpus)))):
+        entry = {"id": id_, "score": float(wf.scores[row])}
+        if former:
+            origin = "Augmented" if corpus.augmented[row] else "Original"
+            entry.update(origin=origin,
+                         weight=sample_weight(origin, entry["score"], wf.weight_map))
+        entries.append(entry)
+    metadata = {**config_to_dict(wf.weight_map), "qa_checksum": wf.qa_checksum,
+                "corpus_checksum": wf.corpus_checksum,
+                "created_at": "1970-01-01T00:00:00Z"}
+    return json.dumps({"metadata": metadata, "entries": entries}, indent=1,
+                      sort_keys=True) + "\n"
+
+
 def feature_checksum(corpus: Corpus) -> str:
     """SHA-256 over the raw float64 bytes of every feature array, in record order."""
     h = hashlib.sha256()
@@ -205,10 +264,6 @@ def float_block(values) -> str:
     line-oriented formats, and the snapshots before the binary ones): padded
     standard base64 of its little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def scores_by_id(wf: WeightFile) -> dict:
-    return dict(zip(wf.ids.tolist(), wf.scores.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +423,19 @@ def ref_gelu_grad_from_cdf(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + x * ((1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x))
 
 
+def take_rows(rows: FeatureRows, idx) -> FeatureRows:
+    """The rows ``idx`` of ``rows``, each array a fresh copy."""
+    return FeatureRows(V=rows.V[idx], A=rows.A[idx], T=rows.T[idx], P=rows.P[idx])
+
+
+def forged_rows(forged: ForgedBatch) -> FeatureRows:
+    """A forged batch's features as rows of video, audio, text and polarity:
+    views of its scorer input's first two blocks, its text and polarity."""
+    d = forged.x.shape[1] // 4
+    return FeatureRows(V=forged.x[:, :d], A=forged.x[:, d:2 * d], T=forged.T,
+                       P=forged.P)
+
+
 def ref_forward(rows: FeatureRows, params: QaParams):
     """The scorer's batched forward pass with every array fresh: the input
     assembled by concatenation, then logits and the backprop caches."""
@@ -393,7 +461,7 @@ def ref_qa_loss_and_grads(forged: ForgedBatch, params: QaParams, alpha):
     gradient of the whole assembled input."""
     coef = ref_family_coefficients(forged.sizes, alpha)
     Y = forged.labels
-    logits, (x, pre, act, cdf) = ref_forward(forged.rows, params)
+    logits, (x, pre, act, cdf) = ref_forward(forged_rows(forged), params)
     loss = float(np.sum(coef * bce_with_logit(logits, Y)))
 
     d = params.d
@@ -478,7 +546,7 @@ def ref_forge_batch(batch: FeatureRows, rng: np.random.Generator,
     P, n = batch.P, len(batch)
     n0 = int(np.count_nonzero(P == 0))
     if n0 == 0 or n0 == n:
-        mix = batch.take(np.zeros(0, dtype=np.intp))
+        mix = take_rows(batch, np.zeros(0, dtype=np.intp))
     else:
         highs = np.column_stack([np.where(P == 0, n - n0, n0), np.full(n, 2)])
         pick, keep_video = rng.integers(0, highs).T
@@ -516,7 +584,8 @@ def ref_train_stage0(corpus: Corpus, config, seed: int, rows=None):
         rng = derived_rng(seed, "stage0", "step", step)
         take = min(config.batch_size, pool.size)
         idx = rng.choice(pool.size, size=take, replace=False)
-        forged = ref_forge_batch(corpus.features.take(pool[idx]), rng, config.rho)
+        forged = ref_forge_batch(take_rows(corpus.features, pool[idx]), rng,
+                                 config.rho)
         loss, grads, _ = ref_qa_loss_and_grads(
             forged, QaParams.from_dict(state.params), config.alpha)
         for k, g in grads.items():

@@ -25,10 +25,11 @@ from augqual.corpus import (DEFAULT_PROFILE, MAX_DIM, CorpusConfig, CorruptionPr
                             SplitConfig, VerbalScheme, load_corpus, save_corpus)
 from augqual.finetune import HeadConfig
 from augqual.pipeline import PipelineConfig, run_pipeline
-from augqual.qa import QaConfig, WeightMapConfig, sample_weight
+from augqual.qa import QaConfig, WeightMapConfig, load_weight_file
 from augqual.util import config_to_dict
-from oracles import (corpus_file, corpus_with, encode, float_block, samples_of,
-                     snapshot_doc, snapshot_file, with_header)
+from oracles import (corpus_file, corpus_with, encode, float_block, json_weight_file,
+                     samples_of, snapshot_doc, snapshot_file, weight_doc, weight_file,
+                     with_header)
 
 CLI = [sys.executable, "-m", "augqual.cli"]
 
@@ -95,7 +96,7 @@ class TestExitCodes:
         a = _gen(tmp_path, "a.bin", "5")
         b = _gen(tmp_path, "b.bin", "6")
         qa = tmp_path / "qa.json"
-        w = tmp_path / "w.json"
+        w = tmp_path / "w.bin"
         assert run("stage0", "--corpus", str(a), "--out", str(qa),
                    "--seed", "1", "--steps", "5", "--hidden", "8",
                    "--batch-size", "8").returncode == 0
@@ -165,7 +166,7 @@ class TestStageCommands:
         tmp_path = tmp_path_factory.mktemp("stages")
         corpus = _gen(tmp_path)
         qa = tmp_path / "qa.json"
-        w = tmp_path / "w.json"
+        w = tmp_path / "w.bin"
         head = tmp_path / "head.json"
         for cmd in (
             ["stage0", "--corpus", str(corpus), "--out", str(qa),
@@ -206,12 +207,12 @@ class TestStageCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["weight_mode"] == "uniform"
 
-    def _stage1_refuses(self, corpus, doc, tmp_path):
-        """stage1's stderr for the weight file ``doc``, which it must refuse
-        with exit 1 and no head written."""
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))       # NaN is written as NaN
-        head = tmp_path / "h_bad.json"
+    def _stage1_refuses(self, corpus, data, tmp_path):
+        """stage1's stderr for the weight file bytes or text ``data``, which
+        it must refuse with exit 1 and no head written."""
+        edited = tmp_path / "edited.bin"
+        edited.write_bytes(data if isinstance(data, bytes) else data.encode())
+        head = tmp_path / "h_bad.bin"
         proc = run("stage1", "--corpus", str(corpus), "--weights", str(edited),
                    "--out", str(head), "--seed", "5", "--steps", "5")
         assert proc.returncode == 1, proc.stderr
@@ -221,36 +222,37 @@ class TestStageCommands:
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")),
                              ids=("negative", "huge", "nan"))
     def test_hand_edited_weight_rejected(self, artifacts, tmp_path, bad):
-        # an entry holds no weight: any weight written into one is refused
+        # the file holds no weight: a value written over an augment's score
+        # is refused, as it is no score in (0, 1)
         corpus, _, w, _ = artifacts
-        doc = json.loads(w.read_text())
-        entry = next(e for e in doc["entries"] if "-a" in e["id"])
-        entry["weight"] = bad
-        err = self._stage1_refuses(corpus, doc, tmp_path)
-        assert f"entry {entry['id']}: unknown field weight" in err
+        doc = weight_doc(w.read_bytes())
+        k = int(np.flatnonzero(load_corpus(corpus).augmented)[0])
+        doc["scores"][k] = bad
+        assert self._stage1_refuses(corpus, weight_file(doc), tmp_path) == (
+            f"error: weight file gives row {k} score {bad!r}, outside (0, 1)\n")
 
     def test_weight_edited_apart_from_its_score_rejected(self, artifacts, tmp_path):
+        # a column of weights written after the scores is refused for the
+        # file's size
         corpus, _, w, _ = artifacts
-        doc = json.loads(w.read_text())
-        entry = next(e for e in doc["entries"] if "-a" in e["id"])
-        entry.update(origin="Augmented", weight=0.9)
-        err = self._stage1_refuses(corpus, doc, tmp_path)
-        assert f"entry {entry['id']}: unknown field origin" in err
+        err = self._stage1_refuses(corpus, w.read_bytes() + np.full(48, 0.9).tobytes(),
+                                   tmp_path)
+        assert err.startswith("error: weight file holds ")
+        assert err.endswith("-byte header plus 48 float64 scores\n")
 
     def test_weight_file_in_the_former_format_rejected(self, artifacts, tmp_path):
-        """A weight file as the format that stored each entry's origin and
-        weight wrote it is refused, naming the field and the way to a new
+        """A weight file in either earlier JSON format as the program wrote
+        it, one ``{"id", "score"}`` entry a row or, before that, entries that
+        also stored an origin and a weight, is refused by a ``stage1
+        --weights`` process, naming an earlier format and the way to a new
         file."""
         corpus, _, w, _ = artifacts
-        doc = json.loads(w.read_text())
-        cfg = WeightMapConfig(**{k: doc["metadata"][k] for k in ("w_min", "w_max", "gamma")})
-        for e in doc["entries"]:
-            origin = "Augmented" if "-a" in e["id"] else "Original"
-            e.update(origin=origin, weight=sample_weight(origin, e["score"], cfg))
-        first = doc["entries"][0]["id"]
-        assert self._stage1_refuses(corpus, doc, tmp_path) == (
-            f"error: bad weight file: entry {first}: unknown field origin; "
-            f"re-run augqual score to rewrite it\n")
+        c, wf = load_corpus(corpus), load_weight_file(w)
+        for former in (False, True):
+            assert self._stage1_refuses(corpus, json_weight_file(c, wf, former),
+                                        tmp_path) == (
+                "error: weight file holds indented JSON, an earlier format: this "
+                "build reads only binary files; re-run augqual score to rewrite it\n")
 
     def test_only_score_and_weighted_stage1_hash_the_corpus(self, artifacts, tmp_path,
                                                             monkeypatch, capsys):
@@ -282,14 +284,15 @@ class TestStageCommands:
 
     def test_score_reports_one_entry_per_corpus_row(self, artifacts, tmp_path, capsys):
         corpus, qa, _, _ = artifacts
-        w = tmp_path / "w_json.json"
+        w = tmp_path / "w_json.bin"
         assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
                      "--out", str(w), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        meta = json.loads(w.read_text())["metadata"]
+        header = weight_doc(w.read_bytes())["header"]
         digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
         assert doc == {"path": str(w), "n_entries": 48,
-                       "qa_checksum": meta["qa_checksum"], "corpus_checksum": digest}
+                       "qa_checksum": header["qa_checksum"], "corpus_checksum": digest}
+        assert header["corpus_checksum"] == digest and header["rows"] == 48
         assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
                      "--out", str(w)]) == 0
         assert capsys.readouterr().out == f"wrote 48 scores to {w}\n"
@@ -302,12 +305,12 @@ class TestStageCommands:
         trailing = tmp_path / "trailing.bin"
         trailing.write_bytes(corpus.read_bytes() + b"\n")
         proc = run("score", "--corpus", str(trailing), "--qa", str(qa),
-                   "--out", str(tmp_path / "w_trailing.json"))
+                   "--out", str(tmp_path / "w_trailing.bin"))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: corpus file holds ")
         padded = tmp_path / "padded.bin"
         padded.write_bytes(corpus.read_bytes().replace(b"\n", b"        \n", 1))
-        w = tmp_path / "w_padded.json"
+        w = tmp_path / "w_padded.bin"
         proc = run("score", "--corpus", str(padded), "--qa", str(qa),
                    "--out", str(w), "--json")
         assert proc.returncode == 0, proc.stderr
@@ -343,8 +346,8 @@ class TestStageByStageMatchesPipeline:
             ["stage0", *c, "--out", str(tmp_path / "qa.json"), "--seed", seed,
              "--steps", "40", *labels],
             ["score", *c, "--qa", str(tmp_path / "qa.json"),
-             "--out", str(tmp_path / "weights.json")],
-            ["stage1", *c, "--weights", str(tmp_path / "weights.json"),
+             "--out", str(tmp_path / "weights.bin")],
+            ["stage1", *c, "--weights", str(tmp_path / "weights.bin"),
              "--out", str(tmp_path / "head.json"), "--seed", seed,
              "--steps", "30", "--run-log", str(tmp_path / "trace.jsonl"), *labels],
             ["stage1", *c, "--out", str(tmp_path / "head_uniform.json"),
@@ -358,7 +361,7 @@ class TestStageByStageMatchesPipeline:
             split=SplitConfig(label_fraction=float(label_fraction)),
             qa=QaConfig(steps=40), head=HeadConfig(steps=30)), tmp_path / "pipe")
         pairs = {"corpus.bin": "corpus_s3", "qa.json": "qa_s3",
-                 "weights.json": "weights_s3", "head.json": "head_s3_weighted",
+                 "weights.bin": "weights_s3", "head.json": "head_s3_weighted",
                  "trace.jsonl": "runlog_s3_weighted",
                  "head_uniform.json": "head_s3_uniform"}
         for name, key in pairs.items():
@@ -439,8 +442,7 @@ def _mutants():
 def clean_artifacts(tmp_path_factory):
     """A clean corpus and the scorer, weight file and head built from it."""
     tmp = tmp_path_factory.mktemp("artifacts")
-    paths = {name: tmp / f"{name}.{'json' if name == 'weights' else 'bin'}"
-             for name in ("scorer", "weights", "head")}
+    paths = {name: tmp / f"{name}.bin" for name in ("scorer", "weights", "head")}
     corpus = tmp / "c.bin"
     c = ["--corpus", str(corpus)]
     for cmd in (
@@ -587,7 +589,7 @@ _WRONG = {"text": "x", "float": 1.5, "bool": True, "null": None, "list": [],
           "object": {}}
 _KEEPS = {"int": (), "num": ("float",), "str": ("text",), "obj": ("object",),
           "list": ("list",), "block": ()}
-# (field path, kind) of every field the loaders read; "*" is a seeded entry
+# (field path, kind) of every field the snapshot loaders read
 _ARTIFACT_FIELDS = {
     "scorer": [(("kind",), "str"), (("header",), "obj"), (("params",), "obj"),
                *((("header", k), "int") for k in ("d", "d_t", "vocab_size", "seed")),
@@ -598,83 +600,153 @@ _ARTIFACT_FIELDS = {
     "head": [(("kind",), "str"), (("d",), "int"), (("d_t",), "int"),
              (("params",), "obj"),
              *((("params", k), "block") for k in ("in_w", "in_b", "out_w", "out_b"))],
-    "weights": [(("metadata",), "obj"), (("entries",), "list"),
-                (("entries", "*"), "obj"),
-                *((("metadata", k), "num") for k in ("w_min", "w_max", "gamma")),
-                *((("metadata", k), "str") for k in (
-                    "qa_checksum", "corpus_checksum", "created_at")),
-                (("entries", "*", "id"), "str"), (("entries", "*", "score"), "num")],
 }
-# The entry fields a weight file once stored beside each score. Their mutants
-# run on the clean file rewritten in that format, each entry with an origin
-# and a weight, which the loader refuses as having an unknown field.
-_FORMER_FIELDS = {"weights": [(("entries", "*", "origin"), "str"),
-                              (("entries", "*", "weight"), "num")]}
 
 
-def _in_former_format(edit):
-    def former(doc, rng):
-        for e in doc["entries"]:
-            e.update(origin="Augmented" if "-a" in e["id"] else "Original",
-                     weight=1.0)
-        return edit(doc, rng)
-    return former
+def _field_mutants(fields):
+    """(case, edit) pairs damaging each (name, path, kind) of ``fields``: the
+    field missing, of each JSON type it does not take, and a number
+    non-finite."""
+    cases = []
+    for name, path, kind in fields:
+        if path[-1] != "*":
+            cases.append((f"{name} missing", _drop(*path)))
+        cases += [(f"{name}={label}", _put(*path, value=value))
+                  for label, value in _WRONG.items() if label not in _KEEPS[kind]]
+        if kind == "num":
+            cases += [(f"{name} {bad}", _change(*path, fn=lambda v, rng, b=bad:
+                                                 _poke(v, rng, float(b))))
+                      for bad in ("nan", "inf", "-inf")]
+    return cases
 
 
 def _artifact_mutants():
     """(artifact, case, edit, expected) tuples; edit(doc, rng) returns the
     damaged parsed document (a snapshot as ``oracles.snapshot_doc`` reads
-    it), or the damaged file's text or bytes when it returns a str or bytes,
-    and the refusal holds the text ``expected``."""
-    def relabel(doc, rng):
-        augs = [e for e in doc["entries"] if e["origin"] == "Augmented"]
-        augs[rng.integers(len(augs))].update(origin="Original", weight=1.0)
-        return doc
-
+    it, a weight file as ``oracles.weight_doc`` does), or the damaged file's
+    text or bytes when it returns a str or bytes, and the refusal holds the
+    text ``expected``."""
     def truncate(doc, rng):
-        data = (json.dumps(doc, indent=1) if "entries" in doc
-                else snapshot_file(doc))
+        data = snapshot_file(doc)
         return data[:int(rng.integers(1, len(data) - 2))]
 
-    cases = [("weights", "weights augment relabelled Original at weight 1",
-              _in_former_format(relabel), "unknown field"),
-             ("weights", "weights metadata/bogus", _put("metadata", "bogus", value=1),
-              "error: bad weight file: metadata: unknown field bogus\n"),
-             ("weights", "weights extra", _put("extra", value=[1]),
-              "error: bad weight file: unknown field extra\n")]
+    cases = []
     for artifact, fields in _ARTIFACT_FIELDS.items():
-        former, in_former = _FORMER_FIELDS.get(artifact, []), False
-
         def add(case, edit):
-            cases.append((artifact, f"{artifact} {case}", *(
-                (_in_former_format(edit), "unknown field") if in_former
-                else (edit, "error: "))))
+            cases.append((artifact, f"{artifact} {case}", edit, "error: "))
         add("file holds a list", lambda doc, rng: [doc])
         add("file holds a number", lambda doc, rng: 3)
         add("file holds null", lambda doc, rng: None)
         for cut in range(3):
             add(f"truncated {cut}", truncate)
-        for path, kind in fields + former:
-            name, in_former = "/".join(path), (path, kind) in former
-            if path[-1] != "*":
-                add(f"{name} missing", _drop(*path))
-            for label, value in _WRONG.items():
-                if label not in _KEEPS[kind]:
-                    add(f"{name}={label}", _put(*path, value=value))
-            if kind == "num":
-                for bad in ("nan", "inf", "-inf"):
-                    add(f"{name} {bad}", _change(*path, fn=lambda v, rng, b=bad:
-                                                 _poke(v, rng, float(b))))
+        for path, kind in fields:
+            name = "/".join(path)
+            for case, edit in _field_mutants([(name, path, kind)]):
+                add(case, edit)
             if kind == "block":
                 for case, fn in _block_mutants():
                     add(f"{name} {case}", _change(*path, fn=fn))
                 add(f"{name} non-alphabet character", _non_text_in_shape(path[-1]))
-            if kind == "list":
-                add(f"{name} string element",
-                    _change(*path, fn=lambda v, rng: _poke(v, rng, "0.5")))
-                add(f"{name} last row dropped",
-                    _change(*path, fn=lambda v, rng: v[:-1]))
-                add(f"{name} extra axis", _change(*path, fn=lambda v, rng: [v]))
+    return cases + [("weights", f"weights {case}", edit, expected)
+                    for case, edit, expected in _weight_mutants()]
+
+
+def _score_bytes(value) -> bytes:
+    """A JSON value put where the JSON weight file held a score, as the bytes
+    the array file holds in a score's place instead: a number as its float64
+    (true as 1.0), null as NaN, any other value as its JSON text."""
+    if value is None or isinstance(value, (bool, int, float)):
+        return struct.pack("<d", math.nan if value is None else value)
+    return json.dumps(value).encode()
+
+
+def _weight_mutants():
+    """(case, edit, expected) of the weight file. Each case keeps the name it
+    had when the weight file was JSON, ``{"metadata": {map, checksums,
+    created_at}, "entries": [{"id", "score"}, ...]}``, and makes that damage
+    to the array file: "metadata" is the header's weight_map, or the header
+    itself for a checksum; an entry's id is the header's rows, which binds
+    each score to its row as the ids did; "entries" are the scores after the
+    header, an entry a seeded score, and a value put there is written as
+    ``_score_bytes`` gives it. Damage to created_at, or to the origin and
+    weight each entry stored in the format before, is made to the file in
+    that earlier format (``oracles.json_weight_file``), which is refused as
+    one. Cases the JSON file had no name for follow."""
+    header = {"metadata": ("header", "weight_map"),
+              **{f"metadata/{k}": ("header", "weight_map", k)
+                 for k in ("w_min", "w_max", "gamma")},
+              **{f"metadata/{k}": ("header", k) for k in ("qa_checksum", "corpus_checksum")},
+              "entries/*/id": ("header", "rows"), "kind": ("header", "kind")}
+    kinds = {"metadata": "obj", "metadata/qa_checksum": "str",
+             "metadata/corpus_checksum": "str", "entries/*/id": "int", "kind": "str"}
+    cases = [(case, edit, "error: ") for case, edit in _field_mutants(
+        [(name, path, kinds.get(name, "num")) for name, path in header.items()])]
+
+    def put_score(value):
+        return _put("scores", "*", value=value)
+    for entry, kind in (("entries/*", "obj"), ("entries/*/score", "num")):
+        cases += [(f"{entry}={label}", put_score(_score_bytes(value)), "error: ")
+                  for label, value in _WRONG.items() if label not in _KEEPS[kind]]
+    cases += [(f"entries/*/score {bad}", put_score(float(bad)), "error: ")
+              for bad in ("nan", "inf", "-inf")]
+    cases += [("entries/*/score missing", _drop("scores", "*"), "error: "),
+              ("entries missing", _drop("scores"), "error: "),
+              *((f"entries={label}", _put("scores", value=[_score_bytes(value)]), "error: ")
+                for label, value in _WRONG.items() if label != "list"),
+              ("entries string element", put_score(b'"0.5"'), "error: "),
+              ("entries last row dropped", _change("scores", fn=lambda v, rng: v[:-1]),
+               "error: "),
+              ("entries extra axis", _change("header", "rows", fn=lambda v, rng: [v]),
+               "error: ")]
+
+    def earlier(edit, former=False):
+        """The edit made to the file in the earlier JSON format; ``former``
+        first gives each entry the origin and weight that format stored."""
+        def text(doc, rng):
+            old = doc["json"]
+            if former:
+                for e in old["entries"]:
+                    origin = "Augmented" if "-a" in e["id"] else "Original"
+                    e.update(origin=origin, weight=1.0)
+            return json.dumps(edit(old, rng), indent=1, sort_keys=True) + "\n"
+        return text
+
+    def relabel(doc, rng):
+        augs = [e for e in doc["entries"] if e["origin"] == "Augmented"]
+        augs[rng.integers(len(augs))].update(origin="Original", weight=1.0)
+        return doc
+    stored = [("metadata/created_at", ("metadata", "created_at"), "str", False),
+              ("entries/*/origin", ("entries", "*", "origin"), "str", True),
+              ("entries/*/weight", ("entries", "*", "weight"), "num", True)]
+    cases += [(case, earlier(edit, former), "an earlier format")
+              for name, path, kind, former in stored
+              for case, edit in _field_mutants([(name, path, kind)])]
+    cases.append(("augment relabelled Original at weight 1",
+                  earlier(relabel, former=True), "an earlier format"))
+
+    def truncate(doc, rng):
+        data = weight_file(doc)
+        return data[:int(rng.integers(1, len(data) - 2))]
+    cases += [
+        ("metadata/bogus", _put("header", "weight_map", "bogus", value=1),
+         "error: unknown weight file header key: weight_map.bogus\n"),
+        ("extra", _put("header", "extra", value=[1]),
+         "error: unknown weight file header key: extra\n"),
+        ("file holds a list", _change("header", fn=lambda v, rng: [v]),
+         "error: not a weight file\n"),
+        *((f"file holds {what}", _put("header", value=value),
+           "error: not a weight file\n") for what, value in (("a number", 3), ("null", None))),
+        *((f"truncated {cut}", truncate, "error: ") for cut in range(3)),
+        ("rows -1", _put("header", "rows", value=-1),
+         "error: WeightFileHeader.rows must be in [0, inf), got -1\n"),
+        ("rows one less, its score dropped", lambda doc, rng: {
+            **doc, "header": {**doc["header"], "rows": doc["header"]["rows"] - 1},
+            "scores": doc["scores"][:-1]},
+         "error: weight file holds 47 scores, the corpus 48 rows\n"),
+        ("one score long", _change("scores", fn=lambda v, rng: v + [0.5]),
+         "error: weight file holds "),
+        *((f"score {bad}", put_score(bad), "outside (0, 1)\n") for bad in (0.0, 1.0)),
+    ]
     return cases
 
 
@@ -911,7 +983,7 @@ class TestHeaderChecks:
 
     def test_scorer_snapshot_header_refused(self, clean_artifacts, tmp_path, capsys):
         corpus, artifacts = clean_artifacts
-        bad, out = tmp_path / "qa.bin", tmp_path / "weights.json"
+        bad, out = tmp_path / "qa.bin", tmp_path / "weights.bin"
         bad.write_bytes(with_header(artifacts["scorer"].read_bytes(), lambda h: {
             **h, "header": {**h["header"], "comment": "made by hand"}}))
         capsys.readouterr()
@@ -947,9 +1019,12 @@ class TestCorruptArtifactMutations:
     @pytest.fixture(scope="class")
     def clean(self, clean_artifacts):
         corpus, paths = clean_artifacts
+        weights = weight_doc(paths["weights"].read_bytes())
+        weights["json"] = json.loads(json_weight_file(load_corpus(corpus),
+                                                      load_weight_file(paths["weights"])))
         return corpus, {"scorer": snapshot_doc(paths["scorer"].read_bytes()),
                         "head": snapshot_doc(paths["head"].read_bytes()),
-                        "weights": json.loads(paths["weights"].read_text())}
+                        "weights": weights}
 
     @staticmethod
     def _command(artifact, corpus, bad, out):
@@ -966,7 +1041,7 @@ class TestCorruptArtifactMutations:
         elif isinstance(damaged, bytes):
             path.write_bytes(damaged)
         elif artifact == "weights":
-            path.write_text(json.dumps(damaged))
+            path.write_bytes(weight_file(damaged))
         else:
             path.write_bytes(snapshot_file(damaged))
 

@@ -301,7 +301,7 @@ class TestGenerate:
         c = generate_corpus(2, 1, CLEAN, seed=1, d=8, d_t=8)
         with pytest.raises(ValueError):
             c.features.V[0, 0] = 99.0
-        for col in (c.ids, *vars(c.features).values(), c.has_audio, c.sentiment,
+        for col in (*vars(c.features).values(), c.has_audio, c.sentiment,
                     c.augmented, c.parent, c.hidden_quality):
             assert not col.flags.writeable
 
@@ -416,8 +416,7 @@ class TestSerialization:
                 + nan + nan + struct.pack("<d", 0.25)
                 + struct.pack("<3q", -1, -1, 0) + bytes([1, 0, 1]))
         assert _saved(c, tmp_path / "c.bin") == want
-        assert load_corpus(tmp_path / "c.bin").ids.tolist() == ["o00000", "o00001",
-                                                                "o00000-a0"]
+        assert load_corpus(tmp_path / "c.bin").parent.tolist() == [-1, -1, 0]
 
     def test_features_on_disk_are_raw_float64(self, tmp_path):
         c = generate_corpus(2, 1, DEFAULTISH, seed=1, d=8, d_t=12)
@@ -484,8 +483,8 @@ def _header_only(path, header, rows=0):
 
 
 def _tiny():
-    """A two-row corpus: o00000, an original with audio, and its augment
-    o00000-a0, which has none."""
+    """A two-row corpus: row 0, an original with audio, and its augment in
+    row 1, which has none."""
     return Corpus(header=CorpusHeader(d=4, d_t=4, vocab_size=8, seed=0),
                   V=[np.full(4, 1.0), np.full(4, 2.0)],
                   A=[np.full(4, 1.0), np.zeros(4)], T=[np.full(4, 1.0), np.full(4, 2.0)],
@@ -552,8 +551,7 @@ class TestLoadValidation:
         """A row with a parent is an augment, so an original cannot have one:
         row 0 given the augment in row 1 as parent is an augment of an
         augment."""
-        with pytest.raises(ValidationError, match="record o00001-a0: parent "
-                                                  "o00000-a0 is not an Original"):
+        with pytest.raises(ValidationError, match="^row 0: parent 1 is not an Original$"):
             load_corpus(_tiny_file(tmp_path, parent=[1, 0]))
 
     def test_augmented_needs_parent(self, tmp_path):
@@ -561,11 +559,10 @@ class TestLoadValidation:
         parent -1, row 1 loads as an original."""
         loaded = load_corpus(_tiny_file(tmp_path))
         assert loaded.augmented.tolist() == [False, True]
-        assert loaded.ids.tolist() == ["o00000", "o00000-a0"]
+        assert loaded.parent.tolist() == [-1, 0]
         loaded = load_corpus(_tiny_file(tmp_path, parent=[-1, -1]))
         assert loaded.augmented.tolist() == [False, False]
         assert loaded.parent.tolist() == [-1, -1]
-        assert loaded.ids.tolist() == ["o00000", "o00001"]
 
     def test_token_out_of_vocab(self, tmp_path):
         """Target tokens come from the header's verbal table, which fits
@@ -579,7 +576,7 @@ class TestLoadValidation:
         ids=("polarity", "bin", "padding", "end"))
     def test_tokens_must_encode_sentiment(self, tmp_path, tokens):
         """A row's target tokens are its sentiment's encoding, [1, 5, 7] for
-        o00000, because the file stores only the sentiment. A row reaches
+        row 0, because the file stores only the sentiment. A row reaches
         other tokens only by storing a sentiment that encodes to them, whose
         polarity then agrees with the polarity token; tokens no sentiment
         encodes to, such as the old padded form, cannot be reached."""
@@ -611,19 +608,18 @@ class TestLoadValidation:
                        parent=[-1, 0, 1], hidden_quality=[np.nan, 0.3, 0.3])
         path = tmp_path / "chain.bin"
         save_corpus(chain, path)
-        with pytest.raises(ValidationError, match="record o00001-a0: parent "
-                                                  "o00000-a0 is not an Original"):
+        with pytest.raises(ValidationError, match="^row 2: parent 1 is not an Original$"):
             load_corpus(path)
 
     @pytest.mark.parametrize("column, values, message", (
-        ("sentiment", [np.nan, -0.5], r"record o00000: sentiment nan outside \[-1, 1\]"),
-        ("sentiment", [0.5, -1.5], r"record o00000-a0: sentiment -1.5 outside"),
-        ("hidden_quality", [np.nan, np.inf], "record o00000-a0: hidden_quality outside"),
-        ("hidden_quality", [-0.5, 0.3], "record o00000: hidden_quality outside"),
-        ("A", [[1.0, np.inf, 1.0, 1.0], np.zeros(4)], "record o00000: non-finite feature"),
-        ("T", [np.ones(4), [2.0, 2.0, np.nan, 2.0]], "record o00000-a0: non-finite feature"),
+        ("sentiment", [np.nan, -0.5], r"row 0: sentiment nan outside \[-1, 1\]"),
+        ("sentiment", [0.5, -1.5], r"row 1: sentiment -1.5 outside"),
+        ("hidden_quality", [np.nan, np.inf], "row 1: hidden_quality outside"),
+        ("hidden_quality", [-0.5, 0.3], "row 0: hidden_quality outside"),
+        ("A", [[1.0, np.inf, 1.0, 1.0], np.zeros(4)], "row 0: non-finite feature"),
+        ("T", [np.ones(4), [2.0, 2.0, np.nan, 2.0]], "row 1: non-finite feature"),
         ("A", [np.ones(4), [0.0, 0.0, 5e-324, 0.0]],
-         "record o00000-a0: audio features but no audio"),
+         "row 1: audio features but no audio"),
     ), ids=("sentiment nan", "sentiment -1.5", "hidden_quality inf",
             "hidden_quality -0.5", "inf audio", "nan text", "audio without audio"))
     def test_column_values(self, tmp_path, column, values, message):
@@ -689,7 +685,7 @@ class TestLoadValidation:
         samples[6] = dataclasses.replace(samples[6], hidden_quality=1.5)
         samples[2] = dataclasses.replace(samples[2], sentiment=1.5)
         with pytest.raises(ValidationError,
-                           match=r"record o00002: sentiment 1.5 outside \[-1, 1\]"):
+                           match=r"^row 2: sentiment 1.5 outside \[-1, 1\]$"):
             validate_corpus(corpus_from_samples(c.header, samples))
 
     def test_checksum_is_of_the_bytes_read(self, tmp_path):
@@ -847,8 +843,7 @@ class TestSplit:
         c = generate_corpus(20, 2, DEFAULTISH, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.2)
         assert len(split.eval_originals) == 4
-        assert c.ids[split.eval_originals].tolist() == [
-            "o00016", "o00017", "o00018", "o00019"]
+        assert split.eval_originals.tolist() == [16, 17, 18, 19]
         assert len(split.train_originals) == 16
 
     def test_splits_are_polarity_balanced(self):
@@ -878,7 +873,7 @@ class TestSplit:
         c = generate_corpus(7, 1, CLEAN, seed=4, d=8, d_t=8)
         held = train_eval_split(c, eval_fraction=0.4)
         assert held.train_originals.tolist() == [0, 1, 2, 3]
-        assert held.eval_originals.tolist() == [4, 5]      # o00006 unpaired
+        assert held.eval_originals.tolist() == [4, 5]      # row 6 unpaired
         every = train_eval_split(c, eval_fraction=0.0)
         assert every.train_originals.tolist() == list(range(7))
         assert every.pool("all").tolist() == list(range(14))
@@ -909,7 +904,7 @@ class TestSplit:
         c = generate_corpus(20, 1, DEFAULTISH, seed=4, d=8, d_t=8)
         split = train_eval_split(c, eval_fraction=0.2, label_fraction=0.5)
         assert len(split.train_originals) == 8
-        assert c.ids[split.train_originals[0]] == "o00000"
+        assert split.train_originals[0] == 0
         # eval side unaffected by label budget
         assert len(split.eval_originals) == 4
 

@@ -247,16 +247,14 @@ class TestBatchedPath:
 
 def _all_ones_weight_file(corpus, w_min=1.0, w_max=1.0, score=0.5):
     """Every sample scored ``score``; with w_min = w_max = 1 it weighs 1."""
-    order = np.argsort(corpus.ids)
     return WeightFile(weight_map=WeightMapConfig(w_min=w_min, w_max=w_max),
                       qa_checksum="0" * 64, corpus_checksum=corpus_checksum(corpus),
-                      created_at="1970-01-01T00:00:00Z", ids=corpus.ids[order],
                       scores=np.full(len(corpus), score))
 
 
 def _take(wf, rows):
-    """The weight file holding only the entries at ``rows``, in that order."""
-    return dataclasses.replace(wf, ids=wf.ids[rows], scores=wf.scores[rows])
+    """The weight file holding only the scores at ``rows``, in that order."""
+    return dataclasses.replace(wf, scores=wf.scores[rows])
 
 
 class TestTrainStage1:
@@ -320,24 +318,27 @@ class TestTrainStage1:
             train_stage1(corpus, wf, HeadConfig(steps=1), 0)
 
     def test_missing_weight_for_pool_member(self):
+        # a score follows its row, so a file missing one holds fewer scores
+        # than the corpus has rows
         corpus = self._corpus()
+        n = len(corpus)
         wf = _all_ones_weight_file(corpus)
-        dropped = _take(wf, slice(1, None))
-        with pytest.raises(ValidationError,
-                           match=f"no weight for sample {wf.ids[0]}"):
-            train_stage1(corpus, dropped, HeadConfig(steps=1), 0)
-        with pytest.raises(ValidationError,
-                           match=f"no weight for sample {corpus.ids[0]}"):
-            train_stage1(corpus, _take(wf, slice(0, 0)), HeadConfig(steps=1), 0)
+        for rows in (slice(1, None), slice(0, 0)):
+            short = _take(wf, rows)
+            with pytest.raises(ValidationError, match=f"^weight file holds "
+                                                      f"{len(short.scores)} scores, "
+                                                      f"the corpus {n} rows$"):
+                train_stage1(corpus, short, HeadConfig(steps=1), 0)
 
     def test_sample_listed_twice_rejected(self):
+        # a row listed twice is a score more than the corpus has rows,
+        # refused before any training
         corpus = self._corpus()
-        wf = _all_ones_weight_file(corpus)
-        k = len(wf.ids) - 1
-        # refused when the file is built, before any training
+        n = len(corpus)
+        wf = _take(_all_ones_weight_file(corpus), np.append(np.arange(n), n - 1))
         with pytest.raises(ValidationError,
-                           match=f"^weight file lists {wf.ids[k]} twice$"):
-            _take(wf, np.append(np.arange(len(wf.ids)), k))
+                           match=f"^weight file holds {n + 1} scores, the corpus {n} rows$"):
+            train_stage1(corpus, wf, HeadConfig(steps=1), 0)
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan")))
     def test_bad_augment_weight_rejected_before_training(self, bad):
@@ -345,10 +346,10 @@ class TestTrainStage1:
         # is what is refused, when the file is built
         corpus = self._corpus()
         wf = _all_ones_weight_file(corpus)
-        k = len(wf.ids) - 1
+        k = len(wf.scores) - 1
         scores = wf.scores.copy()
         scores[k] = bad
-        with pytest.raises(ValidationError, match=f"weight file gives {wf.ids[k]} score"):
+        with pytest.raises(ValidationError, match=f"weight file gives row {k} score"):
             train_stage1(corpus, dataclasses.replace(wf, scores=scores),
                          HeadConfig(steps=1), 0)
 

@@ -9,7 +9,7 @@ from augqual.forge import FAMILIES, _mix_rows, forge_batch
 from augqual.qa import QaConfig
 from augqual.util import ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
-from oracles import Sample, mix_rows_loop, rows_of
+from oracles import Sample, forged_rows, mix_rows_loop, rows_of
 
 D, DT = 6, 10
 
@@ -164,7 +164,8 @@ class TestForgeBatch:
         n = len(batch)
         assert fb.sizes == (n, n, n, n)
         assert fb.labels.shape == (4 * n,)
-        for arr in (fb.rows.V, fb.rows.A, fb.rows.T, fb.rows.P):
+        rows = forged_rows(fb)
+        for arr in (rows.V, rows.A, rows.T, rows.P):
             assert arr.shape[0] == 4 * n
 
     def test_labels_by_family(self, batch):
@@ -176,8 +177,9 @@ class TestForgeBatch:
         a = _forge(batch, derived_rng(9, "forge-test"))
         b = _forge(batch, derived_rng(9, "forge-test"))
         assert a.sizes == b.sizes
-        for x, y in zip((a.rows.V, a.rows.A, a.rows.T, a.rows.P, a.labels),
-                        (b.rows.V, b.rows.A, b.rows.T, b.rows.P, b.labels)):
+        ra, rb = forged_rows(a), forged_rows(b)
+        for x, y in zip((ra.V, ra.A, ra.T, ra.P, a.labels),
+                        (rb.V, rb.A, rb.T, rb.P, b.labels)):
             np.testing.assert_array_equal(x, y)
 
     def test_empty_batch_rejected(self):
@@ -207,7 +209,7 @@ class TestAgainstPerItemReference:
     def _assert_same_bits(got, want):
         assert got.sizes == want.sizes
         for name in ("V", "A", "T", "P"):
-            x, y = getattr(got.rows, name), getattr(want.rows, name)
+            x, y = getattr(forged_rows(got), name), getattr(forged_rows(want), name)
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name     # -0.0 included
         assert got.labels.tobytes() == want.labels.tobytes()
@@ -276,12 +278,13 @@ class TestMixAgainstLoop:
                 video_from, audio_from, rows = want
                 assert got[0].tolist() == video_from.tolist()
                 assert got[1].tolist() == audio_from.tolist()
-                assert forged.rows.V[n:2 * n, 0].astype(np.intp).tolist() == \
+                mixed = forged_rows(forged)
+                assert mixed.V[n:2 * n, 0].astype(np.intp).tolist() == \
                     video_from.tolist()
-                assert forged.rows.A[n:2 * n, 0].astype(np.intp).tolist() == \
+                assert mixed.A[n:2 * n, 0].astype(np.intp).tolist() == \
                     audio_from.tolist()
                 for name in ("V", "A", "T", "P"):
-                    x, y = getattr(forged.rows, name)[n:2 * n], getattr(rows, name)
+                    x, y = getattr(mixed, name)[n:2 * n], getattr(rows, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
                 kinds[kind] += 1
             assert rng_lib.bit_generator.state == rng_ref.bit_generator.state

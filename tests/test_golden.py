@@ -52,10 +52,11 @@ GOLDEN_SHA256 = {
     "runlog_s2_original_only": "fdcd8c335487754bd1ae09b7d87815549dfc94fa6ad717544f5221a1eda15d20",
     "runlog_s2_uniform": "d6155d640ef5999f0f2214de5b0c35846659d39f1145a2a08e06a2fa45044a2d",
     "runlog_s2_weighted": "22a5bec3c76842bbf08c8b763ef60a10f2f23f3b5dd4cd7520410262be926829",
-    # taken again when weight-file entries became {"id", "score"}: each file
-    # is the one before with every entry's origin and weight removed
-    "weights_s1": "3e591f87dc6b71d755a0f871bc502c475e3aea7c50e0baa82632ab7b578926fe",
-    "weights_s2": "67ae6a17e83e3dd6628a5f87b1f50ca2fff47b223f085783efebc13f4794d464",
+    # taken again when the weight file became an array file: a padded header
+    # line, then one float64 score per corpus row in row order, no ids
+    # (832 bytes each); every score kept its bits
+    "weights_s1": "d4aff7b4bb082c90bcab5ae31af72547c745b9e1d243cb324463d63c4d0eb011",
+    "weights_s2": "65e5c61f06fa2921308e14ac52e68c6fd75077450651203eb6df8f6545c980a0",
 }
 
 

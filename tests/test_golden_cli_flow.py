@@ -6,9 +6,12 @@ The corpora of ``test_golden.py`` have 48 rows, fewer than one scoring window
 benchmark's ``cli_flow`` size instead: 600 originals with 2 augments each
 (1,800 rows, eight windows), taken before scoring was windowed, taken
 again when the corpus file became binary, which moved only the corpus
-checksum the weight file records, and again when weight-file entries became
+checksum the weight file records, again when weight-file entries became
 ``{"id", "score"}``, dropping each entry's origin and weight (207,759 ->
-110,972 bytes; every score unchanged).
+110,972 bytes; every score unchanged), and again when the weight file became
+an array file, a padded header line and then one float64 score per corpus
+row, in row order, with no ids (110,972 -> 14,656 bytes; every score
+unchanged).
 """
 
 import hashlib
@@ -20,12 +23,12 @@ from augqual.cli import main
 
 SEED = "13"
 N_ORIGINALS = 600   # 2 augments each: 1,800 rows
-WEIGHTS_SHA256 = "b4693b53f8ad6c51bc58061a47ea520467c4bd40806d91c2ad45777a9d1b723b"
+WEIGHTS_SHA256 = "5f7afc33afb2069cfeb0088d0a1e341b99f2fcf2fe910e01099899f70763ed36"
 
 
 def test_cli_flow_weight_file_digest(tmp_path, monkeypatch, capsys):
     corpus, scorer, weights = (tmp_path / name for name in
-                               ("corpus.bin", "qa.json", "weights.json"))
+                               ("corpus.bin", "qa.bin", "weights.bin"))
     for argv in (["gen-corpus", "--out", str(corpus), "--seed", SEED,
                   "--n-originals", str(N_ORIGINALS), "--augments", "2",
                   "--p-swap", "0.15", "--p-degrade", "0.15",

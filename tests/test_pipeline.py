@@ -237,7 +237,7 @@ class TestRunPipeline:
         for seed in (1, 2):
             assert (tmp_path / f"corpus_s{seed}.bin").exists()
             assert (tmp_path / f"qa_s{seed}.bin").exists()
-            assert (tmp_path / f"weights_s{seed}.json").exists()
+            assert (tmp_path / f"weights_s{seed}.bin").exists()
             for arm in ARMS:
                 assert (tmp_path / f"head_s{seed}_{arm}.bin").exists()
                 assert (tmp_path / f"runlog_s{seed}_{arm}.jsonl").exists()
@@ -261,7 +261,7 @@ class TestRunPipeline:
         run_pipeline(cfg, tmp_path / "a")
         run_pipeline(cfg, tmp_path / "b")
         for name in ("report.json", "report.txt", "corpus_s1.bin",
-                     "weights_s1.json", "qa_s1.bin", "head_s1_weighted.bin"):
+                     "weights_s1.bin", "qa_s1.bin", "head_s1_weighted.bin"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
@@ -530,7 +530,7 @@ class TestArmWorker:
             params, _ = train_stage0(corpus, cfg.qa, 4, rows=rows)
             save_qa_snapshot(params, corpus.header, tmp_path / "qa.bin")
             weights = export_weights(corpus, params, cfg.weight_map,
-                                     tmp_path / "weights.json")
+                                     tmp_path / "weights.bin")
             run = train_stage1(corpus, weights, cfg.head, 4, rows=rows)
             threads = api[0]() if api else None
         finally:
@@ -539,7 +539,7 @@ class TestArmWorker:
         save_head_snapshot(run.head, c.d, c.d_t, tmp_path / "head.bin")
         write_run_log(run.loss_trace, tmp_path / "runlog.jsonl")
         assert threads == (2 if api else None)
-        for name, key in (("qa.bin", "qa_s4"), ("weights.json", "weights_s4"),
+        for name, key in (("qa.bin", "qa_s4"), ("weights.bin", "weights_s4"),
                           ("head.bin", "head_s4_weighted"),
                           ("runlog.jsonl", "runlog_s4_weighted")):
             assert (tmp_path / name).read_bytes() == res.paths[key].read_bytes(), name

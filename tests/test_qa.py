@@ -1,7 +1,6 @@
 """Quality-scorer tests: assembly, forward/backward, training, weight export."""
 
 import ctypes
-import json
 import math
 import os
 import re
@@ -18,6 +17,7 @@ import pytest
 from augqual import qa
 from augqual.corpus import (
     CorruptionProfile,
+    corpus_checksum,
     generate_corpus,
     train_eval_split,
 )
@@ -42,9 +42,8 @@ from augqual.qa import (
     score_corpus,
     train_stage0,
     verify_weight_file,
-    weight_file_chunks,
 )
-from augqual.util import ChecksumError, ValidationError, derived_rng, dumps_canonical
+from augqual.util import ChecksumError, ValidationError, derived_rng
 from forge_reference import family_items, forge_items, forged_batch_from_items
 from oracles import (
     Sample,
@@ -60,8 +59,9 @@ from oracles import (
     rows_of,
     samples_of,
     score_one_pass,
-    scores_by_id,
     unflatten_arrays,
+    weight_doc,
+    weight_file,
 )
 
 PROFILE = CorruptionProfile(sigma_benign=0.05, p_swap=0.15, p_degrade=0.15,
@@ -618,45 +618,58 @@ class TestWeightFile:
         c = generate_corpus(8, 0, PROFILE, seed=61, d=8, d_t=8)
         params, _ = train_stage0(c, QaConfig(steps=10, hidden=8), 14)
         wf = export_weights(c, params, WeightMapConfig())
-        assert len(wf.ids) == 8
+        assert len(wf.scores) == 8
         assert (verify_weight_file(wf, c) == 1.0).all()
 
-    def test_written_in_pieces(self, tmp_path):
-        """The weight file is written as the JSON encoder yields it, no piece
-        holding even one whole entry, so its text is never held whole; the
-        pieces join to the canonical JSON of the document and a newline."""
+    def test_written_in_pieces(self, tmp_path, monkeypatch):
+        """The weight file is an array file written in two pieces, never
+        joined: its padded header line, then the scores' own buffer, their
+        float64 bytes in corpus row order."""
         c, params = self._trained()
-        path = tmp_path / "w.json"
+        written, write_atomic = [], qa.write_atomic
+
+        def recording(chunks, path):
+            written.append(chunks)
+            write_atomic(chunks, path)
+        monkeypatch.setattr(qa, "write_atomic", recording)
+        path = tmp_path / "w.bin"
         wf = export_weights(c, params, WeightMapConfig(), path)
-        pieces = list(weight_file_chunks(wf))
-        assert len(pieces) > 4 * len(wf.ids)
-        assert not any('"id"' in piece and '"score"' in piece for piece in pieces)
-        assert "".join(pieces) == path.read_text() == dumps_canonical(
-            json.loads(path.read_text()), indent=1) + "\n"
+        (line, body), = written
+        assert np.shares_memory(np.frombuffer(body, np.float64), wf.scores)
+        assert len(line) % 8 == 0 and line.endswith(b"\n")
+        assert path.read_bytes() == line + score_corpus(c, params).astype("<f8").tobytes()
+        assert weight_doc(path.read_bytes())["header"] == {
+            "kind": "weight_file", "weight_map": {"w_min": 0.1, "w_max": 1.5, "gamma": 1.0},
+            "qa_checksum": qa_checksum(params), "corpus_checksum": corpus_checksum(c),
+            "rows": len(c)}
 
     def test_reexport_byte_identical(self, tmp_path):
         c, params = self._trained()
-        p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        p1, p2 = tmp_path / "w1.bin", tmp_path / "w2.bin"
         export_weights(c, params, WeightMapConfig(), p1)
         export_weights(c, params, WeightMapConfig(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real = qa.json_pieces
-        monkeypatch.setattr(qa, "json_pieces", lambda doc: real(
-            {**doc, "bad": float("nan")}))
+        array_file_chunks = qa.array_file_chunks
+
+        def failing(header, arrays):
+            yield array_file_chunks(header, arrays)[0]
+            raise ValidationError("cannot write the scores")
+        monkeypatch.setattr(qa, "array_file_chunks", failing)
         c, params = self._trained()
-        path = tmp_path / "w.json"
-        with pytest.raises(ValidationError, match="non-finite float cannot be serialized"):
+        path = tmp_path / "w.bin"
+        with pytest.raises(ValidationError, match="cannot write the scores"):
             export_weights(c, params, WeightMapConfig(), path)
         assert not path.exists()
 
     def test_entries_sorted_and_complete(self):
+        """One score per corpus row, in row order: the scores ``score_corpus``
+        gives the corpus, bit for bit."""
         c, params = self._trained()
         wf = export_weights(c, params, WeightMapConfig())
-        ids = wf.ids.tolist()
-        assert ids == sorted(ids)
-        assert set(ids) == set(c.ids.tolist())
+        assert wf.scores.shape == (len(c),)
+        assert wf.scores.tobytes() == score_corpus(c, params).tobytes()
 
     def test_score_weight_rank_agreement(self):
         c, params = self._trained(n=20, m=3)
@@ -668,18 +681,16 @@ class TestWeightFile:
 
     def test_round_trip(self, tmp_path):
         c, params = self._trained()
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         wf = export_weights(c, params, WeightMapConfig(), path)
         back = load_weight_file(path)
         assert back.corpus_checksum == wf.corpus_checksum
         assert back.qa_checksum == qa_checksum(params)
-        assert back.ids.tolist() == wf.ids.tolist()
         assert back.weight_map == wf.weight_map
+        assert back.scores.tobytes() == wf.scores.tobytes()
+        assert not back.scores.flags.writeable
         np.testing.assert_array_equal(verify_weight_file(back, c),
                                       verify_weight_file(wf, c))
-        assert not any(col.flags.writeable for col in (back.ids, back.scores))
-        assert scores_by_id(back) == scores_by_id(wf)
-        assert "".join(weight_file_chunks(back)) == "".join(weight_file_chunks(wf))
 
     def test_verify_binds_to_corpus(self, tmp_path):
         c, params = self._trained()
@@ -691,153 +702,144 @@ class TestWeightFile:
             verify_weight_file(wf, other)
 
     def test_binding_messages_name_the_first_fault_in_corpus_order(self, tmp_path):
+        """A file is bound to its corpus by the checksum first, then by
+        holding one score per corpus row: with another corpus's checksum it
+        is refused for that, whatever its length; with this corpus's, one
+        score short or long, or empty, it is refused naming both counts."""
         c, params = self._trained()
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         export_weights(c, params, WeightMapConfig(), path)
-        clean = json.loads(path.read_text())
-        ids = c.ids.tolist()
-        aug = ids[int(np.flatnonzero(c.augmented)[0])]
-        # corpus row order (o00001 before its augments) is not id order
-        assert ids.index("o00001") < ids.index(aug) and aug < "o00001"
-        extra = {"id": "zz-extra", "score": 0.5}
-
-        def relabel(e):
-            # an augment relabelled Original in the former format, which
-            # stored origins and weights: refused before any binding check
-            return {**e, "origin": "Original", "weight": 1.0} if e["id"] == aug else e
-
-        def rename(e):
-            return {**e, "id": "zz-renamed"} if e["id"] == "o00001" else e
-
-        unknown = f"bad weight file: entry {aug}: unknown field origin; " \
-                  f"re-run augqual score to rewrite it"
-        cases = (
-            (lambda es: es + [extra], f"weight file lists {len(ids) + 1} samples, "
-                                      f"the corpus {len(ids)}"),
-            (lambda es: [relabel(e) for e in es], unknown),
-            (lambda es: [e for e in es if e["id"] not in (aug, "o00001")],
-             "no weight for sample o00001"),
-            (lambda es: [rename(e) for e in es], "no weight for sample o00001"),
-            (lambda es: [rename(e) for e in es if e["id"] != ids[-1]],
-             "no weight for sample o00001"),
-            (lambda es: [e for e in es if e["id"] != ids[-1]],
-             f"no weight for sample {ids[-1]}"),
-            (lambda es: [relabel(e) for e in es if e["id"] != ids[-1]], unknown),
-        )
-        for k, (edit, message) in enumerate(cases):
-            edited = tmp_path / f"w{k}.json"
-            edited.write_text(json.dumps({**clean, "entries": edit(clean["entries"])}))
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                verify_weight_file(load_weight_file(edited), c)
-        twice = tmp_path / "twice.json"
-        twice.write_text(json.dumps({**clean, "entries": clean["entries"] + [
-            next(e for e in clean["entries"] if e["id"] == aug)]}))
-        with pytest.raises(ValidationError, match=f"^weight file lists {aug} twice$"):
-            load_weight_file(twice)
+        clean, n = weight_doc(path.read_bytes()), len(c)
+        for k, scores in enumerate((clean["scores"][:-1], clean["scores"] + [0.5], [])):
+            edited = tmp_path / f"w{k}.bin"
+            edited.write_bytes(weight_file({"header": {**clean["header"],
+                                                       "rows": len(scores)},
+                                            "scores": scores}))
+            wf = load_weight_file(edited)
+            with pytest.raises(ValidationError, match=f"^weight file holds {len(scores)} "
+                                                      f"scores, the corpus {n} rows$"):
+                verify_weight_file(wf, c)
+            with pytest.raises(ChecksumError, match="exported for a different corpus"):
+                verify_weight_file(replace(wf, corpus_checksum="0" * 64), c)
 
     def _exported(self, tmp_path):
-        """A weight file's path and its parsed document, and the first
-        augment's entry in it."""
+        """A weight file's path and its parts as ``oracles.weight_doc`` reads
+        them, its corpus, and the row of the corpus's first augment."""
         c, params = self._trained()
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         export_weights(c, params, WeightMapConfig(), path)
-        doc = json.loads(path.read_text())
-        augs = set(c.ids[c.augmented].tolist())
-        return path, doc, next(e for e in doc["entries"] if e["id"] in augs)
-
-    @staticmethod
-    def _unknown(entry, field):
-        return (f"^bad weight file: entry {re.escape(entry['id'])}: unknown field "
-                f"{field}; re-run augqual score to rewrite it$")
+        return path, weight_doc(path.read_bytes()), c, int(np.flatnonzero(c.augmented)[0])
 
     def test_load_rejects_tampered_original_weight(self, tmp_path):
-        # an entry carrying a weight is refused, whatever the weight
-        path, doc, _ = self._exported(tmp_path)
-        entry = next(e for e in doc["entries"] if "-a" not in e["id"])
-        entry["weight"] = 0.7
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=self._unknown(entry, "weight")):
+        """An original weighs 1 whatever its score, and the file holds no
+        weight to tamper with: an original's score edited inside (0, 1)
+        leaves its weight 1, and one edited to 1 is refused as any score is."""
+        path, doc, c, _ = self._exported(tmp_path)
+        assert not c.augmented[0]
+        doc["scores"][0] = 0.7
+        path.write_bytes(weight_file(doc))
+        assert verify_weight_file(load_weight_file(path), c)[0] == 1.0
+        doc["scores"][0] = 1.0
+        path.write_bytes(weight_file(doc))
+        with pytest.raises(ValidationError, match=r"^weight file gives row 0 score 1\.0, "):
             load_weight_file(path)
 
     @pytest.mark.parametrize("bad", (-5.0, 1e300, float("nan"), float("inf"),
                                      0.05, 1.6))
     def test_load_rejects_out_of_range_augment_weight(self, tmp_path, bad):
-        path, doc, entry = self._exported(tmp_path)
-        entry["weight"] = bad
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=self._unknown(entry, "weight")):
-            load_weight_file(path)
+        """A weight is derived, never read, so the bytes an augment's weight
+        could be written into are its score's: a value outside (0, 1) is
+        refused, and one inside maps to a weight in [w_min, w_max]."""
+        path, doc, c, k = self._exported(tmp_path)
+        doc["scores"][k] = bad
+        path.write_bytes(weight_file(doc))
+        if 0.0 < bad < 1.0:
+            weight = verify_weight_file(load_weight_file(path), c)[k]
+            assert weight == map_weight(bad, WeightMapConfig()) and 0.1 <= weight <= 1.5
+        else:
+            with pytest.raises(ValidationError, match=f"^weight file gives row {k} score "):
+                load_weight_file(path)
 
     def test_load_rejects_weight_edited_apart_from_its_score(self, tmp_path):
-        # an entry of the former format: its first unknown field in key order
-        path, doc, entry = self._exported(tmp_path)
-        entry.update(origin="Augmented", weight=0.9)
-        path.write_text(json.dumps(doc, sort_keys=True))
-        with pytest.raises(ValidationError, match=self._unknown(entry, "origin")):
+        """A weight cannot be edited apart from its score: a column of
+        weights written after the scores makes the file longer than its
+        header says and is refused, and an edited score moves its weight."""
+        path, doc, c, k = self._exported(tmp_path)
+        weights = verify_weight_file(load_weight_file(path), c)
+        path.write_bytes(weight_file(doc) + weights.astype("<f8").tobytes())
+        with pytest.raises(ValidationError, match=rf"^weight file holds \d+ bytes, not the "
+                                                  rf"\d+-byte header plus {len(c)} "
+                                                  rf"float64 scores$"):
             load_weight_file(path)
+        doc["scores"][k] = 0.9
+        path.write_bytes(weight_file(doc))
+        assert verify_weight_file(load_weight_file(path), c)[k] == map_weight(
+            0.9, WeightMapConfig())
 
     @pytest.mark.parametrize("where", ("metadata", "top level"))
     def test_load_rejects_unknown_key(self, tmp_path, where):
-        """A key the format does not have, in the metadata or beside it, is
-        refused by name, as an unknown entry field is."""
-        path, doc, _ = self._exported(tmp_path)
+        """A key the header does not have, in its map (which the JSON
+        format's metadata held) or beside it, is refused by name."""
+        path, doc, _, _ = self._exported(tmp_path)
         if where == "metadata":
-            doc["metadata"]["bogus"] = 1
-            message = "^bad weight file: metadata: unknown field bogus$"
+            doc["header"]["weight_map"]["bogus"] = 1
+            message = "^unknown weight file header key: weight_map.bogus$"
         else:
-            doc["extra"] = [1]
-            message = "^bad weight file: unknown field extra$"
-        path.write_text(json.dumps(doc))
+            doc["header"]["extra"] = [1]
+            message = "^unknown weight file header key: extra$"
+        path.write_bytes(weight_file(doc))
         with pytest.raises(ValidationError, match=message):
             load_weight_file(path)
 
     @pytest.mark.parametrize("bad", (0.0, 1.0, -0.2, float("nan")))
     def test_load_rejects_augment_score_outside_open_interval(self, tmp_path, bad):
-        path, doc, entry = self._exported(tmp_path)
-        entry["score"] = bad
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=entry["id"]):
+        path, doc, _, k = self._exported(tmp_path)
+        doc["scores"][k] = bad
+        path.write_bytes(weight_file(doc))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"weight file gives row {k} score {bad!r}, outside (0, 1)")):
             load_weight_file(path)
 
     def test_load_rejects_non_finite_map_bounds(self, tmp_path):
-        path, doc, _ = self._exported(tmp_path)
-        doc["metadata"]["w_max"] = float("inf")
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError,
-                           match=re.escape("WeightMapConfig.w_max must be in [0, inf), "
-                                           "got inf")):
+        path, doc, _, _ = self._exported(tmp_path)
+        doc["header"]["weight_map"]["w_max"] = float("inf")
+        path.write_bytes(weight_file(doc))
+        with pytest.raises(ValidationError, match=re.escape(
+                "weight file header key weight_map.w_max must be a finite number")):
             load_weight_file(path)
 
     @pytest.mark.parametrize("case", ("duplicate id", "score 0", "score 1", "score nan",
                                       "w_max inf"))
     def test_bad_file_refused_in_memory_and_on_load(self, tmp_path, case):
-        """One set of checks, made when a ``WeightFile`` is built: the same
-        refusal whether the file is built in memory or loaded from disk."""
+        """A file built in memory and one loaded from disk are refused alike
+        by the time they are bound to the corpus: a score outside (0, 1) when
+        the file is built, a row listed twice (a score more than the corpus
+        has rows) when it is bound, and an infinite map bound by the map's
+        checks in memory and by the header's on load, each naming w_max."""
         c, params = self._trained()
         wf = export_weights(c, params, WeightMapConfig())
-        ids, scores = wf.ids.tolist(), wf.scores.tolist()
-        meta = {"w_min": 0.1, "w_max": 1.5, "gamma": 1.0}
-        k, message = 3, None
+        scores, meta, k = wf.scores.tolist(), {"w_min": 0.1, "w_max": 1.5, "gamma": 1.0}, 3
         if case == "duplicate id":
-            ids[k + 1] = ids[k]
-            message = f"^weight file lists {ids[k]} twice$"
+            scores.insert(k + 1, scores[k])
+            memory = load = f"^weight file holds {len(c) + 1} scores, the corpus {len(c)} rows$"
         elif case == "w_max inf":
             meta["w_max"] = float("inf")
-            message = re.escape("WeightMapConfig.w_max must be in [0, inf), got inf")
+            memory = re.escape("WeightMapConfig.w_max must be in [0, inf), got inf")
+            load = re.escape("weight file header key weight_map.w_max must be a finite number")
         else:
             scores[k] = float(case.split()[1])
-            message = (f"^weight file gives {ids[k]} score {scores[k]!r}, "
-                       f"outside \\(0, 1\\)$")
-        binding = {"qa_checksum": wf.qa_checksum, "corpus_checksum": wf.corpus_checksum,
-                   "created_at": wf.created_at}
-        with pytest.raises(ValidationError, match=message):
-            qa.WeightFile(weight_map=WeightMapConfig(**meta), ids=ids, scores=scores,
-                          **binding)
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps({"metadata": {**meta, **binding}, "entries": [
-            {"id": i, "score": s} for i, s in zip(ids, scores)]}))
-        with pytest.raises(ValidationError, match=message):
-            load_weight_file(path)
+            memory = load = (f"^weight file gives row {k} score {scores[k]!r}, "
+                             f"outside \\(0, 1\\)$")
+        checksums = {"qa_checksum": wf.qa_checksum, "corpus_checksum": wf.corpus_checksum}
+        with pytest.raises(ValidationError, match=memory):
+            verify_weight_file(qa.WeightFile(weight_map=WeightMapConfig(**meta),
+                                             scores=scores, **checksums), c)
+        path = tmp_path / "w.bin"
+        path.write_bytes(weight_file({"header": {"kind": "weight_file", "weight_map": meta,
+                                                 **checksums, "rows": len(scores)},
+                                      "scores": scores}))
+        with pytest.raises(ValidationError, match=load):
+            verify_weight_file(load_weight_file(path), c)
 
     def test_exported_extreme_scores_stay_loadable(self, tmp_path):
         # each derived weight is sample_weight of its score, bit for bit, at
@@ -848,7 +850,7 @@ class TestWeightFile:
         scores = score_corpus(c, params).tolist()
         origins = np.where(c.augmented, "Augmented", "Original").tolist()
         for gamma in (0.05, 1.0, 2.5, 20.0):
-            path = tmp_path / f"w{gamma}.json"
+            path = tmp_path / f"w{gamma}.bin"
             cfg = WeightMapConfig(w_min=0.3, w_max=0.7, gamma=gamma)
             want = np.array([sample_weight(o, s, cfg) for o, s in zip(origins, scores)])
             for wf in (export_weights(c, params, cfg, path), load_weight_file(path)):

@@ -333,9 +333,9 @@ ARTIFACTS = {
         _scorer(np.random.default_rng(1)), _header(), d / "qa.bin")),
     "head snapshot": (finetune, ["head.bin"], lambda d: save_head_snapshot(
         _head(np.random.default_rng(1)), D, D_T, d / "head.bin")),
-    "weight file": (qa, ["weights.json"], lambda d: export_weights(
+    "weight file": (qa, ["weights.bin"], lambda d: export_weights(
         _small_corpus(), _scorer(np.random.default_rng(1)), WeightMapConfig(),
-        d / "weights.json")),
+        d / "weights.bin")),
     "report": (pipeline, ["report.json", "report.txt"], _run_small_pipeline),
     "CSV dump": (cli, ["rows.csv"], lambda d: cli.main(
         ["report", "--results", str(d / "run"), "--dump-csv", str(d / "rows.csv")])),
