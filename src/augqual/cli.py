@@ -5,60 +5,66 @@ Subcommands mirror the pipeline stages: gen-corpus, stage0 (scorer), score
 whole experiment). Stochastic stages require an explicit --seed; nothing
 falls back to wall-clock entropy. Exit codes: 0 success, 1 bad input or
 usage, 2 runtime failure (checksum mismatch, missing file, stage error).
+
+A process imports only what its subcommand runs. The parser gives the
+chosen subcommand its flags and imports its stage modules (``_COMMANDS``);
+every other subcommand keeps just its help line. So ``--version``,
+``--help`` and a command line naming no subcommand load no numpy and no
+stage module, ``gen-corpus`` loads neither the scorer nor the head, and only
+eval, report and pipeline load ``augqual.pipeline``. For the same reason the
+standard-library modules only a command uses (json, dataclasses, pathlib)
+are imported where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
+import importlib
 import sys
-from dataclasses import is_dataclass, replace
-from pathlib import Path
 
-from . import __version__
-from .corpus import (
-    POOLS,
-    TARGET_WIDTH,
-    CorpusConfig,
-    SplitConfig,
-    corpus_checksum,
-    generate_corpus,
-    load_corpus,
-    save_corpus,
-    train_eval_split,
-)
-from .finetune import (
-    HeadConfig,
-    load_head_snapshot,
-    predict_all,  # noqa: F401 - called in evaluate; bound for per-module tracing
-    save_head_snapshot,
-    train_stage1,
-    write_run_log,
-)
-from .metrics import compute_metrics  # noqa: F401 - as predict_all
-from .numerics import one_blas_thread
-from .pipeline import (
-    PipelineConfig,
-    check_report,
-    evaluate,
-    format_report_table,
-    pipeline_config_from_dict,
-    report_csv,
-    run_pipeline,
-)
-from .qa import (
-    QaConfig,
-    WeightMapConfig,
-    export_weights,
-    load_qa_snapshot,
-    load_weight_file,
-    qa_checksum,
-    save_qa_snapshot,
-    train_stage0,
-)
-from .util import (AugqualError, ValidationError, config_fields, flag_type,
-                   load_json_object, write_atomic)
+from . import AugqualError, ValidationError, __version__
+
+# The names each stage module lends this one. ``_bind`` imports a module and
+# binds its names as globals here once a command that runs it is chosen.
+_STAGE_NAMES = {
+    "util": ("config_fields", "flag_type", "load_json_object", "write_atomic"),
+    "numerics": ("one_blas_thread",),
+    "corpus": ("POOLS", "TARGET_WIDTH", "CorpusConfig", "SplitConfig",
+               "corpus_checksum", "generate_corpus", "load_corpus", "save_corpus",
+               "train_eval_split"),
+    "qa": ("QaConfig", "WeightMapConfig", "export_weights", "load_qa_snapshot",
+           "load_weight_file", "qa_checksum", "save_qa_snapshot", "train_stage0"),
+    # predict_all and compute_metrics run inside evaluate; they are bound
+    # here only for the span hooks (see __getattr__)
+    "finetune": ("HeadConfig", "load_head_snapshot", "predict_all",
+                 "save_head_snapshot", "train_stage1", "write_run_log"),
+    "metrics": ("compute_metrics",),
+    "pipeline": ("PipelineConfig", "check_report", "evaluate", "format_report_table",
+                 "pipeline_config_from_dict", "report_csv", "run_pipeline"),
+}
+
+
+def _bind(modules) -> None:
+    """Import each stage module named and bind the names it lends as globals
+    of this module. A name already bound is kept: a wrapper put there
+    before ``main`` ran stays in place."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _STAGE_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    """A stage name looked up on this module from outside (PEP 562) binds
+    every stage name first, so ``getattr`` and ``setattr`` by the span hooks
+    of ``benchmarks/spans.py`` or by a test's monkeypatch see the names as a
+    module that imported them all would. This path exists for the span
+    hooks; once the program owns its timings (ROADMAP item 2), it can go."""
+    if any(name in names for names in _STAGE_NAMES.values()):
+        _bind(_STAGE_NAMES)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -73,6 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(doc: dict) -> None:
+    import json
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
@@ -83,6 +90,7 @@ def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
     typed as the field (util.flag_type) and defaulting to its value in
     ``config``. Text a flag's type refuses raises ValidationError out of
     parse_args, and main reports it."""
+    from dataclasses import is_dataclass
     for name, hint in config_fields(type(config)):
         value = getattr(config, name)
         flag = names.get(name, "--" + name.replace("_", "-"))
@@ -98,6 +106,7 @@ def _add_config_flags(p: argparse.ArgumentParser, config, **names) -> None:
 def _config_from_flags(cls, args):
     """A cls built from the flags _add_config_flags gave it; a field with no
     flag keeps its default."""
+    from dataclasses import is_dataclass
     given = {}
     for name, hint in config_fields(cls):
         if is_dataclass(hint):
@@ -148,13 +157,13 @@ def _cmd_score(args) -> int:
     corpus = load_corpus(args.corpus)
     params, _ = load_qa_snapshot(args.qa)
     wf = export_weights(corpus, params, config, args.out)
-    doc = {"path": str(args.out), "n_entries": len(wf.scores),
+    doc = {"path": str(args.out), "rows": len(wf.scores),
            "qa_checksum": wf.qa_checksum,
            "corpus_checksum": wf.corpus_checksum}
     if args.json:
         _print_json(doc)
     else:
-        print(f"wrote {doc['n_entries']} scores to {doc['path']}")
+        print(f"wrote {doc['rows']} scores to {doc['path']}")
     return 0
 
 
@@ -201,6 +210,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from pathlib import Path
     report_path = Path(args.results) / "report.json"
     report = check_report(load_json_object(report_path, f"JSON in {report_path}"),
                           str(report_path))
@@ -214,6 +224,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from dataclasses import replace
     if args.config is not None:
         cfg = pipeline_config_from_dict(load_json_object(args.config,
                                                          f"JSON in {args.config}"))
@@ -231,39 +242,28 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="augqual",
-                     description="Quality-weighted training over augmented "
-                                 "multimodal feature corpora.")
-    parser.add_argument("--version", action="version",
-                        version=f"augqual {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
+def _gen_corpus_flags(p) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
     _add_config_flags(p, CorpusConfig(), augments_per_original="--augments")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen_corpus)
 
-    p = sub.add_parser("stage0", help="train the quality scorer")
+
+def _stage0_flags(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
     _add_config_flags(p, QaConfig())
     _add_config_flags(p, SplitConfig())
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_stage0)
 
-    p = sub.add_parser("score", help="export per-sample quality scores")
+
+def _score_flags(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", required=True, help="scorer snapshot path")
     p.add_argument("--out", required=True)
     _add_config_flags(p, WeightMapConfig())
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("stage1", help="fine-tune the surrogate head")
+
+def _stage1_flags(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=flag_type(int, "--seed"), required=True)
@@ -272,33 +272,68 @@ def build_parser() -> _Parser:
     _add_config_flags(p, SplitConfig())
     _add_config_flags(p, HeadConfig())
     p.add_argument("--run-log", help="write per-step losses as JSONL")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_stage1)
 
-    p = sub.add_parser("eval", help="evaluate a head on held-out originals")
+
+def _eval_flags(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--head", required=True)
     # the held-out set does not depend on the label fraction
     _add_config_flags(p, SplitConfig(), label_fraction=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("report", help="render a pipeline report")
+
+def _report_flags(p) -> None:
     p.add_argument("--results", required=True, help="pipeline output directory")
     p.add_argument("--dump-csv", help="also write per-seed rows as CSV")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", help="run the full experiment")
+
+def _pipeline_flags(p) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--seeds", help="comma-separated override, e.g. 1,2,3",
                    type=flag_type(dict(config_fields(PipelineConfig))["seeds"],
                                   "--seeds"))
     p.add_argument("--dump-csv", help="also write per-seed rows as CSV")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pipeline)
 
+
+# name -> (help line, stage modules it runs besides util and numerics,
+#          adds its flags but --json, runs it), in the order the help lists them
+_COMMANDS = {
+    "gen-corpus": ("generate a synthetic corpus", ("corpus",),
+                   _gen_corpus_flags, _cmd_gen_corpus),
+    "stage0": ("train the quality scorer", ("corpus", "qa"),
+               _stage0_flags, _cmd_stage0),
+    "score": ("export per-sample quality scores", ("corpus", "qa"),
+              _score_flags, _cmd_score),
+    "stage1": ("fine-tune the surrogate head", ("corpus", "qa", "finetune"),
+               _stage1_flags, _cmd_stage1),
+    "eval": ("evaluate a head on held-out originals",
+             ("corpus", "finetune", "pipeline"), _eval_flags, _cmd_eval),
+    "report": ("render a pipeline report", ("pipeline",),
+               _report_flags, _cmd_report),
+    "pipeline": ("run the full experiment", ("pipeline",),
+                 _pipeline_flags, _cmd_pipeline),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser, with the flags of ``command`` alone: every other
+    subcommand has just its help line, which is all ``augqual --help`` and
+    a usage error print. Building it imports the stage modules ``command``
+    runs and binds their names (``_bind``); for no command, it imports
+    none."""
+    parser = _Parser(prog="augqual",
+                     description="Quality-weighted training over augmented "
+                                 "multimodal feature corpora.")
+    parser.add_argument("--version", action="version",
+                        version=f"augqual {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, modules, add_flags, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            _bind(("util", "numerics", *modules))
+            add_flags(p)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(func=run)
     return parser
 
 
@@ -306,7 +341,11 @@ def main(argv=None) -> int:
     """Run one subcommand; its exit code. The subcommand runs with BLAS held
     to one thread, as ``run_pipeline`` runs: its matmuls have 32-row
     operands, on which a second thread only spins."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first positional argument as the command, and no
+    # top-level option takes a value, so the first argument that names a
+    # command is the one argparse runs, if any
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
         with one_blas_thread():

@@ -456,7 +456,8 @@ def _layout(raw) -> tuple:
 
 def load_weight_file(path) -> WeightFile:
     header, arrays, _ = read_array_file(path, "weight", _layout,
-                                        rewrite="re-run augqual score to rewrite it")
+                                        rewrite="re-run augqual score to rewrite it",
+                                        header_name="weight file header")
     return WeightFile(weight_map=header.weight_map, qa_checksum=header.qa_checksum,
                       corpus_checksum=header.corpus_checksum, scores=arrays["scores"])
 

@@ -1,7 +1,7 @@
-"""Shared plumbing: error types, seeded stream derivation, canonical JSON,
-the schema walker that reads and writes config documents and the corpus and
-weight-file headers, the array file, and the one writer every artifact goes
-through.
+"""Shared plumbing: seeded stream derivation, canonical JSON, the schema
+walker that reads and writes config documents and the corpus and weight-file
+headers, the array file, and the one writer every artifact goes through. The
+error types are the package's (``augqual/__init__.py``), imported here.
 
 A JSON document (the report) is one ``json.dumps`` text with sorted keys
 (``dumps_canonical``). The corpus, both snapshots and the weight file are
@@ -33,21 +33,8 @@ from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-
-class AugqualError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ValidationError(AugqualError):
-    """Bad inputs: shapes, ranges, config values, malformed files."""
-
-
-class ChecksumError(AugqualError):
-    """An artifact does not match the inputs it claims to be derived from."""
-
-
-class PipelineError(AugqualError):
-    """A pipeline stage failed; message carries the stage name and cause."""
+from . import (  # noqa: F401 - re-exported for the stage modules
+    AugqualError, ChecksumError, PipelineError, ValidationError)
 
 
 def _stream_seed(seed: int, tags: tuple) -> int:
@@ -298,14 +285,17 @@ def array_file_chunks(header: dict, arrays) -> list:
     return [line, *(memoryview(np.ascontiguousarray(a)).cast("B") for a in arrays)]
 
 
-def read_array_file(path, what: str, layout, rewrite="write it again") -> tuple:
-    """``(value, arrays, buffer)`` of the array file at ``path``, each array a
-    read-only view of the buffer. ``layout(header)`` refuses a parsed header
+def read_array_file(path, what: str, layout, rewrite="write it again",
+                    header_name=None) -> tuple:
+    """``(value, arrays, buffer)`` of the ``what`` file at ``path``, each array
+    a read-only view of the buffer. ``layout(header)`` refuses a parsed header
     line it cannot lay out, or returns ``(value, [(name, dtype, shape), ...],
     body)``, body saying what the arrays hold. The header line must be padded
     and the file hold it and the arrays' bytes, nothing more. A file of
     indented JSON, as earlier formats were, is refused with the advice
-    ``rewrite``."""
+    ``rewrite``. Refusals of the header line call it ``header_name``, by
+    default ``<what> header``."""
+    header_name = header_name or f"{what} header"
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         if fh.readinto(buf) != buf.size:
@@ -317,15 +307,15 @@ def read_array_file(path, what: str, layout, rewrite="write it again") -> tuple:
                               f"this build reads only binary files; {rewrite}")
     newline = _NEWLINE.search(buf)
     if newline is None:
-        raise ValidationError(f"bad {what} header: no newline ends the header line")
+        raise ValidationError(f"bad {header_name}: no newline ends the header line")
     offset = newline.end()
     try:
         raw = json.loads(bytes(buf[:offset]))
     except ValueError as exc:   # bad JSON or bad UTF-8
-        raise ValidationError(f"bad {what} header: {exc}") from exc
+        raise ValidationError(f"bad {header_name}: {exc}") from exc
     value, specs, body = layout(raw)
     if offset % 8:
-        raise ValidationError(f"bad {what} header: its line of {offset} bytes is "
+        raise ValidationError(f"bad {header_name}: its line of {offset} bytes is "
                               f"not padded to a multiple of 8")
     counts = [math.prod(shape) for _, _, shape in specs]
     need = sum(n * np.dtype(dtype).itemsize for n, (_, dtype, _) in zip(counts, specs))

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, --json, byte determinism."""
 
 import argparse
+import ast
 import copy
 import csv
 import hashlib
@@ -119,6 +120,43 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # run first, through the console script's function: reports, as the
+    # interpreter exits, the numpy, scipy and package modules the process loaded
+    LOADED = ("import atexit, sys; atexit.register(lambda: print(sorted("
+              "m for m in sys.modules if m.split('.')[0] in "
+              "('numpy', 'scipy', 'augqual')), file=sys.stderr)); "
+              "from augqual.cli import exit_main; exit_main()")
+
+    @classmethod
+    def _loaded(cls, *argv):
+        proc = subprocess.run([sys.executable, "-c", cls.LOADED, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_load_no_numpy_and_no_stage(self, flag):
+        assert self._loaded(flag) == {"augqual", "augqual.cli"}
+
+    @pytest.mark.parametrize("command, unloaded", [
+        ("gen-corpus", ("qa", "forge", "finetune", "metrics", "pipeline")),
+        ("stage0", ("finetune", "metrics", "pipeline")),
+        ("score", ("finetune", "metrics", "pipeline")),
+        ("stage1", ("metrics", "pipeline"))])
+    def test_command_loads_only_its_stages(self, clean_artifacts, tmp_path, command,
+                                           unloaded):
+        corpus, paths = clean_artifacts
+        c, out = ["--corpus", str(corpus)], ["--out", str(tmp_path / "out.bin")]
+        argv = {"gen-corpus": [*GEN, *out, "--seed", "5"],
+                "stage0": ["stage0", *c, *out, "--seed", "5", "--steps", "2"],
+                "score": ["score", *c, "--qa", str(paths["scorer"]), *out],
+                "stage1": ["stage1", *c, "--weights", str(paths["weights"]), *out,
+                           "--seed", "5", "--steps", "2"]}[command]
+        loaded = self._loaded(*argv)
+        assert (tmp_path / "out.bin").exists()
+        assert "numpy" in loaded
+        assert not loaded & {f"augqual.{m}" for m in unloaded}
 
     def test_pipeline_run_imports_no_process_pool(self, tmp_path):
         """A pipeline run forks its arm worker with os.fork and a pipe, so a
@@ -290,7 +328,7 @@ class TestStageCommands:
         doc = json.loads(capsys.readouterr().out)
         header = weight_doc(w.read_bytes())["header"]
         digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
-        assert doc == {"path": str(w), "n_entries": 48,
+        assert doc == {"path": str(w), "rows": 48,
                        "qa_checksum": header["qa_checksum"], "corpus_checksum": digest}
         assert header["corpus_checksum"] == digest and header["rows"] == 48
         assert main(["score", "--corpus", str(corpus), "--qa", str(qa),
@@ -1709,7 +1747,7 @@ class TestDerivedFlags:
         ("score", (WeightMapConfig,)), ("stage1", (HeadConfig, SplitConfig))],
         ids=["gen-corpus", "stage0", "score", "stage1"])
     def test_flags_are_the_config_fields(self, command, classes):
-        sub = next(a for a in cli.build_parser()._actions
+        sub = next(a for a in cli.build_parser(command)._actions
                    if isinstance(a, argparse._SubParsersAction)).choices[command]
         flags = {opt for a in sub._actions for opt in a.option_strings
                  if opt not in ("-h", "--help")}

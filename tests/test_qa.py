@@ -19,8 +19,10 @@ from augqual.corpus import (
     CorruptionProfile,
     corpus_checksum,
     generate_corpus,
+    load_corpus,
     train_eval_split,
 )
+from augqual.finetune import load_head_snapshot
 from augqual.forge import forge_batch
 from augqual.metrics import roc_auc
 from augqual.numerics import bce_with_logit, init_adam, one_blas_thread
@@ -856,6 +858,25 @@ class TestWeightFile:
             for wf in (export_weights(c, params, cfg, path), load_weight_file(path)):
                 assert verify_weight_file(wf, c).tobytes() == want.tobytes()
 
+
+    @pytest.mark.parametrize("load, noun, header", [
+        (load_weight_file, "weight", "weight file header"),
+        (load_corpus, "corpus", "corpus header"),
+        (load_qa_snapshot, "scorer snapshot", "scorer snapshot header"),
+        (load_head_snapshot, "head snapshot", "head snapshot header")],
+        ids=["weight file", "corpus", "scorer snapshot", "head snapshot"])
+    def test_header_line_refusals_name_the_file(self, tmp_path, load, noun, header):
+        """A weight file's header line is refused as the ``weight file
+        header``, the name the header walker gives it; a corpus's and a
+        snapshot's keep their names."""
+        path = tmp_path / "f.bin"
+        for data, message in ((b"", f"empty {noun} file: missing header$"),
+                              (b'{"kind": 1', f"bad {header}: no newline ends the "
+                                              f"header line$"),
+                              (b"{x}    \n", f"bad {header}: Expecting property name")):
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match="^" + message):
+                load(path)
 
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
